@@ -109,7 +109,7 @@ def eta_array(x: np.ndarray) -> np.ndarray:
     x = np.clip(x, 0.0, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = -x * np.log(x)
-    return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0, copy=False)
+    return np.where(x > 0.0, out, 0.0)
 
 
 def probability(u: BlochVector, v: BlochVector, d: int = 2, k: int = 2) -> float:
@@ -220,14 +220,19 @@ class EntropyKernel:
 
     # ---- full entropy of a distribution ----
 
-    def entropy(self, p: np.ndarray) -> float:
+    def entropy(self, p: np.ndarray, axis: int = None):
+        """Entropy of the distribution p, a float; with ``axis`` given, the
+        entropies of the distributions along that axis, as an array."""
         p = np.asarray(p, dtype=float)
         if self.kind == "shannon":
-            return float(np.sum(eta_array(p)))
-        power_sum = float(np.sum(np.clip(p, 0.0, 1.0) ** self.alpha))
-        if self.kind == "tsallis":
-            return (1.0 - power_sum) / (self.alpha - 1.0)
-        return math.log(power_sum) / (1.0 - self.alpha)
+            out = np.sum(eta_array(p), axis=axis)
+        else:
+            power_sum = np.sum(np.clip(p, 0.0, 1.0) ** self.alpha, axis=axis)
+            if self.kind == "tsallis":
+                out = (1.0 - power_sum) / (self.alpha - 1.0)
+            else:
+                out = np.log(power_sum) / (1.0 - self.alpha)
+        return float(out) if axis is None else out
 
 
 SHANNON = EntropyKernel("shannon")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,7 +55,10 @@ class HsPovm:
     alpha: float = None       # type: ignore[assignment]
 
     def __post_init__(self):
-        centroid = np.sum([v.as_array() for v in self.vectors], axis=0)
+        coords = np.array([v.as_array() for v in self.vectors])
+        coords.setflags(write=False)
+        object.__setattr__(self, "_coords", coords)
+        centroid = np.sum(coords, axis=0)
         if np.max(np.abs(centroid)) > CENTROID_TOL * max(1, len(self.vectors)):
             raise ValueError(
                 f"Bloch vectors do not sum to zero (|centroid|={np.linalg.norm(centroid):.2e})"
@@ -69,15 +73,13 @@ class HsPovm:
         return self.vectors[0]
 
     def matrix(self) -> np.ndarray:
-        """k x 3 coordinate matrix."""
-        return np.array([v.as_array() for v in self.vectors])
+        """k x 3 coordinate matrix (read-only, built once)."""
+        return self._coords
 
     def rotation_group(self) -> RotationGroup:
         if not self.group:
             raise ValueError(f"POVM family {self.family!r} carries no group tag")
-        if self.group.startswith("C_"):
-            return generate_group("C", int(self.group[2:]))
-        return generate_group(self.group)
+        return _group_of_tag(self.group)
 
     def is_coplanar(self) -> bool:
         return bool(np.max(np.abs(self.matrix()[:, 2])) < 1e-12)
@@ -90,6 +92,13 @@ class HsPovm:
         payload = json.loads(text)
         vectors = tuple(BlochVector.from_array(v) for v in payload["vectors"])
         return cls(vectors=vectors, family=payload.get("family", "custom"))
+
+
+@lru_cache(maxsize=None)
+def _group_of_tag(tag: str) -> RotationGroup:
+    if tag.startswith("C_"):
+        return generate_group("C", int(tag[2:]))
+    return generate_group(tag)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ the Sturm step runs in mpmath interval arithmetic with adaptive precision.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,6 +48,18 @@ GRID_SIZE = 100_001
 STURM_PRECISIONS = (200, 320, 512)
 
 _LD = np.longdouble
+
+
+@contextmanager
+def _interval_precision(bits: int):
+    """Run a block at the given mpmath interval precision and restore the
+    caller's afterwards (mpmath's iv context has no workprec of its own)."""
+    saved = iv.prec
+    iv.prec = bits
+    try:
+        yield
+    finally:
+        iv.prec = saved
 
 
 @dataclass(frozen=True)
@@ -515,92 +528,92 @@ def _icosi_interval_coefficients(povm: HsPovm, precision: int):
     """Enclosures of the expansion coefficients B, C, D at the given
     working precision (nodes, interpolation, probe values and the linear
     solve all in interval arithmetic)."""
-    iv.prec = precision
-    tau, lift = _iv_symbols()
-    verts = [[lift(c) for c in row] for row in povm.matrix()]
-    node_list = interpolation_set(povm)
-    nodes_iv = [lift(t) for t in node_list]
-    mults = [1 if abs(abs(t) - 1.0) < 1e-9 else 2 for t in node_list]
+    with _interval_precision(precision):
+        tau, lift = _iv_symbols()
+        verts = [[lift(c) for c in row] for row in povm.matrix()]
+        node_list = interpolation_set(povm)
+        nodes_iv = [lift(t) for t in node_list]
+        mults = [1 if abs(abs(t) - 1.0) < 1e-9 else 2 for t in node_list]
 
-    def h_iv(t):
-        x = (1 + t) / 2
-        if x == 0:
-            return iv.mpf(0)
-        return -x * iv.log(x)
+        def h_iv(t):
+            x = (1 + t) / 2
+            if x == 0:
+                return iv.mpf(0)
+            return -x * iv.log(x)
 
-    def hp_iv(t):
-        x = (1 + t) / 2
-        return -(iv.log(x) + 1) / 2
+        def hp_iv(t):
+            x = (1 + t) / 2
+            return -(iv.log(x) + 1) / 2
 
-    node_ids, ts = [], []
-    for idx, (t, m) in enumerate(zip(nodes_iv, mults)):
-        node_ids.extend([idx] * m)
-        ts.extend([t] * m)
-    values = [h_iv(t) for t in nodes_iv]
-    derivs = [hp_iv(t) if m >= 2 else None for t, m in zip(nodes_iv, mults)]
-    newton = _newton_coefficients(node_ids, ts, values, derivs)
-    mono = _newton_to_monomial(newton, ts, iv.mpf(0))
+        node_ids, ts = [], []
+        for idx, (t, m) in enumerate(zip(nodes_iv, mults)):
+            node_ids.extend([idx] * m)
+            ts.extend([t] * m)
+        values = [h_iv(t) for t in nodes_iv]
+        derivs = [hp_iv(t) if m >= 2 else None for t, m in zip(nodes_iv, mults)]
+        newton = _newton_coefficients(node_ids, ts, values, derivs)
+        mono = _newton_to_monomial(newton, ts, iv.mpf(0))
 
-    def p_iv(t):
-        acc = mono[-1]
-        for c in reversed(mono[:-1]):
-            acc = acc * t + c
-        return acc
+        def p_iv(t):
+            acc = mono[-1]
+            for c in reversed(mono[:-1]):
+                acc = acc * t + c
+            return acc
 
-    def P_iv(point):
-        # orbit sum sum_j p(v_j . x): the quoted-constant normalization
-        total = iv.mpf(0)
-        for row in verts:
-            dot = row[0] * point[0] + row[1] * point[1] + row[2] * point[2]
-            total = total + p_iv(dot)
-        return total
+        def P_iv(point):
+            # orbit sum sum_j p(v_j . x): the quoted-constant normalization
+            total = iv.mpf(0)
+            for row in verts:
+                dot = row[0] * point[0] + row[1] * point[1] + row[2] * point[2]
+                total = total + p_iv(dot)
+            return total
 
-    def i6p_iv(p):
-        t2 = tau * tau
-        x2, y2, z2 = p[0] ** 2, p[1] ** 2, p[2] ** 2
-        return (t2 * x2 - y2) * (t2 * y2 - z2) * (t2 * z2 - x2)
+        def i6p_iv(p):
+            t2 = tau * tau
+            x2, y2, z2 = p[0] ** 2, p[1] ** 2, p[2] ** 2
+            return (t2 * x2 - y2) * (t2 * y2 - z2) * (t2 * z2 - x2)
 
-    def i10_iv(p):
-        x, y, z = p
-        t2 = tau * tau
-        x2, y2, z2 = x ** 2, y ** 2, z ** 2
-        linear = (x + y + z) * (x - y - z) * (y - z - x) * (z - y - x)
-        return linear * (x2 / t2 - t2 * y2) * (y2 / t2 - t2 * z2) * (z2 / t2 - t2 * x2)
+        def i10_iv(p):
+            x, y, z = p
+            t2 = tau * tau
+            x2, y2, z2 = x ** 2, y ** 2, z ** 2
+            linear = (x + y + z) * (x - y - z) * (y - z - x) * (z - y - x)
+            return linear * (x2 / t2 - t2 * y2) * (y2 / t2 - t2 * z2) * (z2 / t2 - t2 * x2)
 
-    one = iv.mpf(1)
-    x1 = (iv.mpf(0), iv.mpf(0), one)
-    s_tau2 = iv.sqrt(tau + 2)
-    x5 = (iv.mpf(0), tau / s_tau2, one / s_tau2)
-    s3 = iv.sqrt(iv.mpf(3))
-    x6 = (iv.mpf(0), (tau - 1) / s3, tau / s3)   # 1/tau = tau - 1
-    w0 = (iv.mpf(3) / 13, iv.mpf(4) / 13, iv.mpf(12) / 13)
+        one = iv.mpf(1)
+        x1 = (iv.mpf(0), iv.mpf(0), one)
+        s_tau2 = iv.sqrt(tau + 2)
+        x5 = (iv.mpf(0), tau / s_tau2, one / s_tau2)
+        s3 = iv.sqrt(iv.mpf(3))
+        x6 = (iv.mpf(0), (tau - 1) / s3, tau / s3)   # 1/tau = tau - 1
+        w0 = (iv.mpf(3) / 13, iv.mpf(4) / 13, iv.mpf(12) / 13)
 
-    probes = (x1, x5, x6, w0)
-    rows = []
-    rhs = []
-    for x in probes:
-        th1 = i6p_iv(x)
-        rows.append([one, th1, i10_iv(x), th1 ** 2])
-        rhs.append(P_iv(x))
-    # Gaussian elimination (first row is (1, 0, 0, 0): benign pivots)
-    m = [row[:] + [val] for row, val in zip(rows, rhs)]
-    size = 4
-    for col in range(size):
-        pivot_row = None
-        for r in range(col, size):
-            entry = m[r][col]
-            if entry.a > 0 or entry.b < 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise AmbiguousSignError("pivot straddles zero in interval solve")
-        m[col], m[pivot_row] = m[pivot_row], m[col]
-        for r in range(size):
-            if r == col:
-                continue
-            factor = m[r][col] / m[col][col]
-            m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    solution = [m[r][size] / m[r][r] for r in range(size)]
+        probes = (x1, x5, x6, w0)
+        rows = []
+        rhs = []
+        for x in probes:
+            th1 = i6p_iv(x)
+            rows.append([one, th1, i10_iv(x), th1 ** 2])
+            rhs.append(P_iv(x))
+        # Gaussian elimination (first row is (1, 0, 0, 0): benign pivots)
+        m = [row[:] + [val] for row, val in zip(rows, rhs)]
+        size = 4
+        for col in range(size):
+            pivot_row = None
+            for r in range(col, size):
+                entry = m[r][col]
+                if entry.a > 0 or entry.b < 0:
+                    pivot_row = r
+                    break
+            if pivot_row is None:
+                raise AmbiguousSignError("pivot straddles zero in interval solve")
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            for r in range(size):
+                if r == col:
+                    continue
+                factor = m[r][col] / m[col][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+        solution = [m[r][size] / m[r][r] for r in range(size)]
     return tau, solution            # [A, B, C, D]
 
 
@@ -611,11 +624,12 @@ def _certified_sturm_verdict(povm: HsPovm):
     last_error = None
     for precision in STURM_PRECISIONS:
         try:
-            tau, (A, B, C, D) = _icosi_interval_coefficients(povm, precision)
-            if not (C.a > 0 or C.b < 0):
-                raise AmbiguousSignError("C enclosure straddles zero")
-            quartic = _parabola_quartic(B, C, D, tau)
-            count = sturm_root_count(quartic)
+            with _interval_precision(precision):
+                tau, (A, B, C, D) = _icosi_interval_coefficients(povm, precision)
+                if not (C.a > 0 or C.b < 0):
+                    raise AmbiguousSignError("C enclosure straddles zero")
+                quartic = _parabola_quartic(B, C, D, tau)
+                count = sturm_root_count(quartic)
             mid = [(float(x.a) + float(x.b)) / 2 for x in (A, B, C, D)]
             return count, precision, mid
         except AmbiguousSignError as err:
@@ -623,6 +637,15 @@ def _certified_sturm_verdict(povm: HsPovm):
     raise RuntimeError(
         f"interval Sturm verdict still ambiguous at {STURM_PRECISIONS[-1]} bits: "
         f"{last_error}")
+
+
+def _float_quartic_roots(B: float, C: float, D: float, precision: int) -> int:
+    """Interval Sturm root count of the parabola quartic, taking the float
+    coefficients B, C, D as exact, at the given working precision."""
+    with _interval_precision(precision):
+        tau = (1 + iv.sqrt(iv.mpf(5))) / 2
+        return sturm_root_count(_parabola_quartic(iv.mpf(B), iv.mpf(C),
+                                                  iv.mpf(D), tau))
 
 
 def icosidodeca_positivity(B: float, C: float, D: float,
@@ -638,18 +661,10 @@ def icosidodeca_positivity(B: float, C: float, D: float,
     """
     if abs(C) < 1e-12:
         raise ZeroDivisionError("C vanishes; parabola substitution undefined")
-    iv.prec = STURM_PRECISIONS[0]
-    sqrt5 = iv.sqrt(iv.mpf(5))
-    tau = (1 + sqrt5) / 2
-    quartic = _parabola_quartic(iv.mpf(B), iv.mpf(C), iv.mpf(D), tau)
     try:
-        roots = sturm_root_count(quartic)
+        roots = _float_quartic_roots(B, C, D, STURM_PRECISIONS[0])
     except AmbiguousSignError:
-        iv.prec = STURM_PRECISIONS[-1]
-        sqrt5 = iv.sqrt(iv.mpf(5))
-        tau = (1 + sqrt5) / 2
-        roots = sturm_root_count(_parabola_quartic(iv.mpf(B), iv.mpf(C),
-                                                   iv.mpf(D), tau))
+        roots = _float_quartic_roots(B, C, D, STURM_PRECISIONS[-1])
     points = fibonacci_sphere(samples)
     theta1 = np.array([i6_prime(w) for w in points])
     theta2 = np.array([i10(w) for w in points])
@@ -743,12 +758,10 @@ def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCer
             if kernel.kind == "shannon":
                 sturm_roots, sturm_bits, mid = _certified_sturm_verdict(povm)
             else:
-                iv.prec = sturm_bits = STURM_PRECISIONS[0]
-                sqrt5 = iv.sqrt(iv.mpf(5))
-                quartic = _parabola_quartic(
-                    iv.mpf(coefficients["B"]), iv.mpf(coefficients["C"]),
-                    iv.mpf(coefficients["D"]), (1 + sqrt5) / 2)
-                sturm_roots = sturm_root_count(quartic)
+                sturm_bits = STURM_PRECISIONS[0]
+                sturm_roots = _float_quartic_roots(
+                    coefficients["B"], coefficients["C"], coefficients["D"],
+                    sturm_bits)
             positive_inside = icosidodeca_positivity(
                 coefficients["B"], coefficients["C"], coefficients["D"])
             orbit_ok = sturm_roots == 0 and positive_inside

@@ -6,9 +6,12 @@ entropy of measurement at a pure state u is
     H(u) = ln(k/2) + (2/k) sum_j h(u . v_j),
 
 and the relative entropy is ln k - H(u).  Global extrema are located by a
-Fibonacci-lattice scan refined with derivative-free local search (H fails
-to be twice differentiable exactly at the entropy minima, the antipodes of
-the POVM vectors, so gradient steps are not trusted there).  Critical
+Fibonacci-lattice scan followed by one derivative-free refinement per
+symmetry orbit (an in-repo Nelder-Mead on tangent charts; H fails to be
+twice differentiable exactly at the entropy minima, the antipodes of the
+POVM vectors, so gradient steps are not trusted there), whose result is
+mapped through the rotation group the POVM's vectors are checked to carry.
+Coplanar POVMs are searched on their circle by golden-section.  Critical
 points forced by symmetry (inert states) are classified by the sign of a
 one-line statistic wherever the isotropy group acts irreducibly on the
 tangent plane, and by geodesic second-difference probing otherwise.
@@ -20,16 +23,22 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .bloch import BlochVector, EntropyKernel, SHANNON, h_array
 from .catalog import HsPovm
+from .groups import POINT_TOL, RotationGroup, generate_group
 from .groups import orbit as group_orbit
 from .groups import stabilizer as group_stabilizer
 
 DEFAULT_GRID = 200_000
 REFINE_FTOL = 1e-13
+REFINE_XTOL = 1e-9
+REFINE_MAXITER = 600
+LINE_XTOL = 1e-12         # bracket width ending a golden-section search
+START_ANGLE = 0.05        # rad, minimum spacing of refinement starts
 CLUSTER_ANGLE = 1e-4
+GRID_CHUNK = 4096         # rows per block of a large point grid
+TRIVIAL_GROUP = generate_group("C", 1)
 
 
 @dataclass(frozen=True)
@@ -53,13 +62,19 @@ class EntropyLandscape:
 
 def _entropy_values(points: np.ndarray, povm: HsPovm,
                     kernel: EntropyKernel = SHANNON) -> np.ndarray:
-    """Vectorized entropy at an (n, 3) array of Bloch points (norm <= 1)."""
+    """Vectorized entropy at an (n, 3) array of Bloch points (norm <= 1).
+
+    Large grids are evaluated in blocks of at most GRID_CHUNK rows, so the
+    n x k temporaries stay in cache.
+    """
+    if len(points) > GRID_CHUNK:
+        blocks = np.array_split(points, -(-len(points) // GRID_CHUNK))
+        return np.concatenate([_entropy_values(b, povm, kernel) for b in blocks])
     k = povm.k
     dots = points @ povm.matrix().T
     if kernel.kind == "shannon":
         return math.log(k / 2.0) + (2.0 / k) * np.sum(h_array(dots), axis=-1)
-    probs = (dots + 1.0) / k
-    return np.apply_along_axis(kernel.entropy, -1, probs)
+    return kernel.entropy((dots + 1.0) / k, axis=-1)
 
 
 def entropy_at(u: BlochVector, povm: HsPovm,
@@ -101,10 +116,82 @@ def _tangent_frame(c: np.ndarray) -> tuple:
     return e1, np.cross(c, e1)
 
 
+def _nelder_mead(f, x0: np.ndarray, maxiter: int = REFINE_MAXITER):
+    """Downhill simplex (Nelder-Mead 1965, standard coefficients) started
+    from x0 and x0 + 2.5e-4 along each coordinate.
+
+    Stops when every vertex lies within REFINE_XTOL of the best one in each
+    coordinate and their values within REFINE_FTOL, or after ``maxiter``
+    iterations; returns (x, f(x), tolerance reached).
+    """
+    simplex = np.vstack([x0, x0 + 2.5e-4 * np.eye(len(x0))])
+    fvals = np.array([f(x) for x in simplex])
+    converged = False
+    for _ in range(maxiter):
+        order = np.argsort(fvals, kind="stable")
+        simplex, fvals = simplex[order], fvals[order]
+        if (np.max(np.abs(simplex[1:] - simplex[0])) <= REFINE_XTOL
+                and np.max(np.abs(fvals[1:] - fvals[0])) <= REFINE_FTOL):
+            converged = True
+            break
+        centroid = simplex[:-1].mean(axis=0)
+        worst = simplex[-1]
+        reflected = 2.0 * centroid - worst
+        f_reflected = f(reflected)
+        if f_reflected < fvals[0]:
+            expanded = 3.0 * centroid - 2.0 * worst
+            f_expanded = f(expanded)
+            if f_expanded < f_reflected:
+                simplex[-1], fvals[-1] = expanded, f_expanded
+            else:
+                simplex[-1], fvals[-1] = reflected, f_reflected
+            continue
+        if f_reflected < fvals[-2]:
+            simplex[-1], fvals[-1] = reflected, f_reflected
+            continue
+        if f_reflected < fvals[-1]:                 # outside contraction
+            point = 1.5 * centroid - 0.5 * worst
+            value = f(point)
+            accept = value <= f_reflected
+        else:                                       # inside contraction
+            point = 0.5 * (centroid + worst)
+            value = f(point)
+            accept = value < fvals[-1]
+        if accept:
+            simplex[-1], fvals[-1] = point, value
+        else:                                       # shrink towards the best
+            simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+            fvals[1:] = [f(x) for x in simplex[1:]]
+    best = int(np.argmin(fvals))
+    return simplex[best], float(fvals[best]), converged
+
+
+def _golden_section(f, lo: float, hi: float) -> tuple:
+    """Minimize f on [lo, hi] by golden-section search until the bracket is
+    narrower than LINE_XTOL; returns (x, f(x)) at the best point evaluated
+    (the minimizer when f is unimodal on the interval)."""
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > LINE_XTOL:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - shrink * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + shrink * (hi - lo)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
 def _refine_on_sphere(start: np.ndarray, objective, max_recenter: int = 6):
-    """Nelder-Mead on local tangent charts, re-centred until stationary."""
+    """Nelder-Mead on local tangent charts, re-centred until stationary.
+
+    Returns the refined point and whether the last chart's simplex reached
+    its tolerance within the iteration cap.
+    """
     center = start / np.linalg.norm(start)
-    value = objective(center)
     for _ in range(max_recenter):
         e1, e2 = _tangent_frame(center)
 
@@ -112,27 +199,47 @@ def _refine_on_sphere(start: np.ndarray, objective, max_recenter: int = 6):
             p = center + st[0] * e1 + st[1] * e2
             return objective(p / np.linalg.norm(p))
 
-        res = minimize(chart, np.zeros(2), method="Nelder-Mead",
-                       options={"fatol": REFINE_FTOL, "xatol": 1e-9,
-                                "maxiter": 600})
-        new = center + res.x[0] * e1 + res.x[1] * e2
+        step, _, converged = _nelder_mead(chart, np.zeros(2))
+        new = center + step[0] * e1 + step[1] * e2
         new /= np.linalg.norm(new)
         moved = np.linalg.norm(new - center)
-        center, value = new, res.fun
+        center = new
         if moved < 1e-10:
             break
-    return center, value, bool(res.success)
+    return center, converged
 
 
-def _cluster_points(points, values, angle_tol: float = CLUSTER_ANGLE):
-    clusters = []
-    for p, val in sorted(zip(points, values), key=lambda t: t[1]):
-        for rep, best in clusters:
-            if np.arccos(np.clip(rep @ p, -1.0, 1.0)) < angle_tol:
-                break
-        else:
-            clusters.append((p, val))
-    return clusters
+def _symmetry_group(povm: HsPovm) -> RotationGroup:
+    """The POVM's tagged rotation group if it maps the vectors onto
+    themselves (checked on the coordinates, so a wrong tag is caught), else
+    the trivial group."""
+    try:
+        group = povm.rotation_group()
+    except ValueError:
+        return TRIVIAL_GROUP
+    coords = povm.matrix()
+    for m in group.elements:
+        gaps = np.linalg.norm((coords @ m.T)[:, None, :] - coords[None, :, :], axis=-1)
+        if np.max(np.min(gaps, axis=1)) >= POINT_TOL:
+            return TRIVIAL_GROUP
+    return group
+
+
+def _orbit_representatives(points: np.ndarray, group: RotationGroup,
+                           angle: float) -> list:
+    """Indices of the points kept by greedy thinning in the given order: a
+    point is dropped when it lies within ``angle`` of a group image of a
+    point already kept."""
+    mats = group.matrix_stack()
+    threshold = math.cos(angle)
+    taken = np.empty((0, 3))
+    kept = []
+    for i, p in enumerate(points):
+        if len(taken) and np.max(taken @ p) > threshold:
+            continue
+        kept.append(i)
+        taken = np.concatenate([taken, mats @ p])
+    return kept
 
 
 def _recenter_on_inert(p, value, povm: HsPovm, objective):
@@ -150,11 +257,25 @@ def _recenter_on_inert(p, value, povm: HsPovm, objective):
     return p, value
 
 
-def _find_extrema_circle(povm: HsPovm, sign: float, n_scan: int,
-                         kernel: EntropyKernel) -> list:
+def _lowest_distinct(points, flags, povm: HsPovm, objective) -> list:
+    """Evaluate the refined points, keep the lowest of each CLUSTER_ANGLE
+    neighbourhood, re-center those on inert antipodes and return the
+    (point, value, converged) triples within 1e-8 of the best value."""
+    values = np.array([objective(p) for p in points])
+    order = np.argsort(values, kind="stable")
+    kept = [order[i] for i in _orbit_representatives(points[order], TRIVIAL_GROUP,
+                                                      CLUSTER_ANGLE)]
+    located = [(*_recenter_on_inert(points[i], values[i], povm, objective), flags[i])
+               for i in kept]
+    best = min(v for _, v, _ in located)
+    return [t for t in located if t[1] <= best + 1e-8]
+
+
+def _find_extrema_circle(povm: HsPovm, values, objective, n_scan: int) -> list:
     """1D search for coplanar POVMs: the minimum over the sphere lies on
     the containing circle (H depends on u only through its projection and
-    is concave in the Bloch ball)."""
+    is concave in the Bloch ball).  ``values`` is the signed entropy of an
+    (n, 3) array of points, ``objective`` that of a single point."""
     coords = povm.matrix()
     if np.max(np.abs(coords[:, 2])) < 1e-12:
         axis = None                      # z = 0 plane
@@ -164,24 +285,17 @@ def _find_extrema_circle(povm: HsPovm, sign: float, n_scan: int,
     if axis is None:
         phis = np.linspace(0.0, 2.0 * math.pi, max(n_scan, 4096), endpoint=False)
         pts = np.column_stack([np.cos(phis), np.sin(phis), np.zeros_like(phis)])
-        vals = sign * _entropy_values(pts, povm, kernel)
+        vals = values(pts)
 
-        def obj(phi):
-            p = np.array([math.cos(phi), math.sin(phi), 0.0])
-            return sign * _entropy_values(p[None, :], povm, kernel)[0]
+        def embed(phi):
+            return np.array([math.cos(phi), math.sin(phi), 0.0])
 
         order = np.argsort(vals)
         window = vals[order[0]] + 1e-3
         spacing = 2.0 * math.pi / len(phis)
-        candidates = [phis[i] for i in order[: 4 * povm.k] if vals[i] <= window]
+        brackets = [(phis[i] - 2 * spacing, phis[i] + 2 * spacing)
+                    for i in order[: 4 * povm.k] if vals[i] <= window]
         refined = []
-        for phi0 in candidates:
-            res = minimize_scalar(obj, bounds=(phi0 - 2 * spacing, phi0 + 2 * spacing),
-                                  method="bounded", options={"xatol": 1e-12})
-            refined.append((np.array([math.cos(res.x), math.sin(res.x), 0.0]),
-                            res.fun))
-        pts_r = [p for p, _ in refined]
-        vals_r = [v for _, v in refined]
     else:
         ts = np.linspace(-1.0, 1.0, max(n_scan, 4096))
         e1, e2 = _tangent_frame(axis)
@@ -189,31 +303,20 @@ def _find_extrema_circle(povm: HsPovm, sign: float, n_scan: int,
         def embed(t):
             return float(t) * axis + math.sqrt(max(0.0, 1.0 - t * t)) * e1
 
-        def obj(t):
-            return sign * _entropy_values(embed(t)[None, :], povm, kernel)[0]
-
         pts = ts[:, None] * axis[None, :] + np.sqrt(1 - ts**2)[:, None] * e1[None, :]
-        vals = sign * _entropy_values(pts, povm, kernel)
+        vals = values(pts)
         # entropy depends on u . axis only; extrema sit at grid-local minima
         # plus the two poles, each refined in the 1D parameter
-        pts_r, vals_r = [pts[0], pts[-1]], [float(vals[0]), float(vals[-1])]
         spacing = ts[1] - ts[0]
-        for i in range(1, len(ts) - 1):
-            if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]:
-                res = minimize_scalar(
-                    obj, bounds=(max(-1.0, ts[i] - 2 * spacing),
-                                 min(1.0, ts[i] + 2 * spacing)),
-                    method="bounded", options={"xatol": 1e-12})
-                pts_r.append(embed(res.x))
-                vals_r.append(float(res.fun))
+        brackets = [(max(-1.0, ts[i] - 2 * spacing), min(1.0, ts[i] + 2 * spacing))
+                    for i in range(1, len(ts) - 1)
+                    if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]]
+        refined = [pts[0], pts[-1]]
 
-    def objective(p):
-        return sign * _entropy_values(p[None, :], povm, kernel)[0]
-
-    clusters = _cluster_points(pts_r, vals_r)
-    clusters = [_recenter_on_inert(p, v, povm, objective) for p, v in clusters]
-    best = min(v for _, v in clusters)
-    return [(p, sign * v) for p, v in clusters if v <= best + 1e-8]
+    for lo, hi in brackets:
+        x, _ = _golden_section(lambda x: objective(embed(x)), lo, hi)
+        refined.append(embed(x))
+    return _lowest_distinct(np.array(refined), [True] * len(refined), povm, objective)
 
 
 def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
@@ -221,65 +324,58 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
                  n_candidates: int = 2000) -> list:
     """Locate the global extrema of H over pure states.
 
-    Fibonacci-lattice scan followed by Nelder-Mead refinement on tangent
-    charts; refined points are clustered into orbits (angular tolerance
-    1e-4) and only clusters within 1e-8 of the best value are returned.
+    Fibonacci-lattice scan, then one derivative-free refinement per
+    symmetry orbit: the lowest ``n_candidates`` scan points are thinned
+    against the group images of the starts already taken (0.05 rad), each
+    start is refined by Nelder-Mead on tangent charts, and the refined
+    point is mapped through the rotation group, whose images are
+    re-evaluated.  The group is the POVM's tagged group when it maps the
+    vectors onto themselves, else the trivial group.  Points within 1e-4
+    rad of a lower one are dropped, and only those within 1e-8 of the best
+    value are returned.  Coplanar POVMs (and the digon) are searched on
+    their circle by golden-section refinement of the scan minima.
     """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
     sign = 1.0 if mode == "min" else -1.0
 
+    def values(points):
+        return sign * _entropy_values(points, povm, kernel)
+
+    def objective(p):
+        return values(p[None, :])[0]
+
+    group = _symmetry_group(povm)
     if povm.is_coplanar() or povm.family == "digon":
-        located = _find_extrema_circle(povm, sign, n_scan // 16, kernel)
+        located = _find_extrema_circle(povm, values, objective, n_scan // 16)
     else:
         points = fibonacci_sphere(n_scan)
-        values = sign * _entropy_values(points, povm, kernel)
-        order = np.argsort(values)[:n_candidates]
-
-        def objective(p):
-            return sign * _entropy_values(p[None, :], povm, kernel)[0]
-
-        # thin the candidate list: keep scan points not adjacent to an
-        # already accepted candidate (waste-free multistart)
-        accepted = []
-        for idx in order:
-            p = points[idx]
-            if all(rep @ p < math.cos(0.05) for rep in accepted):
-                accepted.append(p)
-        refined, refined_vals, converged = [], [], {}
-        for p in accepted:
-            loc, val, ok = _refine_on_sphere(p, objective)
-            refined.append(loc)
-            refined_vals.append(val)
-            converged[loc.tobytes()] = ok
-        clusters = _cluster_points(refined, refined_vals)
-        flags = [converged.get(p.tobytes(), True) for p, _ in clusters]
-        clusters = [_recenter_on_inert(p, v, povm, objective) for p, v in clusters]
-        best = min(v for _, v in clusters)
-        located = [(p, sign * v, ok) for (p, v), ok in zip(clusters, flags)
-                   if v <= best + 1e-8]
+        candidates = points[np.argsort(values(points))[:n_candidates]]
+        starts = candidates[_orbit_representatives(candidates, group, START_ANGLE)]
+        refined = [_refine_on_sphere(p, objective) for p in starts]
+        images = np.concatenate([group.matrix_stack() @ p for p, _ in refined])
+        flags = [ok for _, ok in refined for _ in range(group.order)]
+        located = _lowest_distinct(images, flags, povm, objective)
 
     out = []
-    for p, value, *rest in located:
+    for p, value, converged in located:
         u = BlochVector.from_array(p)
-        label, stat = _type_of_point(u, povm)
-        out.append(CriticalPoint(location=u, value=float(value),
+        label, stat = _type_of_point(u, povm, group)
+        out.append(CriticalPoint(location=u, value=float(sign * value),
                                  kind=mode, type_label=label,
                                  classifier_statistic=stat,
-                                 converged=rest[0] if rest else True))
+                                 converged=bool(converged)))
     out.sort(key=lambda c: tuple(np.round(c.location.as_array(), 8)))
     return out
 
 
-def _type_of_point(u: BlochVector, povm: HsPovm) -> tuple:
+def _type_of_point(u: BlochVector, povm: HsPovm, group: RotationGroup) -> tuple:
     # refined extrema are accurate to ~1e-8; classify with a looser net
     arr = u.as_array()
     coords = povm.matrix()
     if np.min(np.linalg.norm(coords + arr[None, :], axis=1)) < 1e-6:
         return "I", math.nan
-    try:
-        group = povm.rotation_group()
-    except ValueError:
+    if group.order == 1:
         return "non-inert", math.nan
     stab_order = sum(1 for m in group.elements
                      if np.linalg.norm(m @ arr - arr) < 1e-6)

@@ -219,3 +219,25 @@ class TestEntropyKernel:
                 step = 1e-7
                 fd = (kernel.h(t + step) - kernel.h(t - step)) / (2 * step)
                 assert kernel.h_prime(t) == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+
+class TestVectorizedKernels:
+    @pytest.mark.parametrize("kernel", [
+        SHANNON, EntropyKernel("tsallis", 0.5), EntropyKernel("tsallis", 1.7),
+        EntropyKernel("renyi", 0.6), EntropyKernel("renyi", 1.4),
+    ])
+    def test_axis_matches_row_loop(self, kernel):
+        rng = np.random.default_rng(5)
+        P = rng.dirichlet(np.ones(6), size=40)
+        P[::4, :2] = 0.0                    # rows with zero probabilities
+        P[::4] /= P[::4].sum(axis=1, keepdims=True)
+        rows = np.array([kernel.entropy(row) for row in P])
+        np.testing.assert_array_equal(kernel.entropy(P, axis=-1), rows)
+        assert isinstance(kernel.entropy(P[0]), float)
+
+    def test_eta_array_endpoints(self):
+        assert np.array_equal(eta_array(np.array([0.0, 1.0])), [0.0, 0.0])
+        for x in (0.0, 1.0, np.float64(0.0), np.array(1.0)):
+            out = eta_array(x)
+            assert np.ndim(out) == 0 and out == 0.0
+        assert eta_array(np.array(0.5)) == pytest.approx(eta(0.5), abs=1e-15)

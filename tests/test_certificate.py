@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from mpmath import mp
+from mpmath import iv, mp
 
 from conftest import ALL_FAMILIES, POLYHEDRA, povm_for
 from hspovm.bloch import EntropyKernel, SHANNON
@@ -327,3 +327,22 @@ class TestKernelPluggability:
     def test_shannon_like_kernel_on_octahedron(self):
         cert = certify_minimum(povm_for("octahedron"), EntropyKernel("tsallis", 1.5))
         assert cert.valid and cert.constant_bound
+
+
+class TestGlobalState:
+    @pytest.mark.parametrize("kernel", [SHANNON, EntropyKernel("renyi", 1.4)],
+                             ids=["shannon", "renyi"])
+    def test_interval_precision_unchanged(self, kernel):
+        before = iv.prec
+        certify_minimum(make_hs_povm("icosidodecahedron"), kernel)
+        assert iv.prec == before
+
+    def test_caller_precision_restored(self):
+        saved = iv.prec
+        iv.prec = 77
+        try:
+            _icosi_interval_coefficients(povm_for("icosidodecahedron"), 200)
+            icosidodeca_positivity(-1.0, 1.0, 0.0)
+            assert iv.prec == 77
+        finally:
+            iv.prec = saved

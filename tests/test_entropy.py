@@ -1,13 +1,21 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hspovm
 from conftest import ALL_FAMILIES, povm_for
 from hspovm.bloch import BlochVector, EntropyKernel, eta
-from hspovm.catalog import make_hs_povm, make_rectangle_povm
+from hspovm.catalog import HsPovm, make_hs_povm, make_rectangle_povm
 from hspovm.entropy import (
     _entropy_values,
+    _golden_section,
+    _nelder_mead,
+    _symmetry_group,
     classify_inert_point,
     entropy_at,
     fibonacci_sphere,
@@ -289,3 +297,83 @@ class TestLandscape:
         scape = landscape(povm, n_samples=100, with_extrema=True)
         assert len(scape.extrema) == 4
         assert all(c.kind == "min" for c in scape.extrema)
+
+
+def _random_rotation(seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0.0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def _assert_antipodal_orbit(minima, coords):
+    antipodes = -coords
+    assert len(minima) == len(coords)
+    located = np.array([c.location.as_array() for c in minima])
+    gaps = np.linalg.norm(located[:, None, :] - antipodes[None, :, :], axis=2)
+    assert np.max(np.min(gaps, axis=1)) < 1e-6     # every minimum is an antipode
+    assert np.max(np.min(gaps, axis=0)) < 1e-6     # every antipode is found
+    assert all(c.type_label == "I" and c.converged for c in minima)
+
+
+class TestOrbitReduction:
+    def test_tagged_group_checked_on_geometry(self):
+        assert _symmetry_group(povm_for("cube")).order == 24
+        assert _symmetry_group(povm_for("icosidodecahedron")).order == 60
+
+    @pytest.mark.parametrize("family", ["tetrahedron", "cube"])
+    def test_untagged_rotated_input_keeps_full_orbit(self, family):
+        coords = povm_for(family).matrix() @ _random_rotation(3).T
+        povm = HsPovm.from_json(json.dumps({"vectors": coords.tolist(),
+                                            "family": family}))
+        assert povm.group == "" and _symmetry_group(povm).order == 1
+        _assert_antipodal_orbit(find_extrema(povm, "min"), povm.matrix())
+
+    def test_wrong_group_tag_falls_back_to_trivial_group(self):
+        coords = povm_for("cube").matrix() @ _random_rotation(5).T
+        povm = HsPovm(vectors=tuple(BlochVector.from_array(v) for v in coords),
+                      family="cube", group="O")
+        assert _symmetry_group(povm).order == 1
+        _assert_antipodal_orbit(find_extrema(povm, "min"), povm.matrix())
+
+    def test_max_mode_cube_default_scan(self):
+        maxima = find_extrema(povm_for("cube"), "max")
+        assert len(maxima) == 6
+        for point in maxima:
+            assert np.sort(np.abs(point.location.as_array()))[:2] == pytest.approx(
+                [0.0, 0.0], abs=1e-6)
+            assert point.type_label == "II"
+
+    def test_renyi_minima_are_antipodal_orbit(self):
+        povm = povm_for("cube")
+        minima = find_extrema(povm, "min", kernel=EntropyKernel("renyi", 1.4))
+        _assert_antipodal_orbit(minima, povm.matrix())
+
+
+class TestLocalSearch:
+    def test_golden_section_kink(self):
+        target = math.pi / 4.0
+        x, fx = _golden_section(lambda x: max(2.0 * (target - x), x - target),
+                                0.0, 1.0)
+        assert abs(x - target) < 1e-12
+        assert fx == max(2.0 * (target - x), x - target)
+
+    def test_nelder_mead_reports_convergence(self):
+        def bowl(x):
+            return abs(x[0] - 1e-3) + 2.0 * abs(x[1] + 2e-3)
+
+        x, fx, converged = _nelder_mead(bowl, np.zeros(2))
+        assert converged
+        assert x == pytest.approx([1e-3, -2e-3], abs=1e-8)
+        assert fx == bowl(x)
+        _, _, converged = _nelder_mead(bowl, np.zeros(2), maxiter=3)
+        assert not converged
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hspovm.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import hspovm, sys; "
+            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
