@@ -1,10 +1,11 @@
 """Construction and validation of normalized rank-1 POVMs on the qubit.
 
 A normalized rank-1 POVM is, in the Bloch picture, a finite set of unit
-vectors with zero centroid.  This module builds the nine highly symmetric
-families (regular polygons including the digon, the five Platonic solids,
-and the two quasiregular solids), the rectangle family, and custom sets,
-and runs frame/design diagnostics on any of them.
+vectors with zero centroid.  This module holds the registry of the nine
+highly symmetric families (regular polygons including the digon, the five
+Platonic solids, and the two quasiregular solids), one :class:`FamilySpec`
+each, which every other module reads; it builds them, the rectangle family
+and custom sets, and runs frame/design diagnostics on any of them.
 """
 
 from __future__ import annotations
@@ -12,31 +13,104 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .bloch import BlochVector
-from .groups import TAU, RotationGroup, generate_group, orbit
+from .groups import POINT_TOL, TAU, RotationGroup, generate_group, orbit
 
 CENTROID_TOL = 1e-12
 DESIGN_SEED = 42         # fixed seed for the random-direction design check
 DESIGN_DIRECTIONS = 200
 
-#: named family -> (group tag, seed vector); polygons handled separately
-_POLYHEDRA = {
-    "tetrahedron": ("T", (1.0, 1.0, 1.0)),
-    "octahedron": ("O", (0.0, 0.0, 1.0)),
-    "cube": ("O", (1.0, 1.0, 1.0)),
-    "cuboctahedron": ("O", (0.0, 1.0, 1.0)),
-    "icosahedron": ("I", (0.0, TAU, 1.0)),
-    "dodecahedron": ("I", (0.0, 1.0 / TAU, TAU)),
-    "icosidodecahedron": ("I", (0.0, 0.0, 1.0)),
-}
 
-FAMILIES = ("digon", "n-gon", "tetrahedron", "octahedron", "cube",
-            "cuboctahedron", "icosahedron", "dodecahedron",
-            "icosidodecahedron")
+@dataclass(frozen=True)
+class FamilySpec:
+    """What the package knows about one highly symmetric family.
+
+    The family is the orbit of ``seed`` under the rotation group ``group``
+    ("C" is C_n for the n-gon).  ``nodes`` is the exact node set {-gv . v}
+    as pairs (a, b) meaning a + b sqrt(5) (None for the n-gon).
+    ``strategy`` picks the certificate's orbit-minimum proof (constant,
+    sign of B with expected ``sign``, candidates or sturm; see
+    :mod:`hspovm.certificate`), which solves the coefficients of the
+    invariants ``basis`` from values at the ``probes`` directions.
+    ``inert`` seeds the classifier of symmetry-forced critical points;
+    ``reference_W`` is the five-digit informational power.
+    """
+
+    name: str
+    group: str
+    seed: tuple
+    nodes: tuple | None
+    strategy: str
+    sign: int = 0
+    basis: tuple = ()
+    probes: tuple = ()
+    inert: tuple = ()
+    reference_W: float | None = None
+
+    def tag(self, k: int) -> str:
+        """Group tag of the family member with k vectors."""
+        return f"C_{k}" if self.group == "C" else self.group
+
+    def probe_points(self) -> list:
+        return [np.array(p) / np.linalg.norm(p) for p in self.probes]
+
+
+_F = Fraction
+_AXES = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+_T_AXES = ((0, 0, 1), (1, 1, 1), (-1, -1, -1))
+_O_AXES = ((0, 0, 1), (0, 1, 1), (1, 1, 1))
+_I_AXES = ((0, 0, 1), (0, TAU, 1), (0, 1 / TAU, TAU))
+
+#: the family registry, in catalog-table order
+FAMILY_SPECS = {spec.name: spec for spec in (
+    FamilySpec("digon", "D2", (0, 0, 1), ((-1, 0), (1, 0)), "constant",
+               inert=_AXES, reference_W=0.69315),
+    FamilySpec("n-gon", "C", (1, 0, 0), None, "constant"),
+    FamilySpec("tetrahedron", "T", (1, 1, 1), ((-1, 0), (_F(1, 3), 0)),
+               "constant", inert=_T_AXES, reference_W=0.28768),
+    FamilySpec("octahedron", "O", (0, 0, 1), ((-1, 0), (0, 0), (1, 0)),
+               "constant", inert=_O_AXES, reference_W=0.23105),
+    FamilySpec("cube", "O", (1, 1, 1),
+               ((-1, 0), (_F(-1, 3), 0), (_F(1, 3), 0), (1, 0)),
+               "sign", sign=1, basis=("I4",), probes=((0, 0, 1), (1, 1, 1)),
+               inert=_O_AXES, reference_W=0.21576),
+    FamilySpec("cuboctahedron", "O", (0, 1, 1),
+               ((-1, 0), (_F(-1, 2), 0), (0, 0), (_F(1, 2), 0), (1, 0)),
+               "candidates", basis=("I4", "I6"),
+               probes=((0, 0, 1), (0, 1, 1), (1, 1, 1)),
+               inert=_O_AXES, reference_W=0.20273),
+    FamilySpec("icosahedron", "I", (0, TAU, 1),
+               ((-1, 0), (0, _F(-1, 5)), (0, _F(1, 5)), (1, 0)),
+               "constant", inert=_I_AXES, reference_W=0.20189),
+    FamilySpec("dodecahedron", "I", (0, 1 / TAU, TAU),
+               ((-1, 0), (0, _F(-1, 3)), (_F(-1, 3), 0), (_F(1, 3), 0),
+                (0, _F(1, 3)), (1, 0)),
+               "sign", sign=-1, basis=("I6p",),
+               probes=((0, TAU, 1), (0, 1 / TAU, TAU)),
+               inert=_I_AXES, reference_W=0.19686),
+    FamilySpec("icosidodecahedron", "I", (0, 0, 1),
+               ((-1, 0), (_F(-1, 4), _F(-1, 4)), (_F(-1, 2), 0),
+                (_F(1, 4), _F(-1, 4)), (0, 0), (_F(-1, 4), _F(1, 4)),
+                (_F(1, 2), 0), (_F(1, 4), _F(1, 4)), (1, 0)),
+               "sturm", basis=("I6p", "I10", "I6p^2"),
+               probes=((0, 0, 1), (0, TAU, 1), (0, 1 / TAU, TAU), (3, 4, 12)),
+               inert=_I_AXES, reference_W=0.19486),
+)}
+
+FAMILIES = tuple(FAMILY_SPECS)
+
+
+def family_spec(name: str) -> FamilySpec | None:
+    """Registry entry for a family label ("5-gon" and "ngon" name the
+    n-gon); None for rectangles and custom sets."""
+    if name == "ngon" or (name.endswith("-gon") and name[:-4].isdigit()):
+        name = "n-gon"
+    return FAMILY_SPECS.get(name)
 
 
 @dataclass(frozen=True)
@@ -51,7 +125,6 @@ class HsPovm:
     vectors: tuple
     family: str
     group: str = ""
-    ngon_n: int = None        # type: ignore[assignment]
     alpha: float = None       # type: ignore[assignment]
 
     def __post_init__(self):
@@ -89,9 +162,17 @@ class HsPovm:
 
     @classmethod
     def from_json(cls, text: str) -> "HsPovm":
+        """Load a POVM file; a registry family gets its group tag back only
+        if that group maps the vectors onto themselves."""
         payload = json.loads(text)
         vectors = tuple(BlochVector.from_array(v) for v in payload["vectors"])
-        return cls(vectors=vectors, family=payload.get("family", "custom"))
+        povm = cls(vectors=vectors, family=payload.get("family", "custom"))
+        spec = family_spec(povm.family)
+        if spec is not None:
+            tag = spec.tag(povm.k)
+            if _maps_onto_itself(_group_of_tag(tag), povm.matrix()):
+                return cls(vectors=vectors, family=povm.family, group=tag)
+        return povm
 
 
 @lru_cache(maxsize=None)
@@ -99,6 +180,41 @@ def _group_of_tag(tag: str) -> RotationGroup:
     if tag.startswith("C_"):
         return generate_group("C", int(tag[2:]))
     return generate_group(tag)
+
+
+def _maps_onto_itself(group: RotationGroup, coords: np.ndarray) -> bool:
+    for m in group.elements:
+        gaps = np.linalg.norm((coords @ m.T)[:, None, :] - coords[None, :, :], axis=-1)
+        if np.max(np.min(gaps, axis=1)) >= POINT_TOL:
+            return False
+    return True
+
+
+def symmetry_group(povm: HsPovm) -> RotationGroup:
+    """The POVM's tagged rotation group if it maps the vectors onto
+    themselves (checked on the coordinates, so a wrong tag is caught), else
+    the trivial group."""
+    try:
+        group = povm.rotation_group()
+    except ValueError:
+        return _group_of_tag("C_1")
+    return group if _maps_onto_itself(group, povm.matrix()) else _group_of_tag("C_1")
+
+
+def inert_directions(povm: HsPovm) -> list:
+    """Unit rotation-axis directions of the POVM's family group, where the
+    classifier of symmetry-forced critical points starts; the coordinate
+    axes when the family is unknown or its group is not the one tagged."""
+    spec = family_spec(povm.family)
+    n = povm.k
+    if spec is None or povm.group != spec.tag(n):
+        seeds = _AXES
+    elif spec.group == "C":     # a vertex, an edge midpoint, the axis
+        seeds = ((1, 0, 0), (math.cos(math.pi / n), math.sin(math.pi / n), 0), (0, 0, 1))
+    else:
+        seeds = spec.inert
+    return [BlochVector.from_array(np.array(s, float) / np.linalg.norm(s))
+            for s in seeds]
 
 
 @dataclass(frozen=True)
@@ -111,11 +227,9 @@ class DesignReport:
     moment_values: tuple  # (t, worst deviation from the sphere average)
 
 
-def _orbit_povm(family: str) -> tuple:
-    tag, seed = _POLYHEDRA[family]
-    group = generate_group(tag)
-    v = BlochVector.from_array(np.array(seed) / np.linalg.norm(seed))
-    points = orbit(group, v)
+def _orbit_povm(spec: FamilySpec) -> tuple:
+    v = BlochVector.from_array(np.array(spec.seed) / np.linalg.norm(spec.seed))
+    points = orbit(_group_of_tag(spec.group), v)
     # fiducial convention: the canonical seed leads the ordered list
     points.remove(min(points, key=lambda p: np.linalg.norm(p.as_array() - v.as_array())))
     return (v, *points)
@@ -124,28 +238,26 @@ def _orbit_povm(family: str) -> tuple:
 def make_hs_povm(family: str, n: int = None) -> HsPovm:
     """Build a named highly symmetric POVM in canonical orientation.
 
-    Polygons lie in the z=0 plane with first vertex (1,0,0); the solids
-    are group orbits of the documented seed vectors.
+    Polygons lie in the z=0 plane with first vertex (1,0,0) ("5-gon" is the
+    n-gon with n = 5); the other families are group orbits of their seeds.
     """
-    if family == "digon":
-        # D2 (the three coordinate half-turns) acts transitively on {+-z}
-        # and carries the equatorial 2-fold axes as well
-        return HsPovm(vectors=(BlochVector(0, 0, 1), BlochVector(0, 0, -1)),
-                      family="digon", group="D2")
-    if family in ("n-gon", "ngon"):
-        if n is None or n < 2:
-            raise ValueError("polygon POVMs need n >= 2")
-        vectors = tuple(
-            BlochVector(math.cos(2 * math.pi * j / n), math.sin(2 * math.pi * j / n), 0)
-            for j in range(n)
-        )
-        return HsPovm(vectors=vectors, family=f"{n}-gon", group=f"C_{n}", ngon_n=n)
-    if family.endswith("-gon") and family[:-4].isdigit():
-        return make_hs_povm("n-gon", int(family[:-4]))
-    if family in _POLYHEDRA:
-        tag, _ = _POLYHEDRA[family]
-        return HsPovm(vectors=_orbit_povm(family), family=family, group=tag)
-    raise ValueError(f"unknown POVM family {family!r}")
+    spec = family_spec(family)
+    if spec is None:
+        raise ValueError(f"unknown POVM family {family!r}")
+    if spec.group == "D2":       # the digon: the seed and its antipode, exactly
+        v = BlochVector(*spec.seed)
+        return HsPovm(vectors=(v, -v), family=spec.name, group=spec.group)
+    if spec.group != "C":
+        return HsPovm(vectors=_orbit_povm(spec), family=spec.name, group=spec.group)
+    if family[:-4].isdigit():
+        n = int(family[:-4])
+    if n is None or n < 2:
+        raise ValueError("polygon POVMs need n >= 2")
+    vectors = tuple(
+        BlochVector(math.cos(2 * math.pi * j / n), math.sin(2 * math.pi * j / n), 0)
+        for j in range(n)
+    )
+    return HsPovm(vectors=vectors, family=f"{n}-gon", group=f"C_{n}")
 
 
 def make_rectangle_povm(alpha: float) -> HsPovm:
@@ -174,13 +286,9 @@ def spherical_design_order(vectors, t_max: int = 5) -> int:
     The sphere average of (w . v)^s is 0 for odd s and 1/(s+1) for even s;
     the check samples 200 fixed random directions at tolerance 1e-9.
     """
-    coords = np.array([v.as_array() for v in vectors])
-    dots = _design_directions() @ coords.T          # (200, k)
     order = 0
-    for s in range(1, t_max + 1):
-        target = 0.0 if s % 2 == 1 else 1.0 / (s + 1)
-        moments = np.mean(dots ** s, axis=1)
-        if np.max(np.abs(moments - target)) > 1e-9:
+    for s, deviation in _design_moments(vectors, t_max):
+        if deviation > 1e-9:
             break
         order = s
     return order

@@ -10,13 +10,14 @@ The pipeline, per family:
    sign pattern of the derivatives of h, and is checked on a dense grid;
 4. form the invariant lower bound P(u) = ln(k/2) + (2/k) sum_j p(v_j . u),
    which coincides with the entropy H at the antipodal orbit;
-5. show -v is a global minimizer of P: either P is constant (polygons,
-   tetrahedron, octahedron, icosahedron), or P restricted to the sphere is
-   a short combination of primary invariants whose extrema are known
-   (cube, cuboctahedron, dodecahedron), or — for the icosidodecahedron —
-   a quartic obtained from the boundary curve of the orbit-map range must
-   have no real roots, which a Sturm chain over interval arithmetic
-   certifies;
+5. show -v is a global minimizer of P by the family's strategy in the
+   registry (:class:`hspovm.catalog.FamilySpec`): either P is constant
+   (polygons, tetrahedron, octahedron, icosahedron), or P restricted to the
+   sphere is a short combination of primary invariants whose extrema are
+   known (cube, cuboctahedron, dodecahedron), or — for the
+   icosidodecahedron — a quartic obtained from the boundary curve of the
+   orbit-map range must have no real roots, which a Sturm chain over
+   interval arithmetic certifies;
 6. close uniqueness: any further global minimizer w would need all its
    dots {w . u} inside T, which the exact moment bookkeeping of the
    design conditions rules out unless -1 is among them.
@@ -36,10 +37,10 @@ import numpy as np
 from mpmath import iv
 
 from .bloch import EntropyKernel, SHANNON
-from .catalog import HsPovm, interpolation_set, make_hs_povm, spherical_design_order
+from .catalog import HsPovm, family_spec, interpolation_set, spherical_design_order
 from .entropy import fibonacci_sphere
 from .groups import TAU
-from .invariants import i4, i6, i6_prime, i10
+from .invariants import J15_SQUARED_TERMS, evaluate_invariant, i6_prime, i10
 from .sturm import AmbiguousSignError, sturm_root_count
 
 GAP_TOL = 1e-12            # certificate passes iff min(h - p) >= -GAP_TOL
@@ -82,16 +83,11 @@ class HermitePolynomial:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=_LD)
-        acc = np.full(t.shape, self.coefficients[-1], dtype=_LD)
-        for c in reversed(self.coefficients[:-1]):
-            acc = acc * t + c
-        return acc
+        return _horner(self.coefficients, t) + np.zeros_like(t)
 
     def derivative_at(self, t: float) -> float:
-        acc = _LD(0)
-        for i, c in reversed(list(enumerate(self.coefficients))[1:]):
-            acc = acc * _LD(t) + i * c
-        return float(acc)
+        slopes = [i * c for i, c in enumerate(self.coefficients)][1:]
+        return float(_horner(slopes, _LD(t)))
 
     def coefficients_float(self) -> tuple:
         return tuple(float(c) for c in self.coefficients)
@@ -163,24 +159,44 @@ def _expand_nodes(nodes):
     return node_ids, ts
 
 
-def _kernel_h_longdouble(kernel: EntropyKernel):
-    one, half = _LD(1), _LD(0.5)
+def _horner(coefficients, t):
+    """Ascending coefficients evaluated at t, in t's arithmetic."""
+    acc = coefficients[-1]
+    for c in reversed(coefficients[:-1]):
+        acc = acc * t + c
+    return acc
+
+
+def _hermite_monomial(f, fp, nodes, zero) -> list:
+    """Monomial coefficients (ascending) of the Hermite interpolant of f on
+    ((t, multiplicity), ...), in the arithmetic of the t values."""
+    node_ids, ts = _expand_nodes(nodes)
+    values = [f(t) for t, _ in nodes]
+    derivs = [fp(t) if m >= 2 else None for t, m in nodes]
+    return _newton_to_monomial(_newton_coefficients(node_ids, ts, values, derivs),
+                               ts, zero)
+
+
+def _kernel_h(kernel: EntropyKernel, num, log):
+    """The summand h and its derivative in the arithmetic of ``num``
+    (np.longdouble or mpmath's iv.mpf) with the matching ``log``."""
+    one, half = num(1), num(0.5)
     if kernel.kind == "shannon":
         def f(t):
-            x = (one + _LD(t)) * half
-            return _LD(0) if x <= 0 else -x * np.log(x)
+            x = (one + t) * half
+            return num(0) if x <= 0 else -x * log(x)
 
         def fp(t):
-            return -half * (np.log((one + _LD(t)) * half) + one)
+            return -half * (log((one + t) * half) + one)
     else:
-        a = _LD(kernel.alpha)
+        a = num(kernel.alpha)
 
         def f(t):
-            x = (one + _LD(t)) * half
-            return _LD(0) if x <= 0 else (x - x ** a) / (a - one)
+            x = (one + t) * half
+            return num(0) if x <= 0 else (x - x ** a) / (a - one)
 
         def fp(t):
-            x = (one + _LD(t)) * half
+            x = (one + t) * half
             return half * (one - a * x ** (a - one)) / (a - one)
     return f, fp
 
@@ -202,14 +218,16 @@ def hermite_interpolate(kernel: EntropyKernel, nodes) -> HermitePolynomial:
     for t, mult in nodes:
         if mult >= 2 and t <= -1.0 + 1e-15:
             raise ValueError("no derivative constraint at t = -1 (h' singular)")
-    f, fp = (kernel if isinstance(kernel, tuple) else _kernel_h_longdouble(kernel))
-    node_ids, ts = _expand_nodes(nodes)
-    ts = [_LD(t) for t in ts]
-    values = [f(t) for t, _ in nodes]
-    derivs = [fp(t) if m >= 2 else None for t, m in nodes]
-    newton = _newton_coefficients(node_ids, ts, values, derivs)
-    mono = _newton_to_monomial(newton, ts, _LD(0))
+    f, fp = kernel if isinstance(kernel, tuple) else _kernel_h(kernel, _LD, np.log)
+    mono = _hermite_monomial(f, fp, [(_LD(t), m) for t, m in nodes], _LD(0))
     return HermitePolynomial(coefficients=tuple(mono), nodes=nodes)
+
+
+def _hermite_nodes(povm: HsPovm) -> tuple:
+    """The node set with multiplicities: value-only at +-1, value and slope
+    in between."""
+    return tuple((t, 1 if abs(abs(t) - 1.0) < 1e-9 else 2)
+                 for t in interpolation_set(povm))
 
 
 # --------------------------------------------------------------------------
@@ -297,22 +315,6 @@ def assemble_lower_bound(povm: HsPovm, p: HermitePolynomial):
     return evaluator
 
 
-_X1 = np.array([0.0, 0.0, 1.0])
-_X2 = np.array([0.0, 1.0, 1.0]) / math.sqrt(2.0)
-_X3 = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
-_X5 = np.array([0.0, TAU, 1.0]) / math.sqrt(TAU + 2.0)
-_X6 = np.array([0.0, 1.0 / TAU, TAU]) / math.sqrt(3.0)
-_W0 = np.array([3.0, 4.0, 12.0]) / 13.0
-
-#: family -> (probe points, invariant basis beyond the constant)
-_EXPANSIONS = {
-    "cube": ((_X1, _X3), (i4,)),
-    "cuboctahedron": ((_X1, _X2, _X3), (i4, i6)),
-    "dodecahedron": ((_X5, _X6), (i6_prime,)),
-    "icosidodecahedron": ((_X1, _X5, _X6, _W0),
-                          (i6_prime, i10, lambda w: i6_prime(w) ** 2)),
-}
-
 _COEFF_NAMES = "ABCD"
 
 
@@ -326,16 +328,20 @@ def expand_in_invariants(povm: HsPovm, evaluator) -> dict:
     beta = -B/(3C) are unaffected by the overall positive scale.
     """
     family = povm.family
-    if family not in _EXPANSIONS:
+    spec = family_spec(family)
+    if spec is None or not spec.basis:
         raise ValueError(f"no invariant expansion defined for {family!r}")
-    probes, basis = _EXPANSIONS[family]
     scale = povm.k / 2.0
     shift = math.log(povm.k / 2.0)
 
     def orbit_sum(x):
         return scale * (evaluator(x) - shift)
 
-    rows = np.array([[1.0] + [b(x) for b in basis] for x in probes])
+    def basis_row(x):
+        return [evaluate_invariant(name, x) for name in spec.basis]
+
+    probes = spec.probe_points()
+    rows = np.array([[1.0] + basis_row(x) for x in probes])
     rhs = np.array([orbit_sum(x) for x in probes])
     solution = np.linalg.solve(rows, rhs)
     coefficients = {_COEFF_NAMES[i]: float(c) for i, c in enumerate(solution)}
@@ -343,7 +349,7 @@ def expand_in_invariants(povm: HsPovm, evaluator) -> dict:
     w = rng.normal(size=(50, 3))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     predicted = solution[0] + np.array(
-        [sum(c * b(x) for c, b in zip(solution[1:], basis)) for x in w])
+        [sum(c * b for c, b in zip(solution[1:], basis_row(x))) for x in w])
     residual = float(np.max(np.abs(predicted - np.array([orbit_sum(x) for x in w]))))
     if residual > 1e-9:
         raise RuntimeError(
@@ -380,23 +386,7 @@ class _Q5(tuple):
         return self[0] == 0 and self[1] == 0
 
 
-_F = Fraction
-#: exact node sets (components of a + b sqrt 5) for the polyhedral families
-_EXACT_NODES = {
-    "tetrahedron": [(-1, 0), (_F(1, 3), 0)],
-    "octahedron": [(-1, 0), (0, 0), (1, 0)],
-    "cube": [(-1, 0), (_F(-1, 3), 0), (_F(1, 3), 0), (1, 0)],
-    "cuboctahedron": [(-1, 0), (_F(-1, 2), 0), (0, 0), (_F(1, 2), 0), (1, 0)],
-    "icosahedron": [(-1, 0), (0, _F(-1, 5)), (0, _F(1, 5)), (1, 0)],
-    "dodecahedron": [(-1, 0), (0, _F(-1, 3)), (_F(-1, 3), 0),
-                     (_F(1, 3), 0), (0, _F(1, 3)), (1, 0)],
-    "icosidodecahedron": [(-1, 0), (_F(-1, 4), _F(-1, 4)), (_F(-1, 2), 0),
-                          (_F(1, 4), _F(-1, 4)), (0, 0), (_F(-1, 4), _F(1, 4)),
-                          (_F(1, 2), 0), (_F(1, 4), _F(1, 4)), (1, 0)],
-}
-
-
-def _moment_constrained_feasible(family: str, k: int, design_order: int,
+def _moment_constrained_feasible(exact_nodes, k: int, design_order: int,
                                  centrally_symmetric: bool) -> bool:
     """Whether the node multiset equations admit a solution avoiding -1.
 
@@ -406,7 +396,7 @@ def _moment_constrained_feasible(family: str, k: int, design_order: int,
     forces a dot of -1.  Infeasibility proves w must realize -1, i.e. lie
     on the antipodal orbit.
     """
-    nodes = [_Q5(a, b) for a, b in _EXACT_NODES[family]]
+    nodes = [_Q5(a, b) for a, b in exact_nodes]
     banned = {i for i, t in enumerate(nodes) if float(t) < -1 + 1e-12}
     if centrally_symmetric:
         banned |= {i for i, t in enumerate(nodes) if float(t) > 1 - 1e-12}
@@ -415,9 +405,9 @@ def _moment_constrained_feasible(family: str, k: int, design_order: int,
 
     targets = [(_Q5(0), [nodes[i] for i in usable])]                 # sum t
     if design_order >= 2:
-        targets.append((_Q5(_F(k, 3)), [nodes[i] * nodes[i] for i in usable]))
+        targets.append((_Q5(Fraction(k, 3)), [nodes[i] * nodes[i] for i in usable]))
     if design_order >= 4:
-        targets.append((_Q5(_F(k, 5)),
+        targets.append((_Q5(Fraction(k, 5)),
                         [nodes[i] * nodes[i] * nodes[i] * nodes[i]
                          for i in usable]))
     floats = [[float(v) for v in vals] for _, vals in targets]
@@ -449,8 +439,6 @@ def _polygon_uniqueness(povm: HsPovm) -> bool:
     """Enumerate circle points whose dots all lie in T; they must be
     exactly the antipodal orbit (minimizers are confined to the circle
     because H is concave on the Bloch ball and planar here)."""
-    if povm.family == "digon":
-        return True   # w . v in {-1, 1} forces w = +-v, the orbit itself
     T = interpolation_set(povm)
     vertex_angles = [math.atan2(v.y, v.x) for v in povm.vectors]
     candidates = set()
@@ -479,14 +467,6 @@ def _polygon_uniqueness(povm: HsPovm) -> bool:
 # Icosidodecahedral positivity: interval pipeline + Sturm
 # --------------------------------------------------------------------------
 
-#: J15^2 = sum (a + b tau) theta1^i theta2^j over these (a, b, i, j)
-_J15SQ_TERMS = (
-    (4, 0, 2, 0), (-24, -32, 1, 1), (-273, 182, 3, 0), (20, 32, 0, 2),
-    (159, -318, 2, 1), (8944, -5504, 4, 0), (325, 650, 1, 2),
-    (-5040, 2880, 3, 1), (-95040, 58752, 5, 0), (-275, -450, 0, 3),
-)
-
-
 def _parabola_quartic(B, C, D, tau):
     """Coefficients of Q(t) = J15^2(t, -(B/C) t - (D/C) t^2) / t^2 in any
     arithmetic supporting +,-,*,/ and integer powers."""
@@ -494,7 +474,7 @@ def _parabola_quartic(B, C, D, tau):
     b = -B / C
     c = -D / C
     acc = {}
-    for (ra, rb, i, j) in _J15SQ_TERMS:
+    for (ra, rb, i, j) in J15_SQUARED_TERMS:
         base = ra + rb * tau
         for ell in range(j + 1):
             power = i + j + ell
@@ -505,99 +485,42 @@ def _parabola_quartic(B, C, D, tau):
     return [acc.get(m, zero) for m in range(2, 7)]
 
 
-def _iv_symbols():
-    sqrt5 = iv.sqrt(iv.mpf(5))
-    tau = (1 + sqrt5) / 2
-    table = {
-        0.0: iv.mpf(0), 1.0: iv.mpf(1), -1.0: iv.mpf(-1),
-        0.5: iv.mpf(0.5), -0.5: iv.mpf(-0.5),
-        TAU / 2: tau / 2, -TAU / 2: -tau / 2,
-        1 / (2 * TAU): (tau - 1) / 2, -1 / (2 * TAU): (1 - tau) / 2,
-    }
-
-    def lift(x: float):
-        for key, value in table.items():
-            if abs(x - key) < 1e-6:
-                return value
-        raise ValueError(f"coordinate {x} is not an icosahedral symbol")
-
-    return tau, lift
+def _iv_lift(x: float, tau):
+    """Exact interval of the Q(sqrt 5) number the float x rounds: a
+    quarter-integer, or a quarter-integer multiple of tau or 1/tau."""
+    for scale, exact in ((1.0, 1), (TAU, tau), (1.0 / TAU, tau - 1)):
+        quarters = 4.0 * x / scale
+        if abs(quarters - round(quarters)) < 1e-6:
+            return iv.mpf(round(quarters)) / 4 * exact
+    raise ValueError(f"coordinate {x} is not an icosahedral symbol")
 
 
 def _icosi_interval_coefficients(povm: HsPovm, precision: int):
     """Enclosures of the expansion coefficients B, C, D at the given
     working precision (nodes, interpolation, probe values and the linear
     solve all in interval arithmetic)."""
+    spec = family_spec(povm.family)
     with _interval_precision(precision):
-        tau, lift = _iv_symbols()
-        verts = [[lift(c) for c in row] for row in povm.matrix()]
-        node_list = interpolation_set(povm)
-        nodes_iv = [lift(t) for t in node_list]
-        mults = [1 if abs(abs(t) - 1.0) < 1e-9 else 2 for t in node_list]
+        tau = (1 + iv.sqrt(iv.mpf(5))) / 2
+        verts = [[_iv_lift(c, tau) for c in row] for row in povm.matrix()]
+        nodes = [(_iv_lift(t, tau), m) for t, m in _hermite_nodes(povm)]
+        f, fp = _kernel_h(SHANNON, iv.mpf, iv.log)
+        mono = _hermite_monomial(f, fp, nodes, iv.mpf(0))
 
-        def h_iv(t):
-            x = (1 + t) / 2
-            if x == 0:
-                return iv.mpf(0)
-            return -x * iv.log(x)
+        def orbit_sum(x):
+            # sum_j p(v_j . x): the quoted-constant normalization
+            return sum(_horner(mono, row[0] * x[0] + row[1] * x[1] + row[2] * x[2])
+                       for row in verts)
 
-        def hp_iv(t):
-            x = (1 + t) / 2
-            return -(iv.log(x) + 1) / 2
-
-        node_ids, ts = [], []
-        for idx, (t, m) in enumerate(zip(nodes_iv, mults)):
-            node_ids.extend([idx] * m)
-            ts.extend([t] * m)
-        values = [h_iv(t) for t in nodes_iv]
-        derivs = [hp_iv(t) if m >= 2 else None for t, m in zip(nodes_iv, mults)]
-        newton = _newton_coefficients(node_ids, ts, values, derivs)
-        mono = _newton_to_monomial(newton, ts, iv.mpf(0))
-
-        def p_iv(t):
-            acc = mono[-1]
-            for c in reversed(mono[:-1]):
-                acc = acc * t + c
-            return acc
-
-        def P_iv(point):
-            # orbit sum sum_j p(v_j . x): the quoted-constant normalization
-            total = iv.mpf(0)
-            for row in verts:
-                dot = row[0] * point[0] + row[1] * point[1] + row[2] * point[2]
-                total = total + p_iv(dot)
-            return total
-
-        def i6p_iv(p):
-            t2 = tau * tau
-            x2, y2, z2 = p[0] ** 2, p[1] ** 2, p[2] ** 2
-            return (t2 * x2 - y2) * (t2 * y2 - z2) * (t2 * z2 - x2)
-
-        def i10_iv(p):
-            x, y, z = p
-            t2 = tau * tau
-            x2, y2, z2 = x ** 2, y ** 2, z ** 2
-            linear = (x + y + z) * (x - y - z) * (y - z - x) * (z - y - x)
-            return linear * (x2 / t2 - t2 * y2) * (y2 / t2 - t2 * z2) * (z2 / t2 - t2 * x2)
-
-        one = iv.mpf(1)
-        x1 = (iv.mpf(0), iv.mpf(0), one)
-        s_tau2 = iv.sqrt(tau + 2)
-        x5 = (iv.mpf(0), tau / s_tau2, one / s_tau2)
-        s3 = iv.sqrt(iv.mpf(3))
-        x6 = (iv.mpf(0), (tau - 1) / s3, tau / s3)   # 1/tau = tau - 1
-        w0 = (iv.mpf(3) / 13, iv.mpf(4) / 13, iv.mpf(12) / 13)
-
-        probes = (x1, x5, x6, w0)
-        rows = []
-        rhs = []
-        for x in probes:
-            th1 = i6p_iv(x)
-            rows.append([one, th1, i10_iv(x), th1 ** 2])
-            rhs.append(P_iv(x))
+        m = []
+        for seed in spec.probes:
+            x = [_iv_lift(c, tau) for c in seed]
+            norm = iv.sqrt(x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
+            x = [c / norm for c in x]
+            m.append([iv.mpf(1)] + [evaluate_invariant(name, x, tau=tau)
+                                    for name in spec.basis] + [orbit_sum(x)])
         # Gaussian elimination (first row is (1, 0, 0, 0): benign pivots)
-        m = [row[:] + [val] for row, val in zip(rows, rhs)]
-        size = 4
+        size = len(m)
         for col in range(size):
             pivot_row = None
             for r in range(col, size):
@@ -619,8 +542,7 @@ def _icosi_interval_coefficients(povm: HsPovm, precision: int):
 
 def _certified_sturm_verdict(povm: HsPovm):
     """Run the interval Sturm step at increasing precision until every
-    sign decision is unambiguous; returns (root count, bits used, B, C, D
-    midpoints)."""
+    sign decision is unambiguous; returns (root count, bits used)."""
     last_error = None
     for precision in STURM_PRECISIONS:
         try:
@@ -628,10 +550,7 @@ def _certified_sturm_verdict(povm: HsPovm):
                 tau, (A, B, C, D) = _icosi_interval_coefficients(povm, precision)
                 if not (C.a > 0 or C.b < 0):
                     raise AmbiguousSignError("C enclosure straddles zero")
-                quartic = _parabola_quartic(B, C, D, tau)
-                count = sturm_root_count(quartic)
-            mid = [(float(x.a) + float(x.b)) / 2 for x in (A, B, C, D)]
-            return count, precision, mid
+                return sturm_root_count(_parabola_quartic(B, C, D, tau)), precision
         except AmbiguousSignError as err:
             last_error = err
     raise RuntimeError(
@@ -646,6 +565,14 @@ def _float_quartic_roots(B: float, C: float, D: float, precision: int) -> int:
         tau = (1 + iv.sqrt(iv.mpf(5))) / 2
         return sturm_root_count(_parabola_quartic(iv.mpf(B), iv.mpf(C),
                                                   iv.mpf(D), tau))
+
+
+def _sampled_positive(B: float, C: float, D: float, samples: int = 10_000) -> bool:
+    """Whether P1 = B th1 + C th2 + D th1^2 stays >= -1e-12 on the
+    orbit-map image of ``samples`` quasi-random sphere points."""
+    points = fibonacci_sphere(samples).T
+    theta1, theta2 = i6_prime(points), i10(points)
+    return float(np.min(B * theta1 + C * theta2 + D * theta1 ** 2)) >= -1e-12
 
 
 def icosidodeca_positivity(B: float, C: float, D: float,
@@ -665,25 +592,18 @@ def icosidodeca_positivity(B: float, C: float, D: float,
         roots = _float_quartic_roots(B, C, D, STURM_PRECISIONS[0])
     except AmbiguousSignError:
         roots = _float_quartic_roots(B, C, D, STURM_PRECISIONS[-1])
-    points = fibonacci_sphere(samples)
-    theta1 = np.array([i6_prime(w) for w in points])
-    theta2 = np.array([i10(w) for w in points])
-    sampled_min = float(np.min(B * theta1 + C * theta2 + D * theta1 ** 2))
-    return roots == 0 and sampled_min >= -1e-12
+    return roots == 0 and _sampled_positive(B, C, D, samples)
 
 
 # --------------------------------------------------------------------------
 # The full pipeline
 # --------------------------------------------------------------------------
 
-_CONSTANT_FAMILIES = {"digon", "tetrahedron", "octahedron", "icosahedron"}
-
-
 def _constant_on_domain(povm: HsPovm, evaluator) -> bool:
     if povm.is_coplanar():
         phis = np.linspace(0.0, 2.0 * math.pi, 257)
         pts = np.column_stack([np.cos(phis), np.sin(phis), np.zeros_like(phis)])
-    elif povm.family == "digon":
+    elif povm.k == 2:        # the digon: H depends on u . v alone
         angles = np.linspace(0.0, math.pi, 129)
         pts = np.column_stack([np.sin(angles), np.zeros_like(angles), np.cos(angles)])
     else:
@@ -692,91 +612,102 @@ def _constant_on_domain(povm: HsPovm, evaluator) -> bool:
     return float(np.max(values) - np.min(values)) < 1e-9
 
 
+# Orbit-minimum proofs, one per FamilySpec.strategy.  Each takes (povm,
+# spec, kernel, lower-bound evaluator, its value at -v) and returns
+# (verdict, reason if it fails, certificate fields).
+
+def _constant_bound(povm, spec, kernel, evaluator, minimum):
+    constant = _constant_on_domain(povm, evaluator)
+    return (constant, "lower bound unexpectedly non-constant",
+            {"coefficients": {"A": minimum}, "constant_bound": constant})
+
+
+def _sign_of_b(povm, spec, kernel, evaluator, minimum):
+    coefficients = expand_in_invariants(povm, evaluator)
+    word = "positive" if spec.sign > 0 else "negative"
+    return (coefficients["B"] * spec.sign > 0,
+            f"{spec.name} coefficient B not {word}", {"coefficients": coefficients})
+
+
+def _candidate_comparison(povm, spec, kernel, evaluator, minimum):
+    """P = A + B I4 + C I6 on the sphere is critical on the inert probe
+    axes and, when 1/4 < beta = -B/(3C) < 1/2, at one non-inert point; the
+    probe on the antipodal orbit must undercut all the others."""
+    coefficients = expand_in_invariants(povm, evaluator)
+    beta = -coefficients["B"] / (3.0 * coefficients["C"])
+    probes = spec.probe_points()
+    candidates = {f"x{i + 1}": float(evaluator(x)) for i, x in enumerate(probes)}
+    if 0.25 < beta < 0.5:
+        x = np.array([math.sqrt(4 * beta - 1), math.sqrt(1 - 2 * beta),
+                      math.sqrt(1 - 2 * beta)])
+        candidates[f"x{len(probes) + 1}"] = float(evaluator(x))
+    winner = next(f"x{i + 1}" for i, x in enumerate(probes)
+                  if np.min(np.linalg.norm(povm.matrix() + x, axis=1)) < 1e-9)
+    ok = all(candidates[winner] < v - 1e-12
+             for key, v in candidates.items() if key != winner)
+    return (ok, f"{spec.name} candidate values {candidates}",
+            {"coefficients": coefficients, "beta": beta})
+
+
+def _boundary_sturm(povm, spec, kernel, evaluator, minimum):
+    """The quartic's roots are counted once: from interval coefficients for
+    Shannon, from the float coefficients at the first precision otherwise."""
+    coefficients = expand_in_invariants(povm, evaluator)
+    B, C, D = (coefficients[key] for key in "BCD")
+    if kernel.kind == "shannon":
+        roots, bits = _certified_sturm_verdict(povm)
+    else:
+        bits = STURM_PRECISIONS[0]
+        roots = _float_quartic_roots(B, C, D, bits)
+    positive = _sampled_positive(B, C, D)
+    return (roots == 0 and positive,
+            f"Sturm found {roots} roots / sampled positivity {positive}",
+            {"coefficients": coefficients, "sturm_roots": roots,
+             "sturm_precision_bits": bits})
+
+
+_ORBIT_MIN_PROOFS = {
+    "constant": _constant_bound,
+    "sign": _sign_of_b,
+    "candidates": _candidate_comparison,
+    "sturm": _boundary_sturm,
+}
+
+
 def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCertificate:
     """Full certification that the antipodal orbit minimizes the entropy.
 
-    Dispatches on the family: constant lower bound for polygons, the
-    tetrahedron, octahedron and icosahedron; sign of the leading invariant
-    coefficient for cube and dodecahedron; candidate comparison for the
-    cuboctahedron; interval Sturm for the icosidodecahedron.
+    The orbit-minimum step is the family's registry strategy: constant
+    lower bound for polygons, the tetrahedron, octahedron and icosahedron;
+    sign of the leading invariant coefficient for cube and dodecahedron;
+    candidate comparison for the cuboctahedron; interval Sturm for the
+    icosidodecahedron.
     """
-    family = povm.family
-    is_polygon = family == "digon" or family.endswith("-gon")
-    if not is_polygon and family not in _EXACT_NODES:
-        raise ValueError(f"certification needs a named HS family, got {family!r}")
+    spec = family_spec(povm.family)
+    if spec is None:
+        raise ValueError(f"certification needs a named HS family, got {povm.family!r}")
 
-    node_values = interpolation_set(povm)
-    nodes = tuple((t, 1 if abs(abs(t) - 1.0) < 1e-9 else 2) for t in node_values)
+    nodes = _hermite_nodes(povm)
     poly = hermite_interpolate(kernel, nodes)
     min_gap, argmin, offending, exact_repro = _verify_below_details(poly, kernel)
     below_ok = min_gap >= -GAP_TOL and (exact_repro or not offending)
     evaluator = assemble_lower_bound(povm, poly)
-
-    minus_v = -povm.fiducial.as_array()
-    certified_minimum = float(evaluator(minus_v))
-
-    coefficients: dict = {}
-    beta = None
-    sturm_roots = None
-    sturm_bits = None
+    certified_minimum = float(evaluator(-povm.fiducial.as_array()))
     reason = "" if below_ok else (
         f"gap {min_gap:.2e} with equality off nodes at "
         f"{offending[:4]}{'...' if len(offending) > 4 else ''}")
 
-    if is_polygon or family in _CONSTANT_FAMILIES:
-        constant = _constant_on_domain(povm, evaluator)
-        coefficients = {"A": certified_minimum}
-        orbit_ok = constant
-        if not constant:
-            reason = reason or "lower bound unexpectedly non-constant"
-    else:
-        constant = False
-        coefficients = expand_in_invariants(povm, evaluator)
-        if family == "cube":
-            orbit_ok = coefficients["B"] > 0
-            if not orbit_ok:
-                reason = reason or "cube coefficient B not positive"
-        elif family == "dodecahedron":
-            orbit_ok = coefficients["B"] < 0
-            if not orbit_ok:
-                reason = reason or "dodecahedron coefficient B not negative"
-        elif family == "cuboctahedron":
-            B, C = coefficients["B"], coefficients["C"]
-            beta = -B / (3.0 * C)
-            candidates = {"x1": float(evaluator(_X1)),
-                          "x2": float(evaluator(_X2)),
-                          "x3": float(evaluator(_X3))}
-            if 0.25 < beta < 0.5:
-                x4 = np.array([math.sqrt(4 * beta - 1), math.sqrt(1 - 2 * beta),
-                               math.sqrt(1 - 2 * beta)])
-                candidates["x4"] = float(evaluator(x4))
-            others = [v for key, v in candidates.items() if key != "x2"]
-            orbit_ok = all(candidates["x2"] < v - 1e-12 for v in others)
-            if not orbit_ok:
-                reason = reason or f"cuboctahedron candidate values {candidates}"
-        elif family == "icosidodecahedron":
-            if kernel.kind == "shannon":
-                sturm_roots, sturm_bits, mid = _certified_sturm_verdict(povm)
-            else:
-                sturm_bits = STURM_PRECISIONS[0]
-                sturm_roots = _float_quartic_roots(
-                    coefficients["B"], coefficients["C"], coefficients["D"],
-                    sturm_bits)
-            positive_inside = icosidodeca_positivity(
-                coefficients["B"], coefficients["C"], coefficients["D"])
-            orbit_ok = sturm_roots == 0 and positive_inside
-            if not orbit_ok:
-                reason = reason or (f"Sturm found {sturm_roots} roots / "
-                                    f"sampled positivity {positive_inside}")
-        else:   # pragma: no cover - family table is exhaustive
-            raise AssertionError(family)
+    orbit_ok, failure, fields = _ORBIT_MIN_PROOFS[spec.strategy](
+        povm, spec, kernel, evaluator, certified_minimum)
+    if not orbit_ok:
+        reason = reason or failure
 
     if exact_repro:
         # the kernel summand is itself a low-degree polynomial (Tsallis
         # alpha = 2): the bound is an identity and minimizers degenerate
         uniqueness = False
         reason = reason or "kernel reproduced exactly; minimizers not isolated"
-    elif is_polygon:
+    elif spec.nodes is None:
         uniqueness = _polygon_uniqueness(povm)
     else:
         coords = povm.matrix()
@@ -785,22 +716,14 @@ def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCer
             for v in coords)
         design = spherical_design_order(povm.vectors)
         uniqueness = not _moment_constrained_feasible(
-            family, povm.k, design, centrally_symmetric)
+            spec.nodes, povm.k, design, centrally_symmetric)
     if not uniqueness:
         reason = reason or "uniqueness bookkeeping admits a stray minimizer"
 
     return HermiteCertificate(
-        family=family, nodes=nodes, polynomial=poly,
-        coefficients=coefficients, below_check=(min_gap, argmin),
+        family=povm.family, nodes=nodes, polynomial=poly,
+        below_check=(min_gap, argmin),
         orbit_min_verdict=bool(below_ok and orbit_ok),
         uniqueness_verdict=bool(uniqueness),
-        certified_minimum=certified_minimum,
-        constant_bound=constant, beta=beta,
-        sturm_roots=sturm_roots, sturm_precision_bits=sturm_bits,
-        reason=reason,
+        certified_minimum=certified_minimum, reason=reason, **fields,
     )
-
-
-def certify_family(family: str, n: int = None,
-                   kernel: EntropyKernel = SHANNON) -> HermiteCertificate:
-    return certify_minimum(make_hs_povm(family, n), kernel)

@@ -3,8 +3,9 @@
 Subcommands: generate, validate, entropy-map, minimize, classify, certify,
 info-power, ngon-sweep, dynent, bifurcation, table5.  Machine outputs
 (JSON/CSV) print 17 significant digits and carry a schema_version field;
-`table` format prints 5 digits.  Exit codes: 0 success, 1 certificate
-failure, 2 usage error.
+tables (`table5`, `info-power --format table`) print 5 digits.  Exit codes:
+0 success, 1 certificate failure, 2 usage error, 3 internal error (any
+other exception, reported on one `error:` line).
 """
 
 from __future__ import annotations
@@ -12,10 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,16 +22,12 @@ import numpy as np
 from . import certificate as cert_mod
 from . import dynamics, entropy, info
 from .bloch import BlochVector
-from .catalog import HsPovm, make_hs_povm, make_rectangle_povm, validate_povm
+from .catalog import (FAMILIES, HsPovm, inert_directions, make_hs_povm,
+                      make_rectangle_povm, validate_povm)
 from .entropy import fibonacci_sphere
 
 SCHEMA_VERSION = 1
 DEFAULT_GRID = 200_000
-DEFAULT_PRECISION = 200
-DEFAULT_SEED = 42
-
-_TABLE5_ORDER = ("digon", "tetrahedron", "octahedron", "cube", "cuboctahedron",
-                 "icosahedron", "dodecahedron", "icosidodecahedron")
 
 
 @dataclass
@@ -44,9 +39,7 @@ class RunConfig:
     out: str = ""
     infile: str = ""
     grid: int = DEFAULT_GRID
-    precision_bits: int = DEFAULT_PRECISION
     fmt: str = "table"
-    seed: int = DEFAULT_SEED
     bits: bool = False
     point: str = ""
     rotation: str = ""
@@ -81,24 +74,6 @@ def _resolve_povm(config: RunConfig) -> HsPovm:
     return make_hs_povm(config.family, config.n)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("POVM_ENTROPY_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _grid_entropies(povm: HsPovm, points: np.ndarray) -> np.ndarray:
-    threads = _thread_count()
-    if threads == 1 or len(points) < 4096:
-        return entropy._entropy_values(points, povm)
-    chunks = np.array_split(points, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda c: entropy._entropy_values(c, povm), chunks))
-    return np.concatenate(parts)
-
-
 # ---------------------------------------------------------------- commands
 
 def _cmd_generate(config: RunConfig) -> int:
@@ -127,7 +102,7 @@ def _cmd_validate(config: RunConfig) -> int:
 def _cmd_entropy_map(config: RunConfig) -> int:
     povm = _resolve_povm(config)
     points = fibonacci_sphere(config.grid)
-    values = _grid_entropies(povm, points)
+    values = entropy._entropy_values(points, povm)
     lines = ["x,y,z,H,Hrel"]
     log_k = math.log(povm.k)
     for p, H in zip(points, values):
@@ -158,32 +133,13 @@ def _cmd_minimize(config: RunConfig) -> int:
     return 0
 
 
-def _inert_points(povm: HsPovm) -> list:
-    from .groups import TAU
-    tag = povm.group
-    if tag == "T":
-        seeds = [(0, 0, 1), (1, 1, 1), (-1, -1, -1)]
-    elif tag == "O":
-        seeds = [(0, 0, 1), (0, 1, 1), (1, 1, 1)]
-    elif tag == "I":
-        seeds = [(0, 0, 1), (0, TAU, 1), (0, 1 / TAU, TAU)]
-    elif tag.startswith("C_"):
-        n = int(tag[2:])
-        seeds = [(1, 0, 0), (math.cos(math.pi / n), math.sin(math.pi / n), 0),
-                 (0, 0, 1)]
-    else:   # digon, rectangle
-        seeds = [(0, 0, 1), (1, 0, 0), (0, 1, 0)]
-    return [BlochVector.from_array(np.array(s, float) / np.linalg.norm(s))
-            for s in seeds]
-
-
 def _cmd_classify(config: RunConfig) -> int:
     povm = _resolve_povm(config)
     if config.point:
         coords = [float(x) for x in config.point.split(",")]
         points = [BlochVector.from_array(np.array(coords) / np.linalg.norm(coords))]
     else:
-        points = _inert_points(povm)
+        points = inert_directions(povm)
     results = [entropy.classify_inert_point(u, povm) for u in points]
     payload = {"schema_version": SCHEMA_VERSION,
                "family": povm.family,
@@ -225,7 +181,7 @@ def _cmd_certify(config: RunConfig) -> int:
 
 def _info_rows(config: RunConfig) -> list:
     if config.family in ("", "all"):
-        families = _TABLE5_ORDER
+        families = tuple(info.TABLE_REFERENCE)
     else:
         families = (config.family,)
     rows = []
@@ -259,10 +215,9 @@ def _cmd_info_power(config: RunConfig) -> int:
 def _cmd_table5(config: RunConfig) -> int:
     lines = [f"{'family':20s} {'k':>3s} {'W':>10s} {'reference':>10s} {'delta':>10s}"]
     max_delta = 0.0
-    for family in _TABLE5_ORDER:
+    for family, ref in info.TABLE_REFERENCE.items():
         povm = make_hs_povm(family)
         W = info.informational_power(povm)
-        ref = info.TABLE_REFERENCE[family]
         delta = abs(W - ref)
         max_delta = max(max_delta, delta)
         lines.append(f"{family:20s} {povm.k:3d} {W:10.5f} {ref:10.5f} {delta:10.2e}")
@@ -358,18 +313,13 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--out", default="", help="output path (default stdout)")
-        p.add_argument("--format", dest="fmt", default="table",
-                       choices=["json", "csv", "table"])
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--bits", action="store_true",
                        help="display entropies in bits instead of nats")
         return p
 
     def add_family(p):
         p.add_argument("--family", default="",
-                       help="digon, n-gon, tetrahedron, octahedron, cube, "
-                            "cuboctahedron, icosahedron, dodecahedron, "
-                            "icosidodecahedron, rectangle")
+                       help=", ".join(FAMILIES + ("rectangle",)))
         p.add_argument("--n", type=int, default=None, help="polygon order")
         p.add_argument("--alpha", type=float, default=None,
                        help="rectangle diagonal angle")
@@ -387,12 +337,12 @@ def _build_parser() -> argparse.ArgumentParser:
                                          help="alias for --out")
     sub.choices["classify"].add_argument("--point", default="",
                                          help="x,y,z of the point to classify")
-    sub.choices["certify"].add_argument("--precision-bits", type=int,
-                                        default=DEFAULT_PRECISION)
     sub.choices["dynent"].add_argument("--rotation", default="",
                                        help="axis=z,angle=0.7853981633974483")
     sub.choices["dynent"].add_argument("--depth", type=int, default=3)
     p = add("info-power")
+    p.add_argument("--format", dest="fmt", default="table",
+                   choices=["json", "csv", "table"])
     p.add_argument("--family", default="all")
     p.add_argument("--n", type=int, default=None)
     p = add("ngon-sweep")
@@ -418,6 +368,9 @@ def main(argv=None) -> int:
             raise
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:   # a defect or an input the proofs cannot handle
+        print(f"error: {type(err).__name__}: {err}".splitlines()[0], file=sys.stderr)
+        return 3
 
 
 def run(config: RunConfig) -> int:

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import BlochVector, EntropyKernel, SHANNON, h_array
-from .catalog import HsPovm
-from .groups import POINT_TOL, RotationGroup, generate_group
+from .catalog import HsPovm, symmetry_group
+from .groups import RotationGroup, generate_group
 from .groups import orbit as group_orbit
 from .groups import stabilizer as group_stabilizer
 
@@ -209,22 +209,6 @@ def _refine_on_sphere(start: np.ndarray, objective, max_recenter: int = 6):
     return center, converged
 
 
-def _symmetry_group(povm: HsPovm) -> RotationGroup:
-    """The POVM's tagged rotation group if it maps the vectors onto
-    themselves (checked on the coordinates, so a wrong tag is caught), else
-    the trivial group."""
-    try:
-        group = povm.rotation_group()
-    except ValueError:
-        return TRIVIAL_GROUP
-    coords = povm.matrix()
-    for m in group.elements:
-        gaps = np.linalg.norm((coords @ m.T)[:, None, :] - coords[None, :, :], axis=-1)
-        if np.max(np.min(gaps, axis=1)) >= POINT_TOL:
-            return TRIVIAL_GROUP
-    return group
-
-
 def _orbit_representatives(points: np.ndarray, group: RotationGroup,
                            angle: float) -> list:
     """Indices of the points kept by greedy thinning in the given order: a
@@ -345,8 +329,8 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
     def objective(p):
         return values(p[None, :])[0]
 
-    group = _symmetry_group(povm)
-    if povm.is_coplanar() or povm.family == "digon":
+    group = symmetry_group(povm)
+    if povm.is_coplanar() or povm.k == 2:
         located = _find_extrema_circle(povm, values, objective, n_scan // 16)
     else:
         points = fibonacci_sphere(n_scan)

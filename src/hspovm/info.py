@@ -18,15 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import eta
-from .catalog import HsPovm
+from .catalog import FAMILY_SPECS, HsPovm, family_spec, make_hs_povm
 from .entropy import _entropy_values, fibonacci_sphere
 
-#: families the closed form applies to (the entropy minimizers are the
-#: antipodal orbit; rectangles and custom sets must go through the
-#: numerical optimizer instead)
-_HS_FAMILY_PREFIXES = ("digon", "tetrahedron", "octahedron", "cube",
-                       "cuboctahedron", "icosahedron", "dodecahedron",
-                       "icosidodecahedron")
+#: five-digit reference values for the catalog families
+TABLE_REFERENCE = {name: spec.reference_W for name, spec in FAMILY_SPECS.items()
+                   if spec.reference_W is not None}
 
 
 @dataclass(frozen=True)
@@ -38,16 +35,27 @@ class InfoPowerReport:
     uncertainty_bound: float = None   # type: ignore[assignment]
 
 
-def _is_hs_family(povm: HsPovm) -> bool:
-    return povm.family in _HS_FAMILY_PREFIXES or povm.family.endswith("-gon")
-
-
-def informational_power(povm: HsPovm) -> float:
-    """Closed-form informational power of a highly symmetric POVM."""
-    if not _is_hs_family(povm):
+def _check_family_geometry(povm: HsPovm):
+    """Refuse a POVM whose vectors are not its labelled registry family in
+    some orientation: every row of its sorted Gram matrix must be the
+    family's sorted dot profile (rectangles and custom sets have no closed
+    form, the entropy minimizers being elsewhere than the antipodal orbit)."""
+    if family_spec(povm.family) is None:
         raise ValueError(
             f"no closed form for family {povm.family!r}; minimize the "
             "entropy numerically (entropy.find_extrema) instead")
+    reference = make_hs_povm(povm.family, povm.k)
+    profile = np.sort(reference.matrix() @ reference.fiducial.as_array())
+    gram = np.sort(povm.matrix() @ povm.matrix().T, axis=1)
+    if reference.k != povm.k or np.max(np.abs(gram - profile)) > 1e-9:
+        raise ValueError(f"the vectors do not form a {povm.family}; "
+                         "the family label does not match the geometry")
+
+
+def informational_power(povm: HsPovm) -> float:
+    """Closed-form informational power of a highly symmetric POVM, after
+    checking the vectors against the family label up to rotation."""
+    _check_family_geometry(povm)
     v = povm.fiducial.as_array()
     dots = povm.matrix() @ v
     return math.log(2.0) - (2.0 / povm.k) * math.fsum(
@@ -115,16 +123,3 @@ def info_power_report(povm: HsPovm) -> InfoPowerReport:
         H_min=math.log(povm.k) - W,
         average_relative_entropy=average_relative_entropy(2),
     )
-
-
-#: five-digit reference values for the nine catalog families
-TABLE_REFERENCE = {
-    "digon": 0.69315,
-    "tetrahedron": 0.28768,
-    "octahedron": 0.23105,
-    "cube": 0.21576,
-    "cuboctahedron": 0.20273,
-    "icosahedron": 0.20189,
-    "dodecahedron": 0.19686,
-    "icosidodecahedron": 0.19486,
-}

@@ -24,7 +24,12 @@ import math
 
 from .groups import TAU
 
-_T2 = TAU * TAU
+#: J15^2 = sum (a + b tau) theta1^i theta2^j over these (a, b, i, j)
+J15_SQUARED_TERMS = (
+    (4, 0, 2, 0), (-24, -32, 1, 1), (-273, 182, 3, 0), (20, 32, 0, 2),
+    (159, -318, 2, 1), (8944, -5504, 4, 0), (325, 650, 1, 2),
+    (-5040, 2880, 3, 1), (-95040, 58752, 5, 0), (-275, -450, 0, 3),
+)
 
 
 def rho(p) -> float:
@@ -58,20 +63,25 @@ def i6(p) -> float:
     return float(x ** 6 + y ** 6 + z ** 6)
 
 
-def i6_prime(p) -> float:
+def i6_prime(p, tau=TAU):
+    """I6' in the arithmetic of p and tau (floats, arrays of coordinates
+    or mpmath intervals)."""
     x, y, z = p
+    t2 = tau * tau
     x2, y2, z2 = x * x, y * y, z * z
-    return float((_T2 * x2 - y2) * (_T2 * y2 - z2) * (_T2 * z2 - x2))
+    return (t2 * x2 - y2) * (t2 * y2 - z2) * (t2 * z2 - x2)
 
 
-def i10(p) -> float:
+def i10(p, tau=TAU):
+    """I10 in the arithmetic of p and tau, like :func:`i6_prime`."""
     x, y, z = p
+    t2 = tau * tau
     x2, y2, z2 = x * x, y * y, z * z
     linear = (x + y + z) * (x - y - z) * (y - z - x) * (z - y - x)
-    quad = ((x2 / _T2 - _T2 * y2)
-            * (y2 / _T2 - _T2 * z2)
-            * (z2 / _T2 - _T2 * x2))
-    return float(linear * quad)
+    quad = ((x2 / t2 - t2 * y2)
+            * (y2 / t2 - t2 * z2)
+            * (z2 / t2 - t2 * x2))
+    return linear * quad
 
 
 _EVALUATORS = {
@@ -95,8 +105,15 @@ def invariant_basis(group: str) -> tuple:
     return _BASES[group]
 
 
-def evaluate_invariant(name: str, p, n: int = None) -> float:
-    """Evaluate a named invariant at a 3-vector (canonical orientation)."""
+def evaluate_invariant(name: str, p, n: int = None, tau=TAU) -> float:
+    """Evaluate a named invariant at a 3-vector (canonical orientation).
+
+    ``"I6p^2"`` names a power of an invariant; I6p and I10 take the golden
+    ratio ``tau`` in the arithmetic of p.
+    """
+    base, _, power = name.partition("^")
+    if power:
+        return evaluate_invariant(base, p, n, tau) ** int(power)
     if name == "gamma_n":
         if n is None:
             raise ValueError("gamma_n needs the polygon order n")
@@ -105,6 +122,8 @@ def evaluate_invariant(name: str, p, n: int = None) -> float:
         return float(p[2] * p[2])
     if name == "J15sq":
         return j15_squared(*orbit_map_icosahedral(p))
+    if name in ("I6p", "I10"):
+        return _EVALUATORS[name](p, tau)
     if name not in _EVALUATORS:
         raise ValueError(f"unknown invariant {name!r}")
     return _EVALUATORS[name](p)
@@ -119,23 +138,12 @@ def orbit_map_icosahedral(w) -> tuple:
     return (i6_prime(w), i10(w))
 
 
-def j15_squared(theta1: float, theta2: float) -> float:
+def j15_squared(theta1, theta2, tau=TAU):
     """Square of the degree-15 secondary icosahedral invariant, written in
-    the primary-invariant coordinates (theta1, theta2) = (I6', I10)."""
-    t = TAU
-    th1, th2 = theta1, theta2
-    return (
-        4.0 * th1 ** 2
-        - 8.0 * (3.0 + 4.0 * t) * th1 * th2
-        - 91.0 * (3.0 - 2.0 * t) * th1 ** 3
-        + 4.0 * (5.0 + 8.0 * t) * th2 ** 2
-        + 159.0 * (1.0 - 2.0 * t) * th1 ** 2 * th2
-        + 688.0 * (13.0 - 8.0 * t) * th1 ** 4
-        + 325.0 * (1.0 + 2.0 * t) * th1 * th2 ** 2
-        - 720.0 * (7.0 - 4.0 * t) * th1 ** 3 * th2
-        - 1728.0 * (55.0 - 34.0 * t) * th1 ** 5
-        - 25.0 * (11.0 + 18.0 * t) * th2 ** 3
-    )
+    the primary-invariant coordinates (theta1, theta2) = (I6', I10), in the
+    arithmetic of its arguments."""
+    return sum((a + b * tau) * theta1 ** i * theta2 ** j
+               for a, b, i, j in J15_SQUARED_TERMS)
 
 
 # Extreme values of I6' on the unit sphere (attained at the icosahedron

@@ -6,11 +6,14 @@ import pytest
 from conftest import ALL_FAMILIES, POLYHEDRA, povm_for
 from hspovm.bloch import BlochVector
 from hspovm.catalog import (
+    FAMILIES,
+    FAMILY_SPECS,
     HsPovm,
     interpolation_set,
     make_hs_povm,
     make_rectangle_povm,
     spherical_design_order,
+    symmetry_group,
     validate_povm,
 )
 from hspovm.groups import TAU, double_coset_profile
@@ -167,3 +170,33 @@ class TestInterpolationSet:
         group = povm.rotation_group()
         profile = double_coset_profile(group, povm.fiducial)
         assert len(interpolation_set(povm)) <= profile.n_v
+
+
+class TestFamilyRegistry:
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_spec_matches_geometry(self, name):
+        spec = FAMILY_SPECS[name]
+        povm = make_hs_povm(name, 6)          # the order is read by the n-gon only
+        assert povm.group == spec.tag(povm.k)
+        assert symmetry_group(povm).order == povm.rotation_group().order > 1
+        if spec.nodes is not None:
+            exact = [float(a) + float(b) * SQRT5 for a, b in spec.nodes]
+            assert np.max(np.abs(np.array(exact) - interpolation_set(povm))) < 1e-12
+        probes = spec.probe_points()
+        assert len(probes) == (len(spec.basis) + 1 if spec.basis else 0)
+        for x in probes:
+            assert abs(np.linalg.norm(x) - 1.0) < 1e-15
+
+    def test_json_round_trip_restores_group_tag(self):
+        for name in FAMILIES:
+            p = make_hs_povm(name, 5)
+            assert HsPovm.from_json(p.to_json()).group == p.group
+
+    def test_rotated_or_mislabelled_file_stays_untagged(self):
+        q, _ = np.linalg.qr(np.random.default_rng(11).normal(size=(3, 3)))
+        rotated = povm_for("cube").matrix() @ q.T
+        assert HsPovm.from_json(HsPovm(
+            vectors=tuple(BlochVector.from_array(v) for v in rotated),
+            family="cube").to_json()).group == ""
+        square = make_rectangle_povm(1.0).to_json().replace("rectangle", "octahedron")
+        assert HsPovm.from_json(square).group == ""

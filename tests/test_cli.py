@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from hspovm.catalog import make_hs_povm
 from hspovm.cli import main
 
 
@@ -55,13 +57,6 @@ class TestEntropyMap:
         _, second = run_cli(args, capsys)
         assert first == second
 
-    def test_thread_env_variable(self, capsys, monkeypatch):
-        args = ["entropy-map", "--family", "cube", "--grid", "5000"]
-        _, serial = run_cli(args, capsys)
-        monkeypatch.setenv("POVM_ENTROPY_THREADS", "4")
-        _, threaded = run_cli(args, capsys)
-        assert serial == threaded
-
 
 class TestMinimize:
     def test_tetrahedron_minima(self, capsys):
@@ -89,6 +84,13 @@ class TestClassify:
         payload = json.loads(text)
         kinds = {p["kind"] for p in payload["points"]}
         assert "min" in kinds        # the cube orbit itself (type I)
+
+    def test_generated_file_classifies_like_the_family(self, tmp_path, capsys):
+        out = tmp_path / "cube.json"
+        main(["generate", "--family", "cube", "--out", str(out)])
+        code, from_file = run_cli(["classify", "--in", str(out)], capsys)
+        assert code == 0
+        assert from_file == run_cli(["classify", "--family", "cube"], capsys)[1]
 
     def test_explicit_point(self, capsys):
         code, text = run_cli(
@@ -200,3 +202,29 @@ class TestOtherCommands:
 
     def test_unknown_family_exit_code(self, capsys):
         assert main(["certify", "--family", "hypercube"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--family", "cube", "--seed", "42"],
+        ["generate", "--family", "cube", "--seed", "42"],
+        ["certify", "--family", "cube", "--precision-bits", "320"],
+        *[[name, "--format", "json"] for name in (
+            "generate", "validate", "entropy-map", "minimize", "classify",
+            "certify", "ngon-sweep", "dynent", "bifurcation", "table5")],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+
+    def test_internal_error_exit_code(self, tmp_path, capsys):
+        # a rotated cube keeps its label but not the canonical frame the
+        # invariant expansion needs; that is neither a usage error nor a
+        # certificate verdict
+        q, r = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+        q = q * np.sign(np.diag(r))
+        coords = make_hs_povm("cube").matrix() @ q.T
+        path = tmp_path / "rotated-cube.json"
+        path.write_text(json.dumps({"vectors": coords.tolist(), "family": "cube"}))
+        assert main(["certify", "--in", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: RuntimeError") and err.count("\n") == 1

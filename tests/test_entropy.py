@@ -10,12 +10,11 @@ import pytest
 import hspovm
 from conftest import ALL_FAMILIES, povm_for
 from hspovm.bloch import BlochVector, EntropyKernel, eta
-from hspovm.catalog import HsPovm, make_hs_povm, make_rectangle_povm
+from hspovm.catalog import HsPovm, make_hs_povm, make_rectangle_povm, symmetry_group
 from hspovm.entropy import (
     _entropy_values,
     _golden_section,
     _nelder_mead,
-    _symmetry_group,
     classify_inert_point,
     entropy_at,
     fibonacci_sphere,
@@ -319,22 +318,22 @@ def _assert_antipodal_orbit(minima, coords):
 
 class TestOrbitReduction:
     def test_tagged_group_checked_on_geometry(self):
-        assert _symmetry_group(povm_for("cube")).order == 24
-        assert _symmetry_group(povm_for("icosidodecahedron")).order == 60
+        assert symmetry_group(povm_for("cube")).order == 24
+        assert symmetry_group(povm_for("icosidodecahedron")).order == 60
 
     @pytest.mark.parametrize("family", ["tetrahedron", "cube"])
     def test_untagged_rotated_input_keeps_full_orbit(self, family):
         coords = povm_for(family).matrix() @ _random_rotation(3).T
         povm = HsPovm.from_json(json.dumps({"vectors": coords.tolist(),
                                             "family": family}))
-        assert povm.group == "" and _symmetry_group(povm).order == 1
+        assert povm.group == "" and symmetry_group(povm).order == 1
         _assert_antipodal_orbit(find_extrema(povm, "min"), povm.matrix())
 
     def test_wrong_group_tag_falls_back_to_trivial_group(self):
         coords = povm_for("cube").matrix() @ _random_rotation(5).T
         povm = HsPovm(vectors=tuple(BlochVector.from_array(v) for v in coords),
                       family="cube", group="O")
-        assert _symmetry_group(povm).order == 1
+        assert symmetry_group(povm).order == 1
         _assert_antipodal_orbit(find_extrema(povm, "min"), povm.matrix())
 
     def test_max_mode_cube_default_scan(self):

@@ -1,5 +1,7 @@
+import json
 import math
 
+import numpy as np
 import pytest
 
 from conftest import ALL_FAMILIES, povm_for
@@ -63,6 +65,21 @@ class TestInformationalPower:
     def test_report(self):
         report = info_power_report(povm_for("cube"))
         assert report.W == pytest.approx(math.log(8) - report.H_min, abs=1e-12)
+
+    def test_mislabelled_rectangle_rejected(self):
+        text = json.dumps({"vectors": make_rectangle_povm(0.9).matrix().tolist(),
+                           "family": "tetrahedron"})
+        with pytest.raises(ValueError):
+            informational_power(HsPovm.from_json(text))
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_rotated_file_keeps_reference_value(self, family):
+        q, r = np.linalg.qr(np.random.default_rng(17).normal(size=(3, 3)))
+        q = q * np.sign(np.diag(r))
+        text = json.dumps({"vectors": (povm_for(family).matrix() @ q.T).tolist(),
+                           "family": family})
+        W = informational_power(HsPovm.from_json(text))
+        assert abs(W - TABLE_REFERENCE[family]) < 5e-6
 
 
 class TestNgonPower:

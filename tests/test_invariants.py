@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import iv
 
 from hspovm.groups import TAU, generate_group
 from hspovm.invariants import (
@@ -150,6 +151,26 @@ class TestJ15Squared:
             angle = rng.uniform(0, 2 * math.pi)
             w = np.array([0.0, math.sin(angle), math.cos(angle)])
             assert abs(j15_squared(*orbit_map_icosahedral(w))) < 1e-10
+
+
+class TestArithmeticGeneric:
+    def test_arrays_match_the_row_loop(self):
+        w = _random_units(200, seed=47)
+        theta1, theta2 = orbit_map_icosahedral(w.T)
+        assert np.array_equal(theta1, [i6_prime(row) for row in w])
+        assert np.array_equal(theta2, [i10(row) for row in w])
+
+    def test_intervals_enclose_the_floats(self):
+        tau = (1 + iv.sqrt(iv.mpf(5))) / 2
+        for w in _random_units(20, seed=53):
+            box = [iv.mpf(float(c)) for c in w]
+            theta1, theta2 = orbit_map_icosahedral(w)
+            for name, value in (("I6p", theta1), ("I10", theta2),
+                                ("I6p^2", theta1 ** 2)):
+                enclosure = evaluate_invariant(name, box, tau=tau)
+                assert float(enclosure.a) - 1e-15 <= value <= float(enclosure.b) + 1e-15
+            enclosure = j15_squared(iv.mpf(float(theta1)), iv.mpf(float(theta2)), tau)
+            assert enclosure.a - 1e-13 <= j15_squared(theta1, theta2) <= enclosure.b + 1e-13
 
 
 class TestRangeMembership:
