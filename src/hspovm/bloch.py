@@ -177,7 +177,8 @@ class EntropyKernel:
     Renyi entropy is a monotone function of the Tsallis power sum, so both
     share the additive summand (x - x^alpha)/(alpha - 1) wherever only the
     location of extrema matters (in particular in the interpolation
-    certificates, valid for alpha in (0, 2]).
+    certificates, whose bound p <= h holds or fails per alpha and node
+    count by the sign of the Hermite remainder).
     """
 
     kind: str = "shannon"

@@ -6,8 +6,9 @@ The pipeline, per family:
 2. build the Hermite interpolant p of the entropy summand h on T, with
    value+derivative matching at interior nodes and value-only at +-1
    (h' blows up at -1);
-3. verify p <= h on [-1, 1] with equality only on T — this holds by the
-   sign pattern of the derivatives of h, and is checked on a dense grid;
+3. prove p <= h on [-1, 1] with equality only on T by the Hermite
+   remainder theorem: the sign of h - p is that of h^(N) times the node
+   product, both fixed by exact sign logic (no sampling);
 4. form the invariant lower bound P(u) = ln(k/2) + (2/k) sum_j p(v_j . u),
    which coincides with the entropy H at the antipodal orbit;
 5. show -v is a global minimizer of P by the family's strategy in the
@@ -22,8 +23,9 @@ The pipeline, per family:
    dots {w . u} inside T, which the exact moment bookkeeping of the
    design conditions rules out unless -1 is among them.
 
-Interpolation and grid verification run in 80-bit extended precision;
-the Sturm step runs in mpmath interval arithmetic with adaptive precision.
+Interpolation and its node-residual diagnostic run in 80-bit extended
+precision; the Sturm step runs in mpmath interval arithmetic with adaptive
+precision.
 """
 
 from __future__ import annotations
@@ -43,9 +45,6 @@ from .groups import TAU
 from .invariants import J15_SQUARED_TERMS, evaluate_invariant, i6_prime, i10
 from .sturm import AmbiguousSignError, sturm_root_count
 
-GAP_TOL = 1e-12            # certificate passes iff min(h - p) >= -GAP_TOL
-NODE_MATCH_TOL = 1e-6      # near-zero gaps must sit this close to a node
-GRID_SIZE = 100_001
 STURM_PRECISIONS = (200, 320, 512)
 
 _LD = np.longdouble
@@ -101,7 +100,7 @@ class HermiteCertificate:
     nodes: tuple
     polynomial: HermitePolynomial
     coefficients: dict              # invariant expansion, subset of A..D
-    below_check: tuple              # (min gap h - p, argmin)
+    below_check: tuple              # (min h - p at nodes/midpoints, where)
     orbit_min_verdict: bool
     uniqueness_verdict: bool
     certified_minimum: float
@@ -113,8 +112,7 @@ class HermiteCertificate:
 
     @property
     def valid(self) -> bool:
-        return (self.below_check[0] >= -GAP_TOL
-                and self.orbit_min_verdict and self.uniqueness_verdict)
+        return self.orbit_min_verdict and self.uniqueness_verdict
 
 
 # --------------------------------------------------------------------------
@@ -231,68 +229,56 @@ def _hermite_nodes(povm: HsPovm) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# One-sidedness check
+# One-sidedness: the Hermite remainder theorem
 # --------------------------------------------------------------------------
 
-def _kernel_h_grid(kernel: EntropyKernel, ts: np.ndarray) -> np.ndarray:
-    x = (1 + ts) * _LD(0.5)
-    safe = np.where(x > 0, x, _LD(1))
+def _remainder_sign(kernel: EntropyKernel, nodes):
+    """Sign of h - p off the nodes, or None when the theorem fixes none.
+
+    h(t) - p(t) = h^(N)(xi)/N! prod_i (t - t_i)^(m_i) with N = sum m_i and
+    xi in (-1, 1); this holds on [-1, 1] because h is continuous there and
+    smooth inside, and -1 is only ever a simple node.  h^(N) keeps one sign
+    on (-1, 1): (-1)^(N-1) for Shannon (see bloch.h_derivative), and
+    -sign prod_{j=2}^{N-1} (alpha - j) for the power summand, which is 0
+    exactly when h is a polynomial of degree < N.  Double nodes leave the
+    product's sign alone, a simple node at +1 flips it, and a simple node
+    inside (-1, 1), or N < 2, leaves the sign of h - p open.
+
+    1 proves p <= h with equality exactly on the nodes, -1 proves p > h
+    off them, 0 means p reproduces h.
+    """
+    n = sum(m for _, m in nodes)
+    simple = [t for t, m in nodes if m == 1]
+    if n < 2 or any(abs(abs(t) - 1.0) >= 1e-9 for t in simple):
+        return None
     if kernel.kind == "shannon":
-        vals = -safe * np.log(safe)
+        derivative = (-1) ** (n - 1)
     else:
-        a = _LD(kernel.alpha)
-        vals = (safe - safe ** a) / (a - 1)
-    return np.where(x > 0, vals, _LD(0))
-
-
-def _verify_below_details(p: HermitePolynomial, kernel: EntropyKernel):
-    ts = np.linspace(_LD(-1), _LD(1), GRID_SIZE, dtype=_LD)
-    gap = _kernel_h_grid(kernel, ts) - p(ts)
-    spacing = 2.0 / (GRID_SIZE - 1)
-
-    def chebyshev_min(center):
-        lo = max(-1.0, center - 2 * spacing)
-        hi = min(1.0, center + 2 * spacing)
-        j = np.arange(129, dtype=float)
-        local = _LD(0.5) * (_LD(lo + hi) + _LD(hi - lo) * np.cos(np.pi * j / 128).astype(_LD))
-        vals = _kernel_h_grid(kernel, local) - p(local)
-        i = int(np.argmin(vals))
-        return float(vals[i]), float(local[i])
-
-    min_gap, argmin = float(gap.min()), float(ts[int(np.argmin(gap))])
-    near_zero = [argmin] if min_gap < 1e-9 else []
-    interior = gap[1:-1]
-    locals_mask = (interior <= gap[:-2]) & (interior <= gap[2:])
-    for i in np.nonzero(locals_mask)[0] + 1:
-        if float(gap[i]) < 1e-6:
-            refined, where = chebyshev_min(float(ts[i]))
-            if refined < min_gap:
-                min_gap, argmin = refined, where
-            if refined < 1e-9:
-                near_zero.append(where)
-    for endpoint in (-1.0, 1.0):   # simple zeros at the interval ends
-        refined, where = chebyshev_min(endpoint)
-        if refined < min_gap:
-            min_gap, argmin = refined, where
-        if refined < 1e-9:
-            near_zero.append(where)
-    node_ts = [t for t, _ in p.nodes]
-    offending = [t for t in near_zero
-                 if min(abs(t - n) for n in node_ts) > NODE_MATCH_TOL]
-    # a polynomial kernel of degree < #constraints is reproduced exactly
-    # (gap identically zero); that is equality everywhere, not a failure
-    exact_reproduction = float(np.max(np.abs(gap))) < 1e-14
-    return min_gap, argmin, offending, exact_reproduction
+        factors = [kernel.alpha - j for j in range(2, n)]
+        derivative = 0 if 0.0 in factors else -(-1) ** sum(f < 0 for f in factors)
+    return -derivative if any(t > 0 for t in simple) else derivative
 
 
 def verify_below(p: HermitePolynomial, kernel: EntropyKernel = SHANNON):
-    """Minimum of h - p over [-1, 1] and its location.
+    """Smallest h - p over the nodes of p and the midpoints between
+    consecutive nodes, and where it sits (extended precision).
 
-    The certificate accepts iff the minimum is >= -1e-12 and every
-    near-zero gap sits within 1e-6 of an interpolation node.
+    A diagnostic; the proof is the remainder sign.  Where that proves
+    p <= h this is the interpolant's rounding residual at the nodes; where
+    it proves the bound fails, every midpoint gives a strictly negative gap.
     """
-    min_gap, argmin, _, _ = _verify_below_details(p, kernel)
-    return min_gap, argmin
+    f, _ = _kernel_h(kernel, _LD, np.log)
+    ts = [_LD(t) for t, _ in p.nodes]
+    points = ts + [(a + b) / 2 for a, b in zip(ts, ts[1:])]
+    gaps = [f(t) - p(t) for t in points]
+    i = int(np.argmin(gaps))
+    return float(gaps[i]), float(points[i])
+
+
+_REMAINDER_FAILURES = {
+    None: "Hermite remainder has no fixed sign on these nodes",
+    -1: "Hermite remainder negative: p exceeds h off the nodes",
+}
 
 
 # --------------------------------------------------------------------------
@@ -689,22 +675,23 @@ def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCer
 
     nodes = _hermite_nodes(povm)
     poly = hermite_interpolate(kernel, nodes)
-    min_gap, argmin, offending, exact_repro = _verify_below_details(poly, kernel)
-    below_ok = min_gap >= -GAP_TOL and (exact_repro or not offending)
+    sign = _remainder_sign(kernel, nodes)
     evaluator = assemble_lower_bound(povm, poly)
     certified_minimum = float(evaluator(-povm.fiducial.as_array()))
-    reason = "" if below_ok else (
-        f"gap {min_gap:.2e} with equality off nodes at "
-        f"{offending[:4]}{'...' if len(offending) > 4 else ''}")
+    reason = _REMAINDER_FAILURES.get(sign, "")
 
-    orbit_ok, failure, fields = _ORBIT_MIN_PROOFS[spec.strategy](
+    # p = h makes the bound P the entropy H itself; the invariant strategies
+    # cannot decide it (their coefficients vanish on the designs, where H is
+    # constant), so the constant proof stands in for any family
+    strategy = "constant" if sign == 0 else spec.strategy
+    orbit_ok, failure, fields = _ORBIT_MIN_PROOFS[strategy](
         povm, spec, kernel, evaluator, certified_minimum)
     if not orbit_ok:
         reason = reason or failure
 
-    if exact_repro:
-        # the kernel summand is itself a low-degree polynomial (Tsallis
-        # alpha = 2): the bound is an identity and minimizers degenerate
+    if sign == 0:
+        # the kernel summand is itself a polynomial of degree < N (integer
+        # alpha): the bound is an identity and minimizers degenerate
         uniqueness = False
         reason = reason or "kernel reproduced exactly; minimizers not isolated"
     elif spec.nodes is None:
@@ -722,8 +709,8 @@ def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCer
 
     return HermiteCertificate(
         family=povm.family, nodes=nodes, polynomial=poly,
-        below_check=(min_gap, argmin),
-        orbit_min_verdict=bool(below_ok and orbit_ok),
+        below_check=verify_below(poly, kernel),
+        orbit_min_verdict=bool(sign is not None and sign >= 0 and orbit_ok),
         uniqueness_verdict=bool(uniqueness),
         certified_minimum=certified_minimum, reason=reason, **fields,
     )

@@ -324,6 +324,35 @@ class TestKernelPluggability:
         assert cert.constant_bound
         assert not cert.uniqueness_verdict
 
+    @pytest.mark.parametrize("family", ("cube", "cuboctahedron", "dodecahedron",
+                                        "icosidodecahedron"))
+    def test_alpha_two_reproduction_proves_by_constancy(self, family):
+        # p = h makes the bound the entropy itself, constant on a 2-design,
+        # so the constant proof replaces the family's invariant strategy
+        cert = certify_minimum(povm_for(family), EntropyKernel("tsallis", 2.0))
+        assert not cert.valid
+        assert cert.constant_bound and cert.orbit_min_verdict
+        assert not cert.uniqueness_verdict
+        assert cert.reason == "kernel reproduced exactly; minimizers not isolated"
+
+    def test_icosidodecahedron_alpha_3_5_bound_holds(self):
+        # the remainder proves p <= h here; rounding residuals near the
+        # nodes are not equality off the nodes
+        cert = certify_minimum(povm_for("icosidodecahedron"),
+                               EntropyKernel("tsallis", 3.5))
+        assert "gap" not in cert.reason
+        assert "remainder" not in cert.reason
+
+    def test_cube_alpha_2_5_bound_fails_with_witness(self):
+        cert = certify_minimum(povm_for("cube"), EntropyKernel("tsallis", 2.5))
+        gap, where = cert.below_check
+        ts = [t for t, _ in cert.nodes]
+        assert not cert.valid and not cert.orbit_min_verdict
+        assert gap < 0
+        assert any(a < where < b for a, b in zip(ts, ts[1:]))
+        assert min(abs(where - t) for t in ts) > 1e-3
+        assert "remainder" in cert.reason
+
     def test_shannon_like_kernel_on_octahedron(self):
         cert = certify_minimum(povm_for("octahedron"), EntropyKernel("tsallis", 1.5))
         assert cert.valid and cert.constant_bound
