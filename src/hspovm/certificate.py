@@ -13,15 +13,16 @@ The pipeline, per family:
    which coincides with the entropy H at the antipodal orbit;
 5. show -v is a global minimizer of P by the family's strategy in the
    registry (:class:`hspovm.catalog.FamilySpec`): either P is constant
-   (polygons, tetrahedron, octahedron, icosahedron), or P restricted to the
-   sphere is a short combination of primary invariants whose extrema are
-   known (cube, cuboctahedron, dodecahedron), or — for the
-   icosidodecahedron — a quartic obtained from the boundary curve of the
-   orbit-map range must have no real roots, which a Sturm chain over
-   interval arithmetic certifies;
+   because the orbit is a t-design (on the circle for polygons) and p has
+   degree <= t (N - 1, or alpha when p reproduces h) -- polygons,
+   tetrahedron, octahedron, icosahedron; or P restricted to the sphere is
+   a short combination of primary invariants whose extrema are known (cube,
+   cuboctahedron, dodecahedron); or, for the icosidodecahedron, an interval
+   Sturm chain shows that the zero-level parabola of P misses the orbit-map
+   range except at the origin, and P is positive at a corner of the range;
 6. close uniqueness: any further global minimizer w would need all its
-   dots {w . u} inside T, which the exact moment bookkeeping of the
-   design conditions rules out unless -1 is among them.
+   dots {w . u} inside T, which the design moment equations, solved in
+   integers, rule out unless -1 is among them.
 
 Interpolation and its node-residual diagnostic run in 80-bit extended
 precision; the Sturm step runs in mpmath interval arithmetic with adaptive
@@ -40,10 +41,9 @@ from mpmath import iv
 
 from .bloch import EntropyKernel, SHANNON
 from .catalog import HsPovm, family_spec, interpolation_set, spherical_design_order
-from .entropy import fibonacci_sphere
 from .groups import TAU
 from .invariants import J15_SQUARED_TERMS, evaluate_invariant, i6_prime, i10
-from .sturm import AmbiguousSignError, sturm_root_count
+from .sturm import AmbiguousSignError, _sign, sturm_root_count
 
 STURM_PRECISIONS = (200, 320, 512)
 
@@ -348,28 +348,12 @@ def expand_in_invariants(povm: HsPovm, evaluator) -> dict:
 # Uniqueness bookkeeping (exact arithmetic in Q(sqrt 5))
 # --------------------------------------------------------------------------
 
-class _Q5(tuple):
-    """Number a + b sqrt(5) with exact rational components."""
-
-    def __new__(cls, a, b=0):
-        return super().__new__(cls, (Fraction(a), Fraction(b)))
-
-    def __add__(self, other):
-        return _Q5(self[0] + other[0], self[1] + other[1])
-
-    def __mul__(self, other):
-        a1, b1 = self
-        a2, b2 = other
-        return _Q5(a1 * a2 + 5 * b1 * b2, a1 * b2 + b1 * a2)
-
-    def scaled(self, n: int):
-        return _Q5(self[0] * n, self[1] * n)
-
-    def __float__(self):
-        return float(self[0]) + float(self[1]) * math.sqrt(5.0)
-
-    def is_zero(self) -> bool:
-        return self[0] == 0 and self[1] == 0
+def _q5_power(node, s: int):
+    """(p + q sqrt 5)^s as an integer pair."""
+    p, q = 1, 0
+    for _ in range(s):
+        p, q = p * node[0] + 5 * q * node[1], p * node[1] + q * node[0]
+    return p, q
 
 
 def _moment_constrained_feasible(exact_nodes, k: int, design_order: int,
@@ -381,44 +365,51 @@ def _moment_constrained_feasible(exact_nodes, k: int, design_order: int,
     moment k/5 (4-designs); for centrally symmetric orbits a dot of +1
     forces a dot of -1.  Infeasibility proves w must realize -1, i.e. lie
     on the antipodal orbit.
-    """
-    nodes = [_Q5(a, b) for a, b in exact_nodes]
-    banned = {i for i, t in enumerate(nodes) if float(t) < -1 + 1e-12}
-    if centrally_symmetric:
-        banned |= {i for i, t in enumerate(nodes) if float(t) > 1 - 1e-12}
-    usable = [i for i in range(len(nodes)) if i not in banned]
-    usable.sort(key=lambda i: -abs(float(nodes[i])))
 
-    targets = [(_Q5(0), [nodes[i] for i in usable])]                 # sum t
+    Each node a + b sqrt 5 is an integer pair over the common denominator
+    d, so each moment equation is two integer equations; the search prunes
+    on real values and tests the integers at its leaves.
+    """
+    d = math.lcm(*(Fraction(x).denominator for node in exact_nodes for x in node))
+    nodes = [(int(Fraction(a) * d), int(Fraction(b) * d)) for a, b in exact_nodes]
+    root5 = math.sqrt(5.0)
+    values = [(p + q * root5) / d for p, q in nodes]
+    banned = {i for i, t in enumerate(values) if t < -1 + 1e-12}
+    if centrally_symmetric:
+        banned |= {i for i, t in enumerate(values) if t > 1 - 1e-12}
+    usable = [i for i in range(len(nodes)) if i not in banned]
+    usable.sort(key=lambda i: -abs(values[i]))
+
+    moments = [(1, Fraction(0))]                                      # sum t
     if design_order >= 2:
-        targets.append((_Q5(Fraction(k, 3)), [nodes[i] * nodes[i] for i in usable]))
+        moments.append((2, Fraction(k, 3)))
     if design_order >= 4:
-        targets.append((_Q5(Fraction(k, 5)),
-                        [nodes[i] * nodes[i] * nodes[i] * nodes[i]
-                         for i in usable]))
-    floats = [[float(v) for v in vals] for _, vals in targets]
+        moments.append((4, Fraction(k, 5)))
+    powers = [[_q5_power(nodes[i], s) for i in usable] for s, _ in moments]
+    floats = [[values[i] ** s for i in usable] for s, _ in moments]
 
     def dfs(pos, remaining, partials):
         if pos == len(usable):
             return remaining == 0 and all(
-                (partial + target.scaled(-1)).is_zero()
-                for partial, (target, _) in zip(partials, targets))
+                q == 0 and p * target.denominator == target.numerator * d ** s
+                for (p, q), (s, target) in zip(partials, moments))
         # float bounds: can the remaining counts still reach each target?
-        for (target, _), fvals, partial in zip(targets, floats, partials):
+        for (s, target), fvals, (p, q) in zip(moments, floats, partials):
             rest = fvals[pos:]
-            lo = float(partial) + remaining * min(rest)
-            hi = float(partial) + remaining * max(rest)
+            partial = (p + q * root5) / d ** s
+            lo = partial + remaining * min(rest)
+            hi = partial + remaining * max(rest)
             t = float(target)
             if t < lo - 1e-6 or t > hi + 1e-6:
                 return False
         for count in range(remaining + 1):
-            nxt = [partial + vals[pos].scaled(count)
-                   for partial, (_, vals) in zip(partials, targets)]
+            nxt = [(p + count * pw[pos][0], q + count * pw[pos][1])
+                   for (p, q), pw in zip(partials, powers)]
             if dfs(pos + 1, remaining - count, nxt):
                 return True
         return False
 
-    return dfs(0, k, [_Q5(0) for _ in targets])
+    return dfs(0, k, [(0, 0) for _ in moments])
 
 
 def _polygon_uniqueness(povm: HsPovm) -> bool:
@@ -481,7 +472,8 @@ def _iv_lift(x: float, tau):
     raise ValueError(f"coordinate {x} is not an icosahedral symbol")
 
 
-def _icosi_interval_coefficients(povm: HsPovm, precision: int):
+def _icosi_interval_coefficients(povm: HsPovm, precision: int,
+                                 kernel: EntropyKernel = SHANNON):
     """Enclosures of the expansion coefficients B, C, D at the given
     working precision (nodes, interpolation, probe values and the linear
     solve all in interval arithmetic)."""
@@ -490,7 +482,7 @@ def _icosi_interval_coefficients(povm: HsPovm, precision: int):
         tau = (1 + iv.sqrt(iv.mpf(5))) / 2
         verts = [[_iv_lift(c, tau) for c in row] for row in povm.matrix()]
         nodes = [(_iv_lift(t, tau), m) for t, m in _hermite_nodes(povm)]
-        f, fp = _kernel_h(SHANNON, iv.mpf, iv.log)
+        f, fp = _kernel_h(kernel, iv.mpf, iv.log)
         mono = _hermite_monomial(f, fp, nodes, iv.mpf(0))
 
         def orbit_sum(x):
@@ -526,17 +518,34 @@ def _icosi_interval_coefficients(povm: HsPovm, precision: int):
     return tau, solution            # [A, B, C, D]
 
 
-def _certified_sturm_verdict(povm: HsPovm):
-    """Run the interval Sturm step at increasing precision until every
-    sign decision is unambiguous; returns (root count, bits used)."""
+def _positivity(B, C, D, tau):
+    """Real-root count of the parabola quartic for interval B, C, D, and
+    whether they prove P1 = B th1 + C th2 + D th1^2 > 0 on the orbit-map
+    range minus the origin: a quartic with no real root and a negative
+    leading coefficient keeps J15^2 < 0 along the zero-level parabola of P1
+    off the origin, so the parabola misses the range (inside J15^2 >= 0),
+    which is connected without the origin; P1 there has the sign it takes
+    at the icosahedron corner, the image of (0, tau, 1)/sqrt(tau + 2).
+    Raises AmbiguousSignError when an interval sign is undecided."""
+    if not (C.a > 0 or C.b < 0):
+        raise AmbiguousSignError("C enclosure straddles zero")
+    quartic = _parabola_quartic(B, C, D, tau)
+    roots = sturm_root_count(quartic)
+    norm = iv.sqrt(tau + 2)
+    corner = [iv.mpf(0), tau / norm, 1 / norm]
+    theta1, theta2 = i6_prime(corner, tau), i10(corner, tau)
+    return roots, (roots == 0 and _sign(quartic[-1]) < 0
+                   and _sign(B * theta1 + C * theta2 + D * theta1 ** 2) > 0)
+
+
+def _at_rising_precision(decide):
+    """decide(precision) at each of STURM_PRECISIONS in turn until no
+    interval sign is ambiguous; returns (its result, bits used)."""
     last_error = None
     for precision in STURM_PRECISIONS:
         try:
             with _interval_precision(precision):
-                tau, (A, B, C, D) = _icosi_interval_coefficients(povm, precision)
-                if not (C.a > 0 or C.b < 0):
-                    raise AmbiguousSignError("C enclosure straddles zero")
-                return sturm_root_count(_parabola_quartic(B, C, D, tau)), precision
+                return decide(precision), precision
         except AmbiguousSignError as err:
             last_error = err
     raise RuntimeError(
@@ -544,78 +553,73 @@ def _certified_sturm_verdict(povm: HsPovm):
         f"{last_error}")
 
 
-def _float_quartic_roots(B: float, C: float, D: float, precision: int) -> int:
-    """Interval Sturm root count of the parabola quartic, taking the float
-    coefficients B, C, D as exact, at the given working precision."""
-    with _interval_precision(precision):
-        tau = (1 + iv.sqrt(iv.mpf(5))) / 2
-        return sturm_root_count(_parabola_quartic(iv.mpf(B), iv.mpf(C),
-                                                  iv.mpf(D), tau))
+def _certified_sturm_verdict(povm: HsPovm, kernel: EntropyKernel):
+    """The positivity step on interval coefficients of the kernel's bound;
+    returns ((root count, verdict), bits used)."""
+    def decide(precision):
+        tau, (_, B, C, D) = _icosi_interval_coefficients(povm, precision, kernel)
+        return _positivity(B, C, D, tau)
+
+    return _at_rising_precision(decide)
 
 
-def _sampled_positive(B: float, C: float, D: float, samples: int = 10_000) -> bool:
-    """Whether P1 = B th1 + C th2 + D th1^2 stays >= -1e-12 on the
-    orbit-map image of ``samples`` quasi-random sphere points."""
-    points = fibonacci_sphere(samples).T
-    theta1, theta2 = i6_prime(points), i10(points)
-    return float(np.min(B * theta1 + C * theta2 + D * theta1 ** 2)) >= -1e-12
-
-
-def icosidodeca_positivity(B: float, C: float, D: float,
-                           samples: int = 10_000) -> bool:
-    """Whether P1 = B th1 + C th2 + D th1^2 is nonnegative on the
-    orbit-map range with zero only at the origin.
+def icosidodeca_positivity(B: float, C: float, D: float) -> bool:
+    """Whether P1 = B th1 + C th2 + D th1^2 is positive on the orbit-map
+    range except at the origin, taking the coefficients as exact.
 
     Substitutes the zero-level parabola of P1 into the boundary polynomial,
     divides by th1^2 and counts real roots of the resulting quartic with an
-    interval Sturm chain (the input coefficients are taken as exact);
-    additionally samples the orbit-map image of ``samples`` quasi-random
-    sphere points as a belt-and-braces check.
+    interval Sturm chain; no root, a negative leading coefficient and
+    P1 > 0 at the icosahedron corner prove the claim.
     """
     if abs(C) < 1e-12:
         raise ZeroDivisionError("C vanishes; parabola substitution undefined")
-    try:
-        roots = _float_quartic_roots(B, C, D, STURM_PRECISIONS[0])
-    except AmbiguousSignError:
-        roots = _float_quartic_roots(B, C, D, STURM_PRECISIONS[-1])
-    return roots == 0 and _sampled_positive(B, C, D, samples)
+
+    def decide(precision):
+        tau = (1 + iv.sqrt(iv.mpf(5))) / 2
+        return _positivity(iv.mpf(B), iv.mpf(C), iv.mpf(D), tau)[1]
+
+    return _at_rising_precision(decide)[0]
 
 
 # --------------------------------------------------------------------------
 # The full pipeline
 # --------------------------------------------------------------------------
 
-def _constant_on_domain(povm: HsPovm, evaluator) -> bool:
-    if povm.is_coplanar():
-        phis = np.linspace(0.0, 2.0 * math.pi, 257)
-        pts = np.column_stack([np.cos(phis), np.sin(phis), np.zeros_like(phis)])
-    elif povm.k == 2:        # the digon: H depends on u . v alone
-        angles = np.linspace(0.0, math.pi, 129)
-        pts = np.column_stack([np.sin(angles), np.zeros_like(angles), np.cos(angles)])
-    else:
-        pts = fibonacci_sphere(257)
-    values = evaluator(pts)
-    return float(np.max(values) - np.min(values)) < 1e-9
+def _design_order(povm: HsPovm) -> int:
+    """Design order of the orbit on the domain of its minimizers: the
+    sphere, or for a coplanar set the circle, where it is the largest t
+    with sum_j z_j^m = 0 for m = 1..t (z_j = x_j + i y_j; some m <= k fails)."""
+    if not povm.is_coplanar():
+        return spherical_design_order(povm.vectors)
+    z = povm.matrix()[:, 0] + 1j * povm.matrix()[:, 1]
+    return next(m - 1 for m in range(1, povm.k + 1) if abs(np.sum(z ** m)) >= 1e-9)
+
+
+def _degree_bound(kernel: EntropyKernel, nodes, sign) -> int:
+    """Structural degree bound of p: alpha when p reproduces the power
+    summand (sign 0), else one less than the number of conditions."""
+    return round(kernel.alpha) if sign == 0 else sum(m for _, m in nodes) - 1
 
 
 # Orbit-minimum proofs, one per FamilySpec.strategy.  Each takes (povm,
-# spec, kernel, lower-bound evaluator, its value at -v) and returns
-# (verdict, reason if it fails, certificate fields).
+# spec, kernel, lower-bound evaluator, its value at -v, whether the design
+# order proves the bound constant) and returns (verdict, reason if it
+# fails, certificate fields).
 
-def _constant_bound(povm, spec, kernel, evaluator, minimum):
-    constant = _constant_on_domain(povm, evaluator)
+def _constant_bound(povm, spec, kernel, evaluator, minimum, constant):
     return (constant, "lower bound unexpectedly non-constant",
             {"coefficients": {"A": minimum}, "constant_bound": constant})
 
 
-def _sign_of_b(povm, spec, kernel, evaluator, minimum):
+def _sign_of_b(povm, spec, kernel, evaluator, minimum, constant):
     coefficients = expand_in_invariants(povm, evaluator)
     word = "positive" if spec.sign > 0 else "negative"
     return (coefficients["B"] * spec.sign > 0,
             f"{spec.name} coefficient B not {word}", {"coefficients": coefficients})
 
 
-def _candidate_comparison(povm, spec, kernel, evaluator, minimum):
+def _candidate_comparison(povm, spec, kernel, evaluator, minimum, constant):
     """P = A + B I4 + C I6 on the sphere is critical on the inert probe
     axes and, when 1/4 < beta = -B/(3C) < 1/2, at one non-inert point; the
     probe on the antipodal orbit must undercut all the others."""
@@ -635,19 +639,10 @@ def _candidate_comparison(povm, spec, kernel, evaluator, minimum):
             {"coefficients": coefficients, "beta": beta})
 
 
-def _boundary_sturm(povm, spec, kernel, evaluator, minimum):
-    """The quartic's roots are counted once: from interval coefficients for
-    Shannon, from the float coefficients at the first precision otherwise."""
+def _boundary_sturm(povm, spec, kernel, evaluator, minimum, constant):
     coefficients = expand_in_invariants(povm, evaluator)
-    B, C, D = (coefficients[key] for key in "BCD")
-    if kernel.kind == "shannon":
-        roots, bits = _certified_sturm_verdict(povm)
-    else:
-        bits = STURM_PRECISIONS[0]
-        roots = _float_quartic_roots(B, C, D, bits)
-    positive = _sampled_positive(B, C, D)
-    return (roots == 0 and positive,
-            f"Sturm found {roots} roots / sampled positivity {positive}",
+    (roots, positive), bits = _certified_sturm_verdict(povm, kernel)
+    return (positive, f"Sturm found {roots} roots; positivity not proved",
             {"coefficients": coefficients, "sturm_roots": roots,
              "sturm_precision_bits": bits})
 
@@ -664,10 +659,10 @@ def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCer
     """Full certification that the antipodal orbit minimizes the entropy.
 
     The orbit-minimum step is the family's registry strategy: constant
-    lower bound for polygons, the tetrahedron, octahedron and icosahedron;
-    sign of the leading invariant coefficient for cube and dodecahedron;
-    candidate comparison for the cuboctahedron; interval Sturm for the
-    icosidodecahedron.
+    lower bound, by the design order, for polygons, the tetrahedron,
+    octahedron and icosahedron; sign of the leading invariant coefficient
+    for cube and dodecahedron; candidate comparison for the cuboctahedron;
+    interval Sturm for the icosidodecahedron.
     """
     spec = family_spec(povm.family)
     if spec is None:
@@ -676,6 +671,7 @@ def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCer
     nodes = _hermite_nodes(povm)
     poly = hermite_interpolate(kernel, nodes)
     sign = _remainder_sign(kernel, nodes)
+    design = _design_order(povm)
     evaluator = assemble_lower_bound(povm, poly)
     certified_minimum = float(evaluator(-povm.fiducial.as_array()))
     reason = _REMAINDER_FAILURES.get(sign, "")
@@ -685,7 +681,8 @@ def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCer
     # constant), so the constant proof stands in for any family
     strategy = "constant" if sign == 0 else spec.strategy
     orbit_ok, failure, fields = _ORBIT_MIN_PROOFS[strategy](
-        povm, spec, kernel, evaluator, certified_minimum)
+        povm, spec, kernel, evaluator, certified_minimum,
+        _degree_bound(kernel, nodes, sign) <= design)
     if not orbit_ok:
         reason = reason or failure
 
@@ -701,7 +698,6 @@ def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCer
         centrally_symmetric = all(
             np.min(np.linalg.norm(coords + v[None, :], axis=1)) < 1e-9
             for v in coords)
-        design = spherical_design_order(povm.vectors)
         uniqueness = not _moment_constrained_feasible(
             spec.nodes, povm.k, design, centrally_symmetric)
     if not uniqueness:

@@ -272,8 +272,7 @@ def _cmd_dynent(config: RunConfig) -> int:
         "measurement_entropy": _g17(_scale(dynamics.measurement_entropy(povm),
                                            config)),
         "entropy_rate_check": _g17(_scale(
-            dynamics.empirical_entropy_rate(rotation, povm,
-                                            min(config.depth, 3)), config)),
+            dynamics.empirical_entropy_rate(rotation, povm, config.depth), config)),
     }
     _emit(json.dumps(payload, indent=2) + "\n", config.out)
     return 0
@@ -313,8 +312,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--out", default="", help="output path (default stdout)")
-        p.add_argument("--bits", action="store_true",
-                       help="display entropies in bits instead of nats")
+        if name in ("entropy-map", "minimize", "classify", "info-power",
+                    "ngon-sweep", "dynent"):      # the entropy outputs
+            p.add_argument("--bits", action="store_true",
+                           help="display entropies in bits instead of nats")
         return p
 
     def add_family(p):

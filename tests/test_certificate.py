@@ -6,10 +6,16 @@ from mpmath import iv, mp
 
 from conftest import ALL_FAMILIES, POLYHEDRA, povm_for
 from hspovm.bloch import EntropyKernel, SHANNON
-from hspovm.catalog import interpolation_set, make_hs_povm
+from hspovm.catalog import (family_spec, interpolation_set, make_hs_povm,
+                            make_rectangle_povm)
 from hspovm.certificate import (
     HermitePolynomial,
+    _degree_bound,
+    _design_order,
+    _hermite_nodes,
     _icosi_interval_coefficients,
+    _moment_constrained_feasible,
+    _remainder_sign,
     assemble_lower_bound,
     certify_minimum,
     expand_in_invariants,
@@ -280,6 +286,14 @@ class TestIcosidodecaPositivity:
         assert sampled < -1e-3
         assert not icosidodeca_positivity(-1.0, 1.0, 0.0)
 
+    def test_reversed_orientation_rejected(self):
+        # negating B, C, D keeps the zero-level parabola, so the quartic has
+        # no real root either; only the sign at the icosahedron corner
+        # rejects it
+        cert = cert_for("icosidodecahedron")
+        B, C, D = (cert.coefficients[k] for k in "BCD")
+        assert not icosidodeca_positivity(-B, -C, -D)
+
     def test_degenerate_c_raises(self):
         with pytest.raises(ZeroDivisionError):
             icosidodeca_positivity(-1.0, 0.0, 1.0)
@@ -300,6 +314,65 @@ class TestIcosidodecaPositivity:
             assert mid_low == pytest.approx(mid_high, abs=1e-14)
             # the tighter computation must stay inside the looser enclosure
             assert float(a.a) <= mid_high <= float(a.b)
+
+    @pytest.mark.parametrize("kernel", [
+        EntropyKernel("tsallis", 0.5), EntropyKernel("tsallis", 2.5),
+        EntropyKernel("renyi", 1.4), EntropyKernel("renyi", 3.5),
+    ], ids=lambda k: f"{k.kind}{k.alpha}")
+    def test_alpha_interval_coefficients_enclose_floats(self, kernel):
+        povm = povm_for("icosidodecahedron")
+        _, enclosures = _icosi_interval_coefficients(povm, 200, kernel)
+        poly = hermite_interpolate(kernel, _hermite_nodes(povm))
+        floats = expand_in_invariants(povm, assemble_lower_bound(povm, poly))
+        for name, enclosure in zip("ABCD", enclosures):
+            assert enclosure.a - 1e-12 <= floats[name] <= enclosure.b + 1e-12
+
+
+class TestUniqueness:
+    def test_cube_moments_need_central_symmetry(self):
+        # {1, 1, -1/3 x 6} has sum 0 and square sum 8/3 = k/3; only the
+        # +1 => -1 pairing of a centrally symmetric orbit rules it out
+        nodes = family_spec("cube").nodes
+        assert _moment_constrained_feasible(nodes, 8, 3, False)
+        assert not _moment_constrained_feasible(nodes, 8, 3, True)
+
+
+def sampled_constant(povm, evaluator) -> bool:
+    """Reference for the constancy verdict: the bound's spread over 257
+    points of the circle (coplanar sets) or of the sphere is below 1e-9."""
+    if povm.is_coplanar():
+        phi = np.linspace(0.0, 2.0 * math.pi, 257)
+        points = np.column_stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)])
+    else:
+        points = fibonacci_sphere(257)
+    return float(np.ptp(evaluator(points))) < 1e-9
+
+
+CONSTANCY_POVMS = {
+    **{family: make_hs_povm(family) for family in ALL_FAMILIES},
+    **{f"{n}-gon": make_hs_povm("n-gon", n) for n in range(3, 13)},
+    "square-as-rectangle": make_rectangle_povm(math.pi / 2.0),
+}
+
+
+@pytest.mark.parametrize("kernel", [SHANNON] + [
+    EntropyKernel("tsallis", alpha) for alpha in (0.5, 2.0, 3.0, 4.0, 6.0)],
+    ids=lambda k: k.kind + ("" if k.alpha is None else str(k.alpha)))
+@pytest.mark.parametrize("name", list(CONSTANCY_POVMS))
+def test_design_order_constancy_matches_sample(name, kernel):
+    povm = CONSTANCY_POVMS[name]
+    nodes = _hermite_nodes(povm)
+    degree = _degree_bound(kernel, nodes, _remainder_sign(kernel, nodes))
+    poly = hermite_interpolate(kernel, nodes)
+    assert poly.degree <= degree
+    evaluator = assemble_lower_bound(povm, poly)
+    assert (degree <= _design_order(povm)) == sampled_constant(povm, evaluator)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_circle_design_order_of_ngon(n):
+    # sum_j exp(2 pi i m j / n) vanishes exactly when n does not divide m
+    assert _design_order(make_hs_povm("n-gon", n)) == n - 1
 
 
 class TestKernelPluggability:

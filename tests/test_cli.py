@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +191,18 @@ class TestOtherCommands:
                                       abs=1e-12)
         assert math.log(4) <= value <= math.log(8)
 
+    def test_dynent_depth_is_not_capped(self, capsys):
+        from hspovm.dynamics import UnitaryAsRotation, empirical_entropy_rate
+        code, text = run_cli(["dynent", "--family", "cube", "--depth", "5"], capsys)
+        assert code == 0
+        expected = empirical_entropy_rate(UnitaryAsRotation.identity(),
+                                          make_hs_povm("cube"), 5)
+        assert json.loads(text)["entropy_rate_check"] == format(expected, ".17g")
+
+    def test_dynent_depth_over_budget_is_usage_error(self, capsys):
+        # 30^9 strings exceed the enumeration budget
+        assert main(["dynent", "--family", "icosidodecahedron", "--depth", "8"]) == 2
+
     def test_bifurcation(self, capsys):
         code, text = run_cli(["bifurcation"], capsys)
         assert float(json.loads(text)["threshold"]) == pytest.approx(
@@ -210,7 +223,9 @@ class TestOtherCommands:
         *[[name, "--format", "json"] for name in (
             "generate", "validate", "entropy-map", "minimize", "classify",
             "certify", "ngon-sweep", "dynent", "bifurcation", "table5")],
-    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+        *[[name, "--bits"] for name in (
+            "generate", "validate", "certify", "bifurcation", "table5")],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2] if len(argv) > 2 else argv[-1]}")
     def test_removed_flags_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -228,3 +243,19 @@ class TestOtherCommands:
         assert main(["certify", "--in", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: RuntimeError") and err.count("\n") == 1
+
+
+class TestCertifyGolden:
+    """`certify` output pinned byte for byte (apart from the wall clock);
+    any change to a certificate shows as a diff of tests/data."""
+
+    GOLDEN = json.loads((Path(__file__).parent / "data" / "certify_golden.json")
+                        .read_text())
+
+    @pytest.mark.parametrize("args", list(GOLDEN))
+    def test_payload_unchanged(self, args, capsys):
+        code, text = run_cli(["certify", *args.split()], capsys)
+        payload = json.loads(text)
+        del payload["wall_clock_seconds"]
+        assert payload == self.GOLDEN[args]
+        assert code == (0 if payload["valid"] else 1)
