@@ -228,7 +228,10 @@ class EntropyKernel:
         if self.kind == "shannon":
             out = np.sum(eta_array(p), axis=axis)
         else:
-            power_sum = np.sum(np.clip(p, 0.0, 1.0) ** self.alpha, axis=axis)
+            q = np.maximum(p, 0.0)
+            np.minimum(q, 1.0, out=q)
+            q **= self.alpha
+            power_sum = np.add.reduce(q, axis=axis)
             if self.kind == "tsallis":
                 out = (1.0 - power_sum) / (self.alpha - 1.0)
             else:

@@ -24,6 +24,7 @@ from .groups import POINT_TOL, TAU, RotationGroup, generate_group, orbit
 CENTROID_TOL = 1e-12
 DESIGN_SEED = 42         # fixed seed for the random-direction design check
 DESIGN_DIRECTIONS = 200
+IMAGE_BATCH = 1 << 16    # image-vector pairs per batch of the symmetry check
 
 
 @dataclass(frozen=True)
@@ -183,9 +184,16 @@ def _group_of_tag(tag: str) -> RotationGroup:
 
 
 def _maps_onto_itself(group: RotationGroup, coords: np.ndarray) -> bool:
-    for m in group.elements:
-        gaps = np.linalg.norm((coords @ m.T)[:, None, :] - coords[None, :, :], axis=-1)
-        if np.max(np.min(gaps, axis=1)) >= POINT_TOL:
+    """Whether every element maps every vector within POINT_TOL of a vector,
+    decided on the (|G|, k, k) squared distances of all images to all
+    vectors; the elements are taken in batches of at most IMAGE_BATCH
+    image-vector pairs (one batch for every catalog family)."""
+    mats = group.matrix_stack().transpose(0, 2, 1)
+    step = max(1, IMAGE_BATCH // max(1, len(coords) ** 2))
+    for start in range(0, len(mats), step):
+        images = coords @ mats[start:start + step]
+        squares = sum((images[:, :, c, None] - coords[:, c]) ** 2 for c in range(3))
+        if math.sqrt(np.max(np.min(squares, axis=2))) >= POINT_TOL:
             return False
     return True
 

@@ -102,14 +102,11 @@ def _cmd_validate(config: RunConfig) -> int:
 def _cmd_entropy_map(config: RunConfig) -> int:
     povm = _resolve_povm(config)
     points = fibonacci_sphere(config.grid)
-    values = entropy._entropy_values(points, povm)
-    lines = ["x,y,z,H,Hrel"]
-    log_k = math.log(povm.k)
-    for p, H in zip(points, values):
-        H = _scale(H, config)
-        rel = _scale(log_k, config) - H
-        lines.append(",".join(_g17(v) for v in (*p, H, rel)))
-    _emit("\n".join(lines) + "\n", config.out)
+    H = _scale(entropy._entropy_values(points, povm), config)
+    rows = np.column_stack([points, H, _scale(math.log(povm.k), config) - H])
+    row_format = ",".join(["%.17g"] * 5) + "\n"
+    _emit("x,y,z,H,Hrel\n" + row_format * len(rows) % tuple(rows.ravel().tolist()),
+          config.out)
     return 0
 
 

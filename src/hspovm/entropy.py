@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import BlochVector, EntropyKernel, SHANNON, h_array
+from .bloch import BlochVector, EntropyKernel, SHANNON
 from .catalog import HsPovm, symmetry_group
 from .groups import RotationGroup, generate_group
 from .groups import orbit as group_orbit
@@ -65,16 +65,36 @@ def _entropy_values(points: np.ndarray, povm: HsPovm,
     """Vectorized entropy at an (n, 3) array of Bloch points (norm <= 1).
 
     Large grids are evaluated in blocks of at most GRID_CHUNK rows, so the
-    n x k temporaries stay in cache.
+    n x k temporaries stay in cache; every block goes through the same
+    kernel, ``_entropy_of_dots``, as the single points of the optimizer.
     """
     if len(points) > GRID_CHUNK:
         blocks = np.array_split(points, -(-len(points) // GRID_CHUNK))
         return np.concatenate([_entropy_values(b, povm, kernel) for b in blocks])
-    k = povm.k
-    dots = points @ povm.matrix().T
-    if kernel.kind == "shannon":
-        return math.log(k / 2.0) + (2.0 / k) * np.sum(h_array(dots), axis=-1)
-    return kernel.entropy((dots + 1.0) / k, axis=-1)
+    return _entropy_of_dots(points @ povm.matrix().T, povm.k, kernel)
+
+
+def _entropy_of_dots(dots: np.ndarray, k: int, kernel: EntropyKernel):
+    """Entropy from the dots u . v_j along the last axis of ``dots``: an
+    array for a block of points, a scalar for the k dots of one point.
+
+    Shannon is ln(k/2) - (2/k) sum x ln x with x = (1 + t)/2 clipped to
+    [0, 1], its temporaries updated in place.  x = 0 is replaced by 1 before
+    the logarithm (0 ln 0 = 0 = 1 ln 1), so no logarithm of zero is formed
+    and no floating-point warning is raised.  Other kernels take their
+    entropy of the probabilities (1 + t)/k.
+    """
+    x = dots + 1.0
+    if kernel.kind != "shannon":
+        x /= k
+        return kernel.entropy(x, axis=-1)
+    x *= 0.5
+    np.maximum(x, 0.0, out=x)
+    np.minimum(x, 1.0, out=x)
+    np.copyto(x, 1.0, where=x == 0.0)
+    x_ln_x = np.log(x)
+    x_ln_x *= x
+    return math.log(k / 2.0) - (2.0 / k) * np.add.reduce(x_ln_x, axis=-1)
 
 
 def entropy_at(u: BlochVector, povm: HsPovm,
@@ -90,12 +110,14 @@ def relative_entropy_at(u: BlochVector, povm: HsPovm) -> float:
 
 def fibonacci_sphere(n: int) -> np.ndarray:
     """Deterministic low-discrepancy lattice of n points on the sphere."""
-    i = np.arange(n)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    phi = golden * i
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    z = 1.0 - np.arange(1.0, 2.0 * n, 2.0) / n
+    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    phi = np.arange(n) * (math.pi * (3.0 - math.sqrt(5.0)))
+    out = np.empty((n, 3))
+    np.multiply(r, np.cos(phi), out=out[:, 0])
+    np.multiply(r, np.sin(phi), out=out[:, 1])
+    out[:, 2] = z
+    return out
 
 
 def landscape(povm: HsPovm, n_samples: int = 1000,
@@ -130,11 +152,11 @@ def _nelder_mead(f, x0: np.ndarray, maxiter: int = REFINE_MAXITER):
     for _ in range(maxiter):
         order = np.argsort(fvals, kind="stable")
         simplex, fvals = simplex[order], fvals[order]
-        if (np.max(np.abs(simplex[1:] - simplex[0])) <= REFINE_XTOL
-                and np.max(np.abs(fvals[1:] - fvals[0])) <= REFINE_FTOL):
+        if (abs(simplex[1:] - simplex[0]).max() <= REFINE_XTOL
+                and abs(fvals[1:] - fvals[0]).max() <= REFINE_FTOL):
             converged = True
             break
-        centroid = simplex[:-1].mean(axis=0)
+        centroid = np.add.reduce(simplex[:-1]) / (len(simplex) - 1)
         worst = simplex[-1]
         reflected = 2.0 * centroid - worst
         f_reflected = f(reflected)
@@ -197,7 +219,7 @@ def _refine_on_sphere(start: np.ndarray, objective, max_recenter: int = 6):
 
         def chart(st):
             p = center + st[0] * e1 + st[1] * e2
-            return objective(p / np.linalg.norm(p))
+            return objective(p / math.sqrt(p.dot(p)))
 
         step, _, converged = _nelder_mead(chart, np.zeros(2))
         new = center + step[0] * e1 + step[1] * e2
@@ -213,17 +235,31 @@ def _orbit_representatives(points: np.ndarray, group: RotationGroup,
                            angle: float) -> list:
     """Indices of the points kept by greedy thinning in the given order: a
     point is dropped when it lies within ``angle`` of a group image of a
-    point already kept."""
+    point already kept.  Each kept point covers, in one product, every
+    point near one of its images; the next kept point is the first one not
+    covered."""
     mats = group.matrix_stack()
     threshold = math.cos(angle)
-    taken = np.empty((0, 3))
+    covered = np.zeros(len(points), dtype=bool)
     kept = []
-    for i, p in enumerate(points):
-        if len(taken) and np.max(taken @ p) > threshold:
-            continue
+    i = 0
+    while i < len(points):
         kept.append(i)
-        taken = np.concatenate([taken, mats @ p])
+        covered |= np.max(points @ (mats @ points[i]).T, axis=1) > threshold
+        uncovered = np.flatnonzero(~covered[i + 1:])
+        if not len(uncovered):
+            break
+        i += 1 + int(uncovered[0])
     return kept
+
+
+def _lowest(values: np.ndarray, n: int) -> np.ndarray:
+    """Indices of the n lowest values in ascending order of value, by a
+    partial sort."""
+    if n >= len(values):
+        return np.argsort(values)
+    lowest = np.argpartition(values, n - 1)[:n]
+    return lowest[np.argsort(values[lowest])]
 
 
 def _recenter_on_inert(p, value, povm: HsPovm, objective):
@@ -309,32 +345,35 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
     """Locate the global extrema of H over pure states.
 
     Fibonacci-lattice scan, then one derivative-free refinement per
-    symmetry orbit: the lowest ``n_candidates`` scan points are thinned
-    against the group images of the starts already taken (0.05 rad), each
-    start is refined by Nelder-Mead on tangent charts, and the refined
-    point is mapped through the rotation group, whose images are
-    re-evaluated.  The group is the POVM's tagged group when it maps the
-    vectors onto themselves, else the trivial group.  Points within 1e-4
-    rad of a lower one are dropped, and only those within 1e-8 of the best
-    value are returned.  Coplanar POVMs (and the digon) are searched on
+    symmetry orbit: the lowest ``n_candidates`` scan points (selected by a
+    partial sort) are thinned against the group images of the starts
+    already taken (0.05 rad), each start is refined by Nelder-Mead on
+    tangent charts, and the refined point is mapped through the rotation
+    group, whose images are re-evaluated.  The scan and the single points
+    of the refinement go through one kernel, ``_entropy_of_dots``.  The
+    group is the POVM's tagged group when it maps the vectors onto
+    themselves, else the trivial group.  Points within 1e-4 rad of a lower
+    one are dropped, and only those within 1e-8 of the best value are
+    returned.  Coplanar POVMs (and the digon) are searched on
     their circle by golden-section refinement of the scan minima.
     """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
     sign = 1.0 if mode == "min" else -1.0
+    coords, k = povm.matrix(), povm.k
 
     def values(points):
         return sign * _entropy_values(points, povm, kernel)
 
     def objective(p):
-        return values(p[None, :])[0]
+        return sign * _entropy_of_dots(coords @ p, k, kernel)
 
     group = symmetry_group(povm)
     if povm.is_coplanar() or povm.k == 2:
         located = _find_extrema_circle(povm, values, objective, n_scan // 16)
     else:
         points = fibonacci_sphere(n_scan)
-        candidates = points[np.argsort(values(points))[:n_candidates]]
+        candidates = points[_lowest(values(points), n_candidates)]
         starts = candidates[_orbit_representatives(candidates, group, START_ANGLE)]
         refined = [_refine_on_sphere(p, objective) for p in starts]
         images = np.concatenate([group.matrix_stack() @ p for p, _ in refined])
@@ -361,14 +400,12 @@ def _type_of_point(u: BlochVector, povm: HsPovm, group: RotationGroup) -> tuple:
         return "I", math.nan
     if group.order == 1:
         return "non-inert", math.nan
-    stab_order = sum(1 for m in group.elements
-                     if np.linalg.norm(m @ arr - arr) < 1e-6)
+    fixes = np.linalg.norm(group.matrix_stack() @ arr - arr, axis=1) < 1e-6
     on_orbit = np.min(np.linalg.norm(coords - arr[None, :], axis=1)) < 1e-6
-    if stab_order < 2 and not on_orbit:
+    if np.count_nonzero(fixes) < 2 and not on_orbit:
         return "non-inert", math.nan
     stat = _criterion_statistic(u, povm)
-    fixing = tuple(m for m in group.elements
-                   if np.linalg.norm(m @ arr - arr) < 1e-6)
+    fixing = tuple(m for m, fixed in zip(group.elements, fixes) if fixed)
     return ("II" if _max_rotation_order(fixing) > 2 else "III"), stat
 
 

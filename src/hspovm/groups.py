@@ -168,14 +168,24 @@ def generate_group(name: str, n: int = None) -> RotationGroup:
 
 
 def orbit(g: RotationGroup, v: BlochVector) -> list:
-    """Deduplicated orbit of v, sorted lexicographically on rounded coords."""
+    """Deduplicated orbit of v, sorted lexicographically on rounded coords.
+
+    The images are taken in group order, and one is dropped when it lies
+    within POINT_TOL of an image already kept; the closeness of all pairs
+    comes from one distance matrix.
+    """
     points = g.matrix_stack() @ v.as_array()
-    unique = []
-    for p in points:
-        if not any(np.linalg.norm(p - q) < POINT_TOL for q in unique):
-            unique.append(p)
-    unique.sort(key=lambda p: tuple(np.round(p, 8)))
-    return [BlochVector.from_array(p) for p in unique]
+    close = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1) < POINT_TOL
+    covered = np.zeros(len(points), dtype=bool)
+    kept = []
+    for i in range(len(points)):
+        if not covered[i]:
+            kept.append(i)
+            covered |= close[i]
+    unique = points[kept]
+    rounded = np.round(unique, 8)
+    order = np.lexsort(rounded.T[::-1])
+    return [BlochVector.from_array(p) for p in unique[order]]
 
 
 def stabilizer(g: RotationGroup, v: BlochVector) -> RotationGroup:

@@ -12,11 +12,12 @@ from hspovm.catalog import (
     interpolation_set,
     make_hs_povm,
     make_rectangle_povm,
+    _maps_onto_itself,
     spherical_design_order,
     symmetry_group,
     validate_povm,
 )
-from hspovm.groups import TAU, double_coset_profile
+from hspovm.groups import TAU, double_coset_profile, generate_group
 
 SQRT5 = math.sqrt(5.0)
 
@@ -200,3 +201,39 @@ class TestFamilyRegistry:
             family="cube").to_json()).group == ""
         square = make_rectangle_povm(1.0).to_json().replace("rectangle", "octahedron")
         assert HsPovm.from_json(square).group == ""
+
+
+def _maps_onto_itself_by_loop(group, coords):
+    for m in group.elements:
+        gaps = np.linalg.norm((coords @ m.T)[:, None, :] - coords[None, :, :], axis=-1)
+        if np.max(np.min(gaps, axis=1)) >= 1e-8:
+            return False
+    return True
+
+
+class TestSymmetryCheck:
+    """The batched image-to-vector distances decide as the loop over the
+    group elements does."""
+
+    GROUPS = [generate_group(t) for t in ("T", "O", "I", "D2")] + [
+        generate_group("C", n) for n in (4, 5, 12)]
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES + ("n-gon",))
+    def test_matches_loop_on_catalog_and_perturbed_sets(self, family):
+        coords = make_hs_povm(family, 12).matrix()
+        q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)))
+        nudged = coords.astype(float)
+        nudged[-1] = nudged[-1] + np.array([0.0, 1e-9, -3e-8])
+        for candidate in (coords, coords @ q.T, nudged):
+            for group in self.GROUPS:
+                assert (_maps_onto_itself(group, candidate)
+                        == _maps_onto_itself_by_loop(group, candidate))
+
+    def test_large_polygon_runs_in_batches(self):
+        coords = make_hs_povm("n-gon", 300).matrix()
+        group = generate_group("C", 300)
+        assert _maps_onto_itself(group, coords)
+        assert not _maps_onto_itself(generate_group("C", 7), coords)
+        shifted = coords.copy()
+        shifted[150] = [math.cos(0.001), math.sin(0.001), 0.0]
+        assert not _maps_onto_itself(group, shifted)

@@ -7,6 +7,7 @@ import pytest
 
 from hspovm.catalog import make_hs_povm
 from hspovm.cli import main
+from hspovm.entropy import _entropy_values, fibonacci_sphere
 
 
 def run_cli(args, capsys):
@@ -57,6 +58,25 @@ class TestEntropyMap:
         _, first = run_cli(args, capsys)
         _, second = run_cli(args, capsys)
         assert first == second
+
+    @pytest.mark.parametrize("bits", [False, True])
+    def test_rows_match_per_value_formatting(self, bits, capsys):
+        # the CSV is formatted in one call; each field must read exactly as
+        # format(value, ".17g") of the entropy at that lattice point
+        def scale(value):
+            return value / math.log(2.0) if bits else value
+
+        povm = make_hs_povm("icosidodecahedron")
+        points = fibonacci_sphere(777)
+        expected = ["x,y,z,H,Hrel"]
+        for p, H in zip(points, _entropy_values(points, povm)):
+            H = scale(H)
+            fields = (*p, H, scale(math.log(povm.k)) - H)
+            expected.append(",".join(format(float(v), ".17g") for v in fields))
+        args = ["entropy-map", "--family", "icosidodecahedron", "--grid", "777"]
+        code, text = run_cli(args + ["--bits"] * bits, capsys)
+        assert code == 0
+        assert text == "\n".join(expected) + "\n"
 
 
 class TestMinimize:
@@ -259,3 +279,18 @@ class TestCertifyGolden:
         del payload["wall_clock_seconds"]
         assert payload == self.GOLDEN[args]
         assert code == (0 if payload["valid"] else 1)
+
+
+class TestMinimizeGolden:
+    """`minimize` output pinned byte for byte for the catalog families and
+    the 3- to 12-gons; any change to a located minimum shows as a diff of
+    tests/data."""
+
+    GOLDEN = json.loads((Path(__file__).parent / "data" / "minimize_golden.json")
+                        .read_text())["minimize"]
+
+    @pytest.mark.parametrize("args", list(GOLDEN))
+    def test_payload_unchanged(self, args, capsys):
+        code, text = run_cli(["minimize", *args.split()], capsys)
+        assert code == 0
+        assert json.loads(text) == self.GOLDEN[args]

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +14,15 @@ from conftest import ALL_FAMILIES, povm_for
 from hspovm.bloch import BlochVector, EntropyKernel, eta
 from hspovm.catalog import HsPovm, make_hs_povm, make_rectangle_povm, symmetry_group
 from hspovm.entropy import (
+    CLUSTER_ANGLE,
+    START_ANGLE,
+    TRIVIAL_GROUP,
+    _entropy_of_dots,
     _entropy_values,
     _golden_section,
+    _lowest,
     _nelder_mead,
+    _orbit_representatives,
     classify_inert_point,
     entropy_at,
     fibonacci_sphere,
@@ -23,7 +31,7 @@ from hspovm.entropy import (
     rectangle_bifurcation_threshold,
     relative_entropy_at,
 )
-from hspovm.groups import TAU
+from hspovm.groups import TAU, generate_group
 
 LN2 = math.log(2.0)
 
@@ -368,6 +376,133 @@ class TestLocalSearch:
         assert fx == bowl(x)
         _, _, converged = _nelder_mead(bowl, np.zeros(2), maxiter=3)
         assert not converged
+
+
+def _thinning_by_loop(points, group, angle):
+    """Greedy thinning one candidate at a time against the stacked group
+    images of the points already kept."""
+    mats = group.matrix_stack()
+    threshold = math.cos(angle)
+    taken = np.empty((0, 3))
+    kept = []
+    for i, p in enumerate(points):
+        if len(taken) and np.max(taken @ p) > threshold:
+            continue
+        kept.append(i)
+        taken = np.concatenate([taken, mats @ p])
+    return kept
+
+
+class TestVectorizedThinning:
+    GROUPS = {"T": generate_group("T"), "O": generate_group("O"),
+              "I": generate_group("I"), "C_5": generate_group("C", 5),
+              "trivial": TRIVIAL_GROUP}
+
+    @pytest.mark.parametrize("name", list(GROUPS))
+    @pytest.mark.parametrize("angle", [START_ANGLE, CLUSTER_ANGLE])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_loop_reference(self, name, angle, seed):
+        rng = np.random.default_rng(seed)
+        group = self.GROUPS[name]
+        # a patch of candidates, with near-copies and exact group images
+        points = rng.normal(size=(400, 3)) * 0.3 + np.array([0.2, -0.4, 1.0])
+        points /= np.linalg.norm(points, axis=1)[:, None]
+        images = group.matrix_stack()[rng.integers(group.order, size=100)]
+        near = points[:100] + rng.normal(size=(100, 3)) * angle * 0.5
+        near /= np.linalg.norm(near, axis=1)[:, None]
+        points = np.vstack([points, np.einsum("nij,nj->ni", images, points[:100]), near])
+        points = points[rng.permutation(len(points))]
+        kept = _orbit_representatives(points, group, angle)
+        assert kept == _thinning_by_loop(points, group, angle)
+        assert all(isinstance(i, int) for i in kept)
+
+    def test_single_and_empty(self):
+        assert _orbit_representatives(np.array([[0.0, 0.0, 1.0]]), TRIVIAL_GROUP,
+                                      START_ANGLE) == [0]
+        assert _orbit_representatives(np.empty((0, 3)), TRIVIAL_GROUP, START_ANGLE) == []
+
+
+class TestPartialSort:
+    @pytest.mark.parametrize("n", [1, 7, 999, 1000, 1500])
+    def test_lowest_equals_full_sort_prefix(self, n):
+        values = np.random.default_rng(n).normal(size=1000)
+        assert np.array_equal(_lowest(values, n), np.argsort(values)[:n])
+
+
+class TestPointKernel:
+    """The optimizer's objective is the grid kernel applied to coords @ p; it
+    must return the grid's value for that point bit for bit."""
+
+    KERNELS = [EntropyKernel("shannon"), EntropyKernel("tsallis", 0.6),
+               EntropyKernel("tsallis", 2.0), EntropyKernel("renyi", 1.4)]
+
+    @staticmethod
+    def _assert_point_equals_row(point, povm, kernel):
+        row = _entropy_values(point[None, :], povm, kernel)[0]
+        value = _entropy_of_dots(povm.matrix() @ point, povm.k, kernel)
+        assert np.ndim(value) == 0
+        assert value.tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=str)
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_random_points_and_antipodes(self, family, kernel):
+        povm = povm_for(family)
+        points = np.random.default_rng(11).normal(size=(50, 3))
+        points /= np.linalg.norm(points, axis=1)[:, None]
+        for point in (*points, *(-povm.matrix().astype(float))):
+            self._assert_point_equals_row(point, povm, kernel)
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=str)
+    def test_int64_digon(self, kernel):
+        povm = povm_for("digon")
+        assert povm.matrix().dtype == np.int64
+        for point in ([0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [0.6, 0.0, 0.8]):
+            self._assert_point_equals_row(np.array(point), povm, kernel)
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=str)
+    def test_type_one_antipode_is_finite(self, kernel):
+        povm = povm_for("octahedron")
+        dots = povm.matrix() @ -povm.matrix()[0]
+        assert np.min(dots) == -1.0              # x = 0: the 0 ln 0 entry
+        with np.errstate(all="raise"):
+            value = _entropy_of_dots(dots, povm.k, kernel)
+        assert math.isfinite(value)
+        self._assert_point_equals_row(-povm.matrix()[0], povm, kernel)
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=str)
+    def test_dots_beyond_unit_range(self, kernel):
+        dots = np.array([1.0 + 1e-15, -(1.0 + 1e-15), 0.25, -0.25, 1e-15, -1e-15])
+        value = _entropy_of_dots(dots, 6, kernel)
+        block = _entropy_of_dots(np.vstack([dots, dots[::-1]]), 6, kernel)
+        assert value.tobytes() == block[0].tobytes()
+        if kernel.kind == "shannon":            # x = (1 + t)/2 is clipped to [0, 1]
+            clipped = _entropy_of_dots(np.clip(dots, -1.0, 1.0), 6, kernel)
+            assert value.tobytes() == clipped.tobytes()
+        povm = povm_for("octahedron")
+        self._assert_point_equals_row(np.array([0.0, 0.0, 1.0 + 1e-15]), povm, kernel)
+
+
+class TestFindExtremaGolden:
+    """Every field of the located minima pinned by repr: the rectangle below
+    and above its bifurcation and the Renyi cube."""
+
+    GOLDEN = json.loads((Path(__file__).parent / "data" / "minimize_golden.json")
+                        .read_text())["find_extrema"]
+    CASES = {"rectangle 0.8": (lambda: make_rectangle_povm(0.8), EntropyKernel("shannon")),
+             "rectangle 1.4": (lambda: make_rectangle_povm(1.4), EntropyKernel("shannon")),
+             "cube renyi 1.4": (lambda: povm_for("cube"), EntropyKernel("renyi", 1.4))}
+
+    @pytest.mark.parametrize("label", list(CASES))
+    def test_fields_unchanged(self, label):
+        make, kernel = self.CASES[label]
+        located = []
+        for point in find_extrema(make(), "min", kernel=kernel):
+            fields = {f.name: repr(getattr(point, f.name))
+                      for f in dataclasses.fields(point)}
+            loc = point.location
+            fields["location"] = [repr(loc.x), repr(loc.y), repr(loc.z)]
+            located.append(fields)
+        assert located == self.GOLDEN[label]
 
 
 def test_import_does_not_load_scipy():

@@ -108,6 +108,21 @@ class TestOrbitsAndStabilizers:
             pts = np.array([p.as_array() for p in orbit(group, _unit(*seed))])
             assert np.linalg.norm(pts.sum(axis=0)) < 1e-12 * len(pts)
 
+    @pytest.mark.parametrize("tag", ["T", "O", "I", "C5", "D2"])
+    def test_orbit_matches_pairwise_loop(self, tag):
+        # greedy deduplication one image at a time, then the rounded sort
+        group = generate_group("C", 5) if tag == "C5" else generate_group(tag)
+        seeds = [(0, 0, 1), (1, 1, 1), (0, 1, 1), (0, TAU, 1), (1, 0, 0),
+                 (0.3, -0.2, 0.9), (-1, 2, 0)]
+        for seed in seeds:
+            v = _unit(*seed)
+            unique = []
+            for p in group.matrix_stack() @ v.as_array():
+                if not any(np.linalg.norm(p - q) < 1e-8 for q in unique):
+                    unique.append(p)
+            unique.sort(key=lambda p: tuple(np.round(p, 8)))
+            assert orbit(group, v) == [BlochVector.from_array(p) for p in unique]
+
 
 class TestDoubleCosets:
     @pytest.mark.parametrize("fam,tag,seed,osize,ssize,na,ns,nv,bound", TABLE_ROWS)
