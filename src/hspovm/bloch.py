@@ -32,6 +32,8 @@ class BlochVector:
 
     def __post_init__(self):
         norm = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        if not math.isfinite(norm):
+            raise ValueError(f"Bloch vector norm {norm} is not finite")
         if abs(norm - 1.0) > RENORM_TOL:
             raise ValueError(f"Bloch vector norm {norm} too far from 1")
         if norm != 1.0:
@@ -105,11 +107,23 @@ def eta(x: float) -> float:
 
 
 def eta_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized eta with the same clamping rules (no domain checking)."""
-    x = np.clip(x, 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = -x * np.log(x)
-    return np.where(x > 0.0, out, 0.0)
+    """Vectorized eta with the same clamping rules (no domain checking); a
+    NaN entry counts as 0."""
+    return _eta_in_place(np.array(x, dtype=float))
+
+
+def _eta_in_place(x: np.ndarray) -> np.ndarray:
+    """eta of the float array x, which is overwritten: -x ln x with x
+    clipped to [0, 1].  x = 0 is set to 1 before the logarithm, so no
+    logarithm of zero (and no floating-point warning) arises, and 0 - x
+    gives +0 there, as 0 ln 0 = 0 does."""
+    np.fmax(x, 0.0, out=x)                  # fmax also maps NaN to 0
+    np.fmin(x, 1.0, out=x)
+    out = np.subtract(0.0, x)
+    np.copyto(x, 1.0, where=x == 0.0)
+    np.log(x, out=x)
+    out *= x
+    return out
 
 
 def probability(u: BlochVector, v: BlochVector, d: int = 2, k: int = 2) -> float:
@@ -133,7 +147,10 @@ def h(t: float, d: int = 2) -> float:
 
 def h_array(t: np.ndarray) -> np.ndarray:
     """Vectorized h for d=2: eta((t+1)/2)."""
-    return eta_array((t + 1.0) * 0.5)
+    x = np.array(t, dtype=float)
+    x += 1.0
+    x *= 0.5
+    return _eta_in_place(x)
 
 
 def h_derivative(t: float, order: int = 1) -> float:
@@ -228,10 +245,7 @@ class EntropyKernel:
         if self.kind == "shannon":
             out = np.sum(eta_array(p), axis=axis)
         else:
-            q = np.maximum(p, 0.0)
-            np.minimum(q, 1.0, out=q)
-            q **= self.alpha
-            power_sum = np.add.reduce(q, axis=axis)
+            power_sum = np.sum(np.clip(p, 0.0, 1.0) ** self.alpha, axis=axis)
             if self.kind == "tsallis":
                 out = (1.0 - power_sum) / (self.alpha - 1.0)
             else:

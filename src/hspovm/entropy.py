@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import BlochVector, EntropyKernel, SHANNON
+from .bloch import BlochVector, EntropyKernel, SHANNON, h_array
 from .catalog import HsPovm, symmetry_group
 from .groups import RotationGroup, generate_group
 from .groups import orbit as group_orbit
@@ -76,25 +76,10 @@ def _entropy_values(points: np.ndarray, povm: HsPovm,
 
 def _entropy_of_dots(dots: np.ndarray, k: int, kernel: EntropyKernel):
     """Entropy from the dots u . v_j along the last axis of ``dots``: an
-    array for a block of points, a scalar for the k dots of one point.
-
-    Shannon is ln(k/2) - (2/k) sum x ln x with x = (1 + t)/2 clipped to
-    [0, 1], its temporaries updated in place.  x = 0 is replaced by 1 before
-    the logarithm (0 ln 0 = 0 = 1 ln 1), so no logarithm of zero is formed
-    and no floating-point warning is raised.  Other kernels take their
-    entropy of the probabilities (1 + t)/k.
-    """
-    x = dots + 1.0
-    if kernel.kind != "shannon":
-        x /= k
-        return kernel.entropy(x, axis=-1)
-    x *= 0.5
-    np.maximum(x, 0.0, out=x)
-    np.minimum(x, 1.0, out=x)
-    np.copyto(x, 1.0, where=x == 0.0)
-    x_ln_x = np.log(x)
-    x_ln_x *= x
-    return math.log(k / 2.0) - (2.0 / k) * np.add.reduce(x_ln_x, axis=-1)
+    array for a block of points, a scalar for the k dots of one point."""
+    if kernel.kind == "shannon":
+        return math.log(k / 2.0) + (2.0 / k) * np.add.reduce(h_array(dots), axis=-1)
+    return kernel.entropy((dots + 1.0) / k, axis=-1)
 
 
 def entropy_at(u: BlochVector, povm: HsPovm,
@@ -110,14 +95,12 @@ def relative_entropy_at(u: BlochVector, povm: HsPovm) -> float:
 
 def fibonacci_sphere(n: int) -> np.ndarray:
     """Deterministic low-discrepancy lattice of n points on the sphere."""
-    z = 1.0 - np.arange(1.0, 2.0 * n, 2.0) / n
-    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    phi = np.arange(n) * (math.pi * (3.0 - math.sqrt(5.0)))
-    out = np.empty((n, 3))
-    np.multiply(r, np.cos(phi), out=out[:, 0])
-    np.multiply(r, np.sin(phi), out=out[:, 1])
-    out[:, 2] = z
-    return out
+    i = np.arange(n)
+    z = 1.0 - (2.0 * i + 1.0) / n
+    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    phi = golden * i
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
 def landscape(povm: HsPovm, n_samples: int = 1000,
@@ -152,11 +135,11 @@ def _nelder_mead(f, x0: np.ndarray, maxiter: int = REFINE_MAXITER):
     for _ in range(maxiter):
         order = np.argsort(fvals, kind="stable")
         simplex, fvals = simplex[order], fvals[order]
-        if (abs(simplex[1:] - simplex[0]).max() <= REFINE_XTOL
-                and abs(fvals[1:] - fvals[0]).max() <= REFINE_FTOL):
+        if (np.max(np.abs(simplex[1:] - simplex[0])) <= REFINE_XTOL
+                and np.max(np.abs(fvals[1:] - fvals[0])) <= REFINE_FTOL):
             converged = True
             break
-        centroid = np.add.reduce(simplex[:-1]) / (len(simplex) - 1)
+        centroid = simplex[:-1].mean(axis=0)
         worst = simplex[-1]
         reflected = 2.0 * centroid - worst
         f_reflected = f(reflected)
@@ -219,7 +202,7 @@ def _refine_on_sphere(start: np.ndarray, objective, max_recenter: int = 6):
 
         def chart(st):
             p = center + st[0] * e1 + st[1] * e2
-            return objective(p / math.sqrt(p.dot(p)))
+            return objective(p / np.linalg.norm(p))
 
         step, _, converged = _nelder_mead(chart, np.zeros(2))
         new = center + step[0] * e1 + step[1] * e2
@@ -400,12 +383,14 @@ def _type_of_point(u: BlochVector, povm: HsPovm, group: RotationGroup) -> tuple:
         return "I", math.nan
     if group.order == 1:
         return "non-inert", math.nan
-    fixes = np.linalg.norm(group.matrix_stack() @ arr - arr, axis=1) < 1e-6
+    stab_order = sum(1 for m in group.elements
+                     if np.linalg.norm(m @ arr - arr) < 1e-6)
     on_orbit = np.min(np.linalg.norm(coords - arr[None, :], axis=1)) < 1e-6
-    if np.count_nonzero(fixes) < 2 and not on_orbit:
+    if stab_order < 2 and not on_orbit:
         return "non-inert", math.nan
     stat = _criterion_statistic(u, povm)
-    fixing = tuple(m for m, fixed in zip(group.elements, fixes) if fixed)
+    fixing = tuple(m for m in group.elements
+                   if np.linalg.norm(m @ arr - arr) < 1e-6)
     return ("II" if _max_rotation_order(fixing) > 2 else "III"), stat
 
 

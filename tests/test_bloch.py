@@ -13,6 +13,7 @@ from hspovm.bloch import (
     eta_array,
     fubini_study_distance,
     h,
+    h_array,
     h_derivative,
     probability,
 )
@@ -34,6 +35,12 @@ class TestBlochVector:
     def test_negation(self):
         v = BlochVector(0.0, 0.0, 1.0)
         assert (-v).z == -1.0
+
+    @pytest.mark.parametrize("coords", [(math.nan, 0.0, 0.0), (0.0, 0.0, math.nan),
+                                        (math.inf, 0.0, 0.0), (0.0, -math.inf, 0.0)])
+    def test_rejects_non_finite(self, coords):
+        with pytest.raises(ValueError, match="not finite"):
+            BlochVector(*coords)
 
 
 class TestEta:
@@ -234,6 +241,26 @@ class TestVectorizedKernels:
         rows = np.array([kernel.entropy(row) for row in P])
         np.testing.assert_array_equal(kernel.entropy(P, axis=-1), rows)
         assert isinstance(kernel.entropy(P[0]), float)
+
+    def test_eta_array_equals_clip_and_where_reference(self):
+        """Bit for bit, signed zeros included: -x ln x on x clipped to
+        [0, 1], and 0 where the clipped x is not positive (NaN too)."""
+        def reference(x):
+            x = np.clip(x, 0.0, 1.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = -x * np.log(x)
+            return np.where(x > 0.0, out, 0.0)
+
+        xs = np.random.default_rng(3).uniform(-0.2, 1.2, 2000)
+        xs = np.concatenate([xs, [0.0, -0.0, 1.0, 1.0 + 1e-16, -1e-300, 5e-324,
+                                  1.0 - 1e-16, math.nan, math.inf, -math.inf]])
+        with np.errstate(divide="raise", invalid="raise"):   # no ln 0, no 0 * inf
+            out = eta_array(xs)
+            by_h = h_array(2.0 * xs - 1.0)
+        assert out.tobytes() == reference(xs).tobytes()
+        assert by_h.tobytes() == reference((2.0 * xs - 1.0 + 1.0) * 0.5).tobytes()
+        for x in xs[-10:]:
+            assert np.asarray(eta_array(x)).tobytes() == reference(x).tobytes()
 
     def test_eta_array_endpoints(self):
         assert np.array_equal(eta_array(np.array([0.0, 1.0])), [0.0, 0.0])

@@ -120,6 +120,19 @@ class TestClassify:
         assert payload["points"][0]["type"] == "I"
         assert payload["points"][0]["kind"] == "min"
 
+    def test_nan_point_is_a_usage_error(self, capsys):
+        assert main(["classify", "--family", "cube", "--point", "nan,0,0"]) == 2
+        assert "not finite" in capsys.readouterr().err
+
+    def test_nan_vector_in_file_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "cube.json"
+        main(["generate", "--family", "cube", "--out", str(out)])
+        payload = json.loads(out.read_text())
+        payload["vectors"][0] = [math.nan, 0.0, 0.0]
+        out.write_text(json.dumps(payload))
+        assert main(["entropy-map", "--in", str(out), "--grid", "10"]) == 2
+        assert "not finite" in capsys.readouterr().err
+
 
 class TestCertify:
     @pytest.mark.parametrize("family", ["tetrahedron", "cube"])
