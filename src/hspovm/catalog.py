@@ -185,16 +185,19 @@ def _group_of_tag(tag: str) -> RotationGroup:
 
 def _maps_onto_itself(group: RotationGroup, coords: np.ndarray) -> bool:
     """Whether every element maps every vector within POINT_TOL of a vector,
-    decided on the (|G|, k, k) squared distances of all images to all
-    vectors; the elements are taken in batches of at most IMAGE_BATCH
-    image-vector pairs (one batch for every catalog family)."""
+    decided on the squared distances of all images to all vectors.  The
+    elements are taken in batches of doubling size, at most IMAGE_BATCH
+    image-vector pairs each, so a set that an early element moves is
+    rejected after a few elements, as by a loop."""
     mats = group.matrix_stack().transpose(0, 2, 1)
-    step = max(1, IMAGE_BATCH // max(1, len(coords) ** 2))
-    for start in range(0, len(mats), step):
+    limit = max(1, IMAGE_BATCH // max(1, len(coords) ** 2))
+    start, step = 0, 1
+    while start < len(mats):
         images = coords @ mats[start:start + step]
         squares = sum((images[:, :, c, None] - coords[:, c]) ** 2 for c in range(3))
         if math.sqrt(np.max(np.min(squares, axis=2))) >= POINT_TOL:
             return False
+        start, step = start + step, min(2 * step, limit)
     return True
 
 

@@ -95,12 +95,14 @@ def relative_entropy_at(u: BlochVector, povm: HsPovm) -> float:
 
 def fibonacci_sphere(n: int) -> np.ndarray:
     """Deterministic low-discrepancy lattice of n points on the sphere."""
-    i = np.arange(n)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    phi = golden * i
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    z = 1.0 - np.arange(1.0, 2.0 * n, 2.0) / n
+    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    phi = np.arange(n) * (math.pi * (3.0 - math.sqrt(5.0)))
+    out = np.empty((n, 3))          # columns written in place: fewer (n,) temporaries
+    np.multiply(r, np.cos(phi), out=out[:, 0])
+    np.multiply(r, np.sin(phi), out=out[:, 1])
+    out[:, 2] = z
+    return out
 
 
 def landscape(povm: HsPovm, n_samples: int = 1000,

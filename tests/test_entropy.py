@@ -422,6 +422,17 @@ class TestVectorizedThinning:
         assert _orbit_representatives(np.empty((0, 3)), TRIVIAL_GROUP, START_ANGLE) == []
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 777, 200_000])
+def test_fibonacci_sphere_equals_column_stack_reference(n):
+    i = np.arange(n)
+    z = 1.0 - (2.0 * i + 1.0) / n if n else np.empty(0)
+    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    phi = math.pi * (3.0 - math.sqrt(5.0)) * i
+    reference = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    points = fibonacci_sphere(n)
+    assert points.shape == (n, 3) and points.tobytes() == reference.tobytes()
+
+
 class TestPartialSort:
     @pytest.mark.parametrize("n", [1, 7, 999, 1000, 1500])
     def test_lowest_equals_full_sort_prefix(self, n):
