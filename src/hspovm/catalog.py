@@ -126,7 +126,6 @@ class HsPovm:
     vectors: tuple
     family: str
     group: str = ""
-    alpha: float = None       # type: ignore[assignment]
 
     def __post_init__(self):
         coords = np.array([v.as_array() for v in self.vectors])
@@ -280,8 +279,7 @@ def make_rectangle_povm(alpha: float) -> HsPovm:
     v1 = BlochVector(math.cos(half), math.sin(half), 0)
     v2 = BlochVector(math.cos(half), -math.sin(half), 0)
     family = "4-gon" if abs(alpha - math.pi / 2.0) < 1e-12 else "rectangle"
-    return HsPovm(vectors=(v1, -v1, v2, -v2), family=family,
-                  group="D2", alpha=alpha)
+    return HsPovm(vectors=(v1, -v1, v2, -v2), family=family, group="D2")
 
 
 def _design_directions(count: int = DESIGN_DIRECTIONS) -> np.ndarray:

@@ -6,11 +6,13 @@ entropy of measurement at a pure state u is
     H(u) = ln(k/2) + (2/k) sum_j h(u . v_j),
 
 and the relative entropy is ln k - H(u).  Global extrema are located by a
-Fibonacci-lattice scan followed by one derivative-free refinement per
-symmetry orbit (an in-repo Nelder-Mead on tangent charts; H fails to be
-twice differentiable exactly at the entropy minima, the antipodes of the
-POVM vectors, so gradient steps are not trusted there), whose result is
-mapped through the rotation group the POVM's vectors are checked to carry.
+Fibonacci-lattice scan of one fundamental domain of the rotation group the
+POVM's vectors are checked to carry (H is invariant under it, so every
+orbit of critical points has a representative there; Michel's argument),
+followed by one derivative-free refinement per symmetry orbit (an in-repo
+Nelder-Mead on tangent charts; H fails to be twice differentiable exactly
+at the entropy minima, the antipodes of the POVM vectors, so gradient steps
+are not trusted there), whose result is mapped through the group.
 Coplanar POVMs are searched on their circle by golden-section.  Critical
 points forced by symmetry (inert states) are classified by the sign of a
 one-line statistic wherever the isotropy group acts irreducibly on the
@@ -21,11 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .bloch import BlochVector, EntropyKernel, SHANNON, h_array
-from .catalog import HsPovm, symmetry_group
+from .catalog import HsPovm, _group_of_tag, symmetry_group
 from .groups import RotationGroup, generate_group
 from .groups import orbit as group_orbit
 from .groups import stabilizer as group_stabilizer
@@ -39,6 +42,11 @@ START_ANGLE = 0.05        # rad, minimum spacing of refinement starts
 CLUSTER_ANGLE = 1e-4
 GRID_CHUNK = 4096         # rows per block of a large point grid
 TRIVIAL_GROUP = generate_group("C", 1)
+GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+# centre of the Dirichlet cell scanned by find_extrema: on no rotation axis
+# of T, O, I, D2 or any C_n about z, so its images under each are distinct
+DOMAIN_CENTER = np.array([0.3, 0.2, 0.9]) / math.sqrt(0.94)
+DOMAIN_CACHE = 4          # (n_scan, group) domains kept: T, O, I and C_1 at one n_scan
 
 
 @dataclass(frozen=True)
@@ -82,6 +90,15 @@ def _entropy_of_dots(dots: np.ndarray, k: int, kernel: EntropyKernel):
     return kernel.entropy((dots + 1.0) / k, axis=-1)
 
 
+def _entropy_of_rows(points: np.ndarray, coords: np.ndarray, k: int,
+                     kernel: EntropyKernel) -> np.ndarray:
+    """Entropy at each row p of ``points`` in one kernel call, equal bit for
+    bit to ``_entropy_of_dots(coords @ p, k, kernel)``: the dots come from a
+    stack of the same matrix-vector products.  (The block product
+    points @ coords.T rounds differently in the last bit on many rows.)"""
+    return _entropy_of_dots((coords @ points[:, :, None])[..., 0], k, kernel)
+
+
 def entropy_at(u: BlochVector, povm: HsPovm,
                kernel: EntropyKernel = SHANNON) -> float:
     """Entropy of measurement at the pure state u."""
@@ -95,14 +112,63 @@ def relative_entropy_at(u: BlochVector, povm: HsPovm) -> float:
 
 def fibonacci_sphere(n: int) -> np.ndarray:
     """Deterministic low-discrepancy lattice of n points on the sphere."""
-    z = 1.0 - np.arange(1.0, 2.0 * n, 2.0) / n
+    return _fibonacci_rows(0, n, n)
+
+
+def _fibonacci_rows(i0: int, i1: int, n: int) -> np.ndarray:
+    """Rows i0 .. i1-1 of fibonacci_sphere(n), equal to them bit for bit
+    (every entry is computed from its own index alone)."""
+    z = 1.0 - np.arange(2 * i0 + 1, 2 * i1, 2) / n
     r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    phi = np.arange(n) * (math.pi * (3.0 - math.sqrt(5.0)))
-    out = np.empty((n, 3))          # columns written in place: fewer (n,) temporaries
+    phi = np.arange(i0, i1) * GOLDEN_ANGLE
+    out = np.empty((len(z), 3))     # columns written in place: fewer temporaries
     np.multiply(r, np.cos(phi), out=out[:, 0])
     np.multiply(r, np.sin(phi), out=out[:, 1])
     out[:, 2] = z
     return out
+
+
+@lru_cache(maxsize=DOMAIN_CACHE)
+def _fundamental_domain(n: int, tag: str) -> np.ndarray:
+    """The rows of fibonacci_sphere(n) in the Dirichlet cell of DOMAIN_CENTER
+    c under the group with this tag: the points p with p . (c - g c) >= 0
+    for every element g, so a point equidistant from c and another image
+    counts for c.  Every orbit of the group meets the cell; for the trivial
+    group it is the whole lattice.
+
+    The lattice is generated in GRID_CHUNK blocks and never held whole.  A
+    block is tested first against the images across the cell's facets, and
+    only its survivors against every image.  The result is read-only: the
+    cache hands the same array to every caller.
+    """
+    images = _group_of_tag(tag).matrix_stack() @ DOMAIN_CENTER
+    normals = DOMAIN_CENTER - images[np.any(images != DOMAIN_CENTER, axis=1)]
+    facets = _cell_facets(normals)
+    kept = [np.empty((0, 3))]
+    for i0 in range(0, n, GRID_CHUNK):
+        block = _fibonacci_rows(i0, min(i0 + GRID_CHUNK, n), n)
+        # normals @ block.T, not its transpose: the reduction runs along
+        # the long axis, about 4x faster on a 4096-row block
+        block = block[np.all(facets @ block.T >= 0.0, axis=0)]
+        kept.append(block[np.all(normals @ block.T >= 0.0, axis=0)])
+    domain = np.concatenate(kept)
+    domain.setflags(write=False)
+    return domain
+
+
+def _cell_facets(normals: np.ndarray) -> np.ndarray:
+    """The rows of ``normals`` whose half-spaces p . normal >= 0 bound the
+    cell they cut out of the sphere: the two through each of its vertices.
+    A vertex is a point on two of the planes inside every half-space.  With
+    no vertex (at most one plane) every row is returned."""
+    i, j = np.triu_indices(len(normals), 1)
+    corners = np.cross(normals[i], normals[j])
+    corners /= np.linalg.norm(corners, axis=1)[:, None]
+    dots = corners @ normals.T
+    vertex = np.all(dots >= -1e-12, axis=1) | np.all(dots <= 1e-12, axis=1)  # or its antipode
+    facet = np.zeros(len(normals), dtype=bool)
+    facet[i[vertex]] = facet[j[vertex]] = True
+    return normals[facet] if facet.any() else normals
 
 
 def landscape(povm: HsPovm, n_samples: int = 1000,
@@ -262,11 +328,11 @@ def _recenter_on_inert(p, value, povm: HsPovm, objective):
     return p, value
 
 
-def _lowest_distinct(points, flags, povm: HsPovm, objective) -> list:
-    """Evaluate the refined points, keep the lowest of each CLUSTER_ANGLE
-    neighbourhood, re-center those on inert antipodes and return the
-    (point, value, converged) triples within 1e-8 of the best value."""
-    values = np.array([objective(p) for p in points])
+def _lowest_distinct(points, values, flags, povm: HsPovm, objective) -> list:
+    """Keep the lowest of each CLUSTER_ANGLE neighbourhood of the refined
+    points (``values`` is the objective at each), re-center those on inert
+    antipodes and return the (point, value, converged) triples within 1e-8
+    of the best value."""
     order = np.argsort(values, kind="stable")
     kept = [order[i] for i in _orbit_representatives(points[order], TRIVIAL_GROUP,
                                                       CLUSTER_ANGLE)]
@@ -276,11 +342,12 @@ def _lowest_distinct(points, flags, povm: HsPovm, objective) -> list:
     return [t for t in located if t[1] <= best + 1e-8]
 
 
-def _find_extrema_circle(povm: HsPovm, values, objective, n_scan: int) -> list:
+def _circle_refined(povm: HsPovm, values, objective, n_scan: int) -> np.ndarray:
     """1D search for coplanar POVMs: the minimum over the sphere lies on
     the containing circle (H depends on u only through its projection and
     is concave in the Bloch ball).  ``values`` is the signed entropy of an
-    (n, 3) array of points, ``objective`` that of a single point."""
+    (n, 3) array of points, ``objective`` that of a single point; returns
+    the refined points."""
     coords = povm.matrix()
     if np.max(np.abs(coords[:, 2])) < 1e-12:
         axis = None                      # z = 0 plane
@@ -321,7 +388,7 @@ def _find_extrema_circle(povm: HsPovm, values, objective, n_scan: int) -> list:
     for lo, hi in brackets:
         x, _ = _golden_section(lambda x: objective(embed(x)), lo, hi)
         refined.append(embed(x))
-    return _lowest_distinct(np.array(refined), [True] * len(refined), povm, objective)
+    return np.array(refined)
 
 
 def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
@@ -329,18 +396,21 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
                  n_candidates: int = 2000) -> list:
     """Locate the global extrema of H over pure states.
 
-    Fibonacci-lattice scan, then one derivative-free refinement per
-    symmetry orbit: the lowest ``n_candidates`` scan points (selected by a
-    partial sort) are thinned against the group images of the starts
-    already taken (0.05 rad), each start is refined by Nelder-Mead on
-    tangent charts, and the refined point is mapped through the rotation
-    group, whose images are re-evaluated.  The scan and the single points
-    of the refinement go through one kernel, ``_entropy_of_dots``.  The
-    group is the POVM's tagged group when it maps the vectors onto
-    themselves, else the trivial group.  Points within 1e-4 rad of a lower
-    one are dropped, and only those within 1e-8 of the best value are
-    returned.  Coplanar POVMs (and the digon) are searched on
-    their circle by golden-section refinement of the scan minima.
+    H is invariant under the POVM's symmetry group G (its tagged group when
+    that maps the vectors onto themselves, else the trivial group), so the
+    scan covers one fundamental domain of G: the points of the n_scan-point
+    Fibonacci lattice in the Dirichlet cell of a fixed generic point, about
+    n_scan/|G| of them.  The domain is memoized per (n_scan, G) in a small
+    bounded cache; for the trivial group it is the whole lattice.  The
+    lowest ceil(n_candidates/|G|) domain points (selected by a partial sort)
+    are thinned against the group images of the starts already taken (0.05
+    rad), each start is refined by Nelder-Mead on tangent charts, and the
+    refined point is mapped through G, whose images are re-evaluated in one
+    kernel call.  The scan and the single points of the refinement go
+    through one kernel, ``_entropy_of_dots``.  Points within 1e-4 rad of a
+    lower one are dropped, and only those within 1e-8 of the best value are
+    returned.  Coplanar POVMs (and the digon) are searched on their circle
+    by golden-section refinement of the scan minima.
     """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
@@ -355,15 +425,17 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
 
     group = symmetry_group(povm)
     if povm.is_coplanar() or povm.k == 2:
-        located = _find_extrema_circle(povm, values, objective, n_scan // 16)
+        images = _circle_refined(povm, values, objective, n_scan // 16)
+        flags = [True] * len(images)
     else:
-        points = fibonacci_sphere(n_scan)
-        candidates = points[_lowest(values(points), n_candidates)]
+        points = _fundamental_domain(n_scan, group.name)
+        candidates = points[_lowest(values(points), -(-n_candidates // group.order))]
         starts = candidates[_orbit_representatives(candidates, group, START_ANGLE)]
         refined = [_refine_on_sphere(p, objective) for p in starts]
         images = np.concatenate([group.matrix_stack() @ p for p, _ in refined])
         flags = [ok for _, ok in refined for _ in range(group.order)]
-        located = _lowest_distinct(images, flags, povm, objective)
+    located = _lowest_distinct(images, sign * _entropy_of_rows(images, coords, k, kernel),
+                               flags, povm, objective)
 
     out = []
     for p, value, converged in located:
@@ -385,14 +457,12 @@ def _type_of_point(u: BlochVector, povm: HsPovm, group: RotationGroup) -> tuple:
         return "I", math.nan
     if group.order == 1:
         return "non-inert", math.nan
-    stab_order = sum(1 for m in group.elements
-                     if np.linalg.norm(m @ arr - arr) < 1e-6)
+    mats = group.matrix_stack()
+    fixing = mats[np.linalg.norm(mats @ arr - arr, axis=1) < 1e-6]
     on_orbit = np.min(np.linalg.norm(coords - arr[None, :], axis=1)) < 1e-6
-    if stab_order < 2 and not on_orbit:
+    if len(fixing) < 2 and not on_orbit:
         return "non-inert", math.nan
     stat = _criterion_statistic(u, povm)
-    fixing = tuple(m for m in group.elements
-                   if np.linalg.norm(m @ arr - arr) < 1e-6)
     return ("II" if _max_rotation_order(fixing) > 2 else "III"), stat
 
 

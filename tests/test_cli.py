@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,19 @@ from hspovm.entropy import _entropy_values, fibonacci_sphere
 def run_cli(args, capsys):
     code = main(args)
     return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("family, code", [("cube", 0), ("nosuch", 2)])
+def test_python_dash_m_runs_the_cli(family, code):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "hspovm", "minimize", "--family", family],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code
+    if code == 0:
+        assert json.loads(proc.stdout)["count"] == 8
+    else:
+        assert proc.stdout == "" and "unknown POVM family" in proc.stderr
 
 
 class TestGenerateValidate:

@@ -10,19 +10,24 @@ import numpy as np
 import pytest
 
 import hspovm
-from conftest import ALL_FAMILIES, povm_for
+from conftest import ALL_FAMILIES, POLYHEDRA, povm_for
 from hspovm.bloch import BlochVector, EntropyKernel, eta
 from hspovm.catalog import HsPovm, make_hs_povm, make_rectangle_povm, symmetry_group
 from hspovm.entropy import (
     CLUSTER_ANGLE,
+    DOMAIN_CENTER,
+    GRID_CHUNK,
     START_ANGLE,
     TRIVIAL_GROUP,
     _entropy_of_dots,
+    _entropy_of_rows,
     _entropy_values,
+    _fundamental_domain,
     _golden_section,
     _lowest,
     _nelder_mead,
     _orbit_representatives,
+    _type_of_point,
     classify_inert_point,
     entropy_at,
     fibonacci_sphere,
@@ -431,6 +436,94 @@ def test_fibonacci_sphere_equals_column_stack_reference(n):
     reference = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
     points = fibonacci_sphere(n)
     assert points.shape == (n, 3) and points.tobytes() == reference.tobytes()
+
+
+class TestFundamentalDomain:
+    @pytest.mark.parametrize("n", [1, 2, 777, GRID_CHUNK, 3 * GRID_CHUNK + 5, 20_000])
+    def test_trivial_group_domain_is_the_lattice(self, n):
+        domain = _fundamental_domain(n, "C_1")
+        assert domain.tobytes() == fibonacci_sphere(n).tobytes()
+        assert not domain.flags.writeable
+
+    @pytest.mark.parametrize("tag", ["D2", "C_5", "T", "O", "I"])
+    def test_domain_is_the_dirichlet_cell_of_the_lattice(self, tag):
+        n = 3 * GRID_CHUNK + 5
+        group = generate_group(*((tag[0], int(tag[2:])) if tag.startswith("C_") else (tag,)))
+        points = fibonacci_sphere(n)
+        normals = DOMAIN_CENTER - group.matrix_stack() @ DOMAIN_CENTER
+        inside = np.all(normals @ points.T >= 0.0, axis=0)     # every image at once
+        domain = _fundamental_domain(n, tag)
+        assert domain.tobytes() == points[inside].tobytes()
+        assert abs(len(domain) * group.order - n) < 0.01 * n
+
+    @pytest.mark.parametrize("kernel", [EntropyKernel("shannon"), EntropyKernel("renyi", 1.3),
+                                        EntropyKernel("tsallis", 0.8)], ids=str)
+    @pytest.mark.parametrize("mode", ["min", "max"])
+    @pytest.mark.parametrize("family", POLYHEDRA)
+    def test_extrema_equal_the_trivial_group_scan(self, family, mode, kernel):
+        povm = povm_for(family)
+        custom = HsPovm(vectors=povm.vectors, family="custom")
+        assert symmetry_group(custom).order == 1
+        found, reference = (
+            np.array([c.location.as_array() for c in
+                      find_extrema(p, mode, n_scan=20_000, kernel=kernel, n_candidates=100)])
+            for p in (povm, custom))
+        assert len(found) == len(reference)
+        gaps = np.linalg.norm(found[:, None, :] - reference[None, :, :], axis=2)
+        assert np.max(np.min(gaps, axis=1)) < 1e-5
+        assert np.max(np.min(gaps, axis=0)) < 1e-5
+
+
+def test_entropy_of_rows_equals_point_objective():
+    """The refined images are evaluated in one kernel call; each value must
+    equal the optimizer's single-point objective bit for bit."""
+    rng = np.random.default_rng(5)
+    for family in ALL_FAMILIES:
+        povm = povm_for(family)
+        coords, k = povm.matrix(), povm.k
+        points = rng.normal(size=(40, 3))
+        points /= np.linalg.norm(points, axis=1)[:, None]
+        points = np.concatenate([symmetry_group(povm).matrix_stack() @ p for p in points]
+                                + [-coords.astype(float)])
+        for kernel in TestPointKernel.KERNELS:
+            rows = _entropy_of_rows(points, coords, k, kernel)
+            single = [_entropy_of_dots(coords @ p, k, kernel) for p in points]
+            assert rows.tobytes() == np.array(single).tobytes()
+
+
+def _type_by_loop(u, povm, group):
+    """The classifier of find_extrema with the stabilizer found by a loop over
+    the group elements."""
+    arr = u.as_array()
+    coords = povm.matrix()
+    if np.min(np.linalg.norm(coords + arr[None, :], axis=1)) < 1e-6:
+        return "I"
+    if group.order == 1:
+        return "non-inert"
+    fixing = [m for m in group.elements if np.linalg.norm(m @ arr - arr) < 1e-6]
+    on_orbit = np.min(np.linalg.norm(coords - arr[None, :], axis=1)) < 1e-6
+    if len(fixing) < 2 and not on_orbit:
+        return "non-inert"
+    angles = [math.acos(min(1.0, max(-1.0, (np.trace(m) - 1.0) / 2.0))) for m in fixing]
+    return "II" if max([1] + [round(2 * math.pi / a) for a in angles if a > 1e-9]) > 2 else "III"
+
+
+@pytest.mark.parametrize("family", POLYHEDRA)
+def test_type_of_point_matches_loop_reference(family):
+    povm = povm_for(family)
+    group = symmetry_group(povm)
+    axes = group.matrix_stack() @ np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [0.0, TAU, 1.0],
+                                            [1.0, 1.0, 0.0], [0.0, 1.0, TAU]]).T
+    points = np.vstack([np.moveaxis(axes, 2, 1).reshape(-1, 3), povm.matrix(), -povm.matrix(),
+                        np.random.default_rng(2).normal(size=(20, 3))])
+    labels = set()
+    for p in points:
+        u = BlochVector.from_array(p / np.linalg.norm(p))
+        label, stat = _type_of_point(u, povm, group)
+        assert label == _type_by_loop(u, povm, group)
+        assert math.isnan(stat) == (label in ("I", "non-inert"))
+        labels.add(label)
+    assert {"I", "non-inert"} <= labels and labels & {"II", "III"}
 
 
 class TestPartialSort:
