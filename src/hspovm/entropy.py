@@ -425,16 +425,16 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
 
     group = symmetry_group(povm)
     if povm.is_coplanar() or povm.k == 2:
-        images = _circle_refined(povm, values, objective, n_scan // 16)
-        flags = [True] * len(images)
+        points = _circle_refined(povm, values, objective, n_scan // 16)
+        flags = [True] * len(points)
     else:
-        points = _fundamental_domain(n_scan, group.name)
-        candidates = points[_lowest(values(points), -(-n_candidates // group.order))]
+        domain = _fundamental_domain(n_scan, group.name)
+        candidates = domain[_lowest(values(domain), -(-n_candidates // group.order))]
         starts = candidates[_orbit_representatives(candidates, group, START_ANGLE)]
         refined = [_refine_on_sphere(p, objective) for p in starts]
-        images = np.concatenate([group.matrix_stack() @ p for p, _ in refined])
+        points = np.concatenate([group.matrix_stack() @ p for p, _ in refined])
         flags = [ok for _, ok in refined for _ in range(group.order)]
-    located = _lowest_distinct(images, sign * _entropy_of_rows(images, coords, k, kernel),
+    located = _lowest_distinct(points, sign * _entropy_of_rows(points, coords, k, kernel),
                                flags, povm, objective)
 
     out = []

@@ -12,7 +12,8 @@ import pytest
 import hspovm
 from conftest import ALL_FAMILIES, POLYHEDRA, povm_for
 from hspovm.bloch import BlochVector, EntropyKernel, eta
-from hspovm.catalog import HsPovm, make_hs_povm, make_rectangle_povm, symmetry_group
+from hspovm.catalog import (HsPovm, _group_of_tag, make_hs_povm, make_rectangle_povm,
+                            symmetry_group)
 from hspovm.entropy import (
     CLUSTER_ANGLE,
     DOMAIN_CENTER,
@@ -448,7 +449,7 @@ class TestFundamentalDomain:
     @pytest.mark.parametrize("tag", ["D2", "C_5", "T", "O", "I"])
     def test_domain_is_the_dirichlet_cell_of_the_lattice(self, tag):
         n = 3 * GRID_CHUNK + 5
-        group = generate_group(*((tag[0], int(tag[2:])) if tag.startswith("C_") else (tag,)))
+        group = _group_of_tag(tag)
         points = fibonacci_sphere(n)
         normals = DOMAIN_CENTER - group.matrix_stack() @ DOMAIN_CENTER
         inside = np.all(normals @ points.T >= 0.0, axis=0)     # every image at once
