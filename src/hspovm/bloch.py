@@ -22,7 +22,7 @@ class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlochVector:
     """Unit vector in R^3 representing a pure qubit state."""
 

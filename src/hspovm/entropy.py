@@ -49,7 +49,7 @@ DOMAIN_CENTER = np.array([0.3, 0.2, 0.9]) / math.sqrt(0.94)
 DOMAIN_CACHE = 4          # (n_scan, group) domains kept: T, O, I and C_1 at one n_scan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CriticalPoint:
     """Located extremum or saddle of the entropy of measurement."""
 
