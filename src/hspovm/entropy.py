@@ -13,7 +13,9 @@ followed by one derivative-free refinement per symmetry orbit (an in-repo
 Nelder-Mead on tangent charts; H fails to be twice differentiable exactly
 at the entropy minima, the antipodes of the POVM vectors, so gradient steps
 are not trusted there), whose result is mapped through the group.
-Coplanar POVMs are searched on their circle by golden-section.  Critical
+Coplanar POVMs are searched on their circle by golden-section.  The local
+searches are generators that yield their trial points; all the starts of
+one call advance side by side, with one kernel call per round.  Critical
 points forced by symmetry (inert states) are classified by the sign of a
 one-line statistic wherever the isotropy group acts irreducibly on the
 tangent plane, and by geodesic second-difference probing otherwise.
@@ -183,86 +185,127 @@ def landscape(povm: HsPovm, n_samples: int = 1000,
 
 
 def _tangent_frame(c: np.ndarray) -> tuple:
-    a = np.array([1.0, 0.0, 0.0]) if abs(c[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(c, a)
+    """An orthonormal basis (e1, e2) of the plane orthogonal to the unit
+    vector c, with e1 = c x a / |c x a| and e2 = c x e1.  The cross products
+    are written out by components: the same operations as ``np.cross``, in
+    the same order, at a tenth of its cost on 3-vectors."""
+    x, y, z = c.tolist()
+    a0, a1, a2 = (1.0, 0.0, 0.0) if abs(x) < 0.9 else (0.0, 1.0, 0.0)
+    e1 = np.array([y * a2 - z * a1, z * a0 - x * a2, x * a1 - y * a0])
     e1 /= np.linalg.norm(e1)
-    return e1, np.cross(c, e1)
+    b0, b1, b2 = e1.tolist()
+    return e1, np.array([y * b2 - z * b1, z * b0 - x * b2, x * b1 - y * b0])
 
 
-def _nelder_mead(f, x0: np.ndarray, maxiter: int = REFINE_MAXITER):
-    """Downhill simplex (Nelder-Mead 1965, standard coefficients) started
-    from x0 and x0 + 2.5e-4 along each coordinate.
+def _nelder_mead(point, x0: tuple, maxiter: int = REFINE_MAXITER):
+    """Downhill simplex (Nelder-Mead 1965, standard coefficients) in the
+    plane, started from x0 and x0 + 2.5e-4 along each coordinate.
 
-    Stops when every vertex lies within REFINE_XTOL of the best one in each
-    coordinate and their values within REFINE_FTOL, or after ``maxiter``
-    iterations; returns (x, f(x), tolerance reached).
+    A generator: for each trial x it yields ``point(x)`` and is sent the
+    objective's value there (see ``_lockstep``).  Stops when every vertex
+    lies within REFINE_XTOL of the best one in each coordinate and their
+    values within REFINE_FTOL, or after ``maxiter`` iterations; returns
+    (x, f(x), tolerance reached).  The vertices are tuples of two floats:
+    the same operations in the same order as on numpy rows, without the
+    per-operation cost of 2-element arrays.
     """
-    simplex = np.vstack([x0, x0 + 2.5e-4 * np.eye(len(x0))])
-    fvals = np.array([f(x) for x in simplex])
+    x, y = x0
+    simplex = [(x, y), (x + 2.5e-4, y), (x, y + 2.5e-4)]
+    fvals = []
+    for v in simplex:
+        fvals.append((yield point(v)))
     converged = False
     for _ in range(maxiter):
-        order = np.argsort(fvals, kind="stable")
-        simplex, fvals = simplex[order], fvals[order]
-        if (np.max(np.abs(simplex[1:] - simplex[0])) <= REFINE_XTOL
-                and np.max(np.abs(fvals[1:] - fvals[0])) <= REFINE_FTOL):
+        (f0, best), (f1, mid), (f2, worst) = sorted(zip(fvals, simplex),
+                                                    key=lambda fv: fv[0])
+        simplex, fvals = [best, mid, worst], [f0, f1, f2]
+        if (max(abs(mid[0] - best[0]), abs(mid[1] - best[1]),
+                abs(worst[0] - best[0]), abs(worst[1] - best[1])) <= REFINE_XTOL
+                and max(abs(f1 - f0), abs(f2 - f0)) <= REFINE_FTOL):
             converged = True
             break
-        centroid = simplex[:-1].mean(axis=0)
-        worst = simplex[-1]
-        reflected = 2.0 * centroid - worst
-        f_reflected = f(reflected)
-        if f_reflected < fvals[0]:
-            expanded = 3.0 * centroid - 2.0 * worst
-            f_expanded = f(expanded)
+        c0, c1 = (best[0] + mid[0]) / 2, (best[1] + mid[1]) / 2
+        w0, w1 = worst
+        reflected = (2.0 * c0 - w0, 2.0 * c1 - w1)
+        f_reflected = yield point(reflected)
+        if f_reflected < f0:
+            expanded = (3.0 * c0 - 2.0 * w0, 3.0 * c1 - 2.0 * w1)
+            f_expanded = yield point(expanded)
             if f_expanded < f_reflected:
-                simplex[-1], fvals[-1] = expanded, f_expanded
+                simplex[2], fvals[2] = expanded, f_expanded
             else:
-                simplex[-1], fvals[-1] = reflected, f_reflected
+                simplex[2], fvals[2] = reflected, f_reflected
             continue
-        if f_reflected < fvals[-2]:
-            simplex[-1], fvals[-1] = reflected, f_reflected
+        if f_reflected < f1:
+            simplex[2], fvals[2] = reflected, f_reflected
             continue
-        if f_reflected < fvals[-1]:                 # outside contraction
-            point = 1.5 * centroid - 0.5 * worst
-            value = f(point)
+        if f_reflected < f2:                        # outside contraction
+            trial = (1.5 * c0 - 0.5 * w0, 1.5 * c1 - 0.5 * w1)
+            value = yield point(trial)
             accept = value <= f_reflected
         else:                                       # inside contraction
-            point = 0.5 * (centroid + worst)
-            value = f(point)
-            accept = value < fvals[-1]
+            trial = (0.5 * (c0 + w0), 0.5 * (c1 + w1))
+            value = yield point(trial)
+            accept = value < f2
         if accept:
-            simplex[-1], fvals[-1] = point, value
+            simplex[2], fvals[2] = trial, value
         else:                                       # shrink towards the best
-            simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
-            fvals[1:] = [f(x) for x in simplex[1:]]
-    best = int(np.argmin(fvals))
-    return simplex[best], float(fvals[best]), converged
+            for i in (1, 2):
+                v = simplex[i]
+                simplex[i] = (best[0] + 0.5 * (v[0] - best[0]),
+                              best[1] + 0.5 * (v[1] - best[1]))
+                fvals[i] = yield point(simplex[i])
+    i = min(range(3), key=fvals.__getitem__)
+    return simplex[i], fvals[i], converged
 
 
-def _golden_section(f, lo: float, hi: float) -> tuple:
+def _golden_section(point, lo: float, hi: float):
     """Minimize f on [lo, hi] by golden-section search until the bracket is
-    narrower than LINE_XTOL; returns (x, f(x)) at the best point evaluated
-    (the minimizer when f is unimodal on the interval)."""
+    narrower than LINE_XTOL.  A generator like ``_nelder_mead``: it yields
+    ``point(x)`` for each trial x and is sent f(x); returns (x, f(x)) at the
+    best point evaluated (the minimizer when f is unimodal on the interval).
+    """
     shrink = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-    fc, fd = f(c), f(d)
+    fc = yield point(c)
+    fd = yield point(d)
     while hi - lo > LINE_XTOL:
         if fc <= fd:
             hi, d, fd = d, c, fc
             c = hi - shrink * (hi - lo)
-            fc = f(c)
+            fc = yield point(c)
         else:
             lo, c, fc = c, d, fd
             d = lo + shrink * (hi - lo)
-            fd = f(d)
+            fd = yield point(d)
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _refine_on_sphere(start: np.ndarray, objective, max_recenter: int = 6):
+def _lockstep(searches: list, values) -> list:
+    """Run generator searches side by side and return their results in
+    order.  Each round the pending points of every unfinished search are
+    stacked and evaluated in one call ``values(points)``, and each search
+    is sent its point's value."""
+    results = [None] * len(searches)
+    active = [(i, s, next(s)) for i, s in enumerate(searches)]
+    while active:
+        fvals = values(np.array([p for _, _, p in active])).tolist()
+        stepped = []
+        for (i, s, _), f in zip(active, fvals):
+            try:
+                stepped.append((i, s, s.send(f)))
+            except StopIteration as done:
+                results[i] = done.value
+        active = stepped
+    return results
+
+
+def _refine_on_sphere(start: np.ndarray, max_recenter: int = 6):
     """Nelder-Mead on local tangent charts, re-centred until stationary.
 
-    Returns the refined point and whether the last chart's simplex reached
-    its tolerance within the iteration cap.
+    A generator that yields the sphere point of each trial (see
+    ``_lockstep``); returns the refined point and whether the last chart's
+    simplex reached its tolerance within the iteration cap.
     """
     center = start / np.linalg.norm(start)
     for _ in range(max_recenter):
@@ -270,11 +313,10 @@ def _refine_on_sphere(start: np.ndarray, objective, max_recenter: int = 6):
 
         def chart(st):
             p = center + st[0] * e1 + st[1] * e2
-            return objective(p / np.linalg.norm(p))
+            return p / np.linalg.norm(p)
 
-        step, _, converged = _nelder_mead(chart, np.zeros(2))
-        new = center + step[0] * e1 + step[1] * e2
-        new /= np.linalg.norm(new)
+        step, _, converged = yield from _nelder_mead(chart, (0.0, 0.0))
+        new = chart(step)
         moved = np.linalg.norm(new - center)
         center = new
         if moved < 1e-10:
@@ -342,12 +384,13 @@ def _lowest_distinct(points, values, flags, povm: HsPovm, objective) -> list:
     return [t for t in located if t[1] <= best + 1e-8]
 
 
-def _circle_refined(povm: HsPovm, values, objective, n_scan: int) -> np.ndarray:
+def _circle_refined(povm: HsPovm, values, rows, n_scan: int) -> np.ndarray:
     """1D search for coplanar POVMs: the minimum over the sphere lies on
     the containing circle (H depends on u only through its projection and
-    is concave in the Bloch ball).  ``values`` is the signed entropy of an
-    (n, 3) array of points, ``objective`` that of a single point; returns
-    the refined points."""
+    is concave in the Bloch ball).  ``values`` is the signed entropy of the
+    (n, 3) scan grid, ``rows`` that of the stacked trial points of the
+    golden-section searches, which run side by side; returns the refined
+    points."""
     coords = povm.matrix()
     if np.max(np.abs(coords[:, 2])) < 1e-12:
         axis = None                      # z = 0 plane
@@ -385,9 +428,8 @@ def _circle_refined(povm: HsPovm, values, objective, n_scan: int) -> np.ndarray:
                     if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]]
         refined = [pts[0], pts[-1]]
 
-    for lo, hi in brackets:
-        x, _ = _golden_section(lambda x: objective(embed(x)), lo, hi)
-        refined.append(embed(x))
+    searches = [_golden_section(embed, lo, hi) for lo, hi in brackets]
+    refined.extend(embed(x) for x, _ in _lockstep(searches, rows))
     return np.array(refined)
 
 
@@ -406,11 +448,15 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
     are thinned against the group images of the starts already taken (0.05
     rad), each start is refined by Nelder-Mead on tangent charts, and the
     refined point is mapped through G, whose images are re-evaluated in one
-    kernel call.  The scan and the single points of the refinement go
-    through one kernel, ``_entropy_of_dots``.  Points within 1e-4 rad of a
-    lower one are dropped, and only those within 1e-8 of the best value are
-    returned.  Coplanar POVMs (and the digon) are searched on their circle
-    by golden-section refinement of the scan minima.
+    kernel call.  Coplanar POVMs (and the digon) are searched on their
+    circle by golden-section refinement of the scan minima.  On either path
+    all the starts advance side by side (``_lockstep``): each round, the
+    pending trial points of every unfinished search are evaluated in one
+    call of ``_entropy_of_rows``, which equals the single-point objective
+    bit for bit, so each start follows the trajectory it would follow
+    alone.  The scan and the refinement go through one kernel,
+    ``_entropy_of_dots``.  Points within 1e-4 rad of a lower one are
+    dropped, and only those within 1e-8 of the best value are returned.
     """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
@@ -420,22 +466,24 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
     def values(points):
         return sign * _entropy_values(points, povm, kernel)
 
+    def rows(points):
+        return sign * _entropy_of_rows(points, coords, k, kernel)
+
     def objective(p):
         return sign * _entropy_of_dots(coords @ p, k, kernel)
 
     group = symmetry_group(povm)
     if povm.is_coplanar() or povm.k == 2:
-        points = _circle_refined(povm, values, objective, n_scan // 16)
+        points = _circle_refined(povm, values, rows, n_scan // 16)
         flags = [True] * len(points)
     else:
         domain = _fundamental_domain(n_scan, group.name)
         candidates = domain[_lowest(values(domain), -(-n_candidates // group.order))]
         starts = candidates[_orbit_representatives(candidates, group, START_ANGLE)]
-        refined = [_refine_on_sphere(p, objective) for p in starts]
+        refined = _lockstep([_refine_on_sphere(p) for p in starts], rows)
         points = np.concatenate([group.matrix_stack() @ p for p, _ in refined])
         flags = [ok for _, ok in refined for _ in range(group.order)]
-    located = _lowest_distinct(points, sign * _entropy_of_rows(points, coords, k, kernel),
-                               flags, povm, objective)
+    located = _lowest_distinct(points, rows(points), flags, povm, objective)
 
     out = []
     for p, value, converged in located:
@@ -489,13 +537,16 @@ def _criterion_statistic(u: BlochVector, povm: HsPovm) -> float:
     return 2.0 * total / len(orb)
 
 
-def _geodesic_second_difference(u: np.ndarray, direction: np.ndarray,
-                                povm: HsPovm, step: float = 1e-4) -> float:
-    def at(delta):
-        p = math.cos(delta) * u + math.sin(delta) * direction
-        return _entropy_values(p[None, :], povm)[0]
-
-    return (at(step) - 2.0 * at(0.0) + at(-step)) / (step * step)
+def _geodesic_second_differences(u: np.ndarray, directions: np.ndarray,
+                                  povm: HsPovm, step: float = 1e-4) -> np.ndarray:
+    """Second difference of H along the geodesic from u towards each row of
+    ``directions``, from the 2 n + 1 distinct points of the fan evaluated in
+    one kernel call."""
+    points = np.vstack([u, math.cos(step) * u + math.sin(step) * directions,
+                        math.cos(-step) * u + math.sin(-step) * directions])
+    h = _entropy_of_rows(points, povm.matrix(), povm.k, SHANNON)
+    n = len(directions)
+    return (h[1:n + 1] - 2.0 * h[0] + h[n + 1:]) / (step * step)
 
 
 def classify_inert_point(u: BlochVector, povm: HsPovm) -> CriticalPoint:
@@ -529,13 +580,12 @@ def classify_inert_point(u: BlochVector, povm: HsPovm) -> CriticalPoint:
                              type_label="II", classifier_statistic=stat)
     # type III: probe curvature along a fan of geodesics
     e1, e2 = _tangent_frame(arr)
-    signs = []
-    for j in range(8):
-        direction = math.cos(j * math.pi / 8) * e1 + math.sin(j * math.pi / 8) * e2
-        signs.append(_geodesic_second_difference(arr, direction, povm))
-    if all(s > 1e-7 for s in signs):
+    fan = np.array([math.cos(j * math.pi / 8) * e1 + math.sin(j * math.pi / 8) * e2
+                    for j in range(8)])
+    signs = _geodesic_second_differences(arr, fan, povm)
+    if np.all(signs > 1e-7):
         kind = "min"
-    elif all(s < -1e-7 for s in signs):
+    elif np.all(signs < -1e-7):
         kind = "max"
     else:
         kind = "saddle"

@@ -14,6 +14,7 @@ from conftest import ALL_FAMILIES, POLYHEDRA, povm_for
 from hspovm.bloch import BlochVector, EntropyKernel, eta
 from hspovm.catalog import (HsPovm, _group_of_tag, make_hs_povm, make_rectangle_povm,
                             symmetry_group)
+from hspovm import entropy
 from hspovm.entropy import (
     CLUSTER_ANGLE,
     DOMAIN_CENTER,
@@ -24,10 +25,13 @@ from hspovm.entropy import (
     _entropy_of_rows,
     _entropy_values,
     _fundamental_domain,
+    _geodesic_second_differences,
     _golden_section,
+    _lockstep,
     _lowest,
     _nelder_mead,
     _orbit_representatives,
+    _tangent_frame,
     _type_of_point,
     classify_inert_point,
     entropy_at,
@@ -365,10 +369,13 @@ class TestOrbitReduction:
 
 
 class TestLocalSearch:
+    """The searches are generators driven by ``_lockstep``, which evaluates
+    the pending trial points of all of them in one call per round."""
+
     def test_golden_section_kink(self):
         target = math.pi / 4.0
-        x, fx = _golden_section(lambda x: max(2.0 * (target - x), x - target),
-                                0.0, 1.0)
+        [(x, fx)] = _lockstep([_golden_section(lambda x: x, 0.0, 1.0)],
+                              lambda xs: np.maximum(2.0 * (target - xs), xs - target))
         assert abs(x - target) < 1e-12
         assert fx == max(2.0 * (target - x), x - target)
 
@@ -376,12 +383,70 @@ class TestLocalSearch:
         def bowl(x):
             return abs(x[0] - 1e-3) + 2.0 * abs(x[1] + 2e-3)
 
-        x, fx, converged = _nelder_mead(bowl, np.zeros(2))
+        def bowls(xs):
+            return np.abs(xs[:, 0] - 1e-3) + 2.0 * np.abs(xs[:, 1] + 2e-3)
+
+        (x, fx, converged), (_, _, capped) = _lockstep(
+            [_nelder_mead(lambda v: v, (0.0, 0.0)),
+             _nelder_mead(lambda v: v, (0.0, 0.0), maxiter=3)], bowls)
         assert converged
         assert x == pytest.approx([1e-3, -2e-3], abs=1e-8)
         assert fx == bowl(x)
-        _, _, converged = _nelder_mead(bowl, np.zeros(2), maxiter=3)
-        assert not converged
+        assert not capped
+
+    def test_no_searches(self):
+        assert _lockstep([], lambda points: 1 / 0) == []
+
+
+def _one_at_a_time(objective):
+    """A stand-in for ``_lockstep`` that drives each search alone to its end,
+    sending it the scalar objective of each of its trial points."""
+    def drive(searches, values):
+        results = []
+        for search in searches:
+            try:
+                point = next(search)
+                while True:
+                    point = search.send(objective(point))
+            except StopIteration as done:
+                results.append(done.value)
+        return results
+    return drive
+
+
+CIRCLE_INPUTS = {"5-gon": lambda: make_hs_povm("n-gon", 5),
+                 "6-gon": lambda: make_hs_povm("n-gon", 6),
+                 "digon": lambda: povm_for("digon"),
+                 "rectangle 0.8": lambda: make_rectangle_povm(0.8),
+                 "rectangle 1.4": lambda: make_rectangle_povm(1.4)}
+
+
+@pytest.mark.parametrize("kernel", [EntropyKernel("shannon"), EntropyKernel("renyi", 1.3),
+                                    EntropyKernel("tsallis", 0.8)], ids=str)
+@pytest.mark.parametrize("mode", ["min", "max"])
+@pytest.mark.parametrize("name", POLYHEDRA + tuple(CIRCLE_INPUTS))
+def test_lockstep_equals_one_at_a_time(monkeypatch, name, mode, kernel):
+    """Running every search of a find_extrema call side by side, with their
+    trial points evaluated in one kernel call per round, refines each start
+    to the same bits as driving it alone through the scalar objective."""
+    povm = CIRCLE_INPUTS[name]() if name in CIRCLE_INPUTS else povm_for(name)
+    sign = 1.0 if mode == "min" else -1.0
+    coords, k = povm.matrix(), povm.k
+    runs = []
+    for driver in (_lockstep, _one_at_a_time(
+            lambda p: sign * _entropy_of_dots(coords @ p, k, kernel))):
+        refined = []
+
+        def recording(searches, values, driver=driver, refined=refined):
+            refined.extend(driver(searches, values))
+            return refined
+
+        monkeypatch.setattr(entropy, "_lockstep", recording)
+        located = find_extrema(povm, mode, n_scan=20_000, kernel=kernel)
+        runs.append(([[np.asarray(e).tobytes() for e in result] for result in refined],
+                     repr(located)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] or (name, mode) == ("digon", "min")   # no interior minimum
 
 
 def _thinning_by_loop(points, group, angle):
@@ -476,8 +541,10 @@ class TestFundamentalDomain:
 
 
 def test_entropy_of_rows_equals_point_objective():
-    """The refined images are evaluated in one kernel call; each value must
-    equal the optimizer's single-point objective bit for bit."""
+    """The trial points of the local searches and the refined images are
+    evaluated in one kernel call; each value must equal the single-point
+    objective bit for bit, also in the 1- to 3-row batches of the last
+    rounds of the searches."""
     rng = np.random.default_rng(5)
     for family in ALL_FAMILIES:
         povm = povm_for(family)
@@ -487,9 +554,52 @@ def test_entropy_of_rows_equals_point_objective():
         points = np.concatenate([symmetry_group(povm).matrix_stack() @ p for p in points]
                                 + [-coords.astype(float)])
         for kernel in TestPointKernel.KERNELS:
-            rows = _entropy_of_rows(points, coords, k, kernel)
-            single = [_entropy_of_dots(coords @ p, k, kernel) for p in points]
-            assert rows.tobytes() == np.array(single).tobytes()
+            single = np.array([_entropy_of_dots(coords @ p, k, kernel) for p in points])
+            for size in (1, 2, 3, len(points)):
+                rows = np.concatenate([_entropy_of_rows(points[i:i + size], coords, k, kernel)
+                                       for i in range(0, len(points), size)])
+                assert rows.tobytes() == single.tobytes()
+
+
+def _tangent_frame_by_np_cross(c):
+    a = np.array([1.0, 0.0, 0.0]) if abs(c[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    e1 = np.cross(c, a)
+    e1 /= np.linalg.norm(e1)
+    return e1, np.cross(c, e1)
+
+
+def test_tangent_frame_equals_np_cross():
+    centres = np.random.default_rng(3).normal(size=(5000, 3))
+    centres /= np.linalg.norm(centres, axis=1)[:, None]
+    axes = [np.array(v, dtype=dtype) for dtype in (float, np.int64)
+            for v in ([0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0], [0, 1, 0])]
+    for c in [*centres, *axes, np.array([0.0, -0.0, 1.0]), np.array([-0.0, 0.0, -1.0])]:
+        frame, reference = _tangent_frame(c), _tangent_frame_by_np_cross(c)
+        assert [e.tobytes() for e in frame] == [e.tobytes() for e in reference]
+
+
+def _second_difference_by_points(u, direction, povm, step=1e-4):
+    def at(delta):
+        p = math.cos(delta) * u + math.sin(delta) * direction
+        return _entropy_values(p[None, :], povm)[0]
+
+    return (at(step) - 2.0 * at(0.0) + at(-step)) / (step * step)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES + ("rectangle",))
+def test_geodesic_fan_equals_point_by_point(family):
+    """The type-III probe evaluates its whole fan in one kernel call; each
+    second difference equals the one from three single-point values."""
+    povm = make_rectangle_povm(1.4) if family == "rectangle" else povm_for(family)
+    rng = np.random.default_rng(4)
+    for u in [*(-povm.matrix().astype(float)), *rng.normal(size=(5, 3))]:
+        u = u / np.linalg.norm(u)
+        fan = rng.normal(size=(8, 3))
+        fan -= (fan @ u)[:, None] * u
+        fan /= np.linalg.norm(fan, axis=1)[:, None]
+        reference = [_second_difference_by_points(u, d, povm) for d in fan]
+        assert _geodesic_second_differences(u, fan, povm).tobytes() == \
+            np.array(reference).tobytes()
 
 
 def _type_by_loop(u, povm, group):
