@@ -19,6 +19,7 @@ from hspovm.entropy import (
     CLUSTER_ANGLE,
     DOMAIN_CENTER,
     GRID_CHUNK,
+    REFINE_MAXITER,
     START_ANGLE,
     TRIVIAL_GROUP,
     _entropy_of_dots,
@@ -396,6 +397,96 @@ class TestLocalSearch:
 
     def test_no_searches(self):
         assert _lockstep([], lambda points: 1 / 0) == []
+
+
+def _nelder_mead_on_arrays(f, x0, maxiter=REFINE_MAXITER):
+    """The simplex kept as numpy rows, one objective call per trial point:
+    the reference that the float bookkeeping of ``_nelder_mead`` follows."""
+    simplex = np.vstack([x0, x0 + 2.5e-4 * np.eye(len(x0))])
+    fvals = np.array([f(x) for x in simplex])
+    converged = False
+    for _ in range(maxiter):
+        order = np.argsort(fvals, kind="stable")
+        simplex, fvals = simplex[order], fvals[order]
+        if (np.max(np.abs(simplex[1:] - simplex[0])) <= entropy.REFINE_XTOL
+                and np.max(np.abs(fvals[1:] - fvals[0])) <= entropy.REFINE_FTOL):
+            converged = True
+            break
+        centroid = simplex[:-1].mean(axis=0)
+        worst = simplex[-1]
+        reflected = 2.0 * centroid - worst
+        f_reflected = f(reflected)
+        if f_reflected < fvals[0]:
+            expanded = 3.0 * centroid - 2.0 * worst
+            f_expanded = f(expanded)
+            if f_expanded < f_reflected:
+                simplex[-1], fvals[-1] = expanded, f_expanded
+            else:
+                simplex[-1], fvals[-1] = reflected, f_reflected
+            continue
+        if f_reflected < fvals[-2]:
+            simplex[-1], fvals[-1] = reflected, f_reflected
+            continue
+        if f_reflected < fvals[-1]:
+            point = 1.5 * centroid - 0.5 * worst
+            value = f(point)
+            accept = value <= f_reflected
+        else:
+            point = 0.5 * (centroid + worst)
+            value = f(point)
+            accept = value < fvals[-1]
+        if accept:
+            simplex[-1], fvals[-1] = point, value
+        else:
+            simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+            fvals[1:] = [f(x) for x in simplex[1:]]
+    best = int(np.argmin(fvals))
+    return simplex[best], float(fvals[best]), converged
+
+
+@pytest.mark.parametrize("maxiter", [3, 40, REFINE_MAXITER])
+@pytest.mark.parametrize("family", ["tetrahedron", "cube", "icosidodecahedron", "bowl"])
+def test_nelder_mead_follows_the_array_reference(family, maxiter):
+    """Every trial point and the result of the simplex on floats equal, bit
+    for bit, those of the simplex on numpy rows, on tangent charts of the
+    entropy (minimized and maximized) and on a kinked bowl."""
+    rng = np.random.default_rng(6)
+    objectives = []
+    if family == "bowl":
+        objectives.append(lambda x: abs(x[0] - 1e-3) + 2.0 * abs(x[1] + 2e-3))
+    else:
+        povm = povm_for(family)
+        coords, k = povm.matrix(), povm.k
+        for sign in (1.0, -1.0):
+            for center in (-coords[0] + 0.05 * rng.normal(size=3), rng.normal(size=3)):
+                center = center / np.linalg.norm(center)
+                e1, e2 = _tangent_frame(center)
+
+                def chart(st, center=center, e1=e1, e2=e2, sign=sign):
+                    p = center + st[0] * e1 + st[1] * e2
+                    return sign * _entropy_of_dots(coords @ (p / np.linalg.norm(p)), k,
+                                                   EntropyKernel("shannon"))
+
+                objectives.append(chart)
+    for f in objectives:
+        trials, reference_trials = [], []
+
+        def recorded(x, f=f):
+            reference_trials.append(np.array(x))
+            return f(x)
+
+        reference = _nelder_mead_on_arrays(recorded, np.zeros(2), maxiter)
+        search = _nelder_mead(lambda v: v, (0.0, 0.0), maxiter)
+        try:
+            x = next(search)
+            while True:
+                trials.append(np.array(x))
+                x = search.send(f(np.array(x)))
+        except StopIteration as done:
+            result = done.value
+        assert np.array(trials).tobytes() == np.array(reference_trials).tobytes()
+        assert np.array(result[0]).tobytes() == reference[0].tobytes()
+        assert result[1:] == reference[1:]
 
 
 def _one_at_a_time(objective):
