@@ -11,10 +11,10 @@ import pytest
 
 import hspovm
 from conftest import ALL_FAMILIES, POLYHEDRA, povm_for
+from hspovm import entropy
 from hspovm.bloch import BlochVector, EntropyKernel, eta
 from hspovm.catalog import (HsPovm, _group_of_tag, make_hs_povm, make_rectangle_povm,
                             symmetry_group)
-from hspovm import entropy
 from hspovm.entropy import (
     CLUSTER_ANGLE,
     DOMAIN_CENTER,
@@ -475,15 +475,13 @@ def test_nelder_mead_follows_the_array_reference(family, maxiter):
             reference_trials.append(np.array(x))
             return f(x)
 
+        def tried(v, f=f):
+            trials.append(np.array(v))
+            return f(np.array(v))
+
         reference = _nelder_mead_on_arrays(recorded, np.zeros(2), maxiter)
-        search = _nelder_mead(lambda v: v, (0.0, 0.0), maxiter)
-        try:
-            x = next(search)
-            while True:
-                trials.append(np.array(x))
-                x = search.send(f(np.array(x)))
-        except StopIteration as done:
-            result = done.value
+        [result] = _one_at_a_time(tried)([_nelder_mead(lambda v: v, (0.0, 0.0), maxiter)],
+                                         None)
         assert np.array(trials).tobytes() == np.array(reference_trials).tobytes()
         assert np.array(result[0]).tobytes() == reference[0].tobytes()
         assert result[1:] == reference[1:]
