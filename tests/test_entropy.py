@@ -522,12 +522,12 @@ def test_lockstep_equals_one_at_a_time(monkeypatch, name, mode, kernel):
     sign = 1.0 if mode == "min" else -1.0
     coords, k = povm.matrix(), povm.k
     runs = []
-    for driver in (_lockstep, _one_at_a_time(
+    for run_searches in (_lockstep, _one_at_a_time(
             lambda p: sign * _entropy_of_dots(coords @ p, k, kernel))):
         refined = []
 
-        def recording(searches, values, driver=driver, refined=refined):
-            refined.extend(driver(searches, values))
+        def recording(searches, values, run_searches=run_searches, refined=refined):
+            refined.extend(run_searches(searches, values))
             return refined
 
         monkeypatch.setattr(entropy, "_lockstep", recording)
