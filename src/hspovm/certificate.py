@@ -19,7 +19,11 @@ The pipeline, per family:
    a short combination of primary invariants whose extrema are known (cube,
    cuboctahedron, dodecahedron); or, for the icosidodecahedron, an interval
    Sturm chain shows that the zero-level parabola of P misses the orbit-map
-   range except at the origin, and P is positive at a corner of the range;
+   range except at the origin, and P is positive at a corner of the range.
+   Its invariant coefficients are solved in interval arithmetic from the
+   orbit sums at the probes, sum_j p(v_j . x) = sum_i c_i M_i(x) for
+   p = sum_i c_i t^i, whose power moments M_i(x) = sum_j (v_j . x)^i are
+   exact in Q(sqrt 5) up to the one square root |x|;
 6. close uniqueness: any further global minimizer w would need all its
    dots {w . u} inside T, which the design moment equations, solved in
    integers, rule out unless -1 is among them.
@@ -35,6 +39,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 from mpmath import iv
@@ -336,7 +341,7 @@ def expand_in_invariants(povm: HsPovm, evaluator) -> dict:
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     predicted = solution[0] + np.array(
         [sum(c * b for c, b in zip(solution[1:], basis_row(x))) for x in w])
-    residual = float(np.max(np.abs(predicted - np.array([orbit_sum(x) for x in w]))))
+    residual = float(np.max(np.abs(predicted - orbit_sum(w))))
     if residual > 1e-9:
         raise RuntimeError(
             f"invariant expansion residual {residual:.2e} for {family}; "
@@ -348,12 +353,30 @@ def expand_in_invariants(povm: HsPovm, evaluator) -> dict:
 # Uniqueness bookkeeping (exact arithmetic in Q(sqrt 5))
 # --------------------------------------------------------------------------
 
+def _q5_mul(x, y):
+    """(a + b sqrt 5)(c + d sqrt 5) for integer pairs (a, b), (c, d)."""
+    return x[0] * y[0] + 5 * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
 def _q5_power(node, s: int):
     """(p + q sqrt 5)^s as an integer pair."""
-    p, q = 1, 0
+    power = (1, 0)
     for _ in range(s):
-        p, q = p * node[0] + 5 * q * node[1], p * node[1] + q * node[0]
-    return p, q
+        power = _q5_mul(power, node)
+    return power
+
+
+def _q5_dot(x, y):
+    """Dot product of two vectors of integer pairs, as an integer pair."""
+    terms = [_q5_mul(a, b) for a, b in zip(x, y)]
+    return sum(p for p, _ in terms), sum(q for _, q in terms)
+
+
+def _q5_integer_nodes(exact_nodes):
+    """The common denominator d of the nodes a + b sqrt 5 (rational a, b)
+    and the integer pairs (d a, d b)."""
+    d = math.lcm(*(Fraction(x).denominator for node in exact_nodes for x in node))
+    return d, [(int(Fraction(a) * d), int(Fraction(b) * d)) for a, b in exact_nodes]
 
 
 def _moment_constrained_feasible(exact_nodes, k: int, design_order: int,
@@ -370,8 +393,7 @@ def _moment_constrained_feasible(exact_nodes, k: int, design_order: int,
     d, so each moment equation is two integer equations; the search prunes
     on real values and tests the integers at its leaves.
     """
-    d = math.lcm(*(Fraction(x).denominator for node in exact_nodes for x in node))
-    nodes = [(int(Fraction(a) * d), int(Fraction(b) * d)) for a, b in exact_nodes]
+    d, nodes = _q5_integer_nodes(exact_nodes)
     root5 = math.sqrt(5.0)
     values = [(p + q * root5) / d for p, q in nodes]
     banned = {i for i, t in enumerate(values) if t < -1 + 1e-12}
@@ -387,24 +409,29 @@ def _moment_constrained_feasible(exact_nodes, k: int, design_order: int,
         moments.append((4, Fraction(k, 5)))
     powers = [[_q5_power(nodes[i], s) for i in usable] for s, _ in moments]
     floats = [[values[i] ** s for i in usable] for s, _ in moments]
+    # per moment, fixed for the whole search: d^s, the float target and the
+    # smallest and largest power over each suffix of the usable nodes
+    scales = [d ** s for s, _ in moments]
+    bounds = [(scale, float(target), list(accumulate(reversed(f), min))[::-1],
+               list(accumulate(reversed(f), max))[::-1])
+              for scale, (_, target), f in zip(scales, moments, floats)]
 
     def dfs(pos, remaining, partials):
         if pos == len(usable):
             return remaining == 0 and all(
-                q == 0 and p * target.denominator == target.numerator * d ** s
-                for (p, q), (s, target) in zip(partials, moments))
+                q == 0 and p * target.denominator == target.numerator * scale
+                for (p, q), (_, target), scale in zip(partials, moments, scales))
         # float bounds: can the remaining counts still reach each target?
-        for (s, target), fvals, (p, q) in zip(moments, floats, partials):
-            rest = fvals[pos:]
-            partial = (p + q * root5) / d ** s
-            lo = partial + remaining * min(rest)
-            hi = partial + remaining * max(rest)
-            t = float(target)
+        for (p, q), (scale, t, low, high) in zip(partials, bounds):
+            partial = (p + q * root5) / scale
+            lo = partial + remaining * low[pos]
+            hi = partial + remaining * high[pos]
             if t < lo - 1e-6 or t > hi + 1e-6:
                 return False
+        steps = [pw[pos] for pw in powers]
         for count in range(remaining + 1):
-            nxt = [(p + count * pw[pos][0], q + count * pw[pos][1])
-                   for (p, q), pw in zip(partials, powers)]
+            nxt = [(p + count * a, q + count * b)
+                   for (p, q), (a, b) in zip(partials, steps)]
             if dfs(pos + 1, remaining - count, nxt):
                 return True
         return False
@@ -462,60 +489,105 @@ def _parabola_quartic(B, C, D, tau):
     return [acc.get(m, zero) for m in range(2, 7)]
 
 
-def _iv_lift(x: float, tau):
-    """Exact interval of the Q(sqrt 5) number the float x rounds: a
-    quarter-integer, or a quarter-integer multiple of tau or 1/tau."""
-    for scale, exact in ((1.0, 1), (TAU, tau), (1.0 / TAU, tau - 1)):
+def _q5_eighths(x: float):
+    """The integer pair (a, b) with 8x = a + b sqrt 5, for the float x of an
+    icosahedral symbol: a quarter-integer, or a quarter-integer multiple of
+    tau or 1/tau."""
+    for scale, (a, b) in ((1.0, (2, 0)), (TAU, (1, 1)), (1.0 / TAU, (-1, 1))):
         quarters = 4.0 * x / scale
         if abs(quarters - round(quarters)) < 1e-6:
-            return iv.mpf(round(quarters)) / 4 * exact
+            return round(quarters) * a, round(quarters) * b
     raise ValueError(f"coordinate {x} is not an icosahedral symbol")
+
+
+def _orbit_power_moments(verts, seed, degree: int) -> list:
+    """The power moments M_i = sum_j (V_j . S)^i, i = 0..degree, of the
+    vertices V_j about S, exact: every coordinate is an integer pair."""
+    dots = [_q5_dot(v, seed) for v in verts]
+    powers, moments = [(1, 0)] * len(dots), [(len(dots), 0)]
+    for _ in range(degree):
+        powers = [_q5_mul(p, t) for p, t in zip(powers, dots)]
+        moments.append((sum(p for p, _ in powers), sum(q for _, q in powers)))
+    return moments
+
+
+def _icosi_probe_rows(povm: HsPovm, kernel: EntropyKernel):
+    """tau and the rows [1, invariants at x, sum_j p(v_j . x)] of the
+    expansion system at each unit probe x, in interval arithmetic at the
+    current precision.
+
+    The interpolant p = sum_i c_i t^i is built on the registry's exact
+    nodes, so the orbit sum is sum_i c_i M_i(x) with the orbit's power
+    moments M_i, exact in Q(sqrt 5) about the unnormalized probe S and
+    scaled by |S|^-i; that square root is the only irrational step, and
+    the moments that vanish (every odd one, the orbit being centrally
+    symmetric) drop out.
+    """
+    spec = family_spec(povm.family)
+    verts = [[_q5_eighths(c) for c in row] for row in povm.matrix()]
+    nodes = _hermite_nodes(povm)
+    d, exact = _q5_integer_nodes(spec.nodes)
+    exact.sort(key=lambda n: n[0] + n[1] * math.sqrt(5.0))
+    if len(exact) != len(nodes) or any(
+            abs((a + b * math.sqrt(5.0)) / d - t) > 1e-9
+            for (a, b), (t, _) in zip(exact, nodes)):
+        raise ValueError(f"node set of the vectors is not the {spec.name}'s")
+    root5 = iv.sqrt(iv.mpf(5))
+    tau = (1 + root5) / 2
+
+    def lift(pair):
+        return pair[0] + pair[1] * root5
+
+    f, fp = _kernel_h(kernel, iv.mpf, iv.log)
+    mono = _hermite_monomial(
+        f, fp, [(lift(n) / d, m) for n, (_, m) in zip(exact, nodes)], iv.mpf(0))
+    rows = []
+    for seed in spec.probes:
+        s = [_q5_eighths(c) for c in seed]
+        length = iv.sqrt(lift(_q5_dot(s, s)))            # 8 |S|
+        x = [lift(c) / length for c in s]
+        # the pairs are eighths, so V_j . S is 64 v_j . S and M_i carries 64^i
+        norm = 8 * length
+        moments = _orbit_power_moments(verts, s, len(mono) - 1)
+        total = sum(c * lift(m) / norm ** i
+                    for i, (c, m) in enumerate(zip(mono, moments)) if m != (0, 0))
+        rows.append([iv.mpf(1)] + [evaluate_invariant(name, x, tau=tau)
+                                   for name in spec.basis] + [total])
+    return tau, rows
+
+
+def _interval_solve(m) -> list:
+    """Solution of the augmented interval system m by Gauss-Jordan
+    elimination (the first row of the expansion system is (1, 0, 0, 0):
+    benign pivots)."""
+    size = len(m)
+    for col in range(size):
+        pivot_row = None
+        for r in range(col, size):
+            entry = m[r][col]
+            if entry.a > 0 or entry.b < 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            raise AmbiguousSignError("pivot straddles zero in interval solve")
+        m[col], m[pivot_row] = m[pivot_row], m[col]
+        for r in range(size):
+            if r == col:
+                continue
+            factor = m[r][col] / m[col][col]
+            m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return [m[r][size] / m[r][r] for r in range(size)]
 
 
 def _icosi_interval_coefficients(povm: HsPovm, precision: int,
                                  kernel: EntropyKernel = SHANNON):
-    """Enclosures of the expansion coefficients B, C, D at the given
-    working precision (nodes, interpolation, probe values and the linear
-    solve all in interval arithmetic)."""
-    spec = family_spec(povm.family)
+    """Enclosures of the expansion coefficients A, B, C, D at the given
+    working precision: the interpolant on the exact nodes, the probe
+    values from the orbit's exact power moments (:func:`_icosi_probe_rows`)
+    and the linear solve, all in interval arithmetic."""
     with _interval_precision(precision):
-        tau = (1 + iv.sqrt(iv.mpf(5))) / 2
-        verts = [[_iv_lift(c, tau) for c in row] for row in povm.matrix()]
-        nodes = [(_iv_lift(t, tau), m) for t, m in _hermite_nodes(povm)]
-        f, fp = _kernel_h(kernel, iv.mpf, iv.log)
-        mono = _hermite_monomial(f, fp, nodes, iv.mpf(0))
-
-        def orbit_sum(x):
-            # sum_j p(v_j . x): the quoted-constant normalization
-            return sum(_horner(mono, row[0] * x[0] + row[1] * x[1] + row[2] * x[2])
-                       for row in verts)
-
-        m = []
-        for seed in spec.probes:
-            x = [_iv_lift(c, tau) for c in seed]
-            norm = iv.sqrt(x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
-            x = [c / norm for c in x]
-            m.append([iv.mpf(1)] + [evaluate_invariant(name, x, tau=tau)
-                                    for name in spec.basis] + [orbit_sum(x)])
-        # Gaussian elimination (first row is (1, 0, 0, 0): benign pivots)
-        size = len(m)
-        for col in range(size):
-            pivot_row = None
-            for r in range(col, size):
-                entry = m[r][col]
-                if entry.a > 0 or entry.b < 0:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                raise AmbiguousSignError("pivot straddles zero in interval solve")
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            for r in range(size):
-                if r == col:
-                    continue
-                factor = m[r][col] / m[col][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-        solution = [m[r][size] / m[r][r] for r in range(size)]
-    return tau, solution            # [A, B, C, D]
+        tau, rows = _icosi_probe_rows(povm, kernel)
+        return tau, _interval_solve(rows)     # [A, B, C, D]
 
 
 def _positivity(B, C, D, tau):

@@ -6,15 +6,25 @@ from mpmath import iv, mp
 
 from conftest import ALL_FAMILIES, POLYHEDRA, povm_for
 from hspovm.bloch import EntropyKernel, SHANNON
-from hspovm.catalog import (family_spec, interpolation_set, make_hs_povm,
-                            make_rectangle_povm)
+from hspovm.catalog import (FAMILY_SPECS, family_spec, interpolation_set,
+                            make_hs_povm, make_rectangle_povm)
 from hspovm.certificate import (
     HermitePolynomial,
     _degree_bound,
     _design_order,
+    _hermite_monomial,
     _hermite_nodes,
+    _horner,
     _icosi_interval_coefficients,
+    _icosi_probe_rows,
+    _interval_precision,
+    _interval_solve,
+    _kernel_h,
     _moment_constrained_feasible,
+    _orbit_power_moments,
+    _q5_dot,
+    _q5_eighths,
+    _q5_power,
     _remainder_sign,
     assemble_lower_bound,
     certify_minimum,
@@ -24,6 +34,8 @@ from hspovm.certificate import (
     verify_below,
 )
 from hspovm.entropy import _entropy_values, entropy_at, fibonacci_sphere
+from hspovm.groups import TAU
+from hspovm.invariants import evaluate_invariant
 from hspovm.info import informational_power
 
 DEGREE_BOUNDS = {
@@ -448,3 +460,160 @@ class TestGlobalState:
             assert iv.prec == 77
         finally:
             iv.prec = saved
+
+
+# --------------------------------------------------------------------------
+# Orbit sums from exact power moments, against the per-vertex interval sum
+# --------------------------------------------------------------------------
+
+def reference_lift(x: float, tau):
+    """Interval of the Q(sqrt 5) number the float x rounds: a quarter-integer,
+    or a quarter-integer multiple of tau or 1/tau."""
+    for scale, exact in ((1.0, 1), (TAU, tau), (1.0 / TAU, tau - 1)):
+        quarters = 4.0 * x / scale
+        if abs(quarters - round(quarters)) < 1e-6:
+            return iv.mpf(round(quarters)) / 4 * exact
+    raise ValueError(f"coordinate {x} is not an icosahedral symbol")
+
+
+def reference_probe_rows(povm, kernel):
+    """The expansion rows with the orbit sum taken vertex by vertex: the
+    interpolant on nodes lifted from floats, Horner's rule at each of the
+    30 interval dots v_j . x, at the current interval precision."""
+    spec = family_spec(povm.family)
+    tau = (1 + iv.sqrt(iv.mpf(5))) / 2
+    verts = [[reference_lift(c, tau) for c in row] for row in povm.matrix()]
+    nodes = [(reference_lift(t, tau), m) for t, m in _hermite_nodes(povm)]
+    f, fp = _kernel_h(kernel, iv.mpf, iv.log)
+    mono = _hermite_monomial(f, fp, nodes, iv.mpf(0))
+    rows = []
+    for seed in spec.probes:
+        x = [reference_lift(c, tau) for c in seed]
+        norm = iv.sqrt(x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
+        x = [c / norm for c in x]
+        total = sum(_horner(mono, row[0] * x[0] + row[1] * x[1] + row[2] * x[2])
+                    for row in verts)
+        rows.append([iv.mpf(1)] + [evaluate_invariant(name, x, tau=tau)
+                                   for name in spec.basis] + [total])
+    return rows
+
+
+def assert_inside_and_no_wider(enclosure, reference):
+    assert enclosure.a <= reference.b and reference.a <= enclosure.b
+    assert enclosure.delta.b <= reference.delta.b
+
+
+@pytest.mark.parametrize("bits", (200, 320))
+@pytest.mark.parametrize("kernel", [
+    SHANNON, EntropyKernel("tsallis", 0.5), EntropyKernel("tsallis", 2.5),
+    EntropyKernel("renyi", 1.4), EntropyKernel("renyi", 3.5),
+], ids=lambda k: k.kind + ("" if k.alpha is None else str(k.alpha)))
+def test_moment_orbit_sums_enclose_per_vertex_sums(kernel, bits):
+    povm = povm_for("icosidodecahedron")
+    with _interval_precision(bits):
+        _, rows = _icosi_probe_rows(povm, kernel)
+        reference = reference_probe_rows(povm, kernel)
+        for row, ref in zip(rows, reference):
+            assert_inside_and_no_wider(row[-1], ref[-1])
+        expected = _interval_solve(reference)
+    _, coefficients = _icosi_interval_coefficients(povm, bits, kernel)
+    for enclosure, ref in zip(coefficients, expected):
+        assert_inside_and_no_wider(enclosure, ref)
+
+
+def test_icosidodecahedron_moments_are_the_sphere_s():
+    # a 5-design: sum_j (v_j . x)^i = 30, 0, 10, 0, 6, 0 for i = 0..5 at
+    # unit x.  The pairs are eighths, so M_i(S) = 64^i |S|^i sum_j (v_j . x)^i
+    # with x = S/|S|, and S . S is 64 |S|^2
+    povm = povm_for("icosidodecahedron")
+    verts = [[_q5_eighths(c) for c in row] for row in povm.matrix()]
+    for seed in family_spec("icosidodecahedron").probes:
+        s = [_q5_eighths(c) for c in seed]
+        moments = _orbit_power_moments(verts, s, 5)
+        for i, sphere in enumerate((30, 0, 10, 0, 6, 0)):
+            scale = _q5_power(_q5_dot(s, s), i // 2)
+            factor = sphere * 64 ** (i // 2)
+            expected = (0, 0) if i % 2 else (factor * scale[0], factor * scale[1])
+            assert moments[i] == expected, (seed, i)
+
+
+def test_eighths_of_icosahedral_symbols():
+    root5 = math.sqrt(5.0)
+    for x in (0.0, 0.5, -1.0, TAU / 2, -1 / (2 * TAU), TAU, 12.0):
+        a, b = _q5_eighths(x)
+        assert (a + b * root5) / 8 == pytest.approx(x, abs=1e-15)
+    with pytest.raises(ValueError):
+        _q5_eighths(0.3)
+
+
+# --------------------------------------------------------------------------
+# The uniqueness search, against the search that recomputes its bounds
+# --------------------------------------------------------------------------
+
+def reference_feasible(exact_nodes, k, design_order, centrally_symmetric):
+    """The moment-constrained search with every float bound recomputed at
+    each node: the suffix minimum and maximum, d^s and the target."""
+    from fractions import Fraction
+    d = math.lcm(*(Fraction(x).denominator for node in exact_nodes for x in node))
+    nodes = [(int(Fraction(a) * d), int(Fraction(b) * d)) for a, b in exact_nodes]
+    root5 = math.sqrt(5.0)
+    values = [(p + q * root5) / d for p, q in nodes]
+    banned = {i for i, t in enumerate(values) if t < -1 + 1e-12}
+    if centrally_symmetric:
+        banned |= {i for i, t in enumerate(values) if t > 1 - 1e-12}
+    usable = [i for i in range(len(nodes)) if i not in banned]
+    usable.sort(key=lambda i: -abs(values[i]))
+
+    moments = [(1, Fraction(0))]
+    if design_order >= 2:
+        moments.append((2, Fraction(k, 3)))
+    if design_order >= 4:
+        moments.append((4, Fraction(k, 5)))
+    powers = [[_q5_power(nodes[i], s) for i in usable] for s, _ in moments]
+    floats = [[values[i] ** s for i in usable] for s, _ in moments]
+
+    def dfs(pos, remaining, partials):
+        if pos == len(usable):
+            return remaining == 0 and all(
+                q == 0 and p * target.denominator == target.numerator * d ** s
+                for (p, q), (s, target) in zip(partials, moments))
+        for (s, target), fvals, (p, q) in zip(moments, floats, partials):
+            rest = fvals[pos:]
+            partial = (p + q * root5) / d ** s
+            lo = partial + remaining * min(rest)
+            hi = partial + remaining * max(rest)
+            t = float(target)
+            if t < lo - 1e-6 or t > hi + 1e-6:
+                return False
+        for count in range(remaining + 1):
+            nxt = [(p + count * pw[pos][0], q + count * pw[pos][1])
+                   for (p, q), pw in zip(partials, powers)]
+            if dfs(pos + 1, remaining - count, nxt):
+                return True
+        return False
+
+    return dfs(0, k, [(0, 0) for _ in moments])
+
+
+@pytest.mark.parametrize("shift", (-2, 0, 2))
+@pytest.mark.parametrize("family", [name for name, spec in FAMILY_SPECS.items()
+                                    if spec.nodes is not None])
+def test_search_verdicts_match_reference(family, shift):
+    nodes = family_spec(family).nodes
+    k = povm_for(family).k + shift
+    for design_order in range(1, 6):
+        for symmetric in (False, True):
+            assert (_moment_constrained_feasible(nodes, k, design_order, symmetric)
+                    == reference_feasible(nodes, k, design_order, symmetric)), \
+                (design_order, symmetric)
+
+
+def test_mislabelled_vectors_refused_by_their_node_set():
+    # octahedron vectors labelled icosidodecahedron: their lower bound is
+    # constant, so the float expansion passes, but the registry's exact
+    # nodes are not theirs and must not build the interval interpolant
+    from hspovm.catalog import HsPovm
+    povm = HsPovm(vectors=make_hs_povm("octahedron").vectors,
+                  family="icosidodecahedron")
+    with pytest.raises(ValueError, match="node set"):
+        certify_minimum(povm)
