@@ -423,7 +423,8 @@ def _circle_refined(povm: HsPovm, values, rows, n_scan: int) -> np.ndarray:
         # entropy depends on u . axis only; extrema sit at grid-local minima
         # plus the two poles, each refined in the 1D parameter
         spacing = ts[1] - ts[0]
-        minima = np.flatnonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])) + 1
+        inner = vals[1:-1]
+        minima = np.flatnonzero((inner <= vals[:-2]) & (inner <= vals[2:])) + 1
         brackets = [(max(-1.0, ts[i] - 2 * spacing), min(1.0, ts[i] + 2 * spacing))
                     for i in minima]
         refined = [pts[0], pts[-1]]

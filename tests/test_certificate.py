@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from mpmath import iv, mp
 
 from conftest import ALL_FAMILIES, POLYHEDRA, povm_for
 from hspovm.bloch import EntropyKernel, SHANNON
-from hspovm.catalog import (FAMILY_SPECS, family_spec, interpolation_set,
-                            make_hs_povm, make_rectangle_povm)
+from hspovm.catalog import (FAMILY_SPECS, HsPovm, family_spec,
+                            interpolation_set, make_hs_povm,
+                            make_rectangle_povm)
 from hspovm.certificate import (
     HermitePolynomial,
     _degree_bound,
@@ -35,8 +37,8 @@ from hspovm.certificate import (
 )
 from hspovm.entropy import _entropy_values, entropy_at, fibonacci_sphere
 from hspovm.groups import TAU
-from hspovm.invariants import evaluate_invariant
 from hspovm.info import informational_power
+from hspovm.invariants import evaluate_invariant
 
 DEGREE_BOUNDS = {
     "digon": 1, "tetrahedron": 2, "octahedron": 3, "cube": 5,
@@ -553,7 +555,6 @@ def test_eighths_of_icosahedral_symbols():
 def reference_feasible(exact_nodes, k, design_order, centrally_symmetric):
     """The moment-constrained search with every float bound recomputed at
     each node: the suffix minimum and maximum, d^s and the target."""
-    from fractions import Fraction
     d = math.lcm(*(Fraction(x).denominator for node in exact_nodes for x in node))
     nodes = [(int(Fraction(a) * d), int(Fraction(b) * d)) for a, b in exact_nodes]
     root5 = math.sqrt(5.0)
@@ -612,7 +613,6 @@ def test_mislabelled_vectors_refused_by_their_node_set():
     # octahedron vectors labelled icosidodecahedron: their lower bound is
     # constant, so the float expansion passes, but the registry's exact
     # nodes are not theirs and must not build the interval interpolant
-    from hspovm.catalog import HsPovm
     povm = HsPovm(vectors=make_hs_povm("octahedron").vectors,
                   family="icosidodecahedron")
     with pytest.raises(ValueError, match="node set"):
