@@ -30,22 +30,24 @@ The pipeline, per family:
 
 Interpolation and its node-residual diagnostic run in 80-bit extended
 precision; the Sturm step runs in mpmath interval arithmetic with adaptive
-precision.
+precision.  Each interval proof builds its own interval context at the
+precision it needs, so the caller's ``mpmath.iv`` is never read or written
+and certificates computed side by side in threads do not interfere.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
-from mpmath import iv
+from mpmath.ctx_iv import MPIntervalContext
 
 from .bloch import EntropyKernel, SHANNON
-from .catalog import HsPovm, family_spec, interpolation_set, spherical_design_order
+from .catalog import (HsPovm, _group_of_tag, _maps_onto_itself, family_spec,
+                      interpolation_set, spherical_design_order)
 from .groups import TAU
 from .invariants import J15_SQUARED_TERMS, evaluate_invariant, i6_prime, i10
 from .sturm import AmbiguousSignError, _sign, sturm_root_count
@@ -55,16 +57,12 @@ STURM_PRECISIONS = (200, 320, 512)
 _LD = np.longdouble
 
 
-@contextmanager
-def _interval_precision(bits: int):
-    """Run a block at the given mpmath interval precision and restore the
-    caller's afterwards (mpmath's iv context has no workprec of its own)."""
-    saved = iv.prec
-    iv.prec = bits
-    try:
-        yield
-    finally:
-        iv.prec = saved
+def _interval_context(bits: int) -> MPIntervalContext:
+    """A fresh mpmath interval context at the given precision, private to
+    one proof."""
+    ctx = MPIntervalContext()
+    ctx.prec = bits
+    return ctx
 
 
 @dataclass(frozen=True)
@@ -182,7 +180,8 @@ def _hermite_monomial(f, fp, nodes, zero) -> list:
 
 def _kernel_h(kernel: EntropyKernel, num, log):
     """The summand h and its derivative in the arithmetic of ``num``
-    (np.longdouble or mpmath's iv.mpf) with the matching ``log``."""
+    (np.longdouble, or the ``mpf`` of an mpmath interval context) with the
+    matching ``log``."""
     one, half = num(1), num(0.5)
     if kernel.kind == "shannon":
         def f(t):
@@ -440,31 +439,19 @@ def _moment_constrained_feasible(exact_nodes, k: int, design_order: int,
 
 
 def _polygon_uniqueness(povm: HsPovm) -> bool:
-    """Enumerate circle points whose dots all lie in T; they must be
-    exactly the antipodal orbit (minimizers are confined to the circle
-    because H is concave on the Bloch ball and planar here)."""
-    T = interpolation_set(povm)
-    vertex_angles = [math.atan2(v.y, v.x) for v in povm.vectors]
-    candidates = set()
-    for t in T:
-        base = math.acos(min(1.0, max(-1.0, t)))
-        for theta in vertex_angles:
-            candidates.add(round((theta + base) % (2 * math.pi), 9))
-            candidates.add(round((theta - base) % (2 * math.pi), 9))
-    survivors = []
-    for phi in candidates:
-        dots = [math.cos(phi - theta) for theta in vertex_angles]
-        if all(min(abs(d - t) for t in T) < 1e-9 for d in dots):
-            survivors.append(phi)
-    anti = [theta + math.pi for theta in vertex_angles]
+    """Uniqueness for the regular n-gon, by parity: the circle points whose
+    dots all lie in T are exactly the antipodal orbit (minimizers are
+    confined to the circle because H is concave on the Bloch ball and
+    planar here).
 
-    def close(a, b):     # compare as unit vectors; immune to 2 pi wrap
-        return math.hypot(math.cos(a) - math.cos(b),
-                          math.sin(a) - math.sin(b)) < 1e-6
-
-    hit = all(any(close(phi, a) for phi in survivors) for a in anti)
-    only = all(any(close(phi, a) for a in anti) for phi in survivors)
-    return hit and only
+    T = {cos(pi + 2 pi j/n)}, so the dot with the fiducial alone puts such
+    a point at angle m pi/n from it with m = n (mod 2): on the antipodal
+    orbit.  The premise, that the vectors are the regular n-gon, is checked
+    on the coordinates: the n rotations about the axis map the n unit
+    vectors with zero centroid onto themselves (a fiducial on the axis
+    leaves only poles, with T = {-1, 1} and their antipodes as minimizers).
+    """
+    return _maps_onto_itself(_group_of_tag(f"C_{povm.k}"), povm.matrix())
 
 
 # --------------------------------------------------------------------------
@@ -511,10 +498,10 @@ def _orbit_power_moments(verts, seed, degree: int) -> list:
     return moments
 
 
-def _icosi_probe_rows(povm: HsPovm, kernel: EntropyKernel):
+def _icosi_probe_rows(povm: HsPovm, kernel: EntropyKernel,
+                      ctx: MPIntervalContext):
     """tau and the rows [1, invariants at x, sum_j p(v_j . x)] of the
-    expansion system at each unit probe x, in interval arithmetic at the
-    current precision.
+    expansion system at each unit probe x, in the interval context ctx.
 
     The interpolant p = sum_i c_i t^i is built on the registry's exact
     nodes, so the orbit sum is sum_i c_i M_i(x) with the orbit's power
@@ -532,26 +519,26 @@ def _icosi_probe_rows(povm: HsPovm, kernel: EntropyKernel):
             abs((a + b * math.sqrt(5.0)) / d - t) > 1e-9
             for (a, b), (t, _) in zip(exact, nodes)):
         raise ValueError(f"node set of the vectors is not the {spec.name}'s")
-    root5 = iv.sqrt(iv.mpf(5))
+    root5 = ctx.sqrt(ctx.mpf(5))
     tau = (1 + root5) / 2
 
     def lift(pair):
         return pair[0] + pair[1] * root5
 
-    f, fp = _kernel_h(kernel, iv.mpf, iv.log)
+    f, fp = _kernel_h(kernel, ctx.mpf, ctx.log)
     mono = _hermite_monomial(
-        f, fp, [(lift(n) / d, m) for n, (_, m) in zip(exact, nodes)], iv.mpf(0))
+        f, fp, [(lift(n) / d, m) for n, (_, m) in zip(exact, nodes)], ctx.mpf(0))
     rows = []
     for seed in spec.probes:
         s = [_q5_eighths(c) for c in seed]
-        length = iv.sqrt(lift(_q5_dot(s, s)))            # 8 |S|
+        length = ctx.sqrt(lift(_q5_dot(s, s)))           # 8 |S|
         x = [lift(c) / length for c in s]
         # the pairs are eighths, so V_j . S is 64 v_j . S and M_i carries 64^i
         norm = 8 * length
         moments = _orbit_power_moments(verts, s, len(mono) - 1)
         total = sum(c * lift(m) / norm ** i
                     for i, (c, m) in enumerate(zip(mono, moments)) if m != (0, 0))
-        rows.append([iv.mpf(1)] + [evaluate_invariant(name, x, tau=tau)
+        rows.append([ctx.mpf(1)] + [evaluate_invariant(name, x, tau=tau)
                                    for name in spec.basis] + [total])
     return tau, rows
 
@@ -585,9 +572,8 @@ def _icosi_interval_coefficients(povm: HsPovm, precision: int,
     working precision: the interpolant on the exact nodes, the probe
     values from the orbit's exact power moments (:func:`_icosi_probe_rows`)
     and the linear solve, all in interval arithmetic."""
-    with _interval_precision(precision):
-        tau, rows = _icosi_probe_rows(povm, kernel)
-        return tau, _interval_solve(rows)     # [A, B, C, D]
+    tau, rows = _icosi_probe_rows(povm, kernel, _interval_context(precision))
+    return tau, _interval_solve(rows)     # [A, B, C, D]
 
 
 def _positivity(B, C, D, tau):
@@ -598,13 +584,15 @@ def _positivity(B, C, D, tau):
     off the origin, so the parabola misses the range (inside J15^2 >= 0),
     which is connected without the origin; P1 there has the sign it takes
     at the icosahedron corner, the image of (0, tau, 1)/sqrt(tau + 2).
-    Raises AmbiguousSignError when an interval sign is undecided."""
+    Works in the interval context of tau; raises AmbiguousSignError when an
+    interval sign is undecided."""
     if not (C.a > 0 or C.b < 0):
         raise AmbiguousSignError("C enclosure straddles zero")
     quartic = _parabola_quartic(B, C, D, tau)
     roots = sturm_root_count(quartic)
-    norm = iv.sqrt(tau + 2)
-    corner = [iv.mpf(0), tau / norm, 1 / norm]
+    ctx = tau.ctx
+    norm = ctx.sqrt(tau + 2)
+    corner = [ctx.mpf(0), tau / norm, 1 / norm]
     theta1, theta2 = i6_prime(corner, tau), i10(corner, tau)
     return roots, (roots == 0 and _sign(quartic[-1]) < 0
                    and _sign(B * theta1 + C * theta2 + D * theta1 ** 2) > 0)
@@ -616,8 +604,7 @@ def _at_rising_precision(decide):
     last_error = None
     for precision in STURM_PRECISIONS:
         try:
-            with _interval_precision(precision):
-                return decide(precision), precision
+            return decide(precision), precision
         except AmbiguousSignError as err:
             last_error = err
     raise RuntimeError(
@@ -648,8 +635,9 @@ def icosidodeca_positivity(B: float, C: float, D: float) -> bool:
         raise ZeroDivisionError("C vanishes; parabola substitution undefined")
 
     def decide(precision):
-        tau = (1 + iv.sqrt(iv.mpf(5))) / 2
-        return _positivity(iv.mpf(B), iv.mpf(C), iv.mpf(D), tau)[1]
+        ctx = _interval_context(precision)
+        tau = (1 + ctx.sqrt(ctx.mpf(5))) / 2
+        return _positivity(ctx.mpf(B), ctx.mpf(C), ctx.mpf(D), tau)[1]
 
     return _at_rising_precision(decide)[0]
 

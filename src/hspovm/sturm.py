@@ -3,9 +3,10 @@
 Two coefficient regimes share one chain construction:
 
 * exact rationals (``fractions.Fraction``) — the textbook algorithm;
-* mpmath intervals (``mpmath.iv.mpf``) — every sign decision must hold for
-  the entire interval, otherwise :class:`AmbiguousSignError` is raised and
-  the caller retries at higher precision.
+* mpmath intervals (``ivmpf``, from ``mpmath.iv`` or any other interval
+  context, at that context's precision) — every sign decision must hold
+  for the entire interval, otherwise :class:`AmbiguousSignError` is raised
+  and the caller retries at higher precision.
 
 The number of distinct real roots of q in (a, b) equals the difference of
 the sign-change counts of the chain evaluated at a and at b; at infinite
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from mpmath import iv
+from mpmath.ctx_iv import ivmpf
 
 
 class AmbiguousSignError(ArithmeticError):
@@ -25,7 +26,7 @@ class AmbiguousSignError(ArithmeticError):
 
 
 def _is_interval(x) -> bool:
-    return isinstance(x, iv.mpf)
+    return isinstance(x, ivmpf)
 
 
 def _sign(x) -> int:

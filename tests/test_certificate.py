@@ -1,4 +1,6 @@
+import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -19,11 +21,12 @@ from hspovm.certificate import (
     _horner,
     _icosi_interval_coefficients,
     _icosi_probe_rows,
-    _interval_precision,
+    _interval_context,
     _interval_solve,
     _kernel_h,
     _moment_constrained_feasible,
     _orbit_power_moments,
+    _polygon_uniqueness,
     _q5_dot,
     _q5_eighths,
     _q5_power,
@@ -448,9 +451,35 @@ class TestKernelPluggability:
 class TestGlobalState:
     @pytest.mark.parametrize("kernel", [SHANNON, EntropyKernel("renyi", 1.4)],
                              ids=["shannon", "renyi"])
-    def test_interval_precision_unchanged(self, kernel):
+    def test_caller_precision_neither_read_nor_written(self, kernel):
+        povm = make_hs_povm("icosidodecahedron")
+        saved = iv.prec
+        certs = []
+        try:
+            for prec in (53, 77):
+                iv.prec = prec
+                certs.append(repr(certify_minimum(povm, kernel)))
+                assert iv.prec == prec
+        finally:
+            iv.prec = saved
+        assert certs[0] == certs[1]
+
+    def test_certificates_side_by_side_in_threads(self):
+        # each thread runs the three kernels from a different start, so
+        # different interval precisions and kernels overlap in time
+        povm = make_hs_povm("icosidodecahedron")
+        kernels = [SHANNON, EntropyKernel("tsallis", 0.5), EntropyKernel("renyi", 1.4)]
+        serial = [repr(certify_minimum(povm, kernel)) for kernel in kernels]
         before = iv.prec
-        certify_minimum(make_hs_povm("icosidodecahedron"), kernel)
+
+        def run(start):
+            order = kernels[start:] + kernels[:start]
+            return [repr(certify_minimum(povm, kernel)) for kernel in order]
+
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            results = list(pool.map(run, range(3)))
+        for start, result in enumerate(results):
+            assert result == serial[start:] + serial[:start]
         assert iv.prec == before
 
     def test_caller_precision_restored(self):
@@ -470,33 +499,33 @@ class TestGlobalState:
 
 def reference_lift(x: float, tau):
     """Interval of the Q(sqrt 5) number the float x rounds: a quarter-integer,
-    or a quarter-integer multiple of tau or 1/tau."""
+    or a quarter-integer multiple of tau or 1/tau (in the context of tau)."""
     for scale, exact in ((1.0, 1), (TAU, tau), (1.0 / TAU, tau - 1)):
         quarters = 4.0 * x / scale
         if abs(quarters - round(quarters)) < 1e-6:
-            return iv.mpf(round(quarters)) / 4 * exact
+            return tau.ctx.mpf(round(quarters)) / 4 * exact
     raise ValueError(f"coordinate {x} is not an icosahedral symbol")
 
 
-def reference_probe_rows(povm, kernel):
+def reference_probe_rows(povm, kernel, ctx):
     """The expansion rows with the orbit sum taken vertex by vertex: the
     interpolant on nodes lifted from floats, Horner's rule at each of the
-    30 interval dots v_j . x, at the current interval precision."""
+    30 interval dots v_j . x, in the interval context ctx."""
     spec = family_spec(povm.family)
-    tau = (1 + iv.sqrt(iv.mpf(5))) / 2
+    tau = (1 + ctx.sqrt(ctx.mpf(5))) / 2
     verts = [[reference_lift(c, tau) for c in row] for row in povm.matrix()]
     nodes = [(reference_lift(t, tau), m) for t, m in _hermite_nodes(povm)]
-    f, fp = _kernel_h(kernel, iv.mpf, iv.log)
-    mono = _hermite_monomial(f, fp, nodes, iv.mpf(0))
+    f, fp = _kernel_h(kernel, ctx.mpf, ctx.log)
+    mono = _hermite_monomial(f, fp, nodes, ctx.mpf(0))
     rows = []
     for seed in spec.probes:
         x = [reference_lift(c, tau) for c in seed]
-        norm = iv.sqrt(x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
+        norm = ctx.sqrt(x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
         x = [c / norm for c in x]
         total = sum(_horner(mono, row[0] * x[0] + row[1] * x[1] + row[2] * x[2])
                     for row in verts)
-        rows.append([iv.mpf(1)] + [evaluate_invariant(name, x, tau=tau)
-                                   for name in spec.basis] + [total])
+        rows.append([ctx.mpf(1)] + [evaluate_invariant(name, x, tau=tau)
+                                    for name in spec.basis] + [total])
     return rows
 
 
@@ -512,12 +541,12 @@ def assert_inside_and_no_wider(enclosure, reference):
 ], ids=lambda k: k.kind + ("" if k.alpha is None else str(k.alpha)))
 def test_moment_orbit_sums_enclose_per_vertex_sums(kernel, bits):
     povm = povm_for("icosidodecahedron")
-    with _interval_precision(bits):
-        _, rows = _icosi_probe_rows(povm, kernel)
-        reference = reference_probe_rows(povm, kernel)
-        for row, ref in zip(rows, reference):
-            assert_inside_and_no_wider(row[-1], ref[-1])
-        expected = _interval_solve(reference)
+    ctx = _interval_context(bits)
+    _, rows = _icosi_probe_rows(povm, kernel, ctx)
+    reference = reference_probe_rows(povm, kernel, ctx)
+    for row, ref in zip(rows, reference):
+        assert_inside_and_no_wider(row[-1], ref[-1])
+    expected = _interval_solve(reference)
     _, coefficients = _icosi_interval_coefficients(povm, bits, kernel)
     for enclosure, ref in zip(coefficients, expected):
         assert_inside_and_no_wider(enclosure, ref)
@@ -617,3 +646,85 @@ def test_mislabelled_vectors_refused_by_their_node_set():
                   family="icosidodecahedron")
     with pytest.raises(ValueError, match="node set"):
         certify_minimum(povm)
+
+
+# --------------------------------------------------------------------------
+# Polygon uniqueness by parity, against the float angle search
+# --------------------------------------------------------------------------
+
+def reference_polygon_uniqueness(povm):
+    """Enumerate circle points whose dots all lie in T, from angles rounded
+    at 1e-9, and compare them with the antipodal orbit (reads x and y)."""
+    T = interpolation_set(povm)
+    vertex_angles = [math.atan2(v.y, v.x) for v in povm.vectors]
+    candidates = set()
+    for t in T:
+        base = math.acos(min(1.0, max(-1.0, t)))
+        for theta in vertex_angles:
+            candidates.add(round((theta + base) % (2 * math.pi), 9))
+            candidates.add(round((theta - base) % (2 * math.pi), 9))
+    survivors = []
+    for phi in candidates:
+        dots = [math.cos(phi - theta) for theta in vertex_angles]
+        if all(min(abs(d - t) for t in T) < 1e-9 for d in dots):
+            survivors.append(phi)
+    anti = [theta + math.pi for theta in vertex_angles]
+
+    def close(a, b):
+        return math.hypot(math.cos(a) - math.cos(b),
+                          math.sin(a) - math.sin(b)) < 1e-6
+
+    hit = all(any(close(phi, a) for phi in survivors) for a in anti)
+    only = all(any(close(phi, a) for a in anti) for phi in survivors)
+    return hit and only
+
+
+def polygon_file(n, phase=0.0, tilt=None):
+    """An n-gon file, turned by phase in its plane and optionally tilted
+    out of it by rotation matrix tilt."""
+    angles = phase + 2 * math.pi * np.arange(n) / n
+    coords = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(n)])
+    if tilt is not None:
+        coords = coords @ tilt.T
+    return HsPovm.from_json(json.dumps({"vectors": coords.tolist(),
+                                        "family": f"{n}-gon"}))
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_polygon_parity_matches_float_search(n):
+    povm = make_hs_povm("n-gon", n)
+    verdict = _polygon_uniqueness(povm)
+    assert verdict == reference_polygon_uniqueness(povm)
+    assert verdict
+
+
+@pytest.mark.parametrize("n", (3, 5, 6, 12))
+def test_polygon_parity_in_plane_phase(n):
+    povm = polygon_file(n, phase=0.3 + 0.1 * n)
+    assert povm.group == f"C_{n}"
+    verdict = _polygon_uniqueness(povm)
+    assert verdict == reference_polygon_uniqueness(povm)
+    assert verdict
+
+
+@pytest.mark.parametrize("n", (5, 6))
+def test_polygon_parity_refuses_tilted_polygons(n):
+    c, s = math.cos(0.4), math.sin(0.4)
+    tilt = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    assert not _polygon_uniqueness(polygon_file(n, tilt=tilt))
+
+
+@pytest.mark.parametrize("group", ("C_4", "D2", None))
+def test_mislabelled_rectangle_not_proved_unique(group):
+    # a rectangle is no regular 4-gon: the parity premise fails whether the
+    # label comes with the 4-gon's own tag, the rectangle's (same order) or
+    # from a file; the orbit-minimum step already fails with the same reason
+    vectors = make_rectangle_povm(1.0).vectors
+    if group is None:
+        povm = HsPovm.from_json(json.dumps(
+            {"vectors": [v.as_array().tolist() for v in vectors], "family": "4-gon"}))
+    else:
+        povm = HsPovm(vectors=vectors, family="4-gon", group=group)
+    cert = certify_minimum(povm)
+    assert not cert.uniqueness_verdict and not cert.valid
+    assert cert.reason == "lower bound unexpectedly non-constant"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import iv
+from mpmath.ctx_iv import MPIntervalContext
 
 from hspovm.sturm import AmbiguousSignError, sturm_chain, sturm_root_count
 
@@ -73,3 +74,23 @@ class TestInterval:
         iv.prec = 120
         with pytest.raises(AmbiguousSignError):
             sturm_root_count([iv.mpf([-1, 1]), iv.mpf(0), iv.mpf(1)])
+
+
+class TestPrivateContext:
+    """Intervals of a context other than the global ``iv`` take the same
+    certified path: a sign is decided for the whole interval or not at all."""
+
+    @pytest.fixture
+    def ctx(self):
+        ctx = MPIntervalContext()
+        ctx.prec = 120
+        return ctx
+
+    def test_narrow_intervals_certify(self, ctx):
+        sqrt2 = ctx.sqrt(ctx.mpf(2))
+        assert sturm_root_count([-sqrt2 * sqrt2, ctx.mpf(0), ctx.mpf(1)]) == 2
+        assert sturm_root_count([ctx.mpf(1), ctx.mpf(0), ctx.mpf(1)]) == 0
+
+    def test_wide_interval_raises(self, ctx):
+        with pytest.raises(AmbiguousSignError):
+            sturm_root_count([ctx.mpf([-1, 1]), ctx.mpf(0), ctx.mpf(1)])
