@@ -33,7 +33,6 @@ from .bloch import BlochVector, EntropyKernel, SHANNON, h_array
 from .catalog import HsPovm, _group_of_tag, symmetry_group
 from .groups import RotationGroup, generate_group
 from .groups import orbit as group_orbit
-from .groups import stabilizer as group_stabilizer
 
 DEFAULT_GRID = 200_000
 REFINE_FTOL = 1e-13
@@ -557,21 +556,18 @@ def classify_inert_point(u: BlochVector, povm: HsPovm) -> CriticalPoint:
     whose stabilizer contains a rotation of order > 2 are classified by
     the statistic s = (2/|Gu|) sum (w.v) ln(1 + w.v): s > 1 means local
     minimum of H, s < 1 local maximum.  Remaining axis points (type III)
-    are probed along several geodesics with second differences.
+    are probed along several geodesics with second differences.  The type
+    comes from the classifier of :func:`find_extrema`, so a point within
+    1e-6 of an axis or antipode is classified as that point.
     """
-    arr = u.as_array()
-    coords = povm.matrix()
     value = entropy_at(u, povm)
-    if np.min(np.linalg.norm(coords + arr[None, :], axis=1)) < 1e-8:
+    label, stat = _type_of_point(u, povm, _group_of_tag(povm.group or "C_1"))
+    if label == "non-inert":
+        raise ValueError("point is not on a rotation axis of the POVM symmetry")
+    if label == "I":
         return CriticalPoint(location=u, value=value, kind="min",
                              type_label="I")
-    group = povm.rotation_group()
-    stab = group_stabilizer(group, u)
-    on_orbit = np.min(np.linalg.norm(coords - arr[None, :], axis=1)) < 1e-8
-    if stab.order < 2 and not on_orbit:
-        raise ValueError("point is not on a rotation axis of the POVM symmetry")
-    stat = _criterion_statistic(u, povm)
-    if _max_rotation_order(stab.elements) > 2:
+    if label == "II":
         if abs(stat - 1.0) < 1e-9:
             return CriticalPoint(location=u, value=value, kind="unclassified",
                                  type_label="degenerate",
@@ -580,6 +576,7 @@ def classify_inert_point(u: BlochVector, povm: HsPovm) -> CriticalPoint:
         return CriticalPoint(location=u, value=value, kind=kind,
                              type_label="II", classifier_statistic=stat)
     # type III: probe curvature along a fan of geodesics
+    arr = u.as_array()
     e1, e2 = _tangent_frame(arr)
     fan = np.array([math.cos(j * math.pi / 8) * e1 + math.sin(j * math.pi / 8) * e2
                     for j in range(8)])

@@ -13,8 +13,8 @@ import hspovm
 from conftest import ALL_FAMILIES, POLYHEDRA, povm_for
 from hspovm import entropy
 from hspovm.bloch import BlochVector, EntropyKernel, eta
-from hspovm.catalog import (HsPovm, _group_of_tag, make_hs_povm, make_rectangle_povm,
-                            symmetry_group)
+from hspovm.catalog import (HsPovm, _group_of_tag, inert_directions, make_hs_povm,
+                            make_rectangle_povm, symmetry_group)
 from hspovm.entropy import (
     CLUSTER_ANGLE,
     DOMAIN_CENTER,
@@ -299,6 +299,23 @@ class TestClassifier:
         povm = make_hs_povm("n-gon", 5)
         point = classify_inert_point(BlochVector(0, 0, 1), povm)
         assert point.kind == "max"
+
+    @pytest.mark.parametrize("family", ("cube", "icosahedron"))
+    def test_tolerance_is_the_one_of_find_extrema(self, family):
+        # 1e-7 off an inert axis is that axis (type and kind); 1e-5 off is
+        # no axis at all
+        povm = povm_for(family)
+
+        def off_axis(a, distance):
+            p = a + distance * _tangent_frame(a)[0]
+            return BlochVector.from_array(p / np.linalg.norm(p))
+
+        for axis in inert_directions(povm):
+            exact = classify_inert_point(axis, povm)
+            near = classify_inert_point(off_axis(axis.as_array(), 1e-7), povm)
+            assert (near.type_label, near.kind) == (exact.type_label, exact.kind)
+            with pytest.raises(ValueError, match="not on a rotation axis"):
+                classify_inert_point(off_axis(axis.as_array(), 1e-5), povm)
 
 
 class TestLandscape:
