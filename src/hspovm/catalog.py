@@ -282,10 +282,11 @@ def make_rectangle_povm(alpha: float) -> HsPovm:
     return HsPovm(vectors=(v1, -v1, v2, -v2), family=family, group="D2")
 
 
-def _design_directions(count: int = DESIGN_DIRECTIONS) -> np.ndarray:
-    rng = np.random.default_rng(DESIGN_SEED)
-    w = rng.normal(size=(count, 3))
-    return w / np.linalg.norm(w, axis=1, keepdims=True)
+#: the unit directions w of the design check, drawn once (read-only)
+_DESIGN_DIRECTIONS = np.random.default_rng(DESIGN_SEED).normal(
+    size=(DESIGN_DIRECTIONS, 3))
+_DESIGN_DIRECTIONS /= np.linalg.norm(_DESIGN_DIRECTIONS, axis=1, keepdims=True)
+_DESIGN_DIRECTIONS.setflags(write=False)
 
 
 def spherical_design_order(vectors, t_max: int = 5) -> int:
@@ -295,17 +296,17 @@ def spherical_design_order(vectors, t_max: int = 5) -> int:
     The sphere average of (w . v)^s is 0 for odd s and 1/(s+1) for even s;
     the check samples 200 fixed random directions at tolerance 1e-9.
     """
-    order = 0
-    for s, deviation in _design_moments(vectors, t_max):
-        if deviation > 1e-9:
-            break
-        order = s
-    return order
+    return _order_of_moments(_design_moments(vectors, t_max))
+
+
+def _order_of_moments(moments) -> int:
+    """The largest t whose moments of degrees 1..t all deviate by <= 1e-9."""
+    return next((s - 1 for s, deviation in moments if deviation > 1e-9), len(moments))
 
 
 def _design_moments(vectors, t_max: int = 5) -> tuple:
     coords = np.array([v.as_array() for v in vectors])
-    dots = _design_directions() @ coords.T
+    dots = _DESIGN_DIRECTIONS @ coords.T
     out = []
     for s in range(1, t_max + 1):
         target = 0.0 if s % 2 == 1 else 1.0 / (s + 1)
@@ -327,11 +328,12 @@ def validate_povm(vectors) -> DesignReport:
     coords = np.array([v.as_array() for v in vectors])
     is_povm = bool(np.linalg.norm(coords.sum(axis=0)) < 1e-10 * len(vectors))
     rank = int(np.sum(np.linalg.svd(coords, compute_uv=False) > 1e-8))
+    moments = _design_moments(vectors)
     return DesignReport(
         is_povm=is_povm,
         informationally_complete=rank == 3,
-        design_order=spherical_design_order(vectors) if is_povm else 0,
-        moment_values=_design_moments(vectors),
+        design_order=_order_of_moments(moments) if is_povm else 0,
+        moment_values=moments,
     )
 
 
