@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -476,8 +477,13 @@ class TestGlobalState:
             order = kernels[start:] + kernels[:start]
             return [repr(certify_minimum(povm, kernel)) for kernel in order]
 
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            results = list(pool.map(run, range(3)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)         # switch threads often
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                results = list(pool.map(run, range(3), timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
         for start, result in enumerate(results):
             assert result == serial[start:] + serial[:start]
         assert iv.prec == before
