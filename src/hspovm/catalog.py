@@ -282,11 +282,14 @@ def make_rectangle_povm(alpha: float) -> HsPovm:
     return HsPovm(vectors=(v1, -v1, v2, -v2), family=family, group="D2")
 
 
-#: the unit directions w of the design check, drawn once (read-only)
-_DESIGN_DIRECTIONS = np.random.default_rng(DESIGN_SEED).normal(
-    size=(DESIGN_DIRECTIONS, 3))
-_DESIGN_DIRECTIONS /= np.linalg.norm(_DESIGN_DIRECTIONS, axis=1, keepdims=True)
-_DESIGN_DIRECTIONS.setflags(write=False)
+@lru_cache(maxsize=1)
+def _design_directions() -> np.ndarray:
+    """The unit directions w of the design check, drawn once (read-only);
+    drawn on first use, so importing the package does not load numpy.random."""
+    w = np.random.default_rng(DESIGN_SEED).normal(size=(DESIGN_DIRECTIONS, 3))
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    w.setflags(write=False)
+    return w
 
 
 def spherical_design_order(vectors, t_max: int = 5) -> int:
@@ -306,7 +309,7 @@ def _order_of_moments(moments) -> int:
 
 def _design_moments(vectors, t_max: int = 5) -> tuple:
     coords = np.array([v.as_array() for v in vectors])
-    dots = _DESIGN_DIRECTIONS @ coords.T
+    dots = _design_directions() @ coords.T
     out = []
     for s in range(1, t_max + 1):
         target = 0.0 if s % 2 == 1 else 1.0 / (s + 1)

@@ -557,8 +557,10 @@ def classify_inert_point(u: BlochVector, povm: HsPovm) -> CriticalPoint:
     the statistic s = (2/|Gu|) sum (w.v) ln(1 + w.v): s > 1 means local
     minimum of H, s < 1 local maximum.  Remaining axis points (type III)
     are probed along several geodesics with second differences.  The type
-    comes from the classifier of :func:`find_extrema`, so a point within
-    1e-6 of an axis or antipode is classified as that point.
+    comes from the classifier of :func:`find_extrema` under the tagged
+    group (trivial for an untagged set, which keeps only its antipodes),
+    so a point within 1e-6 of an axis or antipode is classified as that
+    point.
     """
     value = entropy_at(u, povm)
     label, stat = _type_of_point(u, povm, _group_of_tag(povm.group or "C_1"))
