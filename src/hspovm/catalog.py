@@ -13,18 +13,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .bloch import BlochVector
-from .groups import POINT_TOL, TAU, RotationGroup, generate_group, orbit
+from .groups import POINT_TOL, RotationGroup, generate_group, orbit
+from .q5 import GOLDEN, TAU, Q5, dot
 
 CENTROID_TOL = 1e-12
 DESIGN_SEED = 42         # fixed seed for the random-direction design check
 DESIGN_DIRECTIONS = 200
 IMAGE_BATCH = 1 << 16    # image-vector pairs per batch of the symmetry check
+NODE_TOL = 1e-9          # node values closer than this are one node
 
 
 @dataclass(frozen=True)
@@ -32,12 +33,12 @@ class FamilySpec:
     """What the package knows about one highly symmetric family.
 
     The family is the orbit of ``seed`` under the rotation group ``group``
-    ("C" is C_n for the n-gon).  ``nodes`` is the exact node set {-gv . v}
-    as pairs (a, b) meaning a + b sqrt(5) (None for the n-gon).
-    ``strategy`` picks the certificate's orbit-minimum proof (constant,
-    sign of B with expected ``sign``, candidates or sturm; see
-    :mod:`hspovm.certificate`), which solves the coefficients of the
-    invariants ``basis`` from values at the ``probes`` directions.
+    ("C" is C_n for the n-gon).  ``seed`` and ``probes`` are exact (ints
+    and :class:`hspovm.q5.Q5`; floats through ``float()``), and the exact
+    orbit and node set {-gv . v} are computed from them.  ``strategy``
+    picks the certificate's orbit-minimum proof (constant, sign of B with
+    expected ``sign``, candidates or sturm; see :mod:`hspovm.certificate`),
+    which expands in the invariants ``basis`` from the ``probes``.
     ``inert`` seeds the classifier of symmetry-forced critical points;
     ``reference_W`` is the five-digit informational power.
     """
@@ -45,7 +46,6 @@ class FamilySpec:
     name: str
     group: str
     seed: tuple
-    nodes: tuple | None
     strategy: str
     sign: int = 0
     basis: tuple = ()
@@ -58,10 +58,10 @@ class FamilySpec:
         return f"C_{k}" if self.group == "C" else self.group
 
     def probe_points(self) -> list:
-        return [np.array(p) / np.linalg.norm(p) for p in self.probes]
+        points = [np.array(p, dtype=float) for p in self.probes]    # float() of each
+        return [p / np.linalg.norm(p) for p in points]
 
 
-_F = Fraction
 _AXES = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
 _T_AXES = ((0, 0, 1), (1, 1, 1), (-1, -1, -1))
 _O_AXES = ((0, 0, 1), (0, 1, 1), (1, 1, 1))
@@ -69,37 +69,27 @@ _I_AXES = ((0, 0, 1), (0, TAU, 1), (0, 1 / TAU, TAU))
 
 #: the family registry, in catalog-table order
 FAMILY_SPECS = {spec.name: spec for spec in (
-    FamilySpec("digon", "D2", (0, 0, 1), ((-1, 0), (1, 0)), "constant",
+    FamilySpec("digon", "D2", (0, 0, 1), "constant",
                inert=_AXES, reference_W=0.69315),
-    FamilySpec("n-gon", "C", (1, 0, 0), None, "constant"),
-    FamilySpec("tetrahedron", "T", (1, 1, 1), ((-1, 0), (_F(1, 3), 0)),
-               "constant", inert=_T_AXES, reference_W=0.28768),
-    FamilySpec("octahedron", "O", (0, 0, 1), ((-1, 0), (0, 0), (1, 0)),
-               "constant", inert=_O_AXES, reference_W=0.23105),
-    FamilySpec("cube", "O", (1, 1, 1),
-               ((-1, 0), (_F(-1, 3), 0), (_F(1, 3), 0), (1, 0)),
-               "sign", sign=1, basis=("I4",), probes=((0, 0, 1), (1, 1, 1)),
+    FamilySpec("n-gon", "C", (1, 0, 0), "constant"),
+    FamilySpec("tetrahedron", "T", (1, 1, 1), "constant",
+               inert=_T_AXES, reference_W=0.28768),
+    FamilySpec("octahedron", "O", (0, 0, 1), "constant",
+               inert=_O_AXES, reference_W=0.23105),
+    FamilySpec("cube", "O", (1, 1, 1), "sign", sign=1, basis=("I4",),
+               probes=((0, 0, 1), (1, 1, 1)),
                inert=_O_AXES, reference_W=0.21576),
-    FamilySpec("cuboctahedron", "O", (0, 1, 1),
-               ((-1, 0), (_F(-1, 2), 0), (0, 0), (_F(1, 2), 0), (1, 0)),
-               "candidates", basis=("I4", "I6"),
+    FamilySpec("cuboctahedron", "O", (0, 1, 1), "candidates", basis=("I4", "I6"),
                probes=((0, 0, 1), (0, 1, 1), (1, 1, 1)),
                inert=_O_AXES, reference_W=0.20273),
-    FamilySpec("icosahedron", "I", (0, TAU, 1),
-               ((-1, 0), (0, _F(-1, 5)), (0, _F(1, 5)), (1, 0)),
-               "constant", inert=_I_AXES, reference_W=0.20189),
-    FamilySpec("dodecahedron", "I", (0, 1 / TAU, TAU),
-               ((-1, 0), (0, _F(-1, 3)), (_F(-1, 3), 0), (_F(1, 3), 0),
-                (0, _F(1, 3)), (1, 0)),
-               "sign", sign=-1, basis=("I6p",),
-               probes=((0, TAU, 1), (0, 1 / TAU, TAU)),
+    FamilySpec("icosahedron", "I", (0, GOLDEN, 1), "constant",
+               inert=_I_AXES, reference_W=0.20189),
+    FamilySpec("dodecahedron", "I", (0, 1 / GOLDEN, GOLDEN), "sign", sign=-1,
+               basis=("I6p",), probes=((0, GOLDEN, 1), (0, 1 / GOLDEN, GOLDEN)),
                inert=_I_AXES, reference_W=0.19686),
-    FamilySpec("icosidodecahedron", "I", (0, 0, 1),
-               ((-1, 0), (_F(-1, 4), _F(-1, 4)), (_F(-1, 2), 0),
-                (_F(1, 4), _F(-1, 4)), (0, 0), (_F(-1, 4), _F(1, 4)),
-                (_F(1, 2), 0), (_F(1, 4), _F(1, 4)), (1, 0)),
-               "sturm", basis=("I6p", "I10", "I6p^2"),
-               probes=((0, 0, 1), (0, TAU, 1), (0, 1 / TAU, TAU), (3, 4, 12)),
+    FamilySpec("icosidodecahedron", "I", (0, 0, 1), "sturm",
+               basis=("I6p", "I10", "I6p^2"),
+               probes=((0, 0, 1), (0, GOLDEN, 1), (0, 1 / GOLDEN, GOLDEN), (3, 4, 12)),
                inert=_I_AXES, reference_W=0.19486),
 )}
 
@@ -112,6 +102,22 @@ def family_spec(name: str) -> FamilySpec | None:
     if name == "ngon" or (name.endswith("-gon") and name[:-4].isdigit()):
         name = "n-gon"
     return FAMILY_SPECS.get(name)
+
+
+@lru_cache(maxsize=None)
+def exact_orbit(name: str) -> tuple:
+    """The distinct images g s of the family's exact seed s under its exact
+    group, in group order (every family but the n-gon)."""
+    seed = tuple(map(Q5.of, FAMILY_SPECS[name].seed))
+    group = _group_of_tag(FAMILY_SPECS[name].group)
+    return tuple(dict.fromkeys(tuple(dot(row, seed) for row in g) for g in group.exact))
+
+
+@lru_cache(maxsize=None)
+def exact_nodes(name: str) -> tuple:
+    """The sorted distinct values -(g s) . s / (s . s): the exact node set."""
+    seed = exact_orbit(name)[0]         # the identity comes first
+    return tuple(sorted({-dot(v, seed) / dot(seed, seed) for v in exact_orbit(name)}))
 
 
 @dataclass(frozen=True)
@@ -154,6 +160,14 @@ class HsPovm:
             raise ValueError(f"POVM family {self.family!r} carries no group tag")
         return _group_of_tag(self.group)
 
+    @cached_property
+    def symmetry_group(self) -> RotationGroup:
+        """The tagged group if it maps the vectors onto themselves, else the
+        trivial group; checked on the coordinates, once per POVM."""
+        if self.group and _maps_onto_itself(_group_of_tag(self.group), self._coords):
+            return _group_of_tag(self.group)
+        return _group_of_tag("C_1")
+
     def is_coplanar(self) -> bool:
         return bool(np.max(np.abs(self.matrix()[:, 2])) < 1e-12)
 
@@ -166,13 +180,10 @@ class HsPovm:
         if that group maps the vectors onto themselves."""
         payload = json.loads(text)
         vectors = tuple(BlochVector.from_array(v) for v in payload["vectors"])
-        povm = cls(vectors=vectors, family=payload.get("family", "custom"))
-        spec = family_spec(povm.family)
-        if spec is not None:
-            tag = spec.tag(povm.k)
-            if _maps_onto_itself(_group_of_tag(tag), povm.matrix()):
-                return cls(vectors=vectors, family=povm.family, group=tag)
-        return povm
+        family = payload.get("family", "custom")
+        spec = family_spec(family)
+        povm = cls(vectors=vectors, family=family, group=spec.tag(len(vectors)) if spec else "")
+        return povm if povm.symmetry_group.name == povm.group else cls(vectors, family)
 
 
 @lru_cache(maxsize=None)
@@ -198,17 +209,6 @@ def _maps_onto_itself(group: RotationGroup, coords: np.ndarray) -> bool:
             return False
         start, step = start + step, min(2 * step, limit)
     return True
-
-
-def symmetry_group(povm: HsPovm) -> RotationGroup:
-    """The POVM's tagged rotation group if it maps the vectors onto
-    themselves (checked on the coordinates, so a wrong tag is caught), else
-    the trivial group."""
-    try:
-        group = povm.rotation_group()
-    except ValueError:
-        return _group_of_tag("C_1")
-    return group if _maps_onto_itself(group, povm.matrix()) else _group_of_tag("C_1")
 
 
 def inert_directions(povm: HsPovm) -> list:
@@ -238,7 +238,8 @@ class DesignReport:
 
 
 def _orbit_povm(spec: FamilySpec) -> tuple:
-    v = BlochVector.from_array(np.array(spec.seed) / np.linalg.norm(spec.seed))
+    seed = np.array(spec.seed, dtype=float)
+    v = BlochVector.from_array(seed / np.linalg.norm(seed))
     points = orbit(_group_of_tag(spec.group), v)
     # fiducial convention: the canonical seed leads the ordered list
     points.remove(min(points, key=lambda p: np.linalg.norm(p.as_array() - v.as_array())))
@@ -340,12 +341,13 @@ def validate_povm(vectors) -> DesignReport:
     )
 
 
-def interpolation_set(povm: HsPovm, tol: float = 1e-9) -> list:
-    """Sorted distinct node values {-v . u} over the orbit, v the fiducial."""
+def interpolation_set(povm: HsPovm) -> list:
+    """Sorted distinct node values {-v . u} over the orbit, v the fiducial;
+    values within NODE_TOL of the previous one are that node."""
     v = povm.fiducial.as_array()
     raw = sorted(np.clip(-povm.matrix() @ v, -1.0, 1.0))
     nodes = []
     for value in raw:
-        if not nodes or value - nodes[-1] > tol:
+        if not nodes or value - nodes[-1] > NODE_TOL:
             nodes.append(float(value))
     return nodes

@@ -20,10 +20,9 @@ The pipeline, per family:
    cuboctahedron, dodecahedron); or, for the icosidodecahedron, an interval
    Sturm chain shows that the zero-level parabola of P misses the orbit-map
    range except at the origin, and P is positive at a corner of the range.
-   Its invariant coefficients are solved in interval arithmetic from the
-   orbit sums at the probes, sum_j p(v_j . x) = sum_i c_i M_i(x) for
-   p = sum_i c_i t^i, whose power moments M_i(x) = sum_j (v_j . x)^i are
-   exact in Q(sqrt 5) up to the one square root |x|;
+   Its invariant coefficients are (A, B, C, D) = sum_i c_i L_i for
+   p = sum_i c_i t^i (c_i in interval arithmetic) and the exact matrix L
+   with sum_j (v_j . x)^i = L_i . (1, I6', I10, I6'^2)(x) on the sphere;
 6. close uniqueness: any further global minimizer w would need all its
    dots {w . u} inside T, which the design moment equations, solved in
    integers, rule out unless -1 is among them.
@@ -38,18 +37,22 @@ and certificates computed side by side in threads do not interfere.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
 from mpmath.ctx_iv import MPIntervalContext
 
 from .bloch import EntropyKernel, SHANNON
-from .catalog import (HsPovm, _group_of_tag, _maps_onto_itself, family_spec,
-                      interpolation_set, spherical_design_order)
-from .groups import TAU
-from .invariants import J15_SQUARED_TERMS, evaluate_invariant, i6_prime, i10
+from .catalog import (FAMILY_SPECS, HsPovm, _group_of_tag, _maps_onto_itself,
+                      exact_nodes, exact_orbit, family_spec, interpolation_set,
+                      spherical_design_order)
+from .invariants import (J15_SQUARED_TERMS, evaluate_invariant, i6_prime, i10,
+                         invariant_degree)
+from .q5 import GOLDEN, Q5, dot
 from .sturm import AmbiguousSignError, _sign, sturm_root_count
 
 STURM_PRECISIONS = (200, 320, 512)
@@ -352,32 +355,6 @@ def expand_in_invariants(povm: HsPovm, evaluator) -> dict:
 # Uniqueness bookkeeping (exact arithmetic in Q(sqrt 5))
 # --------------------------------------------------------------------------
 
-def _q5_mul(x, y):
-    """(a + b sqrt 5)(c + d sqrt 5) for integer pairs (a, b), (c, d)."""
-    return x[0] * y[0] + 5 * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def _q5_power(node, s: int):
-    """(p + q sqrt 5)^s as an integer pair."""
-    power = (1, 0)
-    for _ in range(s):
-        power = _q5_mul(power, node)
-    return power
-
-
-def _q5_dot(x, y):
-    """Dot product of two vectors of integer pairs, as an integer pair."""
-    terms = [_q5_mul(a, b) for a, b in zip(x, y)]
-    return sum(p for p, _ in terms), sum(q for _, q in terms)
-
-
-def _q5_integer_nodes(exact_nodes):
-    """The common denominator d of the nodes a + b sqrt 5 (rational a, b)
-    and the integer pairs (d a, d b)."""
-    d = math.lcm(*(Fraction(x).denominator for node in exact_nodes for x in node))
-    return d, [(int(Fraction(a) * d), int(Fraction(b) * d)) for a, b in exact_nodes]
-
-
 def _moment_constrained_feasible(exact_nodes, k: int, design_order: int,
                                  centrally_symmetric: bool) -> bool:
     """Whether the node multiset equations admit a solution avoiding -1.
@@ -388,11 +365,13 @@ def _moment_constrained_feasible(exact_nodes, k: int, design_order: int,
     forces a dot of -1.  Infeasibility proves w must realize -1, i.e. lie
     on the antipodal orbit.
 
-    Each node a + b sqrt 5 is an integer pair over the common denominator
-    d, so each moment equation is two integer equations; the search prunes
-    on real values and tests the integers at its leaves.
+    Each node (a :class:`hspovm.q5.Q5`) times the common denominator d is
+    an integer pair, so each moment equation is two integer equations; the
+    search prunes on real values and tests the integers at its leaves.
     """
-    d, nodes = _q5_integer_nodes(exact_nodes)
+    d = math.lcm(*(node.d for node in exact_nodes))
+    scaled = [node * d for node in exact_nodes]
+    nodes = [(x.a, x.b) for x in scaled]
     root5 = math.sqrt(5.0)
     values = [(p + q * root5) / d for p, q in nodes]
     banned = {i for i, t in enumerate(values) if t < -1 + 1e-12}
@@ -406,7 +385,7 @@ def _moment_constrained_feasible(exact_nodes, k: int, design_order: int,
         moments.append((2, Fraction(k, 3)))
     if design_order >= 4:
         moments.append((4, Fraction(k, 5)))
-    powers = [[_q5_power(nodes[i], s) for i in usable] for s, _ in moments]
+    powers = [[(p.a, p.b) for p in (scaled[i] ** s for i in usable)] for s, _ in moments]
     floats = [[values[i] ** s for i in usable] for s, _ in moments]
     # per moment, fixed for the whole search: d^s, the float target and the
     # smallest and largest power over each suffix of the usable nodes
@@ -476,104 +455,60 @@ def _parabola_quartic(B, C, D, tau):
     return [acc.get(m, zero) for m in range(2, 7)]
 
 
-def _q5_eighths(x: float):
-    """The integer pair (a, b) with 8x = a + b sqrt 5, for the float x of an
-    icosahedral symbol: a quarter-integer, or a quarter-integer multiple of
-    tau or 1/tau."""
-    for scale, (a, b) in ((1.0, (2, 0)), (TAU, (1, 1)), (1.0 / TAU, (-1, 1))):
-        quarters = 4.0 * x / scale
-        if abs(quarters - round(quarters)) < 1e-6:
-            return round(quarters) * a, round(quarters) * b
-    raise ValueError(f"coordinate {x} is not an icosahedral symbol")
-
-
-def _orbit_power_moments(verts, seed, degree: int) -> list:
-    """The power moments M_i = sum_j (V_j . S)^i, i = 0..degree, of the
-    vertices V_j about S, exact: every coordinate is an integer pair."""
-    dots = [_q5_dot(v, seed) for v in verts]
-    powers, moments = [(1, 0)] * len(dots), [(len(dots), 0)]
-    for _ in range(degree):
-        powers = [_q5_mul(p, t) for p, t in zip(powers, dots)]
-        moments.append((sum(p for p, _ in powers), sum(q for _, q in powers)))
-    return moments
-
-
-def _icosi_probe_rows(povm: HsPovm, kernel: EntropyKernel,
-                      ctx: MPIntervalContext):
-    """tau and the rows [1, invariants at x, sum_j p(v_j . x)] of the
-    expansion system at each unit probe x, in the interval context ctx.
-
-    The interpolant p = sum_i c_i t^i is built on the registry's exact
-    nodes, so the orbit sum is sum_i c_i M_i(x) with the orbit's power
-    moments M_i, exact in Q(sqrt 5) about the unnormalized probe S and
-    scaled by |S|^-i; that square root is the only irrational step, and
-    the moments that vanish (every odd one, the orbit being centrally
-    symmetric) drop out.
-    """
-    spec = family_spec(povm.family)
-    verts = [[_q5_eighths(c) for c in row] for row in povm.matrix()]
-    nodes = _hermite_nodes(povm)
-    d, exact = _q5_integer_nodes(spec.nodes)
-    exact.sort(key=lambda n: n[0] + n[1] * math.sqrt(5.0))
-    if len(exact) != len(nodes) or any(
-            abs((a + b * math.sqrt(5.0)) / d - t) > 1e-9
-            for (a, b), (t, _) in zip(exact, nodes)):
-        raise ValueError(f"node set of the vectors is not the {spec.name}'s")
-    root5 = ctx.sqrt(ctx.mpf(5))
-    tau = (1 + root5) / 2
-
-    def lift(pair):
-        return pair[0] + pair[1] * root5
-
-    f, fp = _kernel_h(kernel, ctx.mpf, ctx.log)
-    mono = _hermite_monomial(
-        f, fp, [(lift(n) / d, m) for n, (_, m) in zip(exact, nodes)], ctx.mpf(0))
-    rows = []
-    for seed in spec.probes:
-        s = [_q5_eighths(c) for c in seed]
-        length = ctx.sqrt(lift(_q5_dot(s, s)))           # 8 |S|
-        x = [lift(c) / length for c in s]
-        # the pairs are eighths, so V_j . S is 64 v_j . S and M_i carries 64^i
-        norm = 8 * length
-        moments = _orbit_power_moments(verts, s, len(mono) - 1)
-        total = sum(c * lift(m) / norm ** i
-                    for i, (c, m) in enumerate(zip(mono, moments)) if m != (0, 0))
-        rows.append([ctx.mpf(1)] + [evaluate_invariant(name, x, tau=tau)
-                                   for name in spec.basis] + [total])
-    return tau, rows
-
-
-def _interval_solve(m) -> list:
-    """Solution of the augmented interval system m by Gauss-Jordan
-    elimination (the first row of the expansion system is (1, 0, 0, 0):
-    benign pivots)."""
+@lru_cache(maxsize=None)
+def _expansion_matrix(name: str, degree: int) -> dict:
+    """The exact expansion matrix of an icosahedral family, {i: L_i} for
+    even i <= degree: sum_j (v_j . x)^i = L_i . (1, I_1(x), ...) on the unit
+    sphere for the family's basis invariants I_d, by Gauss-Jordan
+    elimination at the probes.  Both sides are homogeneous, so at a probe S
+    the left side is sum_j ((V_j . S)^2 / (V_j . V_j S . S))^(i/2) and I_d
+    is I_d(S) / (S . S)^(d/2): no square root.  The odd power sums of the
+    (checked) centrally symmetric orbit vanish."""
+    orbit = exact_orbit(name)
+    if set(orbit) != {tuple(-c for c in v) for v in orbit}:
+        raise ValueError(f"the {name} orbit is not centrally symmetric")
+    m = []                                  # rows [invariants | power sums]
+    for s in (tuple(map(Q5.of, probe)) for probe in FAMILY_SPECS[name].probes):
+        norm = dot(s, s)
+        m.append([Q5(1)] + [evaluate_invariant(b, s, tau=GOLDEN)
+                            / norm ** (invariant_degree(b) // 2) for b in FAMILY_SPECS[name].basis])
+        cosines = Counter(dot(v, s) ** 2 / (dot(orbit[0], orbit[0]) * norm) for v in orbit)
+        terms = [Q5(n) for n in cosines.values()]   # n c^(i/2) per distinct squared cosine c
+        for _ in range(0, degree + 1, 2):
+            m[-1].append(sum(terms, Q5()))
+            terms = [t * c for t, c in zip(terms, cosines)]
     size = len(m)
-    for col in range(size):
-        pivot_row = None
-        for r in range(col, size):
-            entry = m[r][col]
-            if entry.a > 0 or entry.b < 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise AmbiguousSignError("pivot straddles zero in interval solve")
-        m[col], m[pivot_row] = m[pivot_row], m[col]
-        for r in range(size):
-            if r == col:
-                continue
-            factor = m[r][col] / m[col][col]
-            m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [m[r][size] / m[r][r] for r in range(size)]
+    for c in range(size):
+        pivot = next(r for r in range(c, size) if m[r][c] != 0)
+        m[c], m[pivot] = m[pivot], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        m = [row if r == c or row[c] == 0 else [x - row[c] * y for x, y in zip(row, m[c])]
+             for r, row in enumerate(m)]
+    return {i: tuple(row[size + i // 2] for row in m) for i in range(0, degree + 1, 2)}
 
 
 def _icosi_interval_coefficients(povm: HsPovm, precision: int,
                                  kernel: EntropyKernel = SHANNON):
-    """Enclosures of the expansion coefficients A, B, C, D at the given
-    working precision: the interpolant on the exact nodes, the probe
-    values from the orbit's exact power moments (:func:`_icosi_probe_rows`)
-    and the linear solve, all in interval arithmetic."""
-    tau, rows = _icosi_probe_rows(povm, kernel, _interval_context(precision))
-    return tau, _interval_solve(rows)     # [A, B, C, D]
+    """tau and enclosures of A, B, C, D at the given working precision:
+    (A, B, C, D) = sum_i c_i L_i with the interpolant's interval monomial
+    coefficients c_i on the exact nodes and the exact expansion matrix L,
+    once the vectors are checked to be the registry's orbit."""
+    name = family_spec(povm.family).name
+    # the vectors must be the exact orbit up to permutation, to 1e-9: each
+    # vector near one orbit point and each orbit point near one vector
+    exact = np.array(exact_orbit(name), dtype=float)
+    exact /= np.linalg.norm(exact, axis=1, keepdims=True)
+    gaps = np.linalg.norm(povm.matrix()[:, None, :] - exact[None, :, :], axis=-1)
+    if gaps.shape != (len(exact),) * 2 or max(np.max(gaps.min(0)), np.max(gaps.min(1))) >= 1e-9:
+        raise ValueError(f"node set of the vectors is not the {name}'s")
+    ctx = _interval_context(precision)
+    f, fp = _kernel_h(kernel, ctx.mpf, ctx.log)
+    nodes = [(t.lift(ctx), 1 if t in (-1, 1) else 2) for t in exact_nodes(name)]
+    mono = _hermite_monomial(f, fp, nodes, ctx.mpf(0))
+    expansion = _expansion_matrix(name, len(mono) - 1)
+    coefficients = [sum(mono[i] * row[d].lift(ctx) for i, row in expansion.items())
+                    for d in range(len(expansion[0]))]
+    return GOLDEN.lift(ctx), coefficients
 
 
 def _positivity(B, C, D, tau):
@@ -636,8 +571,7 @@ def icosidodeca_positivity(B: float, C: float, D: float) -> bool:
 
     def decide(precision):
         ctx = _interval_context(precision)
-        tau = (1 + ctx.sqrt(ctx.mpf(5))) / 2
-        return _positivity(ctx.mpf(B), ctx.mpf(C), ctx.mpf(D), tau)[1]
+        return _positivity(ctx.mpf(B), ctx.mpf(C), ctx.mpf(D), GOLDEN.lift(ctx))[1]
 
     return _at_rising_precision(decide)[0]
 
@@ -751,7 +685,7 @@ def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCer
         # alpha): the bound is an identity and minimizers degenerate
         uniqueness = False
         reason = reason or "kernel reproduced exactly; minimizers not isolated"
-    elif spec.nodes is None:
+    elif spec.group == "C":
         uniqueness = _polygon_uniqueness(povm)
     else:
         coords = povm.matrix()
@@ -759,7 +693,7 @@ def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCer
             np.min(np.linalg.norm(coords + v[None, :], axis=1)) < 1e-9
             for v in coords)
         uniqueness = not _moment_constrained_feasible(
-            spec.nodes, povm.k, design, centrally_symmetric)
+            exact_nodes(spec.name), povm.k, design, centrally_symmetric)
     if not uniqueness:
         reason = reason or "uniqueness bookkeeping admits a stray minimizer"
 

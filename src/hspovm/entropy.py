@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bloch import BlochVector, EntropyKernel, SHANNON, h_array
-from .catalog import HsPovm, _group_of_tag, symmetry_group
+from .catalog import HsPovm, _group_of_tag
 from .groups import RotationGroup, generate_group
 from .groups import orbit as group_orbit
 
@@ -472,7 +472,7 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
     def objective(p):
         return sign * _entropy_of_dots(coords @ p, k, kernel)
 
-    group = symmetry_group(povm)
+    group = povm.symmetry_group
     if povm.is_coplanar() or povm.k == 2:
         points = _circle_refined(povm, values, rows, n_scan // 16)
         flags = [True] * len(points)
@@ -557,13 +557,13 @@ def classify_inert_point(u: BlochVector, povm: HsPovm) -> CriticalPoint:
     the statistic s = (2/|Gu|) sum (w.v) ln(1 + w.v): s > 1 means local
     minimum of H, s < 1 local maximum.  Remaining axis points (type III)
     are probed along several geodesics with second differences.  The type
-    comes from the classifier of :func:`find_extrema` under the tagged
-    group (trivial for an untagged set, which keeps only its antipodes),
-    so a point within 1e-6 of an axis or antipode is classified as that
-    point.
+    comes from the classifier of :func:`find_extrema` under the same group
+    (trivial for an untagged or wrongly tagged set, which keeps only its
+    antipodes), so a point within 1e-6 of an axis or antipode is
+    classified as that point.
     """
     value = entropy_at(u, povm)
-    label, stat = _type_of_point(u, povm, _group_of_tag(povm.group or "C_1"))
+    label, stat = _type_of_point(u, povm, povm.symmetry_group)
     if label == "non-inert":
         raise ValueError("point is not on a rotation axis of the POVM symmetry")
     if label == "I":

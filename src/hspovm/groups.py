@@ -6,10 +6,14 @@ fixed once and for all so that the invariant polynomials in
 :mod:`hspovm.invariants` apply verbatim:
 
 * ``C_n``  rotations about the z-axis,
+* ``D2``   the three coordinate-axis half-turns,
 * ``T``    3-fold axes through the even-sign vertices (+-1, +-1, +-1),
 * ``O``    4-fold axes along the coordinate axes,
 * ``I``    5-fold axes through the icosahedron vertices (0, +-tau, +-1),
   (+-tau, +-1, 0), (+-1, 0, +-tau), with tau the golden ratio.
+
+D2, T, O and I are closed exactly in Q(sqrt 5) (:mod:`hspovm.q5`); their
+float elements are the images of the exact ones, so nothing is snapped.
 """
 
 from __future__ import annotations
@@ -20,20 +24,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochVector
-
-TAU = (1.0 + math.sqrt(5.0)) / 2.0
+from .q5 import TAU, Q5, dot  # noqa: F401  (TAU is still imported from here)
 
 MATRIX_TOL = 1e-8     # Frobenius tolerance for matrix equality
 POINT_TOL = 1e-8      # orbit point dedup tolerance
 
-# Entries of T, O and I elements in canonical orientation are exactly these
-# algebraic numbers; snapping stabilizes the double-coset partition.
-_SNAP_VALUES = np.array(
-    [0.0, 0.5, -0.5, 1.0, -1.0, TAU / 2.0, -TAU / 2.0,
-     1.0 / (2.0 * TAU), -1.0 / (2.0 * TAU)]
-)
+_HALF, _TAU_2, _INV_2TAU = Q5(1, 0, 2), Q5(1, 1, 4), Q5(-1, 1, 4)
+_SHIFT = ((0, 0, 1), (1, 0, 0), (0, 1, 0))      # 120 deg about (1, 1, 1)
 
-EXPECTED_ORDER = {"T": 12, "O": 24, "I": 60}
+_GENERATORS = {
+    "D2": (((1, 0, 0), (0, -1, 0), (0, 0, -1)), ((-1, 0, 0), (0, 1, 0), (0, 0, -1))),
+    "T": (_SHIFT, ((-1, 0, 0), (0, -1, 0), (0, 0, 1))),
+    "O": (_SHIFT, ((0, -1, 0), (1, 0, 0), (0, 0, 1))),   # quarter-turn about z
+    "I": (_SHIFT, ((_INV_2TAU, -_HALF, _TAU_2),          # 2 pi/5 about (0, tau, 1)
+                   (_HALF, _TAU_2, _INV_2TAU),
+                   (-_TAU_2, _INV_2TAU, _HALF))),
+}
+EXPECTED_ORDER = {"D2": 4, "T": 12, "O": 24, "I": 60}
 
 
 @dataclass(frozen=True)
@@ -42,6 +49,7 @@ class RotationGroup:
 
     name: str
     elements: tuple  # tuple of 3x3 ndarrays (read-only)
+    exact: tuple = ()  # the same elements as rows of Q5 (D2, T, O, I only)
 
     @property
     def order(self) -> int:
@@ -71,16 +79,6 @@ def _freeze(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _snap(m: np.ndarray) -> np.ndarray:
-    """Snap matrix entries to the exact algebraic candidate set."""
-    flat = m.ravel()
-    idx = np.argmin(np.abs(flat[:, None] - _SNAP_VALUES[None, :]), axis=1)
-    nearest = _SNAP_VALUES[idx]
-    good = np.abs(flat - nearest) < 1e-6
-    out = np.where(good, nearest, flat)
-    return out.reshape(3, 3)
-
-
 def rotation_matrix(axis, angle: float) -> np.ndarray:
     """Rotation by ``angle`` about ``axis`` (Rodrigues formula)."""
     n = np.asarray(axis, dtype=float)
@@ -92,24 +90,27 @@ def rotation_matrix(axis, angle: float) -> np.ndarray:
     return c * np.eye(3) + s * cross + (1.0 - c) * np.outer(n, n)
 
 
-def _matrix_key(m: np.ndarray) -> bytes:
-    return np.round(m, 9).tobytes()
+def _closure(generators, expected_order: int) -> list:
+    """The group generated by exact matrices (rows of Q5), breadth first
+    from the identity, keyed by the exact entries."""
+    def exact(m):
+        return tuple(tuple(Q5.of(x) for x in row) for row in m)
 
+    def product(g, a):
+        cols = tuple(zip(*a))
+        return tuple(tuple(dot(row, col) for col in cols) for row in g)
 
-def _closure(generators, expected_order: int, snap: bool) -> list:
-    elements = {_matrix_key(np.eye(3)): np.eye(3)}
-    frontier = [np.eye(3)]
-    gens = [(_snap(g) if snap else g) for g in generators]
+    identity = exact(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    gens = [exact(g) for g in generators]
+    elements = {identity: None}
+    frontier = [identity]
     while frontier:
         new_frontier = []
         for a in frontier:
             for g in gens:
-                prod = g @ a
-                if snap:
-                    prod = _snap(prod)
-                key = _matrix_key(prod)
-                if key not in elements:
-                    elements[key] = prod
+                prod = product(g, a)
+                if prod not in elements:
+                    elements[prod] = None
                     new_frontier.append(prod)
                     if len(elements) > expected_order:
                         raise RuntimeError(
@@ -122,49 +123,22 @@ def _closure(generators, expected_order: int, snap: bool) -> list:
             f"group closure reached {len(elements)} elements, "
             f"expected {expected_order}"
         )
-    return list(elements.values())
+    return list(elements)
 
 
 def generate_group(name: str, n: int = None) -> RotationGroup:
-    """Build a rotation group by tag: C_n (needs n), T, O or I.
-
-    Elements are produced by generator closure, deduplicated at 1e-8 and
-    snapped to exact algebraic entries for the polyhedral groups.
-    """
+    """Build a rotation group by tag: C_n (needs n, built in floats), D2,
+    T, O or I (exact generator closure, floats the images)."""
     if name in ("C", "C_n"):
         if n is None or n < 1:
             raise ValueError("C_n needs n >= 1")
         mats = [rotation_matrix([0, 0, 1], 2.0 * math.pi * j / n) for j in range(n)]
         return RotationGroup(f"C_{n}", tuple(_freeze(m) for m in mats))
-    if name == "T":
-        gens = [
-            # 120 deg about (1,1,1): cyclic coordinate shift
-            np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-            np.diag([-1.0, -1.0, 1.0]),
-        ]
-    elif name == "O":
-        gens = [
-            np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-            rotation_matrix([0, 0, 1], math.pi / 2.0),
-        ]
-    elif name == "I":
-        axis5 = np.array([0.0, TAU, 1.0]) / math.sqrt(TAU + 2.0)
-        gens = [
-            np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-            rotation_matrix(axis5, 2.0 * math.pi / 5.0),
-        ]
-    elif name == "D2":
-        # digon/rectangle symmetry: the three coordinate-axis half-turns
-        mats = [np.eye(3), np.diag([1.0, -1.0, -1.0]),
-                np.diag([-1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0])]
-        return RotationGroup("D2", tuple(_freeze(m) for m in mats))
-    else:
+    if name not in _GENERATORS:
         raise ValueError(f"unknown group tag {name!r}")
-    mats = _closure(gens, EXPECTED_ORDER[name], snap=True)
-    for m in mats:
-        if np.linalg.norm(m @ m.T - np.eye(3)) > 1e-10:
-            raise RuntimeError("non-orthogonal element after closure")
-    return RotationGroup(name, tuple(_freeze(m) for m in mats))
+    exact = tuple(_closure(_GENERATORS[name], EXPECTED_ORDER[name]))
+    return RotationGroup(name, tuple(_freeze([[float(x) for x in row] for row in m])
+                                     for m in exact), exact)
 
 
 def orbit(g: RotationGroup, v: BlochVector) -> list:
@@ -214,17 +188,14 @@ def double_coset_profile(g: RotationGroup, v: BlochVector) -> DoubleCosetProfile
     arr = v.as_array()
     mats = list(g.elements)
     stab_idx = _stabilizer_indices(g, arr)
-    keys = [_matrix_key(_snap(m)) for m in mats]
-    index_of = {k: i for i, k in enumerate(keys)}
+    stack = g.matrix_stack()
 
     def locate(m: np.ndarray) -> int:
-        key = _matrix_key(_snap(m))
-        if key in index_of:
-            return index_of[key]
-        for i, other in enumerate(mats):  # tolerance fallback
-            if np.linalg.norm(m - other) < MATRIX_TOL:
-                return i
-        raise RuntimeError("product left the group; closure is broken")
+        gaps = np.linalg.norm(stack - m, axis=(1, 2))
+        nearest = int(np.argmin(gaps))
+        if gaps[nearest] >= MATRIX_TOL:
+            raise RuntimeError("product left the group; closure is broken")
+        return nearest
 
     assigned = [None] * len(mats)
     cosets = []

@@ -105,6 +105,12 @@ def invariant_basis(group: str) -> tuple:
     return _BASES[group]
 
 
+def invariant_degree(name: str) -> int:
+    """Degree of an invariant named I<d>, I<d>p or a power ("I6p^2": 12)."""
+    base, _, power = name.partition("^")
+    return int(base[1:].rstrip("p")) * int(power or 1)
+
+
 def evaluate_invariant(name: str, p, n: int = None, tau=TAU) -> float:
     """Evaluate a named invariant at a 3-vector (canonical orientation).
 

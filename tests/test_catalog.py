@@ -1,4 +1,6 @@
+import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,15 +11,17 @@ from hspovm.catalog import (
     FAMILIES,
     FAMILY_SPECS,
     HsPovm,
+    exact_nodes,
+    exact_orbit,
     interpolation_set,
     make_hs_povm,
     make_rectangle_povm,
     _maps_onto_itself,
     spherical_design_order,
-    symmetry_group,
     validate_povm,
 )
 from hspovm.groups import TAU, double_coset_profile, generate_group
+from hspovm.q5 import Q5
 
 SQRT5 = math.sqrt(5.0)
 
@@ -36,6 +40,79 @@ EXPECTED_NODES = {
     "icosidodecahedron": [-1, -TAU / 2, -0.5, -1 / (2 * TAU), 0,
                           1 / (2 * TAU), 0.5, TAU / 2, 1],
 }
+
+
+_F = Fraction
+
+#: the node sets once typed into the registry, as pairs (a, b) meaning
+#: a + b sqrt 5; the registry now computes them from its exact orbits
+NODE_LITERALS = {
+    "digon": ((-1, 0), (1, 0)),
+    "tetrahedron": ((-1, 0), (_F(1, 3), 0)),
+    "octahedron": ((-1, 0), (0, 0), (1, 0)),
+    "cube": ((-1, 0), (_F(-1, 3), 0), (_F(1, 3), 0), (1, 0)),
+    "cuboctahedron": ((-1, 0), (_F(-1, 2), 0), (0, 0), (_F(1, 2), 0), (1, 0)),
+    "icosahedron": ((-1, 0), (0, _F(-1, 5)), (0, _F(1, 5)), (1, 0)),
+    "dodecahedron": ((-1, 0), (0, _F(-1, 3)), (_F(-1, 3), 0), (_F(1, 3), 0),
+                     (0, _F(1, 3)), (1, 0)),
+    "icosidodecahedron": ((-1, 0), (_F(-1, 4), _F(-1, 4)), (_F(-1, 2), 0),
+                          (_F(1, 4), _F(-1, 4)), (0, 0), (_F(-1, 4), _F(1, 4)),
+                          (_F(1, 2), 0), (_F(1, 4), _F(1, 4)), (1, 0)),
+}
+
+#: sha256 of each family's matrix() bytes, recorded before the registry
+#: seeds became exact numbers (the n-gon entry covers n = 2..12)
+MATRIX_SHA256 = {
+    "digon": "3fdafb29985bd83dbd972615b7e614a3f981b09ec55212dee6e1d719d4ec7a1b",
+    "tetrahedron": "e6cf1a1972553e4a71f00972644aa5c58b3454029112308efe020a1b403405e1",
+    "octahedron": "2c562b2b955cf4da51bde68ee425a91b8031cecaee3331c43eb6e8f120c6b146",
+    "cube": "5cd276cca5bbf20d6cd3ed91bf45374bbb0a202e0143244a17c521c9fd58ad98",
+    "cuboctahedron": "54823522f6d17d96751796c7ecf0bae9e1c910ae797cf0ecf16278a322066ca8",
+    "icosahedron": "91aa6f57a73c5482bb7528ee48e330fa8dd5e86ce21f3ef32aaa68a19f84cdf1",
+    "dodecahedron": "19e0687eb67af125b512215f8311748d3332189485672543a35e1b2e576ec395",
+    "icosidodecahedron": "bf6cab66f5fd3c9fef8c9fbeb9d3b9b3e15d8b2930a0a277db969deac3ea3af6",
+    "n-gon": "ca5ac79592e10a07149be7d68a8e595a8613ddbdadad27eb9e4e8d426bd8a6a5",
+}
+
+#: the float probe literals the registry held before its probes became exact
+PROBE_LITERALS = {
+    "cube": ((0, 0, 1), (1, 1, 1)),
+    "cuboctahedron": ((0, 0, 1), (0, 1, 1), (1, 1, 1)),
+    "dodecahedron": ((0, TAU, 1), (0, 1 / TAU, TAU)),
+    "icosidodecahedron": ((0, 0, 1), (0, TAU, 1), (0, 1 / TAU, TAU), (3, 4, 12)),
+}
+
+
+class TestExactRegistry:
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_nodes_equal_the_literals(self, family):
+        want = tuple(Q5.of(a) + Q5.of(b) * Q5(0, 1) for a, b in NODE_LITERALS[family])
+        assert exact_nodes(family) == want
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_orbit_floats_are_the_vectors(self, family):
+        exact = np.array([[float(c) for c in v] for v in exact_orbit(family)])
+        exact /= np.linalg.norm(exact, axis=1, keepdims=True)
+        coords = povm_for(family).matrix()
+        gaps = np.linalg.norm(coords[:, None, :] - exact[None, :, :], axis=-1)
+        assert len(exact) == len(coords)
+        assert np.max(np.min(gaps, axis=0)) < 1e-15 and np.max(np.min(gaps, axis=1)) < 1e-15
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matrix_bytes_unchanged(self, family):
+        if family == "n-gon":
+            data = b"".join(make_hs_povm(family, n).matrix().tobytes() for n in range(2, 13))
+        else:
+            data = make_hs_povm(family).matrix().tobytes()
+        assert hashlib.sha256(data).hexdigest() == MATRIX_SHA256[family]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_probe_floats_are_the_literals(self, family):
+        literals = PROBE_LITERALS.get(family, ())
+        points = FAMILY_SPECS[family].probe_points()
+        assert len(points) == len(literals)
+        for point, literal in zip(points, literals):
+            assert point.tobytes() == (np.array(literal) / np.linalg.norm(literal)).tobytes()
 
 
 class TestConstruction:
@@ -179,9 +256,9 @@ class TestFamilyRegistry:
         spec = FAMILY_SPECS[name]
         povm = make_hs_povm(name, 6)          # the order is read by the n-gon only
         assert povm.group == spec.tag(povm.k)
-        assert symmetry_group(povm).order == povm.rotation_group().order > 1
-        if spec.nodes is not None:
-            exact = [float(a) + float(b) * SQRT5 for a, b in spec.nodes]
+        assert povm.symmetry_group.order == povm.rotation_group().order > 1
+        if spec.group != "C":
+            exact = [float(t) for t in exact_nodes(name)]
             assert np.max(np.abs(np.array(exact) - interpolation_set(povm))) < 1e-12
         probes = spec.probe_points()
         assert len(probes) == (len(spec.basis) + 1 if spec.basis else 0)

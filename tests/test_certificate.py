@@ -10,27 +10,21 @@ from mpmath import iv, mp
 
 from conftest import ALL_FAMILIES, POLYHEDRA, povm_for
 from hspovm.bloch import EntropyKernel, SHANNON
-from hspovm.catalog import (FAMILY_SPECS, HsPovm, family_spec,
+from hspovm.catalog import (FAMILY_SPECS, HsPovm, exact_nodes, family_spec,
                             interpolation_set, make_hs_povm,
                             make_rectangle_povm)
 from hspovm.certificate import (
     HermitePolynomial,
     _degree_bound,
     _design_order,
+    _expansion_matrix,
     _hermite_monomial,
     _hermite_nodes,
     _horner,
     _icosi_interval_coefficients,
-    _icosi_probe_rows,
-    _interval_context,
-    _interval_solve,
     _kernel_h,
     _moment_constrained_feasible,
-    _orbit_power_moments,
     _polygon_uniqueness,
-    _q5_dot,
-    _q5_eighths,
-    _q5_power,
     _remainder_sign,
     assemble_lower_bound,
     certify_minimum,
@@ -350,7 +344,7 @@ class TestUniqueness:
     def test_cube_moments_need_central_symmetry(self):
         # {1, 1, -1/3 x 6} has sum 0 and square sum 8/3 = k/3; only the
         # +1 => -1 pairing of a centrally symmetric orbit rules it out
-        nodes = family_spec("cube").nodes
+        nodes = exact_nodes("cube")
         assert _moment_constrained_feasible(nodes, 8, 3, False)
         assert not _moment_constrained_feasible(nodes, 8, 3, True)
 
@@ -500,7 +494,7 @@ class TestGlobalState:
 
 
 # --------------------------------------------------------------------------
-# Orbit sums from exact power moments, against the per-vertex interval sum
+# The exact expansion, against the per-vertex interval orbit sum
 # --------------------------------------------------------------------------
 
 def reference_lift(x: float, tau):
@@ -513,31 +507,27 @@ def reference_lift(x: float, tau):
     raise ValueError(f"coordinate {x} is not an icosahedral symbol")
 
 
-def reference_probe_rows(povm, kernel, ctx):
-    """The expansion rows with the orbit sum taken vertex by vertex: the
-    interpolant on nodes lifted from floats, Horner's rule at each of the
-    30 interval dots v_j . x, in the interval context ctx."""
-    spec = family_spec(povm.family)
+def reference_orbit_sum(povm, kernel, ctx, point):
+    """The orbit sum sum_j p(v_j . x) at the unit x along the interval
+    3-vector ``point``, vertex by vertex: the interpolant on nodes lifted
+    from floats, Horner's rule at each of the 30 interval dots, in the
+    interval context ctx."""
     tau = (1 + ctx.sqrt(ctx.mpf(5))) / 2
     verts = [[reference_lift(c, tau) for c in row] for row in povm.matrix()]
     nodes = [(reference_lift(t, tau), m) for t, m in _hermite_nodes(povm)]
     f, fp = _kernel_h(kernel, ctx.mpf, ctx.log)
     mono = _hermite_monomial(f, fp, nodes, ctx.mpf(0))
-    rows = []
-    for seed in spec.probes:
-        x = [reference_lift(c, tau) for c in seed]
-        norm = ctx.sqrt(x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
-        x = [c / norm for c in x]
-        total = sum(_horner(mono, row[0] * x[0] + row[1] * x[1] + row[2] * x[2])
-                    for row in verts)
-        rows.append([ctx.mpf(1)] + [evaluate_invariant(name, x, tau=tau)
-                                    for name in spec.basis] + [total])
-    return rows
+    norm = ctx.sqrt(point[0] ** 2 + point[1] ** 2 + point[2] ** 2)
+    x = [c / norm for c in point]
+    return x, sum(_horner(mono, row[0] * x[0] + row[1] * x[1] + row[2] * x[2])
+                  for row in verts)
 
 
-def assert_inside_and_no_wider(enclosure, reference):
-    assert enclosure.a <= reference.b and reference.a <= enclosure.b
-    assert enclosure.delta.b <= reference.delta.b
+def _rational_points(count, seed=17):
+    rng = np.random.default_rng(seed)
+    return [[Fraction(int(p), int(q)) for p, q in zip(rng.integers(-40, 41, 3),
+                                                      rng.integers(1, 13, 3))]
+            for _ in range(count)]
 
 
 @pytest.mark.parametrize("bits", (200, 320))
@@ -546,50 +536,74 @@ def assert_inside_and_no_wider(enclosure, reference):
     EntropyKernel("renyi", 1.4), EntropyKernel("renyi", 3.5),
 ], ids=lambda k: k.kind + ("" if k.alpha is None else str(k.alpha)))
 def test_moment_orbit_sums_enclose_per_vertex_sums(kernel, bits):
+    # A + B I6' + C I10 + D I6'^2 from the exact expansion matrix must meet
+    # the orbit sum taken vertex by vertex, at every probe and at five
+    # random rational points
     povm = povm_for("icosidodecahedron")
-    ctx = _interval_context(bits)
-    _, rows = _icosi_probe_rows(povm, kernel, ctx)
-    reference = reference_probe_rows(povm, kernel, ctx)
-    for row, ref in zip(rows, reference):
-        assert_inside_and_no_wider(row[-1], ref[-1])
-    expected = _interval_solve(reference)
-    _, coefficients = _icosi_interval_coefficients(povm, bits, kernel)
-    for enclosure, ref in zip(coefficients, expected):
-        assert_inside_and_no_wider(enclosure, ref)
+    tau, (A, B, C, D) = _icosi_interval_coefficients(povm, bits, kernel)
+    ctx = tau.ctx
+    points = [[reference_lift(float(c), tau) for c in probe]
+              for probe in family_spec("icosidodecahedron").probes]
+    points += [[ctx.mpf(c.numerator) / c.denominator for c in p]
+               for p in _rational_points(5)]
+    for point in points:
+        x, reference = reference_orbit_sum(povm, kernel, ctx, point)
+        theta1 = evaluate_invariant("I6p", x, tau=tau)
+        expanded = A + B * theta1 + C * evaluate_invariant("I10", x, tau=tau) + D * theta1 ** 2
+        assert expanded.a <= reference.b and reference.a <= expanded.b
 
 
 def test_icosidodecahedron_moments_are_the_sphere_s():
-    # a 5-design: sum_j (v_j . x)^i = 30, 0, 10, 0, 6, 0 for i = 0..5 at
-    # unit x.  The pairs are eighths, so M_i(S) = 64^i |S|^i sum_j (v_j . x)^i
-    # with x = S/|S|, and S . S is 64 |S|^2
+    # a 5-design: sum_j (v_j . x)^i = 30, 10, 6 for i = 0, 2, 4 at unit x,
+    # so the expansion rows of these degrees are constants; the odd rows
+    # vanish and are not kept
+    expansion = _expansion_matrix("icosidodecahedron", 15)
+    assert sorted(expansion) == list(range(0, 16, 2))
+    for i, sphere in ((0, 30), (2, 10), (4, 6)):
+        assert expansion[i] == (sphere, 0, 0, 0)
+    assert all(expansion[i][1] != 0 for i in range(6, 16, 2))
+
+
+def test_expansion_matrix_reproduces_the_float_expansion():
+    # float(L) c with the float interpolant reproduces the probe solve of
+    # expand_in_invariants
     povm = povm_for("icosidodecahedron")
-    verts = [[_q5_eighths(c) for c in row] for row in povm.matrix()]
-    for seed in family_spec("icosidodecahedron").probes:
-        s = [_q5_eighths(c) for c in seed]
-        moments = _orbit_power_moments(verts, s, 5)
-        for i, sphere in enumerate((30, 0, 10, 0, 6, 0)):
-            scale = _q5_power(_q5_dot(s, s), i // 2)
-            factor = sphere * 64 ** (i // 2)
-            expected = (0, 0) if i % 2 else (factor * scale[0], factor * scale[1])
-            assert moments[i] == expected, (seed, i)
+    for kernel in (SHANNON, EntropyKernel("renyi", 1.4), EntropyKernel("tsallis", 0.5)):
+        poly = hermite_interpolate(kernel, _hermite_nodes(povm))
+        floats = expand_in_invariants(povm, assemble_lower_bound(povm, poly))
+        expansion = _expansion_matrix("icosidodecahedron", len(poly.coefficients) - 1)
+        c = poly.coefficients_float()
+        for d, name in enumerate("ABCD"):
+            value = sum(c[i] * float(row[d]) for i, row in expansion.items())
+            assert value == pytest.approx(floats[name], rel=1e-9, abs=1e-10)
 
 
-def test_eighths_of_icosahedral_symbols():
-    root5 = math.sqrt(5.0)
-    for x in (0.0, 0.5, -1.0, TAU / 2, -1 / (2 * TAU), TAU, 12.0):
-        a, b = _q5_eighths(x)
-        assert (a + b * root5) / 8 == pytest.approx(x, abs=1e-15)
-    with pytest.raises(ValueError):
-        _q5_eighths(0.3)
+def test_permuted_orbit_gives_the_same_enclosures():
+    povm = povm_for("icosidodecahedron")
+    shuffled = HsPovm(vectors=tuple(reversed(povm.vectors)), family="icosidodecahedron",
+                      group="I")
+    for a, b in zip(_icosi_interval_coefficients(povm, 200)[1],
+                    _icosi_interval_coefficients(shuffled, 200)[1]):
+        assert (a.a, a.b) == (b.a, b.b)
 
 
 # --------------------------------------------------------------------------
 # The uniqueness search, against the search that recomputes its bounds
 # --------------------------------------------------------------------------
 
+def pair_power(node, s):
+    """(p + q sqrt 5)^s for the integer pair (p, q), as an integer pair."""
+    power = (1, 0)
+    for _ in range(s):
+        power = (power[0] * node[0] + 5 * power[1] * node[1],
+                 power[0] * node[1] + power[1] * node[0])
+    return power
+
+
 def reference_feasible(exact_nodes, k, design_order, centrally_symmetric):
     """The moment-constrained search with every float bound recomputed at
-    each node: the suffix minimum and maximum, d^s and the target."""
+    each node: the suffix minimum and maximum, d^s and the target; the
+    nodes are pairs (a, b) of rationals meaning a + b sqrt 5."""
     d = math.lcm(*(Fraction(x).denominator for node in exact_nodes for x in node))
     nodes = [(int(Fraction(a) * d), int(Fraction(b) * d)) for a, b in exact_nodes]
     root5 = math.sqrt(5.0)
@@ -605,7 +619,7 @@ def reference_feasible(exact_nodes, k, design_order, centrally_symmetric):
         moments.append((2, Fraction(k, 3)))
     if design_order >= 4:
         moments.append((4, Fraction(k, 5)))
-    powers = [[_q5_power(nodes[i], s) for i in usable] for s, _ in moments]
+    powers = [[pair_power(nodes[i], s) for i in usable] for s, _ in moments]
     floats = [[values[i] ** s for i in usable] for s, _ in moments]
 
     def dfs(pos, remaining, partials):
@@ -633,21 +647,23 @@ def reference_feasible(exact_nodes, k, design_order, centrally_symmetric):
 
 @pytest.mark.parametrize("shift", (-2, 0, 2))
 @pytest.mark.parametrize("family", [name for name, spec in FAMILY_SPECS.items()
-                                    if spec.nodes is not None])
+                                    if spec.group != "C"])
 def test_search_verdicts_match_reference(family, shift):
-    nodes = family_spec(family).nodes
+    nodes = exact_nodes(family)
+    pairs = [(Fraction(t.a, t.d), Fraction(t.b, t.d)) for t in nodes]
     k = povm_for(family).k + shift
     for design_order in range(1, 6):
         for symmetric in (False, True):
             assert (_moment_constrained_feasible(nodes, k, design_order, symmetric)
-                    == reference_feasible(nodes, k, design_order, symmetric)), \
+                    == reference_feasible(pairs, k, design_order, symmetric)), \
                 (design_order, symmetric)
 
 
 def test_mislabelled_vectors_refused_by_their_node_set():
     # octahedron vectors labelled icosidodecahedron: their lower bound is
-    # constant, so the float expansion passes, but the registry's exact
-    # nodes are not theirs and must not build the interval interpolant
+    # constant, so the float expansion passes, but they are not the
+    # registry's exact orbit, whose nodes and expansion the interval step
+    # would use
     povm = HsPovm(vectors=make_hs_povm("octahedron").vectors,
                   family="icosidodecahedron")
     with pytest.raises(ValueError, match="node set"):

@@ -11,10 +11,10 @@ import pytest
 
 import hspovm
 from conftest import ALL_FAMILIES, POLYHEDRA, povm_for
-from hspovm import entropy
+from hspovm import catalog, entropy
 from hspovm.bloch import BlochVector, EntropyKernel, eta
 from hspovm.catalog import (HsPovm, _group_of_tag, inert_directions, make_hs_povm,
-                            make_rectangle_povm, symmetry_group)
+                            make_rectangle_povm)
 from hspovm.entropy import (
     CLUSTER_ANGLE,
     DOMAIN_CENTER,
@@ -300,6 +300,16 @@ class TestClassifier:
         point = classify_inert_point(BlochVector(0, 0, 1), povm)
         assert point.kind == "max"
 
+    def test_tag_that_does_not_map_the_vectors_is_not_trusted(self):
+        # the alpha = 1.0 rectangle tagged as the regular 4-gon: C_4 does not
+        # map its vectors, so it is classified under the trivial group, where
+        # its pole is no axis point and its antipodes stay type I
+        vectors = make_rectangle_povm(1.0).vectors
+        povm = HsPovm(vectors=vectors, family="4-gon", group="C_4")
+        with pytest.raises(ValueError, match="not on a rotation axis"):
+            classify_inert_point(BlochVector(0, 0, 1), povm)
+        assert classify_inert_point(-vectors[0], povm).type_label == "I"
+
     @pytest.mark.parametrize("family", ("cube", "icosahedron"))
     def test_tolerance_is_the_one_of_find_extrema(self, family):
         # 1e-7 off an inert axis is that axis (type and kind); 1e-5 off is
@@ -354,22 +364,33 @@ def _assert_antipodal_orbit(minima, coords):
 
 class TestOrbitReduction:
     def test_tagged_group_checked_on_geometry(self):
-        assert symmetry_group(povm_for("cube")).order == 24
-        assert symmetry_group(povm_for("icosidodecahedron")).order == 60
+        assert povm_for("cube").symmetry_group.order == 24
+        assert povm_for("icosidodecahedron").symmetry_group.order == 60
 
     @pytest.mark.parametrize("family", ["tetrahedron", "cube"])
     def test_untagged_rotated_input_keeps_full_orbit(self, family):
         coords = povm_for(family).matrix() @ _random_rotation(3).T
         povm = HsPovm.from_json(json.dumps({"vectors": coords.tolist(),
                                             "family": family}))
-        assert povm.group == "" and symmetry_group(povm).order == 1
+        assert povm.group == "" and povm.symmetry_group.order == 1
         _assert_antipodal_orbit(find_extrema(povm, "min"), povm.matrix())
+
+    def test_tag_checked_once_per_povm(self, monkeypatch):
+        checks = []
+        check = catalog._maps_onto_itself
+        monkeypatch.setattr(catalog, "_maps_onto_itself", lambda group, coords: (
+            checks.append(group.name) or check(group, coords)))
+        povm = make_hs_povm("cube")
+        find_extrema(povm, "min", n_scan=2000)
+        find_extrema(povm, "max", n_scan=2000)
+        classify_inert_point(BlochVector(0, 0, 1), povm)
+        assert checks == ["O"]
 
     def test_wrong_group_tag_falls_back_to_trivial_group(self):
         coords = povm_for("cube").matrix() @ _random_rotation(5).T
         povm = HsPovm(vectors=tuple(BlochVector.from_array(v) for v in coords),
                       family="cube", group="O")
-        assert symmetry_group(povm).order == 1
+        assert povm.symmetry_group.order == 1
         _assert_antipodal_orbit(find_extrema(povm, "min"), povm.matrix())
 
     def test_max_mode_cube_default_scan(self):
@@ -635,7 +656,7 @@ class TestFundamentalDomain:
     def test_extrema_equal_the_trivial_group_scan(self, family, mode, kernel):
         povm = povm_for(family)
         custom = HsPovm(vectors=povm.vectors, family="custom")
-        assert symmetry_group(custom).order == 1
+        assert custom.symmetry_group.order == 1
         found, reference = (
             np.array([c.location.as_array() for c in
                       find_extrema(p, mode, n_scan=20_000, kernel=kernel, n_candidates=100)])
@@ -657,7 +678,7 @@ def test_entropy_of_rows_equals_point_objective():
         coords, k = povm.matrix(), povm.k
         points = rng.normal(size=(40, 3))
         points /= np.linalg.norm(points, axis=1)[:, None]
-        points = np.concatenate([symmetry_group(povm).matrix_stack() @ p for p in points]
+        points = np.concatenate([povm.symmetry_group.matrix_stack() @ p for p in points]
                                 + [-coords.astype(float)])
         for kernel in TestPointKernel.KERNELS:
             single = np.array([_entropy_of_dots(coords @ p, k, kernel) for p in points])
@@ -728,7 +749,7 @@ def _type_by_loop(u, povm, group):
 @pytest.mark.parametrize("family", POLYHEDRA)
 def test_type_of_point_matches_loop_reference(family):
     povm = povm_for(family)
-    group = symmetry_group(povm)
+    group = povm.symmetry_group
     axes = group.matrix_stack() @ np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [0.0, TAU, 1.0],
                                             [1.0, 1.0, 0.0], [0.0, 1.0, TAU]]).T
     points = np.vstack([np.moveaxis(axes, 2, 1).reshape(-1, 3), povm.matrix(), -povm.matrix(),

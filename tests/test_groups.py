@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from hspovm.groups import (
     rotation_matrix,
     stabilizer,
 )
+from hspovm.q5 import dot
 
 
 def _unit(*coords):
@@ -45,6 +47,26 @@ class TestGeneration:
             for m in generate_group(tag):
                 assert np.linalg.norm(m @ m.T - np.eye(3)) < 1e-10
                 assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("tag,digest", [
+        # sha256 of the element bytes in group order, recorded while the
+        # closure still ran in floats snapped to the exact entries
+        ("T", "697d591e0d2be8c7c3d24f57a65f2607ac610dbad17cecf2dc6bd64edb2ec83e"),
+        ("O", "cf61ec979d658d761b60f4e19ad3083a5561d6e88b471c2e96001801f99ad87d"),
+        ("I", "df7d223188c3d1978d7532a8fd16182b5e0e2c66e7ee989782ce85d8e73dd06e"),
+    ])
+    def test_element_bytes_unchanged(self, tag, digest):
+        data = b"".join(m.tobytes() for m in generate_group(tag).elements)
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("tag", ["D2", "T", "O", "I"])
+    def test_exact_elements_orthogonal_and_float_images(self, tag):
+        group = generate_group(tag)
+        identity = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
+        for m, floats in zip(group.exact, group.elements):
+            assert tuple(tuple(dot(r, s) for s in m) for r in m) == identity   # M M^T = I
+            assert np.array_equal(floats, [[float(x) for x in row] for row in m])
+        assert len(set(group.exact)) == group.order
 
     def test_closed_under_product(self):
         g = generate_group("O")

@@ -58,6 +58,12 @@ class TestExact:
 
 
 class TestInterval:
+    @pytest.fixture(autouse=True)
+    def restore_interval_precision(self):
+        saved = iv.prec
+        yield
+        iv.prec = saved
+
     def test_point_intervals(self):
         iv.prec = 120
         assert sturm_root_count([iv.mpf(-2), iv.mpf(0), iv.mpf(1)]) == 2
