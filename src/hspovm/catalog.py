@@ -38,7 +38,8 @@ class FamilySpec:
     orbit and node set {-gv . v} are computed from them.  ``strategy``
     picks the certificate's orbit-minimum proof (constant, sign of B with
     expected ``sign``, candidates or sturm; see :mod:`hspovm.certificate`),
-    which expands in the invariants ``basis`` from the ``probes``.
+    which expands in the invariants ``basis`` through the exact expansion
+    matrix solved at the ``probes``.
     ``inert`` seeds the classifier of symmetry-forced critical points;
     ``reference_W`` is the five-digit informational power.
     """

@@ -20,9 +20,9 @@ The pipeline, per family:
    cuboctahedron, dodecahedron); or, for the icosidodecahedron, an interval
    Sturm chain shows that the zero-level parabola of P misses the orbit-map
    range except at the origin, and P is positive at a corner of the range.
-   Its invariant coefficients are (A, B, C, D) = sum_i c_i L_i for
-   p = sum_i c_i t^i (c_i in interval arithmetic) and the exact matrix L
-   with sum_j (v_j . x)^i = L_i . (1, I6', I10, I6'^2)(x) on the sphere;
+   The invariant coefficients are sum_i c_i L_i for p = sum_i c_i t^i and
+   the family's exact matrix L, sum_j (v_j . x)^i = L_i . (1, I_1, ...)(x)
+   on the sphere (c_i in floats, or intervals on the exact nodes for Sturm);
 6. close uniqueness: any further global minimizer w would need all its
    dots {w . u} inside T, which the design moment equations, solved in
    integers, rule out unless -1 is among them.
@@ -305,50 +305,79 @@ def assemble_lower_bound(povm: HsPovm, p: HermitePolynomial):
         vals = offset + (_LD(2) / k) * np.sum(p(dots), axis=-1)
         return float(vals) if vals.ndim == 0 else vals.astype(float)
 
+    evaluator.polynomial = p
     return evaluator
 
 
-_COEFF_NAMES = "ABCD"
+@lru_cache(maxsize=None)
+def _expansion_matrix(name: str, degree: int) -> dict:
+    """The exact expansion matrix of a family with an invariant basis,
+    {i: L_i} for even i <= degree: sum_j (v_j . x)^i = L_i . (1, I_1(x), ...)
+    on the unit sphere for the family's basis invariants I_d, by Gauss-Jordan
+    elimination at the probes.  Both sides are homogeneous, so at a probe S
+    the left side is sum_j ((V_j . S)^2 / (V_j . V_j S . S))^(i/2) and I_d
+    is I_d(S) / (S . S)^(d/2): no square root.  The odd power sums of the
+    (checked) centrally symmetric orbit vanish."""
+    orbit = exact_orbit(name)
+    if set(orbit) != {tuple(-c for c in v) for v in orbit}:
+        raise ValueError(f"the {name} orbit is not centrally symmetric")
+    m = []                                  # rows [invariants | power sums]
+    for s in (tuple(map(Q5.of, probe)) for probe in FAMILY_SPECS[name].probes):
+        norm = dot(s, s)
+        m.append([Q5(1)] + [evaluate_invariant(b, s, tau=GOLDEN)
+                            / norm ** (invariant_degree(b) // 2) for b in FAMILY_SPECS[name].basis])
+        cosines = Counter(dot(v, s) ** 2 / (dot(orbit[0], orbit[0]) * norm) for v in orbit)
+        terms = [Q5(n) for n in cosines.values()]   # n c^(i/2) per distinct squared cosine c
+        for _ in range(0, degree + 1, 2):
+            m[-1].append(sum(terms, Q5()))
+            terms = [t * c for t, c in zip(terms, cosines)]
+    size = len(m)
+    for c in range(size):
+        pivot = next(r for r in range(c, size) if m[r][c] != 0)
+        m[c], m[pivot] = m[pivot], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        m = [row if r == c or row[c] == 0 else [x - row[c] * y for x, y in zip(row, m[c])]
+             for r, row in enumerate(m)]
+    return {i: tuple(row[size + i // 2] for row in m) for i in range(0, degree + 1, 2)}
+
+
+def _registry_orbit(povm: HsPovm) -> str:
+    """The family's registry name, once the vectors are checked to be its
+    exact orbit in the registry orientation up to permutation, to 1e-9:
+    each vector near one orbit point and each orbit point near one vector."""
+    name = family_spec(povm.family).name
+    exact = np.array(exact_orbit(name), dtype=float)
+    exact /= np.linalg.norm(exact, axis=1, keepdims=True)
+    gaps = np.linalg.norm(povm.matrix()[:, None, :] - exact[None, :, :], axis=-1)
+    if gaps.shape != (len(exact),) * 2 or max(np.max(gaps.min(0)), np.max(gaps.min(1))) >= 1e-9:
+        raise ValueError(f"the vectors are not the {name}'s registry orbit: "
+                         "node set or orientation differs")
+    return name
+
+
+def _expand(expansion: dict, mono, lift) -> list:
+    """sum_i c_i L_i for the ascending monomial coefficients c_i, with each
+    exact entry of L taken through ``lift`` into the arithmetic of the c_i."""
+    return [sum(mono[i] * lift(row[d]) for i, row in expansion.items())
+            for d in range(len(expansion[0]))]
 
 
 def expand_in_invariants(povm: HsPovm, evaluator) -> dict:
     """Coefficients of the orbit sum sum_j p(v_j . u) restricted to the
-    sphere in the family's primary invariants, solved from probe-point
-    values and verified on random checkpoints (residual < 1e-9).
+    sphere in the family's primary invariants: float(sum_i c_i L_i) for
+    the coefficients c_i of the interpolant p of ``evaluator`` (from
+    :func:`assemble_lower_bound`) and the family's exact expansion matrix.
 
     The orbit-sum normalization, i.e. (k/2)(P - ln(k/2)), is the one in
     which the family constants are usually quoted; signs and the ratio
     beta = -B/(3C) are unaffected by the overall positive scale.
     """
-    family = povm.family
-    spec = family_spec(family)
+    spec = family_spec(povm.family)
     if spec is None or not spec.basis:
-        raise ValueError(f"no invariant expansion defined for {family!r}")
-    scale = povm.k / 2.0
-    shift = math.log(povm.k / 2.0)
-
-    def orbit_sum(x):
-        return scale * (evaluator(x) - shift)
-
-    def basis_row(x):
-        return [evaluate_invariant(name, x) for name in spec.basis]
-
-    probes = spec.probe_points()
-    rows = np.array([[1.0] + basis_row(x) for x in probes])
-    rhs = np.array([orbit_sum(x) for x in probes])
-    solution = np.linalg.solve(rows, rhs)
-    coefficients = {_COEFF_NAMES[i]: float(c) for i, c in enumerate(solution)}
-    rng = np.random.default_rng(7)
-    w = rng.normal(size=(50, 3))
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    predicted = solution[0] + np.array(
-        [sum(c * b for c, b in zip(solution[1:], basis_row(x))) for x in w])
-    residual = float(np.max(np.abs(predicted - orbit_sum(w))))
-    if residual > 1e-9:
-        raise RuntimeError(
-            f"invariant expansion residual {residual:.2e} for {family}; "
-            "probe system ill-conditioned")
-    return coefficients
+        raise ValueError(f"no invariant expansion defined for {povm.family!r}")
+    c = evaluator.polynomial.coefficients
+    expansion = _expansion_matrix(_registry_orbit(povm), len(c) - 1)
+    return dict(zip("ABCD", map(float, _expand(expansion, c, float))))
 
 
 # --------------------------------------------------------------------------
@@ -455,60 +484,20 @@ def _parabola_quartic(B, C, D, tau):
     return [acc.get(m, zero) for m in range(2, 7)]
 
 
-@lru_cache(maxsize=None)
-def _expansion_matrix(name: str, degree: int) -> dict:
-    """The exact expansion matrix of an icosahedral family, {i: L_i} for
-    even i <= degree: sum_j (v_j . x)^i = L_i . (1, I_1(x), ...) on the unit
-    sphere for the family's basis invariants I_d, by Gauss-Jordan
-    elimination at the probes.  Both sides are homogeneous, so at a probe S
-    the left side is sum_j ((V_j . S)^2 / (V_j . V_j S . S))^(i/2) and I_d
-    is I_d(S) / (S . S)^(d/2): no square root.  The odd power sums of the
-    (checked) centrally symmetric orbit vanish."""
-    orbit = exact_orbit(name)
-    if set(orbit) != {tuple(-c for c in v) for v in orbit}:
-        raise ValueError(f"the {name} orbit is not centrally symmetric")
-    m = []                                  # rows [invariants | power sums]
-    for s in (tuple(map(Q5.of, probe)) for probe in FAMILY_SPECS[name].probes):
-        norm = dot(s, s)
-        m.append([Q5(1)] + [evaluate_invariant(b, s, tau=GOLDEN)
-                            / norm ** (invariant_degree(b) // 2) for b in FAMILY_SPECS[name].basis])
-        cosines = Counter(dot(v, s) ** 2 / (dot(orbit[0], orbit[0]) * norm) for v in orbit)
-        terms = [Q5(n) for n in cosines.values()]   # n c^(i/2) per distinct squared cosine c
-        for _ in range(0, degree + 1, 2):
-            m[-1].append(sum(terms, Q5()))
-            terms = [t * c for t, c in zip(terms, cosines)]
-    size = len(m)
-    for c in range(size):
-        pivot = next(r for r in range(c, size) if m[r][c] != 0)
-        m[c], m[pivot] = m[pivot], m[c]
-        m[c] = [x / m[c][c] for x in m[c]]
-        m = [row if r == c or row[c] == 0 else [x - row[c] * y for x, y in zip(row, m[c])]
-             for r, row in enumerate(m)]
-    return {i: tuple(row[size + i // 2] for row in m) for i in range(0, degree + 1, 2)}
-
-
 def _icosi_interval_coefficients(povm: HsPovm, precision: int,
                                  kernel: EntropyKernel = SHANNON):
-    """tau and enclosures of A, B, C, D at the given working precision:
-    (A, B, C, D) = sum_i c_i L_i with the interpolant's interval monomial
-    coefficients c_i on the exact nodes and the exact expansion matrix L,
-    once the vectors are checked to be the registry's orbit."""
-    name = family_spec(povm.family).name
-    # the vectors must be the exact orbit up to permutation, to 1e-9: each
-    # vector near one orbit point and each orbit point near one vector
-    exact = np.array(exact_orbit(name), dtype=float)
-    exact /= np.linalg.norm(exact, axis=1, keepdims=True)
-    gaps = np.linalg.norm(povm.matrix()[:, None, :] - exact[None, :, :], axis=-1)
-    if gaps.shape != (len(exact),) * 2 or max(np.max(gaps.min(0)), np.max(gaps.min(1))) >= 1e-9:
-        raise ValueError(f"node set of the vectors is not the {name}'s")
+    """tau and enclosures of the invariant coefficients (A, B, C, D for the
+    icosidodecahedron) at the given working precision: sum_i c_i L_i with
+    the interpolant's interval monomial coefficients c_i on the exact nodes
+    and the exact expansion matrix L, once the vectors are checked to be
+    the registry's orbit."""
+    name = _registry_orbit(povm)
     ctx = _interval_context(precision)
     f, fp = _kernel_h(kernel, ctx.mpf, ctx.log)
     nodes = [(t.lift(ctx), 1 if t in (-1, 1) else 2) for t in exact_nodes(name)]
     mono = _hermite_monomial(f, fp, nodes, ctx.mpf(0))
     expansion = _expansion_matrix(name, len(mono) - 1)
-    coefficients = [sum(mono[i] * row[d].lift(ctx) for i, row in expansion.items())
-                    for d in range(len(expansion[0]))]
-    return GOLDEN.lift(ctx), coefficients
+    return GOLDEN.lift(ctx), _expand(expansion, mono, lambda q: q.lift(ctx))
 
 
 def _positivity(B, C, D, tau):

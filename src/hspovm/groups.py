@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochVector
-from .q5 import TAU, Q5, dot  # noqa: F401  (TAU is still imported from here)
+from .q5 import Q5, dot
 
 MATRIX_TOL = 1e-8     # Frobenius tolerance for matrix equality
 POINT_TOL = 1e-8      # orbit point dedup tolerance

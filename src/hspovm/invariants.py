@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from .groups import TAU
+from .q5 import TAU
 
 #: J15^2 = sum (a + b tau) theta1^i theta2^j over these (a, b, i, j)
 J15_SQUARED_TERMS = (
@@ -43,29 +43,29 @@ def gamma_n(p, n: int) -> float:
     return float((complex(x, y) ** n).real)
 
 
-def i2(p) -> float:
+def i2(p):
     x, y, z = p
-    return float(x * x + y * y + z * z)
+    return x * x + y * y + z * z
 
 
-def i3(p) -> float:
+def i3(p):
     x, y, z = p
-    return float(x * y * z)
+    return x * y * z
 
 
-def i4(p) -> float:
+def i4(p):
     x, y, z = p
-    return float(x ** 4 + y ** 4 + z ** 4)
+    return x ** 4 + y ** 4 + z ** 4
 
 
-def i6(p) -> float:
+def i6(p):
     x, y, z = p
-    return float(x ** 6 + y ** 6 + z ** 6)
+    return x ** 6 + y ** 6 + z ** 6
 
 
 def i6_prime(p, tau=TAU):
-    """I6' in the arithmetic of p and tau (floats, arrays of coordinates
-    or mpmath intervals)."""
+    """I6' in the arithmetic of p and tau (floats, arrays of coordinates,
+    Q(sqrt 5) or mpmath intervals), like i2 to i6 in that of p."""
     x, y, z = p
     t2 = tau * tau
     x2, y2, z2 = x * x, y * y, z * z
@@ -111,11 +111,11 @@ def invariant_degree(name: str) -> int:
     return int(base[1:].rstrip("p")) * int(power or 1)
 
 
-def evaluate_invariant(name: str, p, n: int = None, tau=TAU) -> float:
+def evaluate_invariant(name: str, p, n: int = None, tau=TAU):
     """Evaluate a named invariant at a 3-vector (canonical orientation).
 
-    ``"I6p^2"`` names a power of an invariant; I6p and I10 take the golden
-    ratio ``tau`` in the arithmetic of p.
+    ``"I6p^2"`` names a power of an invariant; I2 to I10 are in the
+    arithmetic of p, and I6p and I10 take the golden ratio ``tau`` in it.
     """
     base, _, power = name.partition("^")
     if power:

@@ -35,7 +35,7 @@ from hspovm.entropy import (
     find_extrema,
     rectangle_bifurcation_threshold,
 )
-from hspovm.groups import TAU, degree_bound, double_coset_profile, stabilizer
+from hspovm.groups import degree_bound, double_coset_profile, stabilizer
 from hspovm.info import (
     TABLE_REFERENCE,
     informational_power,
@@ -43,6 +43,7 @@ from hspovm.info import (
     sphere_average_relative_entropy,
     uncertainty_upper_bound,
 )
+from hspovm.q5 import TAU
 
 LN2 = math.log(2.0)
 

@@ -20,8 +20,8 @@ from hspovm.catalog import (
     spherical_design_order,
     validate_povm,
 )
-from hspovm.groups import TAU, double_coset_profile, generate_group
-from hspovm.q5 import Q5
+from hspovm.groups import double_coset_profile, generate_group
+from hspovm.q5 import TAU, Q5
 
 SQRT5 = math.sqrt(5.0)
 

@@ -10,8 +10,8 @@ from mpmath import iv, mp
 
 from conftest import ALL_FAMILIES, POLYHEDRA, povm_for
 from hspovm.bloch import EntropyKernel, SHANNON
-from hspovm.catalog import (FAMILY_SPECS, HsPovm, exact_nodes, family_spec,
-                            interpolation_set, make_hs_povm,
+from hspovm.catalog import (FAMILY_SPECS, HsPovm, exact_nodes, exact_orbit,
+                            family_spec, interpolation_set, make_hs_povm,
                             make_rectangle_povm)
 from hspovm.certificate import (
     HermitePolynomial,
@@ -34,9 +34,9 @@ from hspovm.certificate import (
     verify_below,
 )
 from hspovm.entropy import _entropy_values, entropy_at, fibonacci_sphere
-from hspovm.groups import TAU
 from hspovm.info import informational_power
-from hspovm.invariants import evaluate_invariant
+from hspovm.invariants import evaluate_invariant, invariant_degree
+from hspovm.q5 import GOLDEN, TAU, Q5, dot
 
 DEGREE_BOUNDS = {
     "digon": 1, "tetrahedron": 2, "octahedron": 3, "cube": 5,
@@ -277,7 +277,6 @@ class TestIcosidodecaPositivity:
         # independent oracle for the Sturm verdict: build the substituted
         # quartic in floats and ask numpy for its roots
         from hspovm.certificate import _parabola_quartic
-        from hspovm.groups import TAU
         cert = cert_for("icosidodecahedron")
         B, C, D = (cert.coefficients[k] for k in "BCD")
         quartic = _parabola_quartic(B, C, D, TAU)   # ascending coefficients
@@ -564,18 +563,76 @@ def test_icosidodecahedron_moments_are_the_sphere_s():
     assert all(expansion[i][1] != 0 for i in range(6, 16, 2))
 
 
-def test_expansion_matrix_reproduces_the_float_expansion():
-    # float(L) c with the float interpolant reproduces the probe solve of
-    # expand_in_invariants
-    povm = povm_for("icosidodecahedron")
-    for kernel in (SHANNON, EntropyKernel("renyi", 1.4), EntropyKernel("tsallis", 0.5)):
-        poly = hermite_interpolate(kernel, _hermite_nodes(povm))
-        floats = expand_in_invariants(povm, assemble_lower_bound(povm, poly))
-        expansion = _expansion_matrix("icosidodecahedron", len(poly.coefficients) - 1)
-        c = poly.coefficients_float()
-        for d, name in enumerate("ABCD"):
-            value = sum(c[i] * float(row[d]) for i, row in expansion.items())
-            assert value == pytest.approx(floats[name], rel=1e-9, abs=1e-10)
+EXPANDED = ("cube", "cuboctahedron", "dodecahedron", "icosidodecahedron")
+EXPANSION_KERNELS = (SHANNON, EntropyKernel("renyi", 1.4), EntropyKernel("tsallis", 0.5))
+
+
+@pytest.mark.parametrize("family", EXPANDED)
+def test_expansion_matrix_is_exact(family):
+    # at rational x, exactly in Q(sqrt 5): sum_j (v_j . x)^i with unit v_j
+    # equals L_i[0] |x|^i + sum_d L_i[d] I_d(x) |x|^(i - d), with L_i[d] = 0
+    # whenever the degree of I_d exceeds i; the odd power sums vanish
+    basis = family_spec(family).basis
+    degree = sum(m for _, m in _hermite_nodes(povm_for(family))) - 1
+    expansion = _expansion_matrix(family, degree)
+    assert sorted(expansion) == list(range(0, degree + 1, 2))
+    orbit = exact_orbit(family)
+    square = dot(orbit[0], orbit[0])                      # |v_j|^2, the same for all j
+    for point in _rational_points(4, seed=23):
+        x = tuple(map(Q5.of, point))
+        xx, dots = dot(x, x), [dot(v, x) for v in orbit]
+        values = [evaluate_invariant(b, x, tau=GOLDEN) for b in basis]
+        for i in range(degree + 1):
+            power_sum = sum((t ** i for t in dots), Q5())
+            if i % 2:
+                assert power_sum == 0
+                continue
+            row = expansion[i]
+            expected = row[0] * xx ** (i // 2)
+            for entry, value, b in zip(row[1:], values, basis):
+                d = invariant_degree(b)
+                if d > i:
+                    assert entry == 0, (i, b)
+                else:
+                    expected += entry * value * xx ** ((i - d) // 2)
+            assert power_sum / square ** (i // 2) == expected, i
+
+
+def probe_solve(povm, evaluator):
+    """The invariant coefficients solved in floats from the lower bound's
+    values at the registry probes: an independent float reference for
+    expand_in_invariants."""
+    spec = family_spec(povm.family)
+    probes = spec.probe_points()
+    rows = [[1.0] + [evaluate_invariant(b, x) for b in spec.basis] for x in probes]
+    sums = [povm.k / 2 * (evaluator(x) - math.log(povm.k / 2)) for x in probes]
+    return dict(zip("ABCD", np.linalg.solve(np.array(rows), np.array(sums))))
+
+
+@pytest.mark.parametrize("kernel", EXPANSION_KERNELS, ids=lambda k: f"{k.kind}{k.alpha}")
+@pytest.mark.parametrize("family", EXPANDED)
+def test_expansion_matrix_reproduces_the_float_expansion(family, kernel):
+    povm = povm_for(family)
+    evaluator = assemble_lower_bound(povm, hermite_interpolate(kernel, _hermite_nodes(povm)))
+    coefficients = expand_in_invariants(povm, evaluator)
+    reference = probe_solve(povm, evaluator)
+    assert coefficients.keys() == reference.keys()
+    for name, value in coefficients.items():
+        assert value == pytest.approx(reference[name], rel=1e-9, abs=1e-10), name
+
+
+@pytest.mark.parametrize("kernel", EXPANSION_KERNELS, ids=lambda k: f"{k.kind}{k.alpha}")
+@pytest.mark.parametrize("family", EXPANDED)
+def test_float_coefficients_sit_at_the_interval_midpoints(family, kernel):
+    # the reported floats are the exact expansion to rounding: within 1e-14
+    # of the 200-bit enclosures computed on the exact nodes
+    povm = povm_for(family)
+    _, enclosures = _icosi_interval_coefficients(povm, 200, kernel)
+    poly = hermite_interpolate(kernel, _hermite_nodes(povm))
+    coefficients = expand_in_invariants(povm, assemble_lower_bound(povm, poly))
+    assert len(coefficients) == len(enclosures)
+    for name, enclosure in zip("ABCD", enclosures):
+        assert abs(coefficients[name] - float(enclosure.mid)) <= 1e-14, name
 
 
 def test_permuted_orbit_gives_the_same_enclosures():

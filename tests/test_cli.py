@@ -280,18 +280,34 @@ class TestOtherCommands:
             main(argv)
         assert err.value.code == 2
 
-    def test_internal_error_exit_code(self, tmp_path, capsys):
-        # a rotated cube keeps its label but not the canonical frame the
-        # invariant expansion needs; that is neither a usage error nor a
-        # certificate verdict
+    def test_internal_error_exit_code(self, capsys, monkeypatch):
+        # a defect inside the certificate pipeline is neither a usage error
+        # nor a certificate verdict; its message is cut to one line
+        import hspovm.certificate as certificate
+
+        def defect(kernel, nodes):
+            raise ZeroDivisionError("injected defect\nsecond line")
+
+        monkeypatch.setattr(certificate, "_remainder_sign", defect)
+        assert main(["certify", "--family", "cube"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: ZeroDivisionError: injected defect\n"
+
+    @pytest.mark.parametrize("family", ["cube", "cuboctahedron", "dodecahedron",
+                                        "icosidodecahedron"])
+    def test_rotated_file_is_a_usage_error(self, family, tmp_path, capsys):
+        # a rotated file keeps its label but not the registry orientation
+        # that the exact expansion matrix holds in: refused, naming the family
         q, r = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
         q = q * np.sign(np.diag(r))
-        coords = make_hs_povm("cube").matrix() @ q.T
-        path = tmp_path / "rotated-cube.json"
-        path.write_text(json.dumps({"vectors": coords.tolist(), "family": "cube"}))
-        assert main(["certify", "--in", str(path)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: RuntimeError") and err.count("\n") == 1
+        q *= np.sign(np.linalg.det(q))                  # a rotation, not a reflection
+        coords = make_hs_povm(family).matrix() @ q.T
+        path = tmp_path / f"rotated-{family}.json"
+        path.write_text(json.dumps({"vectors": coords.tolist(), "family": family}))
+        assert main(["certify", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and f"{family}'s" in captured.err
 
 
 class TestCertifyGolden:

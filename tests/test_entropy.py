@@ -42,7 +42,8 @@ from hspovm.entropy import (
     rectangle_bifurcation_threshold,
     relative_entropy_at,
 )
-from hspovm.groups import TAU, generate_group
+from hspovm.groups import generate_group
+from hspovm.q5 import TAU
 
 LN2 = math.log(2.0)
 

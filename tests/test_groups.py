@@ -6,7 +6,6 @@ import pytest
 
 from hspovm.bloch import BlochVector
 from hspovm.groups import (
-    TAU,
     degree_bound,
     double_coset_profile,
     generate_group,
@@ -14,7 +13,7 @@ from hspovm.groups import (
     rotation_matrix,
     stabilizer,
 )
-from hspovm.q5 import dot
+from hspovm.q5 import TAU, dot
 
 
 def _unit(*coords):

@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from mpmath import iv
 
-from hspovm.groups import TAU, generate_group
+from hspovm.groups import generate_group
 from hspovm.invariants import (
     evaluate_invariant,
     gamma_n,
@@ -17,6 +18,7 @@ from hspovm.invariants import (
     orbit_map_icosahedral,
     range_membership_icosahedral,
 )
+from hspovm.q5 import GOLDEN, TAU, Q5
 
 X1 = np.array([0.0, 0.0, 1.0])
 X2 = np.array([0.0, 1.0, 1.0]) / math.sqrt(2.0)
@@ -171,6 +173,17 @@ class TestArithmeticGeneric:
                 assert float(enclosure.a) - 1e-15 <= value <= float(enclosure.b) + 1e-15
             enclosure = j15_squared(iv.mpf(float(theta1)), iv.mpf(float(theta2)), tau)
             assert enclosure.a - 1e-13 <= j15_squared(theta1, theta2) <= enclosure.b + 1e-13
+
+    @pytest.mark.parametrize("name", ["I2", "I3", "I4", "I6", "I6p", "I10", "I6p^2"])
+    def test_exact_coordinates_give_exact_values(self, name):
+        # Q(sqrt 5) coordinates stay exact and round to the float value
+        for point in ((0, 0, 1), (1, 2, 3), (0, GOLDEN, 1), (Fraction(1, 2), -GOLDEN, 3)):
+            exact = evaluate_invariant(name, tuple(map(Q5.of, point)), tau=GOLDEN)
+            assert isinstance(exact, Q5)
+            value = evaluate_invariant(name, [float(c) for c in point])
+            assert float(exact) == pytest.approx(value, rel=1e-12, abs=1e-12)
+        pole = evaluate_invariant(name, (Q5(0), Q5(0), Q5(1)), tau=GOLDEN)
+        assert pole == (1 if name in ("I2", "I4", "I6") else 0)
 
 
 class TestRangeMembership:
