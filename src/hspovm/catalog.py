@@ -169,6 +169,12 @@ class HsPovm:
             return _group_of_tag(self.group)
         return _group_of_tag("C_1")
 
+    @cached_property
+    def antipodes(self) -> tuple:
+        """The states -v_j orthogonal to the POVM states, in vector order;
+        built once per POVM, so every caller shares them."""
+        return tuple(BlochVector.from_array(p) for p in -self._coords)
+
     def is_coplanar(self) -> bool:
         return bool(np.max(np.abs(self.matrix()[:, 2])) < 1e-12)
 

@@ -384,7 +384,8 @@ def expand_in_invariants(povm: HsPovm, evaluator) -> dict:
 # Uniqueness bookkeeping (exact arithmetic in Q(sqrt 5))
 # --------------------------------------------------------------------------
 
-def _moment_constrained_feasible(exact_nodes, k: int, design_order: int,
+@lru_cache(maxsize=64)
+def _moment_constrained_feasible(exact_nodes: tuple, k: int, design_order: int,
                                  centrally_symmetric: bool) -> bool:
     """Whether the node multiset equations admit a solution avoiding -1.
 
@@ -397,6 +398,8 @@ def _moment_constrained_feasible(exact_nodes, k: int, design_order: int,
     Each node (a :class:`hspovm.q5.Q5`) times the common denominator d is
     an integer pair, so each moment equation is two integer equations; the
     search prunes on real values and tests the integers at its leaves.
+    The verdict does not depend on the kernel, so it is memoized on these
+    exact arguments.
     """
     d = math.lcm(*(node.d for node in exact_nodes))
     scaled = [node * d for node in exact_nodes]
@@ -444,6 +447,19 @@ def _moment_constrained_feasible(exact_nodes, k: int, design_order: int,
         return False
 
     return dfs(0, k, [(0, 0) for _ in moments])
+
+
+def _registry_nodes(povm: HsPovm, name: str, nodes) -> tuple:
+    """The family's exact node set, once the vectors are checked to have it:
+    as many vectors as the registry orbit, and the same nodes to 1e-9.  The
+    uniqueness search is a proof only on the vectors' own nodes, so a set
+    under another family's label (an octahedron tagged tetrahedron, which T
+    maps onto itself) is refused."""
+    exact = exact_nodes(name)
+    if (povm.k != len(exact_orbit(name)) or len(nodes) != len(exact)
+            or any(abs(t - float(e)) >= 1e-9 for (t, _), e in zip(nodes, exact))):
+        raise ValueError(f"the vectors do not have the {name}'s node set")
+    return exact
 
 
 def _polygon_uniqueness(povm: HsPovm) -> bool:
@@ -682,7 +698,7 @@ def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCer
             np.min(np.linalg.norm(coords + v[None, :], axis=1)) < 1e-9
             for v in coords)
         uniqueness = not _moment_constrained_feasible(
-            exact_nodes(spec.name), povm.k, design, centrally_symmetric)
+            _registry_nodes(povm, spec.name, nodes), povm.k, design, centrally_symmetric)
     if not uniqueness:
         reason = reason or "uniqueness bookkeeping admits a stray minimizer"
 

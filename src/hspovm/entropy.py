@@ -5,14 +5,17 @@ entropy of measurement at a pure state u is
 
     H(u) = ln(k/2) + (2/k) sum_j h(u . v_j),
 
-and the relative entropy is ln k - H(u).  Global extrema are located by a
-Fibonacci-lattice scan of one fundamental domain of the rotation group the
-POVM's vectors are checked to carry (H is invariant under it, so every
-orbit of critical points has a representative there; Michel's argument),
-followed by one derivative-free refinement per symmetry orbit (an in-repo
-Nelder-Mead on tangent charts; H fails to be twice differentiable exactly
-at the entropy minima, the antipodes of the POVM vectors, so gradient steps
-are not trusted there), whose result is mapped through the group.
+and the relative entropy is ln k - H(u).  The global minima of a highly
+symmetric POVM are the antipodal orbit {-v_j} wherever the interpolation
+certificate proves it (the paper's theorem).  Other global extrema are
+located by a Fibonacci-lattice scan of one fundamental domain of the
+rotation group the POVM's vectors are checked to carry (H is invariant
+under it, so every orbit of critical points has a representative there;
+Michel's argument), followed by one derivative-free refinement per
+symmetry orbit (an in-repo Nelder-Mead on tangent charts; H fails to be
+twice differentiable exactly at the entropy minima, the antipodes of the
+POVM vectors, so gradient steps are not trusted there), whose result is
+mapped through the group.
 Coplanar POVMs are searched on their circle by golden-section.  The local
 searches are generators that yield their trial points; all the starts of
 one call advance side by side, with one kernel call per round.  Critical
@@ -30,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bloch import BlochVector, EntropyKernel, SHANNON, h_array
-from .catalog import HsPovm, _group_of_tag
+from .catalog import HsPovm, _group_of_tag, family_spec
 from .groups import RotationGroup, generate_group
 from .groups import orbit as group_orbit
 
@@ -438,17 +441,29 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
                  n_candidates: int = 2000) -> list:
     """Locate the global extrema of H over pure states.
 
-    H is invariant under the POVM's symmetry group G (its tagged group when
-    that maps the vectors onto themselves, else the trivial group), so the
-    scan covers one fundamental domain of G: the points of the n_scan-point
-    Fibonacci lattice in the Dirichlet cell of a fixed generic point, about
-    n_scan/|G| of them.  The domain is memoized per (n_scan, G) in a small
-    bounded cache; for the trivial group it is the whole lattice.  The
-    lowest ceil(n_candidates/|G|) domain points (selected by a partial sort)
-    are thinned against the group images of the starts already taken (0.05
-    rad), each start is refined by Nelder-Mead on tangent charts, and the
-    refined point is mapped through G, whose images are re-evaluated in one
-    kernel call.  Coplanar POVMs (and the digon) are searched on their
+    Minima of a highly symmetric POVM come from the paper's theorem: when
+    the family is in the registry, its tagged group maps the vectors onto
+    themselves and :func:`hspovm.certificate.certify_minimum` proves for
+    this kernel that the antipodal orbit {-v_j} is the whole set of global
+    minimizers, the k antipodes are returned at their entropy, with
+    ``converged=True``, and nothing is scanned.  All other inputs go to the
+    scan (``_scan_extrema``): maxima, rectangles, custom or untagged sets,
+    sets whose tag does not map them onto themselves, files the
+    certificate refuses and kernels it does not settle.  ``n_scan`` and
+    ``n_candidates`` matter only for these.
+
+    The scan: H is invariant under the POVM's symmetry group G (its tagged
+    group when that maps the vectors onto themselves, else the trivial
+    group), so the scan covers one fundamental domain of G: the points of
+    the n_scan-point Fibonacci lattice in the Dirichlet cell of a fixed
+    generic point, about n_scan/|G| of them.  The domain is memoized per
+    (n_scan, G) in a small bounded cache; for the trivial group it is the
+    whole lattice.  The lowest ceil(n_candidates/|G|) domain points
+    (selected by a partial sort) are thinned against the group images of
+    the starts already taken (0.05 rad), each start is refined by
+    Nelder-Mead on tangent charts, and the refined point is mapped through
+    G, whose images are re-evaluated in one kernel call.  Coplanar POVMs
+    (and the digon) are searched on their
     circle by golden-section refinement of the scan minima.  On either path
     all the starts advance side by side (``_lockstep``): each round, the
     pending trial points of every unfinished search are evaluated in one
@@ -457,9 +472,43 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
     alone.  The scan and the refinement go through one kernel,
     ``_entropy_of_dots``.  Points within 1e-4 rad of a lower one are
     dropped, and only those within 1e-8 of the best value are returned.
+    Either way the points are sorted by their coordinates.
     """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
+    if mode == "min" and _antipodes_certified(povm, kernel):
+        coords, k, group = povm.matrix(), povm.k, povm.symmetry_group
+        out = []
+        for p, u in zip(-coords, povm.antipodes):
+            label, stat = _type_of_point(u, povm, group)
+            out.append(CriticalPoint(location=u,
+                                     value=float(_entropy_of_dots(coords @ p, k, kernel)),
+                                     kind=mode, type_label=label,
+                                     classifier_statistic=stat, converged=True))
+        return _by_location(out)
+    return _scan_extrema(povm, mode, n_scan, kernel, n_candidates)
+
+
+def _antipodes_certified(povm: HsPovm, kernel: EntropyKernel) -> bool:
+    """Whether the certificate proves the antipodal orbit to be the whole
+    set of global minimizers of H under this kernel: a registry family, a
+    tagged group that maps the vectors onto themselves, and a valid
+    certificate (orbit minimum and uniqueness).  A refused input is not
+    certified."""
+    if family_spec(povm.family) is None or povm.symmetry_group.order == 1:
+        return False
+    # imported on use: the scan needs neither the certificate nor mpmath
+    from .certificate import certify_minimum
+    from .sturm import AmbiguousSignError
+    try:
+        return certify_minimum(povm, kernel).valid
+    except (ValueError, AmbiguousSignError):
+        return False
+
+
+def _scan_extrema(povm: HsPovm, mode: str, n_scan: int, kernel: EntropyKernel,
+                  n_candidates: int) -> list:
+    """The extrema of H located by the scan described in :func:`find_extrema`."""
     sign = 1.0 if mode == "min" else -1.0
     coords, k = povm.matrix(), povm.k
 
@@ -493,8 +542,13 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
                                  kind=mode, type_label=label,
                                  classifier_statistic=stat,
                                  converged=bool(converged)))
-    out.sort(key=lambda c: tuple(np.round(c.location.as_array(), 8)))
-    return out
+    return _by_location(out)
+
+
+def _by_location(points: list) -> list:
+    """The critical points, sorted in place by their coordinates rounded to 1e-8."""
+    points.sort(key=lambda c: tuple(np.round(c.location.as_array(), 8)))
+    return points
 
 
 def _type_of_point(u: BlochVector, povm: HsPovm, group: RotationGroup) -> tuple:

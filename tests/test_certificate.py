@@ -727,6 +727,26 @@ def test_mislabelled_vectors_refused_by_their_node_set():
         certify_minimum(povm)
 
 
+@pytest.mark.parametrize("family, label, group", [("octahedron", "tetrahedron", "T"),
+                                                   ("cube", "octahedron", "O")])
+def test_tagged_set_of_another_family_refused_by_its_node_set(family, label, group):
+    # the tagged group maps these vectors onto themselves, but the uniqueness
+    # search would run on the label's node set instead of their own
+    povm = HsPovm(vectors=make_hs_povm(family).vectors, family=label, group=group)
+    assert povm.symmetry_group.name == group
+    with pytest.raises(ValueError, match=f"{label}'s node set"):
+        certify_minimum(povm)
+
+
+def test_uniqueness_search_shared_across_kernels():
+    povm = make_hs_povm("icosidodecahedron")
+    certify_minimum(povm)
+    hits = _moment_constrained_feasible.cache_info().hits
+    certificate = certify_minimum(povm, EntropyKernel("renyi", 1.3))
+    assert certificate.uniqueness_verdict
+    assert _moment_constrained_feasible.cache_info().hits == hits + 1
+
+
 # --------------------------------------------------------------------------
 # Polygon uniqueness by parity, against the float angle search
 # --------------------------------------------------------------------------

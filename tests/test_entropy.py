@@ -11,12 +11,13 @@ import pytest
 
 import hspovm
 from conftest import ALL_FAMILIES, POLYHEDRA, povm_for
-from hspovm import catalog, entropy
-from hspovm.bloch import BlochVector, EntropyKernel, eta
+from hspovm import catalog, certificate, entropy
+from hspovm.bloch import SHANNON, BlochVector, EntropyKernel, eta
 from hspovm.catalog import (HsPovm, _group_of_tag, inert_directions, make_hs_povm,
                             make_rectangle_povm)
 from hspovm.entropy import (
     CLUSTER_ANGLE,
+    DEFAULT_GRID,
     DOMAIN_CENTER,
     GRID_CHUNK,
     REFINE_MAXITER,
@@ -32,6 +33,7 @@ from hspovm.entropy import (
     _lowest,
     _nelder_mead,
     _orbit_representatives,
+    _scan_extrema,
     _tangent_frame,
     _type_of_point,
     classify_inert_point,
@@ -44,6 +46,7 @@ from hspovm.entropy import (
 )
 from hspovm.groups import generate_group
 from hspovm.q5 import TAU
+from hspovm.sturm import AmbiguousSignError
 
 LN2 = math.log(2.0)
 
@@ -554,9 +557,9 @@ CIRCLE_INPUTS = {"5-gon": lambda: make_hs_povm("n-gon", 5),
 @pytest.mark.parametrize("mode", ["min", "max"])
 @pytest.mark.parametrize("name", POLYHEDRA + tuple(CIRCLE_INPUTS))
 def test_lockstep_equals_one_at_a_time(monkeypatch, name, mode, kernel):
-    """Running every search of a find_extrema call side by side, with their
-    trial points evaluated in one kernel call per round, refines each start
-    to the same bits as driving it alone through the scalar objective."""
+    """Running every search of a scan side by side, with their trial points
+    evaluated in one kernel call per round, refines each start to the same
+    bits as driving it alone through the scalar objective."""
     povm = CIRCLE_INPUTS[name]() if name in CIRCLE_INPUTS else povm_for(name)
     sign = 1.0 if mode == "min" else -1.0
     coords, k = povm.matrix(), povm.k
@@ -570,7 +573,7 @@ def test_lockstep_equals_one_at_a_time(monkeypatch, name, mode, kernel):
             return refined
 
         monkeypatch.setattr(entropy, "_lockstep", recording)
-        located = find_extrema(povm, mode, n_scan=20_000, kernel=kernel)
+        located = _scan_extrema(povm, mode, 20_000, kernel, 2000)
         runs.append(([[np.asarray(e).tobytes() for e in result] for result in refined],
                      repr(located)))
     assert runs[0] == runs[1]
@@ -660,12 +663,109 @@ class TestFundamentalDomain:
         assert custom.symmetry_group.order == 1
         found, reference = (
             np.array([c.location.as_array() for c in
-                      find_extrema(p, mode, n_scan=20_000, kernel=kernel, n_candidates=100)])
+                      _scan_extrema(p, mode, 20_000, kernel, 100)])
             for p in (povm, custom))
         assert len(found) == len(reference)
         gaps = np.linalg.norm(found[:, None, :] - reference[None, :, :], axis=2)
         assert np.max(np.min(gaps, axis=1)) < 1e-5
         assert np.max(np.min(gaps, axis=0)) < 1e-5
+
+
+def _counted_scans(monkeypatch) -> list:
+    """Wrap the scan of find_extrema so that each call records its mode."""
+    calls = []
+    scan = entropy._scan_extrema
+
+    def counted(povm, mode, *args):
+        calls.append(mode)
+        return scan(povm, mode, *args)
+
+    monkeypatch.setattr(entropy, "_scan_extrema", counted)
+    return calls
+
+
+class TestCertifiedMinima:
+    """The minima of a POVM whose certificate proves the antipodal orbit to
+    be the whole set of global minimizers are that orbit, found without a
+    scan; every other input is scanned."""
+
+    KERNELS = [EntropyKernel("shannon"), EntropyKernel("renyi", 1.3),
+               EntropyKernel("tsallis", 0.8)]
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=str)
+    @pytest.mark.parametrize("family", ALL_FAMILIES + tuple(f"{n}-gon" for n in range(3, 13)))
+    def test_certificate_answer_equals_the_scan(self, monkeypatch, family, kernel):
+        povm = povm_for(family)
+        scanned = repr(_scan_extrema(povm, "min", DEFAULT_GRID, kernel, 2000))
+        calls = _counted_scans(monkeypatch)
+        assert repr(find_extrema(povm, "min", kernel=kernel)) == scanned
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [3, 8, 9])
+    def test_polygon_minima_below_alpha_one_are_the_whole_orbit(self, n):
+        # the scan alone returns 1 of the 3, 4 of the 8 and 1 of the 9 minima
+        povm = povm_for(f"{n}-gon")
+        minima = find_extrema(povm, "min", kernel=EntropyKernel("tsallis", 0.3))
+        assert len(minima) == n
+        assert {c.location for c in minima} == {-v for v in povm.vectors}
+        assert np.ptp([c.value for c in minima]) < 1e-12
+        assert all(c.type_label == "I" and c.converged for c in minima)
+
+    def test_antipodes_built_once_per_povm(self):
+        # every call returns the same location objects, so results kept
+        # across many calls do not each hold k new vectors
+        povm = povm_for("cube")
+        first, second = find_extrema(povm, "min"), find_extrema(povm, "min")
+        assert all(a.location is b.location for a, b in zip(first, second))
+
+    UNCERTIFIED = {
+        "max": lambda: (povm_for("cube"), "max", SHANNON),
+        "rectangle 0.8": lambda: (make_rectangle_povm(0.8), "min", SHANNON),
+        "rectangle 1.4": lambda: (make_rectangle_povm(1.4), "min", SHANNON),
+        # remainder negative: p exceeds h off the nodes
+        "cube renyi 2.5": lambda: (povm_for("cube"), "min", EntropyKernel("renyi", 2.5)),
+        # p reproduces h: the minimizers are not isolated
+        "cube tsallis 2": lambda: (povm_for("cube"), "min", EntropyKernel("tsallis", 2.0)),
+        "rotated cube file": lambda: (HsPovm.from_json(json.dumps({
+            "vectors": (povm_for("cube").matrix() @ _random_rotation(3).T).tolist(),
+            "family": "cube"})), "min", SHANNON),
+        "untagged custom": lambda: (HsPovm(vectors=povm_for("cube").vectors,
+                                           family="custom"), "min", SHANNON),
+        "rectangle tagged 4-gon": lambda: (HsPovm(
+            vectors=make_rectangle_povm(1.0).vectors, family="4-gon", group="C_4"),
+            "min", SHANNON),
+        # T maps the octahedron onto itself: a verified tag, the wrong node set
+        "octahedron tagged tetrahedron": lambda: (HsPovm(
+            vectors=povm_for("octahedron").vectors, family="tetrahedron", group="T"),
+            "min", SHANNON),
+    }
+
+    @pytest.mark.parametrize("label", list(UNCERTIFIED))
+    def test_uncertified_inputs_are_scanned(self, monkeypatch, label):
+        povm, mode, kernel = self.UNCERTIFIED[label]()
+        calls = _counted_scans(monkeypatch)
+        assert find_extrema(povm, mode, n_scan=20_000, kernel=kernel)
+        assert calls == [mode]
+
+    @pytest.mark.parametrize("error", [ValueError("refused"), AmbiguousSignError("open")],
+                             ids=lambda e: type(e).__name__)
+    def test_refused_certificate_falls_back_to_the_scan(self, monkeypatch, error):
+        def refuse(povm, kernel):
+            raise error
+
+        monkeypatch.setattr(certificate, "certify_minimum", refuse)
+        calls = _counted_scans(monkeypatch)
+        _assert_antipodal_orbit(find_extrema(povm_for("cube"), "min", n_scan=20_000),
+                                povm_for("cube").matrix())
+        assert calls == ["min"]
+
+    def test_other_certificate_errors_propagate(self, monkeypatch):
+        def fail(povm, kernel):
+            raise ZeroDivisionError("internal")
+
+        monkeypatch.setattr(certificate, "certify_minimum", fail)
+        with pytest.raises(ZeroDivisionError):
+            find_extrema(povm_for("cube"), "min", n_scan=20_000)
 
 
 def test_entropy_of_rows_equals_point_objective():
