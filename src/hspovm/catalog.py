@@ -24,6 +24,8 @@ from .q5 import GOLDEN, TAU, Q5, dot
 CENTROID_TOL = 1e-12
 DESIGN_SEED = 42         # fixed seed for the random-direction design check
 DESIGN_DIRECTIONS = 200
+DESIGN_T_MAX = 5         # highest degree of the sampled design check
+GEOMETRY_TOL = 1e-9      # Gram entries closer than this to the family's dots match
 IMAGE_BATCH = 1 << 16    # image-vector pairs per batch of the symmetry check
 NODE_TOL = 1e-9          # node values closer than this are one node
 
@@ -119,6 +121,24 @@ def exact_nodes(name: str) -> tuple:
     """The sorted distinct values -(g s) . s / (s . s): the exact node set."""
     seed = exact_orbit(name)[0]         # the identity comes first
     return tuple(sorted({-dot(v, seed) / dot(seed, seed) for v in exact_orbit(name)}))
+
+
+@lru_cache(maxsize=None)
+def exact_design_order(name: str) -> int:
+    """Design order of the family's exact orbit: the largest t with
+    sum_{v in orbit} P_s(v . s / (s . s)) = 0 for s = 1..t, the Legendre
+    polynomials P_s taken by their three-term recurrence in Q(sqrt 5).  By
+    the addition theorem (Delsarte, Goethals and Seidel 1977) the orbit is
+    a t-design exactly then; a finite set is not a design of every order,
+    so the loop ends."""
+    orbit = exact_orbit(name)
+    cosines = [dot(v, orbit[0]) / dot(orbit[0], orbit[0]) for v in orbit]
+    previous, current, s = [Q5(1)] * len(orbit), cosines, 1      # P_0, P_1
+    while sum(current, Q5()) == 0:
+        previous, current = current, [((2 * s + 1) * x * p - s * q) / (s + 1)
+                                      for x, p, q in zip(cosines, current, previous)]
+        s += 1
+    return s - 1
 
 
 @dataclass(frozen=True)
@@ -218,6 +238,40 @@ def _maps_onto_itself(group: RotationGroup, coords: np.ndarray) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _dot_profile(family: str, k: int) -> np.ndarray:
+    """The sorted dots of the family's fiducial with its vectors (read-only),
+    for the member with k vectors where the label leaves k open."""
+    reference = make_hs_povm(family, k)
+    profile = np.sort(reference.matrix() @ reference.fiducial.as_array())
+    profile.setflags(write=False)
+    return profile
+
+
+def check_family_geometry(povm: HsPovm) -> FamilySpec:
+    """The registry entry of the POVM's family, once its vectors are checked
+    to be that family in some orientation: every row of the sorted Gram
+    matrix is the family's sorted dot profile to GEOMETRY_TOL.
+
+    Every vector then sees the family's node set, and by the addition
+    theorem sum_{j,l} P_s(v_j . v_l) is the registry orbit's for every s,
+    so the set has the orbit's k, node set, design order and central
+    symmetry, which can be read from the exact registry.  Rectangles and
+    custom sets have no registry entry (their entropy minimizers lie off
+    the antipodal orbit) and are refused.
+    """
+    spec = family_spec(povm.family)
+    if spec is None:
+        raise ValueError(f"{povm.family!r} is not a registry family and has no closed "
+                         "form; minimize its entropy with entropy.find_extrema")
+    profile = _dot_profile(povm.family, povm.k)
+    gram = np.sort(povm.matrix() @ povm.matrix().T, axis=1)
+    if len(profile) != povm.k or np.max(np.abs(gram - profile)) > GEOMETRY_TOL:
+        raise ValueError(f"the vectors do not have the {povm.family}'s node set at "
+                         "every vector; the family label does not match the geometry")
+    return spec
+
+
 def inert_directions(povm: HsPovm) -> list:
     """Unit rotation-axis directions of the POVM's family group, where the
     classifier of symmetry-forced critical points starts; the coordinate
@@ -300,14 +354,14 @@ def _design_directions() -> np.ndarray:
     return w
 
 
-def spherical_design_order(vectors, t_max: int = 5) -> int:
-    """Largest t <= t_max such that the point set averages monomials
+def spherical_design_order(vectors) -> int:
+    """Largest t <= DESIGN_T_MAX such that the point set averages monomials
     (w . v)^s like the uniform sphere for all s <= t.
 
     The sphere average of (w . v)^s is 0 for odd s and 1/(s+1) for even s;
     the check samples 200 fixed random directions at tolerance 1e-9.
     """
-    return _order_of_moments(_design_moments(vectors, t_max))
+    return _order_of_moments(_design_moments(vectors))
 
 
 def _order_of_moments(moments) -> int:
@@ -315,11 +369,11 @@ def _order_of_moments(moments) -> int:
     return next((s - 1 for s, deviation in moments if deviation > 1e-9), len(moments))
 
 
-def _design_moments(vectors, t_max: int = 5) -> tuple:
+def _design_moments(vectors) -> tuple:
     coords = np.array([v.as_array() for v in vectors])
     dots = _design_directions() @ coords.T
     out = []
-    for s in range(1, t_max + 1):
+    for s in range(1, DESIGN_T_MAX + 1):
         target = 0.0 if s % 2 == 1 else 1.0 / (s + 1)
         out.append((s, float(np.max(np.abs(np.mean(dots ** s, axis=1) - target)))))
     return tuple(out)

@@ -15,17 +15,22 @@ The pipeline, per family:
    registry (:class:`hspovm.catalog.FamilySpec`): either P is constant
    because the orbit is a t-design (on the circle for polygons) and p has
    degree <= t (N - 1, or alpha when p reproduces h) -- polygons,
-   tetrahedron, octahedron, icosahedron; or P restricted to the sphere is
-   a short combination of primary invariants whose extrema are known (cube,
-   cuboctahedron, dodecahedron); or, for the icosidodecahedron, an interval
-   Sturm chain shows that the zero-level parabola of P misses the orbit-map
+   tetrahedron, octahedron, icosahedron, with t for the digon and the
+   polyhedra the exact registry orbit's (catalog.exact_design_order),
+   which the vectors share once catalog.check_family_geometry has matched
+   every row of their Gram matrix to the family's; or P restricted to the
+   sphere is a short combination of primary invariants whose extrema are
+   known (cube, cuboctahedron, dodecahedron); or, for the
+   icosidodecahedron, an interval Sturm chain shows that the zero-level parabola of P misses the orbit-map
    range except at the origin, and P is positive at a corner of the range.
    The invariant coefficients are sum_i c_i L_i for p = sum_i c_i t^i and
    the family's exact matrix L, sum_j (v_j . x)^i = L_i . (1, I_1, ...)(x)
    on the sphere (c_i in floats, or intervals on the exact nodes for Sturm);
 6. close uniqueness: any further global minimizer w would need all its
    dots {w . u} inside T, which the design moment equations, solved in
-   integers, rule out unless -1 is among them.
+   integers on the registry's exact nodes, rule out unless -1 is among
+   them; the orbit is centrally symmetric, so that a dot +1 forces a dot
+   -1, exactly when 1 is an exact node.  Polygons close it by parity.
 
 Interpolation and its node-residual diagnostic run in 80-bit extended
 precision; the Sturm step runs in mpmath interval arithmetic with adaptive
@@ -48,7 +53,8 @@ from mpmath.ctx_iv import MPIntervalContext
 
 from .bloch import EntropyKernel, SHANNON
 from .catalog import (FAMILY_SPECS, HsPovm, _group_of_tag, _maps_onto_itself,
-                      exact_nodes, exact_orbit, family_spec, interpolation_set,
+                      check_family_geometry, exact_design_order, exact_nodes,
+                      exact_orbit, family_spec, interpolation_set,
                       spherical_design_order)
 from .invariants import (J15_SQUARED_TERMS, evaluate_invariant, i6_prime, i10,
                          invariant_degree)
@@ -319,7 +325,7 @@ def _expansion_matrix(name: str, degree: int) -> dict:
     is I_d(S) / (S . S)^(d/2): no square root.  The odd power sums of the
     (checked) centrally symmetric orbit vanish."""
     orbit = exact_orbit(name)
-    if set(orbit) != {tuple(-c for c in v) for v in orbit}:
+    if 1 not in exact_nodes(name):             # -s is not in the orbit
         raise ValueError(f"the {name} orbit is not centrally symmetric")
     m = []                                  # rows [invariants | power sums]
     for s in (tuple(map(Q5.of, probe)) for probe in FAMILY_SPECS[name].probes):
@@ -449,19 +455,6 @@ def _moment_constrained_feasible(exact_nodes: tuple, k: int, design_order: int,
     return dfs(0, k, [(0, 0) for _ in moments])
 
 
-def _registry_nodes(povm: HsPovm, name: str, nodes) -> tuple:
-    """The family's exact node set, once the vectors are checked to have it:
-    as many vectors as the registry orbit, and the same nodes to 1e-9.  The
-    uniqueness search is a proof only on the vectors' own nodes, so a set
-    under another family's label (an octahedron tagged tetrahedron, which T
-    maps onto itself) is refused."""
-    exact = exact_nodes(name)
-    if (povm.k != len(exact_orbit(name)) or len(nodes) != len(exact)
-            or any(abs(t - float(e)) >= 1e-9 for (t, _), e in zip(nodes, exact))):
-        raise ValueError(f"the vectors do not have the {name}'s node set")
-    return exact
-
-
 def _polygon_uniqueness(povm: HsPovm) -> bool:
     """Uniqueness for the regular n-gon, by parity: the circle points whose
     dots all lie in T are exactly the antipodal orbit (minimizers are
@@ -586,9 +579,15 @@ def icosidodeca_positivity(B: float, C: float, D: float) -> bool:
 # --------------------------------------------------------------------------
 
 def _design_order(povm: HsPovm) -> int:
-    """Design order of the orbit on the domain of its minimizers: the
-    sphere, or for a coplanar set the circle, where it is the largest t
-    with sum_j z_j^m = 0 for m = 1..t (z_j = x_j + i y_j; some m <= k fails)."""
+    """Design order of the orbit on the domain of its minimizers.  For the
+    digon and the polyhedra it is the exact registry orbit's, which a set
+    passing :func:`hspovm.catalog.check_family_geometry` shares; for a
+    coplanar set it is the circle's, the largest t with sum_j z_j^m = 0
+    for m = 1..t (z_j = x_j + i y_j; some m <= k fails); otherwise it is
+    sampled on the sphere."""
+    spec = family_spec(povm.family)
+    if spec is not None and spec.group != "C":
+        return exact_design_order(spec.name)
     if not povm.is_coplanar():
         return spherical_design_order(povm.vectors)
     z = povm.matrix()[:, 0] + 1j * povm.matrix()[:, 1]
@@ -661,11 +660,17 @@ def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCer
     lower bound, by the design order, for polygons, the tetrahedron,
     octahedron and icosahedron; sign of the leading invariant coefficient
     for cube and dodecahedron; candidate comparison for the cuboctahedron;
-    interval Sturm for the icosidodecahedron.
+    interval Sturm for the icosidodecahedron.  The digon and the polyhedra
+    are first checked to be their labelled family up to rotation
+    (:func:`hspovm.catalog.check_family_geometry`), which raises
+    ValueError otherwise.
     """
     spec = family_spec(povm.family)
     if spec is None:
         raise ValueError(f"certification needs a named HS family, got {povm.family!r}")
+    if spec.group != "C":
+        # the uniqueness search and the design order are the registry orbit's
+        check_family_geometry(povm)
 
     nodes = _hermite_nodes(povm)
     poly = hermite_interpolate(kernel, nodes)
@@ -693,12 +698,8 @@ def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCer
     elif spec.group == "C":
         uniqueness = _polygon_uniqueness(povm)
     else:
-        coords = povm.matrix()
-        centrally_symmetric = all(
-            np.min(np.linalg.norm(coords + v[None, :], axis=1)) < 1e-9
-            for v in coords)
-        uniqueness = not _moment_constrained_feasible(
-            _registry_nodes(povm, spec.name, nodes), povm.k, design, centrally_symmetric)
+        exact = exact_nodes(spec.name)      # node 1: -v is in the orbit
+        uniqueness = not _moment_constrained_feasible(exact, povm.k, design, 1 in exact)
     if not uniqueness:
         reason = reason or "uniqueness bookkeeping admits a stray minimizer"
 

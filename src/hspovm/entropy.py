@@ -41,6 +41,8 @@ DEFAULT_GRID = 200_000
 REFINE_FTOL = 1e-13
 REFINE_XTOL = 1e-9
 REFINE_MAXITER = 600
+MAX_RECENTER = 6          # tangent charts per sphere refinement
+N_CANDIDATES = 2000       # lowest scan points kept, over |G| per domain
 LINE_XTOL = 1e-12         # bracket width ending a golden-section search
 START_ANGLE = 0.05        # rad, minimum spacing of refinement starts
 CLUSTER_ANGLE = 1e-4
@@ -302,15 +304,16 @@ def _lockstep(searches: list, values) -> list:
     return results
 
 
-def _refine_on_sphere(start: np.ndarray, max_recenter: int = 6):
-    """Nelder-Mead on local tangent charts, re-centred until stationary.
+def _refine_on_sphere(start: np.ndarray):
+    """Nelder-Mead on local tangent charts, re-centred until stationary
+    (at most MAX_RECENTER charts).
 
     A generator that yields the sphere point of each trial (see
     ``_lockstep``); returns the refined point and whether the last chart's
     simplex reached its tolerance within the iteration cap.
     """
     center = start / np.linalg.norm(start)
-    for _ in range(max_recenter):
+    for _ in range(MAX_RECENTER):
         e1, e2 = _tangent_frame(center)
 
         def chart(st):
@@ -437,8 +440,7 @@ def _circle_refined(povm: HsPovm, values, rows, n_scan: int) -> np.ndarray:
 
 
 def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
-                 kernel: EntropyKernel = SHANNON,
-                 n_candidates: int = 2000) -> list:
+                 kernel: EntropyKernel = SHANNON) -> list:
     """Locate the global extrema of H over pure states.
 
     Minima of a highly symmetric POVM come from the paper's theorem: when
@@ -449,8 +451,8 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
     ``converged=True``, and nothing is scanned.  All other inputs go to the
     scan (``_scan_extrema``): maxima, rectangles, custom or untagged sets,
     sets whose tag does not map them onto themselves, files the
-    certificate refuses and kernels it does not settle.  ``n_scan`` and
-    ``n_candidates`` matter only for these.
+    certificate refuses and kernels it does not settle.  ``n_scan``
+    matters only for these.
 
     The scan: H is invariant under the POVM's symmetry group G (its tagged
     group when that maps the vectors onto themselves, else the trivial
@@ -458,7 +460,7 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
     the n_scan-point Fibonacci lattice in the Dirichlet cell of a fixed
     generic point, about n_scan/|G| of them.  The domain is memoized per
     (n_scan, G) in a small bounded cache; for the trivial group it is the
-    whole lattice.  The lowest ceil(n_candidates/|G|) domain points
+    whole lattice.  The lowest ceil(N_CANDIDATES/|G|) domain points
     (selected by a partial sort) are thinned against the group images of
     the starts already taken (0.05 rad), each start is refined by
     Nelder-Mead on tangent charts, and the refined point is mapped through
@@ -486,7 +488,7 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
                                      kind=mode, type_label=label,
                                      classifier_statistic=stat, converged=True))
         return _by_location(out)
-    return _scan_extrema(povm, mode, n_scan, kernel, n_candidates)
+    return _scan_extrema(povm, mode, n_scan, kernel, N_CANDIDATES)
 
 
 def _antipodes_certified(povm: HsPovm, kernel: EntropyKernel) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import eta
-from .catalog import FAMILY_SPECS, HsPovm, family_spec, make_hs_povm
+from .catalog import FAMILY_SPECS, HsPovm, check_family_geometry
 from .entropy import _entropy_values, fibonacci_sphere
 
 #: five-digit reference values for the catalog families
@@ -35,27 +35,11 @@ class InfoPowerReport:
     uncertainty_bound: float = None   # type: ignore[assignment]
 
 
-def _check_family_geometry(povm: HsPovm):
-    """Refuse a POVM whose vectors are not its labelled registry family in
-    some orientation: every row of its sorted Gram matrix must be the
-    family's sorted dot profile (rectangles and custom sets have no closed
-    form, the entropy minimizers being elsewhere than the antipodal orbit)."""
-    if family_spec(povm.family) is None:
-        raise ValueError(
-            f"no closed form for family {povm.family!r}; minimize the "
-            "entropy numerically (entropy.find_extrema) instead")
-    reference = make_hs_povm(povm.family, povm.k)
-    profile = np.sort(reference.matrix() @ reference.fiducial.as_array())
-    gram = np.sort(povm.matrix() @ povm.matrix().T, axis=1)
-    if reference.k != povm.k or np.max(np.abs(gram - profile)) > 1e-9:
-        raise ValueError(f"the vectors do not form a {povm.family}; "
-                         "the family label does not match the geometry")
-
-
 def informational_power(povm: HsPovm) -> float:
     """Closed-form informational power of a highly symmetric POVM, after
-    checking the vectors against the family label up to rotation."""
-    _check_family_geometry(povm)
+    checking the vectors against the family label up to rotation
+    (:func:`hspovm.catalog.check_family_geometry`)."""
+    check_family_geometry(povm)
     v = povm.fiducial.as_array()
     dots = povm.matrix() @ v
     return math.log(2.0) - (2.0 / povm.k) * math.fsum(
