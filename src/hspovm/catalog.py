@@ -25,7 +25,7 @@ CENTROID_TOL = 1e-12
 DESIGN_SEED = 42         # fixed seed for the random-direction design check
 DESIGN_DIRECTIONS = 200
 DESIGN_T_MAX = 5         # highest degree of the sampled design check
-GEOMETRY_TOL = 1e-9      # Gram entries closer than this to the family's dots match
+GEOMETRY_TOL = 1e-9      # vectors closer than this to the rotated registry member match
 IMAGE_BATCH = 1 << 16    # image-vector pairs per batch of the symmetry check
 NODE_TOL = 1e-9          # node values closer than this are one node
 
@@ -238,38 +238,73 @@ def _maps_onto_itself(group: RotationGroup, coords: np.ndarray) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _dot_profile(family: str, k: int) -> np.ndarray:
-    """The sorted dots of the family's fiducial with its vectors (read-only),
-    for the member with k vectors where the label leaves k open."""
-    reference = make_hs_povm(family, k)
-    profile = np.sort(reference.matrix() @ reference.fiducial.as_array())
-    profile.setflags(write=False)
-    return profile
+@lru_cache(maxsize=64)
+def _member(family: str, k: int) -> HsPovm | None:
+    """The registry member make_hs_povm(family, k), built once per (label,
+    k) while it stays among the 64 cached; None when the label has no
+    member with k vectors."""
+    try:
+        member = make_hs_povm(family, k)
+    except ValueError:
+        return None
+    return member if member.k == k else None
 
 
-def check_family_geometry(povm: HsPovm) -> FamilySpec:
-    """The registry entry of the POVM's family, once its vectors are checked
-    to be that family in some orientation: every row of the sorted Gram
-    matrix is the family's sorted dot profile to GEOMETRY_TOL.
+def _frame(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows: the unit a, the unit part of b orthogonal to a, their cross product."""
+    e1 = a / np.linalg.norm(a)
+    e2 = b - (b @ e1) * e1
+    e2 /= np.linalg.norm(e2)
+    return np.array([e1, e2, np.cross(e1, e2)])
 
-    Every vector then sees the family's node set, and by the addition
-    theorem sum_{j,l} P_s(v_j . v_l) is the registry orbit's for every s,
-    so the set has the orbit's k, node set, design order and central
-    symmetry, which can be read from the exact registry.  Rectangles and
-    custom sets have no registry entry (their entropy minimizers lie off
-    the antipodal orbit) and are refused.
+
+def _is_rotated_copy(coords: np.ndarray, reference: np.ndarray) -> bool:
+    """Whether R reference = coords up to permutation, to GEOMETRY_TOL, for
+    some rotation R.  R takes the first vector u of coords onto the first
+    reference vector m, and a vector of coords at the least |dot| with u
+    onto each reference vector at the same dot with m; a candidate passes
+    when every image is near one reference vector and every reference
+    vector near one image.  A set {u, -u} has no second direction, and any
+    turn about u will do."""
+    dots = coords @ coords[0]
+    j = int(np.argmin(np.abs(dots)))
+    second, targets = coords[j], reference[np.abs(reference @ reference[0] - dots[j])
+                                           <= GEOMETRY_TOL]
+    if abs(dots[j]) > 1.0 - 1e-6:
+        second = np.eye(3)[np.argmin(np.abs(coords[0]))]
+        targets = np.eye(3)[[np.argmin(np.abs(reference[0]))]]
+    source = coords @ _frame(coords[0], second).T
+    for target in targets:
+        images = source @ _frame(reference[0], target)
+        gaps = np.linalg.norm(images[:, None, :] - reference[None, :, :], axis=-1)
+        if max(np.max(gaps.min(0)), np.max(gaps.min(1))) < GEOMETRY_TOL:
+            return True
+    return False
+
+
+def check_family_geometry(povm: HsPovm) -> tuple:
+    """(spec, member): the registry entry of the POVM's family and its
+    registry member with k vectors (:func:`make_hs_povm`), once the vectors
+    are checked to be R member for some rotation R, to GEOMETRY_TOL and up
+    to permutation.
+
+    H(Ru; RV) = H(u; V), so every statement about the entropy of the member
+    (its node set, design order, central symmetry, minimizers and their
+    certificate) holds for the vectors, rotated by R; a reflected copy of
+    these achiral families is a rotated one.  Rectangles and custom sets
+    have no registry entry (their entropy minimizers lie off the antipodal
+    orbit) and are refused.
     """
     spec = family_spec(povm.family)
     if spec is None:
         raise ValueError(f"{povm.family!r} is not a registry family and has no closed "
                          "form; minimize its entropy with entropy.find_extrema")
-    profile = _dot_profile(povm.family, povm.k)
-    gram = np.sort(povm.matrix() @ povm.matrix().T, axis=1)
-    if len(profile) != povm.k or np.max(np.abs(gram - profile)) > GEOMETRY_TOL:
-        raise ValueError(f"the vectors do not have the {povm.family}'s node set at "
-                         "every vector; the family label does not match the geometry")
-    return spec
+    member = _member(povm.family, povm.k)
+    if member is None or not _is_rotated_copy(povm.matrix(), member.matrix()):
+        raise ValueError(f"the vectors do not realize the {povm.family}'s node set as a "
+                         "rotated copy of its registry member; the family label does "
+                         "not match the geometry")
+    return spec, member
 
 
 def inert_directions(povm: HsPovm) -> list:

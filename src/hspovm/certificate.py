@@ -13,12 +13,10 @@ The pipeline, per family:
    which coincides with the entropy H at the antipodal orbit;
 5. show -v is a global minimizer of P by the family's strategy in the
    registry (:class:`hspovm.catalog.FamilySpec`): either P is constant
-   because the orbit is a t-design (on the circle for polygons) and p has
-   degree <= t (N - 1, or alpha when p reproduces h) -- polygons,
-   tetrahedron, octahedron, icosahedron, with t for the digon and the
-   polyhedra the exact registry orbit's (catalog.exact_design_order),
-   which the vectors share once catalog.check_family_geometry has matched
-   every row of their Gram matrix to the family's; or P restricted to the
+   because the orbit is a t-design (on the circle for polygons, t = n - 1;
+   otherwise the exact registry orbit's t, catalog.exact_design_order) and
+   p has degree <= t (N - 1, or alpha when p reproduces h) -- polygons,
+   tetrahedron, octahedron, icosahedron; or P restricted to the
    sphere is a short combination of primary invariants whose extrema are
    known (cube, cuboctahedron, dodecahedron); or, for the
    icosidodecahedron, an interval Sturm chain shows that the zero-level parabola of P misses the orbit-map
@@ -31,6 +29,10 @@ The pipeline, per family:
    integers on the registry's exact nodes, rule out unless -1 is among
    them; the orbit is centrally symmetric, so that a dot +1 forces a dot
    -1, exactly when 1 is an exact node.  Polygons close it by parity.
+
+Every step runs on the registry member that catalog.check_family_geometry
+finds the vectors to be a rotated copy of: the entropy is rotation
+invariant, so the member's certificate is the vectors'.
 
 Interpolation and its node-residual diagnostic run in 80-bit extended
 precision; the Sturm step runs in mpmath interval arithmetic with adaptive
@@ -52,10 +54,8 @@ import numpy as np
 from mpmath.ctx_iv import MPIntervalContext
 
 from .bloch import EntropyKernel, SHANNON
-from .catalog import (FAMILY_SPECS, HsPovm, _group_of_tag, _maps_onto_itself,
-                      check_family_geometry, exact_design_order, exact_nodes,
-                      exact_orbit, family_spec, interpolation_set,
-                      spherical_design_order)
+from .catalog import (FAMILY_SPECS, HsPovm, check_family_geometry, exact_design_order,
+                      exact_nodes, exact_orbit, family_spec, interpolation_set)
 from .invariants import (J15_SQUARED_TERMS, evaluate_invariant, i6_prime, i10,
                          invariant_degree)
 from .q5 import GOLDEN, Q5, dot
@@ -347,20 +347,6 @@ def _expansion_matrix(name: str, degree: int) -> dict:
     return {i: tuple(row[size + i // 2] for row in m) for i in range(0, degree + 1, 2)}
 
 
-def _registry_orbit(povm: HsPovm) -> str:
-    """The family's registry name, once the vectors are checked to be its
-    exact orbit in the registry orientation up to permutation, to 1e-9:
-    each vector near one orbit point and each orbit point near one vector."""
-    name = family_spec(povm.family).name
-    exact = np.array(exact_orbit(name), dtype=float)
-    exact /= np.linalg.norm(exact, axis=1, keepdims=True)
-    gaps = np.linalg.norm(povm.matrix()[:, None, :] - exact[None, :, :], axis=-1)
-    if gaps.shape != (len(exact),) * 2 or max(np.max(gaps.min(0)), np.max(gaps.min(1))) >= 1e-9:
-        raise ValueError(f"the vectors are not the {name}'s registry orbit: "
-                         "node set or orientation differs")
-    return name
-
-
 def _expand(expansion: dict, mono, lift) -> list:
     """sum_i c_i L_i for the ascending monomial coefficients c_i, with each
     exact entry of L taken through ``lift`` into the arithmetic of the c_i."""
@@ -376,13 +362,15 @@ def expand_in_invariants(povm: HsPovm, evaluator) -> dict:
 
     The orbit-sum normalization, i.e. (k/2)(P - ln(k/2)), is the one in
     which the family constants are usually quoted; signs and the ratio
-    beta = -B/(3C) are unaffected by the overall positive scale.
+    beta = -B/(3C) are unaffected by the overall positive scale.  The
+    invariants are those of the registry orientation, in which
+    :func:`certify_minimum` passes the family's registry member.
     """
     spec = family_spec(povm.family)
     if spec is None or not spec.basis:
         raise ValueError(f"no invariant expansion defined for {povm.family!r}")
     c = evaluator.polynomial.coefficients
-    expansion = _expansion_matrix(_registry_orbit(povm), len(c) - 1)
+    expansion = _expansion_matrix(spec.name, len(c) - 1)
     return dict(zip("ABCD", map(float, _expand(expansion, c, float))))
 
 
@@ -455,22 +443,6 @@ def _moment_constrained_feasible(exact_nodes: tuple, k: int, design_order: int,
     return dfs(0, k, [(0, 0) for _ in moments])
 
 
-def _polygon_uniqueness(povm: HsPovm) -> bool:
-    """Uniqueness for the regular n-gon, by parity: the circle points whose
-    dots all lie in T are exactly the antipodal orbit (minimizers are
-    confined to the circle because H is concave on the Bloch ball and
-    planar here).
-
-    T = {cos(pi + 2 pi j/n)}, so the dot with the fiducial alone puts such
-    a point at angle m pi/n from it with m = n (mod 2): on the antipodal
-    orbit.  The premise, that the vectors are the regular n-gon, is checked
-    on the coordinates: the n rotations about the axis map the n unit
-    vectors with zero centroid onto themselves (a fiducial on the axis
-    leaves only poles, with T = {-1, 1} and their antipodes as minimizers).
-    """
-    return _maps_onto_itself(_group_of_tag(f"C_{povm.k}"), povm.matrix())
-
-
 # --------------------------------------------------------------------------
 # Icosidodecahedral positivity: interval pipeline + Sturm
 # --------------------------------------------------------------------------
@@ -493,14 +465,12 @@ def _parabola_quartic(B, C, D, tau):
     return [acc.get(m, zero) for m in range(2, 7)]
 
 
-def _icosi_interval_coefficients(povm: HsPovm, precision: int,
+def _icosi_interval_coefficients(name: str, precision: int,
                                  kernel: EntropyKernel = SHANNON):
     """tau and enclosures of the invariant coefficients (A, B, C, D for the
-    icosidodecahedron) at the given working precision: sum_i c_i L_i with
-    the interpolant's interval monomial coefficients c_i on the exact nodes
-    and the exact expansion matrix L, once the vectors are checked to be
-    the registry's orbit."""
-    name = _registry_orbit(povm)
+    icosidodecahedron) of the family at the given working precision:
+    sum_i c_i L_i with the interpolant's interval monomial coefficients c_i
+    on the exact nodes and the exact expansion matrix L."""
     ctx = _interval_context(precision)
     f, fp = _kernel_h(kernel, ctx.mpf, ctx.log)
     nodes = [(t.lift(ctx), 1 if t in (-1, 1) else 2) for t in exact_nodes(name)]
@@ -545,11 +515,13 @@ def _at_rising_precision(decide):
         f"{last_error}")
 
 
-def _certified_sturm_verdict(povm: HsPovm, kernel: EntropyKernel):
-    """The positivity step on interval coefficients of the kernel's bound;
-    returns ((root count, verdict), bits used)."""
+@lru_cache(maxsize=64)
+def _certified_sturm_verdict(name: str, kernel: EntropyKernel):
+    """The positivity step on interval coefficients of the kernel's bound
+    for the family; returns ((root count, verdict), bits used).  It depends
+    on the family and the kernel alone, so it is memoized on them."""
     def decide(precision):
-        tau, (_, B, C, D) = _icosi_interval_coefficients(povm, precision, kernel)
+        tau, (_, B, C, D) = _icosi_interval_coefficients(name, precision, kernel)
         return _positivity(B, C, D, tau)
 
     return _at_rising_precision(decide)
@@ -578,30 +550,14 @@ def icosidodeca_positivity(B: float, C: float, D: float) -> bool:
 # The full pipeline
 # --------------------------------------------------------------------------
 
-def _design_order(povm: HsPovm) -> int:
-    """Design order of the orbit on the domain of its minimizers.  For the
-    digon and the polyhedra it is the exact registry orbit's, which a set
-    passing :func:`hspovm.catalog.check_family_geometry` shares; for a
-    coplanar set it is the circle's, the largest t with sum_j z_j^m = 0
-    for m = 1..t (z_j = x_j + i y_j; some m <= k fails); otherwise it is
-    sampled on the sphere."""
-    spec = family_spec(povm.family)
-    if spec is not None and spec.group != "C":
-        return exact_design_order(spec.name)
-    if not povm.is_coplanar():
-        return spherical_design_order(povm.vectors)
-    z = povm.matrix()[:, 0] + 1j * povm.matrix()[:, 1]
-    return next(m - 1 for m in range(1, povm.k + 1) if abs(np.sum(z ** m)) >= 1e-9)
-
-
 def _degree_bound(kernel: EntropyKernel, nodes, sign) -> int:
     """Structural degree bound of p: alpha when p reproduces the power
     summand (sign 0), else one less than the number of conditions."""
     return round(kernel.alpha) if sign == 0 else sum(m for _, m in nodes) - 1
 
 
-# Orbit-minimum proofs, one per FamilySpec.strategy.  Each takes (povm,
-# spec, kernel, lower-bound evaluator, its value at -v, whether the design
+# Orbit-minimum proofs, one per FamilySpec.strategy.  Each takes (the
+# registry member, spec, kernel, lower-bound evaluator, its value at -v, whether the design
 # order proves the bound constant) and returns (verdict, reason if it
 # fails, certificate fields).
 
@@ -639,7 +595,7 @@ def _candidate_comparison(povm, spec, kernel, evaluator, minimum, constant):
 
 def _boundary_sturm(povm, spec, kernel, evaluator, minimum, constant):
     coefficients = expand_in_invariants(povm, evaluator)
-    (roots, positive), bits = _certified_sturm_verdict(povm, kernel)
+    (roots, positive), bits = _certified_sturm_verdict(spec.name, kernel)
     return (positive, f"Sturm found {roots} roots; positivity not proved",
             {"coefficients": coefficients, "sturm_roots": roots,
              "sturm_precision_bits": bits})
@@ -660,24 +616,19 @@ def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCer
     lower bound, by the design order, for polygons, the tetrahedron,
     octahedron and icosahedron; sign of the leading invariant coefficient
     for cube and dodecahedron; candidate comparison for the cuboctahedron;
-    interval Sturm for the icosidodecahedron.  The digon and the polyhedra
-    are first checked to be their labelled family up to rotation
+    interval Sturm for the icosidodecahedron.  The vectors are first
+    checked to be a rotated copy of their family's registry member
     (:func:`hspovm.catalog.check_family_geometry`), which raises
-    ValueError otherwise.
+    ValueError otherwise, and every step runs on that member.
     """
-    spec = family_spec(povm.family)
-    if spec is None:
-        raise ValueError(f"certification needs a named HS family, got {povm.family!r}")
-    if spec.group != "C":
-        # the uniqueness search and the design order are the registry orbit's
-        check_family_geometry(povm)
-
-    nodes = _hermite_nodes(povm)
+    spec, member = check_family_geometry(povm)
+    nodes = _hermite_nodes(member)
     poly = hermite_interpolate(kernel, nodes)
     sign = _remainder_sign(kernel, nodes)
-    design = _design_order(povm)
-    evaluator = assemble_lower_bound(povm, poly)
-    certified_minimum = float(evaluator(-povm.fiducial.as_array()))
+    # the design order on the domain of the minimizers: the circle for an n-gon
+    design = member.k - 1 if spec.group == "C" else exact_design_order(spec.name)
+    evaluator = assemble_lower_bound(member, poly)
+    certified_minimum = float(evaluator(-member.fiducial.as_array()))
     reason = _REMAINDER_FAILURES.get(sign, "")
 
     # p = h makes the bound P the entropy H itself; the invariant strategies
@@ -685,7 +636,7 @@ def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCer
     # constant), so the constant proof stands in for any family
     strategy = "constant" if sign == 0 else spec.strategy
     orbit_ok, failure, fields = _ORBIT_MIN_PROOFS[strategy](
-        povm, spec, kernel, evaluator, certified_minimum,
+        member, spec, kernel, evaluator, certified_minimum,
         _degree_bound(kernel, nodes, sign) <= design)
     if not orbit_ok:
         reason = reason or failure
@@ -696,10 +647,14 @@ def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCer
         uniqueness = False
         reason = reason or "kernel reproduced exactly; minimizers not isolated"
     elif spec.group == "C":
-        uniqueness = _polygon_uniqueness(povm)
+        # parity: T = {cos(pi + 2 pi j/n)}, so a circle point whose dot with
+        # the fiducial lies in T sits at an angle m pi/n from it with
+        # m = n (mod 2), on the antipodal orbit (minimizers are confined to
+        # the circle because H is concave on the Bloch ball and planar here)
+        uniqueness = True
     else:
         exact = exact_nodes(spec.name)      # node 1: -v is in the orbit
-        uniqueness = not _moment_constrained_feasible(exact, povm.k, design, 1 in exact)
+        uniqueness = not _moment_constrained_feasible(exact, member.k, design, 1 in exact)
     if not uniqueness:
         reason = reason or "uniqueness bookkeeping admits a stray minimizer"
 

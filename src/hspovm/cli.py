@@ -24,10 +24,9 @@ from . import dynamics, entropy, info
 from .bloch import BlochVector
 from .catalog import (FAMILIES, HsPovm, inert_directions, make_hs_povm,
                       make_rectangle_povm, validate_povm)
-from .entropy import fibonacci_sphere
+from .entropy import DEFAULT_GRID, fibonacci_sphere
 
 SCHEMA_VERSION = 1
-DEFAULT_GRID = 200_000
 
 
 @dataclass

@@ -444,15 +444,14 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
     """Locate the global extrema of H over pure states.
 
     Minima of a highly symmetric POVM come from the paper's theorem: when
-    the family is in the registry, its tagged group maps the vectors onto
-    themselves and :func:`hspovm.certificate.certify_minimum` proves for
-    this kernel that the antipodal orbit {-v_j} is the whole set of global
-    minimizers, the k antipodes are returned at their entropy, with
-    ``converged=True``, and nothing is scanned.  All other inputs go to the
-    scan (``_scan_extrema``): maxima, rectangles, custom or untagged sets,
-    sets whose tag does not map them onto themselves, files the
-    certificate refuses and kernels it does not settle.  ``n_scan``
-    matters only for these.
+    the family is in the registry and
+    :func:`hspovm.certificate.certify_minimum` proves for this kernel that
+    the antipodal orbit {-v_j} is the whole set of global minimizers (in
+    any orientation of the family), the k antipodes are returned at their
+    entropy, with ``converged=True``, and nothing is scanned.  All other
+    inputs go to the scan (``_scan_extrema``): maxima, rectangles, custom
+    sets, sets the certificate refuses as no rotated copy of their family
+    and kernels it does not settle.  ``n_scan`` matters only for these.
 
     The scan: H is invariant under the POVM's symmetry group G (its tagged
     group when that maps the vectors onto themselves, else the trivial
@@ -493,11 +492,11 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
 
 def _antipodes_certified(povm: HsPovm, kernel: EntropyKernel) -> bool:
     """Whether the certificate proves the antipodal orbit to be the whole
-    set of global minimizers of H under this kernel: a registry family, a
-    tagged group that maps the vectors onto themselves, and a valid
-    certificate (orbit minimum and uniqueness).  A refused input is not
-    certified."""
-    if family_spec(povm.family) is None or povm.symmetry_group.order == 1:
+    set of global minimizers of H under this kernel: a registry family and
+    a valid certificate (orbit minimum and uniqueness), whose own check
+    refuses vectors that are no rotated copy of the family.  A refused
+    input is not certified."""
+    if family_spec(povm.family) is None:
         return False
     # imported on use: the scan needs neither the certificate nor mpmath
     from .certificate import certify_minimum

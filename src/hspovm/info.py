@@ -36,13 +36,12 @@ class InfoPowerReport:
 
 
 def informational_power(povm: HsPovm) -> float:
-    """Closed-form informational power of a highly symmetric POVM, after
-    checking the vectors against the family label up to rotation
-    (:func:`hspovm.catalog.check_family_geometry`)."""
-    check_family_geometry(povm)
-    v = povm.fiducial.as_array()
-    dots = povm.matrix() @ v
-    return math.log(2.0) - (2.0 / povm.k) * math.fsum(
+    """Closed-form informational power of a highly symmetric POVM, taken on
+    the registry member that the vectors are checked to be a rotated copy
+    of (:func:`hspovm.catalog.check_family_geometry`)."""
+    _, member = check_family_geometry(povm)
+    dots = member.matrix() @ member.fiducial.as_array()
+    return math.log(2.0) - (2.0 / member.k) * math.fsum(
         eta((1.0 - t) / 2.0) for t in dots)
 
 

@@ -16,7 +16,6 @@ from hspovm.catalog import (FAMILY_SPECS, HsPovm, exact_nodes, exact_orbit,
 from hspovm.certificate import (
     HermitePolynomial,
     _degree_bound,
-    _design_order,
     _expansion_matrix,
     _hermite_monomial,
     _hermite_nodes,
@@ -24,7 +23,6 @@ from hspovm.certificate import (
     _icosi_interval_coefficients,
     _kernel_h,
     _moment_constrained_feasible,
-    _polygon_uniqueness,
     _remainder_sign,
     assemble_lower_bound,
     certify_minimum,
@@ -310,15 +308,13 @@ class TestIcosidodecaPositivity:
             icosidodeca_positivity(-1.0, 0.0, 1.0)
 
     def test_interval_coefficients_are_tight(self):
-        povm = povm_for("icosidodecahedron")
-        tau, (A, B, C, D) = _icosi_interval_coefficients(povm, 200)
+        tau, (A, B, C, D) = _icosi_interval_coefficients("icosidodecahedron", 200)
         for enclosure in (A, B, C, D):
             assert float(enclosure.delta) < 1e-30
 
     def test_interval_pipeline_stable_across_precision(self):
-        povm = povm_for("icosidodecahedron")
-        _, low = _icosi_interval_coefficients(povm, 200)
-        _, high = _icosi_interval_coefficients(povm, 320)
+        _, low = _icosi_interval_coefficients("icosidodecahedron", 200)
+        _, high = _icosi_interval_coefficients("icosidodecahedron", 320)
         for a, b in zip(low, high):
             mid_low = (float(a.a) + float(a.b)) / 2
             mid_high = (float(b.a) + float(b.b)) / 2
@@ -332,7 +328,7 @@ class TestIcosidodecaPositivity:
     ], ids=lambda k: f"{k.kind}{k.alpha}")
     def test_alpha_interval_coefficients_enclose_floats(self, kernel):
         povm = povm_for("icosidodecahedron")
-        _, enclosures = _icosi_interval_coefficients(povm, 200, kernel)
+        _, enclosures = _icosi_interval_coefficients("icosidodecahedron", 200, kernel)
         poly = hermite_interpolate(kernel, _hermite_nodes(povm))
         floats = expand_in_invariants(povm, assemble_lower_bound(povm, poly))
         for name, enclosure in zip("ABCD", enclosures):
@@ -371,19 +367,34 @@ CONSTANCY_POVMS = {
     ids=lambda k: k.kind + ("" if k.alpha is None else str(k.alpha)))
 @pytest.mark.parametrize("name", list(CONSTANCY_POVMS))
 def test_design_order_constancy_matches_sample(name, kernel):
+    # the certificate's constancy verdict, degree bound <= design order, is
+    # what a sample of the bound shows; the invariant strategies of the
+    # cube and beyond see a degree above the design order
     povm = CONSTANCY_POVMS[name]
     nodes = _hermite_nodes(povm)
     degree = _degree_bound(kernel, nodes, _remainder_sign(kernel, nodes))
     poly = hermite_interpolate(kernel, nodes)
     assert poly.degree <= degree
     evaluator = assemble_lower_bound(povm, poly)
-    assert (degree <= _design_order(povm)) == sampled_constant(povm, evaluator)
+    assert certify_minimum(povm, kernel).constant_bound == sampled_constant(povm, evaluator)
+
+
+def circle_design_order(coords) -> int:
+    """The largest t with sum_j z_j^m = 0 for m = 1..t, z_j = x_j + i y_j:
+    the float circle design order the certificate once computed."""
+    z = coords[:, 0] + 1j * coords[:, 1]
+    return next(m - 1 for m in range(1, len(z) + 2) if abs(np.sum(z ** m)) >= 1e-9)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_circle_design_order_of_ngon(n):
-    # sum_j exp(2 pi i m j / n) vanishes exactly when n does not divide m
-    assert _design_order(make_hs_povm("n-gon", n)) == n - 1
+    # sum_j exp(2 pi i m j / n) vanishes exactly when n does not divide m,
+    # so the certificate's circle design order n - 1 is the n-gon's; the
+    # Shannon interpolant has n conditions, degree n - 1, and needs all of it
+    povm = make_hs_povm("n-gon", n)
+    assert circle_design_order(povm.matrix()) == n - 1
+    assert sum(m for _, m in _hermite_nodes(povm)) == n
+    assert certify_minimum(povm).constant_bound
 
 
 class TestKernelPluggability:
@@ -485,7 +496,7 @@ class TestGlobalState:
         saved = iv.prec
         iv.prec = 77
         try:
-            _icosi_interval_coefficients(povm_for("icosidodecahedron"), 200)
+            _icosi_interval_coefficients("icosidodecahedron", 200)
             icosidodeca_positivity(-1.0, 1.0, 0.0)
             assert iv.prec == 77
         finally:
@@ -539,7 +550,7 @@ def test_moment_orbit_sums_enclose_per_vertex_sums(kernel, bits):
     # the orbit sum taken vertex by vertex, at every probe and at five
     # random rational points
     povm = povm_for("icosidodecahedron")
-    tau, (A, B, C, D) = _icosi_interval_coefficients(povm, bits, kernel)
+    tau, (A, B, C, D) = _icosi_interval_coefficients("icosidodecahedron", bits, kernel)
     ctx = tau.ctx
     points = [[reference_lift(float(c), tau) for c in probe]
               for probe in family_spec("icosidodecahedron").probes]
@@ -627,7 +638,7 @@ def test_float_coefficients_sit_at_the_interval_midpoints(family, kernel):
     # the reported floats are the exact expansion to rounding: within 1e-14
     # of the 200-bit enclosures computed on the exact nodes
     povm = povm_for(family)
-    _, enclosures = _icosi_interval_coefficients(povm, 200, kernel)
+    _, enclosures = _icosi_interval_coefficients(family, 200, kernel)
     poly = hermite_interpolate(kernel, _hermite_nodes(povm))
     coefficients = expand_in_invariants(povm, assemble_lower_bound(povm, poly))
     assert len(coefficients) == len(enclosures)
@@ -635,13 +646,11 @@ def test_float_coefficients_sit_at_the_interval_midpoints(family, kernel):
         assert abs(coefficients[name] - float(enclosure.mid)) <= 1e-14, name
 
 
-def test_permuted_orbit_gives_the_same_enclosures():
+def test_permuted_orbit_gives_the_same_certificate():
     povm = povm_for("icosidodecahedron")
     shuffled = HsPovm(vectors=tuple(reversed(povm.vectors)), family="icosidodecahedron",
                       group="I")
-    for a, b in zip(_icosi_interval_coefficients(povm, 200)[1],
-                    _icosi_interval_coefficients(shuffled, 200)[1]):
-        assert (a.a, a.b) == (b.a, b.b)
+    assert repr(certify_minimum(shuffled)) == repr(certify_minimum(povm))
 
 
 # --------------------------------------------------------------------------
@@ -792,7 +801,7 @@ def polygon_file(n, phase=0.0, tilt=None):
 @pytest.mark.parametrize("n", range(2, 65))
 def test_polygon_parity_matches_float_search(n):
     povm = make_hs_povm("n-gon", n)
-    verdict = _polygon_uniqueness(povm)
+    verdict = certify_minimum(povm).uniqueness_verdict
     assert verdict == reference_polygon_uniqueness(povm)
     assert verdict
 
@@ -801,29 +810,32 @@ def test_polygon_parity_matches_float_search(n):
 def test_polygon_parity_in_plane_phase(n):
     povm = polygon_file(n, phase=0.3 + 0.1 * n)
     assert povm.group == f"C_{n}"
-    verdict = _polygon_uniqueness(povm)
+    verdict = certify_minimum(povm).uniqueness_verdict
     assert verdict == reference_polygon_uniqueness(povm)
     assert verdict
 
 
 @pytest.mark.parametrize("n", (5, 6))
-def test_polygon_parity_refuses_tilted_polygons(n):
+def test_tilted_polygons_certify_as_the_member(n):
+    # a polygon off the z = 0 plane is a rotated copy of the n-gon, and its
+    # certificate is the member's
     c, s = math.cos(0.4), math.sin(0.4)
     tilt = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-    assert not _polygon_uniqueness(polygon_file(n, tilt=tilt))
+    cert = certify_minimum(polygon_file(n, tilt=tilt))
+    assert cert.valid, cert.reason
+    assert repr(cert) == repr(certify_minimum(make_hs_povm(f"{n}-gon")))
 
 
 @pytest.mark.parametrize("group", ("C_4", "D2", None))
-def test_mislabelled_rectangle_not_proved_unique(group):
-    # a rectangle is no regular 4-gon: the parity premise fails whether the
-    # label comes with the 4-gon's own tag, the rectangle's (same order) or
-    # from a file; the orbit-minimum step already fails with the same reason
+def test_mislabelled_rectangle_refused(group):
+    # a rectangle is no regular 4-gon, whether the label comes with the
+    # 4-gon's own tag, the rectangle's (same order) or from a file: no
+    # rotation maps it onto the square
     vectors = make_rectangle_povm(1.0).vectors
     if group is None:
         povm = HsPovm.from_json(json.dumps(
             {"vectors": [v.as_array().tolist() for v in vectors], "family": "4-gon"}))
     else:
         povm = HsPovm(vectors=vectors, family="4-gon", group=group)
-    cert = certify_minimum(povm)
-    assert not cert.uniqueness_verdict and not cert.valid
-    assert cert.reason == "lower bound unexpectedly non-constant"
+    with pytest.raises(ValueError, match="4-gon's node set"):
+        certify_minimum(povm)

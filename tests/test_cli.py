@@ -293,21 +293,28 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert err == "error: ZeroDivisionError: injected defect\n"
 
-    @pytest.mark.parametrize("family", ["cube", "cuboctahedron", "dodecahedron",
-                                        "icosidodecahedron"])
-    def test_rotated_file_is_a_usage_error(self, family, tmp_path, capsys):
-        # a rotated file keeps its label but not the registry orientation
-        # that the exact expansion matrix holds in: refused, naming the family
+    @pytest.mark.parametrize("reflect", [False, True], ids=["rotated", "reflected"])
+    @pytest.mark.parametrize("family", ["digon", "tetrahedron", "octahedron", "cube",
+                                        "cuboctahedron", "icosahedron", "dodecahedron",
+                                        "icosidodecahedron",
+                                        *(f"{n}-gon" for n in range(3, 13))])
+    def test_rotated_file_certifies_as_its_family(self, family, reflect, tmp_path,
+                                                  capsys):
+        # a rotated or reflected file is a copy of its family's registry
+        # member, whose certificate it gets: the --family payload, exit 0
         q, r = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
         q = q * np.sign(np.diag(r))
-        q *= np.sign(np.linalg.det(q))                  # a rotation, not a reflection
+        q *= np.sign(np.linalg.det(q)) * (-1 if reflect else 1)
         coords = make_hs_povm(family).matrix() @ q.T
         path = tmp_path / f"rotated-{family}.json"
         path.write_text(json.dumps({"vectors": coords.tolist(), "family": family}))
-        assert main(["certify", "--in", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.count("\n") == 1
-        assert captured.err.startswith("error: ") and f"{family}'s" in captured.err
+        payloads = []
+        for args in (["--in", str(path)], ["--family", family]):
+            code, text = run_cli(["certify", *args], capsys)
+            assert code == 0
+            payloads.append(json.loads(text))
+            del payloads[-1]["wall_clock_seconds"]
+        assert payloads[0] == payloads[1]
 
 
 class TestCertifyGolden:

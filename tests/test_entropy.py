@@ -718,6 +718,18 @@ class TestCertifiedMinima:
         first, second = find_extrema(povm, "min"), find_extrema(povm, "min")
         assert all(a.location is b.location for a, b in zip(first, second))
 
+    def test_rotated_file_is_certified_without_a_scan(self, monkeypatch):
+        # from_json drops the tag that no longer maps the rotated cube onto
+        # itself, and the certificate's own check recognizes the cube
+        povm = HsPovm.from_json(json.dumps({
+            "vectors": (povm_for("cube").matrix() @ _random_rotation(3).T).tolist(),
+            "family": "cube"}))
+        assert povm.symmetry_group.order == 1
+        scanned = repr(_scan_extrema(povm, "min", DEFAULT_GRID, SHANNON, 2000))
+        calls = _counted_scans(monkeypatch)
+        assert repr(find_extrema(povm, "min")) == scanned
+        assert calls == []
+
     UNCERTIFIED = {
         "max": lambda: (povm_for("cube"), "max", SHANNON),
         "rectangle 0.8": lambda: (make_rectangle_povm(0.8), "min", SHANNON),
@@ -726,9 +738,6 @@ class TestCertifiedMinima:
         "cube renyi 2.5": lambda: (povm_for("cube"), "min", EntropyKernel("renyi", 2.5)),
         # p reproduces h: the minimizers are not isolated
         "cube tsallis 2": lambda: (povm_for("cube"), "min", EntropyKernel("tsallis", 2.0)),
-        "rotated cube file": lambda: (HsPovm.from_json(json.dumps({
-            "vectors": (povm_for("cube").matrix() @ _random_rotation(3).T).tolist(),
-            "family": "cube"})), "min", SHANNON),
         "untagged custom": lambda: (HsPovm(vectors=povm_for("cube").vectors,
                                            family="custom"), "min", SHANNON),
         "rectangle tagged 4-gon": lambda: (HsPovm(

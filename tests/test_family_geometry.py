@@ -1,12 +1,14 @@
 """One family-geometry check, shared by the certificate and the closed-form
-informational power, and the exact registry facts it licenses: a set that
-passes has the registry orbit's design order and central symmetry."""
+informational power: a labelled set passes when it is a rotated copy of its
+family's registry member, and then every answer is the member's."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sweep_certificates
 from conftest import ALL_FAMILIES, povm_for
@@ -14,6 +16,9 @@ from hspovm import catalog, certificate, entropy
 from hspovm.catalog import (HsPovm, check_family_geometry, exact_design_order,
                             exact_nodes, family_spec, make_hs_povm,
                             make_rectangle_povm, spherical_design_order)
+
+#: the digon, the 7 polyhedra and the 3- to 12-gons
+EIGHTEEN = ALL_FAMILIES + tuple(f"{n}-gon" for n in range(3, 13))
 from hspovm.certificate import certify_minimum
 from hspovm.cli import main
 from hspovm.entropy import find_extrema
@@ -54,7 +59,13 @@ class TestCheckFamilyGeometry:
         coords = make_hs_povm(family).matrix() @ _rotation(5).T
         order = np.random.default_rng(6).permutation(len(coords))
         povm = HsPovm.from_json(_file(coords[order], family))
-        assert check_family_geometry(povm) is family_spec(family)
+        spec, member = check_family_geometry(povm)
+        assert spec is family_spec(family)
+        assert member.matrix().tolist() == make_hs_povm(family).matrix().tolist()
+
+    def test_label_without_a_member_of_that_size_refused(self):
+        with pytest.raises(ValueError, match="5-gon's node set"):
+            check_family_geometry(HsPovm(make_hs_povm("6-gon").vectors, "5-gon"))
 
     def test_custom_and_rectangle_refused(self):
         with pytest.raises(ValueError, match="not a registry family"):
@@ -70,7 +81,7 @@ class TestCheckFamilyGeometry:
         with pytest.raises(ValueError, match=f"{label}'s node set"):
             check_family_geometry(povm)
 
-    def test_profile_built_once_per_label_and_k(self, monkeypatch):
+    def test_member_built_once_per_label_and_k(self, monkeypatch):
         povm = povm_for("dodecahedron")
         check_family_geometry(povm)
 
@@ -78,7 +89,7 @@ class TestCheckFamilyGeometry:
             raise AssertionError("make_hs_povm on the hot path")
 
         monkeypatch.setattr(catalog, "make_hs_povm", unexpected)
-        assert check_family_geometry(povm).name == "dodecahedron"
+        assert check_family_geometry(povm)[0].name == "dodecahedron"
 
 
 #: the octahedron's fiducial +z sees the node set {-1, 0, 1}, but its
@@ -138,16 +149,71 @@ def test_rotated_permuted_files_certify(family, seed):
 
 
 def test_polyhedra_certify_without_sampling(monkeypatch):
-    def sampled(vectors):
-        raise AssertionError("sampled design order")
+    # neither the sampled design order nor the z = 0 test of a polygon
+    def unexpected(*args):
+        raise AssertionError("sampled design order or coplanarity test")
 
-    monkeypatch.setattr(catalog, "spherical_design_order", sampled)
-    monkeypatch.setattr(certificate, "spherical_design_order", sampled)
-    for family in ALL_FAMILIES:
+    monkeypatch.setattr(catalog, "spherical_design_order", unexpected)
+    monkeypatch.setattr(HsPovm, "is_coplanar", unexpected)
+    assert not hasattr(certificate, "spherical_design_order")
+    for family in EIGHTEEN:
         assert certify_minimum(make_hs_povm(family)).valid, family
+
+
+def _copy(family, seed, reflect) -> str:
+    """The family's file under a random rotation and permutation, and
+    optionally a reflection, drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    q = _rotation(seed)
+    if reflect:
+        q = q @ np.diag([1.0, 1.0, -1.0])
+    coords = make_hs_povm(family).matrix() @ q.T
+    return _file(coords[rng.permutation(len(coords))], family)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(family=st.sampled_from(EIGHTEEN), seed=st.integers(0, 2 ** 32 - 1),
+       reflect=st.booleans())
+def test_any_rotated_copy_gives_the_member_s_answers(family, seed, reflect):
+    povm = HsPovm.from_json(_copy(family, seed, reflect))
+    member = make_hs_povm(family)
+    assert repr(certify_minimum(povm)) == repr(certify_minimum(member))
+    assert abs(informational_power(povm) - informational_power(member)) <= 1e-12
+
+
+#: the centrally symmetric families with more than one antipodal pair
+PAIRED = tuple(f for f in EIGHTEEN if f not in ("digon", "tetrahedron")
+               and not (f.endswith("-gon") and int(f[:-4]) % 2))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(family=st.sampled_from(PAIRED), seed=st.integers(0, 2 ** 32 - 1))
+def test_one_pair_turned_by_a_microradian_is_refused(family, seed):
+    # the pair (v, -v) turns by 1e-6 rad towards the vector w at the least
+    # |dot| with v, so v . w leaves the family's dots; the centroid stays 0
+    coords = make_hs_povm(family).matrix() @ _rotation(seed).T
+    j = int(np.random.default_rng(seed).integers(len(coords)))
+    partner = int(np.argmin(np.linalg.norm(coords + coords[j], axis=1)))
+    w = coords[np.argmin(np.abs(coords @ coords[j]))]
+    axis = np.cross(coords[j], w)
+    axis /= np.linalg.norm(axis)
+    turned = (math.cos(1e-6) * coords[j] + math.sin(1e-6) * np.cross(axis, coords[j]))
+    coords[j], coords[partner] = turned, -turned
+    povm = HsPovm.from_json(_file(coords, family))
+    for call in (certify_minimum, informational_power):
+        with pytest.raises(ValueError, match=f"{family}'s node set"):
+            call(povm)
 
 
 def test_sweep_cases_are_565_unique_labels():
     labels = [label for label, _, _ in sweep_certificates.cases()]
     assert len(labels) == 565
     assert len(set(labels)) == 565
+
+
+def test_sweep_hash_is_pinned():
+    # the 558 canonical certificates and the 7 rotated polyhedra, each of
+    # which equals its canonical line
+    text = "\n".join(sweep_certificates.sweep())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1fb731d9a0d5a10b14836ea3d60a910ccac0de960cc5a17237175f41c278315f")
