@@ -251,11 +251,13 @@ def _member(family: str, k: int) -> HsPovm | None:
 
 
 def _frame(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rows: the unit a, the unit part of b orthogonal to a, their cross product."""
+    """Rows: the unit a, the unit part of b orthogonal to a, their cross
+    product, written out by components (the operations of ``np.cross``)."""
     e1 = a / np.linalg.norm(a)
     e2 = b - (b @ e1) * e1
     e2 /= np.linalg.norm(e2)
-    return np.array([e1, e2, np.cross(e1, e2)])
+    (x, y, z), (p, q, r) = e1.tolist(), e2.tolist()
+    return np.array([e1, e2, [y * r - z * q, z * p - x * r, x * q - y * p]])
 
 
 def _is_rotated_copy(coords: np.ndarray, reference: np.ndarray) -> bool:

@@ -283,7 +283,7 @@ def verify_below(p: HermitePolynomial, kernel: EntropyKernel = SHANNON):
     f, _ = _kernel_h(kernel, _LD, np.log)
     ts = [_LD(t) for t, _ in p.nodes]
     points = ts + [(a + b) / 2 for a, b in zip(ts, ts[1:])]
-    gaps = [f(t) - p(t) for t in points]
+    gaps = [f(t) - pt for t, pt in zip(points, p(np.array(points, dtype=_LD)))]
     i = int(np.argmin(gaps))
     return float(gaps[i]), float(points[i])
 

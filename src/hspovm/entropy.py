@@ -15,8 +15,8 @@ Michel's argument), followed by one derivative-free refinement per
 symmetry orbit (an in-repo Nelder-Mead on tangent charts; H fails to be
 twice differentiable exactly at the entropy minima, the antipodes of the
 POVM vectors, so gradient steps are not trusted there), whose result is
-mapped through the group.
-Coplanar POVMs are searched on their circle by golden-section.  The local
+mapped through the group.  Coplanar minima are searched on the circle by
+golden-section, and coplanar maxima are the plane's normals.  The local
 searches are generators that yield their trial points; all the starts of
 one call advance side by side, with one kernel call per round.  Critical
 points forced by symmetry (inert states) are classified by the sign of a
@@ -33,9 +33,8 @@ from functools import lru_cache
 import numpy as np
 
 from .bloch import BlochVector, EntropyKernel, SHANNON, h_array
-from .catalog import HsPovm, _group_of_tag, family_spec
-from .groups import RotationGroup, generate_group
-from .groups import orbit as group_orbit
+from .catalog import GEOMETRY_TOL, HsPovm, _group_of_tag, family_spec
+from .groups import RotationGroup, generate_group, orbit_points
 
 DEFAULT_GRID = 200_000
 REFINE_FTOL = 1e-13
@@ -390,18 +389,14 @@ def _lowest_distinct(points, values, flags, povm: HsPovm, objective) -> list:
 
 
 def _circle_refined(povm: HsPovm, values, rows, n_scan: int) -> np.ndarray:
-    """1D search for coplanar POVMs: the minimum over the sphere lies on
-    the containing circle (H depends on u only through its projection and
-    is concave in the Bloch ball).  ``values`` is the signed entropy of the
-    (n, 3) scan grid, ``rows`` that of the stacked trial points of the
-    golden-section searches, which run side by side; returns the refined
-    points."""
-    coords = povm.matrix()
-    if np.max(np.abs(coords[:, 2])) < 1e-12:
-        axis = None                      # z = 0 plane
-    else:                                # digon: vectors along an axis
-        axis = coords[0]
-
+    """1D search for the minima of a z = 0 coplanar POVM, which lie on its
+    circle (H depends on u only through its projection and is concave in
+    the Bloch ball), and for the digon's extrema.  ``values`` is the signed
+    entropy of the (n, 3) scan grid, ``rows`` that of the stacked trial
+    points of the golden-section searches, which run side by side, one per
+    grid point no higher than its two circular neighbours and within 1e-3
+    of the lowest; returns the refined points."""
+    axis = None if povm.is_coplanar() else povm.matrix()[0]     # else the digon's axis
     if axis is None:
         phis = np.linspace(0.0, 2.0 * math.pi, max(n_scan, 4096), endpoint=False)
         pts = np.column_stack([np.cos(phis), np.sin(phis), np.zeros_like(phis)])
@@ -410,11 +405,12 @@ def _circle_refined(povm: HsPovm, values, rows, n_scan: int) -> np.ndarray:
         def embed(phi):
             return np.array([math.cos(phi), math.sin(phi), 0.0])
 
-        order = np.argsort(vals)
-        window = vals[order[0]] + 1e-3
+        minima = np.flatnonzero((vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1)))
+        minima = minima[np.argsort(vals[minima])]
+        window = vals[minima[0]] + 1e-3
         spacing = 2.0 * math.pi / len(phis)
         brackets = [(phis[i] - 2 * spacing, phis[i] + 2 * spacing)
-                    for i in order[: 4 * povm.k] if vals[i] <= window]
+                    for i in minima[: 4 * povm.k] if vals[i] <= window]
         refined = []
     else:
         ts = np.linspace(-1.0, 1.0, max(n_scan, 4096))
@@ -448,10 +444,14 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
     :func:`hspovm.certificate.certify_minimum` proves for this kernel that
     the antipodal orbit {-v_j} is the whole set of global minimizers (in
     any orientation of the family), the k antipodes are returned at their
-    entropy, with ``converged=True``, and nothing is scanned.  All other
-    inputs go to the scan (``_scan_extrema``): maxima, rectangles, custom
-    sets, sets the certificate refuses as no rotated copy of their family
-    and kernels it does not settle.  ``n_scan`` matters only for these.
+    entropy (one ``_entropy_of_rows`` call), type I and ``converged=True``,
+    and nothing is scanned.  The maxima of a set spanning a plane are its
+    unit normals +-n: only there is p uniform (p is affine and injective in
+    the projection of u onto the plane), where every kernel is largest.
+    All other inputs go to the scan (``_scan_extrema``): other maxima,
+    rectangles, custom sets, sets the certificate refuses as no rotated
+    copy of their family and kernels it does not settle.  ``n_scan``
+    matters only for these.
 
     The scan: H is invariant under the POVM's symmetry group G (its tagged
     group when that maps the vectors onto themselves, else the trivial
@@ -463,9 +463,9 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
     (selected by a partial sort) are thinned against the group images of
     the starts already taken (0.05 rad), each start is refined by
     Nelder-Mead on tangent charts, and the refined point is mapped through
-    G, whose images are re-evaluated in one kernel call.  Coplanar POVMs
-    (and the digon) are searched on their
-    circle by golden-section refinement of the scan minima.  On either path
+    G, whose images are re-evaluated in one kernel call.  Coplanar minima
+    (and the digon's extrema) are searched on their circle by
+    golden-section refinement of the scan's local minima.  On either path
     all the starts advance side by side (``_lockstep``): each round, the
     pending trial points of every unfinished search are evaluated in one
     call of ``_entropy_of_rows``, which equals the single-point objective
@@ -477,17 +477,27 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
     """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
+    coords, k = povm.matrix(), povm.k
     if mode == "min" and _antipodes_certified(povm, kernel):
-        coords, k, group = povm.matrix(), povm.k, povm.symmetry_group
-        out = []
-        for p, u in zip(-coords, povm.antipodes):
-            label, stat = _type_of_point(u, povm, group)
-            out.append(CriticalPoint(location=u,
-                                     value=float(_entropy_of_dots(coords @ p, k, kernel)),
-                                     kind=mode, type_label=label,
-                                     classifier_statistic=stat, converged=True))
-        return _by_location(out)
+        values = _entropy_of_rows(-coords, coords, k, kernel).tolist()
+        return _by_location([CriticalPoint(u, v, mode, "I")
+                             for u, v in zip(povm.antipodes, values)])
+    if mode == "max" and (normal := _plane_normal(coords)) is not None:
+        value = float(_entropy_of_dots(np.zeros(k), k, kernel))     # p_j = 1/k
+        poles = [BlochVector.from_array(s * normal + 0.0) for s in (1.0, -1.0)]  # no -0.0
+        return _by_location([CriticalPoint(u, value, mode, *_type_of_point(
+            u, povm, povm.symmetry_group)) for u in poles])
     return _scan_extrema(povm, mode, n_scan, kernel, N_CANDIDATES)
+
+
+def _plane_normal(coords: np.ndarray):
+    """The unit normal of the vectors' plane, from their largest cross
+    product with the first; None unless they have rank 2 (to GEOMETRY_TOL)."""
+    crosses = np.cross(coords[0], coords)
+    norms = np.linalg.norm(crosses, axis=1)
+    normal = crosses[np.argmax(norms)] / max(np.max(norms), GEOMETRY_TOL)
+    planar = np.max(norms) > GEOMETRY_TOL and np.max(np.abs(coords @ normal)) < GEOMETRY_TOL
+    return normal if planar else None
 
 
 def _antipodes_certified(povm: HsPovm, kernel: EntropyKernel) -> bool:
@@ -565,7 +575,7 @@ def _type_of_point(u: BlochVector, povm: HsPovm, group: RotationGroup) -> tuple:
     on_orbit = np.min(np.linalg.norm(coords - arr[None, :], axis=1)) < 1e-6
     if len(fixing) < 2 and not on_orbit:
         return "non-inert", math.nan
-    stat = _criterion_statistic(u, povm)
+    stat = _criterion_statistic(u, povm, group)
     return ("II" if _max_rotation_order(fixing) > 2 else "III"), stat
 
 
@@ -578,18 +588,19 @@ def _max_rotation_order(matrices) -> int:
     return max(orders)
 
 
-def _criterion_statistic(u: BlochVector, povm: HsPovm) -> float:
-    """s = (2/|orbit(u)|) sum over the orbit of (w . v) ln(1 + w . v)."""
-    group = povm.rotation_group()
-    orb = group_orbit(group, u)
-    v = povm.fiducial.as_array()
+def _criterion_statistic(u: BlochVector, povm: HsPovm, group: RotationGroup) -> float:
+    """s = (2/|orbit(u)|) sum over the orbit of (w . v) ln(1 + w . v), v the
+    fiducial, bit for bit as over ``groups.orbit``: its rows normalized as
+    BlochVector does, one 1-D dot each (a matrix product rounds otherwise)."""
+    rows = orbit_points(group, u.as_array())
+    rows = rows / np.sqrt(np.add.reduce(rows * rows, axis=1))[:, None]
+    ts = np.clip((rows[:, None, :] @ povm.fiducial.as_array())[:, 0], -1.0, 1.0)
+    if np.min(ts) <= -1.0 + 1e-15:
+        return -math.inf               # type I geometry, criterion inapplicable
     total = 0.0
-    for w in orb:
-        t = float(np.clip(w.as_array() @ v, -1.0, 1.0))
-        if t <= -1.0 + 1e-15:
-            return -math.inf           # type I geometry, criterion inapplicable
+    for t in ts.tolist():
         total += t * math.log1p(t)
-    return 2.0 * total / len(orb)
+    return 2.0 * total / len(ts)
 
 
 def _geodesic_second_differences(u: np.ndarray, directions: np.ndarray,

@@ -51,6 +51,9 @@ class RotationGroup:
     elements: tuple  # tuple of 3x3 ndarrays (read-only)
     exact: tuple = ()  # the same elements as rows of Q5 (D2, T, O, I only)
 
+    def __post_init__(self):
+        object.__setattr__(self, "_stack", _freeze(np.stack(self.elements)))
+
     @property
     def order(self) -> int:
         return len(self.elements)
@@ -59,7 +62,8 @@ class RotationGroup:
         return iter(self.elements)
 
     def matrix_stack(self) -> np.ndarray:
-        return np.stack(self.elements)
+        """The elements as one (order, 3, 3) array (read-only, built once)."""
+        return self._stack
 
 
 @dataclass(frozen=True)
@@ -141,14 +145,15 @@ def generate_group(name: str, n: int = None) -> RotationGroup:
                                      for m in exact), exact)
 
 
-def orbit(g: RotationGroup, v: BlochVector) -> list:
-    """Deduplicated orbit of v, sorted lexicographically on rounded coords.
+def orbit_points(g: RotationGroup, v: np.ndarray) -> np.ndarray:
+    """Deduplicated images of the point v as rows, sorted lexicographically
+    on rounded coords; :func:`orbit` holds them as Bloch vectors.
 
     The images are taken in group order, and one is dropped when it lies
     within POINT_TOL of an image already kept; the closeness of all pairs
     comes from one distance matrix.
     """
-    points = g.matrix_stack() @ v.as_array()
+    points = g.matrix_stack() @ v
     close = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1) < POINT_TOL
     covered = np.zeros(len(points), dtype=bool)
     kept = []
@@ -157,16 +162,18 @@ def orbit(g: RotationGroup, v: BlochVector) -> list:
             kept.append(i)
             covered |= close[i]
     unique = points[kept]
-    rounded = np.round(unique, 8)
-    order = np.lexsort(rounded.T[::-1])
-    return [BlochVector.from_array(p) for p in unique[order]]
+    return unique[np.lexsort(np.round(unique, 8).T[::-1])]
+
+
+def orbit(g: RotationGroup, v: BlochVector) -> list:
+    """Deduplicated orbit of v: the rows of :func:`orbit_points`."""
+    return [BlochVector.from_array(p) for p in orbit_points(g, v.as_array())]
 
 
 def stabilizer(g: RotationGroup, v: BlochVector) -> RotationGroup:
     """Subgroup of g fixing v within 1e-8."""
-    arr = v.as_array()
-    fixed = tuple(m for m in g.elements if np.linalg.norm(m @ arr - arr) < POINT_TOL)
-    return RotationGroup(f"{g.name}_stab", fixed)
+    fixed = _stabilizer_indices(g, v.as_array())
+    return RotationGroup(f"{g.name}_stab", tuple(g.elements[i] for i in fixed))
 
 
 def _stabilizer_indices(g: RotationGroup, v: np.ndarray) -> list:

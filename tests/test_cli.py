@@ -346,3 +346,19 @@ class TestMinimizeGolden:
         code, text = run_cli(["minimize", *args.split()], capsys)
         assert code == 0
         assert json.loads(text) == self.GOLDEN[args]
+
+
+class TestClassifyGolden:
+    """`classify` output pinned byte for byte for the catalog families and
+    the odd 3- to 11-gons (an even n-gon exits 2: its edge midpoint lies on
+    no C_n axis); any change to a type, kind or statistic shows as a diff
+    of tests/data."""
+
+    GOLDEN = json.loads((Path(__file__).parent / "data" / "classify_golden.json")
+                        .read_text())
+
+    @pytest.mark.parametrize("args", list(GOLDEN))
+    def test_payload_unchanged(self, args, capsys):
+        code, text = run_cli(["classify", *args.split()], capsys)
+        assert code == 0
+        assert json.loads(text) == self.GOLDEN[args]

@@ -411,6 +411,60 @@ class TestOrbitReduction:
         _assert_antipodal_orbit(minima, povm.matrix())
 
 
+class TestCoplanarMaxima:
+    """The maxima of a set spanning a plane are the plane's two unit
+    normals, where every outcome has probability 1/k, in any orientation
+    and under every kernel."""
+
+    KERNELS = [SHANNON, EntropyKernel("renyi", 0.5), EntropyKernel("renyi", 1.3),
+               EntropyKernel("tsallis", 0.8)]
+    SETS = {**{f"{n}-gon": (lambda n=n: make_hs_povm(f"{n}-gon")) for n in range(3, 13)},
+            "rectangle 0.8": lambda: make_rectangle_povm(0.8),
+            "rectangle 1.4": lambda: make_rectangle_povm(1.4)}
+    LATTICE = fibonacci_sphere(20_000)
+
+    @staticmethod
+    def _uniform_entropy(k, kernel):
+        if kernel.kind == "tsallis":
+            return (1.0 - k ** (1.0 - kernel.alpha)) / (kernel.alpha - 1.0)
+        return math.log(k)                              # Shannon and Renyi
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=str)
+    @pytest.mark.parametrize("name", list(SETS))
+    def test_normals_at_the_uniform_value(self, name, kernel):
+        canonical = self.SETS[name]()
+        rotated = HsPovm.from_json(json.dumps({
+            "vectors": (canonical.matrix() @ _random_rotation(7).T).tolist(),
+            "family": canonical.family}))
+        uniform = self._uniform_entropy(canonical.k, kernel)
+        for povm in (canonical, rotated):
+            maxima = find_extrema(povm, "max", kernel=kernel)
+            normals = np.array([c.location.as_array() for c in maxima])
+            assert len(maxima) == 2
+            assert np.max(np.abs(normals @ povm.matrix().T)) < 1e-12
+            assert normals[0] == pytest.approx(-normals[1], abs=1e-15)
+            for point in maxima:
+                assert point.kind == "max" and point.converged
+                assert point.value == pytest.approx(uniform, abs=1e-12)
+            # no point of the sphere is higher
+            assert np.max(_entropy_values(self.LATTICE, povm, kernel)) <= uniform + 1e-12
+
+
+class TestCircleSearchWork:
+    """The circle path runs one golden-section search per circular grid
+    minimum of the landscape, not one per low grid point."""
+
+    @pytest.mark.parametrize("alpha, minima", [(0.8, 2), (1.4, 4)],
+                             ids=["below bifurcation", "above bifurcation"])
+    def test_one_search_per_circular_grid_minimum(self, monkeypatch, alpha, minima):
+        brackets = []
+        search = entropy._golden_section
+        monkeypatch.setattr(entropy, "_golden_section", lambda point, lo, hi: (
+            brackets.append((lo, hi)) or search(point, lo, hi)))
+        located = find_extrema(make_rectangle_povm(alpha), "min")
+        assert len(brackets) == minima == len(located)
+
+
 class TestLocalSearch:
     """The searches are generators driven by ``_lockstep``, which evaluates
     the pending trial points of all of them in one call per round."""

@@ -172,3 +172,12 @@ class TestRotationMatrix:
         m = rotation_matrix([0, 0, 1], 2 * math.pi / 5)
         trace_angle = math.acos((np.trace(m) - 1) / 2)
         assert trace_angle == pytest.approx(2 * math.pi / 5, abs=1e-12)
+
+
+@pytest.mark.parametrize("tag", ["C_5", "D2", "T", "O", "I"])
+def test_matrix_stack_is_one_read_only_array(tag):
+    group = generate_group("C", 5) if tag == "C_5" else generate_group(tag)
+    stack = group.matrix_stack()
+    assert stack is group.matrix_stack()
+    assert not stack.flags.writeable
+    assert stack.tobytes() == np.stack(group.elements).tobytes()
