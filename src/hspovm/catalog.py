@@ -18,16 +18,16 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .bloch import BlochVector
-from .groups import POINT_TOL, RotationGroup, generate_group, orbit
+from .groups import RotationGroup, generate_group, orbit
 from .q5 import GOLDEN, TAU, Q5, dot
 
 CENTROID_TOL = 1e-12
-DESIGN_SEED = 42         # fixed seed for the random-direction design check
-DESIGN_DIRECTIONS = 200
-DESIGN_T_MAX = 5         # highest degree of the sampled design check
+DESIGN_T_MAX = 5         # highest degree of the float design check
+DESIGN_TOL = 1e-12       # largest sum_{x,y} P_s(x . y) / k^2 of a float s-design
 GEOMETRY_TOL = 1e-9      # vectors closer than this to the rotated registry member match
-IMAGE_BATCH = 1 << 16    # image-vector pairs per batch of the symmetry check
 NODE_TOL = 1e-9          # node values closer than this are one node
+IDENTITY = np.eye(3)     # the rotation of a POVM that is its member bit for bit
+IDENTITY.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,6 @@ class FamilySpec:
     probes: tuple = ()
     inert: tuple = ()
     reference_W: float | None = None
-
-    def tag(self, k: int) -> str:
-        """Group tag of the family member with k vectors."""
-        return f"C_{k}" if self.group == "C" else self.group
 
     def probe_points(self) -> list:
         points = [np.array(p, dtype=float) for p in self.probes]    # float() of each
@@ -126,19 +122,24 @@ def exact_nodes(name: str) -> tuple:
 @lru_cache(maxsize=None)
 def exact_design_order(name: str) -> int:
     """Design order of the family's exact orbit: the largest t with
-    sum_{v in orbit} P_s(v . s / (s . s)) = 0 for s = 1..t, the Legendre
-    polynomials P_s taken by their three-term recurrence in Q(sqrt 5).  By
-    the addition theorem (Delsarte, Goethals and Seidel 1977) the orbit is
-    a t-design exactly then; a finite set is not a design of every order,
-    so the loop ends."""
+    sum_{v in orbit} P_s(v . s / (s . s)) = 0 for s = 1..t, in Q(sqrt 5).
+    By the addition theorem (Delsarte, Goethals and Seidel 1977) the orbit
+    is a t-design exactly then (one row of its Gram matrix speaks for all,
+    as the group is transitive); no finite set is a design of every order."""
     orbit = exact_orbit(name)
-    cosines = [dot(v, orbit[0]) / dot(orbit[0], orbit[0]) for v in orbit]
-    previous, current, s = [Q5(1)] * len(orbit), cosines, 1      # P_0, P_1
-    while sum(current, Q5()) == 0:
-        previous, current = current, [((2 * s + 1) * x * p - s * q) / (s + 1)
-                                      for x, p, q in zip(cosines, current, previous)]
+    cosines = np.array([dot(v, orbit[0]) / dot(orbit[0], orbit[0]) for v in orbit],
+                       dtype=object)
+    return next(s for s, total in enumerate(_legendre_sums(cosines)) if total != 0)
+
+
+def _legendre_sums(cosines):
+    """sum_c P_s(c) over the array of cosines for s = 1, 2, ..., with the
+    Legendre recurrence in the entries' arithmetic (float, or object Q5)."""
+    previous, current, s = 1, cosines, 1                        # P_0, P_1
+    while True:
+        yield current.sum()
+        previous, current = current, ((2 * s + 1) * cosines * current - s * previous) / (s + 1)
         s += 1
-    return s - 1
 
 
 @dataclass(frozen=True)
@@ -146,8 +147,8 @@ class HsPovm:
     """Ordered list of unit Bloch vectors with zero centroid.
 
     ``family`` is one of the named catalog tags, ``"rectangle"`` or
-    ``"custom"``; ``group`` names the rotation group acting transitively
-    on the vectors (empty for custom sets).
+    ``"custom"``; ``group`` names the group of the construction (C_n for
+    the n-gon, empty for files), and an input's own tag decides nothing.
     """
 
     vectors: tuple
@@ -182,12 +183,34 @@ class HsPovm:
         return _group_of_tag(self.group)
 
     @cached_property
+    def frame(self):
+        """(member, R) with the vectors R member, to GEOMETRY_TOL and up to
+        permutation, for the label's registry member (or rectangle); R is
+        IDENTITY when they are the member's.  None when there is no such
+        member or rotation.  Computed on first use, once per POVM."""
+        member = (_rectangle_member(self._coords) if self.family == "rectangle"
+                  else _member(self.family, self.k))
+        if member is None:
+            return None
+        if np.array_equal(self._coords, member.matrix()):
+            return member, IDENTITY
+        rotation = _is_rotated_copy(self._coords, member.matrix())
+        return None if rotation is None else (member, rotation)
+
+    @cached_property
     def symmetry_group(self) -> RotationGroup:
-        """The tagged group if it maps the vectors onto themselves, else the
-        trivial group; checked on the coordinates, once per POVM."""
-        if self.group and _maps_onto_itself(_group_of_tag(self.group), self._coords):
-            return _group_of_tag(self.group)
-        return _group_of_tag("C_1")
+        """The frame member's group (its tag's, with a polygon's C_n widened
+        to D_n) carried over by R, or the trivial group without a frame."""
+        if self.frame is None:
+            return _group_of_tag("C_1")
+        member, rotation = self.frame
+        tag = member.group
+        group = _group_of_tag("D" + tag[1:] if tag.startswith("C_") else tag)
+        if rotation is IDENTITY:
+            return group
+        carried = rotation @ group.matrix_stack() @ rotation.T      # R g R^T
+        carried.setflags(write=False)
+        return RotationGroup(f"R {group.name} R^T", tuple(carried))   # a name no tag parses
 
     @cached_property
     def antipodes(self) -> tuple:
@@ -195,47 +218,21 @@ class HsPovm:
         built once per POVM, so every caller shares them."""
         return tuple(BlochVector.from_array(p) for p in -self._coords)
 
-    def is_coplanar(self) -> bool:
-        return bool(np.max(np.abs(self.matrix()[:, 2])) < 1e-12)
-
     def to_json(self) -> str:
         return json.dumps({"vectors": self.matrix().tolist(), "family": self.family})
 
     @classmethod
     def from_json(cls, text: str) -> "HsPovm":
-        """Load a POVM file; a registry family gets its group tag back only
-        if that group maps the vectors onto themselves."""
+        """Load a POVM file: its vectors and family label (default "custom")."""
         payload = json.loads(text)
         vectors = tuple(BlochVector.from_array(v) for v in payload["vectors"])
-        family = payload.get("family", "custom")
-        spec = family_spec(family)
-        povm = cls(vectors=vectors, family=family, group=spec.tag(len(vectors)) if spec else "")
-        return povm if povm.symmetry_group.name == povm.group else cls(vectors, family)
+        return cls(vectors=vectors, family=payload.get("family", "custom"))
 
 
 @lru_cache(maxsize=None)
 def _group_of_tag(tag: str) -> RotationGroup:
-    if tag.startswith("C_"):
-        return generate_group("C", int(tag[2:]))
-    return generate_group(tag)
-
-
-def _maps_onto_itself(group: RotationGroup, coords: np.ndarray) -> bool:
-    """Whether every element maps every vector within POINT_TOL of a vector,
-    decided on the squared distances of all images to all vectors.  The
-    elements are taken in batches of doubling size, at most IMAGE_BATCH
-    image-vector pairs each, so a set that an early element moves is
-    rejected after a few elements, as by a loop."""
-    mats = group.matrix_stack().transpose(0, 2, 1)
-    limit = max(1, IMAGE_BATCH // max(1, len(coords) ** 2))
-    start, step = 0, 1
-    while start < len(mats):
-        images = coords @ mats[start:start + step]
-        squares = sum((images[:, :, c, None] - coords[:, c]) ** 2 for c in range(3))
-        if math.sqrt(np.max(np.min(squares, axis=2))) >= POINT_TOL:
-            return False
-        start, step = start + step, min(2 * step, limit)
-    return True
+    name, _, n = tag.partition("_")         # "C_5" is C with n = 5
+    return generate_group(name, int(n) if n else None)
 
 
 @lru_cache(maxsize=64)
@@ -260,14 +257,24 @@ def _frame(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([e1, e2, [y * r - z * q, z * p - x * r, x * q - y * p]])
 
 
-def _is_rotated_copy(coords: np.ndarray, reference: np.ndarray) -> bool:
-    """Whether R reference = coords up to permutation, to GEOMETRY_TOL, for
-    some rotation R.  R takes the first vector u of coords onto the first
-    reference vector m, and a vector of coords at the least |dot| with u
-    onto each reference vector at the same dot with m; a candidate passes
-    when every image is near one reference vector and every reference
-    vector near one image.  A set {u, -u} has no second direction, and any
-    turn about u will do."""
+def _rectangle_member(coords: np.ndarray) -> HsPovm | None:
+    """make_rectangle_povm(alpha), alpha the angle of the diameters through
+    u = coords[0] and the w least aligned with it, from cos(alpha/2) = |u + w|/2
+    (read off, so a canonical rectangle is its own member); None unless k = 4."""
+    if len(coords) != 4:
+        return None
+    u = coords[0]
+    w = coords[np.argmin(np.abs(coords @ u))]
+    return _rectangle(np.linalg.norm(u + w) / 2, np.linalg.norm(u - w) / 2, "rectangle")
+
+
+def _is_rotated_copy(coords: np.ndarray, reference: np.ndarray):
+    """The rotation R with R reference = coords up to permutation, to
+    GEOMETRY_TOL, or None.  R takes the first reference vector m onto the
+    first vector u, and a reference vector at the same dot with m onto a
+    vector at the least |dot| with u; it passes when R^T coords and the
+    reference are each near the other.  A set {u, -u} has no second
+    direction, and any turn about u will do."""
     dots = coords @ coords[0]
     j = int(np.argmin(np.abs(dots)))
     second, targets = coords[j], reference[np.abs(reference @ reference[0] - dots[j])
@@ -275,20 +282,20 @@ def _is_rotated_copy(coords: np.ndarray, reference: np.ndarray) -> bool:
     if abs(dots[j]) > 1.0 - 1e-6:
         second = np.eye(3)[np.argmin(np.abs(coords[0]))]
         targets = np.eye(3)[[np.argmin(np.abs(reference[0]))]]
-    source = coords @ _frame(coords[0], second).T
+    source = _frame(coords[0], second).T
     for target in targets:
-        images = source @ _frame(reference[0], target)
+        rotation = source @ _frame(reference[0], target)
+        images = coords @ rotation
         gaps = np.linalg.norm(images[:, None, :] - reference[None, :, :], axis=-1)
         if max(np.max(gaps.min(0)), np.max(gaps.min(1))) < GEOMETRY_TOL:
-            return True
-    return False
+            return rotation
+    return None
 
 
 def check_family_geometry(povm: HsPovm) -> tuple:
-    """(spec, member): the registry entry of the POVM's family and its
-    registry member with k vectors (:func:`make_hs_povm`), once the vectors
-    are checked to be R member for some rotation R, to GEOMETRY_TOL and up
-    to permutation.
+    """(spec, member, R): the registry entry of the POVM's family and its
+    :attr:`HsPovm.frame`, the registry member with k vectors
+    (:func:`make_hs_povm`) and the rotation R with the vectors R member.
 
     H(Ru; RV) = H(u; V), so every statement about the entropy of the member
     (its node set, design order, central symmetry, minimizers and their
@@ -301,28 +308,30 @@ def check_family_geometry(povm: HsPovm) -> tuple:
     if spec is None:
         raise ValueError(f"{povm.family!r} is not a registry family and has no closed "
                          "form; minimize its entropy with entropy.find_extrema")
-    member = _member(povm.family, povm.k)
-    if member is None or not _is_rotated_copy(povm.matrix(), member.matrix()):
+    if povm.frame is None:
         raise ValueError(f"the vectors do not realize the {povm.family}'s node set as a "
                          "rotated copy of its registry member; the family label does "
                          "not match the geometry")
-    return spec, member
+    return (spec, *povm.frame)
 
 
 def inert_directions(povm: HsPovm) -> list:
-    """Unit rotation-axis directions of the POVM's family group, where the
-    classifier of symmetry-forced critical points starts; the coordinate
-    axes when the family is unknown or its group is not the one tagged."""
-    spec = family_spec(povm.family)
-    n = povm.k
-    if spec is None or povm.group != spec.tag(n):
+    """Unit directions on rotation axes of the POVM's symmetry group, where
+    the classifier of symmetry-forced critical points starts: its frame
+    member's seeds carried over by R.  A set without a frame is refused."""
+    if povm.frame is None:
+        raise ValueError(f"the vectors are no rotated copy of a {povm.family} member, so "
+                         "no symmetry forces a critical point; name the point to classify")
+    member, rotation = povm.frame
+    spec, n = family_spec(member.family), member.k
+    if spec is None:            # a rectangle
         seeds = _AXES
     elif spec.group == "C":     # a vertex, an edge midpoint, the axis
         seeds = ((1, 0, 0), (math.cos(math.pi / n), math.sin(math.pi / n), 0), (0, 0, 1))
     else:
         seeds = spec.inert
-    return [BlochVector.from_array(np.array(s, float) / np.linalg.norm(s))
-            for s in seeds]
+    return [BlochVector.from_array(rotation @ (np.array(s, float) / np.linalg.norm(s)))
+            for s in seeds]             # IDENTITY @ p is p, bit for bit
 
 
 @dataclass(frozen=True)
@@ -332,7 +341,7 @@ class DesignReport:
     is_povm: bool
     informationally_complete: bool
     design_order: int
-    moment_values: tuple  # (t, worst deviation from the sphere average)
+    moment_values: tuple  # (t, sum_{x,y} P_t(x . y) / k^2)
 
 
 def _orbit_povm(spec: FamilySpec) -> tuple:
@@ -375,45 +384,28 @@ def make_rectangle_povm(alpha: float) -> HsPovm:
     if not 0.0 < alpha < math.pi:
         raise ValueError("rectangle angle must lie in (0, pi)")
     half = alpha / 2.0
-    v1 = BlochVector(math.cos(half), math.sin(half), 0)
-    v2 = BlochVector(math.cos(half), -math.sin(half), 0)
     family = "4-gon" if abs(alpha - math.pi / 2.0) < 1e-12 else "rectangle"
+    return _rectangle(math.cos(half), math.sin(half), family)
+
+
+def _rectangle(cos_half: float, sin_half: float, family: str) -> HsPovm:
+    v1, v2 = BlochVector(cos_half, sin_half, 0), BlochVector(cos_half, -sin_half, 0)
     return HsPovm(vectors=(v1, -v1, v2, -v2), family=family, group="D2")
 
 
-@lru_cache(maxsize=1)
-def _design_directions() -> np.ndarray:
-    """The unit directions w of the design check, drawn once (read-only);
-    drawn on first use, so importing the package does not load numpy.random."""
-    w = np.random.default_rng(DESIGN_SEED).normal(size=(DESIGN_DIRECTIONS, 3))
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    w.setflags(write=False)
-    return w
-
-
 def spherical_design_order(vectors) -> int:
-    """Largest t <= DESIGN_T_MAX such that the point set averages monomials
-    (w . v)^s like the uniform sphere for all s <= t.
-
-    The sphere average of (w . v)^s is 0 for odd s and 1/(s+1) for even s;
-    the check samples 200 fixed random directions at tolerance 1e-9.
-    """
-    return _order_of_moments(_design_moments(vectors))
+    """Largest t <= DESIGN_T_MAX with sum_{x,y} P_s(x . y) <= k^2 DESIGN_TOL
+    for s = 1..t: each sum is >= 0, and a set is an s-design for every
+    s <= t exactly when they vanish (the addition theorem)."""
+    moments = _gram_moments(np.array([v.as_array() for v in vectors]))
+    return next((s - 1 for s, moment in moments if moment > DESIGN_TOL), DESIGN_T_MAX)
 
 
-def _order_of_moments(moments) -> int:
-    """The largest t whose moments of degrees 1..t all deviate by <= 1e-9."""
-    return next((s - 1 for s, deviation in moments if deviation > 1e-9), len(moments))
-
-
-def _design_moments(vectors) -> tuple:
-    coords = np.array([v.as_array() for v in vectors])
-    dots = _design_directions() @ coords.T
-    out = []
-    for s in range(1, DESIGN_T_MAX + 1):
-        target = 0.0 if s % 2 == 1 else 1.0 / (s + 1)
-        out.append((s, float(np.max(np.abs(np.mean(dots ** s, axis=1) - target)))))
-    return tuple(out)
+def _gram_moments(coords: np.ndarray) -> tuple:
+    """(s, sum_{x,y} P_s(x . y) / k^2) for s = 1..DESIGN_T_MAX, x, y the rows."""
+    sums = _legendre_sums((coords @ coords.T).ravel())
+    return tuple((s, float(next(sums)) / len(coords) ** 2)
+                 for s in range(1, DESIGN_T_MAX + 1))
 
 
 def validate_povm(vectors) -> DesignReport:
@@ -421,7 +413,8 @@ def validate_povm(vectors) -> DesignReport:
 
     is_povm holds iff the centroid vanishes (tolerance 1e-10);
     informational completeness iff the coordinate matrix has full rank 3
-    (singular-value threshold 1e-8).
+    (singular-value threshold 1e-8); the design order and its moments are
+    :func:`spherical_design_order`'s (order 0 for a non-POVM).
     """
     vectors = [v if isinstance(v, BlochVector) else BlochVector.from_array(v)
                for v in vectors]
@@ -430,12 +423,11 @@ def validate_povm(vectors) -> DesignReport:
     coords = np.array([v.as_array() for v in vectors])
     is_povm = bool(np.linalg.norm(coords.sum(axis=0)) < 1e-10 * len(vectors))
     rank = int(np.sum(np.linalg.svd(coords, compute_uv=False) > 1e-8))
-    moments = _design_moments(vectors)
     return DesignReport(
         is_povm=is_povm,
         informationally_complete=rank == 3,
-        design_order=_order_of_moments(moments) if is_povm else 0,
-        moment_values=moments,
+        design_order=spherical_design_order(vectors) if is_povm else 0,
+        moment_values=_gram_moments(coords),
     )
 
 

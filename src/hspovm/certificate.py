@@ -621,7 +621,7 @@ def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCer
     (:func:`hspovm.catalog.check_family_geometry`), which raises
     ValueError otherwise, and every step runs on that member.
     """
-    spec, member = check_family_geometry(povm)
+    spec, member, _ = check_family_geometry(povm)
     nodes = _hermite_nodes(member)
     poly = hermite_interpolate(kernel, nodes)
     sign = _remainder_sign(kernel, nodes)

@@ -8,10 +8,10 @@ entropy of measurement at a pure state u is
 and the relative entropy is ln k - H(u).  The global minima of a highly
 symmetric POVM are the antipodal orbit {-v_j} wherever the interpolation
 certificate proves it (the paper's theorem).  Other global extrema are
-located by a Fibonacci-lattice scan of one fundamental domain of the
-rotation group the POVM's vectors are checked to carry (H is invariant
-under it, so every orbit of critical points has a representative there;
-Michel's argument), followed by one derivative-free refinement per
+located (on the member that the vectors are a rotated copy of, if any) by a
+Fibonacci-lattice scan of one fundamental domain of the symmetry group (H is
+invariant under it, so every orbit of critical points has a representative
+there; Michel's argument), followed by one derivative-free refinement per
 symmetry orbit (an in-repo Nelder-Mead on tangent charts; H fails to be
 twice differentiable exactly at the entropy minima, the antipodes of the
 POVM vectors, so gradient steps are not trusted there), whose result is
@@ -27,13 +27,13 @@ tangent plane, and by geodesic second-difference probing otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .bloch import BlochVector, EntropyKernel, SHANNON, h_array
-from .catalog import GEOMETRY_TOL, HsPovm, _group_of_tag, family_spec
+from .catalog import GEOMETRY_TOL, IDENTITY, HsPovm, _group_of_tag, family_spec
 from .groups import RotationGroup, generate_group, orbit_points
 
 DEFAULT_GRID = 200_000
@@ -49,7 +49,7 @@ GRID_CHUNK = 4096         # rows per block of a large point grid
 TRIVIAL_GROUP = generate_group("C", 1)
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # centre of the Dirichlet cell scanned by find_extrema: on no rotation axis
-# of T, O, I, D2 or any C_n about z, so its images under each are distinct
+# of T, O, I, D2 or any C_n or D_n, so its images under each are distinct
 DOMAIN_CENTER = np.array([0.3, 0.2, 0.9]) / math.sqrt(0.94)
 DOMAIN_CACHE = 4          # (n_scan, group) domains kept: T, O, I and C_1 at one n_scan
 
@@ -388,22 +388,23 @@ def _lowest_distinct(points, values, flags, povm: HsPovm, objective) -> list:
     return [t for t in located if t[1] <= best + 1e-8]
 
 
-def _circle_refined(povm: HsPovm, values, rows, n_scan: int) -> np.ndarray:
-    """1D search for the minima of a z = 0 coplanar POVM, which lie on its
-    circle (H depends on u only through its projection and is concave in
-    the Bloch ball), and for the digon's extrema.  ``values`` is the signed
-    entropy of the (n, 3) scan grid, ``rows`` that of the stacked trial
-    points of the golden-section searches, which run side by side, one per
-    grid point no higher than its two circular neighbours and within 1e-3
-    of the lowest; returns the refined points."""
-    axis = None if povm.is_coplanar() else povm.matrix()[0]     # else the digon's axis
-    if axis is None:
+def _circle_refined(povm: HsPovm, normal, values, rows, n_scan: int) -> np.ndarray:
+    """1D search for the minima of a coplanar POVM, which lie on the circle
+    orthogonal to ``normal`` (H depends on u only through its projection and
+    is concave in the Bloch ball), and, with no normal, for the digon's extrema.
+    ``values`` is the signed entropy of the (n, 3) scan grid, ``rows`` that of
+    the stacked trial points of the golden-section searches, which run side by
+    side, one per grid point no higher than its two circular neighbours and
+    within 1e-3 of the lowest; returns the refined points."""
+    if normal is not None:      # the z = 0 circle is (cos phi, sin phi, 0), bit for bit
+        e1, e2 = _tangent_frame(normal if normal[2] >= 0.0 else -normal)
+        a, b = -e2, e1
         phis = np.linspace(0.0, 2.0 * math.pi, max(n_scan, 4096), endpoint=False)
-        pts = np.column_stack([np.cos(phis), np.sin(phis), np.zeros_like(phis)])
+        pts = np.cos(phis)[:, None] * a + np.sin(phis)[:, None] * b + 0.0
         vals = values(pts)
 
         def embed(phi):
-            return np.array([math.cos(phi), math.sin(phi), 0.0])
+            return math.cos(phi) * a + math.sin(phi) * b + 0.0
 
         minima = np.flatnonzero((vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1)))
         minima = minima[np.argsort(vals[minima])]
@@ -413,6 +414,7 @@ def _circle_refined(povm: HsPovm, values, rows, n_scan: int) -> np.ndarray:
                     for i in minima[: 4 * povm.k] if vals[i] <= window]
         refined = []
     else:
+        axis = povm.matrix()[0]
         ts = np.linspace(-1.0, 1.0, max(n_scan, 4096))
         e1, e2 = _tangent_frame(axis)
 
@@ -439,6 +441,9 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
                  kernel: EntropyKernel = SHANNON) -> list:
     """Locate the global extrema of H over pure states.
 
+    Vectors that are R times their label's member (:attr:`HsPovm.frame`)
+    get the member's extrema carried over by R, as H(Ru; RV) = H(u; V).
+
     Minima of a highly symmetric POVM come from the paper's theorem: when
     the family is in the registry and
     :func:`hspovm.certificate.certify_minimum` proves for this kernel that
@@ -453,9 +458,9 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
     copy of their family and kernels it does not settle.  ``n_scan``
     matters only for these.
 
-    The scan: H is invariant under the POVM's symmetry group G (its tagged
-    group when that maps the vectors onto themselves, else the trivial
-    group), so the scan covers one fundamental domain of G: the points of
+    The scan: H is invariant under the POVM's symmetry group G (its
+    member's, or the trivial group without a frame), so the scan covers one
+    fundamental domain of G: the points of
     the n_scan-point Fibonacci lattice in the Dirichlet cell of a fixed
     generic point, about n_scan/|G| of them.  The domain is memoized per
     (n_scan, G) in a small bounded cache; for the trivial group it is the
@@ -477,6 +482,11 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
     """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
+    member, rotation = povm.frame or (povm, IDENTITY)
+    if rotation is not IDENTITY:
+        carried = [replace(c, location=BlochVector.from_array(rotation @ c.location.as_array()))
+                   for c in find_extrema(member, mode, n_scan, kernel)]
+        return _by_location(carried)
     coords, k = povm.matrix(), povm.k
     if mode == "min" and _antipodes_certified(povm, kernel):
         values = _entropy_of_rows(-coords, coords, k, kernel).tolist()
@@ -532,9 +542,9 @@ def _scan_extrema(povm: HsPovm, mode: str, n_scan: int, kernel: EntropyKernel,
     def objective(p):
         return sign * _entropy_of_dots(coords @ p, k, kernel)
 
-    group = povm.symmetry_group
-    if povm.is_coplanar() or povm.k == 2:
-        points = _circle_refined(povm, values, rows, n_scan // 16)
+    group, normal = povm.symmetry_group, _plane_normal(coords)
+    if normal is not None or k == 2:
+        points = _circle_refined(povm, normal, values, rows, n_scan // 16)
         flags = [True] * len(points)
     else:
         domain = _fundamental_domain(n_scan, group.name)
@@ -565,27 +575,16 @@ def _by_location(points: list) -> list:
 def _type_of_point(u: BlochVector, povm: HsPovm, group: RotationGroup) -> tuple:
     # refined extrema are accurate to ~1e-8; classify with a looser net
     arr = u.as_array()
-    coords = povm.matrix()
-    if np.min(np.linalg.norm(coords + arr[None, :], axis=1)) < 1e-6:
+    if np.min(np.linalg.norm(povm.matrix() + arr[None, :], axis=1)) < 1e-6:
         return "I", math.nan
-    if group.order == 1:
-        return "non-inert", math.nan
     mats = group.matrix_stack()
     fixing = mats[np.linalg.norm(mats @ arr - arr, axis=1) < 1e-6]
-    on_orbit = np.min(np.linalg.norm(coords - arr[None, :], axis=1)) < 1e-6
-    if len(fixing) < 2 and not on_orbit:
+    if len(fixing) < 2:
         return "non-inert", math.nan
     stat = _criterion_statistic(u, povm, group)
-    return ("II" if _max_rotation_order(fixing) > 2 else "III"), stat
-
-
-def _max_rotation_order(matrices) -> int:
-    orders = [1]
-    for m in matrices:
-        angle = math.acos(min(1.0, max(-1.0, (np.trace(m) - 1.0) / 2.0)))
-        if angle > 1e-9:
-            orders.append(int(round(2.0 * math.pi / angle)))
-    return max(orders)
+    # the rotations fixing u turn about u, a cyclic group: more than two of
+    # them means one of order > 2 (and its inverse, which moves u as far)
+    return ("II" if len(fixing) > 2 else "III"), stat
 
 
 def _criterion_statistic(u: BlochVector, povm: HsPovm, group: RotationGroup) -> float:
@@ -624,10 +623,14 @@ def classify_inert_point(u: BlochVector, povm: HsPovm) -> CriticalPoint:
     minimum of H, s < 1 local maximum.  Remaining axis points (type III)
     are probed along several geodesics with second differences.  The type
     comes from the classifier of :func:`find_extrema` under the same group
-    (trivial for an untagged or wrongly tagged set, which keeps only its
-    antipodes), so a point within 1e-6 of an axis or antipode is
-    classified as that point.
+    (trivial for a set without a frame, which keeps only its antipodes),
+    so a point within 1e-6 of an axis or antipode is classified as that
+    point.  Vectors R member are classified as the member at R^T u.
     """
+    member, rotation = povm.frame or (povm, IDENTITY)
+    if rotation is not IDENTITY:
+        seen = BlochVector.from_array(rotation.T @ u.as_array())     # where the member sees u
+        return replace(classify_inert_point(seen, member), location=u)
     value = entropy_at(u, povm)
     label, stat = _type_of_point(u, povm, povm.symmetry_group)
     if label == "non-inert":

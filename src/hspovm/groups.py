@@ -6,6 +6,7 @@ fixed once and for all so that the invariant polynomials in
 :mod:`hspovm.invariants` apply verbatim:
 
 * ``C_n``  rotations about the z-axis,
+* ``D_n``  C_n and the half-turns about the in-plane axes at angles pi j/n,
 * ``D2``   the three coordinate-axis half-turns,
 * ``T``    3-fold axes through the even-sign vertices (+-1, +-1, +-1),
 * ``O``    4-fold axes along the coordinate axes,
@@ -131,13 +132,16 @@ def _closure(generators, expected_order: int) -> list:
 
 
 def generate_group(name: str, n: int = None) -> RotationGroup:
-    """Build a rotation group by tag: C_n (needs n, built in floats), D2,
-    T, O or I (exact generator closure, floats the images)."""
-    if name in ("C", "C_n"):
+    """Build a rotation group by tag: C_n or D_n (need n, built in floats,
+    C_n first), D2, T, O or I (exact generator closure, floats the images)."""
+    if name in ("C", "C_n", "D", "D_n"):
         if n is None or n < 1:
-            raise ValueError("C_n needs n >= 1")
+            raise ValueError(f"{name[0]}_n needs n >= 1")
         mats = [rotation_matrix([0, 0, 1], 2.0 * math.pi * j / n) for j in range(n)]
-        return RotationGroup(f"C_{n}", tuple(_freeze(m) for m in mats))
+        if name[0] == "D":
+            mats += [rotation_matrix([math.cos(math.pi * j / n), math.sin(math.pi * j / n), 0],
+                                     math.pi) for j in range(n)]
+        return RotationGroup(f"{name[0]}_{n}", tuple(_freeze(m) for m in mats))
     if name not in _GENERATORS:
         raise ValueError(f"unknown group tag {name!r}")
     exact = tuple(_closure(_GENERATORS[name], EXPECTED_ORDER[name]))

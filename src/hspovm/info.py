@@ -39,7 +39,7 @@ def informational_power(povm: HsPovm) -> float:
     """Closed-form informational power of a highly symmetric POVM, taken on
     the registry member that the vectors are checked to be a rotated copy
     of (:func:`hspovm.catalog.check_family_geometry`)."""
-    _, member = check_family_geometry(povm)
+    _, member, _ = check_family_geometry(povm)
     dots = member.matrix() @ member.fiducial.as_array()
     return math.log(2.0) - (2.0 / member.k) * math.fsum(
         eta((1.0 - t) / 2.0) for t in dots)

@@ -16,11 +16,10 @@ from hspovm.catalog import (
     interpolation_set,
     make_hs_povm,
     make_rectangle_povm,
-    _maps_onto_itself,
     spherical_design_order,
     validate_povm,
 )
-from hspovm.groups import double_coset_profile, generate_group
+from hspovm.groups import double_coset_profile
 from hspovm.q5 import TAU, Q5
 
 SQRT5 = math.sqrt(5.0)
@@ -209,7 +208,37 @@ class TestValidate:
         assert report.design_order < 2           # but not a tight one
 
 
+def _legendre_oracle(coords):
+    """(s, sum_{x,y} P_s(x . y) / k^2) for s = 1..5 from numpy's Legendre series."""
+    gram = coords @ coords.T
+    return [(s, float(np.sum(np.polynomial.legendre.legval(gram, [0] * s + [1])))
+             / len(coords) ** 2) for s in range(1, 6)]
+
+
 class TestDesignOrders:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_moments_are_the_gram_legendre_sums(self, seed):
+        rng = np.random.default_rng(seed)
+        half = rng.normal(size=(int(rng.integers(2, 9)), 3))
+        half /= np.linalg.norm(half, axis=1)[:, None]
+        sets = [np.vstack([half, -half]), make_rectangle_povm(0.3 + seed / 4).matrix(),
+                povm_for(ALL_FAMILIES[seed + 2]).matrix()]
+        for coords in sets:
+            report = validate_povm(coords)
+            assert [s for s, _ in report.moment_values] == [1, 2, 3, 4, 5]
+            for (_, got), (_, want) in zip(report.moment_values, _legendre_oracle(coords)):
+                assert got == pytest.approx(want, abs=1e-13)
+                assert got > -1e-13             # each sum is >= 0
+        # centrally symmetric random pairs: the odd sums vanish, P_2 does not
+        assert validate_povm(sets[0]).design_order == 1
+
+    def test_a_moved_vector_breaks_the_design(self):
+        assert spherical_design_order(povm_for("icosahedron").vectors) == 5
+        coords = povm_for("icosahedron").matrix().astype(float)
+        coords[0] += 1e-4 * coords[1]
+        coords /= np.linalg.norm(coords, axis=1)[:, None]
+        assert spherical_design_order([BlochVector.from_array(v) for v in coords]) < 5
+
     @pytest.mark.parametrize("family,minimum", [
         ("tetrahedron", 2), ("octahedron", 3), ("cube", 3),
         ("cuboctahedron", 3), ("icosahedron", 5), ("dodecahedron", 5),
@@ -255,8 +284,10 @@ class TestFamilyRegistry:
     def test_spec_matches_geometry(self, name):
         spec = FAMILY_SPECS[name]
         povm = make_hs_povm(name, 6)          # the order is read by the n-gon only
-        assert povm.group == spec.tag(povm.k)
-        assert povm.symmetry_group.order == povm.rotation_group().order > 1
+        assert povm.group == (f"C_{povm.k}" if spec.group == "C" else spec.group)
+        # a polygon's symmetry adds the in-plane half-turns to its tag C_n
+        widened = 2 if spec.group == "C" else 1
+        assert povm.symmetry_group.order == widened * povm.rotation_group().order > 1
         if spec.group != "C":
             exact = [float(t) for t in exact_nodes(name)]
             assert np.max(np.abs(np.array(exact) - interpolation_set(povm))) < 1e-12
@@ -265,52 +296,68 @@ class TestFamilyRegistry:
         for x in probes:
             assert abs(np.linalg.norm(x) - 1.0) < 1e-15
 
-    def test_json_round_trip_restores_group_tag(self):
+    def test_json_round_trip_keeps_the_symmetry_group(self):
+        # the file holds no tag; the geometry gives the same group back
         for name in FAMILIES:
             p = make_hs_povm(name, 5)
-            assert HsPovm.from_json(p.to_json()).group == p.group
+            loaded = HsPovm.from_json(p.to_json())
+            assert loaded.group == ""
+            assert loaded.symmetry_group is p.symmetry_group
 
-    def test_rotated_or_mislabelled_file_stays_untagged(self):
+    def test_rotated_file_carries_its_group_and_mislabelled_file_has_none(self):
         q, _ = np.linalg.qr(np.random.default_rng(11).normal(size=(3, 3)))
         rotated = povm_for("cube").matrix() @ q.T
-        assert HsPovm.from_json(HsPovm(
+        povm = HsPovm.from_json(HsPovm(
             vectors=tuple(BlochVector.from_array(v) for v in rotated),
-            family="cube").to_json()).group == ""
+            family="cube").to_json())
+        assert povm.group == "" and povm.symmetry_group.order == 24
+        assert _image_gap(povm.symmetry_group, povm.matrix()) < 1e-12
         square = make_rectangle_povm(1.0).to_json().replace("rectangle", "octahedron")
-        assert HsPovm.from_json(square).group == ""
+        assert HsPovm.from_json(square).symmetry_group.order == 1
 
 
-def _maps_onto_itself_by_loop(group, coords):
-    for m in group.elements:
-        gaps = np.linalg.norm((coords @ m.T)[:, None, :] - coords[None, :, :], axis=-1)
-        if np.max(np.min(gaps, axis=1)) >= 1e-8:
-            return False
-    return True
+def _image_gap(group, coords) -> float:
+    """The largest distance from an image g v to the nearest vector."""
+    return max(float(np.max(np.min(np.linalg.norm(
+        (coords @ g.T)[:, None, :] - coords[None, :, :], axis=-1), axis=1))) for g in group)
 
 
-class TestSymmetryCheck:
-    """The batched image-to-vector distances decide as the loop over the
-    group elements does."""
-
-    GROUPS = [generate_group(t) for t in ("T", "O", "I", "D2")] + [
-        generate_group("C", n) for n in (4, 5, 12)]
+class TestSymmetryGroup:
+    """The symmetry group is the member's carried over by the frame's R, so
+    it maps the vectors onto themselves; a set off its family by 3e-8, or a
+    custom set, gets the trivial group whatever its tag."""
 
     @pytest.mark.parametrize("family", ALL_FAMILIES + ("n-gon",))
-    def test_matches_loop_on_catalog_and_perturbed_sets(self, family):
-        coords = make_hs_povm(family, 12).matrix()
+    def test_maps_the_vectors_onto_themselves(self, family):
+        member = make_hs_povm(family, 12)
+        coords = member.matrix()
         q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)))
-        nudged = coords.astype(float)
-        nudged[-1] = nudged[-1] + np.array([0.0, 1e-9, -3e-8])
-        for candidate in (coords, coords @ q.T, nudged):
-            for group in self.GROUPS:
-                assert (_maps_onto_itself(group, candidate)
-                        == _maps_onto_itself_by_loop(group, candidate))
+        candidates = [(coords, member.symmetry_group.order),
+                      (coords @ q.T, member.symmetry_group.order)]
+        if family != "digon":       # {v, -v} moved with zero centroid stays a digon
+            # v_0 and a vector v_j off its axis move by 3e-8 in opposite
+            # directions orthogonal to both: the centroid stays zero
+            j = int(np.argmin(np.abs(coords @ coords[0])))
+            shift = np.cross(coords[0], coords[j])
+            shift *= 3e-8 / np.linalg.norm(shift)
+            nudged = coords.astype(float)
+            nudged[0] -= shift
+            nudged[j] += shift
+            candidates.append((nudged, 1))
+        for candidate, order in candidates:
+            povm = HsPovm(tuple(BlochVector.from_array(v) for v in candidate),
+                          member.family)
+            assert povm.symmetry_group.order == order > 0
+            assert _image_gap(povm.symmetry_group, povm.matrix()) < 1e-12
+        custom = HsPovm(member.vectors, "custom", member.group)
+        assert custom.symmetry_group.order == 1
 
-    def test_large_polygon_runs_in_batches(self):
+    def test_large_polygon_has_its_dihedral_group(self):
         coords = make_hs_povm("n-gon", 300).matrix()
-        group = generate_group("C", 300)
-        assert _maps_onto_itself(group, coords)
-        assert not _maps_onto_itself(generate_group("C", 7), coords)
+        povm = HsPovm(tuple(BlochVector.from_array(v) for v in coords), "300-gon")
+        assert povm.symmetry_group.name == "D_300" and povm.symmetry_group.order == 600
         shifted = coords.copy()
         shifted[150] = [math.cos(0.001), math.sin(0.001), 0.0]
-        assert not _maps_onto_itself(group, shifted)
+        shifted[0] = [-math.cos(0.001), -math.sin(0.001), 0.0]
+        povm = HsPovm(tuple(BlochVector.from_array(v) for v in shifted), "300-gon")
+        assert povm.symmetry_group.order == 1

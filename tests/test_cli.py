@@ -49,6 +49,12 @@ class TestGenerateValidate:
         payload = json.loads(text)
         assert payload["is_povm"] and payload["informationally_complete"]
         assert payload["design_order"] == 3
+        # sum_{x,y} P_s(x . y) / k^2 over the Gram matrix: the dots are 1 and
+        # -1 six times each and 0 otherwise, so only P_4(0) = 3/8 survives
+        moments = dict(payload["moment_deviation"])
+        assert sorted(moments) == [1, 2, 3, 4, 5]
+        assert float(moments[4]) == pytest.approx((12 + 24 * 3 / 8) / 36, abs=1e-15)
+        assert all(abs(float(moments[s])) < 1e-15 for s in (1, 2, 3, 5))
 
     def test_generate_ngon(self, capsys):
         code, text = run_cli(["generate", "--family", "n-gon", "--n", "5"], capsys)
@@ -128,6 +134,44 @@ class TestClassify:
         code, from_file = run_cli(["classify", "--in", str(out)], capsys)
         assert code == 0
         assert from_file == run_cli(["classify", "--family", "cube"], capsys)[1]
+
+    @pytest.mark.parametrize("args", [["--family", "cube"], ["--family", "5-gon"],
+                                      ["--family", "rectangle", "--alpha", "0.8"],
+                                      ["--family", "rectangle", "--alpha", "1.4"]],
+                             ids=["cube", "5-gon", "rectangle 0.8", "rectangle 1.4"])
+    def test_rotated_file_classifies_like_the_family(self, args, tmp_path, capsys):
+        # the points are carried over by the file's rotation; kinds, types,
+        # values and statistics are the family's
+        out = tmp_path / "family.json"
+        main(["generate", *args, "--out", str(out)])
+        q, r = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+        q = q * np.sign(np.diag(r))
+        q[:, 0] *= np.sign(np.linalg.det(q))
+        payload = json.loads(out.read_text())
+        payload["vectors"] = (np.array(payload["vectors"]) @ q.T).tolist()
+        out.write_text(json.dumps(payload))
+        points = []
+        for source in (["--in", str(out)], args):
+            code, text = run_cli(["classify", *source], capsys)
+            assert code == 0
+            points.append(json.loads(text)["points"])
+        (rotated, canonical) = points
+        assert [(p["kind"], p["type"]) for p in rotated] == [
+            (p["kind"], p["type"]) for p in canonical]
+        for a, b in zip(rotated, canonical):
+            assert float(a["value"]) == pytest.approx(float(b["value"]), abs=1e-12)
+            assert (a["statistic"] is None) == (b["statistic"] is None)
+            if a["statistic"] is not None:
+                assert float(a["statistic"]) == pytest.approx(float(b["statistic"]), abs=1e-9)
+
+    def test_custom_file_needs_a_point(self, tmp_path, capsys):
+        out = tmp_path / "custom.json"
+        main(["generate", "--family", "cube", "--out", str(out)])
+        out.write_text(out.read_text().replace('"cube"', '"custom"'))
+        assert main(["classify", "--in", str(out)]) == 2
+        assert "no symmetry forces a critical point" in capsys.readouterr().err
+        code, text = run_cli(["classify", "--in", str(out), "--point=-1,-1,-1"], capsys)
+        assert code == 0 and json.loads(text)["points"][0]["type"] == "I"
 
     def test_explicit_point(self, capsys):
         code, text = run_cli(
@@ -350,9 +394,8 @@ class TestMinimizeGolden:
 
 class TestClassifyGolden:
     """`classify` output pinned byte for byte for the catalog families and
-    the odd 3- to 11-gons (an even n-gon exits 2: its edge midpoint lies on
-    no C_n axis); any change to a type, kind or statistic shows as a diff
-    of tests/data."""
+    the odd 3- to 11-gons; any change to a type, kind or statistic shows as
+    a diff of tests/data."""
 
     GOLDEN = json.loads((Path(__file__).parent / "data" / "classify_golden.json")
                         .read_text())
@@ -362,3 +405,22 @@ class TestClassifyGolden:
         code, text = run_cli(["classify", *args.split()], capsys)
         assert code == 0
         assert json.loads(text) == self.GOLDEN[args]
+
+
+class TestClassifyEvenPolygons:
+    """`classify` output of the even 4- to 12-gons, whose symmetry is D_n:
+    the vertex is an antipode (I), the edge midpoint lies on an in-plane
+    half-turn axis (III) and the axis on the n-fold one (II).  Pinned byte
+    for byte in tests/data."""
+
+    GOLDEN = json.loads((Path(__file__).parent / "data" / "classify_even_golden.json")
+                        .read_text())
+
+    @pytest.mark.parametrize("args", list(GOLDEN))
+    def test_payload_unchanged(self, args, capsys):
+        code, text = run_cli(["classify", *args.split()], capsys)
+        assert code == 0
+        payload = json.loads(text)
+        assert payload == self.GOLDEN[args]
+        assert [(p["type"], p["kind"]) for p in payload["points"]] == [
+            ("I", "min"), ("III", "saddle"), ("II", "max")]

@@ -373,29 +373,38 @@ class TestOrbitReduction:
 
     @pytest.mark.parametrize("family", ["tetrahedron", "cube"])
     def test_untagged_rotated_input_keeps_full_orbit(self, family):
+        # the file carries no tag; its geometry gives the member's group
         coords = povm_for(family).matrix() @ _random_rotation(3).T
         povm = HsPovm.from_json(json.dumps({"vectors": coords.tolist(),
                                             "family": family}))
-        assert povm.group == "" and povm.symmetry_group.order == 1
+        assert povm.group == ""
+        assert povm.symmetry_group.order == povm_for(family).symmetry_group.order
         _assert_antipodal_orbit(find_extrema(povm, "min"), povm.matrix())
 
-    def test_tag_checked_once_per_povm(self, monkeypatch):
+    def test_frame_checked_once_per_povm(self, monkeypatch):
         checks = []
-        check = catalog._maps_onto_itself
-        monkeypatch.setattr(catalog, "_maps_onto_itself", lambda group, coords: (
-            checks.append(group.name) or check(group, coords)))
-        povm = make_hs_povm("cube")
-        find_extrema(povm, "min", n_scan=2000)
-        find_extrema(povm, "max", n_scan=2000)
-        classify_inert_point(BlochVector(0, 0, 1), povm)
-        assert checks == ["O"]
+        check = catalog._is_rotated_copy
+        monkeypatch.setattr(catalog, "_is_rotated_copy", lambda coords, reference: (
+            checks.append(len(coords)) or check(coords, reference)))
+        canonical = make_hs_povm("cube")
+        rotated = HsPovm.from_json(json.dumps({
+            "vectors": (canonical.matrix() @ _random_rotation(5).T).tolist(),
+            "family": "cube"}))
+        assert checks == []             # loading does no geometry work
+        for povm in (canonical, rotated):
+            find_extrema(povm, "min", n_scan=2000)
+            find_extrema(povm, "max", n_scan=2000)
+            classify_inert_point(inert_directions(povm)[0], povm)
+        assert checks == [8]            # the canonical cube is its member
 
-    def test_wrong_group_tag_falls_back_to_trivial_group(self):
+    def test_group_tag_does_not_decide_the_symmetry(self):
         coords = povm_for("cube").matrix() @ _random_rotation(5).T
-        povm = HsPovm(vectors=tuple(BlochVector.from_array(v) for v in coords),
-                      family="cube", group="O")
-        assert povm.symmetry_group.order == 1
-        _assert_antipodal_orbit(find_extrema(povm, "min"), povm.matrix())
+        vectors = tuple(BlochVector.from_array(v) for v in coords)
+        for group in ("O", "T", ""):
+            povm = HsPovm(vectors=vectors, family="cube", group=group)
+            assert povm.symmetry_group.order == 24
+            _assert_antipodal_orbit(find_extrema(povm, "min"), povm.matrix())
+        assert HsPovm(vectors=vectors, family="custom", group="O").symmetry_group.order == 1
 
     def test_max_mode_cube_default_scan(self):
         maxima = find_extrema(povm_for("cube"), "max")
@@ -773,13 +782,15 @@ class TestCertifiedMinima:
         assert all(a.location is b.location for a, b in zip(first, second))
 
     def test_rotated_file_is_certified_without_a_scan(self, monkeypatch):
-        # from_json drops the tag that no longer maps the rotated cube onto
-        # itself, and the certificate's own check recognizes the cube
+        # the rotated cube's frame is the registry cube and R, which the
+        # certificate and the symmetry group share
         povm = HsPovm.from_json(json.dumps({
             "vectors": (povm_for("cube").matrix() @ _random_rotation(3).T).tolist(),
             "family": "cube"}))
-        assert povm.symmetry_group.order == 1
-        scanned = repr(_scan_extrema(povm, "min", DEFAULT_GRID, SHANNON, 2000))
+        assert povm.symmetry_group.order == 24
+        with monkeypatch.context() as patch:        # the scan, on the member
+            patch.setattr(entropy, "_antipodes_certified", lambda povm, kernel: False)
+            scanned = repr(find_extrema(povm, "min"))
         calls = _counted_scans(monkeypatch)
         assert repr(find_extrema(povm, "min")) == scanned
         assert calls == []

@@ -59,9 +59,18 @@ class TestCheckFamilyGeometry:
         coords = make_hs_povm(family).matrix() @ _rotation(5).T
         order = np.random.default_rng(6).permutation(len(coords))
         povm = HsPovm.from_json(_file(coords[order], family))
-        spec, member = check_family_geometry(povm)
+        spec, member, rotation = check_family_geometry(povm)
         assert spec is family_spec(family)
         assert member.matrix().tolist() == make_hs_povm(family).matrix().tolist()
+        # R carries the member onto the vectors, in the permuted order
+        images = member.matrix() @ rotation.T
+        gaps = np.linalg.norm(images[:, None, :] - povm.matrix()[None, :, :], axis=-1)
+        assert np.max(gaps.min(axis=0)) < 1e-9 and np.max(gaps.min(axis=1)) < 1e-9
+        assert np.linalg.det(rotation) == pytest.approx(1.0, abs=1e-12)
+
+    def test_member_itself_gets_the_identity(self):
+        for family in EIGHTEEN:
+            assert check_family_geometry(make_hs_povm(family))[2] is catalog.IDENTITY
 
     def test_label_without_a_member_of_that_size_refused(self):
         with pytest.raises(ValueError, match="5-gon's node set"):
@@ -154,7 +163,7 @@ def test_polyhedra_certify_without_sampling(monkeypatch):
         raise AssertionError("sampled design order or coplanarity test")
 
     monkeypatch.setattr(catalog, "spherical_design_order", unexpected)
-    monkeypatch.setattr(HsPovm, "is_coplanar", unexpected)
+    assert not hasattr(HsPovm, "is_coplanar")
     assert not hasattr(certificate, "spherical_design_order")
     for family in EIGHTEEN:
         assert certify_minimum(make_hs_povm(family)).valid, family

@@ -1,0 +1,178 @@
+"""One frame per labelled input: vectors that are R times their label's
+member (a registry family, or a rectangle) are answered on the member, and
+the answer is carried back by R, so a rotated, permuted or reflected file
+gets the canonical extrema, types and classifications, at the cost of the
+canonical scan."""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import sweep_classify
+from hspovm import entropy
+from hspovm.catalog import (HsPovm, inert_directions, make_hs_povm,
+                            make_rectangle_povm)
+from hspovm.entropy import classify_inert_point, find_extrema
+
+#: the digon, the 7 polyhedra, the 3- to 12-gons and a rectangle on each
+#: side of the bifurcation (alpha ~ 1.1706)
+CANONICAL = {
+    **{f: make_hs_povm(f) for f in ("digon", "tetrahedron", "octahedron", "cube",
+                                    "cuboctahedron", "icosahedron", "dodecahedron",
+                                    "icosidodecahedron")},
+    **{f"{n}-gon": make_hs_povm(f"{n}-gon") for n in range(3, 13)},
+    "rectangle 0.8": make_rectangle_povm(0.8),
+    "rectangle 1.4": make_rectangle_povm(1.4),
+}
+
+
+def _transform(seed, reflect) -> np.ndarray:
+    """A rotation drawn from the seed, followed by a reflection if asked."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    q[:, 0] *= np.sign(np.linalg.det(q))
+    return q @ np.diag([1.0, 1.0, -1.0]) if reflect else q
+
+
+def _moved(name, q, seed) -> HsPovm:
+    """The canonical input's file with its vectors moved by q and permuted."""
+    canonical = CANONICAL[name]
+    coords = canonical.matrix() @ q.T
+    order = np.random.default_rng(seed).permutation(len(coords))
+    return HsPovm.from_json(json.dumps({"vectors": coords[order].tolist(),
+                                        "family": canonical.family}))
+
+
+_ANSWERS = {}
+
+
+def _extrema(povm, mode) -> list:
+    """find_extrema of a canonical set or frame member, computed once."""
+    key = (povm.family, povm.matrix().tobytes(), mode)
+    if key not in _ANSWERS:
+        _ANSWERS[key] = find_extrema(povm, mode)
+    return _ANSWERS[key]
+
+
+def _assert_carried(found, expected, rotation):
+    """Each found point is R times one expected point, one to one: location
+    to 1e-7, value to 1e-12, the same kind and type."""
+    assert len(found) == len(expected)
+    carried = np.array([c.location.as_array() for c in expected]) @ rotation.T
+    for point in found:
+        gaps = np.linalg.norm(carried - point.location.as_array(), axis=1)
+        i = int(np.argmin(gaps))
+        assert gaps[i] < 1e-7
+        match = expected[i]
+        assert abs(point.value - match.value) <= 1e-12
+        assert (point.kind, point.type_label) == (match.kind, match.type_label)
+    located = np.array([c.location.as_array() for c in found])
+    assert np.max(np.min(np.linalg.norm(carried[:, None] - located[None], axis=2), axis=1)) < 1e-7
+
+
+def _summary(points) -> list:
+    return sorted((c.kind, c.type_label, round(c.value, 12)) for c in points)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(name=st.sampled_from(sorted(CANONICAL)), seed=st.integers(0, 2 ** 32 - 1),
+       reflect=st.booleans())
+def test_moved_file_gets_the_canonical_answers(name, seed, reflect):
+    canonical = CANONICAL[name]
+    povm = _moved(name, _transform(seed, reflect), seed)
+    # the frame: a proper R carrying the member onto the vectors; the member
+    # is the canonical set (a rectangle's may be its twin turned by pi/2,
+    # the same rectangle: its diameters meet at alpha and at pi - alpha)
+    member, rotation = povm.frame
+    assert np.linalg.det(rotation) == pytest.approx(1.0, abs=1e-12)
+    gaps = np.linalg.norm((member.matrix() @ rotation.T)[:, None] - povm.matrix()[None], axis=2)
+    assert np.max(gaps.min(axis=0)) < 1e-9 and np.max(gaps.min(axis=1)) < 1e-9
+    assert member.family == canonical.family
+    if member.family != "rectangle":
+        assert member.matrix().tobytes() == canonical.matrix().tobytes()
+    for mode in ("min", "max"):
+        found = find_extrema(povm, mode)
+        assert _summary(found) == _summary(_extrema(canonical, mode))
+        if name != "digon" or mode == "min":    # the digon's maxima are a circle
+            _assert_carried(found, _extrema(member, mode), rotation)
+    kinds = []
+    for u in inert_directions(povm):
+        found = classify_inert_point(u, povm)
+        # R^T u is where the member sees u (H(Ru; RV) = H(u; V))
+        expected = classify_inert_point(type(u).from_array(rotation.T @ u.as_array()), member)
+        assert found.location == u
+        assert np.linalg.norm(rotation @ expected.location.as_array() - u.as_array()) < 1e-7
+        assert abs(found.value - expected.value) <= 1e-12
+        assert (found.kind, found.type_label) == (expected.kind, expected.type_label)
+        assert np.isnan(found.classifier_statistic) == np.isnan(expected.classifier_statistic)
+        kinds.append(found)
+    assert _summary(kinds) == _summary(
+        classify_inert_point(u, canonical) for u in inert_directions(canonical))
+
+
+class TestWork:
+    """A moved file costs what its canonical member costs: the same scan of
+    one fundamental domain, or the same circle search."""
+
+    @staticmethod
+    def _counted(monkeypatch, name) -> list:
+        calls = []
+        original = getattr(entropy, name)
+        monkeypatch.setattr(entropy, name, lambda *args: calls.append(args) or original(*args))
+        return calls
+
+    def test_moved_cube_max_scans_one_fundamental_domain(self, monkeypatch):
+        n_scan = 24_000
+        points = self._counted(monkeypatch, "_entropy_values")
+        work = []
+        for povm in (CANONICAL["cube"], _moved("cube", _transform(3, False), 3)):
+            points.clear()
+            find_extrema(povm, "max", n_scan=n_scan)
+            work.append(sum(len(args[0]) for args in points))
+        assert work[0] == work[1]
+        assert abs(work[1] - n_scan / 24) < 0.02 * n_scan / 24     # not n_scan
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.4])
+    def test_moved_rectangle_min_takes_the_circle_path(self, monkeypatch, alpha):
+        name = f"rectangle {alpha}"
+        povm = _moved(name, _transform(5, True), 5)
+        expected = _extrema(povm.frame[0], "min")
+        circles = self._counted(monkeypatch, "_circle_refined")
+        domains = self._counted(monkeypatch, "_fundamental_domain")
+        _assert_carried(find_extrema(povm, "min"), expected, povm.frame[1])
+        assert len(circles) == 1 and domains == []
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.4])
+    def test_tilted_custom_plane_is_searched_on_its_own_circle(self, monkeypatch, alpha):
+        # no label, so no frame: the circle is the vectors' own plane's
+        q = _transform(7, False)
+        coords = make_rectangle_povm(alpha).matrix() @ q.T
+        povm = HsPovm.from_json(json.dumps({"vectors": coords.tolist()}))
+        assert povm.frame is None and povm.symmetry_group.order == 1
+        expected = _extrema(CANONICAL[f"rectangle {alpha}"], "min")
+        circles = self._counted(monkeypatch, "_circle_refined")
+        domains = self._counted(monkeypatch, "_fundamental_domain")
+        found = find_extrema(povm, "min")
+        assert len(circles) == 1 and domains == []
+        assert len(found) == len(expected)
+        carried = np.array([c.location.as_array() for c in expected]) @ q.T
+        for point in found:
+            assert np.min(np.linalg.norm(carried - point.location.as_array(), axis=1)) < 1e-7
+            assert point.value == pytest.approx(expected[0].value, abs=1e-12)
+
+
+def test_sweep_cases_are_850_unique_labels():
+    labels = [label for label, _, _ in sweep_classify.cases()]
+    assert len(labels) == len(set(labels)) == 850
+
+
+def test_classify_sweep_hash_is_pinned():
+    # canonical lines as at the parent but for the even n-gons' edge
+    # midpoints and the square made by make_rectangle_povm(pi/2); rotated
+    # lines equal to their canonical ones in kind, type and value
+    text = "\n".join(sweep_classify.sweep())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "03cb87c525aef996544c56b4d68625daac6b01df9be77903057a9e43fdc520c7")

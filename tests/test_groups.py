@@ -35,11 +35,32 @@ TABLE_ROWS = [
 
 class TestGeneration:
     @pytest.mark.parametrize("tag,n,order", [
-        ("C", 1, 1), ("C", 5, 5), ("C", 12, 12),
+        ("C", 1, 1), ("C", 5, 5), ("C", 12, 12), ("D", 1, 2), ("D", 5, 10), ("D", 12, 24),
         ("T", None, 12), ("O", None, 24), ("I", None, 60),
     ])
     def test_orders(self, tag, n, order):
         assert generate_group(tag, n).order == order
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12])
+    def test_dihedral_group_is_the_symmetry_of_the_polygon(self, n):
+        # C_n first, element for element, then n half-turns about in-plane
+        # axes; together they map the n-gon onto itself and form a group
+        dihedral, cyclic = generate_group("D", n), generate_group("C", n)
+        assert dihedral.name == f"D_{n}"
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(dihedral, cyclic))
+        for m in dihedral.elements[n:]:
+            assert np.trace(m) == pytest.approx(-1.0, abs=1e-12)    # a half-turn
+            assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.eigh((m + m.T) / 2)[1][:, -1][2] == pytest.approx(0.0, abs=1e-12)
+        angles = 2 * math.pi * np.arange(n) / n
+        polygon = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(n)])
+        stack = dihedral.matrix_stack()
+        for images in (stack @ polygon.T).transpose(0, 2, 1):
+            gaps = np.linalg.norm(images[:, None, :] - polygon[None, :, :], axis=-1)
+            assert np.max(gaps.min(axis=1)) < 1e-12
+        products = np.einsum("aij,bjk->abik", stack, stack).reshape(-1, 3, 3)
+        gaps = np.linalg.norm(products[:, None] - stack[None], axis=(2, 3))
+        assert np.max(gaps.min(axis=1)) < 1e-12
 
     def test_elements_orthogonal(self):
         for tag in ("T", "O", "I"):
