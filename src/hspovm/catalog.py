@@ -41,7 +41,7 @@ class FamilySpec:
     picks the certificate's orbit-minimum proof (constant, sign of B with
     expected ``sign``, candidates or sturm; see :mod:`hspovm.certificate`),
     which expands in the invariants ``basis`` through the exact expansion
-    matrix solved at the ``probes``.
+    matrix solved at the ``probes`` (candidates compares P there, seed included).
     ``inert`` seeds the classifier of symmetry-forced critical points;
     ``reference_W`` is the five-digit informational power.
     """
@@ -55,10 +55,6 @@ class FamilySpec:
     probes: tuple = ()
     inert: tuple = ()
     reference_W: float | None = None
-
-    def probe_points(self) -> list:
-        points = [np.array(p, dtype=float) for p in self.probes]    # float() of each
-        return [p / np.linalg.norm(p) for p in points]
 
 
 _AXES = ((0, 0, 1), (1, 0, 0), (0, 1, 0))

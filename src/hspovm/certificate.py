@@ -16,14 +16,15 @@ The pipeline, per family:
    because the orbit is a t-design (on the circle for polygons, t = n - 1;
    otherwise the exact registry orbit's t, catalog.exact_design_order) and
    p has degree <= t (N - 1, or alpha when p reproduces h) -- polygons,
-   tetrahedron, octahedron, icosahedron; or P restricted to the
-   sphere is a short combination of primary invariants whose extrema are
-   known (cube, cuboctahedron, dodecahedron); or, for the
-   icosidodecahedron, an interval Sturm chain shows that the zero-level parabola of P misses the orbit-map
-   range except at the origin, and P is positive at a corner of the range.
-   The invariant coefficients are sum_i c_i L_i for p = sum_i c_i t^i and
-   the family's exact matrix L, sum_j (v_j . x)^i = L_i . (1, I_1, ...)(x)
-   on the sphere (c_i in floats, or intervals on the exact nodes for Sturm);
+   tetrahedron, octahedron, icosahedron; or, on interval enclosures of its
+   coefficients in the primary invariants, P restricted to the sphere has
+   known extrema: by the sign of B (cube, dodecahedron), by comparing the
+   candidate critical values (cuboctahedron), or by a Sturm chain showing
+   that the zero-level parabola of P misses the orbit-map range except at
+   the origin, with P positive at a corner of the range
+   (icosidodecahedron).  The coefficients are sum_i c_i L_i for
+   p = sum_i c_i t^i, the c_i enclosed on the exact nodes, and the family's
+   exact L, sum_j (v_j . x)^i = L_i . (1, I_1, ...)(x) on the sphere;
 6. close uniqueness: any further global minimizer w would need all its
    dots {w . u} inside T, which the design moment equations, solved in
    integers on the registry's exact nodes, rule out unless -1 is among
@@ -35,10 +36,12 @@ finds the vectors to be a rotated copy of: the entropy is rotation
 invariant, so the member's certificate is the vectors'.
 
 Interpolation and its node-residual diagnostic run in 80-bit extended
-precision; the Sturm step runs in mpmath interval arithmetic with adaptive
-precision.  Each interval proof builds its own interval context at the
-precision it needs, so the caller's ``mpmath.iv`` is never read or written
-and certificates computed side by side in threads do not interfere.
+precision; the interval proofs climb INTERVAL_PRECISIONS while a sign is
+undecided, and one still open at the top fails the certificate.  Its
+coefficients and beta are the midpoints of the decided enclosures.  Each
+interval proof builds its own interval context at the precision it needs,
+so the caller's ``mpmath.iv`` is never read or written and certificates
+computed side by side in threads do not interfere.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from .invariants import (J15_SQUARED_TERMS, evaluate_invariant, i6_prime, i10,
 from .q5 import GOLDEN, Q5, dot
 from .sturm import AmbiguousSignError, _sign, sturm_root_count
 
-STURM_PRECISIONS = (200, 320, 512)
+INTERVAL_PRECISIONS = (200, 320, 512)
 
 _LD = np.longdouble
 
@@ -316,23 +319,33 @@ def assemble_lower_bound(povm: HsPovm, p: HermitePolynomial):
 
 
 @lru_cache(maxsize=None)
+def _probe_invariants(name: str) -> tuple:
+    """(1, I_1, ...) of the family's basis at the unit vector along each
+    registry probe S, exactly: I_d(S) / (S . S)^(d/2), no square root, as
+    every basis invariant has even degree d."""
+    spec = FAMILY_SPECS[name]
+    return tuple((Q5(1),) + tuple(evaluate_invariant(b, s, tau=GOLDEN)
+                                  / dot(s, s) ** (invariant_degree(b) // 2) for b in spec.basis)
+                 for s in (tuple(map(Q5.of, probe)) for probe in spec.probes))
+
+
+@lru_cache(maxsize=None)
 def _expansion_matrix(name: str, degree: int) -> dict:
     """The exact expansion matrix of a family with an invariant basis,
     {i: L_i} for even i <= degree: sum_j (v_j . x)^i = L_i . (1, I_1(x), ...)
     on the unit sphere for the family's basis invariants I_d, by Gauss-Jordan
     elimination at the probes.  Both sides are homogeneous, so at a probe S
-    the left side is sum_j ((V_j . S)^2 / (V_j . V_j S . S))^(i/2) and I_d
-    is I_d(S) / (S . S)^(d/2): no square root.  The odd power sums of the
+    the left side is sum_j ((V_j . S)^2 / (V_j . V_j S . S))^(i/2), and the
+    right side reads :func:`_probe_invariants`.  The odd power sums of the
     (checked) centrally symmetric orbit vanish."""
     orbit = exact_orbit(name)
     if 1 not in exact_nodes(name):             # -s is not in the orbit
         raise ValueError(f"the {name} orbit is not centrally symmetric")
     m = []                                  # rows [invariants | power sums]
-    for s in (tuple(map(Q5.of, probe)) for probe in FAMILY_SPECS[name].probes):
-        norm = dot(s, s)
-        m.append([Q5(1)] + [evaluate_invariant(b, s, tau=GOLDEN)
-                            / norm ** (invariant_degree(b) // 2) for b in FAMILY_SPECS[name].basis])
-        cosines = Counter(dot(v, s) ** 2 / (dot(orbit[0], orbit[0]) * norm) for v in orbit)
+    for probe, invariants in zip(FAMILY_SPECS[name].probes, _probe_invariants(name)):
+        s = tuple(map(Q5.of, probe))
+        m.append(list(invariants))
+        cosines = Counter(dot(v, s) ** 2 / (dot(orbit[0], orbit[0]) * dot(s, s)) for v in orbit)
         terms = [Q5(n) for n in cosines.values()]   # n c^(i/2) per distinct squared cosine c
         for _ in range(0, degree + 1, 2):
             m[-1].append(sum(terms, Q5()))
@@ -363,8 +376,8 @@ def expand_in_invariants(povm: HsPovm, evaluator) -> dict:
     The orbit-sum normalization, i.e. (k/2)(P - ln(k/2)), is the one in
     which the family constants are usually quoted; signs and the ratio
     beta = -B/(3C) are unaffected by the overall positive scale.  The
-    invariants are those of the registry orientation, in which
-    :func:`certify_minimum` passes the family's registry member.
+    invariants are those of the registry orientation, so ``povm`` should be
+    the family's registry member.
     """
     spec = family_spec(povm.family)
     if spec is None or not spec.basis:
@@ -444,7 +457,7 @@ def _moment_constrained_feasible(exact_nodes: tuple, k: int, design_order: int,
 
 
 # --------------------------------------------------------------------------
-# Icosidodecahedral positivity: interval pipeline + Sturm
+# Orbit-minimum proofs of the invariant families, on interval coefficients
 # --------------------------------------------------------------------------
 
 def _parabola_quartic(B, C, D, tau):
@@ -465,10 +478,9 @@ def _parabola_quartic(B, C, D, tau):
     return [acc.get(m, zero) for m in range(2, 7)]
 
 
-def _icosi_interval_coefficients(name: str, precision: int,
-                                 kernel: EntropyKernel = SHANNON):
-    """tau and enclosures of the invariant coefficients (A, B, C, D for the
-    icosidodecahedron) of the family at the given working precision:
+def _interval_coefficients(name: str, precision: int, kernel: EntropyKernel = SHANNON):
+    """tau and enclosures of the invariant coefficients (A plus whichever of
+    B, C, D the basis has) of the family at the given working precision:
     sum_i c_i L_i with the interpolant's interval monomial coefficients c_i
     on the exact nodes and the exact expansion matrix L."""
     ctx = _interval_context(precision)
@@ -502,29 +514,15 @@ def _positivity(B, C, D, tau):
 
 
 def _at_rising_precision(decide):
-    """decide(precision) at each of STURM_PRECISIONS in turn until no
-    interval sign is ambiguous; returns (its result, bits used)."""
-    last_error = None
-    for precision in STURM_PRECISIONS:
+    """decide(precision) at each of INTERVAL_PRECISIONS in turn until no
+    interval sign is ambiguous; returns (its result, bits used), or raises
+    the last AmbiguousSignError, naming the bits."""
+    for precision in INTERVAL_PRECISIONS:
         try:
             return decide(precision), precision
         except AmbiguousSignError as err:
             last_error = err
-    raise RuntimeError(
-        f"interval Sturm verdict still ambiguous at {STURM_PRECISIONS[-1]} bits: "
-        f"{last_error}")
-
-
-@lru_cache(maxsize=64)
-def _certified_sturm_verdict(name: str, kernel: EntropyKernel):
-    """The positivity step on interval coefficients of the kernel's bound
-    for the family; returns ((root count, verdict), bits used).  It depends
-    on the family and the kernel alone, so it is memoized on them."""
-    def decide(precision):
-        tau, (_, B, C, D) = _icosi_interval_coefficients(name, precision, kernel)
-        return _positivity(B, C, D, tau)
-
-    return _at_rising_precision(decide)
+    raise AmbiguousSignError(f"{last_error} at {INTERVAL_PRECISIONS[-1]} bits")
 
 
 def icosidodeca_positivity(B: float, C: float, D: float) -> bool:
@@ -546,6 +544,70 @@ def icosidodeca_positivity(B: float, C: float, D: float) -> bool:
     return _at_rising_precision(decide)[0]
 
 
+# Deciders, one per invariant FamilySpec.strategy.  Each takes (spec, the
+# coefficient enclosures, tau in their interval context), reads only them
+# and exact numbers, and returns (verdict, reason if it fails, certificate
+# fields), or raises AmbiguousSignError.
+
+def _sign_of_b(spec, coefficients, tau):
+    word = "positive" if spec.sign > 0 else "negative"
+    return _sign(coefficients[1]) == spec.sign, f"{spec.name} coefficient B not {word}", {}
+
+
+def _candidate_comparison(spec, coefficients, tau):
+    """P = A + B I4 + C I6 on the sphere is critical on the inert probe
+    axes and, when 1/4 < beta = -B/(3C) < 1/2, at the non-inert point
+    (sqrt a, sqrt b, sqrt b) with a = 4 beta - 1 and b = 1 - 2 beta, where
+    I4 = a^2 + 2 b^2 and I6 = a^3 + 2 b^3; the probe on the antipodal orbit,
+    the seed's, must undercut all the others."""
+    A, B, C = coefficients
+    ctx = tau.ctx
+    values = [A + B * i4.lift(ctx) + C * i6.lift(ctx)
+              for _, i4, i6 in _probe_invariants(spec.name)]
+    beta = -B / (3 * C)
+    a, b = 4 * beta - 1, 1 - 2 * beta
+    if _sign(a) > 0 and _sign(b) > 0:
+        values.append(A + B * (a ** 2 + 2 * b ** 2) + C * (a ** 3 + 2 * b ** 3))
+    winner = values[spec.probes.index(spec.seed)]
+    ok = all(_sign(v - winner) > 0 for v in values if v is not winner)
+    candidates = {f"x{i + 1}": float(v.mid) for i, v in enumerate(values)}
+    return ok, f"{spec.name} candidate values {candidates}", {"beta": float(beta.mid)}
+
+
+def _boundary_sturm(spec, coefficients, tau):
+    roots, positive = _positivity(*coefficients[1:], tau)
+    return positive, f"Sturm found {roots} roots; positivity not proved", {"sturm_roots": roots}
+
+
+_ORBIT_MIN_DECIDERS = {"sign": _sign_of_b, "candidates": _candidate_comparison,
+                       "sturm": _boundary_sturm}
+
+
+@lru_cache(maxsize=64)
+def _orbit_min_step(name: str, kernel: EntropyKernel) -> tuple:
+    """The family's decider on the interval coefficients of the kernel's
+    bound, at rising precision; returns (verdict, reason if it fails, the
+    coefficient midpoints as floats, certificate fields: beta, or the Sturm
+    root count and bits used).  A sign still undecided at the top of the
+    ladder fails the proof.  It depends on the family and the kernel alone,
+    so it is memoized on them."""
+    spec, enclosures = FAMILY_SPECS[name], ()
+
+    def decide(precision):
+        nonlocal enclosures
+        tau, enclosures = _interval_coefficients(name, precision, kernel)
+        return _ORBIT_MIN_DECIDERS[spec.strategy](spec, enclosures, tau)
+
+    try:
+        (verdict, failure, fields), bits = _at_rising_precision(decide)
+    except AmbiguousSignError as err:
+        verdict, failure, fields = False, f"interval sign undecided: {err}", {}
+        bits = INTERVAL_PRECISIONS[-1]
+    if spec.strategy == "sturm":
+        fields["sturm_precision_bits"] = bits
+    return verdict, failure, tuple(float(c.mid) for c in enclosures), fields
+
+
 # --------------------------------------------------------------------------
 # The full pipeline
 # --------------------------------------------------------------------------
@@ -556,68 +618,16 @@ def _degree_bound(kernel: EntropyKernel, nodes, sign) -> int:
     return round(kernel.alpha) if sign == 0 else sum(m for _, m in nodes) - 1
 
 
-# Orbit-minimum proofs, one per FamilySpec.strategy.  Each takes (the
-# registry member, spec, kernel, lower-bound evaluator, its value at -v, whether the design
-# order proves the bound constant) and returns (verdict, reason if it
-# fails, certificate fields).
-
-def _constant_bound(povm, spec, kernel, evaluator, minimum, constant):
-    return (constant, "lower bound unexpectedly non-constant",
-            {"coefficients": {"A": minimum}, "constant_bound": constant})
-
-
-def _sign_of_b(povm, spec, kernel, evaluator, minimum, constant):
-    coefficients = expand_in_invariants(povm, evaluator)
-    word = "positive" if spec.sign > 0 else "negative"
-    return (coefficients["B"] * spec.sign > 0,
-            f"{spec.name} coefficient B not {word}", {"coefficients": coefficients})
-
-
-def _candidate_comparison(povm, spec, kernel, evaluator, minimum, constant):
-    """P = A + B I4 + C I6 on the sphere is critical on the inert probe
-    axes and, when 1/4 < beta = -B/(3C) < 1/2, at one non-inert point; the
-    probe on the antipodal orbit must undercut all the others."""
-    coefficients = expand_in_invariants(povm, evaluator)
-    beta = -coefficients["B"] / (3.0 * coefficients["C"])
-    probes = spec.probe_points()
-    candidates = {f"x{i + 1}": float(evaluator(x)) for i, x in enumerate(probes)}
-    if 0.25 < beta < 0.5:
-        x = np.array([math.sqrt(4 * beta - 1), math.sqrt(1 - 2 * beta),
-                      math.sqrt(1 - 2 * beta)])
-        candidates[f"x{len(probes) + 1}"] = float(evaluator(x))
-    winner = next(f"x{i + 1}" for i, x in enumerate(probes)
-                  if np.min(np.linalg.norm(povm.matrix() + x, axis=1)) < 1e-9)
-    ok = all(candidates[winner] < v - 1e-12
-             for key, v in candidates.items() if key != winner)
-    return (ok, f"{spec.name} candidate values {candidates}",
-            {"coefficients": coefficients, "beta": beta})
-
-
-def _boundary_sturm(povm, spec, kernel, evaluator, minimum, constant):
-    coefficients = expand_in_invariants(povm, evaluator)
-    (roots, positive), bits = _certified_sturm_verdict(spec.name, kernel)
-    return (positive, f"Sturm found {roots} roots; positivity not proved",
-            {"coefficients": coefficients, "sturm_roots": roots,
-             "sturm_precision_bits": bits})
-
-
-_ORBIT_MIN_PROOFS = {
-    "constant": _constant_bound,
-    "sign": _sign_of_b,
-    "candidates": _candidate_comparison,
-    "sturm": _boundary_sturm,
-}
-
-
 def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCertificate:
     """Full certification that the antipodal orbit minimizes the entropy.
 
     The orbit-minimum step is the family's registry strategy: constant
     lower bound, by the design order, for polygons, the tetrahedron,
-    octahedron and icosahedron; sign of the leading invariant coefficient
-    for cube and dodecahedron; candidate comparison for the cuboctahedron;
-    interval Sturm for the icosidodecahedron.  The vectors are first
-    checked to be a rotated copy of their family's registry member
+    octahedron and icosahedron; on interval coefficients, the sign of the
+    leading invariant coefficient for cube and dodecahedron, candidate
+    comparison for the cuboctahedron and a Sturm chain for the
+    icosidodecahedron.  The vectors are first checked to be a rotated copy
+    of their family's registry member
     (:func:`hspovm.catalog.check_family_geometry`), which raises
     ValueError otherwise, and every step runs on that member.
     """
@@ -627,17 +637,18 @@ def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCer
     sign = _remainder_sign(kernel, nodes)
     # the design order on the domain of the minimizers: the circle for an n-gon
     design = member.k - 1 if spec.group == "C" else exact_design_order(spec.name)
-    evaluator = assemble_lower_bound(member, poly)
-    certified_minimum = float(evaluator(-member.fiducial.as_array()))
+    certified_minimum = float(assemble_lower_bound(member, poly)(-member.fiducial.as_array()))
     reason = _REMAINDER_FAILURES.get(sign, "")
 
     # p = h makes the bound P the entropy H itself; the invariant strategies
     # cannot decide it (their coefficients vanish on the designs, where H is
     # constant), so the constant proof stands in for any family
-    strategy = "constant" if sign == 0 else spec.strategy
-    orbit_ok, failure, fields = _ORBIT_MIN_PROOFS[strategy](
-        member, spec, kernel, evaluator, certified_minimum,
-        _degree_bound(kernel, nodes, sign) <= design)
+    if sign == 0 or spec.strategy == "constant":
+        constant = _degree_bound(kernel, nodes, sign) <= design
+        orbit_ok, failure = constant, "lower bound unexpectedly non-constant"
+        coefficients, fields = (certified_minimum,), {"constant_bound": constant}
+    else:
+        orbit_ok, failure, coefficients, fields = _orbit_min_step(spec.name, kernel)
     if not orbit_ok:
         reason = reason or failure
 
@@ -663,5 +674,6 @@ def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCer
         below_check=verify_below(poly, kernel),
         orbit_min_verdict=bool(sign is not None and sign >= 0 and orbit_ok),
         uniqueness_verdict=bool(uniqueness),
+        coefficients=dict(zip("ABCD", coefficients)),
         certified_minimum=certified_minimum, reason=reason, **fields,
     )

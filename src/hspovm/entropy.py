@@ -520,10 +520,9 @@ def _antipodes_certified(povm: HsPovm, kernel: EntropyKernel) -> bool:
         return False
     # imported on use: the scan needs neither the certificate nor mpmath
     from .certificate import certify_minimum
-    from .sturm import AmbiguousSignError
     try:
         return certify_minimum(povm, kernel).valid
-    except (ValueError, AmbiguousSignError):
+    except ValueError:
         return False
 
 

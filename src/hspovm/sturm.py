@@ -25,13 +25,10 @@ class AmbiguousSignError(ArithmeticError):
     """An interval sign could not be decided; raise the working precision."""
 
 
-def _is_interval(x) -> bool:
-    return isinstance(x, ivmpf)
-
-
 def _sign(x) -> int:
-    """Sign of a coefficient; None signals an undecidable interval."""
-    if _is_interval(x):
+    """Sign of a coefficient; raises AmbiguousSignError for an interval
+    that contains zero and other numbers."""
+    if isinstance(x, ivmpf):
         if x.a > 0:
             return 1
         if x.b < 0:
@@ -49,13 +46,7 @@ def _sign(x) -> int:
 def _trim(coeffs: list) -> list:
     """Drop zero leading coefficients (highest degree last)."""
     out = list(coeffs)
-    while out:
-        try:
-            s = _sign(out[-1])
-        except AmbiguousSignError:
-            raise
-        if s != 0:
-            break
+    while out and _sign(out[-1]) == 0:
         out.pop()
     return out
 

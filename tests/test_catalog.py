@@ -108,10 +108,10 @@ class TestExactRegistry:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_probe_floats_are_the_literals(self, family):
         literals = PROBE_LITERALS.get(family, ())
-        points = FAMILY_SPECS[family].probe_points()
-        assert len(points) == len(literals)
-        for point, literal in zip(points, literals):
-            assert point.tobytes() == (np.array(literal) / np.linalg.norm(literal)).tobytes()
+        floats = [np.array(probe, dtype=float) for probe in FAMILY_SPECS[family].probes]
+        assert len(floats) == len(literals)
+        for point, literal in zip(floats, literals):
+            assert point.tobytes() == np.array(literal, dtype=float).tobytes()
 
 
 class TestConstruction:
@@ -291,10 +291,7 @@ class TestFamilyRegistry:
         if spec.group != "C":
             exact = [float(t) for t in exact_nodes(name)]
             assert np.max(np.abs(np.array(exact) - interpolation_set(povm))) < 1e-12
-        probes = spec.probe_points()
-        assert len(probes) == (len(spec.basis) + 1 if spec.basis else 0)
-        for x in probes:
-            assert abs(np.linalg.norm(x) - 1.0) < 1e-15
+        assert len(spec.probes) == (len(spec.basis) + 1 if spec.basis else 0)
 
     def test_json_round_trip_keeps_the_symmetry_group(self):
         # the file holds no tag; the geometry gives the same group back

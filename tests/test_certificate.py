@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import sys
@@ -9,6 +10,7 @@ import pytest
 from mpmath import iv, mp
 
 from conftest import ALL_FAMILIES, POLYHEDRA, povm_for
+from hspovm import certificate
 from hspovm.bloch import EntropyKernel, SHANNON
 from hspovm.catalog import (FAMILY_SPECS, HsPovm, exact_nodes, exact_orbit,
                             family_spec, interpolation_set, make_hs_povm,
@@ -20,9 +22,10 @@ from hspovm.certificate import (
     _hermite_monomial,
     _hermite_nodes,
     _horner,
-    _icosi_interval_coefficients,
+    _interval_coefficients,
     _kernel_h,
     _moment_constrained_feasible,
+    _orbit_min_step,
     _remainder_sign,
     assemble_lower_bound,
     certify_minimum,
@@ -35,12 +38,16 @@ from hspovm.entropy import _entropy_values, entropy_at, fibonacci_sphere
 from hspovm.info import informational_power
 from hspovm.invariants import evaluate_invariant, invariant_degree
 from hspovm.q5 import GOLDEN, TAU, Q5, dot
+from hspovm.sturm import _sign
 
 DEGREE_BOUNDS = {
     "digon": 1, "tetrahedron": 2, "octahedron": 3, "cube": 5,
     "cuboctahedron": 7, "icosahedron": 5, "dodecahedron": 9,
     "icosidodecahedron": 15,
 }
+
+#: the families whose orbit minimum is proved on interval coefficients
+EXPANDED = ("cube", "cuboctahedron", "dodecahedron", "icosidodecahedron")
 
 _CERTS = {}
 
@@ -308,13 +315,13 @@ class TestIcosidodecaPositivity:
             icosidodeca_positivity(-1.0, 0.0, 1.0)
 
     def test_interval_coefficients_are_tight(self):
-        tau, (A, B, C, D) = _icosi_interval_coefficients("icosidodecahedron", 200)
+        tau, (A, B, C, D) = _interval_coefficients("icosidodecahedron", 200)
         for enclosure in (A, B, C, D):
             assert float(enclosure.delta) < 1e-30
 
     def test_interval_pipeline_stable_across_precision(self):
-        _, low = _icosi_interval_coefficients("icosidodecahedron", 200)
-        _, high = _icosi_interval_coefficients("icosidodecahedron", 320)
+        _, low = _interval_coefficients("icosidodecahedron", 200)
+        _, high = _interval_coefficients("icosidodecahedron", 320)
         for a, b in zip(low, high):
             mid_low = (float(a.a) + float(a.b)) / 2
             mid_high = (float(b.a) + float(b.b)) / 2
@@ -328,7 +335,7 @@ class TestIcosidodecaPositivity:
     ], ids=lambda k: f"{k.kind}{k.alpha}")
     def test_alpha_interval_coefficients_enclose_floats(self, kernel):
         povm = povm_for("icosidodecahedron")
-        _, enclosures = _icosi_interval_coefficients("icosidodecahedron", 200, kernel)
+        _, enclosures = _interval_coefficients("icosidodecahedron", 200, kernel)
         poly = hermite_interpolate(kernel, _hermite_nodes(povm))
         floats = expand_in_invariants(povm, assemble_lower_bound(povm, poly))
         for name, enclosure in zip("ABCD", enclosures):
@@ -464,16 +471,19 @@ class TestGlobalState:
         try:
             for prec in (53, 77):
                 iv.prec = prec
+                _orbit_min_step.cache_clear()
                 certs.append(repr(certify_minimum(povm, kernel)))
                 assert iv.prec == prec
         finally:
             iv.prec = saved
         assert certs[0] == certs[1]
 
-    def test_certificates_side_by_side_in_threads(self):
+    @pytest.mark.parametrize("family", EXPANDED)
+    def test_certificates_side_by_side_in_threads(self, family):
         # each thread runs the three kernels from a different start, so
-        # different interval precisions and kernels overlap in time
-        povm = make_hs_povm("icosidodecahedron")
+        # different interval precisions and kernels overlap in time; the
+        # interval step is computed afresh in the threads
+        povm = make_hs_povm(family)
         kernels = [SHANNON, EntropyKernel("tsallis", 0.5), EntropyKernel("renyi", 1.4)]
         serial = [repr(certify_minimum(povm, kernel)) for kernel in kernels]
         before = iv.prec
@@ -484,6 +494,7 @@ class TestGlobalState:
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)         # switch threads often
+        _orbit_min_step.cache_clear()
         try:
             with ThreadPoolExecutor(max_workers=3) as pool:
                 results = list(pool.map(run, range(3), timeout=300))
@@ -493,15 +504,86 @@ class TestGlobalState:
             assert result == serial[start:] + serial[:start]
         assert iv.prec == before
 
-    def test_caller_precision_restored(self):
+    @pytest.mark.parametrize("family", EXPANDED)
+    def test_caller_precision_restored(self, family):
         saved = iv.prec
         iv.prec = 77
+        _orbit_min_step.cache_clear()
         try:
-            _icosi_interval_coefficients("icosidodecahedron", 200)
+            _interval_coefficients(family, 200)
+            assert certify_minimum(make_hs_povm(family)).valid
             icosidodeca_positivity(-1.0, 1.0, 0.0)
             assert iv.prec == 77
         finally:
             iv.prec = saved
+
+
+class TestOrbitMinStep:
+    """The invariant families' orbit-minimum proof: one interval step per
+    (family, kernel), memoized, deciding on the enclosures alone."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_step(self):
+        _orbit_min_step.cache_clear()
+        yield
+        _orbit_min_step.cache_clear()      # no mutated verdict outlives a test
+
+    @pytest.mark.parametrize("family", EXPANDED)
+    def test_second_certificate_is_a_cache_hit(self, family):
+        povm, kernel = make_hs_povm(family), EntropyKernel("renyi", 1.3)
+        first = repr(certify_minimum(povm, kernel))
+        info = _orbit_min_step.cache_info()
+        assert repr(certify_minimum(povm, kernel)) == first
+        assert _orbit_min_step.cache_info().hits == info.hits + 1
+        assert _orbit_min_step.cache_info().misses == info.misses
+
+    @pytest.mark.parametrize("family", EXPANDED)
+    def test_each_certificate_gets_its_own_coefficients(self, family):
+        povm = make_hs_povm(family)
+        first = certify_minimum(povm)
+        expected = dict(first.coefficients)
+        first.coefficients["B"] = 0.0
+        first.coefficients.pop("A")
+        assert certify_minimum(povm).coefficients == expected
+
+    # the decisive interval signs of each proof, the last ones it takes:
+    # B; the winner's margin over each other candidate (after the two signs
+    # that place beta in (1/4, 1/2)); the quartic's leading coefficient and
+    # P1 at the icosahedron corner
+    DECISIVE = {"cube": ["B"], "dodecahedron": ["B"],
+                "cuboctahedron": ["x1 - x2", "x3 - x2", "x4 - x2"],
+                "icosidodecahedron": ["leading coefficient", "corner value"]}
+
+    @pytest.mark.parametrize("family", EXPANDED)
+    def test_each_interval_sign_carries_the_verdict(self, family, monkeypatch):
+        seen = []
+
+        def recorded(x):
+            seen.append(x)
+            return _sign(x)
+
+        monkeypatch.setattr(certificate, "_sign", recorded)
+        assert certify_minimum(make_hs_povm(family)).valid
+        first = len(seen) - len(self.DECISIVE[family])
+        assert first == (2 if family == "cuboctahedron" else 0)
+        for mutant, name in enumerate(self.DECISIVE[family], start=first):
+            def negated(x, mutant=mutant, calls=itertools.count()):
+                return _sign(-x if next(calls) == mutant else x)
+
+            monkeypatch.setattr(certificate, "_sign", negated)
+            _orbit_min_step.cache_clear()
+            cert = certify_minimum(make_hs_povm(family))
+            assert not cert.valid and not cert.orbit_min_verdict, name
+
+    @pytest.mark.parametrize("family", EXPANDED)
+    def test_undecided_sign_fails_the_certificate(self, family, monkeypatch):
+        # 8 bits leave a sign of every invariant proof open
+        monkeypatch.setattr(certificate, "INTERVAL_PRECISIONS", (8,))
+        cert = certify_minimum(make_hs_povm(family))
+        assert not cert.valid and not cert.orbit_min_verdict and cert.uniqueness_verdict
+        assert cert.reason.startswith("interval sign undecided: ")
+        assert cert.reason.endswith("straddles zero at 8 bits")
+        assert cert.sturm_precision_bits == (8 if family == "icosidodecahedron" else None)
 
 
 # --------------------------------------------------------------------------
@@ -551,7 +633,7 @@ def test_moment_orbit_sums_enclose_per_vertex_sums(kernel, bits):
     # the orbit sum taken vertex by vertex, at every probe and at five
     # random rational points
     povm = povm_for("icosidodecahedron")
-    tau, (A, B, C, D) = _icosi_interval_coefficients("icosidodecahedron", bits, kernel)
+    tau, (A, B, C, D) = _interval_coefficients("icosidodecahedron", bits, kernel)
     ctx = tau.ctx
     points = [[reference_lift(float(c), tau) for c in probe]
               for probe in family_spec("icosidodecahedron").probes]
@@ -575,7 +657,6 @@ def test_icosidodecahedron_moments_are_the_sphere_s():
     assert all(expansion[i][1] != 0 for i in range(6, 16, 2))
 
 
-EXPANDED = ("cube", "cuboctahedron", "dodecahedron", "icosidodecahedron")
 EXPANSION_KERNELS = (SHANNON, EntropyKernel("renyi", 1.4), EntropyKernel("tsallis", 0.5))
 
 
@@ -615,7 +696,7 @@ def probe_solve(povm, evaluator):
     values at the registry probes: an independent float reference for
     expand_in_invariants."""
     spec = family_spec(povm.family)
-    probes = spec.probe_points()
+    probes = [x / np.linalg.norm(x) for x in (np.array(p, dtype=float) for p in spec.probes)]
     rows = [[1.0] + [evaluate_invariant(b, x) for b in spec.basis] for x in probes]
     sums = [povm.k / 2 * (evaluator(x) - math.log(povm.k / 2)) for x in probes]
     return dict(zip("ABCD", np.linalg.solve(np.array(rows), np.array(sums))))
@@ -636,15 +717,17 @@ def test_expansion_matrix_reproduces_the_float_expansion(family, kernel):
 @pytest.mark.parametrize("kernel", EXPANSION_KERNELS, ids=lambda k: f"{k.kind}{k.alpha}")
 @pytest.mark.parametrize("family", EXPANDED)
 def test_float_coefficients_sit_at_the_interval_midpoints(family, kernel):
-    # the reported floats are the exact expansion to rounding: within 1e-14
-    # of the 200-bit enclosures computed on the exact nodes
+    # the certificate reports the midpoints of the 200-bit enclosures
+    # computed on the exact nodes; the float expansion is within 1e-14
     povm = povm_for(family)
-    _, enclosures = _icosi_interval_coefficients(family, 200, kernel)
+    _, enclosures = _interval_coefficients(family, 200, kernel)
+    midpoints = dict(zip("ABCD", (float(enclosure.mid) for enclosure in enclosures)))
+    assert certify_minimum(povm, kernel).coefficients == midpoints
     poly = hermite_interpolate(kernel, _hermite_nodes(povm))
     coefficients = expand_in_invariants(povm, assemble_lower_bound(povm, poly))
-    assert len(coefficients) == len(enclosures)
-    for name, enclosure in zip("ABCD", enclosures):
-        assert abs(coefficients[name] - float(enclosure.mid)) <= 1e-14, name
+    assert coefficients.keys() == midpoints.keys()
+    for name, midpoint in midpoints.items():
+        assert abs(coefficients[name] - midpoint) <= 1e-14, name
 
 
 def test_permuted_orbit_gives_the_same_certificate():

@@ -337,6 +337,23 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert err == "error: ZeroDivisionError: injected defect\n"
 
+    def test_undecided_interval_sign_is_a_certificate_failure(self, capsys, monkeypatch):
+        # a sign still open at the top of the precision ladder is a failed
+        # proof, not a defect: exit 1 with the reason
+        import hspovm.certificate as certificate
+
+        monkeypatch.setattr(certificate, "INTERVAL_PRECISIONS", (8,))
+        certificate._orbit_min_step.cache_clear()
+        try:
+            code, text = run_cli(["certify", "--family", "icosidodecahedron"], capsys)
+        finally:
+            certificate._orbit_min_step.cache_clear()
+        payload = json.loads(text)
+        assert code == 1 and not payload["valid"] and not payload["orbit_min_verdict"]
+        assert payload["reason"] == ("interval sign undecided: "
+                                     "C enclosure straddles zero at 8 bits")
+        assert payload["sturm_precision_bits"] == 8 and payload["sturm_root_count"] is None
+
     @pytest.mark.parametrize("reflect", [False, True], ids=["rotated", "reflected"])
     @pytest.mark.parametrize("family", ["digon", "tetrahedron", "octahedron", "cube",
                                         "cuboctahedron", "icosahedron", "dodecahedron",

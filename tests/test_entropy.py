@@ -46,7 +46,6 @@ from hspovm.entropy import (
 )
 from hspovm.groups import generate_group
 from hspovm.q5 import TAU
-from hspovm.sturm import AmbiguousSignError
 
 LN2 = math.log(2.0)
 
@@ -821,17 +820,29 @@ class TestCertifiedMinima:
         assert find_extrema(povm, mode, n_scan=20_000, kernel=kernel)
         assert calls == [mode]
 
-    @pytest.mark.parametrize("error", [ValueError("refused"), AmbiguousSignError("open")],
-                             ids=lambda e: type(e).__name__)
-    def test_refused_certificate_falls_back_to_the_scan(self, monkeypatch, error):
+    @pytest.mark.parametrize("refusal", ["ValueError", "AmbiguousSignError"])
+    def test_refused_certificate_falls_back_to_the_scan(self, monkeypatch, refusal):
+        # a refused input, or a certificate whose interval signs stay
+        # undecided at the top of the precision ladder (every invariant
+        # family at 8 bits), proves nothing: the minima come from the scan
         def refuse(povm, kernel):
-            raise error
+            raise ValueError("refused")
 
-        monkeypatch.setattr(certificate, "certify_minimum", refuse)
+        families = ["cube"]
+        if refusal == "ValueError":
+            monkeypatch.setattr(certificate, "certify_minimum", refuse)
+        else:
+            families += ["cuboctahedron", "dodecahedron", "icosidodecahedron"]
+            monkeypatch.setattr(certificate, "INTERVAL_PRECISIONS", (8,))
         calls = _counted_scans(monkeypatch)
-        _assert_antipodal_orbit(find_extrema(povm_for("cube"), "min", n_scan=20_000),
-                                povm_for("cube").matrix())
-        assert calls == ["min"]
+        certificate._orbit_min_step.cache_clear()
+        try:
+            for family in families:
+                _assert_antipodal_orbit(find_extrema(povm_for(family), "min", n_scan=20_000),
+                                        povm_for(family).matrix())
+        finally:
+            certificate._orbit_min_step.cache_clear()   # no undecided verdict outlives the patch
+        assert calls == ["min"] * len(families)
 
     def test_other_certificate_errors_propagate(self, monkeypatch):
         def fail(povm, kernel):

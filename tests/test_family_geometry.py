@@ -225,4 +225,4 @@ def test_sweep_hash_is_pinned():
     # which equals its canonical line
     text = "\n".join(sweep_certificates.sweep())
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "1fb731d9a0d5a10b14836ea3d60a910ccac0de960cc5a17237175f41c278315f")
+        "dd96a9a2b18d6da4eea08e23989bb2206900f7f00e0af5cff66954f49c4713c9")
