@@ -3,7 +3,9 @@
 Pure qubit states are represented by unit vectors in R^3 (the Bloch
 representation, normalized to radius 1).  Everything downstream — outcome
 probabilities, the measurement-entropy summand h, and the pluggable
-Shannon/Renyi/Tsallis kernels — lives here.
+Shannon/Renyi/Tsallis kernels — lives here.  An EntropyKernel is all the
+package knows of a kernel: its summand h and h' in any arithmetic, the sign
+of the higher derivatives of h, and the entropy at a block of dots u . v_j.
 """
 
 from __future__ import annotations
@@ -58,22 +60,21 @@ class BlochVector:
 
 @dataclass(frozen=True)
 class ProbabilityVector:
-    """Outcome distribution of a k-element normalized rank-1 POVM.
+    """Outcome distribution of a k-element normalized rank-1 qubit POVM.
 
-    Entries are bounded by d/k (the extreme value for a coincident state)
+    Entries are bounded by 2/k (the extreme value for a coincident state)
     and sum to one; tiny negative rounding dust is clamped to zero.
     """
 
     p: tuple
-    d: int = 2
 
     def __post_init__(self):
         k = len(self.p)
-        upper = self.d / k + NEG_DUST
+        upper = 2.0 / k + NEG_DUST
         clamped = []
         for value in self.p:
             if value < -NEG_DUST or value > upper:
-                raise ValueError(f"probability {value} outside [0, {self.d}/{k}]")
+                raise ValueError(f"probability {value} outside [0, 2/{k}]")
             clamped.append(0.0 if value < 0.0 else value)
         total = math.fsum(clamped)
         if abs(total - 1.0) > UNIT_TOL * max(1, k):
@@ -126,27 +127,22 @@ def _eta_in_place(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def probability(u: BlochVector, v: BlochVector, d: int = 2, k: int = 2) -> float:
-    """Outcome probability ((d-1) u.v + 1)/k for normalized Bloch vectors.
-
-    d is kept general so the same affine rule serves the d>2 bookkeeping in
-    the informational-power formulas; for BlochVector inputs d=2.
-    """
-    if k < d:
-        raise ValueError("normalized rank-1 POVMs need k >= d")
-    return ((d - 1) * u.dot(v) + 1.0) / k
+def probability(u: BlochVector, v: BlochVector, k: int = 2) -> float:
+    """Outcome probability (u.v + 1)/k for normalized Bloch vectors."""
+    if k < 2:
+        raise ValueError("normalized rank-1 qubit POVMs need k >= 2")
+    return (u.dot(v) + 1.0) / k
 
 
-def h(t: float, d: int = 2) -> float:
-    """Entropy summand h(t) = eta(((d-1) t + 1)/d) on [-1/(d-1), 1]."""
-    lo = -1.0 / (d - 1)
-    if t < lo - NEG_DUST or t > 1.0 + NEG_DUST:
-        raise DomainError(f"h undefined for t={t} (d={d})")
-    return eta(((d - 1) * t + 1.0) / d)
+def h(t: float) -> float:
+    """Entropy summand h(t) = eta((t + 1)/2) on [-1, 1]."""
+    if t < -1.0 - NEG_DUST or t > 1.0 + NEG_DUST:
+        raise DomainError(f"h undefined for t={t}")
+    return eta((t + 1.0) / 2.0)
 
 
 def h_array(t: np.ndarray) -> np.ndarray:
-    """Vectorized h for d=2: eta((t+1)/2)."""
+    """Vectorized h: eta((t+1)/2)."""
     x = np.array(t, dtype=float)
     x += 1.0
     x *= 0.5
@@ -154,7 +150,7 @@ def h_array(t: np.ndarray) -> np.ndarray:
 
 
 def h_derivative(t: float, order: int = 1) -> float:
-    """Exact derivative of h (d=2) of the given order.
+    """Exact derivative of h of the given order.
 
     h'(t) = -(1/2)(ln((t+1)/2) + 1); for order n >= 2,
     h^(n)(t) = (1/2)(-1)^(n-1) (n-2)! (1+t)^(1-n).  Even orders are
@@ -211,30 +207,51 @@ class EntropyKernel:
             if self.alpha is None or not 0.0 < self.alpha or self.alpha == 1.0:
                 raise ValueError("renyi/tsallis kernels need alpha > 0, alpha != 1")
 
-    # ---- additive summand (used by certificates and Tsallis entropy) ----
+    # ---- the additive summand, as the certificates see it ----
 
-    def pointwise(self, x: float) -> float:
-        """Summand applied to a single probability."""
+    def summand(self, num, log):
+        """h(t) = f((1 + t)/2) for the summand f (eta, or the power summand)
+        and its derivative h', in the arithmetic of ``num`` (float,
+        np.longdouble, or the ``mpf`` of an mpmath interval context) with
+        the matching ``log``."""
+        one, half = num(1), num(0.5)
         if self.kind == "shannon":
-            return eta(x)
-        x = min(max(x, 0.0), 1.0)
-        return (x - x ** self.alpha) / (self.alpha - 1.0)
+            def f(t):
+                x = (one + t) * half
+                return num(0) if x <= 0 else -x * log(x)
 
-    def pointwise_prime(self, x: float) -> float:
+            def fp(t):
+                return -half * (log((one + t) * half) + one)
+        else:
+            a = num(self.alpha)
+
+            def f(t):
+                x = (one + t) * half
+                return num(0) if x <= 0 else (x - x ** a) / (a - one)
+
+            def fp(t):
+                x = (one + t) * half
+                return half * (one - a * x ** (a - one)) / (a - one)
+        return f, fp
+
+    def derivative_sign(self, order: int) -> int:
+        """The sign h^(order) keeps on (-1, 1), for order >= 2: (-1)^(order-1)
+        for Shannon (see h_derivative), and -sign prod_{j=2}^{order-1}
+        (alpha - j) for the power summand, 0 exactly when h is a polynomial
+        of degree < order."""
+        if order < 2:
+            raise ValueError("h' changes sign on (-1, 1); orders start at 2")
         if self.kind == "shannon":
-            if x <= 0.0:
-                raise DomainError("eta' singular at 0")
-            return -(math.log(x) + 1.0)
-        if x <= 0.0 and self.alpha < 1.0:
-            raise DomainError("power summand derivative singular at 0")
-        return (1.0 - self.alpha * x ** (self.alpha - 1.0)) / (self.alpha - 1.0)
+            return (-1) ** (order - 1)
+        factors = [self.alpha - j for j in range(2, order)]
+        return 0 if 0.0 in factors else -(-1) ** sum(f < 0 for f in factors)
 
-    def h(self, t: float) -> float:
-        """Summand composed with the qubit probability map, h(t) = f((1+t)/2)."""
-        return self.pointwise((1.0 + t) / 2.0)
-
-    def h_prime(self, t: float) -> float:
-        return 0.5 * self.pointwise_prime((1.0 + t) / 2.0)
+    def polynomial_degree(self):
+        """Degree of h where the power summand is a polynomial (integer
+        alpha), else None."""
+        if self.kind != "shannon" and self.alpha == round(self.alpha):
+            return round(self.alpha)
+        return None
 
     # ---- full entropy of a distribution ----
 
@@ -251,6 +268,14 @@ class EntropyKernel:
             else:
                 out = np.log(power_sum) / (1.0 - self.alpha)
         return float(out) if axis is None else out
+
+    def entropy_of_dots(self, dots: np.ndarray, k: int):
+        """Entropy of a k-outcome qubit POVM from the dots u . v_j along the
+        last axis of ``dots``: an array for a block of points, a scalar for
+        the k dots of one point."""
+        if self.kind == "shannon":
+            return math.log(k / 2.0) + (2.0 / k) * np.add.reduce(h_array(dots), axis=-1)
+        return self.entropy((dots + 1.0) / k, axis=-1)
 
 
 SHANNON = EntropyKernel("shannon")

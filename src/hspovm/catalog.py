@@ -38,10 +38,10 @@ class FamilySpec:
     ("C" is C_n for the n-gon).  ``seed`` and ``probes`` are exact (ints
     and :class:`hspovm.q5.Q5`; floats through ``float()``), and the exact
     orbit and node set {-gv . v} are computed from them.  ``strategy``
-    picks the certificate's orbit-minimum proof (constant, sign of B with
-    expected ``sign``, candidates or sturm; see :mod:`hspovm.certificate`),
-    which expands in the invariants ``basis`` through the exact expansion
-    matrix solved at the ``probes`` (candidates compares P there, seed included).
+    picks the certificate's orbit-minimum proof (constant, candidates or
+    sturm; see :mod:`hspovm.certificate`), which expands in the invariants
+    ``basis`` through the exact expansion matrix solved at the ``probes``
+    (candidates compares P there, seed included).
     ``inert`` seeds the classifier of symmetry-forced critical points;
     ``reference_W`` is the five-digit informational power.
     """
@@ -50,7 +50,6 @@ class FamilySpec:
     group: str
     seed: tuple
     strategy: str
-    sign: int = 0
     basis: tuple = ()
     probes: tuple = ()
     inert: tuple = ()
@@ -71,7 +70,7 @@ FAMILY_SPECS = {spec.name: spec for spec in (
                inert=_T_AXES, reference_W=0.28768),
     FamilySpec("octahedron", "O", (0, 0, 1), "constant",
                inert=_O_AXES, reference_W=0.23105),
-    FamilySpec("cube", "O", (1, 1, 1), "sign", sign=1, basis=("I4",),
+    FamilySpec("cube", "O", (1, 1, 1), "candidates", basis=("I4",),
                probes=((0, 0, 1), (1, 1, 1)),
                inert=_O_AXES, reference_W=0.21576),
     FamilySpec("cuboctahedron", "O", (0, 1, 1), "candidates", basis=("I4", "I6"),
@@ -79,7 +78,7 @@ FAMILY_SPECS = {spec.name: spec for spec in (
                inert=_O_AXES, reference_W=0.20273),
     FamilySpec("icosahedron", "I", (0, GOLDEN, 1), "constant",
                inert=_I_AXES, reference_W=0.20189),
-    FamilySpec("dodecahedron", "I", (0, 1 / GOLDEN, GOLDEN), "sign", sign=-1,
+    FamilySpec("dodecahedron", "I", (0, 1 / GOLDEN, GOLDEN), "candidates",
                basis=("I6p",), probes=((0, GOLDEN, 1), (0, 1 / GOLDEN, GOLDEN)),
                inert=_I_AXES, reference_W=0.19686),
     FamilySpec("icosidodecahedron", "I", (0, 0, 1), "sturm",

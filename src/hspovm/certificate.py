@@ -8,7 +8,8 @@ The pipeline, per family:
    (h' blows up at -1);
 3. prove p <= h on [-1, 1] with equality only on T by the Hermite
    remainder theorem: the sign of h - p is that of h^(N) times the node
-   product, both fixed by exact sign logic (no sampling);
+   product, both fixed by exact sign logic (no sampling), the first by the
+   kernel (:meth:`hspovm.bloch.EntropyKernel.derivative_sign`);
 4. form the invariant lower bound P(u) = ln(k/2) + (2/k) sum_j p(v_j . u),
    which coincides with the entropy H at the antipodal orbit;
 5. show -v is a global minimizer of P by the family's strategy in the
@@ -18,8 +19,8 @@ The pipeline, per family:
    p has degree <= t (N - 1, or alpha when p reproduces h) -- polygons,
    tetrahedron, octahedron, icosahedron; or, on interval enclosures of its
    coefficients in the primary invariants, P restricted to the sphere has
-   known extrema: by the sign of B (cube, dodecahedron), by comparing the
-   candidate critical values (cuboctahedron), or by a Sturm chain showing
+   known extrema: by comparing its values at the candidate critical points
+   (cube, cuboctahedron, dodecahedron), or by a Sturm chain showing
    that the zero-level parabola of P misses the orbit-map range except at
    the origin, with P positive at a corner of the range
    (icosidodecahedron).  The coefficients are sum_i c_i L_i for
@@ -62,7 +63,7 @@ from .catalog import (FAMILY_SPECS, HsPovm, check_family_geometry, exact_design_
 from .invariants import (J15_SQUARED_TERMS, evaluate_invariant, i6_prime, i10,
                          invariant_degree)
 from .q5 import GOLDEN, Q5, dot
-from .sturm import AmbiguousSignError, _sign, sturm_root_count
+from .sturm import AmbiguousSignError, _horner, _sign, sturm_root_count
 
 INTERVAL_PRECISIONS = (200, 320, 512)
 
@@ -172,14 +173,6 @@ def _expand_nodes(nodes):
     return node_ids, ts
 
 
-def _horner(coefficients, t):
-    """Ascending coefficients evaluated at t, in t's arithmetic."""
-    acc = coefficients[-1]
-    for c in reversed(coefficients[:-1]):
-        acc = acc * t + c
-    return acc
-
-
 def _hermite_monomial(f, fp, nodes, zero) -> list:
     """Monomial coefficients (ascending) of the Hermite interpolant of f on
     ((t, multiplicity), ...), in the arithmetic of the t values."""
@@ -188,31 +181,6 @@ def _hermite_monomial(f, fp, nodes, zero) -> list:
     derivs = [fp(t) if m >= 2 else None for t, m in nodes]
     return _newton_to_monomial(_newton_coefficients(node_ids, ts, values, derivs),
                                ts, zero)
-
-
-def _kernel_h(kernel: EntropyKernel, num, log):
-    """The summand h and its derivative in the arithmetic of ``num``
-    (np.longdouble, or the ``mpf`` of an mpmath interval context) with the
-    matching ``log``."""
-    one, half = num(1), num(0.5)
-    if kernel.kind == "shannon":
-        def f(t):
-            x = (one + t) * half
-            return num(0) if x <= 0 else -x * log(x)
-
-        def fp(t):
-            return -half * (log((one + t) * half) + one)
-    else:
-        a = num(kernel.alpha)
-
-        def f(t):
-            x = (one + t) * half
-            return num(0) if x <= 0 else (x - x ** a) / (a - one)
-
-        def fp(t):
-            x = (one + t) * half
-            return half * (one - a * x ** (a - one)) / (a - one)
-    return f, fp
 
 
 def hermite_interpolate(kernel: EntropyKernel, nodes) -> HermitePolynomial:
@@ -232,7 +200,7 @@ def hermite_interpolate(kernel: EntropyKernel, nodes) -> HermitePolynomial:
     for t, mult in nodes:
         if mult >= 2 and t <= -1.0 + 1e-15:
             raise ValueError("no derivative constraint at t = -1 (h' singular)")
-    f, fp = kernel if isinstance(kernel, tuple) else _kernel_h(kernel, _LD, np.log)
+    f, fp = kernel.summand(_LD, np.log)
     mono = _hermite_monomial(f, fp, [(_LD(t), m) for t, m in nodes], _LD(0))
     return HermitePolynomial(coefficients=tuple(mono), nodes=nodes)
 
@@ -254,9 +222,7 @@ def _remainder_sign(kernel: EntropyKernel, nodes):
     h(t) - p(t) = h^(N)(xi)/N! prod_i (t - t_i)^(m_i) with N = sum m_i and
     xi in (-1, 1); this holds on [-1, 1] because h is continuous there and
     smooth inside, and -1 is only ever a simple node.  h^(N) keeps one sign
-    on (-1, 1): (-1)^(N-1) for Shannon (see bloch.h_derivative), and
-    -sign prod_{j=2}^{N-1} (alpha - j) for the power summand, which is 0
-    exactly when h is a polynomial of degree < N.  Double nodes leave the
+    on (-1, 1), the kernel's derivative_sign(N).  Double nodes leave the
     product's sign alone, a simple node at +1 flips it, and a simple node
     inside (-1, 1), or N < 2, leaves the sign of h - p open.
 
@@ -267,11 +233,7 @@ def _remainder_sign(kernel: EntropyKernel, nodes):
     simple = [t for t, m in nodes if m == 1]
     if n < 2 or any(abs(abs(t) - 1.0) >= 1e-9 for t in simple):
         return None
-    if kernel.kind == "shannon":
-        derivative = (-1) ** (n - 1)
-    else:
-        factors = [kernel.alpha - j for j in range(2, n)]
-        derivative = 0 if 0.0 in factors else -(-1) ** sum(f < 0 for f in factors)
+    derivative = kernel.derivative_sign(n)
     return -derivative if any(t > 0 for t in simple) else derivative
 
 
@@ -283,7 +245,7 @@ def verify_below(p: HermitePolynomial, kernel: EntropyKernel = SHANNON):
     p <= h this is the interpolant's rounding residual at the nodes; where
     it proves the bound fails, every midpoint gives a strictly negative gap.
     """
-    f, _ = _kernel_h(kernel, _LD, np.log)
+    f, _ = kernel.summand(_LD, np.log)
     ts = [_LD(t) for t, _ in p.nodes]
     points = ts + [(a + b) / 2 for a, b in zip(ts, ts[1:])]
     gaps = [f(t) - pt for t, pt in zip(points, p(np.array(points, dtype=_LD)))]
@@ -484,7 +446,7 @@ def _interval_coefficients(name: str, precision: int, kernel: EntropyKernel = SH
     sum_i c_i L_i with the interpolant's interval monomial coefficients c_i
     on the exact nodes and the exact expansion matrix L."""
     ctx = _interval_context(precision)
-    f, fp = _kernel_h(kernel, ctx.mpf, ctx.log)
+    f, fp = kernel.summand(ctx.mpf, ctx.log)
     nodes = [(t.lift(ctx), 1 if t in (-1, 1) else 2) for t in exact_nodes(name)]
     mono = _hermite_monomial(f, fp, nodes, ctx.mpf(0))
     expansion = _expansion_matrix(name, len(mono) - 1)
@@ -549,29 +511,29 @@ def icosidodeca_positivity(B: float, C: float, D: float) -> bool:
 # and exact numbers, and returns (verdict, reason if it fails, certificate
 # fields), or raises AmbiguousSignError.
 
-def _sign_of_b(spec, coefficients, tau):
-    word = "positive" if spec.sign > 0 else "negative"
-    return _sign(coefficients[1]) == spec.sign, f"{spec.name} coefficient B not {word}", {}
-
-
 def _candidate_comparison(spec, coefficients, tau):
-    """P = A + B I4 + C I6 on the sphere is critical on the inert probe
-    axes and, when 1/4 < beta = -B/(3C) < 1/2, at the non-inert point
+    """P = (A, B, ...) . (1, I_1, ...) on the sphere is critical on the
+    inert probe axes.  With one invariant I these are the extremes of I,
+    so P has its extremes there too.  With two, P = A + B I4 + C I6 is also
+    critical, when 1/4 < beta = -B/(3C) < 1/2, at the non-inert point
     (sqrt a, sqrt b, sqrt b) with a = 4 beta - 1 and b = 1 - 2 beta, where
-    I4 = a^2 + 2 b^2 and I6 = a^3 + 2 b^3; the probe on the antipodal orbit,
-    the seed's, must undercut all the others."""
-    A, B, C = coefficients
+    I4 = a^2 + 2 b^2 and I6 = a^3 + 2 b^3.  The probe on the antipodal
+    orbit, the seed's, must undercut all the others."""
     ctx = tau.ctx
-    values = [A + B * i4.lift(ctx) + C * i6.lift(ctx)
-              for _, i4, i6 in _probe_invariants(spec.name)]
-    beta = -B / (3 * C)
-    a, b = 4 * beta - 1, 1 - 2 * beta
-    if _sign(a) > 0 and _sign(b) > 0:
-        values.append(A + B * (a ** 2 + 2 * b ** 2) + C * (a ** 3 + 2 * b ** 3))
+    values = [sum(c * i.lift(ctx) for c, i in zip(coefficients, invariants))
+              for invariants in _probe_invariants(spec.name)]
+    fields = {}
+    if len(coefficients) == 3:
+        A, B, C = coefficients
+        beta = -B / (3 * C)
+        a, b = 4 * beta - 1, 1 - 2 * beta
+        if _sign(a) > 0 and _sign(b) > 0:
+            values.append(A + B * (a ** 2 + 2 * b ** 2) + C * (a ** 3 + 2 * b ** 3))
+        fields["beta"] = float(beta.mid)
     winner = values[spec.probes.index(spec.seed)]
     ok = all(_sign(v - winner) > 0 for v in values if v is not winner)
     candidates = {f"x{i + 1}": float(v.mid) for i, v in enumerate(values)}
-    return ok, f"{spec.name} candidate values {candidates}", {"beta": float(beta.mid)}
+    return ok, f"{spec.name} candidate values {candidates}", fields
 
 
 def _boundary_sturm(spec, coefficients, tau):
@@ -579,8 +541,7 @@ def _boundary_sturm(spec, coefficients, tau):
     return positive, f"Sturm found {roots} roots; positivity not proved", {"sturm_roots": roots}
 
 
-_ORBIT_MIN_DECIDERS = {"sign": _sign_of_b, "candidates": _candidate_comparison,
-                       "sturm": _boundary_sturm}
+_ORBIT_MIN_DECIDERS = {"candidates": _candidate_comparison, "sturm": _boundary_sturm}
 
 
 @lru_cache(maxsize=64)
@@ -613,9 +574,9 @@ def _orbit_min_step(name: str, kernel: EntropyKernel) -> tuple:
 # --------------------------------------------------------------------------
 
 def _degree_bound(kernel: EntropyKernel, nodes, sign) -> int:
-    """Structural degree bound of p: alpha when p reproduces the power
+    """Structural degree bound of p: the kernel's when p reproduces the
     summand (sign 0), else one less than the number of conditions."""
-    return round(kernel.alpha) if sign == 0 else sum(m for _, m in nodes) - 1
+    return kernel.polynomial_degree() if sign == 0 else sum(m for _, m in nodes) - 1
 
 
 def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCertificate:
@@ -623,11 +584,10 @@ def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCer
 
     The orbit-minimum step is the family's registry strategy: constant
     lower bound, by the design order, for polygons, the tetrahedron,
-    octahedron and icosahedron; on interval coefficients, the sign of the
-    leading invariant coefficient for cube and dodecahedron, candidate
-    comparison for the cuboctahedron and a Sturm chain for the
-    icosidodecahedron.  The vectors are first checked to be a rotated copy
-    of their family's registry member
+    octahedron and icosahedron; on interval coefficients, candidate
+    comparison for the cube, cuboctahedron and dodecahedron and a Sturm
+    chain for the icosidodecahedron.  The vectors are first checked to be
+    a rotated copy of their family's registry member
     (:func:`hspovm.catalog.check_family_geometry`), which raises
     ValueError otherwise, and every step runs on that member.
     """

@@ -307,7 +307,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.add_argument("--out", default="", help="output path (default stdout)")
+        flags = ("--out", "--report") if name == "minimize" else ("--out",)
+        p.add_argument(*flags, default="", help="output path (default stdout)")
         if name in ("entropy-map", "minimize", "classify", "info-power",
                     "ngon-sweep", "dynent"):      # the entropy outputs
             p.add_argument("--bits", action="store_true",
@@ -330,8 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_family(p)
     p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     sub.choices["minimize"].add_argument("--grid", type=int, default=DEFAULT_GRID)
-    sub.choices["minimize"].add_argument("--report", default="",
-                                         help="alias for --out")
     sub.choices["classify"].add_argument("--point", default="",
                                          help="x,y,z of the point to classify")
     sub.choices["dynent"].add_argument("--rotation", default="",
@@ -350,12 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    values = vars(args)
-    if values.get("report"):
-        values["out"] = values["report"]
-    values.pop("report", None)
+    values = vars(_build_parser().parse_args(argv))
     config = RunConfig(**{k: v for k, v in values.items()
                           if k in RunConfig.__dataclass_fields__})
     try:

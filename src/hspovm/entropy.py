@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bloch import BlochVector, EntropyKernel, SHANNON, h_array
+from .bloch import BlochVector, EntropyKernel, SHANNON
 from .catalog import GEOMETRY_TOL, IDENTITY, HsPovm, _group_of_tag, family_spec
 from .groups import RotationGroup, generate_group, orbit_points
 
@@ -79,29 +79,22 @@ def _entropy_values(points: np.ndarray, povm: HsPovm,
 
     Large grids are evaluated in blocks of at most GRID_CHUNK rows, so the
     n x k temporaries stay in cache; every block goes through the same
-    kernel, ``_entropy_of_dots``, as the single points of the optimizer.
+    kernel call, ``EntropyKernel.entropy_of_dots``, as the single points of
+    the optimizer.
     """
     if len(points) > GRID_CHUNK:
         blocks = np.array_split(points, -(-len(points) // GRID_CHUNK))
         return np.concatenate([_entropy_values(b, povm, kernel) for b in blocks])
-    return _entropy_of_dots(points @ povm.matrix().T, povm.k, kernel)
-
-
-def _entropy_of_dots(dots: np.ndarray, k: int, kernel: EntropyKernel):
-    """Entropy from the dots u . v_j along the last axis of ``dots``: an
-    array for a block of points, a scalar for the k dots of one point."""
-    if kernel.kind == "shannon":
-        return math.log(k / 2.0) + (2.0 / k) * np.add.reduce(h_array(dots), axis=-1)
-    return kernel.entropy((dots + 1.0) / k, axis=-1)
+    return kernel.entropy_of_dots(points @ povm.matrix().T, povm.k)
 
 
 def _entropy_of_rows(points: np.ndarray, coords: np.ndarray, k: int,
                      kernel: EntropyKernel) -> np.ndarray:
     """Entropy at each row p of ``points`` in one kernel call, equal bit for
-    bit to ``_entropy_of_dots(coords @ p, k, kernel)``: the dots come from a
+    bit to ``kernel.entropy_of_dots(coords @ p, k)``: the dots come from a
     stack of the same matrix-vector products.  (The block product
     points @ coords.T rounds differently in the last bit on many rows.)"""
-    return _entropy_of_dots((coords @ points[:, :, None])[..., 0], k, kernel)
+    return kernel.entropy_of_dots((coords @ points[:, :, None])[..., 0], k)
 
 
 def entropy_at(u: BlochVector, povm: HsPovm,
@@ -475,10 +468,10 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
     pending trial points of every unfinished search are evaluated in one
     call of ``_entropy_of_rows``, which equals the single-point objective
     bit for bit, so each start follows the trajectory it would follow
-    alone.  The scan and the refinement go through one kernel,
-    ``_entropy_of_dots``.  Points within 1e-4 rad of a lower one are
-    dropped, and only those within 1e-8 of the best value are returned.
-    Either way the points are sorted by their coordinates.
+    alone.  The scan and the refinement go through one kernel call,
+    ``EntropyKernel.entropy_of_dots``.  Points within 1e-4 rad of a lower
+    one are dropped, and only those within 1e-8 of the best value are
+    returned.  Either way the points are sorted by their coordinates.
     """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
@@ -493,7 +486,7 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
         return _by_location([CriticalPoint(u, v, mode, "I")
                              for u, v in zip(povm.antipodes, values)])
     if mode == "max" and (normal := _plane_normal(coords)) is not None:
-        value = float(_entropy_of_dots(np.zeros(k), k, kernel))     # p_j = 1/k
+        value = float(kernel.entropy_of_dots(np.zeros(k), k))     # p_j = 1/k
         poles = [BlochVector.from_array(s * normal + 0.0) for s in (1.0, -1.0)]  # no -0.0
         return _by_location([CriticalPoint(u, value, mode, *_type_of_point(
             u, povm, povm.symmetry_group)) for u in poles])
@@ -539,7 +532,7 @@ def _scan_extrema(povm: HsPovm, mode: str, n_scan: int, kernel: EntropyKernel,
         return sign * _entropy_of_rows(points, coords, k, kernel)
 
     def objective(p):
-        return sign * _entropy_of_dots(coords @ p, k, kernel)
+        return sign * kernel.entropy_of_dots(coords @ p, k)
 
     group, normal = povm.symmetry_group, _plane_normal(coords)
     if normal is not None or k == 2:

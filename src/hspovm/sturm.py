@@ -84,10 +84,11 @@ def sturm_chain(coeffs) -> list:
     return chain
 
 
-def _eval_poly(coeffs: list, x):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
+def _horner(coefficients, t):
+    """Ascending coefficients evaluated at t, in t's arithmetic."""
+    acc = coefficients[-1]
+    for c in reversed(coefficients[:-1]):
+        acc = acc * t + c
     return acc
 
 
@@ -99,7 +100,7 @@ def _signs_at(chain: list, point) -> list:
         elif point == -math.inf:
             signs.append(_sign(poly[-1]) * (-1 if (len(poly) - 1) % 2 else 1))
         else:
-            signs.append(_sign(_eval_poly(poly, point)))
+            signs.append(_sign(_horner(poly, point)))
     return signs
 
 

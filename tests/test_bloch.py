@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath.ctx_iv import MPIntervalContext
 
 from hspovm.bloch import (
     BlochVector,
@@ -133,16 +135,16 @@ class TestHDerivative:
 class TestProbability:
     def test_coincident_hits_upper_bound(self):
         v = BlochVector(0.0, 0.0, 1.0)
-        assert probability(v, v, 2, 4) == pytest.approx(0.5, abs=1e-15)
+        assert probability(v, v, 4) == pytest.approx(0.5, abs=1e-15)
 
     def test_orthogonal_state(self):
         v = BlochVector(0.0, 0.0, 1.0)
-        assert probability(-v, v, 2, 4) == pytest.approx(0.0, abs=1e-15)
+        assert probability(-v, v, 4) == pytest.approx(0.0, abs=1e-15)
 
     def test_equatorial(self):
         u = BlochVector(1.0, 0.0, 0.0)
         v = BlochVector(0.0, 0.0, 1.0)
-        assert probability(u, v, 2, 6) == pytest.approx(1.0 / 6.0, abs=1e-15)
+        assert probability(u, v, 6) == pytest.approx(1.0 / 6.0, abs=1e-15)
 
     def test_bilinearity_through_dot(self):
         # the pre-normalized form is affine in u: p(au1 + bu2) interpolates
@@ -175,20 +177,20 @@ class TestFubiniStudy:
 
 class TestProbabilityVector:
     def test_valid(self):
-        p = ProbabilityVector((0.5, 0.25, 0.25), d=2)
+        p = ProbabilityVector((0.5, 0.25, 0.25))
         assert len(p) == 3
 
     def test_clamps_dust(self):
-        p = ProbabilityVector((1.0 + 5e-13, -5e-13), d=2)
+        p = ProbabilityVector((1.0 + 5e-13, -5e-13))
         assert p.p[1] == 0.0
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
-            ProbabilityVector((0.5, 0.25), d=2)
+            ProbabilityVector((0.5, 0.25))
 
     def test_rejects_above_d_over_k(self):
         with pytest.raises(ValueError):
-            ProbabilityVector((0.9, 0.05, 0.03, 0.02), d=2)  # 0.9 > 2/4
+            ProbabilityVector((0.9, 0.05, 0.03, 0.02))  # 0.9 > 2/4
 
 
 class TestEntropyKernel:
@@ -222,10 +224,75 @@ class TestEntropyKernel:
     def test_h_prime_matches_fd(self):
         for kernel in (SHANNON, EntropyKernel("tsallis", 0.5),
                        EntropyKernel("renyi", 1.5)):
+            f, fp = kernel.summand(float, math.log)
             for t in (-0.5, 0.0, 0.7):
                 step = 1e-7
-                fd = (kernel.h(t + step) - kernel.h(t - step)) / (2 * step)
-                assert kernel.h_prime(t) == pytest.approx(fd, rel=1e-6, abs=1e-8)
+                fd = (f(t + step) - f(t - step)) / (2 * step)
+                assert fp(t) == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+    def test_derivative_sign_needs_order_two(self):
+        with pytest.raises(ValueError):
+            SHANNON.derivative_sign(1)
+
+    @pytest.mark.parametrize("kernel,degree", [
+        (SHANNON, None), (EntropyKernel("tsallis", 2.0), 2), (EntropyKernel("renyi", 5.0), 5),
+        (EntropyKernel("tsallis", 2.5), None), (EntropyKernel("renyi", 0.5), None),
+    ])
+    def test_polynomial_degree(self, kernel, degree):
+        assert kernel.polynomial_degree() == degree
+
+
+def _summand_scales(kernel, x):
+    """Bounds, over the unit roundoff, on the rounding error of h and h' at
+    x = (1 + t)/2: the magnitudes of the terms they add up, plus the error
+    that rounding x itself carries through (large for ln x at x near 1)."""
+    if kernel.kind == "shannon":
+        return x * (abs(math.log(x)) + 1.0), abs(math.log(x)) + 1.0
+    a = kernel.alpha
+    return ((x + (1.0 + a) * x ** a) / abs(a - 1.0),
+            (1.0 + a * x ** (a - 1.0)) * (1.0 + 1.0 / abs(a - 1.0)))
+
+
+KERNELS = st.one_of(
+    st.just(SHANNON),
+    st.builds(EntropyKernel, st.sampled_from(("renyi", "tsallis")),
+              st.floats(0.0, 5.0, exclude_min=True).filter(lambda a: a != 1.0)))
+OPEN_UNIT = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+class TestKernelSummand:
+    """The one summand, in float, longdouble and 200-bit intervals."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(kernel=KERNELS, t=OPEN_UNIT)
+    def test_arithmetics_agree(self, kernel, t):
+        ctx = MPIntervalContext()
+        ctx.prec = 200
+        x = (1.0 + t) / 2.0
+        scales = _summand_scales(kernel, x)
+        floats = kernel.summand(float, math.log)
+        longs = kernel.summand(np.longdouble, np.log)
+        intervals = kernel.summand(ctx.mpf, ctx.log)
+        for f, g, enclose, scale in zip(floats, longs, intervals, scales):
+            box = enclose(ctx.mpf(t))
+            mid = float(box.mid)
+            assert abs(float(g(np.longdouble(t))) - mid) <= 1e-15 * scale
+            slack = 8 * np.finfo(float).eps * scale
+            assert float(box.a) - slack <= f(t) <= float(box.b) + slack
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(kernel=KERNELS, t=OPEN_UNIT)
+    def test_derivative_sign_matches_closed_form(self, kernel, t):
+        x = (1.0 + t) / 2.0
+        for n in range(2, 17):
+            if kernel.kind == "shannon":
+                value = h_derivative(t, n)
+            else:
+                # f(x) = (x - x^a)/(a - 1): f^(n)(x) = -a (a - 1) ... (a - n + 1) x^(a - n)/(a - 1)
+                a = kernel.alpha
+                value = (-math.prod(a - j for j in range(n)) * x ** (a - n)
+                         / (a - 1.0) / 2.0 ** n)
+            assert kernel.derivative_sign(n) == (value > 0) - (value < 0), n
 
 
 class TestVectorizedKernels:

@@ -11,7 +11,7 @@ from mpmath import iv, mp
 
 from conftest import ALL_FAMILIES, POLYHEDRA, povm_for
 from hspovm import certificate
-from hspovm.bloch import EntropyKernel, SHANNON
+from hspovm.bloch import EntropyKernel, SHANNON, h, h_derivative
 from hspovm.catalog import (FAMILY_SPECS, HsPovm, exact_nodes, exact_orbit,
                             family_spec, interpolation_set, make_hs_povm,
                             make_rectangle_povm)
@@ -23,7 +23,6 @@ from hspovm.certificate import (
     _hermite_nodes,
     _horner,
     _interval_coefficients,
-    _kernel_h,
     _moment_constrained_feasible,
     _orbit_min_step,
     _remainder_sign,
@@ -67,7 +66,10 @@ class TestHermiteInterpolation:
         def fp(t):
             return -2.0 + t
 
-        poly = hermite_interpolate((f, fp), [(-1.0, 1), (0.0, 2)])
+        nodes = ((-1.0, 1), (0.0, 2))
+        mono = _hermite_monomial(f, fp, [(np.longdouble(t), m) for t, m in nodes],
+                                 np.longdouble(0))
+        poly = HermitePolynomial(coefficients=tuple(mono), nodes=nodes)
         ts = np.linspace(-1, 1, 100)
         assert np.max(np.abs(poly(ts) - (3.0 - 2.0 * ts + 0.5 * ts**2))) < 1e-14
 
@@ -83,9 +85,9 @@ class TestHermiteInterpolation:
         nodes = [(-1.0, 1), (-0.5, 2), (0.0, 2), (0.5, 2), (1.0, 1)]
         poly = hermite_interpolate(SHANNON, nodes)
         for t, mult in nodes:
-            assert abs(float(poly(t)) - SHANNON.h(t)) < 1e-11
+            assert abs(float(poly(t)) - h(t)) < 1e-11
             if mult >= 2:
-                assert abs(poly.derivative_at(t) - SHANNON.h_prime(t)) < 1e-10
+                assert abs(poly.derivative_at(t) - h_derivative(t, 1)) < 1e-10
 
     def test_rejects_derivative_at_minus_one(self):
         with pytest.raises(ValueError):
@@ -108,10 +110,10 @@ class TestVerifyBelow:
     def test_octahedron_equality_points(self):
         poly = hermite_interpolate(SHANNON, [(-1.0, 1), (0.0, 2), (1.0, 1)])
         for t in (-1.0, 0.0, 1.0):
-            assert abs(float(poly(t)) - SHANNON.h(t)) < 1e-12
+            assert abs(float(poly(t)) - h(t)) < 1e-12
         # strictly positive gap away from the nodes
         for t in (-0.5, 0.5):
-            assert SHANNON.h(t) - float(poly(t)) > 1e-4
+            assert h(t) - float(poly(t)) > 1e-4
 
     def test_perturbed_polynomial_fails(self):
         poly = hermite_interpolate(SHANNON, [(-1.0, 1), (0.0, 2), (1.0, 1)])
@@ -125,7 +127,7 @@ class TestVerifyBelow:
         assert -1.0 <= argmin <= 1.0
         # the perturbed curve dips below h strictly inside as well
         interior = np.linspace(-0.999, 0.999, 2001)
-        gaps = np.array([SHANNON.h(float(t)) for t in interior]) - \
+        gaps = np.array([h(float(t)) for t in interior]) - \
             np.asarray(bumped(interior), dtype=float)
         assert gaps.min() < 0 < gaps.max()
 
@@ -253,10 +255,10 @@ class TestCertificates:
         for family in POLYHEDRA:
             cert = cert_for(family)
             for t, mult in cert.nodes:
-                assert abs(float(cert.polynomial(t)) - SHANNON.h(t)) < 1e-11
+                assert abs(float(cert.polynomial(t)) - h(t)) < 1e-11
                 if mult >= 2:
                     assert abs(cert.polynomial.derivative_at(t)
-                               - SHANNON.h_prime(t)) < 1e-10
+                               - h_derivative(t, 1)) < 1e-10
 
     def test_custom_family_rejected(self):
         from hspovm.catalog import make_rectangle_povm
@@ -547,10 +549,10 @@ class TestOrbitMinStep:
         assert certify_minimum(povm).coefficients == expected
 
     # the decisive interval signs of each proof, the last ones it takes:
-    # B; the winner's margin over each other candidate (after the two signs
-    # that place beta in (1/4, 1/2)); the quartic's leading coefficient and
-    # P1 at the icosahedron corner
-    DECISIVE = {"cube": ["B"], "dodecahedron": ["B"],
+    # the winner's margin over each other candidate (after the two signs
+    # that place beta in (1/4, 1/2) for the cuboctahedron); the quartic's
+    # leading coefficient and P1 at the icosahedron corner
+    DECISIVE = {"cube": ["x1 - x2"], "dodecahedron": ["x1 - x2"],
                 "cuboctahedron": ["x1 - x2", "x3 - x2", "x4 - x2"],
                 "icosidodecahedron": ["leading coefficient", "corner value"]}
 
@@ -608,7 +610,7 @@ def reference_orbit_sum(povm, kernel, ctx, point):
     tau = (1 + ctx.sqrt(ctx.mpf(5))) / 2
     verts = [[reference_lift(c, tau) for c in row] for row in povm.matrix()]
     nodes = [(reference_lift(t, tau), m) for t, m in _hermite_nodes(povm)]
-    f, fp = _kernel_h(kernel, ctx.mpf, ctx.log)
+    f, fp = kernel.summand(ctx.mpf, ctx.log)
     mono = _hermite_monomial(f, fp, nodes, ctx.mpf(0))
     norm = ctx.sqrt(point[0] ** 2 + point[1] ** 2 + point[2] ** 2)
     x = [c / norm for c in point]

@@ -23,7 +23,6 @@ from hspovm.entropy import (
     REFINE_MAXITER,
     START_ANGLE,
     TRIVIAL_GROUP,
-    _entropy_of_dots,
     _entropy_of_rows,
     _entropy_values,
     _fundamental_domain,
@@ -568,8 +567,8 @@ def test_nelder_mead_follows_the_array_reference(family, maxiter):
 
                 def chart(st, center=center, e1=e1, e2=e2, sign=sign):
                     p = center + st[0] * e1 + st[1] * e2
-                    return sign * _entropy_of_dots(coords @ (p / np.linalg.norm(p)), k,
-                                                   EntropyKernel("shannon"))
+                    return sign * EntropyKernel("shannon").entropy_of_dots(
+                        coords @ (p / np.linalg.norm(p)), k)
 
                 objectives.append(chart)
     for f in objectives:
@@ -627,7 +626,7 @@ def test_lockstep_equals_one_at_a_time(monkeypatch, name, mode, kernel):
     coords, k = povm.matrix(), povm.k
     runs = []
     for run_searches in (_lockstep, _one_at_a_time(
-            lambda p: sign * _entropy_of_dots(coords @ p, k, kernel))):
+            lambda p: sign * kernel.entropy_of_dots(coords @ p, k))):
         refined = []
 
         def recording(searches, values, run_searches=run_searches, refined=refined):
@@ -867,7 +866,7 @@ def test_entropy_of_rows_equals_point_objective():
         points = np.concatenate([povm.symmetry_group.matrix_stack() @ p for p in points]
                                 + [-coords.astype(float)])
         for kernel in TestPointKernel.KERNELS:
-            single = np.array([_entropy_of_dots(coords @ p, k, kernel) for p in points])
+            single = np.array([kernel.entropy_of_dots(coords @ p, k) for p in points])
             for size in (1, 2, 3, len(points)):
                 rows = np.concatenate([_entropy_of_rows(points[i:i + size], coords, k, kernel)
                                        for i in range(0, len(points), size)])
@@ -967,7 +966,7 @@ class TestPointKernel:
     @staticmethod
     def _assert_point_equals_row(point, povm, kernel):
         row = _entropy_values(point[None, :], povm, kernel)[0]
-        value = _entropy_of_dots(povm.matrix() @ point, povm.k, kernel)
+        value = kernel.entropy_of_dots(povm.matrix() @ point, povm.k)
         assert np.ndim(value) == 0
         assert value.tobytes() == row.tobytes()
 
@@ -993,18 +992,18 @@ class TestPointKernel:
         dots = povm.matrix() @ -povm.matrix()[0]
         assert np.min(dots) == -1.0              # x = 0: the 0 ln 0 entry
         with np.errstate(all="raise"):
-            value = _entropy_of_dots(dots, povm.k, kernel)
+            value = kernel.entropy_of_dots(dots, povm.k)
         assert math.isfinite(value)
         self._assert_point_equals_row(-povm.matrix()[0], povm, kernel)
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=str)
     def test_dots_beyond_unit_range(self, kernel):
         dots = np.array([1.0 + 1e-15, -(1.0 + 1e-15), 0.25, -0.25, 1e-15, -1e-15])
-        value = _entropy_of_dots(dots, 6, kernel)
-        block = _entropy_of_dots(np.vstack([dots, dots[::-1]]), 6, kernel)
+        value = kernel.entropy_of_dots(dots, 6)
+        block = kernel.entropy_of_dots(np.vstack([dots, dots[::-1]]), 6)
         assert value.tobytes() == block[0].tobytes()
         if kernel.kind == "shannon":            # x = (1 + t)/2 is clipped to [0, 1]
-            clipped = _entropy_of_dots(np.clip(dots, -1.0, 1.0), 6, kernel)
+            clipped = kernel.entropy_of_dots(np.clip(dots, -1.0, 1.0), 6)
             assert value.tobytes() == clipped.tobytes()
         povm = povm_for("octahedron")
         self._assert_point_equals_row(np.array([0.0, 0.0, 1.0 + 1e-15]), povm, kernel)
