@@ -29,6 +29,8 @@ class UnitaryAsRotation:
 
     def __post_init__(self):
         R = np.array(self.R, dtype=float)
+        if not np.isfinite(R).all():
+            raise ValueError("matrix is not finite")
         if np.linalg.norm(R @ R.T - np.eye(3)) > 1e-10:
             raise ValueError("matrix is not orthogonal")
         if abs(np.linalg.det(R) - 1.0) > 1e-10:

@@ -176,7 +176,7 @@ def landscape(povm: HsPovm, n_samples: int = 1000,
     values = _entropy_values(points, povm, kernel)
     samples = tuple((BlochVector.from_array(p), float(v))
                     for p, v in zip(points, values))
-    extrema = tuple(find_extrema(povm, "min")) if with_extrema else ()
+    extrema = tuple(find_extrema(povm, "min", kernel=kernel)) if with_extrema else ()
     return EntropyLandscape(povm=povm, samples=samples, extrema=extrema)
 
 

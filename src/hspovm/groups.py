@@ -87,7 +87,10 @@ def _freeze(m: np.ndarray) -> np.ndarray:
 def rotation_matrix(axis, angle: float) -> np.ndarray:
     """Rotation by ``angle`` about ``axis`` (Rodrigues formula)."""
     n = np.asarray(axis, dtype=float)
-    n = n / np.linalg.norm(n)
+    norm = np.linalg.norm(n)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"rotation axis {n.tolist()} is zero or not finite")
+    n = n / norm
     c, s = math.cos(angle), math.sin(angle)
     cross = np.array([[0.0, -n[2], n[1]],
                       [n[2], 0.0, -n[0]],

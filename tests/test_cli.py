@@ -1,16 +1,18 @@
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hspovm.catalog import make_hs_povm
-from hspovm.cli import main
-from hspovm.entropy import _entropy_values, fibonacci_sphere
+from hspovm.cli import _build_parser, main
+from hspovm.entropy import DEFAULT_GRID, _entropy_values, fibonacci_sphere
 
 
 def run_cli(args, capsys):
@@ -179,6 +181,18 @@ class TestClassify:
         payload = json.loads(text)
         assert payload["points"][0]["type"] == "I"
         assert payload["points"][0]["kind"] == "min"
+
+    @pytest.mark.parametrize("point, plain", [("1e308,1e308,0", "1,1,0"),
+                                              ("-1e-320,0,0", "-1,0,0")])
+    def test_point_scale_does_not_matter(self, point, plain, capsys):
+        # a point whose norm would overflow or underflow classifies as the
+        # same direction written plainly, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = run_cli(["classify", "--family", "octahedron", f"--point={point}"],
+                             capsys)
+        assert scaled == run_cli(["classify", "--family", "octahedron", f"--point={plain}"],
+                                 capsys)
 
     def test_nan_point_is_a_usage_error(self, capsys):
         assert main(["classify", "--family", "cube", "--point", "nan,0,0"]) == 2
@@ -376,6 +390,93 @@ class TestOtherCommands:
             payloads.append(json.loads(text))
             del payloads[-1]["wall_clock_seconds"]
         assert payloads[0] == payloads[1]
+
+
+_OUT = [(("--out",), "out", "")]
+_BITS = [(("--bits",), "bits", False)]
+_SOURCE = [(("--family",), "family", ""), (("--n",), "n", None),
+           (("--alpha",), "alpha", None), (("--in",), "infile", "")]
+OPTIONS = {   # subcommand -> (option strings, dest, default), in --help order
+    "generate": _OUT + _SOURCE,
+    "validate": _OUT + _SOURCE,
+    "minimize": [(("--out", "--report"), "out", "")] + _BITS + _SOURCE
+                + [(("--grid",), "grid", DEFAULT_GRID)],
+    "classify": _OUT + _BITS + _SOURCE + [(("--point",), "point", "")],
+    "certify": _OUT + _SOURCE,
+    "dynent": _OUT + _BITS + _SOURCE + [(("--rotation",), "rotation", ""),
+                                        (("--depth",), "depth", 3)],
+    "entropy-map": _OUT + _BITS + _SOURCE + [(("--grid",), "grid", DEFAULT_GRID)],
+    "info-power": _OUT + _BITS + [(("--format",), "fmt", "table"),
+                                  (("--family",), "family", "all"),
+                                  (("--n",), "n", None)],
+    "ngon-sweep": _OUT + _BITS + [(("--range",), "ngon_range", "3..64")],
+    "bifurcation": _OUT,
+    "table5": _OUT,
+}
+
+
+def _subparsers() -> dict:
+    parser = _build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestFlags:
+    """Every subcommand's flags pinned: a dropped, renamed or re-defaulted
+    option fails here."""
+
+    def test_subcommands_in_order(self):
+        assert list(_subparsers()) == list(OPTIONS)
+
+    @pytest.mark.parametrize("name", list(OPTIONS))
+    def test_options(self, name):
+        actions = [a for a in _subparsers()[name]._actions if a.dest != "help"]
+        assert [(tuple(a.option_strings), a.dest, a.default)
+                for a in actions] == OPTIONS[name]
+
+
+USAGE_ERRORS = [
+    (["minimize", "--family", "rectangle"], "rectangle family needs --alpha"),
+    (["ngon-sweep", "--range", "3-5"], "bad range '3-5'; expected e.g. 3..64"),
+    (["dynent", "--family", "cube", "--rotation", "spin=1"],
+     "bad rotation component 'spin=1'"),
+    (["dynent", "--family", "cube", "--rotation", "axis=0:0:0,angle=1"],
+     "rotation axis [0.0, 0.0, 0.0] is zero or not finite"),
+    (["classify", "--family", "cube", "--point", "1,2"],
+     "--point '1,2' has 2 coordinates; expected x,y,z"),
+    (["classify", "--family", "cube", "--point", "1,2,3,4"],
+     "--point '1,2,3,4' has 4 coordinates; expected x,y,z"),
+    (["classify", "--family", "cube", "--point", "0,0,0"], "--point '0,0,0' is zero"),
+]
+
+
+class TestUsageErrors:
+    """A malformed input exits 2 with one `error:` line, no stdout and no
+    warning."""
+
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                             ids=[" ".join(argv) for argv, _ in USAGE_ERRORS])
+    def test_one_error_line(self, argv, message, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+class TestPinnedValues:
+    def test_dynent_about_a_tilted_axis(self, capsys):
+        code, text = run_cli(["dynent", "--family", "cube", "--rotation",
+                              "axis=1:1:0,angle=0.5"], capsys)
+        assert code == 0
+        assert json.loads(text)["dynamical_entropy"] == "1.8823243381888615"
+
+    def test_info_power_json(self, capsys):
+        code, text = run_cli(["info-power", "--family", "cube", "--format", "json"],
+                             capsys)
+        assert code == 0
+        assert json.loads(text) == {"schema_version": 1, "unit": "nats", "rows": [
+            {"family": "cube", "k": 8, "W": "0.21576155433883565"}]}
 
 
 class TestCertifyGolden:

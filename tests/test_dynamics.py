@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,20 @@ class TestUnitaryAsRotation:
     def test_rejects_reflection(self):
         with pytest.raises(ValueError):
             UnitaryAsRotation(np.diag([1.0, 1.0, -1.0]))
+
+    @pytest.mark.parametrize("make", [
+        lambda: UnitaryAsRotation(np.full((3, 3), np.nan)),
+        lambda: UnitaryAsRotation(np.diag([np.inf, 1.0, 1.0])),
+        lambda: UnitaryAsRotation.about_axis([1.0, 0.0, 0.0], np.nan),
+        lambda: UnitaryAsRotation.about_axis([0.0, 0.0, 0.0], 1.0),
+        lambda: UnitaryAsRotation.about_axis([np.nan, 0.0, 0.0], 1.0),
+    ], ids=["nan matrix", "inf matrix", "nan angle", "zero axis", "nan axis"])
+    def test_rejects_non_finite_and_zero_axis(self, make):
+        # refused before any arithmetic on the bad value warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                make()
 
 
 class TestTransitionMatrix:

@@ -345,6 +345,17 @@ class TestLandscape:
         assert len(scape.extrema) == 4
         assert all(c.kind == "min" for c in scape.extrema)
 
+    @pytest.mark.parametrize("kind, alpha", [("renyi", 1.4), ("tsallis", 4.0)])
+    def test_extrema_follow_the_kernel(self, kind, alpha):
+        # the extrema are the minima of the sampled functional, so no sample
+        # lies below them
+        povm, kernel = povm_for("cube"), EntropyKernel(kind, alpha)
+        scape = landscape(povm, n_samples=500, kernel=kernel, with_extrema=True)
+        expected = find_extrema(povm, "min", kernel=kernel)
+        assert [(c.location, c.value, c.kind) for c in scape.extrema] == [
+            (c.location, c.value, c.kind) for c in expected]
+        assert min(v for _, v in scape.samples) >= min(c.value for c in expected) - 1e-12
+
 
 def _random_rotation(seed):
     q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
