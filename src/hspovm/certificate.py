@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -58,7 +58,7 @@ import numpy as np
 from mpmath.ctx_iv import MPIntervalContext
 
 from .bloch import EntropyKernel, SHANNON
-from .catalog import (FAMILY_SPECS, HsPovm, check_family_geometry, exact_design_order,
+from .catalog import (FAMILY_SPECS, HsPovm, _member, check_family_geometry, exact_design_order,
                       exact_nodes, exact_orbit, family_spec, interpolation_set)
 from .invariants import (J15_SQUARED_TERMS, evaluate_invariant, i6_prime, i10,
                          invariant_degree)
@@ -544,14 +544,12 @@ def _boundary_sturm(spec, coefficients, tau):
 _ORBIT_MIN_DECIDERS = {"candidates": _candidate_comparison, "sturm": _boundary_sturm}
 
 
-@lru_cache(maxsize=64)
 def _orbit_min_step(name: str, kernel: EntropyKernel) -> tuple:
     """The family's decider on the interval coefficients of the kernel's
     bound, at rising precision; returns (verdict, reason if it fails, the
     coefficient midpoints as floats, certificate fields: beta, or the Sturm
     root count and bits used).  A sign still undecided at the top of the
-    ladder fails the proof.  It depends on the family and the kernel alone,
-    so it is memoized on them."""
+    ladder fails the proof."""
     spec, enclosures = FAMILY_SPECS[name], ()
 
     def decide(precision):
@@ -579,19 +577,10 @@ def _degree_bound(kernel: EntropyKernel, nodes, sign) -> int:
     return kernel.polynomial_degree() if sign == 0 else sum(m for _, m in nodes) - 1
 
 
-def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCertificate:
-    """Full certification that the antipodal orbit minimizes the entropy.
-
-    The orbit-minimum step is the family's registry strategy: constant
-    lower bound, by the design order, for polygons, the tetrahedron,
-    octahedron and icosahedron; on interval coefficients, candidate
-    comparison for the cube, cuboctahedron and dodecahedron and a Sturm
-    chain for the icosidodecahedron.  The vectors are first checked to be
-    a rotated copy of their family's registry member
-    (:func:`hspovm.catalog.check_family_geometry`), which raises
-    ValueError otherwise, and every step runs on that member.
-    """
-    spec, member, _ = check_family_geometry(povm)
+@lru_cache(maxsize=64)
+def _member_certificate(label: str, k: int, kernel: EntropyKernel) -> HermiteCertificate:
+    """The certificate of the registry member _member(label, k), memoized."""
+    spec, member = family_spec(label), _member(label, k)
     nodes = _hermite_nodes(member)
     poly = hermite_interpolate(kernel, nodes)
     sign = _remainder_sign(kernel, nodes)
@@ -630,10 +619,28 @@ def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCer
         reason = reason or "uniqueness bookkeeping admits a stray minimizer"
 
     return HermiteCertificate(
-        family=povm.family, nodes=nodes, polynomial=poly,
+        family=label, nodes=nodes, polynomial=poly,
         below_check=verify_below(poly, kernel),
         orbit_min_verdict=bool(sign is not None and sign >= 0 and orbit_ok),
         uniqueness_verdict=bool(uniqueness),
         coefficients=dict(zip("ABCD", coefficients)),
         certified_minimum=certified_minimum, reason=reason, **fields,
     )
+
+
+def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCertificate:
+    """Full certification that the antipodal orbit minimizes the entropy.
+
+    The orbit-minimum step is the family's registry strategy: constant
+    lower bound, by the design order, for polygons, the tetrahedron,
+    octahedron and icosahedron; on interval coefficients, candidate
+    comparison for the cube, cuboctahedron and dodecahedron and a Sturm
+    chain for the icosidodecahedron.  The vectors are first checked, on
+    every call, to be a rotated copy of their family's registry member
+    (:func:`hspovm.catalog.check_family_geometry`), which raises
+    ValueError otherwise, and every step runs on that member.  Behind that
+    check, memoized per (family label, k, kernel), the first call in a process
+    pays the interval proof and a repeat (find_extrema's "min") only the check.
+    """
+    certificate = _member_certificate(povm.family, check_family_geometry(povm)[1].k, kernel)
+    return replace(certificate, coefficients=dict(certificate.coefficients))

@@ -215,16 +215,12 @@ def _cmd_ngon_sweep(config) -> int:
 
 
 def _parse_rotation(spec: str) -> dynamics.UnitaryAsRotation:
-    axis = np.array([0.0, 0.0, 1.0])
-    angle = 0.0
+    axis, angle = [0.0, 0.0, 1.0], 0.0
     for part in spec.split(","):
         key, _, value = part.partition("=")
         if key == "axis":
             named = {"x": [1, 0, 0], "y": [0, 1, 0], "z": [0, 0, 1]}
-            if value in named:
-                axis = np.array(named[value], float)
-            else:
-                axis = np.array([float(c) for c in value.split(":")])
+            axis = named.get(value) or [float(c) for c in value.split(":")]
         elif key == "angle":
             angle = float(value)
         else:
@@ -259,6 +255,13 @@ def _opt(*flags, **kwargs) -> tuple:
     return flags, kwargs
 
 
+def positive_int(text: str) -> int:
+    """The type of --grid and --depth: an integer of at least 1."""
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
+
+
 _OUT = _opt("--out", default="", help="output path (default stdout)")
 _BITS = _opt("--bits", action="store_true",
              help="display entropies in bits instead of nats")
@@ -267,7 +270,7 @@ _SOURCE = (_opt("--family", default="", help=", ".join(FAMILIES + ("rectangle",)
            _opt("--alpha", type=float, default=None, help="rectangle diagonal angle"),
            _opt("--in", dest="infile", default="",
                 help="POVM JSON file instead of a named family"))
-_GRID = _opt("--grid", type=int, default=DEFAULT_GRID)
+_GRID = _opt("--grid", type=positive_int, default=DEFAULT_GRID)
 
 # subcommand -> (handler, options), in --help order
 _COMMANDS = {
@@ -282,7 +285,7 @@ _COMMANDS = {
     "dynent": (_cmd_dynent, (_OUT, _BITS, *_SOURCE,
                              _opt("--rotation", default="",
                                   help="axis=z,angle=0.7853981633974483"),
-                             _opt("--depth", type=int, default=3))),
+                             _opt("--depth", type=positive_int, default=3))),
     "entropy-map": (_cmd_entropy_map, (_OUT, _BITS, *_SOURCE, _GRID)),
     "info-power": (_cmd_info_power, (_OUT, _BITS,
                                      _opt("--format", dest="fmt", default="table",

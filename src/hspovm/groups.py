@@ -87,6 +87,8 @@ def _freeze(m: np.ndarray) -> np.ndarray:
 def rotation_matrix(axis, angle: float) -> np.ndarray:
     """Rotation by ``angle`` about ``axis`` (Rodrigues formula)."""
     n = np.asarray(axis, dtype=float)
+    if n.shape != (3,):
+        raise ValueError(f"rotation axis {n.tolist()} is not three numbers")
     norm = np.linalg.norm(n)
     if not 0.0 < norm < math.inf:
         raise ValueError(f"rotation axis {n.tolist()} is zero or not finite")

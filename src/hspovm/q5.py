@@ -105,8 +105,11 @@ class Q5:
         return a / d + b / d * math.sqrt(5.0)
 
     def lift(self, ctx):
-        """The enclosing interval in the mpmath interval context ctx."""
-        return (ctx.mpf(self.a) + ctx.mpf(self.b) * ctx.sqrt(ctx.mpf(5))) / self.d
+        """The enclosing interval in the mpmath interval context ctx, with
+        sqrt 5 enclosed once per context and precision (not for a rational)."""
+        if self.b and getattr(ctx, "_q5_root5", (None,))[0] != ctx.prec:
+            ctx._q5_root5 = ctx.prec, ctx.sqrt(ctx.mpf(5))
+        return (ctx.mpf(self.a) + (self.b and ctx.mpf(self.b) * ctx._q5_root5[1])) / self.d
 
     def __repr__(self):
         return f"Q5({self.a}, {self.b}, {self.d})"

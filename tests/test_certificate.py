@@ -23,8 +23,8 @@ from hspovm.certificate import (
     _hermite_nodes,
     _horner,
     _interval_coefficients,
+    _member_certificate,
     _moment_constrained_feasible,
-    _orbit_min_step,
     _remainder_sign,
     assemble_lower_bound,
     certify_minimum,
@@ -33,7 +33,7 @@ from hspovm.certificate import (
     icosidodeca_positivity,
     verify_below,
 )
-from hspovm.entropy import _entropy_values, entropy_at, fibonacci_sphere
+from hspovm.entropy import _entropy_values, entropy_at, fibonacci_sphere, find_extrema
 from hspovm.info import informational_power
 from hspovm.invariants import evaluate_invariant, invariant_degree
 from hspovm.q5 import GOLDEN, TAU, Q5, dot
@@ -473,7 +473,7 @@ class TestGlobalState:
         try:
             for prec in (53, 77):
                 iv.prec = prec
-                _orbit_min_step.cache_clear()
+                _member_certificate.cache_clear()
                 certs.append(repr(certify_minimum(povm, kernel)))
                 assert iv.prec == prec
         finally:
@@ -496,7 +496,7 @@ class TestGlobalState:
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)         # switch threads often
-        _orbit_min_step.cache_clear()
+        _member_certificate.cache_clear()
         try:
             with ThreadPoolExecutor(max_workers=3) as pool:
                 results = list(pool.map(run, range(3), timeout=300))
@@ -510,7 +510,7 @@ class TestGlobalState:
     def test_caller_precision_restored(self, family):
         saved = iv.prec
         iv.prec = 77
-        _orbit_min_step.cache_clear()
+        _member_certificate.cache_clear()
         try:
             _interval_coefficients(family, 200)
             assert certify_minimum(make_hs_povm(family)).valid
@@ -522,22 +522,75 @@ class TestGlobalState:
 
 class TestOrbitMinStep:
     """The invariant families' orbit-minimum proof: one interval step per
-    (family, kernel), memoized, deciding on the enclosures alone."""
+    (family, kernel), deciding on the enclosures alone, inside the
+    certificate memoized per (family label, k, kernel)."""
 
     @pytest.fixture(autouse=True)
     def fresh_step(self):
-        _orbit_min_step.cache_clear()
+        _member_certificate.cache_clear()
         yield
-        _orbit_min_step.cache_clear()      # no mutated verdict outlives a test
+        _member_certificate.cache_clear()      # no mutated verdict outlives a test
 
     @pytest.mark.parametrize("family", EXPANDED)
     def test_second_certificate_is_a_cache_hit(self, family):
         povm, kernel = make_hs_povm(family), EntropyKernel("renyi", 1.3)
         first = repr(certify_minimum(povm, kernel))
-        info = _orbit_min_step.cache_info()
+        info = _member_certificate.cache_info()
         assert repr(certify_minimum(povm, kernel)) == first
-        assert _orbit_min_step.cache_info().hits == info.hits + 1
-        assert _orbit_min_step.cache_info().misses == info.misses
+        assert _member_certificate.cache_info().hits == info.hits + 1
+        assert _member_certificate.cache_info().misses == info.misses
+
+    @pytest.mark.parametrize("family", EXPANDED)
+    def test_rotated_copy_shares_the_member_entry(self, family):
+        povm = make_hs_povm(family)
+        q, r = np.linalg.qr(np.random.default_rng(7).normal(size=(3, 3)))
+        rotation = q * np.sign(np.diag(r)) * np.sign(np.linalg.det(q))
+        rotated = HsPovm.from_json(json.dumps({"vectors": (povm.matrix() @ rotation.T).tolist(),
+                                               "family": family}))
+        first = repr(certify_minimum(povm))
+        info = _member_certificate.cache_info()
+        assert repr(certify_minimum(rotated)) == first
+        assert _member_certificate.cache_info().hits == info.hits + 1
+        assert _member_certificate.cache_info().misses == info.misses
+
+    @pytest.mark.parametrize("family, other", [
+        (("cube", None, SHANNON), ("cube", None, EntropyKernel("renyi", 1.3))),
+        (("icosidodecahedron", None, SHANNON),
+         ("icosidodecahedron", None, EntropyKernel("tsallis", 0.5))),
+        (("n-gon", 5, SHANNON), ("n-gon", 6, SHANNON)),
+    ], ids=["cube-kernel", "icosidodecahedron-kernel", "polygon-k"])
+    def test_another_kernel_or_polygon_is_a_miss(self, family, other):
+        name, n, kernel = family
+        certify_minimum(make_hs_povm(name, n), kernel)
+        misses = _member_certificate.cache_info().misses
+        name, n, kernel = other
+        certify_minimum(make_hs_povm(name, n), kernel)
+        assert _member_certificate.cache_info().misses == misses + 1
+
+    def test_polygons_labelled_ngon_differ_by_k(self):
+        def ngon(n):
+            angles = 2 * math.pi * np.arange(n) / n
+            coords = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(n)])
+            return HsPovm.from_json(json.dumps({"vectors": coords.tolist(), "family": "ngon"}))
+
+        five, six = (certify_minimum(ngon(n)) for n in (5, 6))
+        assert _member_certificate.cache_info().misses == 2
+        assert five.valid and six.valid and five.nodes != six.nodes
+
+    @pytest.mark.parametrize("family", ["cube", "icosidodecahedron", "5-gon"])
+    def test_repeated_find_extrema_adds_no_miss(self, family):
+        povm = make_hs_povm(family)
+        first = find_extrema(povm, "min")
+        info = _member_certificate.cache_info()
+        assert find_extrema(povm, "min") == first
+        assert _member_certificate.cache_info().misses == info.misses
+        assert _member_certificate.cache_info().hits == info.hits + 1
+
+    def test_warm_entry_does_not_admit_a_mislabelled_set(self):
+        assert certify_minimum(make_hs_povm("4-gon")).valid
+        vectors = make_rectangle_povm(1.0).vectors
+        with pytest.raises(ValueError, match="4-gon's node set"):
+            certify_minimum(HsPovm(vectors=vectors, family="4-gon"))
 
     @pytest.mark.parametrize("family", EXPANDED)
     def test_each_certificate_gets_its_own_coefficients(self, family):
@@ -573,7 +626,7 @@ class TestOrbitMinStep:
                 return _sign(-x if next(calls) == mutant else x)
 
             monkeypatch.setattr(certificate, "_sign", negated)
-            _orbit_min_step.cache_clear()
+            _member_certificate.cache_clear()
             cert = certify_minimum(make_hs_povm(family))
             assert not cert.valid and not cert.orbit_min_verdict, name
 

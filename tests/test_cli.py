@@ -347,7 +347,11 @@ class TestOtherCommands:
             raise ZeroDivisionError("injected defect\nsecond line")
 
         monkeypatch.setattr(certificate, "_remainder_sign", defect)
-        assert main(["certify", "--family", "cube"]) == 3
+        certificate._member_certificate.cache_clear()   # a memoized cube would hide it
+        try:
+            assert main(["certify", "--family", "cube"]) == 3
+        finally:
+            certificate._member_certificate.cache_clear()
         err = capsys.readouterr().err
         assert err == "error: ZeroDivisionError: injected defect\n"
 
@@ -357,11 +361,11 @@ class TestOtherCommands:
         import hspovm.certificate as certificate
 
         monkeypatch.setattr(certificate, "INTERVAL_PRECISIONS", (8,))
-        certificate._orbit_min_step.cache_clear()
+        certificate._member_certificate.cache_clear()
         try:
             code, text = run_cli(["certify", "--family", "icosidodecahedron"], capsys)
         finally:
-            certificate._orbit_min_step.cache_clear()
+            certificate._member_certificate.cache_clear()
         payload = json.loads(text)
         assert code == 1 and not payload["valid"] and not payload["orbit_min_verdict"]
         assert payload["reason"] == ("interval sign undecided: "
@@ -447,6 +451,10 @@ USAGE_ERRORS = [
     (["classify", "--family", "cube", "--point", "1,2,3,4"],
      "--point '1,2,3,4' has 4 coordinates; expected x,y,z"),
     (["classify", "--family", "cube", "--point", "0,0,0"], "--point '0,0,0' is zero"),
+    (["dynent", "--family", "cube", "--rotation", "axis=1:2,angle=1"],
+     "rotation axis [1.0, 2.0] is not three numbers"),
+    (["dynent", "--family", "cube", "--rotation", "axis=1:2:3:4,angle=1"],
+     "rotation axis [1.0, 2.0, 3.0, 4.0] is not three numbers"),
 ]
 
 
@@ -462,6 +470,21 @@ class TestUsageErrors:
             code = main(argv)
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        [command, "--family", "cube", option, value]
+        for command, option in (("entropy-map", "--grid"), ("minimize", "--grid"),
+                                ("dynent", "--depth"))
+        for value in ("0", "-5")], ids=" ".join)
+    def test_counts_are_positive(self, argv, capsys):
+        # argparse refuses the value itself, naming the option
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (err.value.code, captured.out) == (2, "")
+        assert captured.err.splitlines()[-1] == (
+            f"hspovm {argv[0]}: error: argument {argv[3]}: "
+            f"invalid positive_int value: '{argv[4]}'")
 
 
 class TestPinnedValues:

@@ -845,13 +845,13 @@ class TestCertifiedMinima:
             families += ["cuboctahedron", "dodecahedron", "icosidodecahedron"]
             monkeypatch.setattr(certificate, "INTERVAL_PRECISIONS", (8,))
         calls = _counted_scans(monkeypatch)
-        certificate._orbit_min_step.cache_clear()
+        certificate._member_certificate.cache_clear()
         try:
             for family in families:
                 _assert_antipodal_orbit(find_extrema(povm_for(family), "min", n_scan=20_000),
                                         povm_for(family).matrix())
         finally:
-            certificate._orbit_min_step.cache_clear()   # no undecided verdict outlives the patch
+            certificate._member_certificate.cache_clear()   # no undecided verdict outlives the patch
         assert calls == ["min"] * len(families)
 
     def test_other_certificate_errors_propagate(self, monkeypatch):

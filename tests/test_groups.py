@@ -194,6 +194,11 @@ class TestRotationMatrix:
         trace_angle = math.acos((np.trace(m) - 1) / 2)
         assert trace_angle == pytest.approx(2 * math.pi / 5, abs=1e-12)
 
+    @pytest.mark.parametrize("axis", [[1, 2], [1, 2, 3, 4], [[0, 0, 1]], 1.0])
+    def test_axis_must_be_three_numbers(self, axis):
+        with pytest.raises(ValueError, match="is not three numbers"):
+            rotation_matrix(axis, 1.0)
+
 
 @pytest.mark.parametrize("tag", ["C_5", "D2", "T", "O", "I"])
 def test_matrix_stack_is_one_read_only_array(tag):
