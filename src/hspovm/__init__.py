@@ -1,84 +1,31 @@
 """Highly symmetric qubit POVMs: entropy of measurement, certified minimizers,
-informational power, and quantum dynamical entropy."""
+informational power, and quantum dynamical entropy.
 
-from .bloch import (
-    BlochVector,
-    EntropyKernel,
-    ProbabilityVector,
-    SHANNON,
-    eta,
-    fubini_study_distance,
-    h,
-    h_derivative,
-    probability,
-)
-from .catalog import (
-    DesignReport,
-    HsPovm,
-    interpolation_set,
-    make_hs_povm,
-    make_rectangle_povm,
-    spherical_design_order,
-    validate_povm,
-    FAMILIES,
-)
-from .certificate import (
-    HermiteCertificate,
-    HermitePolynomial,
-    assemble_lower_bound,
-    certify_minimum,
-    expand_in_invariants,
-    hermite_interpolate,
-    icosidodeca_positivity,
-    verify_below,
-)
-from .dynamics import (
-    TransitionMatrix,
-    UnitaryAsRotation,
-    dynamical_entropy,
-    empirical_entropy_rate,
-    measurement_entropy,
-    sequence_probability,
-    transition_matrix,
-)
-from .entropy import (
-    CriticalPoint,
-    EntropyLandscape,
-    classify_inert_point,
-    entropy_at,
-    fibonacci_sphere,
-    find_extrema,
-    landscape,
-    rectangle_bifurcation_threshold,
-    relative_entropy_at,
-)
-from .groups import (
-    DoubleCosetProfile,
-    RotationGroup,
-    degree_bound,
-    double_coset_profile,
-    generate_group,
-    orbit,
-    stabilizer,
-)
-from .info import (
-    InfoPowerReport,
-    average_relative_entropy,
-    entropy_bounds,
-    info_power_report,
-    informational_power,
-    ngon_informational_power,
-    sphere_average_relative_entropy,
-    uncertainty_upper_bound,
-)
-from .invariants import (
-    evaluate_invariant,
-    invariant_basis,
-    j15_squared,
-    orbit_map_icosahedral,
-    range_membership_icosahedral,
-)
-from .sturm import sturm_root_count
+The package namespace holds what callers reach through ``hspovm.``; every
+other name is imported from its module (``hspovm.catalog``, ...)."""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from . import bloch
+from .bloch import SHANNON, BlochVector, EntropyKernel
+from .catalog import (HsPovm, interpolation_set, make_hs_povm, make_rectangle_povm,
+                      spherical_design_order)
+from .certificate import (assemble_lower_bound, certify_minimum, expand_in_invariants,
+                          hermite_interpolate, icosidodeca_positivity, verify_below)
+from .dynamics import UnitaryAsRotation, empirical_entropy_rate
+from .entropy import (CriticalPoint, classify_inert_point, entropy_at, fibonacci_sphere,
+                      find_extrema, landscape)
+from .groups import degree_bound, double_coset_profile, orbit, stabilizer
+from .info import (informational_power, sphere_average_relative_entropy,
+                   uncertainty_upper_bound)
+
+__all__ = [
+    "BlochVector", "CriticalPoint", "EntropyKernel", "HsPovm", "SHANNON",
+    "UnitaryAsRotation", "assemble_lower_bound", "bloch", "certify_minimum",
+    "classify_inert_point", "cli", "degree_bound", "double_coset_profile",
+    "empirical_entropy_rate", "entropy_at", "expand_in_invariants",
+    "fibonacci_sphere", "find_extrema", "hermite_interpolate",
+    "icosidodeca_positivity", "informational_power", "interpolation_set",
+    "landscape", "make_hs_povm", "make_rectangle_povm", "orbit",
+    "sphere_average_relative_entropy", "spherical_design_order", "stabilizer",
+    "uncertainty_upper_bound", "verify_below",
+]
 __version__ = "0.1.0"

@@ -34,14 +34,14 @@ IDENTITY.setflags(write=False)
 class FamilySpec:
     """What the package knows about one highly symmetric family.
 
-    The family is the orbit of ``seed`` under the rotation group ``group``
-    ("C" is C_n for the n-gon).  ``seed`` and ``probes`` are exact (ints
-    and :class:`hspovm.q5.Q5`; floats through ``float()``), and the exact
-    orbit and node set {-gv . v} are computed from them.  ``strategy``
-    picks the certificate's orbit-minimum proof (constant, candidates or
-    sturm; see :mod:`hspovm.certificate`), which expands in the invariants
-    ``basis`` through the exact expansion matrix solved at the ``probes``
-    (candidates compares P there, seed included).
+    The family is the orbit of ``seed``, ``k`` vectors, under the group
+    ``group`` ("C" is C_n for the n-gon, any k).  ``seed`` and ``probes``
+    are exact (ints and :class:`hspovm.q5.Q5`; floats through ``float()``),
+    and the exact orbit and node set {-gv . v} are computed from them.
+    ``strategy`` picks the certificate's orbit-minimum proof (constant,
+    candidates or sturm; see :mod:`hspovm.certificate`), which expands in
+    the invariants ``basis`` through the exact expansion matrix solved at
+    the ``probes`` (candidates compares P there, seed included).
     ``inert`` seeds the classifier of symmetry-forced critical points;
     ``reference_W`` is the five-digit informational power.
     """
@@ -54,6 +54,7 @@ class FamilySpec:
     probes: tuple = ()
     inert: tuple = ()
     reference_W: float | None = None
+    k: int | None = None
 
 
 _AXES = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
@@ -63,25 +64,25 @@ _I_AXES = ((0, 0, 1), (0, TAU, 1), (0, 1 / TAU, TAU))
 
 #: the family registry, in catalog-table order
 FAMILY_SPECS = {spec.name: spec for spec in (
-    FamilySpec("digon", "D2", (0, 0, 1), "constant",
+    FamilySpec("digon", "D2", (0, 0, 1), "constant", k=2,
                inert=_AXES, reference_W=0.69315),
     FamilySpec("n-gon", "C", (1, 0, 0), "constant"),
-    FamilySpec("tetrahedron", "T", (1, 1, 1), "constant",
+    FamilySpec("tetrahedron", "T", (1, 1, 1), "constant", k=4,
                inert=_T_AXES, reference_W=0.28768),
-    FamilySpec("octahedron", "O", (0, 0, 1), "constant",
+    FamilySpec("octahedron", "O", (0, 0, 1), "constant", k=6,
                inert=_O_AXES, reference_W=0.23105),
-    FamilySpec("cube", "O", (1, 1, 1), "candidates", basis=("I4",),
+    FamilySpec("cube", "O", (1, 1, 1), "candidates", basis=("I4",), k=8,
                probes=((0, 0, 1), (1, 1, 1)),
                inert=_O_AXES, reference_W=0.21576),
-    FamilySpec("cuboctahedron", "O", (0, 1, 1), "candidates", basis=("I4", "I6"),
+    FamilySpec("cuboctahedron", "O", (0, 1, 1), "candidates", basis=("I4", "I6"), k=12,
                probes=((0, 0, 1), (0, 1, 1), (1, 1, 1)),
                inert=_O_AXES, reference_W=0.20273),
-    FamilySpec("icosahedron", "I", (0, GOLDEN, 1), "constant",
+    FamilySpec("icosahedron", "I", (0, GOLDEN, 1), "constant", k=12,
                inert=_I_AXES, reference_W=0.20189),
-    FamilySpec("dodecahedron", "I", (0, 1 / GOLDEN, GOLDEN), "candidates",
+    FamilySpec("dodecahedron", "I", (0, 1 / GOLDEN, GOLDEN), "candidates", k=20,
                basis=("I6p",), probes=((0, GOLDEN, 1), (0, 1 / GOLDEN, GOLDEN)),
                inert=_I_AXES, reference_W=0.19686),
-    FamilySpec("icosidodecahedron", "I", (0, 0, 1), "sturm",
+    FamilySpec("icosidodecahedron", "I", (0, 0, 1), "sturm", k=30,
                basis=("I6p", "I10", "I6p^2"),
                probes=((0, 0, 1), (0, GOLDEN, 1), (0, 1 / GOLDEN, GOLDEN), (3, 4, 12)),
                inert=_I_AXES, reference_W=0.19486),
@@ -141,9 +142,10 @@ def _legendre_sums(cosines):
 class HsPovm:
     """Ordered list of unit Bloch vectors with zero centroid.
 
-    ``family`` is one of the named catalog tags, ``"rectangle"`` or
-    ``"custom"``; ``group`` names the group of the construction (C_n for
-    the n-gon, empty for files), and an input's own tag decides nothing.
+    ``family`` is the label the set came with (a catalog name,
+    ``"rectangle"`` or ``"custom"``) and ``group`` the group of the
+    construction (C_n for the n-gon, empty for files).  Neither decides
+    anything: the geometry names the family (:attr:`frame`).
     """
 
     vectors: tuple
@@ -179,18 +181,19 @@ class HsPovm:
 
     @cached_property
     def frame(self):
-        """(member, R) with the vectors R member, to GEOMETRY_TOL and up to
-        permutation, for the label's registry member (or rectangle); R is
-        IDENTITY when they are the member's.  None when there is no such
-        member or rotation.  Computed on first use, once per POVM."""
-        member = (_rectangle_member(self._coords) if self.family == "rectangle"
-                  else _member(self.family, self.k))
-        if member is None:
-            return None
-        if np.array_equal(self._coords, member.matrix()):
-            return member, IDENTITY
-        rotation = _is_rotated_copy(self._coords, member.matrix())
-        return None if rotation is None else (member, rotation)
+        """(member, R) for the first member congruent to the vectors: they
+        are R member, to GEOMETRY_TOL up to permutation (R is IDENTITY when
+        equal).  Tried in turn: the label's member (so a labelled set pays
+        one check, and a "2-gon" is no digon), every registry member with k
+        vectors (a square is the 4-gon), the rectangle.  None when none is
+        congruent; computed on first use, once per POVM."""
+        for member in filter(None, _candidates(self._coords, self.family)):
+            if np.array_equal(self._coords, member.matrix()):
+                return member, IDENTITY
+            rotation = _is_rotated_copy(self._coords, member.matrix())
+            if rotation is not None:
+                return member, rotation
+        return None
 
     @cached_property
     def symmetry_group(self) -> RotationGroup:
@@ -242,6 +245,22 @@ def _member(family: str, k: int) -> HsPovm | None:
     return member if member.k == k else None
 
 
+def _candidates(coords: np.ndarray, label: str):
+    """The members :attr:`HsPovm.frame` tries, in order, each built when
+    reached (None: no member of that size).  The rectangle's alpha is the
+    angle of its diameters through u = coords[0] and the w least aligned
+    with it, cos(alpha/2) = |u + w|/2, so a canonical rectangle is its own."""
+    k = len(coords)
+    first = _member(label, k)
+    yield first
+    for spec in FAMILY_SPECS.values():
+        if spec.k in (None, k) and (member := _member(spec.name, k)) is not first:
+            yield member
+    if k == 4:
+        u, w = coords[0], coords[np.argmin(np.abs(coords @ coords[0]))]
+        yield _rectangle(np.linalg.norm(u + w) / 2, np.linalg.norm(u - w) / 2, "rectangle")
+
+
 def _frame(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rows: the unit a, the unit part of b orthogonal to a, their cross
     product, written out by components (the operations of ``np.cross``)."""
@@ -250,17 +269,6 @@ def _frame(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     e2 /= np.linalg.norm(e2)
     (x, y, z), (p, q, r) = e1.tolist(), e2.tolist()
     return np.array([e1, e2, [y * r - z * q, z * p - x * r, x * q - y * p]])
-
-
-def _rectangle_member(coords: np.ndarray) -> HsPovm | None:
-    """make_rectangle_povm(alpha), alpha the angle of the diameters through
-    u = coords[0] and the w least aligned with it, from cos(alpha/2) = |u + w|/2
-    (read off, so a canonical rectangle is its own member); None unless k = 4."""
-    if len(coords) != 4:
-        return None
-    u = coords[0]
-    w = coords[np.argmin(np.abs(coords @ u))]
-    return _rectangle(np.linalg.norm(u + w) / 2, np.linalg.norm(u - w) / 2, "rectangle")
 
 
 def _is_rotated_copy(coords: np.ndarray, reference: np.ndarray):
@@ -288,34 +296,29 @@ def _is_rotated_copy(coords: np.ndarray, reference: np.ndarray):
 
 
 def check_family_geometry(povm: HsPovm) -> tuple:
-    """(spec, member, R): the registry entry of the POVM's family and its
-    :attr:`HsPovm.frame`, the registry member with k vectors
-    (:func:`make_hs_povm`) and the rotation R with the vectors R member.
+    """(spec, member, R): the registry entry of the POVM's frame member,
+    which names the family, and its :attr:`HsPovm.frame`.
 
     H(Ru; RV) = H(u; V), so every statement about the entropy of the member
     (its node set, design order, central symmetry, minimizers and their
     certificate) holds for the vectors, rotated by R; a reflected copy of
-    these achiral families is a rotated one.  Rectangles and custom sets
-    have no registry entry (their entropy minimizers lie off the antipodal
-    orbit) and are refused.
+    these achiral families is a rotated one.  Vectors congruent to no
+    registry member (a rectangle among them: its entropy minimizers lie
+    off the antipodal orbit) are refused.
     """
-    spec = family_spec(povm.family)
+    spec = povm.frame and family_spec(povm.frame[0].family)
     if spec is None:
-        raise ValueError(f"{povm.family!r} is not a registry family and has no closed "
-                         "form; minimize its entropy with entropy.find_extrema")
-    if povm.frame is None:
-        raise ValueError(f"the vectors do not realize the {povm.family}'s node set as a "
-                         "rotated copy of its registry member; the family label does "
-                         "not match the geometry")
+        raise ValueError("no registry member is congruent to the vectors, so they have "
+                         "no closed form; minimize their entropy with entropy.find_extrema")
     return (spec, *povm.frame)
 
 
 def inert_directions(povm: HsPovm) -> list:
     """Unit directions on rotation axes of the POVM's symmetry group, where
     the classifier of symmetry-forced critical points starts: its frame
-    member's seeds carried over by R.  A set without a frame is refused."""
+    member's seeds carried over by R.  A set congruent to no member is refused."""
     if povm.frame is None:
-        raise ValueError(f"the vectors are no rotated copy of a {povm.family} member, so "
+        raise ValueError("no registry member or rectangle is congruent to the vectors, so "
                          "no symmetry forces a critical point; name the point to classify")
     member, rotation = povm.frame
     spec, n = family_spec(member.family), member.k
@@ -357,9 +360,6 @@ def make_hs_povm(family: str, n: int = None) -> HsPovm:
     spec = family_spec(family)
     if spec is None:
         raise ValueError(f"unknown POVM family {family!r}")
-    if spec.group == "D2":       # the digon: the seed and its antipode, exactly
-        v = BlochVector(*spec.seed)
-        return HsPovm(vectors=(v, -v), family=spec.name, group=spec.group)
     if spec.group != "C":
         return HsPovm(vectors=_orbit_povm(spec), family=spec.name, group=spec.group)
     if family[:-4].isdigit():

@@ -341,9 +341,9 @@ def expand_in_invariants(povm: HsPovm, evaluator) -> dict:
     invariants are those of the registry orientation, so ``povm`` should be
     the family's registry member.
     """
-    spec = family_spec(povm.family)
-    if spec is None or not spec.basis:
-        raise ValueError(f"no invariant expansion defined for {povm.family!r}")
+    spec = check_family_geometry(povm)[0]
+    if not spec.basis:
+        raise ValueError(f"no invariant expansion defined for {spec.name!r}")
     c = evaluator.polynomial.coefficients
     expansion = _expansion_matrix(spec.name, len(c) - 1)
     return dict(zip("ABCD", map(float, _expand(expansion, c, float))))
@@ -635,12 +635,12 @@ def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCer
     lower bound, by the design order, for polygons, the tetrahedron,
     octahedron and icosahedron; on interval coefficients, candidate
     comparison for the cube, cuboctahedron and dodecahedron and a Sturm
-    chain for the icosidodecahedron.  The vectors are first checked, on
-    every call, to be a rotated copy of their family's registry member
-    (:func:`hspovm.catalog.check_family_geometry`), which raises
-    ValueError otherwise, and every step runs on that member.  Behind that
-    check, memoized per (family label, k, kernel), the first call in a process
-    pays the interval proof and a repeat (find_extrema's "min") only the check.
+    chain for the icosidodecahedron.  Every step runs on the registry
+    member the vectors are a rotated copy of, whatever their label (see
+    :func:`hspovm.catalog.check_family_geometry`, which raises ValueError
+    without one), and the certificate carries its label.  Memoized per
+    (member label, k, kernel), so a repeat pays only the frame.
     """
-    certificate = _member_certificate(povm.family, check_family_geometry(povm)[1].k, kernel)
+    member = check_family_geometry(povm)[1]
+    certificate = _member_certificate(member.family, member.k, kernel)
     return replace(certificate, coefficients=dict(certificate.coefficients))

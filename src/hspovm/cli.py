@@ -53,7 +53,18 @@ def _scale(value: float, config) -> float:
     return value / math.log(2.0) if config.bits else value
 
 
+def _polygon_order(config):
+    """--n, which only --family n-gon reads; refused with any other source."""
+    if config.n is not None and config.family not in ("n-gon", "ngon"):
+        raise ValueError("--n is read by --family n-gon only")
+    return config.n
+
+
 def _resolve_povm(config) -> HsPovm:
+    if config.alpha is not None and config.family != "rectangle":
+        raise ValueError("--alpha is read by --family rectangle only")
+    if config.infile and config.family:
+        raise ValueError("--in and --family both name the POVM; give one")
     if config.infile:
         with open(config.infile) as fh:
             return HsPovm.from_json(fh.read())
@@ -61,7 +72,7 @@ def _resolve_povm(config) -> HsPovm:
         if config.alpha is None:
             raise ValueError("rectangle family needs --alpha")
         return make_rectangle_povm(config.alpha)
-    return make_hs_povm(config.family, config.n)
+    return make_hs_povm(config.family, _polygon_order(config))
 
 
 # ---------------------------------------------------------------- commands
@@ -172,7 +183,7 @@ def _info_rows(family: str, n) -> list:
 
 
 def _cmd_info_power(config) -> int:
-    rows = _info_rows(config.family, config.n)
+    rows = _info_rows(config.family, _polygon_order(config))
     if config.fmt == "json":
         _emit_json(config, unit="bits" if config.bits else "nats",
                    rows=[{"family": f, "k": k, "W": _g17(_scale(W, config))}
@@ -204,10 +215,11 @@ def _cmd_table5(config) -> int:
 
 def _cmd_ngon_sweep(config) -> int:
     try:
-        lo, hi = config.ngon_range.split("..")
-        lo, hi = int(lo), int(hi)
+        lo, hi = map(int, config.ngon_range.split(".."))
     except ValueError:
         raise ValueError(f"bad range {config.ngon_range!r}; expected e.g. 3..64") from None
+    if not 2 <= lo <= hi:
+        raise ValueError(f"--range {config.ngon_range!r} holds no n-gon: need 2 <= lo <= hi")
     lines = ["n,W"] + [f"{n},{_g17(_scale(info.ngon_informational_power(n), config))}"
                        for n in range(lo, hi + 1)]
     _emit("\n".join(lines) + "\n", config)
@@ -285,7 +297,8 @@ _COMMANDS = {
     "dynent": (_cmd_dynent, (_OUT, _BITS, *_SOURCE,
                              _opt("--rotation", default="",
                                   help="axis=z,angle=0.7853981633974483"),
-                             _opt("--depth", type=positive_int, default=3))),
+                             _opt("--depth", type=positive_int, default=3, metavar="DEPTH",
+                                  choices=range(1, 9)))),     # the depths dynamics enumerates
     "entropy-map": (_cmd_entropy_map, (_OUT, _BITS, *_SOURCE, _GRID)),
     "info-power": (_cmd_info_power, (_OUT, _BITS,
                                      _opt("--format", dest="fmt", default="table",

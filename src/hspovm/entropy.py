@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bloch import BlochVector, EntropyKernel, SHANNON
-from .catalog import GEOMETRY_TOL, IDENTITY, HsPovm, _group_of_tag, family_spec
+from .catalog import GEOMETRY_TOL, IDENTITY, HsPovm, _group_of_tag
 from .groups import RotationGroup, generate_group, orbit_points
 
 DEFAULT_GRID = 200_000
@@ -434,8 +434,9 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
                  kernel: EntropyKernel = SHANNON) -> list:
     """Locate the global extrema of H over pure states.
 
-    Vectors that are R times their label's member (:attr:`HsPovm.frame`)
-    get the member's extrema carried over by R, as H(Ru; RV) = H(u; V).
+    Vectors that are R times a registry member or rectangle, whatever
+    their label (:attr:`HsPovm.frame`), get the member's extrema carried
+    over by R, as H(Ru; RV) = H(u; V).
 
     Minima of a highly symmetric POVM come from the paper's theorem: when
     the family is in the registry and
@@ -447,9 +448,8 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
     unit normals +-n: only there is p uniform (p is affine and injective in
     the projection of u onto the plane), where every kernel is largest.
     All other inputs go to the scan (``_scan_extrema``): other maxima,
-    rectangles, custom sets, sets the certificate refuses as no rotated
-    copy of their family and kernels it does not settle.  ``n_scan``
-    matters only for these.
+    rectangles, sets congruent to no member and kernels the certificate
+    does not settle.  ``n_scan`` matters only for these.
 
     The scan: H is invariant under the POVM's symmetry group G (its
     member's, or the trivial group without a frame), so the scan covers one
@@ -505,12 +505,10 @@ def _plane_normal(coords: np.ndarray):
 
 def _antipodes_certified(povm: HsPovm, kernel: EntropyKernel) -> bool:
     """Whether the certificate proves the antipodal orbit to be the whole
-    set of global minimizers of H under this kernel: a registry family and
-    a valid certificate (orbit minimum and uniqueness), whose own check
-    refuses vectors that are no rotated copy of the family.  A refused
-    input is not certified."""
-    if family_spec(povm.family) is None:
-        return False
+    set of global minimizers of H under this kernel: a valid certificate
+    (orbit minimum and uniqueness), whose own check refuses vectors that
+    are no rotated copy of a registry member.  A refused input is not
+    certified."""
     # imported on use: the scan needs neither the certificate nor mpmath
     from .certificate import certify_minimum
     try:

@@ -62,7 +62,7 @@ NODE_LITERALS = {
 #: sha256 of each family's matrix() bytes, recorded before the registry
 #: seeds became exact numbers (the n-gon entry covers n = 2..12)
 MATRIX_SHA256 = {
-    "digon": "3fdafb29985bd83dbd972615b7e614a3f981b09ec55212dee6e1d719d4ec7a1b",
+    "digon": "081461215c663086a953125f30cfb374ecbba2d1dfe40cce0e784e762a962876",
     "tetrahedron": "e6cf1a1972553e4a71f00972644aa5c58b3454029112308efe020a1b403405e1",
     "octahedron": "2c562b2b955cf4da51bde68ee425a91b8031cecaee3331c43eb6e8f120c6b146",
     "cube": "5cd276cca5bbf20d6cd3ed91bf45374bbb0a202e0143244a17c521c9fd58ad98",
@@ -292,6 +292,7 @@ class TestFamilyRegistry:
             exact = [float(t) for t in exact_nodes(name)]
             assert np.max(np.abs(np.array(exact) - interpolation_set(povm))) < 1e-12
         assert len(spec.probes) == (len(spec.basis) + 1 if spec.basis else 0)
+        assert spec.k == (None if spec.group == "C" else povm.k)
 
     def test_json_round_trip_keeps_the_symmetry_group(self):
         # the file holds no tag; the geometry gives the same group back
@@ -301,7 +302,7 @@ class TestFamilyRegistry:
             assert loaded.group == ""
             assert loaded.symmetry_group is p.symmetry_group
 
-    def test_rotated_file_carries_its_group_and_mislabelled_file_has_none(self):
+    def test_rotated_file_carries_its_group_and_mislabelled_file_its_own(self):
         q, _ = np.linalg.qr(np.random.default_rng(11).normal(size=(3, 3)))
         rotated = povm_for("cube").matrix() @ q.T
         povm = HsPovm.from_json(HsPovm(
@@ -309,8 +310,11 @@ class TestFamilyRegistry:
             family="cube").to_json())
         assert povm.group == "" and povm.symmetry_group.order == 24
         assert _image_gap(povm.symmetry_group, povm.matrix()) < 1e-12
-        square = make_rectangle_povm(1.0).to_json().replace("rectangle", "octahedron")
-        assert HsPovm.from_json(square).symmetry_group.order == 1
+        # the label decides nothing: a rectangle labelled octahedron is a rectangle
+        mislabelled = make_rectangle_povm(1.0).to_json().replace("rectangle", "octahedron")
+        povm = HsPovm.from_json(mislabelled)
+        assert povm.frame[0].family == "rectangle" and povm.symmetry_group.order == 4
+        assert _image_gap(povm.symmetry_group, povm.matrix()) < 1e-12
 
 
 def _image_gap(group, coords) -> float:
@@ -321,8 +325,8 @@ def _image_gap(group, coords) -> float:
 
 class TestSymmetryGroup:
     """The symmetry group is the member's carried over by the frame's R, so
-    it maps the vectors onto themselves; a set off its family by 3e-8, or a
-    custom set, gets the trivial group whatever its tag."""
+    it maps the vectors onto themselves, whatever the label; a set off its
+    family by 3e-8 gets the trivial group whatever its tag."""
 
     @pytest.mark.parametrize("family", ALL_FAMILIES + ("n-gon",))
     def test_maps_the_vectors_onto_themselves(self, family):
@@ -347,7 +351,7 @@ class TestSymmetryGroup:
             assert povm.symmetry_group.order == order > 0
             assert _image_gap(povm.symmetry_group, povm.matrix()) < 1e-12
         custom = HsPovm(member.vectors, "custom", member.group)
-        assert custom.symmetry_group.order == 1
+        assert custom.symmetry_group.order == member.symmetry_group.order
 
     def test_large_polygon_has_its_dihedral_group(self):
         coords = make_hs_povm("n-gon", 300).matrix()

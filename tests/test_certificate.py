@@ -589,7 +589,7 @@ class TestOrbitMinStep:
     def test_warm_entry_does_not_admit_a_mislabelled_set(self):
         assert certify_minimum(make_hs_povm("4-gon")).valid
         vectors = make_rectangle_povm(1.0).vectors
-        with pytest.raises(ValueError, match="4-gon's node set"):
+        with pytest.raises(ValueError, match="no registry member is congruent"):
             certify_minimum(HsPovm(vectors=vectors, family="4-gon"))
 
     @pytest.mark.parametrize("family", EXPANDED)
@@ -864,27 +864,29 @@ def test_search_verdicts_match_reference(family, shift):
                 (design_order, symmetric)
 
 
-def test_mislabelled_vectors_refused_by_their_node_set():
-    # octahedron vectors labelled icosidodecahedron: their lower bound is
-    # constant, so the float expansion passes, but they are not the
-    # registry's exact orbit, whose nodes and expansion the interval step
-    # would use
+def test_mislabelled_vectors_certified_by_their_node_set():
+    # octahedron vectors labelled icosidodecahedron: the geometry names the
+    # family, so the proof runs on the octahedron's exact orbit, nodes and
+    # expansion, never on the label's
     povm = HsPovm(vectors=make_hs_povm("octahedron").vectors,
                   family="icosidodecahedron")
-    with pytest.raises(ValueError, match="node set"):
-        certify_minimum(povm)
+    cert = certify_minimum(povm)
+    assert cert.family == "octahedron"
+    assert repr(cert) == repr(certify_minimum(make_hs_povm("octahedron")))
 
 
 @pytest.mark.parametrize("family, label, group", [("octahedron", "tetrahedron", "T"),
                                                    ("cube", "octahedron", "O")])
-def test_tagged_set_of_another_family_refused_by_its_node_set(family, label, group):
-    # the tagged group maps these vectors onto themselves, but they are no
-    # copy of the label's member: the tag grants no symmetry, and the
-    # uniqueness search would run on the label's node set instead of theirs
-    povm = HsPovm(vectors=make_hs_povm(family).vectors, family=label, group=group)
-    assert povm.symmetry_group.order == 1
-    with pytest.raises(ValueError, match=f"{label}'s node set"):
-        certify_minimum(povm)
+def test_tagged_set_of_another_family_certified_by_its_node_set(family, label, group):
+    # neither the label nor the tag decides: the vectors are their own
+    # family's member, with its group, and the uniqueness search runs on
+    # their node set
+    member = make_hs_povm(family)
+    povm = HsPovm(vectors=member.vectors, family=label, group=group)
+    assert povm.symmetry_group.order == member.symmetry_group.order
+    cert = certify_minimum(povm)
+    assert cert.family == family
+    assert repr(cert) == repr(certify_minimum(member))
 
 
 def test_uniqueness_search_shared_across_kernels():
@@ -970,12 +972,12 @@ def test_tilted_polygons_certify_as_the_member(n):
 def test_mislabelled_rectangle_refused(group):
     # a rectangle is no regular 4-gon, whether the label comes with the
     # 4-gon's own tag, the rectangle's (same order) or from a file: no
-    # rotation maps it onto the square
+    # rotation maps it onto the square or any other registry member
     vectors = make_rectangle_povm(1.0).vectors
     if group is None:
         povm = HsPovm.from_json(json.dumps(
             {"vectors": [v.as_array().tolist() for v in vectors], "family": "4-gon"}))
     else:
         povm = HsPovm(vectors=vectors, family="4-gon", group=group)
-    with pytest.raises(ValueError, match="4-gon's node set"):
+    with pytest.raises(ValueError, match="no registry member is congruent"):
         certify_minimum(povm)

@@ -166,12 +166,16 @@ class TestClassify:
             if a["statistic"] is not None:
                 assert float(a["statistic"]) == pytest.approx(float(b["statistic"]), abs=1e-9)
 
-    def test_custom_file_needs_a_point(self, tmp_path, capsys):
+    def test_custom_file_gets_the_cube_s_points(self, tmp_path, capsys):
+        # the label decides nothing: the cube's vectors labelled custom have
+        # the cube's inert points, and the payload echoes the label
         out = tmp_path / "custom.json"
         main(["generate", "--family", "cube", "--out", str(out)])
         out.write_text(out.read_text().replace('"cube"', '"custom"'))
-        assert main(["classify", "--in", str(out)]) == 2
-        assert "no symmetry forces a critical point" in capsys.readouterr().err
+        code, text = run_cli(["classify", "--in", str(out)], capsys)
+        _, cube = run_cli(["classify", "--family", "cube"], capsys)
+        assert code == 0 and json.loads(text)["family"] == "custom"
+        assert json.loads(text)["points"] == json.loads(cube)["points"]
         code, text = run_cli(["classify", "--in", str(out), "--point=-1,-1,-1"], capsys)
         assert code == 0 and json.loads(text)["points"][0]["type"] == "I"
 
@@ -455,6 +459,19 @@ USAGE_ERRORS = [
      "rotation axis [1.0, 2.0] is not three numbers"),
     (["dynent", "--family", "cube", "--rotation", "axis=1:2:3:4,angle=1"],
      "rotation axis [1.0, 2.0, 3.0, 4.0] is not three numbers"),
+    # an option that would do nothing is refused
+    (["ngon-sweep", "--range", "5..3"], "--range '5..3' holds no n-gon: need 2 <= lo <= hi"),
+    (["ngon-sweep", "--range", "1..3"], "--range '1..3' holds no n-gon: need 2 <= lo <= hi"),
+    (["generate", "--family", "cube", "--n", "5"], "--n is read by --family n-gon only"),
+    (["generate", "--family", "5-gon", "--n", "6"], "--n is read by --family n-gon only"),
+    (["info-power", "--family", "cube", "--n", "5"], "--n is read by --family n-gon only"),
+    (["info-power", "--n", "5"], "--n is read by --family n-gon only"),
+    (["generate", "--family", "cube", "--alpha", "1"],
+     "--alpha is read by --family rectangle only"),
+    (["minimize", "--family", "4-gon", "--alpha", "1"],
+     "--alpha is read by --family rectangle only"),
+    (["certify", "--family", "cube", "--in", "cube.json"],
+     "--in and --family both name the POVM; give one"),
 ]
 
 
@@ -485,6 +502,18 @@ class TestUsageErrors:
         assert captured.err.splitlines()[-1] == (
             f"hspovm {argv[0]}: error: argument {argv[3]}: "
             f"invalid positive_int value: '{argv[4]}'")
+
+    @pytest.mark.parametrize("depth", ["9", "100"])
+    def test_depth_is_at_most_8(self, depth, capsys):
+        # argparse refuses a depth the string enumeration cannot reach,
+        # naming the option, before the handler runs
+        with pytest.raises(SystemExit) as err:
+            main(["dynent", "--family", "cube", "--depth", depth])
+        captured = capsys.readouterr()
+        assert (err.value.code, captured.out) == (2, "")
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [
+            f"hspovm dynent: error: argument --depth: invalid choice: {depth} "
+            "(choose from 1, 2, 3, 4, 5, 6, 7, 8)"]
 
 
 class TestPinnedValues:

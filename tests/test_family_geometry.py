@@ -1,6 +1,6 @@
 """One family-geometry check, shared by the certificate and the closed-form
-informational power: a labelled set passes when it is a rotated copy of its
-family's registry member, and then every answer is the member's."""
+informational power: a set passes when it is a rotated copy of a registry
+member, whatever its label, and then every answer is the member's."""
 
 import hashlib
 import json
@@ -72,23 +72,27 @@ class TestCheckFamilyGeometry:
         for family in EIGHTEEN:
             assert check_family_geometry(make_hs_povm(family))[2] is catalog.IDENTITY
 
-    def test_label_without_a_member_of_that_size_refused(self):
-        with pytest.raises(ValueError, match="5-gon's node set"):
-            check_family_geometry(HsPovm(make_hs_povm("6-gon").vectors, "5-gon"))
+    def test_label_without_a_member_of_that_size_recognized(self):
+        # the vectors are the 6-gon's, so the 6-gon answers for them
+        spec, member, rotation = check_family_geometry(
+            HsPovm(make_hs_povm("6-gon").vectors, "5-gon"))
+        assert spec is family_spec("6-gon") and member.family == "6-gon"
+        assert rotation is catalog.IDENTITY
 
-    def test_custom_and_rectangle_refused(self):
-        with pytest.raises(ValueError, match="not a registry family"):
-            check_family_geometry(HsPovm(povm_for("cube").vectors, "custom"))
-        with pytest.raises(ValueError, match="not a registry family"):
+    def test_custom_accepted_and_rectangle_refused(self):
+        spec, member, _ = check_family_geometry(HsPovm(povm_for("cube").vectors, "custom"))
+        assert spec is family_spec("cube") and member.family == "cube"
+        with pytest.raises(ValueError, match="no registry member is congruent"):
             check_family_geometry(make_rectangle_povm(0.9))
 
     @pytest.mark.parametrize("family, label", [("octahedron", "icosidodecahedron"),
                                                ("octahedron", "tetrahedron"),
                                                ("cube", "octahedron")])
-    def test_other_family_refused(self, family, label):
+    def test_other_family_recognized(self, family, label):
         povm = HsPovm(povm_for(family).vectors, label)
-        with pytest.raises(ValueError, match=f"{label}'s node set"):
-            check_family_geometry(povm)
+        spec, member, rotation = check_family_geometry(povm)
+        assert spec is family_spec(family) and member.family == family
+        assert rotation is catalog.IDENTITY
 
     def test_member_built_once_per_label_and_k(self, monkeypatch):
         povm = povm_for("dodecahedron")
@@ -120,7 +124,7 @@ class TestSkewedOctahedron:
     def test_certificate_and_closed_form_refuse_alike(self):
         messages = []
         for call in (certify_minimum, informational_power):
-            with pytest.raises(ValueError, match="octahedron's node set") as err:
+            with pytest.raises(ValueError, match="no registry member is congruent") as err:
                 call(self.povm())
             messages.append(str(err.value))
         assert messages[0] == messages[1]
@@ -129,7 +133,7 @@ class TestSkewedOctahedron:
         path = tmp_path / "skewed.json"
         path.write_text(_file(SKEWED_OCTAHEDRON, "octahedron"))
         assert main(["certify", "--in", str(path)]) == 2
-        assert "octahedron's node set" in capsys.readouterr().err
+        assert "no registry member is congruent" in capsys.readouterr().err
 
     def test_minimum_falls_back_to_the_scan(self, monkeypatch):
         calls = []
@@ -210,7 +214,7 @@ def test_one_pair_turned_by_a_microradian_is_refused(family, seed):
     coords[j], coords[partner] = turned, -turned
     povm = HsPovm.from_json(_file(coords, family))
     for call in (certify_minimum, informational_power):
-        with pytest.raises(ValueError, match=f"{family}'s node set"):
+        with pytest.raises(ValueError, match="no registry member is congruent"):
             call(povm)
 
 

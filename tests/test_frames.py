@@ -1,8 +1,8 @@
-"""One frame per labelled input: vectors that are R times their label's
-member (a registry family, or a rectangle) are answered on the member, and
-the answer is carried back by R, so a rotated, permuted or reflected file
-gets the canonical extrema, types and classifications, at the cost of the
-canonical scan."""
+"""One frame per input: vectors that are R times a member (a registry
+family, or a rectangle), whatever their label, are answered on the member,
+and the answer is carried back by R, so a rotated, permuted or reflected
+file gets the canonical extrema, types and classifications, at the cost of
+the canonical scan."""
 
 import hashlib
 import json
@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sweep_classify
-from hspovm import entropy
+from hspovm import catalog, entropy
 from hspovm.catalog import (HsPovm, inert_directions, make_hs_povm,
                             make_rectangle_povm)
+from hspovm.certificate import certify_minimum
 from hspovm.entropy import classify_inert_point, find_extrema
 
 #: the digon, the 7 polyhedra, the 3- to 12-gons and a rectangle on each
@@ -146,12 +147,13 @@ class TestWork:
         assert len(circles) == 1 and domains == []
 
     @pytest.mark.parametrize("alpha", [0.8, 1.4])
-    def test_tilted_custom_plane_is_searched_on_its_own_circle(self, monkeypatch, alpha):
-        # no label, so no frame: the circle is the vectors' own plane's
+    def test_tilted_custom_plane_is_framed_as_a_rectangle(self, monkeypatch, alpha):
+        # no label, yet the geometry names the rectangle: its circle is
+        # searched once, on the member, and carried back
         q = _transform(7, False)
         coords = make_rectangle_povm(alpha).matrix() @ q.T
         povm = HsPovm.from_json(json.dumps({"vectors": coords.tolist()}))
-        assert povm.frame is None and povm.symmetry_group.order == 1
+        assert povm.frame[0].family == "rectangle" and povm.symmetry_group.order == 4
         expected = _extrema(CANONICAL[f"rectangle {alpha}"], "min")
         circles = self._counted(monkeypatch, "_circle_refined")
         domains = self._counted(monkeypatch, "_fundamental_domain")
@@ -172,7 +174,72 @@ def test_sweep_cases_are_850_unique_labels():
 def test_classify_sweep_hash_is_pinned():
     # canonical lines as at the parent but for the even n-gons' edge
     # midpoints and the square made by make_rectangle_povm(pi/2); rotated
-    # lines equal to their canonical ones in kind, type and value
+    # lines equal to their canonical ones in kind, type and value; the
+    # canonical digon's vectors and antipodes print as floats
     text = "\n".join(sweep_classify.sweep())
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "03cb87c525aef996544c56b4d68625daac6b01df9be77903057a9e43fdc520c7")
+        "2b1aa904f461f98c7023f685a53b1bb16acd6d636d797b006c4aa188bf2e415e")
+
+
+def _certificate_repr(povm) -> str:
+    """The certificate's repr, or the refusal's type for a rectangle."""
+    try:
+        return repr(certify_minimum(povm))
+    except ValueError as err:
+        return type(err).__name__
+
+
+def _zero_centroid_set(rng) -> np.ndarray:
+    """3 to 6 random antipodal pairs, with an equilateral triangle in a random
+    plane half the time: unit vectors with zero centroid and no symmetry."""
+    pairs = rng.normal(size=(int(rng.integers(3, 7)), 3))
+    pairs /= np.linalg.norm(pairs, axis=1)[:, None]
+    rows = [pairs, -pairs]
+    if rng.integers(2):
+        angles = 2 * np.pi * np.arange(3) / 3
+        triangle = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(3)])
+        rows.append(triangle @ _transform(int(rng.integers(2 ** 32)), False).T)
+    return np.concatenate(rows)
+
+
+#: CANONICAL and the 2-gon, whose custom copy is the digon (the two are congruent)
+UNLABELLED = {**CANONICAL, "2-gon": make_hs_povm("2-gon")}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(name=st.sampled_from(sorted(UNLABELLED)), seed=st.integers(0, 2 ** 32 - 1),
+       reflect=st.booleans())
+def test_custom_file_is_named_by_its_geometry(name, seed, reflect):
+    canonical = UNLABELLED[name]
+    coords = canonical.matrix() @ _transform(seed, reflect).T
+    order = np.random.default_rng(seed).permutation(len(coords))
+    povm = HsPovm.from_json(json.dumps({"vectors": coords[order].tolist(),
+                                        "family": "custom"}))
+    family = "digon" if name == "2-gon" else canonical.family
+    member, rotation = povm.frame
+    assert member.family == family
+    if name != "2-gon" and family != "rectangle":     # the canonical set is the member
+        assert member.matrix().tobytes() == canonical.matrix().tobytes()
+    for mode in ("min", "max"):
+        _assert_carried(find_extrema(povm, mode), _extrema(member, mode), rotation)
+        assert _summary(find_extrema(povm, mode)) == _summary(_extrema(member, mode))
+    labelled = canonical if name != "2-gon" else make_hs_povm("digon")
+    assert _certificate_repr(povm) == _certificate_repr(labelled)
+    # a set congruent to no member keeps the trivial group
+    noise = HsPovm.from_json(json.dumps({
+        "vectors": _zero_centroid_set(np.random.default_rng(seed)).tolist()}))
+    assert noise.frame is None and noise.symmetry_group.order == 1
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(CANONICAL) if " " not in n])
+def test_rotated_labelled_file_is_checked_once(monkeypatch, name):
+    # the label's member is tried first, and it is congruent: one check, once
+    calls = []
+    check = catalog._is_rotated_copy
+    monkeypatch.setattr(catalog, "_is_rotated_copy", lambda coords, reference: (
+        calls.append(len(coords)) or check(coords, reference)))
+    povm = _moved(name, _transform(9, False), 9)
+    assert povm.frame[0].family == CANONICAL[name].family
+    find_extrema(povm, "min")
+    certify_minimum(povm)
+    assert calls == [CANONICAL[name].k]
