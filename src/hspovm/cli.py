@@ -242,6 +242,11 @@ def _parse_rotation(spec: str) -> dynamics.UnitaryAsRotation:
 
 def _cmd_dynent(config) -> int:
     povm = _resolve_povm(config)
+    deepest = max(n for n in range(9) if povm.k ** (n + 1) <= dynamics.ENUMERATION_BUDGET)
+    if config.depth > deepest:      # the rate check enumerates k^(depth + 1) strings
+        raise ValueError(f"--depth {config.depth} needs {povm.k}^{config.depth + 1} outcome "
+                         f"strings, over the budget of 1e7; the deepest --depth for "
+                         f"{povm.family} is {deepest}")
     rotation = _parse_rotation(config.rotation) if config.rotation \
         else dynamics.UnitaryAsRotation.identity()
     value = dynamics.dynamical_entropy(rotation, povm)

@@ -15,13 +15,13 @@ there; Michel's argument), followed by one derivative-free refinement per
 symmetry orbit (an in-repo Nelder-Mead on tangent charts; H fails to be
 twice differentiable exactly at the entropy minima, the antipodes of the
 POVM vectors, so gradient steps are not trusted there), whose result is
-mapped through the group.  Coplanar minima are searched on the circle by
-golden-section, and coplanar maxima are the plane's normals.  The local
-searches are generators that yield their trial points; all the starts of
-one call advance side by side, with one kernel call per round.  Critical
-points forced by symmetry (inert states) are classified by the sign of a
-one-line statistic wherever the isotropy group acts irreducibly on the
-tangent plane, and by geodesic second-difference probing otherwise.
+mapped through the group.  Coplanar minima are searched by golden-section
+on one arc of their circle, and coplanar maxima are the plane's normals.
+The local searches are generators that yield their trial points; all the
+starts of one call advance side by side, with one kernel call per round.
+Critical points forced by symmetry (inert states) are classified by the
+sign of a one-line statistic wherever the isotropy group acts irreducibly
+on the tangent plane, and by geodesic second-difference probing otherwise.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .bloch import BlochVector, EntropyKernel, SHANNON
 from .catalog import GEOMETRY_TOL, IDENTITY, HsPovm, _group_of_tag
-from .groups import RotationGroup, generate_group, orbit_points
+from .groups import RotationGroup, generate_group
 
 DEFAULT_GRID = 200_000
 REFINE_FTOL = 1e-13
@@ -352,82 +352,103 @@ def _lowest(values: np.ndarray, n: int) -> np.ndarray:
     return lowest[np.argsort(values[lowest])]
 
 
-def _recenter_on_inert(p, value, povm: HsPovm, objective):
-    """Re-center a cluster on the exact antipodal inert point when the
-    refined location already coincides with it to optimizer accuracy and
-    the inert point's value is no worse (it is a known critical point, so
-    this only sharpens the reported location)."""
+def _recenter_on_inert(p, value, povm: HsPovm, group: RotationGroup, objective):
+    """Re-center a refined point on the inert point it lies at, if that is
+    no worse than its value plus 1e-10: the antipode -v_j within 1e-6, else
+    the axis point that is the normalized mean of its images under the two
+    or more elements of ``group`` keeping it in its cluster (CLUSTER_ANGLE)."""
     antipodes = -povm.matrix()
-    idx = int(np.argmin(np.linalg.norm(antipodes - p[None, :], axis=1)))
-    candidate = antipodes[idx]
-    if np.linalg.norm(candidate - p) < 1e-6:
-        candidate_value = objective(candidate)
-        if candidate_value <= value + 1e-10:
-            return candidate, candidate_value
+    candidate = antipodes[int(np.argmin(np.linalg.norm(antipodes - p[None, :], axis=1)))]
+    if np.linalg.norm(candidate - p) >= 1e-6:
+        images = group.matrix_stack() @ p
+        fixing = images[np.linalg.norm(images - p, axis=1) < CLUSTER_ANGLE]
+        if len(fixing) < 2:
+            return p, value
+        candidate = np.mean(fixing, axis=0)
+        candidate = candidate / np.linalg.norm(candidate) + 0.0     # no -0.0
+    candidate_value = objective(candidate)
+    if candidate_value <= value + 1e-10:
+        return candidate, candidate_value
     return p, value
 
 
-def _lowest_distinct(points, values, flags, povm: HsPovm, objective) -> list:
+def _lowest_distinct(points, values, flags, povm: HsPovm, group: RotationGroup,
+                     objective) -> list:
     """Keep the lowest of each CLUSTER_ANGLE neighbourhood of the refined
-    points (``values`` is the objective at each), re-center those on inert
-    antipodes and return the (point, value, converged) triples within 1e-8
-    of the best value."""
+    points (``values`` is the objective at each), re-center those on the
+    inert points they lie at and return the (point, value, converged)
+    triples within 1e-8 of the best value."""
     order = np.argsort(values, kind="stable")
     kept = [order[i] for i in _orbit_representatives(points[order], TRIVIAL_GROUP,
                                                       CLUSTER_ANGLE)]
-    located = [(*_recenter_on_inert(points[i], values[i], povm, objective), flags[i])
+    located = [(*_recenter_on_inert(points[i], values[i], povm, group, objective), flags[i])
                for i in kept]
     best = min(v for _, v, _ in located)
     return [t for t in located if t[1] <= best + 1e-8]
 
 
-def _circle_refined(povm: HsPovm, normal, values, rows, n_scan: int) -> np.ndarray:
+def _circle_refined(povm: HsPovm, normal, group: RotationGroup, values, rows,
+                    n_scan: int) -> np.ndarray:
     """1D search for the minima of a coplanar POVM, which lie on the circle
     orthogonal to ``normal`` (H depends on u only through its projection and
     is concave in the Bloch ball), and, with no normal, for the digon's extrema.
     ``values`` is the signed entropy of the (n, 3) scan grid, ``rows`` that of
     the stacked trial points of the golden-section searches, which run side by
-    side, one per grid point no higher than its two circular neighbours and
-    within 1e-3 of the lowest; returns the refined points."""
+    side, one per grid point no higher than its two neighbours: on the circle,
+    one arc (``_circle_arc``), its lowest 4k such points within 1e-3 of the
+    lowest, and the refined points mapped through ``group``."""
+    n = max(n_scan, 4096)
     if normal is not None:      # the z = 0 circle is (cos phi, sin phi, 0), bit for bit
         e1, e2 = _tangent_frame(normal if normal[2] >= 0.0 else -normal)
         a, b = -e2, e1
-        phis = np.linspace(0.0, 2.0 * math.pi, max(n_scan, 4096), endpoint=False)
-        pts = np.cos(phis)[:, None] * a + np.sin(phis)[:, None] * b + 0.0
-        vals = values(pts)
+        spacing = 2.0 * math.pi / n
+        params = _circle_arc(group, a, b, n) % n * spacing
+        pts = np.cos(params)[:, None] * a + np.sin(params)[:, None] * b + 0.0
+        lo, hi, poles, mats = -math.inf, math.inf, [], group.matrix_stack()
 
         def embed(phi):
             return math.cos(phi) * a + math.sin(phi) * b + 0.0
-
-        minima = np.flatnonzero((vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1)))
-        minima = minima[np.argsort(vals[minima])]
-        window = vals[minima[0]] + 1e-3
-        spacing = 2.0 * math.pi / len(phis)
-        brackets = [(phis[i] - 2 * spacing, phis[i] + 2 * spacing)
-                    for i in minima[: 4 * povm.k] if vals[i] <= window]
-        refined = []
     else:
         axis = povm.matrix()[0]
-        ts = np.linspace(-1.0, 1.0, max(n_scan, 4096))
-        e1, e2 = _tangent_frame(axis)
+        params = np.linspace(-1.0, 1.0, n)
+        spacing = params[1] - params[0]
+        e1, _ = _tangent_frame(axis)
+        pts = params[:, None] * axis[None, :] + np.sqrt(1 - params**2)[:, None] * e1[None, :]
+        # entropy depends on u . axis only: the two poles are extrema too
+        lo, hi, poles, mats = -1.0, 1.0, [pts[0], pts[-1]], IDENTITY[None]
 
         def embed(t):
             return float(t) * axis + math.sqrt(max(0.0, 1.0 - t * t)) * e1
 
-        pts = ts[:, None] * axis[None, :] + np.sqrt(1 - ts**2)[:, None] * e1[None, :]
-        vals = values(pts)
-        # entropy depends on u . axis only; extrema sit at grid-local minima
-        # plus the two poles, each refined in the 1D parameter
-        spacing = ts[1] - ts[0]
-        inner = vals[1:-1]
-        minima = np.flatnonzero((inner <= vals[:-2]) & (inner <= vals[2:])) + 1
-        brackets = [(max(-1.0, ts[i] - 2 * spacing), min(1.0, ts[i] + 2 * spacing))
-                    for i in minima]
-        refined = [pts[0], pts[-1]]
+    vals = values(pts)
+    inner = vals[1:-1]
+    minima = np.flatnonzero((inner <= vals[:-2]) & (inner <= vals[2:])) + 1
+    if normal is not None:
+        minima = minima[np.argsort(vals[minima])][: 4 * povm.k]
+        minima = minima[vals[minima] <= vals[minima[0]] + 1e-3]
+    searches = [_golden_section(embed, max(lo, params[i] - 2 * spacing),
+                                min(hi, params[i] + 2 * spacing)) for i in minima]
+    refined = [*poles, *(embed(x) for x, _ in _lockstep(searches, rows))]
+    return np.concatenate([mats @ p for p in refined])
 
-    searches = [_golden_section(embed, lo, hi) for lo, hi in brackets]
-    refined.extend(embed(x) for x, _ in _lockstep(searches, rows))
-    return np.array(refined)
+
+def _circle_arc(group: RotationGroup, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The grid indices j (phi = 2 pi j / n on cos(phi) a + sin(phi) b,
+    unwrapped) of the Dirichlet cell of the circle point c at phi = 1 under
+    ``group``, the points p with p . (c - g c) >= 0 for every g (for D_n an
+    arc of pi/n), padded by two steps so that a minimum on a mirror (an end)
+    is bracketed; for the trivial group the circle and one step beyond."""
+    c = math.cos(1.0) * a + math.sin(1.0) * b
+    images = group.matrix_stack() @ c
+    normals = c - images[np.any(images != c, axis=1)]
+    if not len(normals):
+        return np.arange(-1, n + 1)
+    # each half-plane is a half circle centred within pi/2 of c's angle
+    offsets = (np.arctan2(normals @ b, normals @ a) - 1.0 + math.pi) % (2.0 * math.pi) - math.pi
+    spacing = 2.0 * math.pi / n
+    lo = (1.0 + np.max(offsets) - math.pi / 2.0) / spacing
+    hi = (1.0 + np.min(offsets) + math.pi / 2.0) / spacing
+    return np.arange(math.floor(lo) - 2, math.ceil(hi) + 3)
 
 
 def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
@@ -452,25 +473,20 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
     does not settle.  ``n_scan`` matters only for these.
 
     The scan: H is invariant under the POVM's symmetry group G (its
-    member's, or the trivial group without a frame), so the scan covers one
-    fundamental domain of G: the points of
-    the n_scan-point Fibonacci lattice in the Dirichlet cell of a fixed
-    generic point, about n_scan/|G| of them.  The domain is memoized per
-    (n_scan, G) in a small bounded cache; for the trivial group it is the
-    whole lattice.  The lowest ceil(N_CANDIDATES/|G|) domain points
-    (selected by a partial sort) are thinned against the group images of
-    the starts already taken (0.05 rad), each start is refined by
-    Nelder-Mead on tangent charts, and the refined point is mapped through
-    G, whose images are re-evaluated in one kernel call.  Coplanar minima
-    (and the digon's extrema) are searched on their circle by
-    golden-section refinement of the scan's local minima.  On either path
-    all the starts advance side by side (``_lockstep``): each round, the
-    pending trial points of every unfinished search are evaluated in one
-    call of ``_entropy_of_rows``, which equals the single-point objective
-    bit for bit, so each start follows the trajectory it would follow
-    alone.  The scan and the refinement go through one kernel call,
-    ``EntropyKernel.entropy_of_dots``.  Points within 1e-4 rad of a lower
-    one are dropped, and only those within 1e-8 of the best value are
+    member's, or the trivial group without a frame), so it covers one
+    fundamental domain of G, and each refined point is mapped through G.
+    On the sphere the domain is the part of the n_scan-point Fibonacci
+    lattice in the Dirichlet cell of a fixed generic point (memoized per
+    (n_scan, G) in a small cache); its lowest ceil(N_CANDIDATES/|G|)
+    points are thinned against the group images of the starts already
+    taken (0.05 rad) and refined by Nelder-Mead on tangent charts.
+    Coplanar minima are searched by golden-section on one arc of their
+    circle, the cell of a generic circle point (the digon's extrema on its
+    axis).  All the searches of a call advance side by side
+    (``_lockstep``), each round's trial points evaluated in one call of
+    ``_entropy_of_rows``, equal bit for bit to the single-point objective.
+    Points within 1e-4 rad of a lower one are dropped, the rest re-centred
+    on the inert point they lie on, and those within 1e-8 of the best value
     returned.  Either way the points are sorted by their coordinates.
     """
     if mode not in ("min", "max"):
@@ -534,7 +550,7 @@ def _scan_extrema(povm: HsPovm, mode: str, n_scan: int, kernel: EntropyKernel,
 
     group, normal = povm.symmetry_group, _plane_normal(coords)
     if normal is not None or k == 2:
-        points = _circle_refined(povm, normal, values, rows, n_scan // 16)
+        points = _circle_refined(povm, normal, group, values, rows, n_scan // 16)
         flags = [True] * len(points)
     else:
         domain = _fundamental_domain(n_scan, group.name)
@@ -543,7 +559,7 @@ def _scan_extrema(povm: HsPovm, mode: str, n_scan: int, kernel: EntropyKernel,
         refined = _lockstep([_refine_on_sphere(p) for p in starts], rows)
         points = np.concatenate([group.matrix_stack() @ p for p, _ in refined])
         flags = [ok for _, ok in refined for _ in range(group.order)]
-    located = _lowest_distinct(points, rows(points), flags, povm, objective)
+    located = _lowest_distinct(points, rows(points), flags, povm, group, objective)
 
     out = []
     for p, value, converged in located:
@@ -563,33 +579,23 @@ def _by_location(points: list) -> list:
 
 
 def _type_of_point(u: BlochVector, povm: HsPovm, group: RotationGroup) -> tuple:
-    # refined extrema are accurate to ~1e-8; classify with a looser net
+    """The type of u and its statistic s (NaN for I and non-inert) from the
+    images g u, formed once: the elements moving u by less than 1e-6 (a net
+    looser than the ~1e-8 of refined extrema) fix it, and each orbit point
+    is |Stab(u)| images, so s = (2/|G|) sum_g (gu . v) ln(1 + gu . v)."""
     arr = u.as_array()
     if np.min(np.linalg.norm(povm.matrix() + arr[None, :], axis=1)) < 1e-6:
         return "I", math.nan
-    mats = group.matrix_stack()
-    fixing = mats[np.linalg.norm(mats @ arr - arr, axis=1) < 1e-6]
-    if len(fixing) < 2:
+    images = group.matrix_stack() @ arr
+    fixing = np.count_nonzero(np.linalg.norm(images - arr, axis=1) < 1e-6)
+    if fixing < 2:
         return "non-inert", math.nan
-    stat = _criterion_statistic(u, povm, group)
+    ts = np.clip(images @ povm.fiducial.as_array(), -1.0, 1.0)
+    stat = (2.0 * math.fsum((ts * np.log1p(ts)).tolist()) / len(ts)
+            if np.min(ts) > -1.0 + 1e-15 else -math.inf)    # type I geometry: inapplicable
     # the rotations fixing u turn about u, a cyclic group: more than two of
     # them means one of order > 2 (and its inverse, which moves u as far)
-    return ("II" if len(fixing) > 2 else "III"), stat
-
-
-def _criterion_statistic(u: BlochVector, povm: HsPovm, group: RotationGroup) -> float:
-    """s = (2/|orbit(u)|) sum over the orbit of (w . v) ln(1 + w . v), v the
-    fiducial, bit for bit as over ``groups.orbit``: its rows normalized as
-    BlochVector does, one 1-D dot each (a matrix product rounds otherwise)."""
-    rows = orbit_points(group, u.as_array())
-    rows = rows / np.sqrt(np.add.reduce(rows * rows, axis=1))[:, None]
-    ts = np.clip((rows[:, None, :] @ povm.fiducial.as_array())[:, 0], -1.0, 1.0)
-    if np.min(ts) <= -1.0 + 1e-15:
-        return -math.inf               # type I geometry, criterion inapplicable
-    total = 0.0
-    for t in ts.tolist():
-        total += t * math.log1p(t)
-    return 2.0 * total / len(ts)
+    return ("II" if fixing > 2 else "III"), stat
 
 
 def _geodesic_second_differences(u: np.ndarray, directions: np.ndarray,

@@ -154,15 +154,14 @@ def generate_group(name: str, n: int = None) -> RotationGroup:
                                      for m in exact), exact)
 
 
-def orbit_points(g: RotationGroup, v: np.ndarray) -> np.ndarray:
-    """Deduplicated images of the point v as rows, sorted lexicographically
-    on rounded coords; :func:`orbit` holds them as Bloch vectors.
+def orbit(g: RotationGroup, v: BlochVector) -> list:
+    """Deduplicated orbit of v, sorted lexicographically on rounded coords.
 
     The images are taken in group order, and one is dropped when it lies
     within POINT_TOL of an image already kept; the closeness of all pairs
     comes from one distance matrix.
     """
-    points = g.matrix_stack() @ v
+    points = g.matrix_stack() @ v.as_array()
     close = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1) < POINT_TOL
     covered = np.zeros(len(points), dtype=bool)
     kept = []
@@ -171,12 +170,7 @@ def orbit_points(g: RotationGroup, v: np.ndarray) -> np.ndarray:
             kept.append(i)
             covered |= close[i]
     unique = points[kept]
-    return unique[np.lexsort(np.round(unique, 8).T[::-1])]
-
-
-def orbit(g: RotationGroup, v: BlochVector) -> list:
-    """Deduplicated orbit of v: the rows of :func:`orbit_points`."""
-    return [BlochVector.from_array(p) for p in orbit_points(g, v.as_array())]
+    return [BlochVector.from_array(p) for p in unique[np.lexsort(np.round(unique, 8).T[::-1])]]
 
 
 def stabilizer(g: RotationGroup, v: BlochVector) -> RotationGroup:

@@ -472,6 +472,9 @@ USAGE_ERRORS = [
      "--alpha is read by --family rectangle only"),
     (["certify", "--family", "cube", "--in", "cube.json"],
      "--in and --family both name the POVM; give one"),
+    (["dynent", "--family", "icosidodecahedron", "--depth", "8"],
+     "--depth 8 needs 30^9 outcome strings, over the budget of 1e7; "
+     "the deepest --depth for icosidodecahedron is 3"),
 ]
 
 

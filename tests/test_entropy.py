@@ -471,18 +471,32 @@ class TestCoplanarMaxima:
 
 
 class TestCircleSearchWork:
-    """The circle path runs one golden-section search per circular grid
-    minimum of the landscape, not one per low grid point."""
+    """The circle path scans one arc, the Dirichlet cell of the group, and
+    runs one golden-section search per orbit of minima, whose images under
+    the group are the located minima."""
 
     @pytest.mark.parametrize("alpha, minima", [(0.8, 2), (1.4, 4)],
                              ids=["below bifurcation", "above bifurcation"])
-    def test_one_search_per_circular_grid_minimum(self, monkeypatch, alpha, minima):
+    def test_one_search_per_orbit(self, monkeypatch, alpha, minima):
         brackets = []
         search = entropy._golden_section
         monkeypatch.setattr(entropy, "_golden_section", lambda point, lo, hi: (
             brackets.append((lo, hi)) or search(point, lo, hi)))
         located = find_extrema(make_rectangle_povm(alpha), "min")
-        assert len(brackets) == minima == len(located)
+        assert len(brackets) == 1 and len(located) == minima
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12])
+    def test_arc_is_the_cell_padded_by_two_steps(self, n):
+        # the circle point at phi = 1 lies in the cell of D_n between the
+        # mirrors at pi j/n and pi (j + 1)/n; the rectangle's D2 is D_2
+        povm = make_rectangle_povm(0.8) if n == 2 else make_hs_povm("n-gon", n)
+        a, b, grid = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), 12_500
+        spacing, j = 2 * math.pi / grid, math.floor(n / math.pi)
+        arc = entropy._circle_arc(povm.symmetry_group, a, b, grid)
+        assert -3 * spacing - 1e-12 <= arc[0] * spacing - math.pi * j / n <= -2 * spacing
+        assert 2 * spacing <= arc[-1] * spacing - math.pi * (j + 1) / n <= 3 * spacing + 1e-12
+        assert np.array_equal(entropy._circle_arc(TRIVIAL_GROUP, a, b, grid),
+                              np.arange(-1, grid + 1))
 
 
 class TestLocalSearch:
