@@ -16,8 +16,9 @@ The pipeline, per family:
    registry (:class:`hspovm.catalog.FamilySpec`): either P is constant
    because the orbit is a t-design (on the circle for polygons, t = n - 1;
    otherwise the exact registry orbit's t, catalog.exact_design_order) and
-   p has degree <= t (N - 1, or alpha when p reproduces h) -- polygons,
-   tetrahedron, octahedron, icosahedron; or, on interval enclosures of its
+   p has degree <= t, by the double-coset bound of groups.degree_bound (or
+   alpha when p reproduces h) -- polygons, tetrahedron, octahedron,
+   icosahedron; or, on interval enclosures of its
    coefficients in the primary invariants, P restricted to the sphere has
    known extrema: by comparing its values at the candidate critical points
    (cube, cuboctahedron, dodecahedron), or by a Sturm chain showing
@@ -60,6 +61,7 @@ from mpmath.ctx_iv import MPIntervalContext
 from .bloch import EntropyKernel, SHANNON
 from .catalog import (FAMILY_SPECS, HsPovm, _member, check_family_geometry, exact_design_order,
                       exact_nodes, exact_orbit, family_spec, interpolation_set)
+from .groups import degree_bound, double_coset_profile, stabilizer
 from .invariants import (J15_SQUARED_TERMS, evaluate_invariant, i6_prime, i10,
                          invariant_degree)
 from .q5 import GOLDEN, Q5, dot
@@ -88,14 +90,6 @@ class HermitePolynomial:
     coefficients: tuple
     nodes: tuple              # ((t, multiplicity), ...)
 
-    @property
-    def degree(self) -> int:
-        deg = 0
-        for i, c in enumerate(self.coefficients):
-            if abs(float(c)) > 1e-10:
-                deg = i
-        return deg
-
     def __call__(self, t):
         t = np.asarray(t, dtype=_LD)
         return _horner(self.coefficients, t) + np.zeros_like(t)
@@ -115,6 +109,7 @@ class HermiteCertificate:
     family: str
     nodes: tuple
     polynomial: HermitePolynomial
+    degree_bound: int               # deg p <= it: double-coset bound, or deg h if p = h
     coefficients: dict              # invariant expansion, subset of A..D
     below_check: tuple              # (min h - p at nodes/midpoints, where)
     orbit_min_verdict: bool
@@ -571,12 +566,6 @@ def _orbit_min_step(name: str, kernel: EntropyKernel) -> tuple:
 # The full pipeline
 # --------------------------------------------------------------------------
 
-def _degree_bound(kernel: EntropyKernel, nodes, sign) -> int:
-    """Structural degree bound of p: the kernel's when p reproduces the
-    summand (sign 0), else one less than the number of conditions."""
-    return kernel.polynomial_degree() if sign == 0 else sum(m for _, m in nodes) - 1
-
-
 @lru_cache(maxsize=64)
 def _member_certificate(label: str, k: int, kernel: EntropyKernel) -> HermiteCertificate:
     """The certificate of the registry member _member(label, k), memoized."""
@@ -584,16 +573,21 @@ def _member_certificate(label: str, k: int, kernel: EntropyKernel) -> HermiteCer
     nodes = _hermite_nodes(member)
     poly = hermite_interpolate(kernel, nodes)
     sign = _remainder_sign(kernel, nodes)
+    # deg p: the kernel's when p reproduces the summand h, else the paper's
+    # double-coset bound of the member's group G at the fiducial v
+    group, v = member.symmetry_group, member.fiducial
+    degree = (kernel.polynomial_degree() if sign == 0 else
+              degree_bound(double_coset_profile(group, v), k, stabilizer(group, v).order))
     # the design order on the domain of the minimizers: the circle for an n-gon
     design = member.k - 1 if spec.group == "C" else exact_design_order(spec.name)
-    certified_minimum = float(assemble_lower_bound(member, poly)(-member.fiducial.as_array()))
+    certified_minimum = float(assemble_lower_bound(member, poly)(-v.as_array()))
     reason = _REMAINDER_FAILURES.get(sign, "")
 
     # p = h makes the bound P the entropy H itself; the invariant strategies
     # cannot decide it (their coefficients vanish on the designs, where H is
     # constant), so the constant proof stands in for any family
     if sign == 0 or spec.strategy == "constant":
-        constant = _degree_bound(kernel, nodes, sign) <= design
+        constant = degree <= design
         orbit_ok, failure = constant, "lower bound unexpectedly non-constant"
         coefficients, fields = (certified_minimum,), {"constant_bound": constant}
     else:
@@ -619,7 +613,7 @@ def _member_certificate(label: str, k: int, kernel: EntropyKernel) -> HermiteCer
         reason = reason or "uniqueness bookkeeping admits a stray minimizer"
 
     return HermiteCertificate(
-        family=label, nodes=nodes, polynomial=poly,
+        family=label, nodes=nodes, polynomial=poly, degree_bound=degree,
         below_check=verify_below(poly, kernel),
         orbit_min_verdict=bool(sign is not None and sign >= 0 and orbit_ok),
         uniqueness_verdict=bool(uniqueness),

@@ -27,7 +27,6 @@ import numpy as np
 from .bloch import BlochVector
 from .q5 import Q5, dot
 
-MATRIX_TOL = 1e-8     # Frobenius tolerance for matrix equality
 POINT_TOL = 1e-8      # orbit point dedup tolerance
 
 _HALF, _TAU_2, _INV_2TAU = Q5(1, 0, 2), Q5(1, 1, 4), Q5(-1, 1, 4)
@@ -154,14 +153,10 @@ def generate_group(name: str, n: int = None) -> RotationGroup:
                                      for m in exact), exact)
 
 
-def orbit(g: RotationGroup, v: BlochVector) -> list:
-    """Deduplicated orbit of v, sorted lexicographically on rounded coords.
-
-    The images are taken in group order, and one is dropped when it lies
-    within POINT_TOL of an image already kept; the closeness of all pairs
-    comes from one distance matrix.
-    """
-    points = g.matrix_stack() @ v.as_array()
+def _distinct(points: np.ndarray) -> np.ndarray:
+    """The rows of ``points`` in order, each dropped when it lies within
+    POINT_TOL of a row already kept; the closeness of all pairs comes from
+    one distance matrix."""
     close = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1) < POINT_TOL
     covered = np.zeros(len(points), dtype=bool)
     kept = []
@@ -169,59 +164,48 @@ def orbit(g: RotationGroup, v: BlochVector) -> list:
         if not covered[i]:
             kept.append(i)
             covered |= close[i]
-    unique = points[kept]
+    return points[kept]
+
+
+def _fixing(g: RotationGroup, v: np.ndarray) -> np.ndarray:
+    """The mask of the elements of g that move v by less than POINT_TOL."""
+    return np.linalg.norm(g.matrix_stack() @ v - v, axis=1) < POINT_TOL
+
+
+def orbit(g: RotationGroup, v: BlochVector) -> list:
+    """Deduplicated orbit of v, sorted lexicographically on rounded coords:
+    the images in group order, each dropped within POINT_TOL of one kept."""
+    unique = _distinct(g.matrix_stack() @ v.as_array())
     return [BlochVector.from_array(p) for p in unique[np.lexsort(np.round(unique, 8).T[::-1])]]
 
 
 def stabilizer(g: RotationGroup, v: BlochVector) -> RotationGroup:
     """Subgroup of g fixing v within 1e-8."""
-    fixed = _stabilizer_indices(g, v.as_array())
-    return RotationGroup(f"{g.name}_stab", tuple(g.elements[i] for i in fixed))
-
-
-def _stabilizer_indices(g: RotationGroup, v: np.ndarray) -> list:
-    return [i for i, m in enumerate(g.elements)
-            if np.linalg.norm(m @ v - v) < POINT_TOL]
+    fixed = _fixing(g, v.as_array())
+    return RotationGroup(f"{g.name}_stab", tuple(m for m, f in zip(g.elements, fixed) if f))
 
 
 def double_coset_profile(g: RotationGroup, v: BlochVector) -> DoubleCosetProfile:
-    """Partition g into double cosets K_v a K_v of the stabilizer of v.
+    """Partition g into double cosets K a K of the stabilizer K of v.
 
-    Every element of a double coset attains the same node value a v . v
-    (and the inverse coset attains it too, since the matrices are
-    orthogonal).  Cosets are therefore counted per node value: a value
-    carried by a single coset contributes to ``n_s``, and cosets sharing
-    their value with a partner coset contribute to ``n_a``.  The count
-    ``n_v = n_s + n_a/2`` bounds the size of the interpolation node set
-    and drives the degree bound.
+    K a K v = K (a v), so the double cosets are in bijection with the
+    K-orbits of the orbit points a v: K a K has |K| elements per point of
+    the K-orbit of a v, and every element attains the node value
+    (a v) . v, as K fixes v (the inverse coset attains it too, since the
+    matrices are orthogonal).  Cosets are therefore counted per node
+    value: a value carried by a single coset contributes to ``n_s``, and
+    cosets sharing their value with a partner coset contribute to ``n_a``.
+    The count ``n_v = n_s + n_a/2`` bounds the size of the interpolation
+    node set and drives the degree bound.
     """
     arr = v.as_array()
-    mats = list(g.elements)
-    stab_idx = _stabilizer_indices(g, arr)
-    stack = g.matrix_stack()
-
-    def locate(m: np.ndarray) -> int:
-        gaps = np.linalg.norm(stack - m, axis=(1, 2))
-        nearest = int(np.argmin(gaps))
-        if gaps[nearest] >= MATRIX_TOL:
-            raise RuntimeError("product left the group; closure is broken")
-        return nearest
-
-    assigned = [None] * len(mats)
-    cosets = []
-    for i in range(len(mats)):
-        if assigned[i] is not None:
-            continue
-        members = set()
-        for a in stab_idx:
-            for b in stab_idx:
-                members.add(locate(mats[a] @ mats[i] @ mats[b]))
-        label = len(cosets)
-        for j in members:
-            assigned[j] = label
-        cosets.append(members)
-
-    values = [float((mats[next(iter(c))] @ arr) @ arr) for c in cosets]
+    stab = g.matrix_stack()[_fixing(g, arr)]
+    points = _distinct(g.matrix_stack() @ arr)
+    # the K-orbit of each orbit point, named by its first point
+    moved = np.einsum("kij,mj->kmi", stab, points)
+    same = np.linalg.norm(moved[:, :, None, :] - points[None, None, :, :], axis=-1) < POINT_TOL
+    firsts, sizes = np.unique(np.argmax(same.any(axis=0), axis=1), return_counts=True)
+    values = (points[firsts] @ arr).tolist()
     classes = {}
     for label, value in enumerate(values):
         for seen in classes:
@@ -234,11 +218,11 @@ def double_coset_profile(g: RotationGroup, v: BlochVector) -> DoubleCosetProfile
         raise RuntimeError("more than two double cosets share a node value")
     n_s = sum(1 for labels in classes.values() if len(labels) == 1)
     n_a = sum(len(labels) for labels in classes.values() if len(labels) == 2)
-    antipodal = any(np.linalg.norm(m @ arr + arr) < POINT_TOL for m in mats)
+    antipodal = bool(np.any(np.linalg.norm(points + arr, axis=1) < POINT_TOL))
     return DoubleCosetProfile(
         n_s=n_s, n_a=n_a, n_v=n_s + n_a / 2.0,
         antipodal_in_orbit=antipodal,
-        coset_sizes=tuple(sorted(len(c) for c in cosets)),
+        coset_sizes=tuple(sorted((len(stab) * sizes).tolist())),
     )
 
 

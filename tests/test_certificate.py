@@ -17,7 +17,6 @@ from hspovm.catalog import (FAMILY_SPECS, HsPovm, exact_nodes, exact_orbit,
                             make_rectangle_povm)
 from hspovm.certificate import (
     HermitePolynomial,
-    _degree_bound,
     _expansion_matrix,
     _hermite_monomial,
     _hermite_nodes,
@@ -51,6 +50,11 @@ EXPANDED = ("cube", "cuboctahedron", "dodecahedron", "icosidodecahedron")
 _CERTS = {}
 
 
+def assert_degree_at_most(poly, bound):
+    """Every monomial coefficient of p above ``bound`` vanishes to 1e-10."""
+    assert all(abs(float(c)) <= 1e-10 for c in poly.coefficients[bound + 1:]), bound
+
+
 def cert_for(family):
     if family not in _CERTS:
         _CERTS[family] = certify_minimum(povm_for(family))
@@ -75,11 +79,11 @@ class TestHermiteInterpolation:
 
     def test_octahedron_nodes_give_cubic(self):
         poly = hermite_interpolate(SHANNON, [(-1.0, 1), (0.0, 2), (1.0, 1)])
-        assert poly.degree <= 3
+        assert_degree_at_most(poly, 3)
 
     def test_tetrahedron_nodes_give_quadratic(self):
         poly = hermite_interpolate(SHANNON, [(-1.0, 1), (1.0 / 3.0, 2)])
-        assert poly.degree <= 2
+        assert_degree_at_most(poly, 2)
 
     def test_interpolation_conditions(self):
         nodes = [(-1.0, 1), (-0.5, 2), (0.0, 2), (0.5, 2), (1.0, 1)]
@@ -231,13 +235,21 @@ class TestCertificates:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_degree_bounds(self, family):
         cert = cert_for(family)
-        assert cert.polynomial.degree <= DEGREE_BOUNDS[family]
+        assert cert.degree_bound == DEGREE_BOUNDS[family]
+        assert_degree_at_most(cert.polynomial, DEGREE_BOUNDS[family])
+
+    @pytest.mark.parametrize("name", [*ALL_FAMILIES, *(f"{n}-gon" for n in range(2, 13))])
+    def test_coset_degree_bound_is_one_less_than_the_conditions(self, name):
+        # the paper's double-coset bound, which the constant proof uses,
+        # equals N - 1 for the N interpolation conditions on every member
+        cert = certify_minimum(make_hs_povm(name))
+        assert cert.degree_bound == sum(m for _, m in cert.nodes) - 1
 
     @pytest.mark.parametrize("n", list(range(2, 25)))
     def test_polygons_constant(self, n):
         cert = certify_minimum(make_hs_povm("n-gon", n))
         assert cert.valid and cert.constant_bound
-        assert cert.polynomial.degree <= n - 1
+        assert_degree_at_most(cert.polynomial, n - 1)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_certified_minimum_matches_informational_power(self, family):
@@ -381,12 +393,11 @@ def test_design_order_constancy_matches_sample(name, kernel):
     # what a sample of the bound shows; the invariant strategies of the
     # cube and beyond see a degree above the design order
     povm = CONSTANCY_POVMS[name]
-    nodes = _hermite_nodes(povm)
-    degree = _degree_bound(kernel, nodes, _remainder_sign(kernel, nodes))
-    poly = hermite_interpolate(kernel, nodes)
-    assert poly.degree <= degree
+    cert = certify_minimum(povm, kernel)
+    poly = hermite_interpolate(kernel, _hermite_nodes(povm))
+    assert_degree_at_most(poly, cert.degree_bound)
     evaluator = assemble_lower_bound(povm, poly)
-    assert certify_minimum(povm, kernel).constant_bound == sampled_constant(povm, evaluator)
+    assert cert.constant_bound == sampled_constant(povm, evaluator)
 
 
 def circle_design_order(coords) -> int:

@@ -229,4 +229,4 @@ def test_sweep_hash_is_pinned():
     # which equals its canonical line
     text = "\n".join(sweep_certificates.sweep())
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "dd96a9a2b18d6da4eea08e23989bb2206900f7f00e0af5cff66954f49c4713c9")
+        "435185e87306a4579bb47f1ad33bb679bc3cc26805d75358b73a748da02da979")

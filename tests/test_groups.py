@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hspovm.bloch import BlochVector
 from hspovm.groups import (
@@ -174,6 +175,27 @@ class TestDoubleCosets:
         profile = double_coset_profile(group, _unit(*seed))
         assert sum(profile.coset_sizes) == group.order
         assert set(profile.coset_sizes) <= {ssize, ssize * ssize}
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
+    @given(tag=st.sampled_from(["D2", "T", "O", "I", "C", "D"]), n=st.integers(1, 12),
+           seed=st.integers(0, 2 ** 32 - 1), on_axis=st.booleans())
+    def test_cosets_are_stabilizer_orbits(self, tag, n, seed, on_axis):
+        # K a K v = K (a v) for K = Stab(v): the coset sizes add up to |G|,
+        # and each is |K| times the size of one K-orbit of the orbit points
+        group = generate_group(tag, n if tag in "CD" else None)
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=3)
+        if on_axis:     # the axis of a random element, where K is larger
+            v = np.linalg.svd(group.elements[rng.integers(group.order)] - np.eye(3))[2][-1]
+        v = _unit(*v)
+        stab = stabilizer(group, v)
+        k_orbits = {}
+        for p in orbit(group, v):
+            k_orbit = orbit(stab, p)
+            k_orbits[tuple(np.round(k_orbit[0].as_array(), 6))] = len(k_orbit)
+        profile = double_coset_profile(group, v)
+        assert sum(profile.coset_sizes) == group.order
+        assert list(profile.coset_sizes) == sorted(stab.order * m for m in k_orbits.values())
 
     def test_antipodal_flags(self):
         assert double_coset_profile(generate_group("O"),
