@@ -136,15 +136,17 @@ def _closure(generators, expected_order: int) -> list:
 
 
 def generate_group(name: str, n: int = None) -> RotationGroup:
-    """Build a rotation group by tag: C_n or D_n (need n, built in floats,
-    C_n first), D2, T, O or I (exact generator closure, floats the images)."""
+    """Build a rotation group by tag: C_n or D_n (need n, written out by
+    their entries, C_n first), D2, T, O or I (exact generator closure,
+    floats the images)."""
     if name in ("C", "C_n", "D", "D_n"):
         if n is None or n < 1:
             raise ValueError(f"{name[0]}_n needs n >= 1")
-        mats = [rotation_matrix([0, 0, 1], 2.0 * math.pi * j / n) for j in range(n)]
-        if name[0] == "D":
-            mats += [rotation_matrix([math.cos(math.pi * j / n), math.sin(math.pi * j / n), 0],
-                                     math.pi) for j in range(n)]
+        turns = [(math.cos(2.0 * math.pi * j / n), math.sin(2.0 * math.pi * j / n))
+                 for j in range(n)]
+        mats = [((c, 0.0 - s, 0), (s, c, 0), (0, 0, 1)) for c, s in turns]   # no -0.0
+        if name[0] == "D":      # R(2 pi j/n) diag(1, -1, -1), the half-turn about pi j/n
+            mats += [((c, s, 0), (s, -c, 0), (0, 0, -1)) for c, s in turns]
         return RotationGroup(f"{name[0]}_{n}", tuple(_freeze(m) for m in mats))
     if name not in _GENERATORS:
         raise ValueError(f"unknown group tag {name!r}")

@@ -176,11 +176,11 @@ def test_sweep_cases_are_850_unique_labels():
 def test_classify_sweep_hash_is_pinned():
     # rotated lines equal to their canonical ones in kind, type and value;
     # the canonical digon's vectors and antipodes print as floats; the
-    # polygons' n-fold axis has the statistic ~1e-32, not 0, from the
-    # ~1e-16 off-diagonal terms of D_n's float half-turns
+    # canonical polygons' n-fold axis has the statistic 0, as D_n's
+    # half-turns map it to (0, 0, -1) exactly (~1e-32 once rotated)
     text = "\n".join(sweep_classify.sweep())
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "5b681e6bb9bdcd9751fa1b0c61b26887b876dcdf1aa4510566563f86ed1d0c27")
+        "2fd3c898b6964fb81909a7d9acc0a3c323acbf8b24cf918b6ec2672d32622756")
 
 
 def _certificate_repr(povm) -> str:

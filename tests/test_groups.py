@@ -63,6 +63,12 @@ class TestGeneration:
         gaps = np.linalg.norm(products[:, None] - stack[None], axis=(2, 3))
         assert np.max(gaps.min(axis=1)) < 1e-12
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_dihedral_group_is_exact_on_its_axis(self, n):
+        # C_n fixes (0, 0, 1) and the half-turns reverse it, bit for bit
+        images = generate_group("D", n).matrix_stack() @ np.array([0.0, 0.0, 1.0])
+        assert images.tolist() == [[0.0, 0.0, 1.0]] * n + [[0.0, 0.0, -1.0]] * n
+
     def test_elements_orthogonal(self):
         for tag in ("T", "O", "I"):
             for m in generate_group(tag):
