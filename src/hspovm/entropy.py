@@ -16,7 +16,8 @@ symmetry orbit (an in-repo Nelder-Mead on tangent charts; H fails to be
 twice differentiable exactly at the entropy minima, the antipodes of the
 POVM vectors, so gradient steps are not trusted there), whose result is
 mapped through the group.  Coplanar minima are searched by golden-section
-on one arc of their circle, and coplanar maxima are the plane's normals.
+on one arc of their circle; coplanar maxima are the plane's normals, and
+a pair's maxima its great circle.
 The local searches are generators that yield their trial points; all the
 starts of one call advance side by side, with one kernel call per round.
 Critical points forced by symmetry (inert states) are classified by the
@@ -391,45 +392,32 @@ def _circle_refined(povm: HsPovm, normal, group: RotationGroup, values, rows,
                     n_scan: int) -> np.ndarray:
     """1D search for the minima of a coplanar POVM, which lie on the circle
     orthogonal to ``normal`` (H depends on u only through its projection and
-    is concave in the Bloch ball), and, with no normal, for the digon's extrema.
-    ``values`` is the signed entropy of the (n, 3) scan grid, ``rows`` that of
-    the stacked trial points of the golden-section searches, which run side by
-    side, one per grid point no higher than its two neighbours: on the circle,
-    one arc (``_circle_arc``), its lowest 4k such points within 1e-3 of the
-    lowest, and the refined points mapped through ``group``."""
+    is concave in the Bloch ball).  ``values`` is the signed entropy of the
+    (n, 3) scan grid, ``rows`` that of the stacked trial points of the
+    golden-section searches, which run side by side, one per grid point no
+    higher than its two neighbours: on the circle, one arc (``_circle_arc``),
+    its lowest 4k such points within 1e-3 of the lowest, and the refined
+    points mapped through ``group``."""
     n = max(n_scan, 4096)
-    if normal is not None:      # the z = 0 circle is (cos phi, sin phi, 0), bit for bit
-        e1, e2 = _tangent_frame(normal if normal[2] >= 0.0 else -normal)
-        a, b = -e2, e1
-        spacing = 2.0 * math.pi / n
-        params = _circle_arc(group, a, b, n) % n * spacing
-        pts = np.cos(params)[:, None] * a + np.sin(params)[:, None] * b + 0.0
-        lo, hi, poles, mats = -math.inf, math.inf, [], group.matrix_stack()
+    # the z = 0 circle is (cos phi, sin phi, 0), bit for bit
+    e1, e2 = _tangent_frame(normal if normal[2] >= 0.0 else -normal)
+    a, b = -e2, e1
+    spacing = 2.0 * math.pi / n
+    params = _circle_arc(group, a, b, n) % n * spacing
+    pts = np.cos(params)[:, None] * a + np.sin(params)[:, None] * b + 0.0
 
-        def embed(phi):
-            return math.cos(phi) * a + math.sin(phi) * b + 0.0
-    else:
-        axis = povm.matrix()[0]
-        params = np.linspace(-1.0, 1.0, n)
-        spacing = params[1] - params[0]
-        e1, _ = _tangent_frame(axis)
-        pts = params[:, None] * axis[None, :] + np.sqrt(1 - params**2)[:, None] * e1[None, :]
-        # entropy depends on u . axis only: the two poles are extrema too
-        lo, hi, poles, mats = -1.0, 1.0, [pts[0], pts[-1]], IDENTITY[None]
-
-        def embed(t):
-            return float(t) * axis + math.sqrt(max(0.0, 1.0 - t * t)) * e1
+    def embed(phi):
+        return math.cos(phi) * a + math.sin(phi) * b + 0.0
 
     vals = values(pts)
     inner = vals[1:-1]
     minima = np.flatnonzero((inner <= vals[:-2]) & (inner <= vals[2:])) + 1
-    if normal is not None:
-        minima = minima[np.argsort(vals[minima])][: 4 * povm.k]
-        minima = minima[vals[minima] <= vals[minima[0]] + 1e-3]
-    searches = [_golden_section(embed, max(lo, params[i] - 2 * spacing),
-                                min(hi, params[i] + 2 * spacing)) for i in minima]
-    refined = [*poles, *(embed(x) for x, _ in _lockstep(searches, rows))]
-    return np.concatenate([mats @ p for p in refined])
+    minima = minima[np.argsort(vals[minima])][: 4 * povm.k]
+    minima = minima[vals[minima] <= vals[minima[0]] + 1e-3]
+    searches = [_golden_section(embed, params[i] - 2 * spacing, params[i] + 2 * spacing)
+                for i in minima]
+    refined = [embed(x) for x, _ in _lockstep(searches, rows)]
+    return np.concatenate([group.matrix_stack() @ p for p in refined])
 
 
 def _circle_arc(group: RotationGroup, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -468,6 +456,9 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
     and nothing is scanned.  The maxima of a set spanning a plane are its
     unit normals +-n: only there is p uniform (p is affine and injective in
     the projection of u onto the plane), where every kernel is largest.
+    Those of a pair {v, -v} (every set of two; its frame is the digon) fill
+    the great circle orthogonal to v, whose point e1 of ``_tangent_frame(v)``
+    is returned.
     All other inputs go to the scan (``_scan_extrema``): other maxima,
     rectangles, sets congruent to no member and kernels the certificate
     does not settle.  ``n_scan`` matters only for these.
@@ -481,10 +472,10 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
     points are thinned against the group images of the starts already
     taken (0.05 rad) and refined by Nelder-Mead on tangent charts.
     Coplanar minima are searched by golden-section on one arc of their
-    circle, the cell of a generic circle point (the digon's extrema on its
-    axis).  All the searches of a call advance side by side
-    (``_lockstep``), each round's trial points evaluated in one call of
-    ``_entropy_of_rows``, equal bit for bit to the single-point objective.
+    circle, the cell of a generic circle point.  All the searches of a call
+    advance side by side (``_lockstep``), each round's trial points evaluated
+    in one call of ``_entropy_of_rows``, equal bit for bit to the
+    single-point objective.
     Points within 1e-4 rad of a lower one are dropped, the rest re-centred
     on the inert point they lie on, and those within 1e-8 of the best value
     returned.  Either way the points are sorted by their coordinates.
@@ -501,11 +492,13 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
         values = _entropy_of_rows(-coords, coords, k, kernel).tolist()
         return _by_location([CriticalPoint(u, v, mode, "I")
                              for u, v in zip(povm.antipodes, values)])
-    if mode == "max" and (normal := _plane_normal(coords)) is not None:
+    normal = _plane_normal(coords) if mode == "max" else None
+    if normal is not None or (mode == "max" and k == 2):
         value = float(kernel.entropy_of_dots(np.zeros(k), k))     # p_j = 1/k
-        poles = [BlochVector.from_array(s * normal + 0.0) for s in (1.0, -1.0)]  # no -0.0
+        tops = ([s * normal + 0.0 for s in (1.0, -1.0)] if normal is not None   # no -0.0
+                else [_tangent_frame(coords[0])[0]])
         return _by_location([CriticalPoint(u, value, mode, *_type_of_point(
-            u, povm, povm.symmetry_group)) for u in poles])
+            u, povm, povm.symmetry_group)) for u in map(BlochVector.from_array, tops)])
     return _scan_extrema(povm, mode, n_scan, kernel, N_CANDIDATES)
 
 
@@ -549,7 +542,7 @@ def _scan_extrema(povm: HsPovm, mode: str, n_scan: int, kernel: EntropyKernel,
         return sign * kernel.entropy_of_dots(coords @ p, k)
 
     group, normal = povm.symmetry_group, _plane_normal(coords)
-    if normal is not None or k == 2:
+    if normal is not None:
         points = _circle_refined(povm, normal, group, values, rows, n_scan // 16)
         flags = [True] * len(points)
     else:

@@ -178,6 +178,17 @@ class TestFindExtrema:
         assert all(abs(c.location.z) < 1e-6 for c in maxima)
         assert maxima[0].value == pytest.approx(LN2, abs=1e-9)
 
+    @pytest.mark.parametrize("kernel", [SHANNON, EntropyKernel("renyi", 0.5),
+                                        EntropyKernel("tsallis", 2.0)], ids=str)
+    def test_max_of_a_pair_is_one_point_of_its_great_circle(self, kernel):
+        # {v, -v}: p is uniform on the great circle orthogonal to v, so one
+        # point of it is returned at the uniform value, without a scan
+        for povm in (povm_for("digon"), make_hs_povm("2-gon")):
+            (top,) = find_extrema(povm, "max", kernel=kernel)
+            assert top.location.as_array() @ povm.matrix()[0] == 0.0
+            assert top.value == kernel.entropy_of_dots(np.zeros(2), 2)
+            assert (top.type_label, top.classifier_statistic) == ("III", 0.0)
+
     def test_max_mode_cube_at_octahedron_vertices(self):
         # H for the cube POVM peaks on the 4-fold axes (the dual orbit)
         maxima = find_extrema(povm_for("cube"), "max", n_scan=50_000)
