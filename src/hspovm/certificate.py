@@ -200,11 +200,16 @@ def hermite_interpolate(kernel: EntropyKernel, nodes) -> HermitePolynomial:
     return HermitePolynomial(coefficients=tuple(mono), nodes=nodes)
 
 
-def _hermite_nodes(povm: HsPovm) -> tuple:
-    """The node set with multiplicities: value-only at +-1, value and slope
-    in between."""
-    return tuple((t, 1 if abs(abs(t) - 1.0) < 1e-9 else 2)
-                 for t in interpolation_set(povm))
+def _hermite_nodes(member: HsPovm) -> tuple:
+    """The registry member's node set with multiplicities: value-only at
+    +-1, value and slope in between.  A polygon's nodes are its float
+    interpolation set; any other member's are its exact nodes, each rounded
+    once, the nodes the interval proofs use."""
+    spec = family_spec(member.family)
+    if spec.group == "C":
+        return tuple((t, 1 if abs(abs(t) - 1.0) < 1e-9 else 2)
+                     for t in interpolation_set(member))
+    return tuple((float(t), 1 if t in (-1, 1) else 2) for t in exact_nodes(spec.name))
 
 
 # --------------------------------------------------------------------------

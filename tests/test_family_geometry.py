@@ -229,4 +229,4 @@ def test_sweep_hash_is_pinned():
     # which equals its canonical line
     text = "\n".join(sweep_certificates.sweep())
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "435185e87306a4579bb47f1ad33bb679bc3cc26805d75358b73a748da02da979")
+        "0250acb0ea9f0c9f71e9e8eca9065bc82a9f7142dd5bf1f3930cab318e178780")
