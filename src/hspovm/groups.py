@@ -204,9 +204,10 @@ def double_coset_profile(g: RotationGroup, v: BlochVector) -> DoubleCosetProfile
     stab = g.matrix_stack()[_fixing(g, arr)]
     points = _distinct(g.matrix_stack() @ arr)
     # the K-orbit of each orbit point, named by its first point
-    moved = np.einsum("kij,mj->kmi", stab, points)
+    moved = points @ stab.transpose(0, 2, 1)            # k p_i, indexed (k, i)
     same = np.linalg.norm(moved[:, :, None, :] - points[None, None, :, :], axis=-1) < POINT_TOL
-    firsts, sizes = np.unique(np.argmax(same.any(axis=0), axis=1), return_counts=True)
+    sizes = np.bincount(np.argmax(same.any(axis=0), axis=1), minlength=len(points))
+    firsts = np.flatnonzero(sizes)
     values = (points[firsts] @ arr).tolist()
     classes = {}
     for label, value in enumerate(values):
@@ -224,7 +225,7 @@ def double_coset_profile(g: RotationGroup, v: BlochVector) -> DoubleCosetProfile
     return DoubleCosetProfile(
         n_s=n_s, n_a=n_a, n_v=n_s + n_a / 2.0,
         antipodal_in_orbit=antipodal,
-        coset_sizes=tuple(sorted((len(stab) * sizes).tolist())),
+        coset_sizes=tuple(sorted((len(stab) * sizes[firsts]).tolist())),
     )
 
 
