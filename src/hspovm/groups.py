@@ -169,9 +169,9 @@ def _distinct(points: np.ndarray) -> np.ndarray:
     return points[kept]
 
 
-def _fixing(g: RotationGroup, v: np.ndarray) -> np.ndarray:
-    """The mask of the elements of g that move v by less than POINT_TOL."""
-    return np.linalg.norm(g.matrix_stack() @ v - v, axis=1) < POINT_TOL
+def _fixing(images: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The mask of the images g v within POINT_TOL of v: the elements fixing v."""
+    return np.linalg.norm(images - v, axis=1) < POINT_TOL
 
 
 def orbit(g: RotationGroup, v: BlochVector) -> list:
@@ -183,7 +183,8 @@ def orbit(g: RotationGroup, v: BlochVector) -> list:
 
 def stabilizer(g: RotationGroup, v: BlochVector) -> RotationGroup:
     """Subgroup of g fixing v within 1e-8."""
-    fixed = _fixing(g, v.as_array())
+    arr = v.as_array()
+    fixed = _fixing(g.matrix_stack() @ arr, arr)
     return RotationGroup(f"{g.name}_stab", tuple(m for m, f in zip(g.elements, fixed) if f))
 
 
@@ -201,8 +202,9 @@ def double_coset_profile(g: RotationGroup, v: BlochVector) -> DoubleCosetProfile
     node set and drives the degree bound.
     """
     arr = v.as_array()
-    stab = g.matrix_stack()[_fixing(g, arr)]
-    points = _distinct(g.matrix_stack() @ arr)
+    images = g.matrix_stack() @ arr
+    stab = g.matrix_stack()[_fixing(images, arr)]
+    points = _distinct(images)
     # the K-orbit of each orbit point, named by its first point
     moved = points @ stab.transpose(0, 2, 1)            # k p_i, indexed (k, i)
     same = np.linalg.norm(moved[:, :, None, :] - points[None, None, :, :], axis=-1) < POINT_TOL

@@ -24,7 +24,6 @@ from hspovm.certificate import (
     _interval_coefficients,
     _member_certificate,
     _moment_constrained_feasible,
-    _remainder_sign,
     assemble_lower_bound,
     certify_minimum,
     expand_in_invariants,
