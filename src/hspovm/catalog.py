@@ -38,10 +38,10 @@ class FamilySpec:
     ``group`` ("C" is C_n for the n-gon, any k).  ``seed`` and ``probes``
     are exact (ints and :class:`hspovm.q5.Q5`; floats through ``float()``),
     and the exact orbit and node set {-gv . v} are computed from them.
-    ``strategy`` picks the certificate's orbit-minimum proof (constant,
-    candidates or sturm; see :mod:`hspovm.certificate`), which expands in
-    the invariants ``basis`` through the exact expansion matrix solved at
-    the ``probes`` (candidates compares P there, seed included).
+    ``strategy`` names the proof of a non-constant bound (candidates or
+    sturm; see :mod:`hspovm.certificate`), which expands in the invariants
+    ``basis`` through the exact expansion matrix solved at the ``probes``
+    (candidates compares P there, seed included).
     ``inert`` seeds the classifier of symmetry-forced critical points;
     ``reference_W`` is the five-digit informational power.
     """
@@ -49,7 +49,7 @@ class FamilySpec:
     name: str
     group: str
     seed: tuple
-    strategy: str
+    strategy: str = ""
     basis: tuple = ()
     probes: tuple = ()
     inert: tuple = ()
@@ -64,12 +64,12 @@ _I_AXES = ((0, 0, 1), (0, TAU, 1), (0, 1 / TAU, TAU))
 
 #: the family registry, in catalog-table order
 FAMILY_SPECS = {spec.name: spec for spec in (
-    FamilySpec("digon", "D2", (0, 0, 1), "constant", k=2,
+    FamilySpec("digon", "D2", (0, 0, 1), k=2,
                inert=_AXES, reference_W=0.69315),
-    FamilySpec("n-gon", "C", (1, 0, 0), "constant"),
-    FamilySpec("tetrahedron", "T", (1, 1, 1), "constant", k=4,
+    FamilySpec("n-gon", "C", (1, 0, 0)),
+    FamilySpec("tetrahedron", "T", (1, 1, 1), k=4,
                inert=_T_AXES, reference_W=0.28768),
-    FamilySpec("octahedron", "O", (0, 0, 1), "constant", k=6,
+    FamilySpec("octahedron", "O", (0, 0, 1), k=6,
                inert=_O_AXES, reference_W=0.23105),
     FamilySpec("cube", "O", (1, 1, 1), "candidates", basis=("I4",), k=8,
                probes=((0, 0, 1), (1, 1, 1)),
@@ -77,7 +77,7 @@ FAMILY_SPECS = {spec.name: spec for spec in (
     FamilySpec("cuboctahedron", "O", (0, 1, 1), "candidates", basis=("I4", "I6"), k=12,
                probes=((0, 0, 1), (0, 1, 1), (1, 1, 1)),
                inert=_O_AXES, reference_W=0.20273),
-    FamilySpec("icosahedron", "I", (0, GOLDEN, 1), "constant", k=12,
+    FamilySpec("icosahedron", "I", (0, GOLDEN, 1), k=12,
                inert=_I_AXES, reference_W=0.20189),
     FamilySpec("dodecahedron", "I", (0, 1 / GOLDEN, GOLDEN), "candidates", k=20,
                basis=("I6p",), probes=((0, GOLDEN, 1), (0, 1 / GOLDEN, GOLDEN)),

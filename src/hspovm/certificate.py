@@ -12,24 +12,23 @@ The pipeline, per family:
    kernel (:meth:`hspovm.bloch.EntropyKernel.derivative_sign`);
 4. form the invariant lower bound P(u) = ln(k/2) + (2/k) sum_j p(v_j . u),
    which coincides with the entropy H at the antipodal orbit;
-5. show -v is a global minimizer of P by the family's strategy in the
-   registry (:class:`hspovm.catalog.FamilySpec`): either P is constant
-   because the orbit is a t-design (on the circle for polygons, t = n - 1;
-   otherwise the exact registry orbit's t, catalog.exact_design_order) and
-   p has degree <= t, by the double-coset bound of groups.degree_bound (or
-   alpha when p reproduces h) -- polygons, tetrahedron, octahedron,
-   icosahedron; or, on interval enclosures of its
-   coefficients in the primary invariants, P restricted to the sphere has
-   known extrema: by comparing its values at the candidate critical points
-   (cube, cuboctahedron, dodecahedron), or by a Sturm chain showing
-   that the zero-level parabola of P misses the orbit-map range except at
-   the origin, with P positive at a corner of the range
-   (icosidodecahedron).  The coefficients are sum_i c_i L_i for
+5. show -v is a global minimizer of P: constant when deg p <= t, by the
+   paper's Michel bound on deg p (groups.degree_bound, or alpha when p
+   reproduces h) and the orbit's design order t (on the circle for
+   polygons, t = n - 1; otherwise catalog.exact_design_order) -- polygons,
+   tetrahedron, octahedron, icosahedron; else by the family's decider in
+   the registry (:class:`hspovm.catalog.FamilySpec`): on interval
+   enclosures of its coefficients in the primary invariants, P restricted
+   to the sphere has known extrema, by comparing its values at the
+   candidate critical points (cube, cuboctahedron, dodecahedron), or by a
+   Sturm chain showing that the zero-level parabola of P misses the
+   orbit-map range except at the origin, with P positive at a corner of
+   the range (icosidodecahedron).  The coefficients are sum_i c_i L_i for
    p = sum_i c_i t^i, the c_i enclosed on the exact nodes, and the family's
    exact L, sum_j (v_j . x)^i = L_i . (1, I_1, ...)(x) on the sphere;
 6. close uniqueness: any further global minimizer w would need all its
-   dots {w . u} inside T, which the design moment equations, solved in
-   integers on the registry's exact nodes, rule out unless -1 is among
+   dots {w . u} inside T, which every moment s <= t of the design, decided
+   in integers on the registry's exact nodes, rules out unless -1 is among
    them; the orbit is centrally symmetric, so that a dot +1 forces a dot
    -1, exactly when 1 is an exact node.  Polygons close it by parity.
 
@@ -51,7 +50,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
@@ -64,7 +62,7 @@ from .catalog import (FAMILY_SPECS, HsPovm, _member, check_family_geometry, exac
 from .groups import degree_bound, double_coset_profile, stabilizer
 from .invariants import (J15_SQUARED_TERMS, evaluate_invariant, i6_prime, i10,
                          invariant_degree)
-from .q5 import GOLDEN, Q5, dot
+from .q5 import GOLDEN, Q5, dot, pair_sign
 from .sturm import AmbiguousSignError, _horner, _sign, sturm_root_count
 
 INTERVAL_PRECISIONS = (200, 320, 512)
@@ -359,53 +357,42 @@ def _moment_constrained_feasible(exact_nodes: tuple, k: int, design_order: int,
     """Whether the node multiset equations admit a solution avoiding -1.
 
     A further global minimizer w would give k dots {w . u} drawn from the
-    node set with centroid zero, second moment k/3 (2-designs) and fourth
-    moment k/5 (4-designs); for centrally symmetric orbits a dot of +1
+    node set with the power sums the t-design fixes, those of the sphere:
+    sum t^s = k/(s + 1) for even s and 0 for odd s, s = 1..t (Delsarte,
+    Goethals and Seidel 1977); for centrally symmetric orbits a dot of +1
     forces a dot of -1.  Infeasibility proves w must realize -1, i.e. lie
     on the antipodal orbit.
 
     Each node (a :class:`hspovm.q5.Q5`) times the common denominator d is
-    an integer pair, so each moment equation is two integer equations; the
-    search prunes on real values and tests the integers at its leaves.
-    The verdict does not depend on the kernel, so it is memoized on these
+    an integer pair (a, b), a + b sqrt 5, so moment s times (s + 1) d^s is
+    an equation in integer pairs.  The search prunes by the exact sign of
+    a pair and tests the equations at its leaves, in integers alone.  The
+    verdict does not depend on the kernel, so it is memoized on these
     exact arguments.
     """
     d = math.lcm(*(node.d for node in exact_nodes))
-    scaled = [node * d for node in exact_nodes]
-    nodes = [(x.a, x.b) for x in scaled]
-    root5 = math.sqrt(5.0)
-    values = [(p + q * root5) / d for p, q in nodes]
-    banned = {i for i, t in enumerate(values) if t < -1 + 1e-12}
-    if centrally_symmetric:
-        banned |= {i for i, t in enumerate(values) if t > 1 - 1e-12}
-    usable = [i for i in range(len(nodes)) if i not in banned]
-    usable.sort(key=lambda i: -abs(values[i]))
-
-    moments = [(1, Fraction(0))]                                      # sum t
-    if design_order >= 2:
-        moments.append((2, Fraction(k, 3)))
-    if design_order >= 4:
-        moments.append((4, Fraction(k, 5)))
-    powers = [[(p.a, p.b) for p in (scaled[i] ** s for i in usable)] for s, _ in moments]
-    floats = [[values[i] ** s for i in usable] for s, _ in moments]
-    # per moment, fixed for the whole search: d^s, the float target and the
-    # smallest and largest power over each suffix of the usable nodes
-    scales = [d ** s for s, _ in moments]
-    bounds = [(scale, float(target), list(accumulate(reversed(f), min))[::-1],
-               list(accumulate(reversed(f), max))[::-1])
-              for scale, (_, target), f in zip(scales, moments, floats)]
+    usable = sorted((node * d for node in exact_nodes
+                     if node != -1 and not (centrally_symmetric and node == 1)),
+                    key=lambda x: -(x * x))
+    moments = range(1, design_order + 1)
+    powers = [[(s + 1) * x ** s for x in usable] for s in moments]
+    targets = [(k * d ** s if s % 2 == 0 else 0, 0) for s in moments]
+    # per moment, fixed for the whole search: the target and the smallest
+    # and largest power over each suffix of the usable nodes
+    bounds = [(target, [(x.a, x.b) for x in accumulate(reversed(f), min)][::-1],
+               [(x.a, x.b) for x in accumulate(reversed(f), max)][::-1])
+              for (target, _), f in zip(targets, powers)]
+    powers = [[(x.a, x.b) for x in f] for f in powers]
 
     def dfs(pos, remaining, partials):
         if pos == len(usable):
-            return remaining == 0 and all(
-                q == 0 and p * target.denominator == target.numerator * scale
-                for (p, q), (_, target), scale in zip(partials, moments, scales))
-        # float bounds: can the remaining counts still reach each target?
-        for (p, q), (scale, t, low, high) in zip(partials, bounds):
-            partial = (p + q * root5) / scale
-            lo = partial + remaining * low[pos]
-            hi = partial + remaining * high[pos]
-            if t < lo - 1e-6 or t > hi + 1e-6:
+            return remaining == 0 and partials == targets
+        # can the remaining count still reach each target?  the gap
+        # target - partial must lie in remaining * [low, high]
+        for (p, q), (target, low, high) in zip(partials, bounds):
+            (la, lb), (ha, hb) = low[pos], high[pos]
+            if (pair_sign(target - p - remaining * la, -q - remaining * lb) < 0
+                    or pair_sign(remaining * ha - target + p, remaining * hb + q) < 0):
                 return False
         steps = [pw[pos] for pw in powers]
         for count in range(remaining + 1):
@@ -588,11 +575,11 @@ def _member_certificate(label: str, k: int, kernel: EntropyKernel) -> HermiteCer
     certified_minimum = float(assemble_lower_bound(member, poly)(-v.as_array()))
     reason = _REMAINDER_FAILURES.get(sign, "")
 
-    # p = h makes the bound P the entropy H itself; the invariant strategies
-    # cannot decide it (their coefficients vanish on the designs, where H is
-    # constant), so the constant proof stands in for any family
-    if sign == 0 or spec.strategy == "constant":
-        constant = degree <= design
+    # deg p <= t makes P constant.  p = h makes P the entropy H itself; the
+    # deciders cannot decide it (their coefficients vanish on the designs,
+    # where H is constant), so the constant proof stands in for any family
+    constant = degree <= design
+    if constant or sign == 0:
         orbit_ok, failure = constant, "lower bound unexpectedly non-constant"
         coefficients, fields = (certified_minimum,), {"constant_bound": constant}
     else:
@@ -630,11 +617,12 @@ def _member_certificate(label: str, k: int, kernel: EntropyKernel) -> HermiteCer
 def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCertificate:
     """Full certification that the antipodal orbit minimizes the entropy.
 
-    The orbit-minimum step is the family's registry strategy: constant
-    lower bound, by the design order, for polygons, the tetrahedron,
-    octahedron and icosahedron; on interval coefficients, candidate
-    comparison for the cube, cuboctahedron and dodecahedron and a Sturm
-    chain for the icosidodecahedron.  Every step runs on the registry
+    The orbit-minimum step is a constant lower bound wherever the degree
+    bound of the interpolant is at most the design order: polygons, the
+    tetrahedron, octahedron and icosahedron.  Elsewhere it is the family's
+    registry decider on interval coefficients: candidate comparison for
+    the cube, cuboctahedron and dodecahedron and a Sturm chain for the
+    icosidodecahedron.  Every step runs on the registry
     member the vectors are a rotated copy of, whatever their label (see
     :func:`hspovm.catalog.check_family_geometry`, which raises ValueError
     without one), and the certificate carries its label.  Memoized per

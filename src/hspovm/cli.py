@@ -230,13 +230,18 @@ def _parse_rotation(spec: str) -> dynamics.UnitaryAsRotation:
     axis, angle = [0.0, 0.0, 1.0], 0.0
     for part in spec.split(","):
         key, _, value = part.partition("=")
-        if key == "axis":
-            named = {"x": [1, 0, 0], "y": [0, 1, 0], "z": [0, 0, 1]}
-            axis = named.get(value) or [float(c) for c in value.split(":")]
-        elif key == "angle":
-            angle = float(value)
-        else:
-            raise ValueError(f"bad rotation component {part!r}")
+        try:
+            if key == "axis":
+                named = {"x": [1, 0, 0], "y": [0, 1, 0], "z": [0, 0, 1]}
+                axis = named.get(value) or [float(c) for c in value.split(":")]
+            elif key == "angle":
+                angle = float(value)
+            else:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"bad rotation component {part!r}") from None
+        if not math.isfinite(angle):
+            raise ValueError(f"rotation angle {value!r} is not finite")
     return dynamics.UnitaryAsRotation.about_axis(axis, angle)
 
 

@@ -88,10 +88,7 @@ class Q5:
 
     def sign(self) -> int:
         """The exact sign, -1, 0 or 1."""
-        sa, sb = (self.a > 0) - (self.a < 0), (self.b > 0) - (self.b < 0)
-        if sa * sb >= 0:
-            return sa or sb
-        return sa if self.a * self.a > 5 * self.b * self.b else sb
+        return pair_sign(self.a, self.b)
 
     def __lt__(self, other):
         return (self - other).sign() < 0
@@ -113,6 +110,14 @@ class Q5:
 
     def __repr__(self):
         return f"Q5({self.a}, {self.b}, {self.d})"
+
+
+def pair_sign(a: int, b: int) -> int:
+    """The exact sign of a + b sqrt 5 for integers a and b: -1, 0 or 1."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa if a * a > 5 * b * b else sb
 
 
 #: the golden ratio (1 + sqrt 5)/2, exactly

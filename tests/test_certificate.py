@@ -12,8 +12,8 @@ from mpmath import iv, mp
 from conftest import ALL_FAMILIES, POLYHEDRA, povm_for
 from hspovm import certificate
 from hspovm.bloch import EntropyKernel, SHANNON, h, h_derivative
-from hspovm.catalog import (FAMILY_SPECS, HsPovm, exact_nodes, exact_orbit,
-                            family_spec, interpolation_set, make_hs_povm,
+from hspovm.catalog import (FAMILY_SPECS, HsPovm, exact_design_order, exact_nodes,
+                            exact_orbit, family_spec, interpolation_set, make_hs_povm,
                             make_rectangle_povm)
 from hspovm.certificate import (
     HermitePolynomial,
@@ -357,11 +357,31 @@ class TestIcosidodecaPositivity:
 
 class TestUniqueness:
     def test_cube_moments_need_central_symmetry(self):
-        # {1, 1, -1/3 x 6} has sum 0 and square sum 8/3 = k/3; only the
-        # +1 => -1 pairing of a centrally symmetric orbit rules it out
+        # {1, 1, -1/3 x 6} has sum 0 and square sum 8/3 = k/3, so at t = 2
+        # only the +1 => -1 pairing of a centrally symmetric orbit rules it
+        # out; its cube sum 16/9 is not 0, so at t = 3 that moment alone does
+        witness = [Fraction(1)] * 2 + [Fraction(-1, 3)] * 6
+        assert [sum(t ** s for t in witness) for s in (1, 2, 3)] == [0, Fraction(8, 3),
+                                                                     Fraction(16, 9)]
         nodes = exact_nodes("cube")
-        assert _moment_constrained_feasible(nodes, 8, 3, False)
-        assert not _moment_constrained_feasible(nodes, 8, 3, True)
+        assert _moment_constrained_feasible(nodes, 8, 2, False)
+        assert not _moment_constrained_feasible(nodes, 8, 2, True)
+        assert not _moment_constrained_feasible(nodes, 8, 3, False)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_orbit_cosines_meet_the_design_moments(self, family):
+        # the orbit's own cosines with the seed have the sphere's power sums
+        # k/(s + 1) (even s) and 0 (odd s) for every s <= t, and not at t + 1
+        orbit = exact_orbit(family)
+        cosines = [dot(v, orbit[0]) / dot(orbit[0], orbit[0]) for v in orbit]
+        k, t = len(orbit), exact_design_order(family)
+
+        def meets(s):
+            target = Fraction(k, s + 1) if s % 2 == 0 else 0
+            return sum((c ** s for c in cosines), Q5()) == target
+
+        assert all(meets(s) for s in range(1, t + 1))
+        assert not meets(t + 1)
 
 
 def sampled_constant(povm, evaluator) -> bool:
@@ -829,11 +849,8 @@ def reference_feasible(exact_nodes, k, design_order, centrally_symmetric):
     usable = [i for i in range(len(nodes)) if i not in banned]
     usable.sort(key=lambda i: -abs(values[i]))
 
-    moments = [(1, Fraction(0))]
-    if design_order >= 2:
-        moments.append((2, Fraction(k, 3)))
-    if design_order >= 4:
-        moments.append((4, Fraction(k, 5)))
+    moments = [(s, Fraction(k, s + 1) if s % 2 == 0 else Fraction(0))
+               for s in range(1, design_order + 1)]
     powers = [[pair_power(nodes[i], s) for i in usable] for s, _ in moments]
     floats = [[values[i] ** s for i in usable] for s, _ in moments]
 
@@ -900,12 +917,16 @@ def test_tagged_set_of_another_family_certified_by_its_node_set(family, label, g
 
 
 def test_uniqueness_search_shared_across_kernels():
+    # from empty memos: the first kernel's certificate runs the search, the
+    # second's reads it
+    _member_certificate.cache_clear()
+    _moment_constrained_feasible.cache_clear()
     povm = make_hs_povm("icosidodecahedron")
     certify_minimum(povm)
-    hits = _moment_constrained_feasible.cache_info().hits
+    assert _moment_constrained_feasible.cache_info()[:2] == (0, 1)     # (hits, misses)
     certificate = certify_minimum(povm, EntropyKernel("renyi", 1.3))
     assert certificate.uniqueness_verdict
-    assert _moment_constrained_feasible.cache_info().hits == hits + 1
+    assert _moment_constrained_feasible.cache_info()[:2] == (1, 1)
 
 
 # --------------------------------------------------------------------------

@@ -459,6 +459,9 @@ USAGE_ERRORS = [
      "rotation axis [1.0, 2.0] is not three numbers"),
     (["dynent", "--family", "cube", "--rotation", "axis=1:2:3:4,angle=1"],
      "rotation axis [1.0, 2.0, 3.0, 4.0] is not three numbers"),
+    (["dynent", "--family", "cube", "--rotation", "axis="], "bad rotation component 'axis='"),
+    (["dynent", "--family", "cube", "--rotation", "angle=nan"],
+     "rotation angle 'nan' is not finite"),
     # an option that would do nothing is refused
     (["ngon-sweep", "--range", "5..3"], "--range '5..3' holds no n-gon: need 2 <= lo <= hi"),
     (["ngon-sweep", "--range", "1..3"], "--range '1..3' holds no n-gon: need 2 <= lo <= hi"),
