@@ -4,8 +4,9 @@ Pure qubit states are represented by unit vectors in R^3 (the Bloch
 representation, normalized to radius 1).  Everything downstream — outcome
 probabilities, the measurement-entropy summand h, and the pluggable
 Shannon/Renyi/Tsallis kernels — lives here.  An EntropyKernel is all the
-package knows of a kernel: its summand h and h' in any arithmetic, the sign
-of the higher derivatives of h, and the entropy at a block of dots u . v_j.
+package knows of a kernel: its summand h, h' and h'' in any arithmetic, the
+sign of the higher derivatives of h, and the entropy at a block of dots
+u . v_j.
 """
 
 from __future__ import annotations
@@ -211,28 +212,26 @@ class EntropyKernel:
 
     def summand(self, num, log):
         """h(t) = f((1 + t)/2) for the summand f (eta, or the power summand)
-        and its derivative h', in the arithmetic of ``num`` (float,
+        and its derivatives h' and h'', in the arithmetic of ``num`` (float,
         np.longdouble, or the ``mpf`` of an mpmath interval context) with
         the matching ``log``."""
+        half = num(0.5)
+        return tuple((lambda t, g=g: g((num(1) + t) * half))
+                     for g in self.summand_at_x(num, log))
+
+    def summand_at_x(self, num, log):
+        """h, h' and h'' as functions of x = (1 + t)/2, which a caller near
+        t = -1 can form without the cancellation in 1 + t; with ``np.log``
+        the derivatives apply entrywise to arrays."""
         one, half = num(1), num(0.5)
         if self.kind == "shannon":
-            def f(t):
-                x = (one + t) * half
-                return num(0) if x <= 0 else -x * log(x)
-
-            def fp(t):
-                return -half * (log((one + t) * half) + one)
-        else:
-            a = num(self.alpha)
-
-            def f(t):
-                x = (one + t) * half
-                return num(0) if x <= 0 else (x - x ** a) / (a - one)
-
-            def fp(t):
-                x = (one + t) * half
-                return half * (one - a * x ** (a - one)) / (a - one)
-        return f, fp
+            return (lambda x: num(0) if x <= 0 else -x * log(x),
+                    lambda x: -half * (log(x) + one),
+                    lambda x: -half * half / x)
+        a = num(self.alpha)
+        return (lambda x: num(0) if x <= 0 else (x - x ** a) / (a - one),
+                lambda x: half * (one - a * x ** (a - one)) / (a - one),
+                lambda x: -half * half * a * x ** (a - num(2)))
 
     def derivative_sign(self, order: int) -> int:
         """The sign h^(order) keeps on (-1, 1), for order >= 2: (-1)^(order-1)

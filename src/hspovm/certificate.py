@@ -193,7 +193,7 @@ def hermite_interpolate(kernel: EntropyKernel, nodes) -> HermitePolynomial:
     for t, mult in nodes:
         if mult >= 2 and t <= -1.0 + 1e-15:
             raise ValueError("no derivative constraint at t = -1 (h' singular)")
-    f, fp = kernel.summand(_LD, np.log)
+    f, fp, _ = kernel.summand(_LD, np.log)
     mono = _hermite_monomial(f, fp, [(_LD(t), m) for t, m in nodes], _LD(0))
     return HermitePolynomial(coefficients=tuple(mono), nodes=nodes)
 
@@ -243,7 +243,7 @@ def verify_below(p: HermitePolynomial, kernel: EntropyKernel = SHANNON):
     p <= h this is the interpolant's rounding residual at the nodes; where
     it proves the bound fails, every midpoint gives a strictly negative gap.
     """
-    f, _ = kernel.summand(_LD, np.log)
+    f, _, _ = kernel.summand(_LD, np.log)
     ts = [_LD(t) for t, _ in p.nodes]
     points = ts + [(a + b) / 2 for a, b in zip(ts, ts[1:])]
     gaps = [f(t) - pt for t, pt in zip(points, p(np.array(points, dtype=_LD)))]
@@ -433,7 +433,7 @@ def _interval_coefficients(name: str, precision: int, kernel: EntropyKernel = SH
     sum_i c_i L_i with the interpolant's interval monomial coefficients c_i
     on the exact nodes and the exact expansion matrix L."""
     ctx = _interval_context(precision)
-    f, fp = kernel.summand(ctx.mpf, ctx.log)
+    f, fp, _ = kernel.summand(ctx.mpf, ctx.log)
     nodes = [(t.lift(ctx), 1 if t in (-1, 1) else 2) for t in exact_nodes(name)]
     mono = _hermite_monomial(f, fp, nodes, ctx.mpf(0))
     expansion = _expansion_matrix(name, len(mono) - 1)

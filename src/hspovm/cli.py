@@ -37,7 +37,7 @@ def _g17(x: float) -> str:
 
 
 def _emit(text: str, config):
-    if config.out:
+    if config.out is not None:
         with open(config.out, "w") as fh:
             fh.write(text)
     else:
@@ -63,11 +63,13 @@ def _polygon_order(config):
 def _resolve_povm(config) -> HsPovm:
     if config.alpha is not None and config.family != "rectangle":
         raise ValueError("--alpha is read by --family rectangle only")
-    if config.infile and config.family:
+    if config.infile is not None and config.family is not None:
         raise ValueError("--in and --family both name the POVM; give one")
-    if config.infile:
+    if config.infile is not None:
         with open(config.infile) as fh:
             return HsPovm.from_json(fh.read())
+    if config.family is None:
+        raise ValueError("no POVM: give --family or --in")
     if config.family == "rectangle":
         if config.alpha is None:
             raise ValueError("rectangle family needs --alpha")
@@ -142,7 +144,7 @@ def _parse_point(text: str) -> BlochVector:
 
 def _cmd_classify(config) -> int:
     povm = _resolve_povm(config)
-    points = [_parse_point(config.point)] if config.point else inert_directions(povm)
+    points = [_parse_point(config.point)] if config.point is not None else inert_directions(povm)
     results = [entropy.classify_inert_point(u, povm) for u in points]
     _emit_json(config, family=povm.family,
                points=[_critical_point_payload(c, config) for c in results])
@@ -252,8 +254,8 @@ def _cmd_dynent(config) -> int:
         raise ValueError(f"--depth {config.depth} needs {povm.k}^{config.depth + 1} outcome "
                          f"strings, over the budget of 1e7; the deepest --depth for "
                          f"{povm.family} is {deepest}")
-    rotation = _parse_rotation(config.rotation) if config.rotation \
-        else dynamics.UnitaryAsRotation.identity()
+    rotation = (dynamics.UnitaryAsRotation.identity() if config.rotation is None
+                else _parse_rotation(config.rotation))
     value = dynamics.dynamical_entropy(rotation, povm)
     _emit_json(
         config, family=povm.family, rotation=config.rotation or "identity",
@@ -284,13 +286,13 @@ def positive_int(text: str) -> int:
     return int(text)
 
 
-_OUT = _opt("--out", default="", help="output path (default stdout)")
+_OUT = _opt("--out", default=None, help="output path (default stdout)")
 _BITS = _opt("--bits", action="store_true",
              help="display entropies in bits instead of nats")
-_SOURCE = (_opt("--family", default="", help=", ".join(FAMILIES + ("rectangle",))),
+_SOURCE = (_opt("--family", default=None, help=", ".join(FAMILIES + ("rectangle",))),
            _opt("--n", type=int, default=None, help="polygon order"),
            _opt("--alpha", type=float, default=None, help="rectangle diagonal angle"),
-           _opt("--in", dest="infile", default="",
+           _opt("--in", dest="infile", default=None,
                 help="POVM JSON file instead of a named family"))
 _GRID = _opt("--grid", type=positive_int, default=DEFAULT_GRID)
 
@@ -301,11 +303,11 @@ _COMMANDS = {
     "minimize": (_cmd_minimize, (_opt("--out", "--report", **_OUT[1]), _BITS,
                                  *_SOURCE, _GRID)),
     "classify": (_cmd_classify, (_OUT, _BITS, *_SOURCE,
-                                 _opt("--point", default="",
+                                 _opt("--point", default=None,
                                       help="x,y,z of the point to classify"))),
     "certify": (_cmd_certify, (_OUT, *_SOURCE)),
     "dynent": (_cmd_dynent, (_OUT, _BITS, *_SOURCE,
-                             _opt("--rotation", default="",
+                             _opt("--rotation", default=None,
                                   help="axis=z,angle=0.7853981633974483"),
                              _opt("--depth", type=positive_int, default=3, metavar="DEPTH",
                                   choices=range(1, 9)))),     # the depths dynamics enumerates
@@ -337,8 +339,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     config = _build_parser().parse_args(argv)
+    handler, options = _COMMANDS[config.subcommand]
     try:
-        return _COMMANDS[config.subcommand][0](config)
+        for flags, kwargs in options:   # an empty value is refused, not read as absent
+            if getattr(config, kwargs.get("dest", flags[0][2:].replace("-", "_"))) == "":
+                raise ValueError(f"{flags[0]} is empty")
+        return handler(config)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

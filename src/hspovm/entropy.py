@@ -11,15 +11,16 @@ certificate proves it (the paper's theorem).  Other global extrema are
 located (on the member that the vectors are a rotated copy of, if any) by a
 Fibonacci-lattice scan of one fundamental domain of the symmetry group (H is
 invariant under it, so every orbit of critical points has a representative
-there; Michel's argument), followed by one derivative-free refinement per
-symmetry orbit (an in-repo Nelder-Mead on tangent charts; H fails to be
-twice differentiable exactly at the entropy minima, the antipodes of the
-POVM vectors, so gradient steps are not trusted there), whose result is
-mapped through the group.  Coplanar minima are searched by golden-section
-on one arc of their circle; coplanar maxima are the plane's normals, and
-a pair's maxima its great circle.
-The local searches are generators that yield their trial points; all the
-starts of one call advance side by side, with one kernel call per round.
+there; Michel's argument), followed by one Newton refinement per symmetry
+orbit on the kernel's own derivatives h' and h'' (Riemannian Newton on the
+sphere, Newton in the angle on a coplanar set's circle), whose result is
+mapped through the group.  Every kernel's H increases with sum_j h(u . v_j),
+so that sum is what is refined.  H fails to be twice differentiable at the
+antipodes of the POVM vectors, so a refinement that reaches one stops there
+and leaves it to the re-centring on inert points.  All the starts of one
+call are refined at once, with one evaluation of h' and h'' per round.
+Coplanar maxima are the plane's normals, and a pair's maxima its great
+circle.
 Critical points forced by symmetry (inert states) are classified by the
 sign of a one-line statistic wherever the isotropy group acts irreducibly
 on the tangent plane, and by geodesic second-difference probing otherwise.
@@ -38,12 +39,8 @@ from .catalog import GEOMETRY_TOL, IDENTITY, HsPovm, _group_of_tag
 from .groups import RotationGroup, generate_group
 
 DEFAULT_GRID = 200_000
-REFINE_FTOL = 1e-13
-REFINE_XTOL = 1e-9
-REFINE_MAXITER = 600
-MAX_RECENTER = 6          # tangent charts per sphere refinement
+NEWTON_MAXITER = 50       # rounds of a Newton refinement before it is unconverged
 N_CANDIDATES = 2000       # lowest scan points kept, over |G| per domain
-LINE_XTOL = 1e-12         # bracket width ending a golden-section search
 START_ANGLE = 0.05        # rad, minimum spacing of refinement starts
 CLUSTER_ANGLE = 1e-4
 GRID_CHUNK = 4096         # rows per block of a large point grid
@@ -194,132 +191,134 @@ def _tangent_frame(c: np.ndarray) -> tuple:
     return e1, np.array([y * b2 - z * b1, z * b0 - x * b2, x * b1 - y * b0])
 
 
-def _nelder_mead(point, x0: tuple, maxiter: int = REFINE_MAXITER):
-    """Downhill simplex (Nelder-Mead 1965, standard coefficients) in the
-    plane, started from x0 and x0 + 2.5e-4 along each coordinate.
+def _tangent_frames(points: np.ndarray) -> tuple:
+    """The frame (e1, e2) of ``_tangent_frame`` at each row of ``points``,
+    as two (n, 3) arrays, formed row by row (no row depends on another)."""
+    axes = np.where(np.abs(points[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    e1 = np.cross(points, axes)
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    return e1, np.cross(points, e1)
 
-    A generator: for each trial x it yields ``point(x)`` and is sent the
-    objective's value there (see ``_lockstep``).  Stops when every vertex
-    lies within REFINE_XTOL of the best one in each coordinate and their
-    values within REFINE_FTOL, or after ``maxiter`` iterations; returns
-    (x, f(x), tolerance reached).  The vertices are tuples of two floats:
-    the same operations in the same order as on numpy rows, without the
-    per-operation cost of 2-element arrays.
-    """
-    x, y = x0
-    simplex = [(x, y), (x + 2.5e-4, y), (x, y + 2.5e-4)]
-    fvals = []
-    for v in simplex:
-        fvals.append((yield point(v)))
-    converged = False
-    for _ in range(maxiter):
-        (f0, best), (f1, mid), (f2, worst) = sorted(zip(fvals, simplex),
-                                                    key=lambda fv: fv[0])
-        simplex, fvals = [best, mid, worst], [f0, f1, f2]
-        if (max(abs(mid[0] - best[0]), abs(mid[1] - best[1]),
-                abs(worst[0] - best[0]), abs(worst[1] - best[1])) <= REFINE_XTOL
-                and max(abs(f1 - f0), abs(f2 - f0)) <= REFINE_FTOL):
-            converged = True
+
+def _on_circle(phi: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The points cos(phi) a + sin(phi) b, one row per angle (no -0.0)."""
+    return np.cos(phi)[:, None] * a + np.sin(phi)[:, None] * b + 0.0
+
+
+def _half_gaps(points: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """x_j = (1 + u . v_j)/2 for each row u of ``points`` and vector v_j,
+    formed as |u + v_j|^2/4: free of the cancellation in 1 + u . v_j near
+    an antipode, where the derivatives of every kernel blow up."""
+    gaps = points[:, None, :] + coords[None, :, :]
+    return np.add.reduce(gaps * gaps, axis=-1) * 0.25
+
+
+def _newton(starts: np.ndarray, coords: np.ndarray, kernel: EntropyKernel, sign: float,
+            embed, propose) -> tuple:
+    """Safeguarded Newton for the minima of F = sign sum_j h(u . v_j), from
+    every start at once.  Each round forms x_j = (1 + u . v_j)/2 at the
+    points u = ``embed(start)`` and the summand's h', h'' there, and
+    ``propose(rows, starts, x, h', h'')`` returns the trial starts, the step
+    lengths, whether each is a Newton step, and the gradient's terms (one
+    (n, k) array per component).  A start ends when its gradient is zero to
+    the rounding bound of its k-term sums, when it stops moving, when a
+    Newton step is no shorter than the last, or within 1e-6 of an antipode
+    -v_j, where h'' diverges (left to ``_recenter_on_inert``); after
+    NEWTON_MAXITER rounds it is unconverged.  Every operation is row by
+    row: each start gets the bits it would get alone.  Returns the starts
+    and the convergence flags."""
+    state = np.array(starts, dtype=float)
+    last = np.full(len(state), np.inf)          # length of the last Newton step
+    converged = np.zeros(len(state), dtype=bool)
+    active = np.arange(len(state))
+    _, d1, d2 = kernel.summand_at_x(float, np.log)
+    floor = len(coords) * np.finfo(float).eps    # rounding bound of a k-term sum
+    for _ in range(NEWTON_MAXITER):
+        if not len(active):
             break
-        c0, c1 = (best[0] + mid[0]) / 2, (best[1] + mid[1]) / 2
-        w0, w1 = worst
-        reflected = (2.0 * c0 - w0, 2.0 * c1 - w1)
-        f_reflected = yield point(reflected)
-        if f_reflected < f0:
-            expanded = (3.0 * c0 - 2.0 * w0, 3.0 * c1 - 2.0 * w1)
-            f_expanded = yield point(expanded)
-            if f_expanded < f_reflected:
-                simplex[2], fvals[2] = expanded, f_expanded
-            else:
-                simplex[2], fvals[2] = reflected, f_reflected
-            continue
-        if f_reflected < f1:
-            simplex[2], fvals[2] = reflected, f_reflected
-            continue
-        if f_reflected < f2:                        # outside contraction
-            trial = (1.5 * c0 - 0.5 * w0, 1.5 * c1 - 0.5 * w1)
-            value = yield point(trial)
-            accept = value <= f_reflected
-        else:                                       # inside contraction
-            trial = (0.5 * (c0 + w0), 0.5 * (c1 + w1))
-            value = yield point(trial)
-            accept = value < f2
-        if accept:
-            simplex[2], fvals[2] = trial, value
-        else:                                       # shrink towards the best
-            for i in (1, 2):
-                v = simplex[i]
-                simplex[i] = (best[0] + 0.5 * (v[0] - best[0]),
-                              best[1] + 0.5 * (v[1] - best[1]))
-                fvals[i] = yield point(simplex[i])
-    i = min(range(3), key=fvals.__getitem__)
-    return simplex[i], fvals[i], converged
+        x = _half_gaps(embed(state[active]), coords)
+        far = np.min(x, axis=1) >= 0.25e-12             # |u + v_j| >= 1e-6
+        x, rows = x[far], active[far]
+        trial, step, taken, gradient = propose(rows, state[rows], x, sign * d1(x),
+                                               sign * d2(x))
+        done = (np.all([np.abs(np.add.reduce(t, axis=-1))
+                        <= floor * np.add.reduce(np.abs(t), axis=-1) for t in gradient], axis=0)
+                | np.all(trial == state[rows], axis=tuple(range(1, trial.ndim)))
+                | (taken & (step >= last[rows])))
+        last[rows] = np.where(taken, step, np.inf)
+        state[rows[~done]] = trial[~done]
+        converged[active[~far]] = True
+        converged[rows[done]] = True
+        active = rows[~done]
+    return state, converged
 
 
-def _golden_section(point, lo: float, hi: float):
-    """Minimize f on [lo, hi] by golden-section search until the bracket is
-    narrower than LINE_XTOL.  A generator like ``_nelder_mead``: it yields
-    ``point(x)`` for each trial x and is sent f(x); returns (x, f(x)) at the
-    best point evaluated (the minimizer when f is unimodal on the interval).
-    """
-    shrink = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-    fc = yield point(c)
-    fd = yield point(d)
-    while hi - lo > LINE_XTOL:
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - shrink * (hi - lo)
-            fc = yield point(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + shrink * (hi - lo)
-            fd = yield point(d)
-    return (c, fc) if fc <= fd else (d, fd)
+def _newton_on_circle(phi: np.ndarray, spacing: float, a, b, coords: np.ndarray,
+                      kernel: EntropyKernel, sign: float) -> tuple:
+    """Minima of F along the circle cos(phi) a + sin(phi) b, refined from
+    the angles ``phi`` by ``_newton`` in phi.  With t_j' = (-sin(phi) a +
+    cos(phi) b) . v_j and t_j'' = -t_j, F' = sum h'(t_j) t_j' and
+    F'' = sum h''(t_j) t_j'^2 - h'(t_j) t_j.  Each start keeps a bracket,
+    phi +- 2 spacing narrowed by the sign of F'; a step that leaves it, or
+    is taken where F'' <= 0, is replaced by the bracket's midpoint."""
+    lo, hi = phi - 2.0 * spacing, phi + 2.0 * spacing
+
+    def propose(rows, p, x, h1, h2):
+        slopes = (coords @ (np.cos(p)[:, None] * b - np.sin(p)[:, None] * a)[:, :, None])[..., 0]
+        terms = h1 * slopes
+        f1 = np.add.reduce(terms, axis=-1)
+        f2 = (np.add.reduce(h2 * slopes * slopes, axis=-1)
+              - np.add.reduce(h1 * (2.0 * x - 1.0), axis=-1))
+        lo[rows] = np.where(f1 < 0.0, p, lo[rows])
+        hi[rows] = np.where(f1 > 0.0, p, hi[rows])
+        newton = p - f1 / np.where(f2 > 0.0, f2, 1.0)
+        taken = (f2 > 0.0) & (lo[rows] < newton) & (newton < hi[rows])
+        trial = np.where(taken, newton, 0.5 * (lo[rows] + hi[rows]))
+        return trial, np.abs(trial - p), taken, [terms]
+
+    return _newton(phi, coords, kernel, sign, lambda p: _on_circle(p, a, b), propose)
 
 
-def _lockstep(searches: list, values) -> list:
-    """Run generator searches side by side and return their results in
-    order.  Each round the pending points of every unfinished search are
-    stacked and evaluated in one call ``values(points)``, and each search
-    is sent its point's value."""
-    results = [None] * len(searches)
-    active = [(i, s, next(s)) for i, s in enumerate(searches)]
-    while active:
-        fvals = values(np.array([p for _, _, p in active])).tolist()
-        stepped = []
-        for (i, s, _), f in zip(active, fvals):
-            try:
-                stepped.append((i, s, s.send(f)))
-            except StopIteration as done:
-                results[i] = done.value
-        active = stepped
-    return results
+def _newton_on_sphere(starts: np.ndarray, coords: np.ndarray, kernel: EntropyKernel,
+                      sign: float) -> tuple:
+    """Minima of F on the sphere, refined from the rows of ``starts`` by
+    ``_newton`` as Riemannian Newton (Absil, Mahony & Sepulchre 2008,
+    ch. 6).  In the frame (e1, e2) of ``_tangent_frames`` at u the gradient
+    is e_a . G with G = sum h'(t_j) v_j, and the Hessian
+    sum h''(t_j) (e_a . v_j)(e_b . v_j) - (u . G) delta_ab; the step solves
+    the 2 x 2 system and is retracted onto the sphere by normalizing
+    u + s_1 e1 + s_2 e2.  Where the Hessian is not positive definite, the
+    step is the descent direction -gradient over the Hessian's largest
+    absolute eigenvalue.  A step that would reach an antipode -v_j where F
+    falls towards it (h'(t_j) > 0), past which h'' diverges, is cut back to
+    half the distance."""
 
+    def propose(rows, u, x, h1, h2):
+        e1, e2 = _tangent_frames(u)
+        c1, c2 = ((coords @ e[:, :, None])[..., 0] for e in (e1, e2))
+        terms = [h1 * c1, h1 * c2]
+        g1, g2 = (np.add.reduce(t, axis=-1) for t in terms)
+        radial = np.add.reduce(h1 * (2.0 * x - 1.0), axis=-1)
+        h11 = np.add.reduce(h2 * c1 * c1, axis=-1) - radial
+        h12 = np.add.reduce(h2 * c1 * c2, axis=-1)
+        h22 = np.add.reduce(h2 * c2 * c2, axis=-1) - radial
+        det = h11 * h22 - h12 * h12
+        taken = (h11 > 0.0) & (det > 0.0)
+        det = np.where(taken, det, 1.0)
+        largest = np.abs(0.5 * (h11 + h22)) + np.hypot(0.5 * (h11 - h22), h12)
+        largest = np.where(largest > 0.0, largest, 1.0)
+        s1 = np.where(taken, (h12 * g2 - h22 * g1) / det, -g1 / largest)
+        s2 = np.where(taken, (h12 * g1 - h11 * g2) / det, -g2 / largest)
+        closest = np.arange(len(x)), np.argmin(x, axis=1)
+        reach = np.where(h1[closest] > 0.0, np.sqrt(x[closest]), np.inf)   # |u + v_j|/2
+        step = np.hypot(s1, s2)
+        cut = np.minimum(reach / np.where(step > 0.0, step, 1.0), 1.0)
+        trial = u + (cut * s1)[:, None] * e1 + (cut * s2)[:, None] * e2
+        return (trial / np.linalg.norm(trial, axis=1)[:, None], cut * step, taken & (cut == 1.0),
+                terms)
 
-def _refine_on_sphere(start: np.ndarray):
-    """Nelder-Mead on local tangent charts, re-centred until stationary
-    (at most MAX_RECENTER charts).
-
-    A generator that yields the sphere point of each trial (see
-    ``_lockstep``); returns the refined point and whether the last chart's
-    simplex reached its tolerance within the iteration cap.
-    """
-    center = start / np.linalg.norm(start)
-    for _ in range(MAX_RECENTER):
-        e1, e2 = _tangent_frame(center)
-
-        def chart(st):
-            p = center + st[0] * e1 + st[1] * e2
-            return p / np.linalg.norm(p)
-
-        step, _, converged = yield from _nelder_mead(chart, (0.0, 0.0))
-        new = chart(step)
-        moved = np.linalg.norm(new - center)
-        center = new
-        if moved < 1e-10:
-            break
-    return center, converged
+    starts = starts / np.linalg.norm(starts, axis=1)[:, None]
+    return _newton(starts, coords, kernel, sign, lambda u: u, propose)
 
 
 def _orbit_representatives(points: np.ndarray, group: RotationGroup,
@@ -388,36 +387,29 @@ def _lowest_distinct(points, values, flags, povm: HsPovm, group: RotationGroup,
     return [t for t in located if t[1] <= best + 1e-8]
 
 
-def _circle_refined(povm: HsPovm, normal, group: RotationGroup, values, rows,
-                    n_scan: int) -> np.ndarray:
+def _circle_refined(povm: HsPovm, normal, group: RotationGroup, values, n_scan: int,
+                    kernel: EntropyKernel, sign: float) -> tuple:
     """1D search for the minima of a coplanar POVM, which lie on the circle
     orthogonal to ``normal`` (H depends on u only through its projection and
     is concave in the Bloch ball).  ``values`` is the signed entropy of the
-    (n, 3) scan grid, ``rows`` that of the stacked trial points of the
-    golden-section searches, which run side by side, one per grid point no
-    higher than its two neighbours: on the circle, one arc (``_circle_arc``),
-    its lowest 4k such points within 1e-3 of the lowest, and the refined
-    points mapped through ``group``."""
+    (n, 3) scan grid.  On the circle, one arc (``_circle_arc``) is scanned;
+    its lowest 4k grid points no higher than their two neighbours, within
+    1e-3 of the lowest, start ``_newton_on_circle``.  Returns the refined
+    points and whether each converged."""
     n = max(n_scan, 4096)
     # the z = 0 circle is (cos phi, sin phi, 0), bit for bit
     e1, e2 = _tangent_frame(normal if normal[2] >= 0.0 else -normal)
     a, b = -e2, e1
     spacing = 2.0 * math.pi / n
     params = _circle_arc(group, a, b, n) % n * spacing
-    pts = np.cos(params)[:, None] * a + np.sin(params)[:, None] * b + 0.0
-
-    def embed(phi):
-        return math.cos(phi) * a + math.sin(phi) * b + 0.0
-
-    vals = values(pts)
+    vals = values(_on_circle(params, a, b))
     inner = vals[1:-1]
     minima = np.flatnonzero((inner <= vals[:-2]) & (inner <= vals[2:])) + 1
     minima = minima[np.argsort(vals[minima])][: 4 * povm.k]
     minima = minima[vals[minima] <= vals[minima[0]] + 1e-3]
-    searches = [_golden_section(embed, params[i] - 2 * spacing, params[i] + 2 * spacing)
-                for i in minima]
-    refined = [embed(x) for x, _ in _lockstep(searches, rows)]
-    return np.concatenate([group.matrix_stack() @ p for p in refined])
+    phi, converged = _newton_on_circle(params[minima], spacing, a, b, povm.matrix(),
+                                       kernel, sign)
+    return _on_circle(phi, a, b), converged
 
 
 def _circle_arc(group: RotationGroup, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -470,12 +462,13 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
     lattice in the Dirichlet cell of a fixed generic point (memoized per
     (n_scan, G) in a small cache); its lowest ceil(N_CANDIDATES/|G|)
     points are thinned against the group images of the starts already
-    taken (0.05 rad) and refined by Nelder-Mead on tangent charts.
-    Coplanar minima are searched by golden-section on one arc of their
-    circle, the cell of a generic circle point.  All the searches of a call
-    advance side by side (``_lockstep``), each round's trial points evaluated
-    in one call of ``_entropy_of_rows``, equal bit for bit to the
-    single-point objective.
+    taken (0.05 rad) and refined by Riemannian Newton
+    (``_newton_on_sphere``).  Coplanar minima are searched on one arc of
+    their circle, the cell of a generic circle point, and refined by Newton
+    in the angle (``_newton_on_circle``).  Both refine every start of the
+    call at once, with the summand's h' and h'' from the kernel
+    (:meth:`EntropyKernel.summand_at_x`), and give each start the same bits
+    as refining it alone.
     Points within 1e-4 rad of a lower one are dropped, the rest re-centred
     on the inert point they lie on, and those within 1e-8 of the best value
     returned.  Either way the points are sorted by their coordinates.
@@ -543,15 +536,15 @@ def _scan_extrema(povm: HsPovm, mode: str, n_scan: int, kernel: EntropyKernel,
 
     group, normal = povm.symmetry_group, _plane_normal(coords)
     if normal is not None:
-        points = _circle_refined(povm, normal, group, values, rows, n_scan // 16)
-        flags = [True] * len(points)
+        refined, converged = _circle_refined(povm, normal, group, values, n_scan // 16,
+                                             kernel, sign)
     else:
         domain = _fundamental_domain(n_scan, group.name)
         candidates = domain[_lowest(values(domain), -(-n_candidates // group.order))]
         starts = candidates[_orbit_representatives(candidates, group, START_ANGLE)]
-        refined = _lockstep([_refine_on_sphere(p) for p in starts], rows)
-        points = np.concatenate([group.matrix_stack() @ p for p, _ in refined])
-        flags = [ok for _, ok in refined for _ in range(group.order)]
+        refined, converged = _newton_on_sphere(starts, coords, kernel, sign)
+    points = np.concatenate([group.matrix_stack() @ p for p in refined])
+    flags = np.repeat(converged, group.order).tolist()
     located = _lowest_distinct(points, rows(points), flags, povm, group, objective)
 
     out = []

@@ -224,11 +224,26 @@ class TestEntropyKernel:
     def test_h_prime_matches_fd(self):
         for kernel in (SHANNON, EntropyKernel("tsallis", 0.5),
                        EntropyKernel("renyi", 1.5)):
-            f, fp = kernel.summand(float, math.log)
+            f, fp, fpp = kernel.summand(float, math.log)
             for t in (-0.5, 0.0, 0.7):
                 step = 1e-7
                 fd = (f(t + step) - f(t - step)) / (2 * step)
                 assert fp(t) == pytest.approx(fd, rel=1e-6, abs=1e-8)
+                fd = (fp(t + step) - fp(t - step)) / (2 * step)
+                assert fpp(t) == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+    @pytest.mark.parametrize("kernel", [SHANNON, EntropyKernel("tsallis", 0.5),
+                                        EntropyKernel("renyi", 2.5)], ids=str)
+    def test_summand_at_x_on_arrays(self, kernel):
+        # the functions of x that the summand composes with x = (1 + t)/2,
+        # applied entrywise to an array as the optimizer does (numpy's power
+        # may round the last bit differently from the float one)
+        ts = np.array([-0.9, -0.25, 0.0, 0.6])
+        at_x = kernel.summand_at_x(float, np.log)
+        for of_t, of_x in zip(kernel.summand(float, math.log)[1:], at_x[1:]):
+            values = of_x((1.0 + ts) / 2.0)
+            assert values.tolist() == pytest.approx([of_t(t) for t in ts.tolist()],
+                                                    rel=4 * np.finfo(float).eps)
 
     def test_derivative_sign_needs_order_two(self):
         with pytest.raises(ValueError):

@@ -693,7 +693,7 @@ def reference_orbit_sum(povm, kernel, ctx, point):
     tau = (1 + ctx.sqrt(ctx.mpf(5))) / 2
     verts = [[reference_lift(c, tau) for c in row] for row in povm.matrix()]
     nodes = [(reference_lift(t, tau), m) for t, m in _hermite_nodes(povm)]
-    f, fp = kernel.summand(ctx.mpf, ctx.log)
+    f, fp, _ = kernel.summand(ctx.mpf, ctx.log)
     mono = _hermite_monomial(f, fp, nodes, ctx.mpf(0))
     norm = ctx.sqrt(point[0] ** 2 + point[1] ** 2 + point[2] ** 2)
     x = [c / norm for c in point]

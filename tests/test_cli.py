@@ -1,17 +1,21 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hspovm.catalog import make_hs_povm
-from hspovm.cli import _build_parser, main
+from hspovm.cli import _COMMANDS, _build_parser, main
 from hspovm.entropy import DEFAULT_GRID, _entropy_values, fibonacci_sphere
 
 
@@ -400,18 +404,18 @@ class TestOtherCommands:
         assert payloads[0] == payloads[1]
 
 
-_OUT = [(("--out",), "out", "")]
+_OUT = [(("--out",), "out", None)]
 _BITS = [(("--bits",), "bits", False)]
-_SOURCE = [(("--family",), "family", ""), (("--n",), "n", None),
-           (("--alpha",), "alpha", None), (("--in",), "infile", "")]
+_SOURCE = [(("--family",), "family", None), (("--n",), "n", None),
+           (("--alpha",), "alpha", None), (("--in",), "infile", None)]
 OPTIONS = {   # subcommand -> (option strings, dest, default), in --help order
     "generate": _OUT + _SOURCE,
     "validate": _OUT + _SOURCE,
-    "minimize": [(("--out", "--report"), "out", "")] + _BITS + _SOURCE
+    "minimize": [(("--out", "--report"), "out", None)] + _BITS + _SOURCE
                 + [(("--grid",), "grid", DEFAULT_GRID)],
-    "classify": _OUT + _BITS + _SOURCE + [(("--point",), "point", "")],
+    "classify": _OUT + _BITS + _SOURCE + [(("--point",), "point", None)],
     "certify": _OUT + _SOURCE,
-    "dynent": _OUT + _BITS + _SOURCE + [(("--rotation",), "rotation", ""),
+    "dynent": _OUT + _BITS + _SOURCE + [(("--rotation",), "rotation", None),
                                         (("--depth",), "depth", 3)],
     "entropy-map": _OUT + _BITS + _SOURCE + [(("--grid",), "grid", DEFAULT_GRID)],
     "info-power": _OUT + _BITS + [(("--format",), "fmt", "table"),
@@ -478,6 +482,14 @@ USAGE_ERRORS = [
     (["dynent", "--family", "icosidodecahedron", "--depth", "8"],
      "--depth 8 needs 30^9 outcome strings, over the budget of 1e7; "
      "the deepest --depth for icosidodecahedron is 3"),
+    # an empty value is refused, not read as the option's absence
+    (["classify", "--family", "cube", "--point", ""], "--point is empty"),
+    (["dynent", "--family", "cube", "--rotation", ""], "--rotation is empty"),
+    (["generate", "--family", "cube", "--out", ""], "--out is empty"),
+    (["minimize", "--family", "cube", "--report", ""], "--out is empty"),
+    (["generate", "--in", "", "--family", "cube"], "--in is empty"),
+    (["generate", "--family", ""], "--family is empty"),
+    (["generate"], "no POVM: give --family or --in"),
 ]
 
 
@@ -520,6 +532,41 @@ class TestUsageErrors:
         assert [line for line in captured.err.splitlines() if "error:" in line] == [
             f"hspovm dynent: error: argument --depth: invalid choice: {depth} "
             "(choose from 1, 2, 3, 4, 5, 6, 7, 8)"]
+
+
+HOSTILE = ("0", "-1", "nan", "inf", "", "1,2", "3..2", "x")
+
+
+def _valued_options(command):
+    """The flags of a subcommand's options that take a value."""
+    return [flags[0] for flags, kwargs in _COMMANDS[command][1]
+            if kwargs.get("action") != "store_true"]
+
+
+def _source_for(option, flags):
+    """A valid POVM source beside ``option``, for the subcommands that read one."""
+    if "--family" not in flags or option in ("--family", "--in"):
+        return []
+    return ["--family", {"--n": "n-gon", "--alpha": "rectangle"}.get(option, "cube")]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_hostile_values_keep_the_exit_codes(data):
+    """Every option of every subcommand, given a hostile value, exits 0, 1
+    or 2 (argparse's own refusal included), never 3 (an internal error)."""
+    command = data.draw(st.sampled_from(sorted(_COMMANDS)))
+    flags = _valued_options(command)
+    option = data.draw(st.sampled_from(flags))
+    argv = [command, *_source_for(option, flags), option, data.draw(st.sampled_from(HOSTILE))]
+    sink = io.StringIO()
+    with tempfile.TemporaryDirectory() as workdir, contextlib.chdir(workdir), \
+            contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            code = main(argv)
+        except SystemExit as refused:           # argparse refuses the value itself
+            code = refused.code
+    assert code in (0, 1, 2), (argv, sink.getvalue())
 
 
 class TestPinnedValues:

@@ -20,17 +20,15 @@ from hspovm.entropy import (
     DEFAULT_GRID,
     DOMAIN_CENTER,
     GRID_CHUNK,
-    REFINE_MAXITER,
     START_ANGLE,
     TRIVIAL_GROUP,
     _entropy_of_rows,
     _entropy_values,
     _fundamental_domain,
     _geodesic_second_differences,
-    _golden_section,
-    _lockstep,
     _lowest,
-    _nelder_mead,
+    _newton_on_circle,
+    _newton_on_sphere,
     _orbit_representatives,
     _scan_extrema,
     _tangent_frame,
@@ -483,18 +481,18 @@ class TestCoplanarMaxima:
 
 class TestCircleSearchWork:
     """The circle path scans one arc, the Dirichlet cell of the group, and
-    runs one golden-section search per orbit of minima, whose images under
+    starts one Newton refinement per orbit of minima, whose images under
     the group are the located minima."""
 
     @pytest.mark.parametrize("alpha, minima", [(0.8, 2), (1.4, 4)],
                              ids=["below bifurcation", "above bifurcation"])
     def test_one_search_per_orbit(self, monkeypatch, alpha, minima):
-        brackets = []
-        search = entropy._golden_section
-        monkeypatch.setattr(entropy, "_golden_section", lambda point, lo, hi: (
-            brackets.append((lo, hi)) or search(point, lo, hi)))
+        starts = []
+        refine = entropy._newton_on_circle
+        monkeypatch.setattr(entropy, "_newton_on_circle", lambda phi, *args: (
+            starts.append(len(phi)) or refine(phi, *args)))
         located = find_extrema(make_rectangle_povm(alpha), "min")
-        assert len(brackets) == 1 and len(located) == minima
+        assert starts == [1] and len(located) == minima
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 12])
     def test_arc_is_the_cell_padded_by_two_steps(self, n):
@@ -510,173 +508,143 @@ class TestCircleSearchWork:
                               np.arange(-1, grid + 1))
 
 
-class TestLocalSearch:
-    """The searches are generators driven by ``_lockstep``, which evaluates
-    the pending trial points of all of them in one call per round."""
+class TestNewtonRefinement:
+    """The refinements run all their starts at once, in a few rounds."""
 
-    def test_golden_section_kink(self):
-        target = math.pi / 4.0
-        [(x, fx)] = _lockstep([_golden_section(lambda x: x, 0.0, 1.0)],
-                              lambda xs: np.maximum(2.0 * (target - xs), xs - target))
-        assert abs(x - target) < 1e-12
-        assert fx == max(2.0 * (target - x), x - target)
+    def test_no_starts(self):
+        a, b = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+        coords = make_rectangle_povm(1.4).matrix()
+        phi, converged = _newton_on_circle(np.empty(0), 1e-3, a, b, coords, SHANNON, 1.0)
+        assert phi.shape == converged.shape == (0,)
+        points, converged = _newton_on_sphere(np.empty((0, 3)), coords, SHANNON, 1.0)
+        assert points.shape == (0, 3) and converged.shape == (0,)
 
-    def test_nelder_mead_reports_convergence(self):
-        def bowl(x):
-            return abs(x[0] - 1e-3) + 2.0 * abs(x[1] + 2e-3)
+    @pytest.mark.parametrize("alpha", [0.8, 1.1, 1.4])
+    def test_circle_search_in_at_most_four_rounds(self, monkeypatch, alpha):
+        # the Shannon rectangle's minima, on either side of the bifurcation
+        povm = make_rectangle_povm(alpha)
+        calls = []
+        refine = entropy._newton_on_circle
+        monkeypatch.setattr(entropy, "_newton_on_circle", lambda *args: (
+            calls.append(args) or refine(*args)))
+        find_extrema(povm, "min")
+        [args] = calls
+        full = refine(*args)
+        monkeypatch.setattr(entropy, "NEWTON_MAXITER", 4)
+        phi, converged = refine(*args)
+        assert converged.all() and phi.tobytes() == full[0].tobytes()
 
-        def bowls(xs):
-            return np.abs(xs[:, 0] - 1e-3) + 2.0 * np.abs(xs[:, 1] + 2e-3)
-
-        (x, fx, converged), (_, _, capped) = _lockstep(
-            [_nelder_mead(lambda v: v, (0.0, 0.0)),
-             _nelder_mead(lambda v: v, (0.0, 0.0), maxiter=3)], bowls)
-        assert converged
-        assert x == pytest.approx([1e-3, -2e-3], abs=1e-8)
-        assert fx == bowl(x)
-        assert not capped
-
-    def test_no_searches(self):
-        assert _lockstep([], lambda points: 1 / 0) == []
-
-
-def _nelder_mead_on_arrays(f, x0, maxiter=REFINE_MAXITER):
-    """The simplex kept as numpy rows, one objective call per trial point:
-    the reference that the float bookkeeping of ``_nelder_mead`` follows."""
-    simplex = np.vstack([x0, x0 + 2.5e-4 * np.eye(len(x0))])
-    fvals = np.array([f(x) for x in simplex])
-    converged = False
-    for _ in range(maxiter):
-        order = np.argsort(fvals, kind="stable")
-        simplex, fvals = simplex[order], fvals[order]
-        if (np.max(np.abs(simplex[1:] - simplex[0])) <= entropy.REFINE_XTOL
-                and np.max(np.abs(fvals[1:] - fvals[0])) <= entropy.REFINE_FTOL):
-            converged = True
-            break
-        centroid = simplex[:-1].mean(axis=0)
-        worst = simplex[-1]
-        reflected = 2.0 * centroid - worst
-        f_reflected = f(reflected)
-        if f_reflected < fvals[0]:
-            expanded = 3.0 * centroid - 2.0 * worst
-            f_expanded = f(expanded)
-            if f_expanded < f_reflected:
-                simplex[-1], fvals[-1] = expanded, f_expanded
-            else:
-                simplex[-1], fvals[-1] = reflected, f_reflected
-            continue
-        if f_reflected < fvals[-2]:
-            simplex[-1], fvals[-1] = reflected, f_reflected
-            continue
-        if f_reflected < fvals[-1]:
-            point = 1.5 * centroid - 0.5 * worst
-            value = f(point)
-            accept = value <= f_reflected
-        else:
-            point = 0.5 * (centroid + worst)
-            value = f(point)
-            accept = value < fvals[-1]
-        if accept:
-            simplex[-1], fvals[-1] = point, value
-        else:
-            simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
-            fvals[1:] = [f(x) for x in simplex[1:]]
-    best = int(np.argmin(fvals))
-    return simplex[best], float(fvals[best]), converged
+    def test_convergence_is_reported(self, monkeypatch):
+        # a cube maximum from a start 0.38 rad off it: reached within the
+        # cap, and reported unconverged when the cap is one round
+        start, coords = np.array([[0.3, 0.2, 0.9]]), povm_for("cube").matrix()
+        point, converged = _newton_on_sphere(start, coords, SHANNON, -1.0)
+        assert converged.all() and np.abs(point[0]) == pytest.approx([0, 0, 1], abs=1e-14)
+        monkeypatch.setattr(entropy, "NEWTON_MAXITER", 1)
+        _, capped = _newton_on_sphere(start, coords, SHANNON, -1.0)
+        assert not capped.any()
 
 
-@pytest.mark.parametrize("maxiter", [3, 40, REFINE_MAXITER])
-@pytest.mark.parametrize("family", ["tetrahedron", "cube", "icosidodecahedron", "bowl"])
-def test_nelder_mead_follows_the_array_reference(family, maxiter):
-    """Every trial point and the result of the simplex on floats equal, bit
-    for bit, those of the simplex on numpy rows, on tangent charts of the
-    entropy (minimized and maximized) and on a kinked bowl."""
-    rng = np.random.default_rng(6)
-    objectives = []
-    if family == "bowl":
-        objectives.append(lambda x: abs(x[0] - 1e-3) + 2.0 * abs(x[1] + 2e-3))
-    else:
-        povm = povm_for(family)
-        coords, k = povm.matrix(), povm.k
-        for sign in (1.0, -1.0):
-            for center in (-coords[0] + 0.05 * rng.normal(size=3), rng.normal(size=3)):
-                center = center / np.linalg.norm(center)
-                e1, e2 = _tangent_frame(center)
-
-                def chart(st, center=center, e1=e1, e2=e2, sign=sign):
-                    p = center + st[0] * e1 + st[1] * e2
-                    return sign * EntropyKernel("shannon").entropy_of_dots(
-                        coords @ (p / np.linalg.norm(p)), k)
-
-                objectives.append(chart)
-    for f in objectives:
-        trials, reference_trials = [], []
-
-        def recorded(x, f=f):
-            reference_trials.append(np.array(x))
-            return f(x)
-
-        def tried(v, f=f):
-            trials.append(np.array(v))
-            return f(np.array(v))
-
-        reference = _nelder_mead_on_arrays(recorded, np.zeros(2), maxiter)
-        [result] = _one_at_a_time(tried)([_nelder_mead(lambda v: v, (0.0, 0.0), maxiter)],
-                                         None)
-        assert np.array(trials).tobytes() == np.array(reference_trials).tobytes()
-        assert np.array(result[0]).tobytes() == reference[0].tobytes()
-        assert result[1:] == reference[1:]
-
-
-def _one_at_a_time(objective):
-    """A stand-in for ``_lockstep`` that drives each search alone to its end,
-    sending it the scalar objective of each of its trial points."""
-    def drive(searches, values):
-        results = []
-        for search in searches:
-            try:
-                point = next(search)
-                while True:
-                    point = search.send(objective(point))
-            except StopIteration as done:
-                results.append(done.value)
-        return results
+def _one_start_at_a_time(refine):
+    """A stand-in for a Newton refinement that runs each start alone and
+    stacks the results."""
+    def drive(starts, *args):
+        runs = [refine(starts[i:i + 1], *args) for i in range(len(starts))]
+        return tuple(np.concatenate(parts) for parts in zip(*runs))
     return drive
 
 
 CIRCLE_INPUTS = {"5-gon": lambda: make_hs_povm("n-gon", 5),
                  "6-gon": lambda: make_hs_povm("n-gon", 6),
-                 "digon": lambda: povm_for("digon"),
                  "rectangle 0.8": lambda: make_rectangle_povm(0.8),
                  "rectangle 1.4": lambda: make_rectangle_povm(1.4)}
+REFINEMENTS = ("_newton_on_sphere", "_newton_on_circle")
 
 
 @pytest.mark.parametrize("kernel", [EntropyKernel("shannon"), EntropyKernel("renyi", 1.3),
                                     EntropyKernel("tsallis", 0.8)], ids=str)
 @pytest.mark.parametrize("mode", ["min", "max"])
 @pytest.mark.parametrize("name", POLYHEDRA + tuple(CIRCLE_INPUTS))
-def test_lockstep_equals_one_at_a_time(monkeypatch, name, mode, kernel):
-    """Running every search of a scan side by side, with their trial points
-    evaluated in one kernel call per round, refines each start to the same
-    bits as driving it alone through the scalar objective."""
+def test_newton_batch_equals_one_at_a_time(monkeypatch, name, mode, kernel):
+    """Refining every start of a scan at once, one kernel call per round,
+    gives each start the same bits as refining it alone."""
     povm = CIRCLE_INPUTS[name]() if name in CIRCLE_INPUTS else povm_for(name)
-    sign = 1.0 if mode == "min" else -1.0
-    coords, k = povm.matrix(), povm.k
+    originals = {refine: getattr(entropy, refine) for refine in REFINEMENTS}
     runs = []
-    for run_searches in (_lockstep, _one_at_a_time(
-            lambda p: sign * kernel.entropy_of_dots(coords @ p, k))):
+    for alone in (False, True):
         refined = []
+        for refine, original in originals.items():
+            refiner = _one_start_at_a_time(original) if alone else original
 
-        def recording(searches, values, run_searches=run_searches, refined=refined):
-            refined.extend(run_searches(searches, values))
-            return refined
+            def recording(starts, *args, refiner=refiner, refined=refined):
+                result = refiner(starts, *args)
+                refined.append([part.tobytes() for part in result])
+                return result
 
-        monkeypatch.setattr(entropy, "_lockstep", recording)
+            monkeypatch.setattr(entropy, refine, recording)
         located = _scan_extrema(povm, mode, 20_000, kernel, 2000)
-        runs.append(([[np.asarray(e).tobytes() for e in result] for result in refined],
-                     repr(located)))
+        runs.append((refined, repr(located)))
     assert runs[0] == runs[1]
-    assert runs[0][0] or (name, mode) == ("digon", "min")   # no interior minimum
+    [[points, converged]] = runs[0][0]
+    assert points and np.frombuffer(converged, dtype=bool).all()
+
+
+def _riemannian_derivatives(u, povm, kernel):
+    """The Riemannian gradient (a 3-vector) and Hessian (its two eigenvalues
+    on the tangent plane) at the unit vector u of S(u) = sum_j h(u . v_j),
+    which H increases with under every kernel, from closed forms of h' and
+    h'' written out here: h(t) = f(x) with x = (1 + t)/2, f = -x ln x or
+    (x - x^a)/(a - 1)."""
+    coords = povm.matrix()
+    x = (1.0 + coords @ u) / 2.0
+    if kernel.kind == "shannon":
+        d1, d2 = -(np.log(x) + 1.0) / 2.0, -1.0 / (4.0 * x)
+    else:
+        a = kernel.alpha
+        d1, d2 = (1.0 - a * x ** (a - 1.0)) / (2.0 * (a - 1.0)), -a * x ** (a - 2.0) / 4.0
+    euclidean = d1 @ coords
+    tangent = np.linalg.svd(u[None, :])[2][1:]             # rows: a basis of u's plane
+    hessian = (tangent @ coords.T * d2) @ (coords @ tangent.T) - (u @ euclidean) * np.eye(2)
+    return euclidean - (u @ euclidean) * u, np.linalg.eigvalsh(hessian)
+
+
+CRITICAL_KERNELS = [SHANNON, EntropyKernel("tsallis", 0.8), EntropyKernel("renyi", 1.3)]
+CRITICAL_INPUTS = {
+    **{f"{name} max": (lambda name=name: povm_for(name), "max", CRITICAL_KERNELS)
+       for name in ALL_FAMILIES},
+    **{f"rectangle {a} min": (lambda a=a: make_rectangle_povm(a), "min", CRITICAL_KERNELS)
+       for a in (0.8, 1.1, 1.4)},
+    # orders between the circle designs' 2 and 3 that the certificate leaves open
+    **{f"{n}-gon min": (lambda n=n: make_hs_povm("n-gon", n), "min",
+                        [EntropyKernel("tsallis", 2.5), EntropyKernel("renyi", 2.5)])
+       for n in range(3, 13)},
+}
+
+
+@pytest.mark.parametrize("name", list(CRITICAL_INPUTS))
+def test_refined_extrema_are_critical_points(name):
+    """Every located extremum off the antipodes is a critical point of H to
+    1e-12, with the Hessian's sign of its kind: definite where the scan
+    refined it, semidefinite on a pair's circle of maxima."""
+    make, mode, kernels = CRITICAL_INPUTS[name]
+    povm = make()
+    for kernel in kernels:
+        if mode == "min":
+            assert not entropy._antipodes_certified(povm, kernel)
+        located = find_extrema(povm, mode, kernel=kernel)
+        assert located
+        for point in located:
+            assert point.kind == mode and point.converged
+            if point.type_label == "I":
+                continue
+            gradient, curvatures = _riemannian_derivatives(point.location.as_array(),
+                                                           povm, kernel)
+            assert np.linalg.norm(gradient) <= 1e-12, (kernel, point)
+            signed = curvatures if mode == "min" else -curvatures
+            if povm.k == 2:                 # constant along the circle of maxima
+                assert np.min(np.abs(curvatures)) <= 1e-12 and np.max(signed) > 0.0
+            else:
+                assert np.min(signed) > 0.0, (kernel, point, curvatures)
 
 
 def _thinning_by_loop(points, group, angle):
