@@ -213,8 +213,8 @@ class EntropyKernel:
     def summand(self, num, log):
         """h(t) = f((1 + t)/2) for the summand f (eta, or the power summand)
         and its derivatives h' and h'', in the arithmetic of ``num`` (float,
-        np.longdouble, or the ``mpf`` of an mpmath interval context) with
-        the matching ``log``."""
+        or the ``mpf`` of an mpmath interval context) with the matching
+        ``log``."""
         half = num(0.5)
         return tuple((lambda t, g=g: g((num(1) + t) * half))
                      for g in self.summand_at_x(num, log))

@@ -36,13 +36,14 @@ Every step runs on the registry member that catalog.check_family_geometry
 finds the vectors to be a rotated copy of: the entropy is rotation
 invariant, so the member's certificate is the vectors'.
 
-Interpolation and its node-residual diagnostic run in 80-bit extended
-precision; the interval proofs climb INTERVAL_PRECISIONS while a sign is
-undecided, and one still open at the top fails the certificate.  Its
-coefficients and beta are the midpoints of the decided enclosures.  Each
-interval proof builds its own interval context at the precision it needs,
-so the caller's ``mpmath.iv`` is never read or written and certificates
-computed side by side in threads do not interfere.
+The interpolant is built once, on the exact nodes in an interval context
+at the first of INTERVAL_PRECISIONS; the interval proofs climb the ladder
+while a sign is undecided, and one still open at the top fails the
+certificate.  Every float it carries is the midpoint of an enclosure (a
+polyhedron's nodes: the exact node rounded once), on every platform the
+same.  Each interval proof builds its own interval context, so the
+caller's ``mpmath.iv`` is never read or written and certificates computed
+side by side in threads do not interfere.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from mpmath.ctx_iv import MPIntervalContext
 
 from .bloch import EntropyKernel, SHANNON
 from .catalog import (FAMILY_SPECS, HsPovm, _member, check_family_geometry, exact_design_order,
-                      exact_nodes, exact_orbit, family_spec, interpolation_set)
+                      exact_nodes, exact_orbit, family_spec)
 from .groups import degree_bound, double_coset_profile, stabilizer
 from .invariants import (J15_SQUARED_TERMS, evaluate_invariant, i6_prime, i10,
                          invariant_degree)
@@ -66,8 +67,6 @@ from .q5 import GOLDEN, Q5, dot, pair_sign
 from .sturm import AmbiguousSignError, _horner, _sign, sturm_root_count
 
 INTERVAL_PRECISIONS = (200, 320, 512)
-
-_LD = np.longdouble
 
 
 def _interval_context(bits: int) -> MPIntervalContext:
@@ -80,24 +79,19 @@ def _interval_context(bits: int) -> MPIntervalContext:
 
 @dataclass(frozen=True)
 class HermitePolynomial:
-    """Interpolant in monomial basis (ascending), with its node data.
-
-    Coefficients are kept in extended precision (np.longdouble).
-    """
+    """Interpolant in monomial basis (ascending), with its node data: the
+    float midpoints of the interval coefficients it was built with."""
 
     coefficients: tuple
     nodes: tuple              # ((t, multiplicity), ...)
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=_LD)
+        t = np.asarray(t, dtype=float)
         return _horner(self.coefficients, t) + np.zeros_like(t)
 
     def derivative_at(self, t: float) -> float:
         slopes = [i * c for i, c in enumerate(self.coefficients)][1:]
-        return float(_horner(slopes, _LD(t)))
-
-    def coefficients_float(self) -> tuple:
-        return tuple(float(c) for c in self.coefficients)
+        return float(_horner(slopes, float(t)))
 
 
 @dataclass(frozen=True)
@@ -125,55 +119,32 @@ class HermiteCertificate:
 
 
 # --------------------------------------------------------------------------
-# Hermite interpolation (arithmetic-generic: longdouble or mpmath interval)
+# Hermite interpolation, in interval arithmetic
 # --------------------------------------------------------------------------
 
-def _newton_coefficients(node_ids, ts, values, derivs):
-    n = len(node_ids)
-    prev = [values[node_ids[i]] for i in range(n)]
-    coeffs = [prev[0]]
-    for order in range(1, n):
-        cur = []
-        for i in range(n - order):
-            if node_ids[i + order] == node_ids[i]:
-                cur.append(derivs[node_ids[i]])
-            else:
-                cur.append((prev[i + 1] - prev[i]) / (ts[i + order] - ts[i]))
-        coeffs.append(cur[0])
-        prev = cur
-    return coeffs
-
-
-def _newton_to_monomial(coeffs, ts, zero):
-    poly = [coeffs[-1]]
-    for i in range(len(coeffs) - 2, -1, -1):
-        new = [zero] * (len(poly) + 1)
-        for j, c in enumerate(poly):
-            new[j + 1] = new[j + 1] + c
-            new[j] = new[j] - c * ts[i]
-        new[0] = new[0] + coeffs[i]
-        poly = new
+def _interpolant(kernel: EntropyKernel, nodes) -> list:
+    """The one builder of p: enclosures of the monomial coefficients
+    (ascending) of the Hermite interpolant of the kernel summand h on
+    ((t, multiplicity), ...), the t enclosed in one interval context.
+    Newton divided differences on the t repeated by multiplicity, with the
+    slope h' where a difference spans a double node, then expanded."""
+    if any(m not in (1, 2) for _, m in nodes):
+        raise ValueError("node multiplicities are 1 or 2")
+    ctx = nodes[0][0].ctx
+    f, fp, _ = kernel.summand(ctx.mpf, ctx.log)
+    ids = [i for i, (_, m) in enumerate(nodes) for _ in range(m)]
+    ts, values = [nodes[i][0] for i in ids], [f(t) for t, _ in nodes]
+    column, newton = [values[i] for i in ids], []
+    for order in range(1, len(ts) + 1):
+        newton.append(column[0])
+        column = [fp(ts[i]) if ids[i + order] == ids[i] else
+                  (column[i + 1] - column[i]) / (ts[i + order] - ts[i])
+                  for i in range(len(column) - 1)]
+    poly, zero = newton[-1:], ctx.mpf(0)
+    for c, t in zip(newton[-2::-1], ts[len(ts) - 2::-1]):   # p <- p (x - t) + c
+        poly = [s - a * t for s, a in zip([zero] + poly, poly + [zero])]
+        poly[0] = poly[0] + c
     return poly
-
-
-def _expand_nodes(nodes):
-    node_ids, ts = [], []
-    for idx, (t, mult) in enumerate(nodes):
-        if mult not in (1, 2):
-            raise ValueError("node multiplicities are 1 or 2")
-        node_ids.extend([idx] * mult)
-        ts.extend([t] * mult)
-    return node_ids, ts
-
-
-def _hermite_monomial(f, fp, nodes, zero) -> list:
-    """Monomial coefficients (ascending) of the Hermite interpolant of f on
-    ((t, multiplicity), ...), in the arithmetic of the t values."""
-    node_ids, ts = _expand_nodes(nodes)
-    values = [f(t) for t, _ in nodes]
-    derivs = [fp(t) if m >= 2 else None for t, m in nodes]
-    return _newton_to_monomial(_newton_coefficients(node_ids, ts, values, derivs),
-                               ts, zero)
 
 
 def hermite_interpolate(kernel: EntropyKernel, nodes) -> HermitePolynomial:
@@ -181,8 +152,8 @@ def hermite_interpolate(kernel: EntropyKernel, nodes) -> HermitePolynomial:
 
     ``nodes`` is a sequence of (t, multiplicity) with strictly increasing
     t in [-1, 1]; multiplicity 2 requests slope matching, which is never
-    allowed at t = -1 where h' diverges.  Construction uses Newton divided
-    differences with repeated abscissae in extended precision.
+    allowed at t = -1 where h' diverges.  The coefficients are the
+    midpoints of their interval enclosures, the nodes taken as exact.
     """
     nodes = tuple((float(t), int(m)) for t, m in nodes)
     ts_only = [t for t, _ in nodes]
@@ -193,21 +164,35 @@ def hermite_interpolate(kernel: EntropyKernel, nodes) -> HermitePolynomial:
     for t, mult in nodes:
         if mult >= 2 and t <= -1.0 + 1e-15:
             raise ValueError("no derivative constraint at t = -1 (h' singular)")
-    f, fp, _ = kernel.summand(_LD, np.log)
-    mono = _hermite_monomial(f, fp, [(_LD(t), m) for t, m in nodes], _LD(0))
-    return HermitePolynomial(coefficients=tuple(mono), nodes=nodes)
+    ctx = _interval_context(INTERVAL_PRECISIONS[0])
+    mono = _interpolant(kernel, [(ctx.mpf(t), m) for t, m in nodes])
+    return HermitePolynomial(coefficients=tuple(float(c.mid) for c in mono), nodes=nodes)
+
+
+def _member_nodes(member: HsPovm, ctx) -> tuple:
+    """The registry member's nodes, ascending, as (float, enclosure in ctx,
+    multiplicity: 1 at +-1, else 2, number of orbit dots -g v . v there).
+    An n-gon's are -cos(2 pi j/n) = sin(pi (4j - n)/(2n)), j = 0..n/2,
+    exactly 0 at 4j = n and +-1 at the ends by index, each the dot of j and
+    n - j; any other member's are its exact nodes."""
+    spec = family_spec(member.family)
+    if spec.group == "C":
+        n, nodes = member.k, []
+        for j in range(n // 2 + 1):
+            m = 1 if j == 0 or 2 * j == n else 2
+            t = ctx.mpf(1 if j else -1) if m == 1 else ctx.sin(ctx.pi * (4 * j - n) / (2 * n))
+            nodes.append((float(t.mid), t, m, m))
+        return tuple(nodes)
+    seed = exact_orbit(spec.name)[0]
+    dots = Counter(-dot(v, seed) / dot(seed, seed) for v in exact_orbit(spec.name))
+    return tuple((float(t), t.lift(ctx), 1 if t in (-1, 1) else 2, dots[t])
+                 for t in exact_nodes(spec.name))
 
 
 def _hermite_nodes(member: HsPovm) -> tuple:
-    """The registry member's node set with multiplicities: value-only at
-    +-1, value and slope in between.  A polygon's nodes are its float
-    interpolation set; any other member's are its exact nodes, each rounded
-    once, the nodes the interval proofs use."""
-    spec = family_spec(member.family)
-    if spec.group == "C":
-        return tuple((t, 1 if abs(abs(t) - 1.0) < 1e-9 else 2)
-                     for t in interpolation_set(member))
-    return tuple((float(t), 1 if t in (-1, 1) else 2) for t in exact_nodes(spec.name))
+    """The registry member's (float node, multiplicity) pairs."""
+    ctx = _interval_context(INTERVAL_PRECISIONS[0])
+    return tuple((t, m) for t, _, m, _ in _member_nodes(member, ctx))
 
 
 # --------------------------------------------------------------------------
@@ -229,26 +214,28 @@ def _remainder_sign(kernel: EntropyKernel, nodes):
     """
     n = sum(m for _, m in nodes)
     simple = [t for t, m in nodes if m == 1]
-    if n < 2 or any(abs(abs(t) - 1.0) >= 1e-9 for t in simple):
+    if n < 2 or any(t not in (-1.0, 1.0) for t in simple):
         return None
     derivative = kernel.derivative_sign(n)
-    return -derivative if any(t > 0 for t in simple) else derivative
+    return -derivative if 1.0 in simple else derivative
 
 
 def verify_below(p: HermitePolynomial, kernel: EntropyKernel = SHANNON):
     """Smallest h - p over the nodes of p and the midpoints between
-    consecutive nodes, and where it sits (extended precision).
+    consecutive nodes, and where it sits: the midpoints of interval
+    enclosures, with p's floats taken as exact.
 
     A diagnostic; the proof is the remainder sign.  Where that proves
     p <= h this is the interpolant's rounding residual at the nodes; where
     it proves the bound fails, every midpoint gives a strictly negative gap.
     """
-    f, _, _ = kernel.summand(_LD, np.log)
-    ts = [_LD(t) for t, _ in p.nodes]
+    ctx = _interval_context(INTERVAL_PRECISIONS[0])
+    f = kernel.summand(ctx.mpf, ctx.log)[0]
+    ts, mono = [ctx.mpf(t) for t, _ in p.nodes], [ctx.mpf(c) for c in p.coefficients]
     points = ts + [(a + b) / 2 for a, b in zip(ts, ts[1:])]
-    gaps = [f(t) - pt for t, pt in zip(points, p(np.array(points, dtype=_LD)))]
-    i = int(np.argmin(gaps))
-    return float(gaps[i]), float(points[i])
+    gaps = [float((f(t) - _horner(mono, t)).mid) for t in points]
+    i = gaps.index(min(gaps))
+    return gaps[i], float(points[i].mid)
 
 
 _REMAINDER_FAILURES = {
@@ -263,16 +250,13 @@ _REMAINDER_FAILURES = {
 
 def assemble_lower_bound(povm: HsPovm, p: HermitePolynomial):
     """Evaluator u -> ln(k/2) + (2/k) sum_j p(v_j . u), a lower bound for
-    the entropy H with equality on the antipodal orbit."""
-    coords = povm.matrix().astype(_LD)
-    k = povm.k
-    offset = _LD(math.log(k / 2.0))
+    the entropy H with equality on the antipodal orbit, in floats."""
+    coords, k = povm.matrix(), povm.k
 
     def evaluator(u):
-        u = np.asarray(u, dtype=_LD)
-        dots = u @ coords.T
-        vals = offset + (_LD(2) / k) * np.sum(p(dots), axis=-1)
-        return float(vals) if vals.ndim == 0 else vals.astype(float)
+        vals = math.log(k / 2.0) + (2.0 / k) * np.sum(p(np.asarray(u, dtype=float) @ coords.T),
+                                                      axis=-1)
+        return float(vals) if vals.ndim == 0 else vals
 
     evaluator.polynomial = p
     return evaluator
@@ -427,15 +411,19 @@ def _parabola_quartic(B, C, D, tau):
     return [acc.get(m, zero) for m in range(2, 7)]
 
 
-def _interval_coefficients(name: str, precision: int, kernel: EntropyKernel = SHANNON):
+def _exact_interpolant(member: HsPovm, kernel: EntropyKernel, precision: int) -> tuple:
+    """(:func:`_member_nodes`, :func:`_interpolant` on them) in a fresh
+    interval context at the given precision."""
+    nodes = _member_nodes(member, _interval_context(precision))
+    return nodes, _interpolant(kernel, [(t, m) for _, t, m, _ in nodes])
+
+
+def _interval_coefficients(name: str, mono):
     """tau and enclosures of the invariant coefficients (A plus whichever of
-    B, C, D the basis has) of the family at the given working precision:
-    sum_i c_i L_i with the interpolant's interval monomial coefficients c_i
-    on the exact nodes and the exact expansion matrix L."""
-    ctx = _interval_context(precision)
-    f, fp, _ = kernel.summand(ctx.mpf, ctx.log)
-    nodes = [(t.lift(ctx), 1 if t in (-1, 1) else 2) for t in exact_nodes(name)]
-    mono = _hermite_monomial(f, fp, nodes, ctx.mpf(0))
+    B, C, D the basis has) of the family: sum_i c_i L_i with the interval
+    monomial coefficients c_i of the interpolant on the exact nodes and the
+    exact expansion matrix L, in the interval context of the c_i."""
+    ctx = mono[0].ctx
     expansion = _expansion_matrix(name, len(mono) - 1)
     return GOLDEN.lift(ctx), _expand(expansion, mono, lambda q: q.lift(ctx))
 
@@ -531,17 +519,20 @@ def _boundary_sturm(spec, coefficients, tau):
 _ORBIT_MIN_DECIDERS = {"candidates": _candidate_comparison, "sturm": _boundary_sturm}
 
 
-def _orbit_min_step(name: str, kernel: EntropyKernel) -> tuple:
+def _orbit_min_step(member: HsPovm, kernel: EntropyKernel, mono) -> tuple:
     """The family's decider on the interval coefficients of the kernel's
-    bound, at rising precision; returns (verdict, reason if it fails, the
+    bound, at rising precision from the interpolant ``mono`` of the first
+    rung, rebuilt on a climb; returns (verdict, reason if it fails, the
     coefficient midpoints as floats, certificate fields: beta, or the Sturm
     root count and bits used).  A sign still undecided at the top of the
     ladder fails the proof."""
-    spec, enclosures = FAMILY_SPECS[name], ()
+    spec, enclosures = family_spec(member.family), ()
 
     def decide(precision):
         nonlocal enclosures
-        tau, enclosures = _interval_coefficients(name, precision, kernel)
+        p = mono if precision == mono[0].ctx.prec else _exact_interpolant(member, kernel,
+                                                                         precision)[1]
+        tau, enclosures = _interval_coefficients(spec.name, p)
         return _ORBIT_MIN_DECIDERS[spec.strategy](spec, enclosures, tau)
 
     try:
@@ -562,8 +553,9 @@ def _orbit_min_step(name: str, kernel: EntropyKernel) -> tuple:
 def _member_certificate(label: str, k: int, kernel: EntropyKernel) -> HermiteCertificate:
     """The certificate of the registry member _member(label, k), memoized."""
     spec, member = family_spec(label), _member(label, k)
-    nodes = _hermite_nodes(member)
-    poly = hermite_interpolate(kernel, nodes)
+    enclosed, mono = _exact_interpolant(member, kernel, INTERVAL_PRECISIONS[0])
+    nodes = tuple((t, m) for t, _, m, _ in enclosed)
+    poly = HermitePolynomial(coefficients=tuple(float(c.mid) for c in mono), nodes=nodes)
     sign = _remainder_sign(kernel, nodes)
     # deg p: the kernel's when p reproduces the summand h, else the paper's
     # double-coset bound of the member's group G at the fiducial v
@@ -572,7 +564,11 @@ def _member_certificate(label: str, k: int, kernel: EntropyKernel) -> HermiteCer
               degree_bound(double_coset_profile(group, v), k, stabilizer(group, v).order))
     # the design order on the domain of the minimizers: the circle for an n-gon
     design = member.k - 1 if spec.group == "C" else exact_design_order(spec.name)
-    certified_minimum = float(assemble_lower_bound(member, poly)(-v.as_array()))
+    # P(-v) = ln(k/2) + (2/k) sum_j p(-v . v_j), and p = h at every dot
+    ctx = mono[0].ctx
+    h = kernel.summand(ctx.mpf, ctx.log)[0]
+    certified_minimum = float((ctx.log(ctx.mpf(k) / 2)
+                               + 2 * sum(n * h(t) for _, t, _, n in enclosed) / k).mid)
     reason = _REMAINDER_FAILURES.get(sign, "")
 
     # deg p <= t makes P constant.  p = h makes P the entropy H itself; the
@@ -583,7 +579,7 @@ def _member_certificate(label: str, k: int, kernel: EntropyKernel) -> HermiteCer
         orbit_ok, failure = constant, "lower bound unexpectedly non-constant"
         coefficients, fields = (certified_minimum,), {"constant_bound": constant}
     else:
-        orbit_ok, failure, coefficients, fields = _orbit_min_step(spec.name, kernel)
+        orbit_ok, failure, coefficients, fields = _orbit_min_step(member, kernel, mono)
     if not orbit_ok:
         reason = reason or failure
 

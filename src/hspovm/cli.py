@@ -160,7 +160,7 @@ def _cmd_certify(config) -> int:
         config, family=cert.family, valid=cert.valid,
         nodes=[[_g17(t), m] for t, m in cert.nodes],
         polynomial_degree=cert.degree_bound,
-        polynomial_coefficients=[_g17(c) for c in cert.polynomial.coefficients_float()],
+        polynomial_coefficients=[_g17(c) for c in cert.polynomial.coefficients],
         invariant_coefficients={k: _g17(v) for k, v in cert.coefficients.items()},
         min_gap=_g17(cert.below_check[0]),
         gap_argmin=_g17(cert.below_check[1]),

@@ -559,8 +559,10 @@ def _scan_extrema(povm: HsPovm, mode: str, n_scan: int, kernel: EntropyKernel,
 
 
 def _by_location(points: list) -> list:
-    """The critical points, sorted in place by their coordinates rounded to 1e-8."""
-    points.sort(key=lambda c: tuple(np.round(c.location.as_array(), 8)))
+    """The critical points, sorted in place by their coordinates rounded to
+    1e-8, x first; a stable sort, so ties keep their order."""
+    x, y, z = np.round(np.array([c.location.as_array() for c in points]).reshape(-1, 3), 8).T
+    points[:] = [points[i] for i in np.lexsort((z, y, x))]
     return points
 
 

@@ -127,7 +127,7 @@ def test_criterion_03_certification_pipeline():
         assert cert.valid, (family, cert.reason)
         assert cert.below_check[0] >= -1e-12, family
         bound = COSET_PROFILES[family][3] if family in COSET_PROFILES else 4
-        above = cert.polynomial.coefficients_float()[bound + 1:]
+        above = cert.polynomial.coefficients[bound + 1:]
         assert all(abs(c) <= 1e-10 for c in above), family
         if family == "cube":
             assert abs(cert.coefficients["B"]

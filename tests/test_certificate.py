@@ -18,10 +18,9 @@ from hspovm.catalog import (FAMILY_SPECS, HsPovm, exact_design_order, exact_node
 from hspovm.certificate import (
     HermitePolynomial,
     _expansion_matrix,
-    _hermite_monomial,
     _hermite_nodes,
     _horner,
-    _interval_coefficients,
+    _interpolant,
     _member_certificate,
     _moment_constrained_feasible,
     assemble_lower_bound,
@@ -54,6 +53,13 @@ def assert_degree_at_most(poly, bound):
     assert all(abs(float(c)) <= 1e-10 for c in poly.coefficients[bound + 1:]), bound
 
 
+def interval_coefficients(name, bits, kernel=SHANNON):
+    """tau and the invariant enclosures of the family's interpolant, built
+    at the given bits."""
+    mono = certificate._exact_interpolant(make_hs_povm(name), kernel, bits)[1]
+    return certificate._interval_coefficients(name, mono)
+
+
 def cert_for(family):
     if family not in _CERTS:
         _CERTS[family] = certify_minimum(povm_for(family))
@@ -62,19 +68,15 @@ def cert_for(family):
 
 class TestHermiteInterpolation:
     def test_reproduces_quadratic_exactly(self):
-        # dry run with f a known quadratic: interpolation must return it
-        def f(t):
-            return 3.0 - 2.0 * t + 0.5 * t * t
-
-        def fp(t):
-            return -2.0 + t
-
+        # dry run with h a known quadratic, Tsallis alpha = 2's (1 - t^2)/4:
+        # interpolation must return it, the enclosures exactly
         nodes = ((-1.0, 1), (0.0, 2))
-        mono = _hermite_monomial(f, fp, [(np.longdouble(t), m) for t, m in nodes],
-                                 np.longdouble(0))
-        poly = HermitePolynomial(coefficients=tuple(mono), nodes=nodes)
+        ctx = certificate._interval_context(200)
+        mono = _interpolant(EntropyKernel("tsallis", 2.0), [(ctx.mpf(t), m) for t, m in nodes])
+        assert [(c.a, c.b) for c in mono] == [(0.25, 0.25), (0, 0), (-0.25, -0.25)]
+        poly = HermitePolynomial(coefficients=tuple(float(c.mid) for c in mono), nodes=nodes)
         ts = np.linspace(-1, 1, 100)
-        assert np.max(np.abs(poly(ts) - (3.0 - 2.0 * ts + 0.5 * ts**2))) < 1e-14
+        assert np.max(np.abs(poly(ts) - (1.0 - ts**2) / 4.0)) < 1e-14
 
     def test_octahedron_nodes_give_cubic(self):
         poly = hermite_interpolate(SHANNON, [(-1.0, 1), (0.0, 2), (1.0, 1)])
@@ -328,13 +330,13 @@ class TestIcosidodecaPositivity:
             icosidodeca_positivity(-1.0, 0.0, 1.0)
 
     def test_interval_coefficients_are_tight(self):
-        tau, (A, B, C, D) = _interval_coefficients("icosidodecahedron", 200)
+        tau, (A, B, C, D) = interval_coefficients("icosidodecahedron", 200)
         for enclosure in (A, B, C, D):
             assert float(enclosure.delta) < 1e-30
 
     def test_interval_pipeline_stable_across_precision(self):
-        _, low = _interval_coefficients("icosidodecahedron", 200)
-        _, high = _interval_coefficients("icosidodecahedron", 320)
+        _, low = interval_coefficients("icosidodecahedron", 200)
+        _, high = interval_coefficients("icosidodecahedron", 320)
         for a, b in zip(low, high):
             mid_low = (float(a.a) + float(a.b)) / 2
             mid_high = (float(b.a) + float(b.b)) / 2
@@ -348,7 +350,7 @@ class TestIcosidodecaPositivity:
     ], ids=lambda k: f"{k.kind}{k.alpha}")
     def test_alpha_interval_coefficients_enclose_floats(self, kernel):
         povm = povm_for("icosidodecahedron")
-        _, enclosures = _interval_coefficients("icosidodecahedron", 200, kernel)
+        _, enclosures = interval_coefficients("icosidodecahedron", 200, kernel)
         poly = hermite_interpolate(kernel, _hermite_nodes(povm))
         floats = expand_in_invariants(povm, assemble_lower_bound(povm, poly))
         for name, enclosure in zip("ABCD", enclosures):
@@ -435,6 +437,14 @@ def test_circle_design_order_of_ngon(n):
     assert circle_design_order(povm.matrix()) == n - 1
     assert sum(m for _, m in _hermite_nodes(povm)) == n
     assert certify_minimum(povm).constant_bound
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_polygon_simple_nodes_are_the_ends_exactly(n):
+    # -1 and 1 are decided by the node's index, with no tolerance: -1 for
+    # every n-gon, 1 for an even one, whose vertex -v is a node
+    simple = {t for t, m in _hermite_nodes(make_hs_povm("n-gon", n)) if m == 1}
+    assert simple == ({-1.0} if n % 2 else {-1.0, 1.0})
 
 
 class TestKernelPluggability:
@@ -542,7 +552,7 @@ class TestGlobalState:
         iv.prec = 77
         _member_certificate.cache_clear()
         try:
-            _interval_coefficients(family, 200)
+            interval_coefficients(family, 200)
             assert certify_minimum(make_hs_povm(family)).valid
             icosidodeca_positivity(-1.0, 1.0, 0.0)
             assert iv.prec == 77
@@ -661,6 +671,25 @@ class TestOrbitMinStep:
             assert not cert.valid and not cert.orbit_min_verdict, name
 
     @pytest.mark.parametrize("family", EXPANDED)
+    def test_interpolant_built_once_per_rung(self, family, monkeypatch):
+        # the certificate's interpolant serves the first rung of the proof,
+        # and a climb builds one more at the next precision
+        built, interpolant = [], certificate._interpolant
+
+        def counted(kernel, nodes):
+            built.append(nodes[0][0].ctx.prec)
+            return interpolant(kernel, nodes)
+
+        monkeypatch.setattr(certificate, "_interpolant", counted)
+        assert certify_minimum(make_hs_povm(family)).valid
+        assert built == [200]
+        built.clear()
+        _member_certificate.cache_clear()
+        monkeypatch.setattr(certificate, "INTERVAL_PRECISIONS", (8, 200))
+        assert certify_minimum(make_hs_povm(family)).valid
+        assert built == [8, 200]
+
+    @pytest.mark.parametrize("family", EXPANDED)
     def test_undecided_sign_fails_the_certificate(self, family, monkeypatch):
         # 8 bits leave a sign of every invariant proof open
         monkeypatch.setattr(certificate, "INTERVAL_PRECISIONS", (8,))
@@ -693,8 +722,7 @@ def reference_orbit_sum(povm, kernel, ctx, point):
     tau = (1 + ctx.sqrt(ctx.mpf(5))) / 2
     verts = [[reference_lift(c, tau) for c in row] for row in povm.matrix()]
     nodes = [(reference_lift(t, tau), m) for t, m in _hermite_nodes(povm)]
-    f, fp, _ = kernel.summand(ctx.mpf, ctx.log)
-    mono = _hermite_monomial(f, fp, nodes, ctx.mpf(0))
+    mono = _interpolant(kernel, nodes)
     norm = ctx.sqrt(point[0] ** 2 + point[1] ** 2 + point[2] ** 2)
     x = [c / norm for c in point]
     return x, sum(_horner(mono, row[0] * x[0] + row[1] * x[1] + row[2] * x[2])
@@ -718,7 +746,7 @@ def test_moment_orbit_sums_enclose_per_vertex_sums(kernel, bits):
     # the orbit sum taken vertex by vertex, at every probe and at five
     # random rational points
     povm = povm_for("icosidodecahedron")
-    tau, (A, B, C, D) = _interval_coefficients("icosidodecahedron", bits, kernel)
+    tau, (A, B, C, D) = interval_coefficients("icosidodecahedron", bits, kernel)
     ctx = tau.ctx
     points = [[reference_lift(float(c), tau) for c in probe]
               for probe in family_spec("icosidodecahedron").probes]
@@ -803,11 +831,15 @@ def test_expansion_matrix_reproduces_the_float_expansion(family, kernel):
 @pytest.mark.parametrize("family", EXPANDED)
 def test_float_coefficients_sit_at_the_interval_midpoints(family, kernel):
     # the certificate reports the midpoints of the 200-bit enclosures
-    # computed on the exact nodes; the float expansion is within 1e-14
+    # computed on the exact nodes, for the invariant coefficients and for
+    # the interpolant's own; the float expansion is within 1e-14
     povm = povm_for(family)
-    _, enclosures = _interval_coefficients(family, 200, kernel)
+    _, enclosures = interval_coefficients(family, 200, kernel)
     midpoints = dict(zip("ABCD", (float(enclosure.mid) for enclosure in enclosures)))
-    assert certify_minimum(povm, kernel).coefficients == midpoints
+    cert = certify_minimum(povm, kernel)
+    assert cert.coefficients == midpoints
+    _, mono = certificate._exact_interpolant(povm, kernel, 200)
+    assert cert.polynomial.coefficients == tuple(float(c.mid) for c in mono)
     poly = hermite_interpolate(kernel, _hermite_nodes(povm))
     coefficients = expand_in_invariants(povm, assemble_lower_bound(povm, poly))
     assert coefficients.keys() == midpoints.keys()

@@ -600,6 +600,42 @@ class TestCertifyGolden:
         assert code == (0 if payload["valid"] else 1)
 
 
+class TestCertifyGoldenWithoutLongdouble:
+    """The certify payloads do not depend on numpy's longdouble, whose width
+    varies by platform (80 bits on x86-64 Linux, 64 on macOS arm64 and
+    Windows, 128 on aarch64 Linux): with it made float64 before hspovm is
+    imported, every golden payload comes out the same."""
+
+    SCRIPT = """
+import contextlib, io, json, sys
+import numpy as np
+np.longdouble = np.float64
+from hspovm.cli import main
+payloads = {}
+for args in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["certify", *args.split()])
+    payloads[args] = json.loads(out.getvalue())
+    del payloads[args]["wall_clock_seconds"]
+print(json.dumps(payloads))
+"""
+
+    @pytest.fixture(scope="class")
+    def payloads(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT,
+                               json.dumps(list(TestCertifyGolden.GOLDEN))],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("args", list(TestCertifyGolden.GOLDEN))
+    def test_payload_unchanged(self, args, payloads):
+        assert payloads[args] == TestCertifyGolden.GOLDEN[args]
+
+
 class TestMinimizeGolden:
     """`minimize` output pinned byte for byte for the catalog families and
     the 3- to 12-gons; any change to a located minimum shows as a diff of

@@ -1057,3 +1057,23 @@ def test_import_does_not_load_scipy():
     code = ("import hspovm, sys; "
             "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_by_location_matches_the_rounded_tuple_sort():
+    # the reference is the per-point key it replaced: coordinates rounded to
+    # 1e-8 compared as tuples, a stable sort, so ties (points within 1e-8,
+    # and -0.0 against 0.0) keep their input order
+    rng = np.random.default_rng(29)
+    base = [np.array(v, dtype=float) for v in
+            ((0.0, 0.0, 1.0), (-0.0, 0.0, 1.0), (0.0, -0.0, -1.0), (1.0, 0.0, -0.0),
+             (0.6, 0.0, 0.8), (0.6, -0.0, 0.8))]
+    base += list(rng.normal(size=(6, 3)))
+    for trial in range(40):
+        coords = [base[i] + rng.choice([0.0, 1e-10]) * rng.normal(size=3)
+                  for i in rng.integers(len(base), size=int(rng.integers(0, 16)))]
+        points = [entropy.CriticalPoint(BlochVector.from_array(c / np.linalg.norm(c)), float(i),
+                                        "min")
+                  for i, c in enumerate(coords)]
+        reference = sorted(points, key=lambda c: tuple(np.round(c.location.as_array(), 8)))
+        assert [c.value for c in entropy._by_location(list(points))] == \
+            [c.value for c in reference], trial

@@ -229,4 +229,4 @@ def test_sweep_hash_is_pinned():
     # which equals its canonical line
     text = "\n".join(sweep_certificates.sweep())
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "0250acb0ea9f0c9f71e9e8eca9065bc82a9f7142dd5bf1f3930cab318e178780")
+        "16c08cb7931344f69761f19b50515e7825b2a1e3210da50ff825e6f3e0dc64fd")

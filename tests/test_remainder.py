@@ -22,7 +22,7 @@ def sampled_min_gap(kernel, poly):
     x = (1.0 + ts) / 2.0
     a = kernel.alpha
     h = (x - x ** a) / (a - 1.0)
-    p = np.polyval(poly.coefficients_float()[::-1], ts)
+    p = np.polyval(poly.coefficients[::-1], ts)
     return float(np.min(h - p))
 
 
