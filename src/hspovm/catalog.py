@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -109,10 +111,18 @@ def exact_orbit(name: str) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def exact_node_counts(name: str) -> tuple:
+    """((t, n), ...): the sorted distinct values t = -(g s) . s / (s . s)
+    and the number n of orbit vectors g s at each."""
+    seed = exact_orbit(name)[0]         # the identity comes first
+    counts = Counter(-dot(v, seed) / dot(seed, seed) for v in exact_orbit(name))
+    return tuple(sorted(counts.items()))
+
+
+@lru_cache(maxsize=None)
 def exact_nodes(name: str) -> tuple:
     """The sorted distinct values -(g s) . s / (s . s): the exact node set."""
-    seed = exact_orbit(name)[0]         # the identity comes first
-    return tuple(sorted({-dot(v, seed) / dot(seed, seed) for v in exact_orbit(name)}))
+    return tuple(t for t, _ in exact_node_counts(name))
 
 
 @lru_cache(maxsize=None)
@@ -153,11 +163,11 @@ class HsPovm:
     group: str = ""
 
     def __post_init__(self):
-        coords = np.array([v.as_array() for v in self.vectors])
+        coords = np.array([(v.x, v.y, v.z) for v in self.vectors])
         coords.setflags(write=False)
         object.__setattr__(self, "_coords", coords)
-        centroid = np.sum(coords, axis=0)
-        if np.max(np.abs(centroid)) > CENTROID_TOL * max(1, len(self.vectors)):
+        centroid = coords.sum(axis=0)
+        if np.abs(centroid).max() > CENTROID_TOL * max(1, len(self.vectors)):
             raise ValueError(
                 f"Bloch vectors do not sum to zero (|centroid|={np.linalg.norm(centroid):.2e})"
             )
@@ -188,7 +198,7 @@ class HsPovm:
         vectors (a square is the 4-gon), the rectangle.  None when none is
         congruent; computed on first use, once per POVM."""
         for member in filter(None, _candidates(self._coords, self.family)):
-            if np.array_equal(self._coords, member.matrix()):
+            if (self._coords == member.matrix()).all():
                 return member, IDENTITY
             rotation = _is_rotated_copy(self._coords, member.matrix())
             if rotation is not None:
@@ -221,10 +231,24 @@ class HsPovm:
 
     @classmethod
     def from_json(cls, text: str) -> "HsPovm":
-        """Load a POVM file: its vectors and family label (default "custom")."""
+        """Load a POVM file: its vectors, each exactly three JSON numbers,
+        and family label (a string, default "custom").  Anything else is a
+        ValueError."""
         payload = json.loads(text)
-        vectors = tuple(BlochVector.from_array(v) for v in payload["vectors"])
-        return cls(vectors=vectors, family=payload.get("family", "custom"))
+        if not isinstance(payload, dict) or "vectors" not in payload:
+            raise ValueError('a POVM file is a JSON object with a "vectors" list')
+        family, rows = payload.get("family", "custom"), payload["vectors"]
+        if not isinstance(family, str):
+            raise ValueError(f'"family" must be a string, not {family!r}')
+        try:
+            coords = np.array(rows, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            coords = None
+        # numpy reads true and "1" as 1.0: every coordinate must be a JSON number
+        if (coords is None or coords.ndim != 2 or coords.shape[1] != 3
+                or not set(map(type, chain.from_iterable(rows))) <= {int, float}):
+            raise ValueError('"vectors" must be a list of [x, y, z] lists of numbers')
+        return cls(vectors=tuple(BlochVector(*row) for row in coords.tolist()), family=family)
 
 
 @lru_cache(maxsize=None)
@@ -264,11 +288,11 @@ def _candidates(coords: np.ndarray, label: str):
 def _frame(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rows: the unit a, the unit part of b orthogonal to a, their cross
     product, written out by components (the operations of ``np.cross``)."""
-    e1 = a / np.linalg.norm(a)
-    e2 = b - (b @ e1) * e1
-    e2 /= np.linalg.norm(e2)
+    e1 = a / math.sqrt(a.dot(a))                # np.linalg.norm(a), bit for bit
+    e2 = b - b.dot(e1) * e1
+    e2 /= math.sqrt(e2.dot(e2))
     (x, y, z), (p, q, r) = e1.tolist(), e2.tolist()
-    return np.array([e1, e2, [y * r - z * q, z * p - x * r, x * q - y * p]])
+    return np.array([(x, y, z), (p, q, r), (y * r - z * q, z * p - x * r, x * q - y * p)])
 
 
 def _is_rotated_copy(coords: np.ndarray, reference: np.ndarray):
@@ -288,9 +312,9 @@ def _is_rotated_copy(coords: np.ndarray, reference: np.ndarray):
     source = _frame(coords[0], second).T
     for target in targets:
         rotation = source @ _frame(reference[0], target)
-        images = coords @ rotation
-        gaps = np.linalg.norm(images[:, None, :] - reference[None, :, :], axis=-1)
-        if max(np.max(gaps.min(0)), np.max(gaps.min(1))) < GEOMETRY_TOL:
+        offsets = (coords @ rotation)[:, None, :] - reference[None, :, :]
+        gaps = (offsets * offsets).sum(-1)              # squared distances
+        if max(gaps.min(0).max(), gaps.min(1).max()) < GEOMETRY_TOL ** 2:
             return rotation
     return None
 

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
@@ -59,7 +59,7 @@ from mpmath.ctx_iv import MPIntervalContext
 
 from .bloch import EntropyKernel, SHANNON
 from .catalog import (FAMILY_SPECS, HsPovm, _member, check_family_geometry, exact_design_order,
-                      exact_nodes, exact_orbit, family_spec)
+                      exact_node_counts, exact_nodes, exact_orbit, family_spec)
 from .groups import degree_bound, double_coset_profile, stabilizer
 from .invariants import (J15_SQUARED_TERMS, evaluate_invariant, i6_prime, i10,
                          invariant_degree)
@@ -94,6 +94,19 @@ class HermitePolynomial:
         return float(_horner(slopes, float(t)))
 
 
+class ReadOnlyDict(dict):
+    """A dict that refuses mutation; it compares, prints, serializes and
+    pickles as the plain dict of its items."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a certificate's coefficients are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
 @dataclass(frozen=True)
 class HermiteCertificate:
     """Outcome of the certification pipeline for one POVM family."""
@@ -102,7 +115,7 @@ class HermiteCertificate:
     nodes: tuple
     polynomial: HermitePolynomial
     degree_bound: int               # deg p <= it: double-coset bound, or deg h if p = h
-    coefficients: dict              # invariant expansion, subset of A..D
+    coefficients: ReadOnlyDict      # invariant expansion, subset of A..D; shared, read-only
     below_check: tuple              # (min h - p at nodes/midpoints, where)
     orbit_min_verdict: bool
     uniqueness_verdict: bool
@@ -183,10 +196,8 @@ def _member_nodes(member: HsPovm, ctx) -> tuple:
             t = ctx.mpf(1 if j else -1) if m == 1 else ctx.sin(ctx.pi * (4 * j - n) / (2 * n))
             nodes.append((float(t.mid), t, m, m))
         return tuple(nodes)
-    seed = exact_orbit(spec.name)[0]
-    dots = Counter(-dot(v, seed) / dot(seed, seed) for v in exact_orbit(spec.name))
-    return tuple((float(t), t.lift(ctx), 1 if t in (-1, 1) else 2, dots[t])
-                 for t in exact_nodes(spec.name))
+    return tuple((float(t), t.lift(ctx), 1 if t in (-1, 1) else 2, n)
+                 for t, n in exact_node_counts(spec.name))
 
 
 def _hermite_nodes(member: HsPovm) -> tuple:
@@ -605,7 +616,7 @@ def _member_certificate(label: str, k: int, kernel: EntropyKernel) -> HermiteCer
         below_check=verify_below(poly, kernel),
         orbit_min_verdict=bool(sign is not None and sign >= 0 and orbit_ok),
         uniqueness_verdict=bool(uniqueness),
-        coefficients=dict(zip("ABCD", coefficients)),
+        coefficients=ReadOnlyDict(zip("ABCD", coefficients)),
         certified_minimum=certified_minimum, reason=reason, **fields,
     )
 
@@ -622,8 +633,9 @@ def certify_minimum(povm: HsPovm, kernel: EntropyKernel = SHANNON) -> HermiteCer
     member the vectors are a rotated copy of, whatever their label (see
     :func:`hspovm.catalog.check_family_geometry`, which raises ValueError
     without one), and the certificate carries its label.  Memoized per
-    (member label, k, kernel), so a repeat pays only the frame.
+    (member label, k, kernel): a repeat pays only the frame and returns the
+    same certificate, shared by every caller, so its ``coefficients`` are
+    a :class:`ReadOnlyDict`.
     """
     member = check_family_geometry(povm)[1]
-    certificate = _member_certificate(member.family, member.k, kernel)
-    return replace(certificate, coefficients=dict(certificate.coefficients))
+    return _member_certificate(member.family, member.k, kernel)

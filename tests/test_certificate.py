@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -633,13 +634,22 @@ class TestOrbitMinStep:
             certify_minimum(HsPovm(vectors=vectors, family="4-gon"))
 
     @pytest.mark.parametrize("family", EXPANDED)
-    def test_each_certificate_gets_its_own_coefficients(self, family):
+    def test_repeat_shares_one_read_only_certificate(self, family):
         povm = make_hs_povm(family)
         first = certify_minimum(povm)
         expected = dict(first.coefficients)
-        first.coefficients["B"] = 0.0
-        first.coefficients.pop("A")
-        assert certify_minimum(povm).coefficients == expected
+        for mutate in (lambda c: c.__setitem__("B", 0.0), lambda c: c.pop("A"),
+                       lambda c: c.update(A=0.0), lambda c: c.setdefault("E", 0.0),
+                       lambda c: c.__delitem__("A"), lambda c: c.popitem(),
+                       lambda c: c.clear(), lambda c: c.__ior__({"A": 0.0})):
+            with pytest.raises(TypeError, match="read-only"):
+                mutate(first.coefficients)
+        repeat = certify_minimum(povm)
+        assert repeat is first and repeat.coefficients == expected
+        assert list(repeat.coefficients) == list("ABCD"[:len(expected)])
+        loaded = pickle.loads(pickle.dumps(first))
+        assert loaded == first and repr(loaded) == repr(first)
+        assert json.dumps(loaded.coefficients) == json.dumps(expected)
 
     # the decisive interval signs of each proof, the last ones it takes:
     # the winner's margin over each other candidate (after the two signs

@@ -492,6 +492,28 @@ USAGE_ERRORS = [
     (["generate"], "no POVM: give --family or --in"),
 ]
 
+#: POVM files that are not a JSON object with a list of three-number vectors
+#: and a string label
+MALFORMED_FILES = {
+    "two-components": '{"vectors": [[1, 0], [-1, 0]]}',
+    "four-components": '{"vectors": [[1, 0, 0, 5], [-1, 0, 0, 7]]}',
+    "ragged": '{"vectors": [[1, 0, 0], [-1, 0]]}',
+    "nested": '{"vectors": [[[1], [0], [0]], [[-1], [0], [0]]]}',
+    "empty": '{"vectors": []}',
+    "no-vectors": '{"family": "cube"}',
+    "top-level-list": '[[1, 0, 0], [-1, 0, 0]]',
+    "vectors-number": '{"vectors": 7}',
+    "vectors-string": '{"vectors": "100"}',
+    "vectors-object": '{"vectors": {"a": [1, 0, 0]}}',
+    "family-number": '{"vectors": [[1, 0, 0], [-1, 0, 0]], "family": 5}',
+    "null": '{"vectors": [[1, 0, null], [-1, 0, 0]]}',
+    "boolean": '{"vectors": [[true, 0, 0], [-1, 0, 0]]}',
+    "string": '{"vectors": [["1", 0, 0], [-1, 0, 0]]}',
+    "infinite": '{"vectors": [[1e999, 0, 0], [-1, 0, 0]]}',
+    "huge-integer": '{"vectors": [[1' + '0' * 400 + ', 0, 0], [-1, 0, 0]]}',
+    "truncated": '{"vectors": [[1, 0, 0], [-1, 0, 0]',
+}
+
 
 class TestUsageErrors:
     """A malformed input exits 2 with one `error:` line, no stdout and no
@@ -532,6 +554,19 @@ class TestUsageErrors:
         assert [line for line in captured.err.splitlines() if "error:" in line] == [
             f"hspovm dynent: error: argument --depth: invalid choice: {depth} "
             "(choose from 1, 2, 3, 4, 5, 6, 7, 8)"]
+
+    @pytest.mark.parametrize("command", [c for c in _COMMANDS if any(
+        "--in" in flags for flags, _ in _COMMANDS[c][1])])
+    @pytest.mark.parametrize("payload", MALFORMED_FILES)
+    def test_malformed_file(self, command, payload, tmp_path, capsys):
+        path = tmp_path / "povm.json"
+        path.write_text(MALFORMED_FILES[payload])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--in", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
 HOSTILE = ("0", "-1", "nan", "inf", "", "1,2", "3..2", "x")

@@ -247,6 +247,51 @@ def test_rotated_labelled_file_is_checked_once(monkeypatch, name):
     assert calls == [CANONICAL[name].k]
 
 
+def _reference_frame(a, b) -> np.ndarray:
+    """catalog._frame written with np.linalg.norm."""
+    e1 = a / np.linalg.norm(a)
+    e2 = b - (b @ e1) * e1
+    e2 /= np.linalg.norm(e2)
+    (x, y, z), (p, q, r) = e1.tolist(), e2.tolist()
+    return np.array([e1, e2, [y * r - z * q, z * p - x * r, x * q - y * p]])
+
+
+def _reference_rotated_copy(coords, reference):
+    """catalog._is_rotated_copy on the reference frame, with the gaps as
+    np.linalg.norm distances."""
+    dots = coords @ coords[0]
+    j = int(np.argmin(np.abs(dots)))
+    second = coords[j]
+    targets = reference[np.abs(reference @ reference[0] - dots[j]) <= catalog.GEOMETRY_TOL]
+    if abs(dots[j]) > 1.0 - 1e-6:
+        second = np.eye(3)[np.argmin(np.abs(coords[0]))]
+        targets = np.eye(3)[[np.argmin(np.abs(reference[0]))]]
+    source = _reference_frame(coords[0], second).T
+    for target in targets:
+        rotation = source @ _reference_frame(reference[0], target)
+        gaps = np.linalg.norm((coords @ rotation)[:, None, :] - reference[None, :, :], axis=-1)
+        if max(np.max(gaps.min(0)), np.max(gaps.min(1))) < catalog.GEOMETRY_TOL:
+            return rotation
+    return None
+
+
+def test_frame_equals_the_norm_form_bit_for_bit():
+    rng = np.random.default_rng(29)
+    pairs = rng.normal(size=(20_000, 2, 3))
+    pairs[::2] /= np.linalg.norm(pairs[::2], axis=-1)[..., None]    # unit rows, as in a file
+    for a, b in pairs:
+        assert catalog._frame(a, b).tobytes() == _reference_frame(a, b).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL))
+@pytest.mark.parametrize("seed", [3, 29, 540])
+def test_rotation_equals_the_norm_form_bit_for_bit(name, seed):
+    povm = _moved(name, _transform(seed, seed % 2 == 0), seed)
+    member, rotation = povm.frame
+    expected = _reference_rotated_copy(povm.matrix(), member.matrix())
+    assert rotation.tobytes() == expected.tobytes()
+
+
 BIFURCATION = rectangle_bifurcation_threshold()
 
 
