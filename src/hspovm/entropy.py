@@ -23,7 +23,10 @@ Coplanar maxima are the plane's normals, and a pair's maxima its great
 circle.
 Critical points forced by symmetry (inert states) are classified by the
 sign of a one-line statistic wherever the isotropy group acts irreducibly
-on the tangent plane, and by geodesic second-difference probing otherwise.
+on the tangent plane, and by the signs of the Hessian's eigenvalues
+otherwise.  The statistic is 1 + tr Hess H, and Hess H is 2/k times the
+Hessian of ``_local_model``, the one second-order model that also gives
+the Newton steps.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # of T, O, I, D2 or any C_n or D_n, so its images under each are distinct
 DOMAIN_CENTER = np.array([0.3, 0.2, 0.9]) / math.sqrt(0.94)
 DOMAIN_CACHE = 4          # (n_scan, group) domains kept: T, O, I and C_1 at one n_scan
+AXIS_RADIUS = 1e-6        # a point this close to an antipode -v_j or a rotation axis is on it
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,8 +226,8 @@ def _newton(starts: np.ndarray, coords: np.ndarray, kernel: EntropyKernel, sign:
     lengths, whether each is a Newton step, and the gradient's terms (one
     (n, k) array per component).  A start ends when its gradient is zero to
     the rounding bound of its k-term sums, when it stops moving, when a
-    Newton step is no shorter than the last, or within 1e-6 of an antipode
-    -v_j, where h'' diverges (left to ``_recenter_on_inert``); after
+    Newton step is no shorter than the last, or within AXIS_RADIUS of an
+    antipode -v_j, where h'' diverges (left to ``_recenter_on_inert``); after
     NEWTON_MAXITER rounds it is unconverged.  Every operation is row by
     row: each start gets the bits it would get alone.  Returns the starts
     and the convergence flags."""
@@ -237,7 +241,7 @@ def _newton(starts: np.ndarray, coords: np.ndarray, kernel: EntropyKernel, sign:
         if not len(active):
             break
         x = _half_gaps(embed(state[active]), coords)
-        far = np.min(x, axis=1) >= 0.25e-12             # |u + v_j| >= 1e-6
+        far = np.min(x, axis=1) >= AXIS_RADIUS ** 2 / 4   # |u + v_j| >= AXIS_RADIUS
         x, rows = x[far], active[far]
         trial, step, taken, gradient = propose(rows, state[rows], x, sign * d1(x),
                                                sign * d2(x))
@@ -253,28 +257,44 @@ def _newton(starts: np.ndarray, coords: np.ndarray, kernel: EntropyKernel, sign:
     return state, converged
 
 
+def _local_model(coords: np.ndarray, tangents, x: np.ndarray, h1: np.ndarray,
+                 h2: np.ndarray) -> tuple:
+    """The second-order model of F = sum_j h(t_j), t_j = u . v_j, at each
+    row u along the unit tangents e_a there (one (n, 3) array each), from
+    x_j = (1 + t_j)/2 and the summand's h'(t_j) and h''(t_j): the gradient's
+    terms h'(t_j)(e_a . v_j), one (n, k) array per tangent, and the Riemannian
+    Hessian H_ab = sum h''(t_j)(e_a . v_j)(e_b . v_j) - (sum h'(t_j) t_j) delta_ab,
+    a symmetric nested list of (n,) arrays.  Every operation is row by row."""
+    slopes = [(coords @ e[:, :, None])[..., 0] for e in tangents]
+    radial = np.add.reduce(h1 * (2.0 * x - 1.0), axis=-1)
+    hessian = [[None] * len(slopes) for _ in slopes]
+    for a, sa in enumerate(slopes):
+        hessian[a][a] = np.add.reduce(h2 * sa * sa, axis=-1) - radial
+        for b in range(a + 1, len(slopes)):
+            hessian[a][b] = hessian[b][a] = np.add.reduce(h2 * sa * slopes[b], axis=-1)
+    return [h1 * s for s in slopes], hessian
+
+
 def _newton_on_circle(phi: np.ndarray, spacing: float, a, b, coords: np.ndarray,
                       kernel: EntropyKernel, sign: float) -> tuple:
     """Minima of F along the circle cos(phi) a + sin(phi) b, refined from
-    the angles ``phi`` by ``_newton`` in phi.  With t_j' = (-sin(phi) a +
-    cos(phi) b) . v_j and t_j'' = -t_j, F' = sum h'(t_j) t_j' and
-    F'' = sum h''(t_j) t_j'^2 - h'(t_j) t_j.  Each start keeps a bracket,
-    phi +- 2 spacing narrowed by the sign of F'; a step that leaves it, or
-    is taken where F'' <= 0, is replaced by the bracket's midpoint."""
+    the angles ``phi`` by ``_newton`` in phi, with F' and F'' from the
+    ``_local_model`` along the circle's tangent -sin(phi) a + cos(phi) b.
+    Each start keeps a bracket, phi +- 2 spacing narrowed by the sign of F';
+    a step that leaves it, or is taken where F'' <= 0, is replaced by the
+    bracket's midpoint."""
     lo, hi = phi - 2.0 * spacing, phi + 2.0 * spacing
 
     def propose(rows, p, x, h1, h2):
-        slopes = (coords @ (np.cos(p)[:, None] * b - np.sin(p)[:, None] * a)[:, :, None])[..., 0]
-        terms = h1 * slopes
-        f1 = np.add.reduce(terms, axis=-1)
-        f2 = (np.add.reduce(h2 * slopes * slopes, axis=-1)
-              - np.add.reduce(h1 * (2.0 * x - 1.0), axis=-1))
+        tangent = np.cos(p)[:, None] * b - np.sin(p)[:, None] * a
+        terms, ((f2,),) = _local_model(coords, (tangent,), x, h1, h2)
+        f1 = np.add.reduce(terms[0], axis=-1)
         lo[rows] = np.where(f1 < 0.0, p, lo[rows])
         hi[rows] = np.where(f1 > 0.0, p, hi[rows])
         newton = p - f1 / np.where(f2 > 0.0, f2, 1.0)
         taken = (f2 > 0.0) & (lo[rows] < newton) & (newton < hi[rows])
         trial = np.where(taken, newton, 0.5 * (lo[rows] + hi[rows]))
-        return trial, np.abs(trial - p), taken, [terms]
+        return trial, np.abs(trial - p), taken, terms
 
     return _newton(phi, coords, kernel, sign, lambda p: _on_circle(p, a, b), propose)
 
@@ -283,25 +303,19 @@ def _newton_on_sphere(starts: np.ndarray, coords: np.ndarray, kernel: EntropyKer
                       sign: float) -> tuple:
     """Minima of F on the sphere, refined from the rows of ``starts`` by
     ``_newton`` as Riemannian Newton (Absil, Mahony & Sepulchre 2008,
-    ch. 6).  In the frame (e1, e2) of ``_tangent_frames`` at u the gradient
-    is e_a . G with G = sum h'(t_j) v_j, and the Hessian
-    sum h''(t_j) (e_a . v_j)(e_b . v_j) - (u . G) delta_ab; the step solves
-    the 2 x 2 system and is retracted onto the sphere by normalizing
-    u + s_1 e1 + s_2 e2.  Where the Hessian is not positive definite, the
-    step is the descent direction -gradient over the Hessian's largest
-    absolute eigenvalue.  A step that would reach an antipode -v_j where F
-    falls towards it (h'(t_j) > 0), past which h'' diverges, is cut back to
-    half the distance."""
+    ch. 6).  The gradient and Hessian are the ``_local_model`` in the frame
+    (e1, e2) of ``_tangent_frames`` at u; the step solves the 2 x 2 system
+    and is retracted onto the sphere by normalizing u + s_1 e1 + s_2 e2.
+    Where the Hessian is not positive definite, the step is the descent
+    direction -gradient over the Hessian's largest absolute eigenvalue.  A
+    step that would reach an antipode -v_j where F falls towards it
+    (h'(t_j) > 0), past which h'' diverges, is cut back to half the
+    distance."""
 
     def propose(rows, u, x, h1, h2):
         e1, e2 = _tangent_frames(u)
-        c1, c2 = ((coords @ e[:, :, None])[..., 0] for e in (e1, e2))
-        terms = [h1 * c1, h1 * c2]
+        terms, ((h11, h12), (_, h22)) = _local_model(coords, (e1, e2), x, h1, h2)
         g1, g2 = (np.add.reduce(t, axis=-1) for t in terms)
-        radial = np.add.reduce(h1 * (2.0 * x - 1.0), axis=-1)
-        h11 = np.add.reduce(h2 * c1 * c1, axis=-1) - radial
-        h12 = np.add.reduce(h2 * c1 * c2, axis=-1)
-        h22 = np.add.reduce(h2 * c2 * c2, axis=-1) - radial
         det = h11 * h22 - h12 * h12
         taken = (h11 > 0.0) & (det > 0.0)
         det = np.where(taken, det, 1.0)
@@ -352,36 +366,37 @@ def _lowest(values: np.ndarray, n: int) -> np.ndarray:
     return lowest[np.argsort(values[lowest])]
 
 
-def _recenter_on_inert(p, value, povm: HsPovm, group: RotationGroup, objective):
+def _recenter_on_inert(p, value, povm: HsPovm, group: RotationGroup, rows):
     """Re-center a refined point on the inert point it lies at, if that is
-    no worse than its value plus 1e-10: the antipode -v_j within 1e-6, else
+    no worse than its value plus 1e-10 (``rows`` gives the objective at each
+    row of an array): the antipode -v_j within AXIS_RADIUS, else
     the axis point that is the normalized mean of its images under the two
     or more elements of ``group`` keeping it in its cluster (CLUSTER_ANGLE)."""
     antipodes = -povm.matrix()
     candidate = antipodes[int(np.argmin(np.linalg.norm(antipodes - p[None, :], axis=1)))]
-    if np.linalg.norm(candidate - p) >= 1e-6:
+    if np.linalg.norm(candidate - p) >= AXIS_RADIUS:
         images = group.matrix_stack() @ p
         fixing = images[np.linalg.norm(images - p, axis=1) < CLUSTER_ANGLE]
         if len(fixing) < 2:
             return p, value
         candidate = np.mean(fixing, axis=0)
         candidate = candidate / np.linalg.norm(candidate) + 0.0     # no -0.0
-    candidate_value = objective(candidate)
+    candidate_value = rows(candidate[None, :])[0]
     if candidate_value <= value + 1e-10:
         return candidate, candidate_value
     return p, value
 
 
 def _lowest_distinct(points, values, flags, povm: HsPovm, group: RotationGroup,
-                     objective) -> list:
+                     rows) -> list:
     """Keep the lowest of each CLUSTER_ANGLE neighbourhood of the refined
-    points (``values`` is the objective at each), re-center those on the
+    points (``values`` is the objective ``rows`` at each), re-center those on the
     inert points they lie at and return the (point, value, converged)
     triples within 1e-8 of the best value."""
     order = np.argsort(values, kind="stable")
     kept = [order[i] for i in _orbit_representatives(points[order], TRIVIAL_GROUP,
                                                       CLUSTER_ANGLE)]
-    located = [(*_recenter_on_inert(points[i], values[i], povm, group, objective), flags[i])
+    located = [(*_recenter_on_inert(points[i], values[i], povm, group, rows), flags[i])
                for i in kept]
     best = min(v for _, v, _ in located)
     return [t for t in located if t[1] <= best + 1e-8]
@@ -531,9 +546,6 @@ def _scan_extrema(povm: HsPovm, mode: str, n_scan: int, kernel: EntropyKernel,
     def rows(points):
         return sign * _entropy_of_rows(points, coords, k, kernel)
 
-    def objective(p):
-        return sign * kernel.entropy_of_dots(coords @ p, k)
-
     group, normal = povm.symmetry_group, _plane_normal(coords)
     if normal is not None:
         refined, converged = _circle_refined(povm, normal, group, values, n_scan // 16,
@@ -545,7 +557,7 @@ def _scan_extrema(povm: HsPovm, mode: str, n_scan: int, kernel: EntropyKernel,
         refined, converged = _newton_on_sphere(starts, coords, kernel, sign)
     points = np.concatenate([group.matrix_stack() @ p for p in refined])
     flags = np.repeat(converged, group.order).tolist()
-    located = _lowest_distinct(points, rows(points), flags, povm, group, objective)
+    located = _lowest_distinct(points, rows(points), flags, povm, group, rows)
 
     out = []
     for p, value, converged in located:
@@ -568,14 +580,15 @@ def _by_location(points: list) -> list:
 
 def _type_of_point(u: BlochVector, povm: HsPovm, group: RotationGroup) -> tuple:
     """The type of u and its statistic s (NaN for I and non-inert) from the
-    images g u, formed once: the elements moving u by less than 1e-6 (a net
-    looser than the ~1e-8 of refined extrema) fix it, and each orbit point
+    images g u, formed once: u within AXIS_RADIUS of an antipode is on it,
+    and the elements moving u by less than AXIS_RADIUS (a net looser than
+    the ~1e-8 of refined extrema) fix it, and each orbit point
     is |Stab(u)| images, so s = (2/|G|) sum_g (gu . v) ln(1 + gu . v)."""
     arr = u.as_array()
-    if np.min(np.linalg.norm(povm.matrix() + arr[None, :], axis=1)) < 1e-6:
+    if np.min(np.linalg.norm(povm.matrix() + arr[None, :], axis=1)) < AXIS_RADIUS:
         return "I", math.nan
     images = group.matrix_stack() @ arr
-    fixing = np.count_nonzero(np.linalg.norm(images - arr, axis=1) < 1e-6)
+    fixing = np.count_nonzero(np.linalg.norm(images - arr, axis=1) < AXIS_RADIUS)
     if fixing < 2:
         return "non-inert", math.nan
     ts = np.clip(images @ povm.fiducial.as_array(), -1.0, 1.0)
@@ -586,30 +599,20 @@ def _type_of_point(u: BlochVector, povm: HsPovm, group: RotationGroup) -> tuple:
     return ("II" if fixing > 2 else "III"), stat
 
 
-def _geodesic_second_differences(u: np.ndarray, directions: np.ndarray,
-                                  povm: HsPovm, step: float = 1e-4) -> np.ndarray:
-    """Second difference of H along the geodesic from u towards each row of
-    ``directions``, from the 2 n + 1 distinct points of the fan evaluated in
-    one kernel call."""
-    points = np.vstack([u, math.cos(step) * u + math.sin(step) * directions,
-                        math.cos(-step) * u + math.sin(-step) * directions])
-    h = _entropy_of_rows(points, povm.matrix(), povm.k, SHANNON)
-    n = len(directions)
-    return (h[1:n + 1] - 2.0 * h[0] + h[n + 1:]) / (step * step)
-
-
 def classify_inert_point(u: BlochVector, povm: HsPovm) -> CriticalPoint:
     """Classify a symmetry-forced critical point of H.
 
     Antipodes of POVM vectors (type I) are local minima of H.  Points
     whose stabilizer contains a rotation of order > 2 are classified by
     the statistic s = (2/|Gu|) sum (w.v) ln(1 + w.v): s > 1 means local
-    minimum of H, s < 1 local maximum.  Remaining axis points (type III)
-    are probed along several geodesics with second differences.  The type
+    minimum of H, s < 1 local maximum; s is 1 + tr Hess H.  At the
+    remaining axis points (type III) the Hessian of the ``_local_model`` in
+    the frame of ``_tangent_frames`` at u decides: positive definite is a
+    minimum, negative definite a maximum, anything else a saddle.  The type
     comes from the classifier of :func:`find_extrema` under the same group
     (trivial for a set without a frame, which keeps only its antipodes),
-    so a point within 1e-6 of an axis or antipode is classified as that
-    point.  Vectors R member are classified as the member at R^T u.
+    so a point within AXIS_RADIUS of an axis or antipode is classified as
+    that point.  Vectors R member are classified as the member at R^T u.
     """
     member, rotation = povm.frame or (povm, IDENTITY)
     if rotation is not IDENTITY:
@@ -630,18 +633,13 @@ def classify_inert_point(u: BlochVector, povm: HsPovm) -> CriticalPoint:
         kind = "min" if stat > 1.0 else "max"
         return CriticalPoint(location=u, value=value, kind=kind,
                              type_label="II", classifier_statistic=stat)
-    # type III: probe curvature along a fan of geodesics
-    arr = u.as_array()
-    e1, e2 = _tangent_frame(arr)
-    fan = np.array([math.cos(j * math.pi / 8) * e1 + math.sin(j * math.pi / 8) * e2
-                    for j in range(8)])
-    signs = _geodesic_second_differences(arr, fan, povm)
-    if np.all(signs > 1e-7):
-        kind = "min"
-    elif np.all(signs < -1e-7):
-        kind = "max"
-    else:
-        kind = "saddle"
+    # type III: the signs of the Hessian's eigenvalues
+    arr, coords = u.as_array()[None, :], povm.matrix()
+    x = _half_gaps(arr, coords)
+    _, d1, d2 = SHANNON.summand_at_x(float, np.log)
+    _, ((h11, h12), (_, h22)) = _local_model(coords, _tangent_frames(arr), x, d1(x), d2(x))
+    det = h11[0] * h22[0] - h12[0] * h12[0]
+    kind = "saddle" if det <= 0.0 else "min" if h11[0] > 0.0 else "max"
     return CriticalPoint(location=u, value=value, kind=kind,
                          type_label="III", classifier_statistic=stat)
 

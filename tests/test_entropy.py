@@ -25,13 +25,15 @@ from hspovm.entropy import (
     _entropy_of_rows,
     _entropy_values,
     _fundamental_domain,
-    _geodesic_second_differences,
+    _half_gaps,
+    _local_model,
     _lowest,
     _newton_on_circle,
     _newton_on_sphere,
     _orbit_representatives,
     _scan_extrema,
     _tangent_frame,
+    _tangent_frames,
     _type_of_point,
     classify_inert_point,
     entropy_at,
@@ -918,20 +920,62 @@ def _second_difference_by_points(u, direction, povm, step=1e-4):
     return (at(step) - 2.0 * at(0.0) + at(-step)) / (step * step)
 
 
-@pytest.mark.parametrize("family", ALL_FAMILIES + ("rectangle",))
-def test_geodesic_fan_equals_point_by_point(family):
-    """The type-III probe evaluates its whole fan in one kernel call; each
-    second difference equals the one from three single-point values."""
-    povm = make_rectangle_povm(1.4) if family == "rectangle" else povm_for(family)
-    rng = np.random.default_rng(4)
-    for u in [*(-povm.matrix().astype(float)), *rng.normal(size=(5, 3))]:
-        u = u / np.linalg.norm(u)
-        fan = rng.normal(size=(8, 3))
-        fan -= (fan @ u)[:, None] * u
-        fan /= np.linalg.norm(fan, axis=1)[:, None]
-        reference = [_second_difference_by_points(u, d, povm) for d in fan]
-        assert _geodesic_second_differences(u, fan, povm).tobytes() == \
-            np.array(reference).tobytes()
+def _inert_povms(family, n_rectangles):
+    """The POVMs of one part of the catalog: a member, the 3- to 12-gons or
+    ``n_rectangles`` rectangles at angles spread over (0, pi)."""
+    if family == "n-gons":
+        return [povm_for(f"{n}-gon") for n in range(3, 13)]
+    if family == "rectangles":
+        return [make_rectangle_povm(a)
+                for a in math.pi * np.arange(1, n_rectangles + 1) / (n_rectangles + 1)]
+    return [povm_for(family)]
+
+
+def _inert_points(family, n_rectangles, labels):
+    """(POVM, point, statistic) for each inert direction of the part of the
+    catalog whose type is among ``labels``."""
+    for povm in _inert_povms(family, n_rectangles):
+        for u in inert_directions(povm):
+            label, stat = _type_of_point(u, povm, povm.symmetry_group)
+            if label in labels:
+                yield povm, u, stat
+
+
+INERT_PARTS = ALL_FAMILIES + ("n-gons", "rectangles")
+
+
+@pytest.mark.parametrize("family", INERT_PARTS)
+def test_statistic_is_one_plus_the_trace_of_the_hessian(family):
+    """The paper's statistic s = (2/k) sum_j t_j ln(1 + t_j) is 1 + tr Hess H,
+    and Hess H is 2/k times the Hessian of the local model (sum_j t_j = 0)."""
+    _, d1, d2 = SHANNON.summand_at_x(float, np.log)
+    points = list(_inert_points(family, 30, ("II", "III")))
+    assert points
+    for povm, u, stat in points:
+        arr, coords = u.as_array()[None, :], povm.matrix()
+        x = _half_gaps(arr, coords)
+        _, hessian = _local_model(coords, _tangent_frames(arr), x, d1(x), d2(x))
+        trace = 2.0 / povm.k * (hessian[0][0][0] + hessian[1][1][0])
+        assert abs(stat - 1.0 - trace) <= 1e-12
+
+
+@pytest.mark.parametrize("family", INERT_PARTS)
+def test_type_iii_kind_matches_the_geodesic_fan(family):
+    """A type III point's kind, from the signs of the Hessian's eigenvalues,
+    is the one second differences of H (step 1e-4) give along 8 geodesics
+    evenly spread over the tangent plane: min if all exceed 1e-7, max if all
+    are below -1e-7, saddle otherwise."""
+    points = list(_inert_points(family, 200, ("III",)))
+    # their 2-fold inert direction is a vertex, and so its antipode (type I)
+    assert points or family in ("cuboctahedron", "icosidodecahedron")
+    for povm, u, _ in points:
+        arr = u.as_array()
+        e1, e2 = _tangent_frame(arr)
+        fan = [math.cos(j * math.pi / 8) * e1 + math.sin(j * math.pi / 8) * e2 for j in range(8)]
+        curvatures = np.array([_second_difference_by_points(arr, d, povm) for d in fan])
+        expected = ("min" if np.all(curvatures > 1e-7) else
+                    "max" if np.all(curvatures < -1e-7) else "saddle")
+        assert classify_inert_point(u, povm).kind == expected
 
 
 def _type_by_loop(u, povm, group):
