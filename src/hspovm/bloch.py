@@ -1,12 +1,10 @@
-"""Qubit states on the Bloch sphere and the elementary entropy kernel.
+"""Qubit states on the Bloch sphere and the entropy kernels.
 
 Pure qubit states are represented by unit vectors in R^3 (the Bloch
-representation, normalized to radius 1).  Everything downstream — outcome
-probabilities, the measurement-entropy summand h, and the pluggable
-Shannon/Renyi/Tsallis kernels — lives here.  An EntropyKernel is all the
-package knows of a kernel: its summand h, h' and h'' in any arithmetic, the
-sign of the higher derivatives of h, and the entropy at a block of dots
-u . v_j.
+representation, normalized to radius 1).  An EntropyKernel (Shannon,
+Renyi or Tsallis) is all the package knows of a kernel: its summand h,
+h' and h'' in any arithmetic, the sign of the higher derivatives of h,
+and the entropy at a block of dots u . v_j.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-UNIT_TOL = 1e-12       # tolerance for "is a unit vector" invariants
 RENORM_TOL = 1e-9      # construction renormalizes within this, errors beyond
 NEG_DUST = 1e-12       # probabilities may undershoot 0 by rounding
 
@@ -52,41 +49,8 @@ class BlochVector:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
 
-    def dot(self, other: "BlochVector") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
     def __neg__(self) -> "BlochVector":
         return BlochVector(-self.x, -self.y, -self.z)
-
-
-@dataclass(frozen=True)
-class ProbabilityVector:
-    """Outcome distribution of a k-element normalized rank-1 qubit POVM.
-
-    Entries are bounded by 2/k (the extreme value for a coincident state)
-    and sum to one; tiny negative rounding dust is clamped to zero.
-    """
-
-    p: tuple
-
-    def __post_init__(self):
-        k = len(self.p)
-        upper = 2.0 / k + NEG_DUST
-        clamped = []
-        for value in self.p:
-            if value < -NEG_DUST or value > upper:
-                raise ValueError(f"probability {value} outside [0, 2/{k}]")
-            clamped.append(0.0 if value < 0.0 else value)
-        total = math.fsum(clamped)
-        if abs(total - 1.0) > UNIT_TOL * max(1, k):
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        object.__setattr__(self, "p", tuple(clamped))
-
-    def __len__(self):
-        return len(self.p)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.p)
 
 
 def eta(x: float) -> float:
@@ -128,55 +92,12 @@ def _eta_in_place(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def probability(u: BlochVector, v: BlochVector, k: int = 2) -> float:
-    """Outcome probability (u.v + 1)/k for normalized Bloch vectors."""
-    if k < 2:
-        raise ValueError("normalized rank-1 qubit POVMs need k >= 2")
-    return (u.dot(v) + 1.0) / k
-
-
-def h(t: float) -> float:
-    """Entropy summand h(t) = eta((t + 1)/2) on [-1, 1]."""
-    if t < -1.0 - NEG_DUST or t > 1.0 + NEG_DUST:
-        raise DomainError(f"h undefined for t={t}")
-    return eta((t + 1.0) / 2.0)
-
-
 def h_array(t: np.ndarray) -> np.ndarray:
-    """Vectorized h: eta((t+1)/2)."""
+    """The Shannon summand h(t) = eta((t+1)/2), entrywise."""
     x = np.array(t, dtype=float)
     x += 1.0
     x *= 0.5
     return _eta_in_place(x)
-
-
-def h_derivative(t: float, order: int = 1) -> float:
-    """Exact derivative of h of the given order.
-
-    h'(t) = -(1/2)(ln((t+1)/2) + 1); for order n >= 2,
-    h^(n)(t) = (1/2)(-1)^(n-1) (n-2)! (1+t)^(1-n).  Even orders are
-    strictly negative and odd orders >= 3 strictly positive on (-1, 1),
-    which is what makes the interpolation certificates one-sided.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if order == 0:
-        return h(t)
-    if t <= -1.0:
-        raise DomainError("h derivatives are singular at t=-1")
-    if t > 1.0 + NEG_DUST:
-        raise DomainError(f"h undefined for t={t}")
-    if order == 1:
-        return -0.5 * (math.log((t + 1.0) / 2.0) + 1.0)
-    sign = 1.0 if (order - 1) % 2 == 0 else -1.0
-    return 0.5 * sign * math.factorial(order - 2) * (1.0 + t) ** (1 - order)
-
-
-def fubini_study_distance(u: BlochVector, v: BlochVector) -> float:
-    """Fubini-Study distance arccos sqrt((1 + u.v)/2), in [0, pi/2]."""
-    overlap = (1.0 + u.dot(v)) / 2.0
-    overlap = min(max(overlap, 0.0), 1.0)
-    return math.acos(math.sqrt(overlap))
 
 
 @dataclass(frozen=True)
@@ -235,9 +156,9 @@ class EntropyKernel:
 
     def derivative_sign(self, order: int) -> int:
         """The sign h^(order) keeps on (-1, 1), for order >= 2: (-1)^(order-1)
-        for Shannon (see h_derivative), and -sign prod_{j=2}^{order-1}
-        (alpha - j) for the power summand, 0 exactly when h is a polynomial
-        of degree < order."""
+        for Shannon, whose h^(n)(t) = (1/2)(-1)^(n-1) (n-2)! (1+t)^(1-n),
+        and -sign prod_{j=2}^{order-1} (alpha - j) for the power summand, 0
+        exactly when h is a polynomial of degree < order."""
         if order < 2:
             raise ValueError("h' changes sign on (-1, 1); orders start at 2")
         if self.kind == "shannon":

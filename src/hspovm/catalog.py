@@ -226,9 +226,6 @@ class HsPovm:
         built once per POVM, so every caller shares them."""
         return tuple(BlochVector.from_array(p) for p in -self._coords)
 
-    def to_json(self) -> str:
-        return json.dumps({"vectors": self.matrix().tolist(), "family": self.family})
-
     @classmethod
     def from_json(cls, text: str) -> "HsPovm":
         """Load a POVM file: its vectors, each exactly three JSON numbers,

@@ -89,10 +89,6 @@ class HermitePolynomial:
         t = np.asarray(t, dtype=float)
         return _horner(self.coefficients, t) + np.zeros_like(t)
 
-    def derivative_at(self, t: float) -> float:
-        slopes = [i * c for i, c in enumerate(self.coefficients)][1:]
-        return float(_horner(slopes, float(t)))
-
 
 class ReadOnlyDict(dict):
     """A dict that refuses mutation; it compares, prints, serializes and
@@ -198,12 +194,6 @@ def _member_nodes(member: HsPovm, ctx) -> tuple:
         return tuple(nodes)
     return tuple((float(t), t.lift(ctx), 1 if t in (-1, 1) else 2, n)
                  for t, n in exact_node_counts(spec.name))
-
-
-def _hermite_nodes(member: HsPovm) -> tuple:
-    """The registry member's (float node, multiplicity) pairs."""
-    ctx = _interval_context(INTERVAL_PRECISIONS[0])
-    return tuple((t, m) for t, _, m, _ in _member_nodes(member, ctx))
 
 
 # --------------------------------------------------------------------------

@@ -89,27 +89,6 @@ def measurement_entropy(povm: HsPovm) -> float:
     return float(np.mean(values))
 
 
-def sequence_probability(rho_bloch, R: UnitaryAsRotation, povm: HsPovm,
-                         sequence) -> float:
-    """Probability of an outcome string (1-based indices) for initial
-    Bloch point rho_bloch (norm <= 1 covers mixed states)."""
-    rho = np.asarray(rho_bloch, dtype=float)
-    if np.linalg.norm(rho) > 1.0 + 1e-12:
-        raise ValueError("initial Bloch point must have norm <= 1")
-    sequence = list(sequence)
-    if not sequence:
-        raise ValueError("empty outcome sequence")
-    if any(not 1 <= i <= povm.k for i in sequence):
-        raise ValueError("outcome indices are 1..k")
-    first = sequence[0] - 1
-    coords = povm.matrix()
-    prob = (1.0 + float(rho @ coords[first])) / povm.k
-    P = transition_matrix(R, povm).P
-    for prev, nxt in zip(sequence, sequence[1:]):
-        prob *= P[prev - 1, nxt - 1]
-    return prob
-
-
 def string_entropies(R: UnitaryAsRotation, povm: HsPovm, n_max: int) -> list:
     """[H_1, ..., H_n_max] where H_n sums eta over all k^n outcome-string
     probabilities from the maximally mixed state, by exact enumeration.

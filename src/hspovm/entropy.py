@@ -32,7 +32,7 @@ the Newton steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -72,7 +72,6 @@ class CriticalPoint:
 class EntropyLandscape:
     povm: HsPovm
     samples: tuple            # (BlochVector, H) pairs
-    extrema: tuple = field(default_factory=tuple)
 
 
 def _entropy_values(points: np.ndarray, povm: HsPovm,
@@ -103,11 +102,6 @@ def entropy_at(u: BlochVector, povm: HsPovm,
                kernel: EntropyKernel = SHANNON) -> float:
     """Entropy of measurement at the pure state u."""
     return float(_entropy_values(u.as_array()[None, :], povm, kernel)[0])
-
-
-def relative_entropy_at(u: BlochVector, povm: HsPovm) -> float:
-    """Relative entropy ln k - H(u), in [0, ln 2]."""
-    return math.log(povm.k) - entropy_at(u, povm)
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -172,14 +166,12 @@ def _cell_facets(normals: np.ndarray) -> np.ndarray:
 
 
 def landscape(povm: HsPovm, n_samples: int = 1000,
-              kernel: EntropyKernel = SHANNON,
-              with_extrema: bool = False) -> EntropyLandscape:
+              kernel: EntropyKernel = SHANNON) -> EntropyLandscape:
     points = fibonacci_sphere(n_samples)
     values = _entropy_values(points, povm, kernel)
     samples = tuple((BlochVector.from_array(p), float(v))
                     for p, v in zip(points, values))
-    extrema = tuple(find_extrema(povm, "min", kernel=kernel)) if with_extrema else ()
-    return EntropyLandscape(povm=povm, samples=samples, extrema=extrema)
+    return EntropyLandscape(povm=povm, samples=samples)
 
 
 def _tangent_frame(c: np.ndarray) -> tuple:

@@ -1,4 +1,4 @@
-"""Informational power, entropy bounds, and average relative entropy.
+"""Informational power, an uncertainty bound, and average relative entropy.
 
 For a symmetric POVM the maximal relative entropy over input states is the
 informational power W of the measurement (the classical capacity of the
@@ -13,7 +13,6 @@ with v any fiducial vector.  All values are in nats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,15 +23,6 @@ from .entropy import _entropy_values, fibonacci_sphere
 #: five-digit reference values for the catalog families
 TABLE_REFERENCE = {name: spec.reference_W for name, spec in FAMILY_SPECS.items()
                    if spec.reference_W is not None}
-
-
-@dataclass(frozen=True)
-class InfoPowerReport:
-    family: str
-    W: float
-    H_min: float
-    average_relative_entropy: float
-    uncertainty_bound: float = None   # type: ignore[assignment]
 
 
 def informational_power(povm: HsPovm) -> float:
@@ -78,31 +68,9 @@ def uncertainty_upper_bound(povm1: HsPovm, povm2: HsPovm) -> float:
     return math.log(2.0) + math.log(max_cos)
 
 
-def uncertainty_upper_bound_general(d: int, max_normalized_dot: float) -> float:
-    """General-dimension form: ln d + (1/2) ln((1-1/d) c + 1/d) with c the
-    largest normalized Bloch inner product between the two parts."""
-    return math.log(d) + 0.5 * math.log((1.0 - 1.0 / d) * max_normalized_dot
-                                        + 1.0 / d)
-
-
-def entropy_bounds(povm: HsPovm) -> tuple:
-    """(ln(k/2), ln k): the a priori range of H over pure states."""
-    return (math.log(povm.k / 2.0), math.log(povm.k))
-
-
 def sphere_average_relative_entropy(povm: HsPovm, n_points: int = 1_000_000) -> float:
     """Quasi-random estimate of the sphere average of the relative entropy
     (which should match average_relative_entropy(2) for any POVM)."""
     points = fibonacci_sphere(n_points)
     values = _entropy_values(points, povm)
     return math.log(povm.k) - float(np.mean(values))
-
-
-def info_power_report(povm: HsPovm) -> InfoPowerReport:
-    W = informational_power(povm)
-    return InfoPowerReport(
-        family=povm.family,
-        W=W,
-        H_min=math.log(povm.k) - W,
-        average_relative_entropy=average_relative_entropy(2),
-    )

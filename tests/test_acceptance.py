@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import ALL_FAMILIES, povm_for
-from hspovm.bloch import EntropyKernel, h, h_derivative
+from hspovm.bloch import SHANNON, EntropyKernel
 from hspovm.catalog import (
     interpolation_set,
     make_hs_povm,
@@ -276,11 +276,13 @@ def test_criterion_10_property_suites():
         values = _entropy_values(points, povm)
         assert values.min() >= math.log(povm.k / 2.0) - 1e-12, family
         assert values.max() <= math.log(povm.k) + 1e-12, family
-    # h-derivative finite differences at 1e-6 relative
+    # h' against finite differences of h at 1e-6 relative, both as the
+    # certificate's interpolant is built from them
+    h, h_prime, _ = SHANNON.summand(float, math.log)
     step = 1e-6
     for t in np.linspace(-0.99, 0.999, 1000):
         fd = (h(float(t + step)) - h(float(t - step))) / (2 * step)
-        assert h_derivative(float(t), 1) == pytest.approx(fd, rel=1e-6)
+        assert h_prime(float(t)) == pytest.approx(fd, rel=1e-6)
     # alpha-kernel constant certificates for the degree <= 2 families
     for kernel in (EntropyKernel("tsallis", 0.5), EntropyKernel("renyi", 1.5),
                    EntropyKernel("tsallis", 2.0)):

@@ -5,20 +5,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.ctx_iv import MPIntervalContext
 
+from conftest import ALL_FAMILIES, povm_for
 from hspovm.bloch import (
     BlochVector,
     DomainError,
     EntropyKernel,
-    ProbabilityVector,
     SHANNON,
     eta,
     eta_array,
-    fubini_study_distance,
-    h,
     h_array,
-    h_derivative,
-    probability,
 )
+from hspovm.dynamics import TransitionMatrix, UnitaryAsRotation, transition_matrix
+
+# the Shannon summand h(t) = eta((1 + t)/2) and h', as the certificate builds them
+h, h_prime, h_second = SHANNON.summand(float, math.log)
 
 
 class TestBlochVector:
@@ -86,13 +86,14 @@ class TestH:
             assert abs(h(float(t)) - eta((t + 1.0) / 2.0)) < 1e-15
 
     def test_domain(self):
+        # h(t) = eta((1 + t)/2) is undefined below t = -1
         with pytest.raises(DomainError):
-            h(-1.001)
+            eta((-1.001 + 1.0) / 2.0)
 
 
 class TestHDerivative:
     def test_order_one_at_one(self):
-        assert h_derivative(1.0, 1) == pytest.approx(-0.5, abs=1e-15)
+        assert h_prime(1.0) == pytest.approx(-0.5, abs=1e-15)
 
     def test_order_two_at_zero_fd_oracle(self):
         # central second difference at step 1e-5; the difference quotient
@@ -100,16 +101,16 @@ class TestHDerivative:
         step = 1e-5
         oracle = (h(step) - 2 * h(0.0) + h(-step)) / step**2
         assert oracle == pytest.approx(-0.5, abs=1e-5)
-        assert h_derivative(0.0, 2) == pytest.approx(oracle, abs=1e-5)
-        assert h_derivative(0.0, 2) == -0.5
+        assert h_second(0.0) == pytest.approx(oracle, abs=1e-5)
+        assert h_second(0.0) == -0.5
 
     def test_order_one_at_half_fd_oracle(self):
         step = 1e-6
         oracle = (h(0.5 + step) - h(0.5 - step)) / (2 * step)
         expected = -0.5 * (math.log(0.75) + 1.0)
         assert expected == pytest.approx(-0.35616, abs=1e-5)
-        assert h_derivative(0.5, 1) == pytest.approx(oracle, rel=1e-9)
-        assert h_derivative(0.5, 1) == pytest.approx(expected, abs=1e-15)
+        assert h_prime(0.5) == pytest.approx(oracle, rel=1e-9)
+        assert h_prime(0.5) == pytest.approx(expected, abs=1e-15)
 
     def test_fd_grid(self):
         # relative error < 1e-6 against central differences on (-0.99, 1)
@@ -117,34 +118,53 @@ class TestHDerivative:
         step = 1e-6
         for t in ts:
             fd = (h(float(t + step)) - h(float(t - step))) / (2 * step)
-            assert h_derivative(float(t), 1) == pytest.approx(fd, rel=1e-6)
+            assert h_prime(float(t)) == pytest.approx(fd, rel=1e-6)
 
     def test_sign_pattern(self):
-        # even orders negative, odd orders >= 3 positive on (-1, 1)
+        # even orders negative, odd orders >= 3 positive on (-1, 1): h'' < 0
+        # and h'' increases (central differences of h'')
+        step = 1e-6
         for t in (-0.9, -0.3, 0.0, 0.5, 0.99):
-            for order in (2, 4, 6):
-                assert h_derivative(t, order) < 0.0
-            for order in (3, 5, 7):
-                assert h_derivative(t, order) > 0.0
+            assert h_second(t) < 0.0
+            assert h_second(t + step) - h_second(t - step) > 0.0
+        for order in (2, 4, 6):
+            assert SHANNON.derivative_sign(order) == -1
+        for order in (3, 5, 7):
+            assert SHANNON.derivative_sign(order) == 1
 
     def test_singular_at_minus_one(self):
-        with pytest.raises(DomainError):
-            h_derivative(-1.0, 1)
+        with pytest.raises(ValueError):
+            h_prime(-1.0)
+
+
+# The outcome probability (1 + u.v)/k of a state u for the element along v
+# is what the transition matrix holds: p_ij = (1 + (R v_i).v_j)/k.
+IDENTITY = UnitaryAsRotation.identity()
+R_TILT = UnitaryAsRotation.about_axis([1.0, 2.0, 2.0], 0.9)
 
 
 class TestProbability:
     def test_coincident_hits_upper_bound(self):
-        v = BlochVector(0.0, 0.0, 1.0)
-        assert probability(v, v, 4) == pytest.approx(0.5, abs=1e-15)
+        for family in ALL_FAMILIES:
+            povm = povm_for(family)
+            P = transition_matrix(IDENTITY, povm).P
+            assert np.diag(P) == pytest.approx(np.full(povm.k, 2.0 / povm.k), abs=1e-15)
 
     def test_orthogonal_state(self):
-        v = BlochVector(0.0, 0.0, 1.0)
-        assert probability(-v, v, 4) == pytest.approx(0.0, abs=1e-15)
+        for povm in (povm_for("digon"), povm_for("octahedron"), povm_for("n-gon", 4)):
+            coords = povm.matrix()
+            P = transition_matrix(IDENTITY, povm).P
+            for i, antipode in enumerate(np.argmin(coords @ coords.T, axis=1)):
+                assert coords[antipode] @ coords[i] == pytest.approx(-1.0, abs=1e-15)
+                assert P[i, antipode] == pytest.approx(0.0, abs=1e-15)
 
     def test_equatorial(self):
-        u = BlochVector(1.0, 0.0, 0.0)
-        v = BlochVector(0.0, 0.0, 1.0)
-        assert probability(u, v, 6) == pytest.approx(1.0 / 6.0, abs=1e-15)
+        povm = povm_for("octahedron")
+        coords = povm.matrix()
+        P = transition_matrix(IDENTITY, povm).P
+        orthogonal = np.abs(coords @ coords.T) < 0.5
+        assert orthogonal.sum() == 24
+        assert P[orthogonal] == pytest.approx(np.full(24, 1.0 / 6.0), abs=1e-15)
 
     def test_bilinearity_through_dot(self):
         # the pre-normalized form is affine in u: p(au1 + bu2) interpolates
@@ -160,37 +180,45 @@ class TestProbability:
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+def _fubini_study(R, i, j):
+    """arccos sqrt(p_ij) for the digon, whose p_ij = (1 + (R v_i).v_j)/2
+    is the overlap cos^2 of the Fubini-Study distance of the two states."""
+    return math.acos(math.sqrt(transition_matrix(R, povm_for("digon")).P[i, j]))
+
+
 class TestFubiniStudy:
     def test_same_state(self):
-        v = BlochVector(0.0, 1.0, 0.0)
-        assert fubini_study_distance(v, v) == 0.0
+        assert _fubini_study(IDENTITY, 0, 0) == 0.0
 
     def test_maximally_remote(self):
-        v = BlochVector(0.0, 1.0, 0.0)
-        assert fubini_study_distance(v, -v) == pytest.approx(math.pi / 2, abs=1e-12)
+        assert _fubini_study(IDENTITY, 0, 1) == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_orthogonal_bloch(self):
-        u = BlochVector(1.0, 0.0, 0.0)
-        v = BlochVector(0.0, 0.0, 1.0)
-        assert fubini_study_distance(u, v) == pytest.approx(math.pi / 4, abs=1e-12)
+        quarter_turn = UnitaryAsRotation.about_axis([1.0, 0.0, 0.0], math.pi / 2)
+        assert _fubini_study(quarter_turn, 0, 0) == pytest.approx(math.pi / 4, abs=1e-12)
+        assert _fubini_study(quarter_turn, 0, 1) == pytest.approx(math.pi / 4, abs=1e-12)
 
 
 class TestProbabilityVector:
     def test_valid(self):
-        p = ProbabilityVector((0.5, 0.25, 0.25))
-        assert len(p) == 3
+        P = TransitionMatrix(np.array([(0.5, 0.25, 0.25)] * 3))
+        assert P.k == 3
 
     def test_clamps_dust(self):
-        p = ProbabilityVector((1.0 + 5e-13, -5e-13))
-        assert p.p[1] == 0.0
+        # rounding dust just outside [0, 1] counts as a certain outcome
+        assert SHANNON.entropy(np.array([1.0 + 5e-13, -5e-13])) == 0.0
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
-            ProbabilityVector((0.5, 0.25))
+            TransitionMatrix(np.array([(0.5, 0.25), (0.5, 0.5)]))
 
     def test_rejects_above_d_over_k(self):
-        with pytest.raises(ValueError):
-            ProbabilityVector((0.9, 0.05, 0.03, 0.02))  # 0.9 > 2/4
+        # a pure state never gives an outcome more than d/k = 2/k
+        for family in ALL_FAMILIES:
+            povm = povm_for(family)
+            P = transition_matrix(R_TILT, povm).P
+            assert P.min() >= -1e-15
+            assert P.max() <= 2.0 / povm.k + 1e-15
 
 
 class TestEntropyKernel:
@@ -301,7 +329,8 @@ class TestKernelSummand:
         x = (1.0 + t) / 2.0
         for n in range(2, 17):
             if kernel.kind == "shannon":
-                value = h_derivative(t, n)
+                # h^(n)(t) = (1/2)(-1)^(n-1) (n-2)! (1+t)^(1-n)
+                value = 0.5 * (-1) ** (n - 1) * math.factorial(n - 2) * (1.0 + t) ** (1 - n)
             else:
                 # f(x) = (x - x^a)/(a - 1): f^(n)(x) = -a (a - 1) ... (a - n + 1) x^(a - n)/(a - 1)
                 a = kernel.alpha

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from hspovm.catalog import (
     spherical_design_order,
     validate_povm,
 )
+from hspovm.cli import main
 from hspovm.groups import double_coset_profile
 from hspovm.q5 import TAU, Q5
 
@@ -156,17 +158,16 @@ class TestConstruction:
             HsPovm(vectors=(BlochVector(0, 0, 1), BlochVector(0, 0, 1)),
                    family="custom")
 
-    def test_json_round_trip(self):
-        p = povm_for("cube")
-        q = HsPovm.from_json(p.to_json())
-        assert np.allclose(p.matrix(), q.matrix())
+    def test_json_round_trip(self, tmp_path):
+        q = HsPovm.from_json(generated(tmp_path, "--family", "cube"))
+        assert np.array_equal(povm_for("cube").matrix(), q.matrix())
 
 
 class TestRectangle:
     def test_construction(self):
         p = make_rectangle_povm(1.0)
         assert p.k == 4
-        assert p.vectors[0].dot(p.vectors[2]) == pytest.approx(math.cos(1.0))
+        assert p.matrix()[0] @ p.matrix()[2] == pytest.approx(math.cos(1.0))
         assert np.linalg.norm(p.matrix().sum(axis=0)) < 1e-12
 
     def test_square_flagged_as_4gon(self):
@@ -294,27 +295,34 @@ class TestFamilyRegistry:
         assert len(spec.probes) == (len(spec.basis) + 1 if spec.basis else 0)
         assert spec.k == (None if spec.group == "C" else povm.k)
 
-    def test_json_round_trip_keeps_the_symmetry_group(self):
+    def test_json_round_trip_keeps_the_symmetry_group(self, tmp_path):
         # the file holds no tag; the geometry gives the same group back
         for name in FAMILIES:
             p = make_hs_povm(name, 5)
-            loaded = HsPovm.from_json(p.to_json())
+            polygon = ("--n", "5") if name == "n-gon" else ()
+            loaded = HsPovm.from_json(generated(tmp_path, "--family", name, *polygon))
             assert loaded.group == ""
             assert loaded.symmetry_group is p.symmetry_group
 
-    def test_rotated_file_carries_its_group_and_mislabelled_file_its_own(self):
+    def test_rotated_file_carries_its_group_and_mislabelled_file_its_own(self, tmp_path):
         q, _ = np.linalg.qr(np.random.default_rng(11).normal(size=(3, 3)))
         rotated = povm_for("cube").matrix() @ q.T
-        povm = HsPovm.from_json(HsPovm(
-            vectors=tuple(BlochVector.from_array(v) for v in rotated),
-            family="cube").to_json())
+        povm = HsPovm.from_json(json.dumps({"vectors": rotated.tolist(), "family": "cube"}))
         assert povm.group == "" and povm.symmetry_group.order == 24
         assert _image_gap(povm.symmetry_group, povm.matrix()) < 1e-12
         # the label decides nothing: a rectangle labelled octahedron is a rectangle
-        mislabelled = make_rectangle_povm(1.0).to_json().replace("rectangle", "octahedron")
+        mislabelled = generated(tmp_path, "--family", "rectangle", "--alpha", "1.0").replace(
+            "rectangle", "octahedron")
         povm = HsPovm.from_json(mislabelled)
         assert povm.frame[0].family == "rectangle" and povm.symmetry_group.order == 4
         assert _image_gap(povm.symmetry_group, povm.matrix()) < 1e-12
+
+
+def generated(tmp_path, *options) -> str:
+    """The POVM file that ``hspovm generate`` writes for these options."""
+    path = tmp_path / "povm.json"
+    assert main(["generate", *options, "--out", str(path)]) == 0
+    return path.read_text()
 
 
 def _image_gap(group, coords) -> float:

@@ -12,14 +12,13 @@ from mpmath import iv, mp
 
 from conftest import ALL_FAMILIES, POLYHEDRA, povm_for
 from hspovm import certificate
-from hspovm.bloch import EntropyKernel, SHANNON, h, h_derivative
+from hspovm.bloch import EntropyKernel, SHANNON
 from hspovm.catalog import (FAMILY_SPECS, HsPovm, exact_design_order, exact_nodes,
                             exact_orbit, family_spec, interpolation_set, make_hs_povm,
                             make_rectangle_povm)
 from hspovm.certificate import (
     HermitePolynomial,
     _expansion_matrix,
-    _hermite_nodes,
     _horner,
     _interpolant,
     _member_certificate,
@@ -48,6 +47,9 @@ EXPANDED = ("cube", "cuboctahedron", "dodecahedron", "icosidodecahedron")
 
 _CERTS = {}
 
+# the Shannon summand h and h', from which the interpolant is built
+h, h_prime, _ = SHANNON.summand(float, math.log)
+
 
 def assert_degree_at_most(poly, bound):
     """Every monomial coefficient of p above ``bound`` vanishes to 1e-10."""
@@ -59,6 +61,11 @@ def interval_coefficients(name, bits, kernel=SHANNON):
     at the given bits."""
     mono = certificate._exact_interpolant(make_hs_povm(name), kernel, bits)[1]
     return certificate._interval_coefficients(name, mono)
+
+
+def slope(poly, t):
+    """p'(t) of the interpolant p."""
+    return float(_horner([i * c for i, c in enumerate(poly.coefficients)][1:], t))
 
 
 def cert_for(family):
@@ -93,7 +100,7 @@ class TestHermiteInterpolation:
         for t, mult in nodes:
             assert abs(float(poly(t)) - h(t)) < 1e-11
             if mult >= 2:
-                assert abs(poly.derivative_at(t) - h_derivative(t, 1)) < 1e-10
+                assert abs(slope(poly, t) - h_prime(t)) < 1e-10
 
     def test_rejects_derivative_at_minus_one(self):
         with pytest.raises(ValueError):
@@ -271,8 +278,7 @@ class TestCertificates:
             for t, mult in cert.nodes:
                 assert abs(float(cert.polynomial(t)) - h(t)) < 1e-11
                 if mult >= 2:
-                    assert abs(cert.polynomial.derivative_at(t)
-                               - h_derivative(t, 1)) < 1e-10
+                    assert abs(slope(cert.polynomial, t) - h_prime(t)) < 1e-10
 
     def test_custom_family_rejected(self):
         from hspovm.catalog import make_rectangle_povm
@@ -352,7 +358,7 @@ class TestIcosidodecaPositivity:
     def test_alpha_interval_coefficients_enclose_floats(self, kernel):
         povm = povm_for("icosidodecahedron")
         _, enclosures = interval_coefficients("icosidodecahedron", 200, kernel)
-        poly = hermite_interpolate(kernel, _hermite_nodes(povm))
+        poly = hermite_interpolate(kernel, certify_minimum(povm).nodes)
         floats = expand_in_invariants(povm, assemble_lower_bound(povm, poly))
         for name, enclosure in zip("ABCD", enclosures):
             assert enclosure.a - 1e-12 <= floats[name] <= enclosure.b + 1e-12
@@ -416,7 +422,7 @@ def test_design_order_constancy_matches_sample(name, kernel):
     # cube and beyond see a degree above the design order
     povm = CONSTANCY_POVMS[name]
     cert = certify_minimum(povm, kernel)
-    poly = hermite_interpolate(kernel, _hermite_nodes(povm))
+    poly = hermite_interpolate(kernel, cert.nodes)
     assert_degree_at_most(poly, cert.degree_bound)
     evaluator = assemble_lower_bound(povm, poly)
     assert cert.constant_bound == sampled_constant(povm, evaluator)
@@ -435,16 +441,17 @@ def test_circle_design_order_of_ngon(n):
     # so the certificate's circle design order n - 1 is the n-gon's; the
     # Shannon interpolant has n conditions, degree n - 1, and needs all of it
     povm = make_hs_povm("n-gon", n)
+    cert = certify_minimum(povm)
     assert circle_design_order(povm.matrix()) == n - 1
-    assert sum(m for _, m in _hermite_nodes(povm)) == n
-    assert certify_minimum(povm).constant_bound
+    assert sum(m for _, m in cert.nodes) == n
+    assert cert.constant_bound
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_polygon_simple_nodes_are_the_ends_exactly(n):
     # -1 and 1 are decided by the node's index, with no tolerance: -1 for
     # every n-gon, 1 for an even one, whose vertex -v is a node
-    simple = {t for t, m in _hermite_nodes(make_hs_povm("n-gon", n)) if m == 1}
+    simple = {t for t, m in certify_minimum(make_hs_povm("n-gon", n)).nodes if m == 1}
     assert simple == ({-1.0} if n % 2 else {-1.0, 1.0})
 
 
@@ -731,7 +738,7 @@ def reference_orbit_sum(povm, kernel, ctx, point):
     interval context ctx."""
     tau = (1 + ctx.sqrt(ctx.mpf(5))) / 2
     verts = [[reference_lift(c, tau) for c in row] for row in povm.matrix()]
-    nodes = [(reference_lift(t, tau), m) for t, m in _hermite_nodes(povm)]
+    nodes = [(reference_lift(t, tau), m) for t, m in certify_minimum(povm).nodes]
     mono = _interpolant(kernel, nodes)
     norm = ctx.sqrt(point[0] ** 2 + point[1] ** 2 + point[2] ** 2)
     x = [c / norm for c in point]
@@ -789,7 +796,7 @@ def test_expansion_matrix_is_exact(family):
     # equals L_i[0] |x|^i + sum_d L_i[d] I_d(x) |x|^(i - d), with L_i[d] = 0
     # whenever the degree of I_d exceeds i; the odd power sums vanish
     basis = family_spec(family).basis
-    degree = sum(m for _, m in _hermite_nodes(povm_for(family))) - 1
+    degree = sum(m for _, m in certify_minimum(povm_for(family)).nodes) - 1
     expansion = _expansion_matrix(family, degree)
     assert sorted(expansion) == list(range(0, degree + 1, 2))
     orbit = exact_orbit(family)
@@ -829,7 +836,8 @@ def probe_solve(povm, evaluator):
 @pytest.mark.parametrize("family", EXPANDED)
 def test_expansion_matrix_reproduces_the_float_expansion(family, kernel):
     povm = povm_for(family)
-    evaluator = assemble_lower_bound(povm, hermite_interpolate(kernel, _hermite_nodes(povm)))
+    poly = hermite_interpolate(kernel, certify_minimum(povm).nodes)
+    evaluator = assemble_lower_bound(povm, poly)
     coefficients = expand_in_invariants(povm, evaluator)
     reference = probe_solve(povm, evaluator)
     assert coefficients.keys() == reference.keys()
@@ -850,7 +858,7 @@ def test_float_coefficients_sit_at_the_interval_midpoints(family, kernel):
     assert cert.coefficients == midpoints
     _, mono = certificate._exact_interpolant(povm, kernel, 200)
     assert cert.polynomial.coefficients == tuple(float(c.mid) for c in mono)
-    poly = hermite_interpolate(kernel, _hermite_nodes(povm))
+    poly = hermite_interpolate(kernel, certify_minimum(povm).nodes)
     coefficients = expand_in_invariants(povm, assemble_lower_bound(povm, poly))
     assert coefficients.keys() == midpoints.keys()
     for name, midpoint in midpoints.items():

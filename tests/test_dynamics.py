@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import ALL_FAMILIES, povm_for
+from hspovm.bloch import eta_array
 from hspovm.dynamics import (
     TransitionMatrix,
     UnitaryAsRotation,
     dynamical_entropy,
     empirical_entropy_rate,
     measurement_entropy,
-    sequence_probability,
     string_entropies,
     transition_matrix,
 )
@@ -121,37 +121,34 @@ class TestDynamicalEntropy:
 
 
 class TestSequenceProbability:
+    # p(i1 ... in) = p(i1) p_{i1 i2} ... p_{i(n-1) in}, the product that
+    # string_entropies enumerates
     def test_maximally_mixed_first_step(self):
         povm = povm_for("tetrahedron")
-        for i in range(1, 5):
-            assert sequence_probability([0, 0, 0], IDENTITY, povm, [i]) == \
-                pytest.approx(0.25, abs=1e-15)
+        assert string_entropies(R_TILT, povm, 1) == [pytest.approx(math.log(4), abs=1e-15)]
 
     def test_digon_deterministic_repetition(self):
-        povm = povm_for("digon")
-        assert sequence_probability([0, 0, 1], IDENTITY, povm, [1, 1, 1]) == \
-            pytest.approx(1.0, abs=1e-14)
+        # each outcome repeats with certainty, so the strings 11...1 and
+        # 22...2 share all the weight
+        assert string_entropies(IDENTITY, povm_for("digon"), 4) == \
+            [pytest.approx(math.log(2), abs=1e-14)] * 4
 
     @pytest.mark.parametrize("family", ("digon", "tetrahedron", "octahedron"))
     def test_normalization_over_strings(self, family):
         povm = povm_for(family)
-        k = povm.k
-        total = 0.0
-        for i in range(1, k + 1):
-            for j in range(1, k + 1):
-                for l in range(1, k + 1):
-                    total += sequence_probability([0.1, -0.2, 0.4], R_TILT,
-                                                  povm, [i, j, l])
-        assert total == pytest.approx(1.0, abs=1e-12)
+        P = transition_matrix(R_TILT, povm).P
+        first = (1.0 + povm.matrix() @ np.array([0.1, -0.2, 0.4])) / povm.k
+        strings = np.einsum("i,ij,jl->ijl", first, P, P)
+        assert strings.sum() == pytest.approx(1.0, abs=1e-12)
+        mixed = np.einsum("ij,jl->ijl", P, P) / povm.k
+        assert string_entropies(R_TILT, povm, 3)[2] == pytest.approx(
+            float(np.sum(eta_array(mixed))), abs=1e-12)
 
     def test_bad_inputs(self):
-        povm = povm_for("digon")
         with pytest.raises(ValueError):
-            sequence_probability([0, 0, 2], IDENTITY, povm, [1])
+            string_entropies(IDENTITY, povm_for("icosidodecahedron"), 5)   # 30^5 > 1e7
         with pytest.raises(ValueError):
-            sequence_probability([0, 0, 1], IDENTITY, povm, [3])
-        with pytest.raises(ValueError):
-            sequence_probability([0, 0, 1], IDENTITY, povm, [])
+            empirical_entropy_rate(IDENTITY, povm_for("digon"), 0)
 
 
 class TestEntropyRate:

@@ -41,7 +41,6 @@ from hspovm.entropy import (
     find_extrema,
     landscape,
     rectangle_bifurcation_threshold,
-    relative_entropy_at,
 )
 from hspovm.groups import generate_group
 from hspovm.q5 import TAU
@@ -59,7 +58,8 @@ class TestPointValues:
     def test_digon_pole_certain(self):
         p = povm_for("digon")
         assert entropy_at(BlochVector(0, 0, 1), p) == 0.0
-        assert relative_entropy_at(BlochVector(0, 0, 1), p) == pytest.approx(LN2)
+        # the relative entropy ln k - H
+        assert math.log(p.k) - entropy_at(BlochVector(0, 0, 1), p) == pytest.approx(LN2)
 
     def test_tetrahedron_antipode_is_ln3(self):
         p = povm_for("tetrahedron")
@@ -77,7 +77,7 @@ class TestPointValues:
 
     def test_square_vertex_half_ln2(self):
         p = make_hs_povm("n-gon", 4)
-        assert relative_entropy_at(p.vectors[0], p) == pytest.approx(
+        assert math.log(p.k) - entropy_at(p.vectors[0], p) == pytest.approx(
             0.5 * LN2, abs=1e-12)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -353,20 +353,31 @@ class TestLandscape:
         assert max(values) <= math.log(6) + 1e-12
 
     def test_with_extrema(self):
+        # the four minima of the tetrahedron bound the landscape from below
         povm = povm_for("tetrahedron")
-        scape = landscape(povm, n_samples=100, with_extrema=True)
-        assert len(scape.extrema) == 4
-        assert all(c.kind == "min" for c in scape.extrema)
+        scape = landscape(povm, n_samples=100)
+        extrema = find_extrema(povm, "min")
+        assert len(extrema) == 4
+        assert all(c.kind == "min" for c in extrema)
+        assert min(v for _, v in scape.samples) >= max(c.value for c in extrema) - 1e-12
+
+    @pytest.mark.parametrize("kind, alpha", [("renyi", 1.4), ("tsallis", 4.0)])
+    def test_samples_follow_the_kernel(self, kind, alpha):
+        # the samples are values of the kernel's functional
+        povm, kernel = povm_for("cube"), EntropyKernel(kind, alpha)
+        scape = landscape(povm, n_samples=500, kernel=kernel)
+        for u, value in scape.samples[::25]:
+            assert value == pytest.approx(entropy_at(u, povm, kernel), rel=1e-12)
 
     @pytest.mark.parametrize("kind, alpha", [("renyi", 1.4), ("tsallis", 4.0)])
     def test_extrema_follow_the_kernel(self, kind, alpha):
-        # the extrema are the minima of the sampled functional, so no sample
-        # lies below them
+        # the minima are values of the kernel's functional, and no sample of
+        # it lies below them
         povm, kernel = povm_for("cube"), EntropyKernel(kind, alpha)
-        scape = landscape(povm, n_samples=500, kernel=kernel, with_extrema=True)
+        scape = landscape(povm, n_samples=500, kernel=kernel)
         expected = find_extrema(povm, "min", kernel=kernel)
-        assert [(c.location, c.value, c.kind) for c in scape.extrema] == [
-            (c.location, c.value, c.kind) for c in expected]
+        for c in expected:
+            assert c.value == pytest.approx(entropy_at(c.location, povm, kernel), rel=1e-12)
         assert min(v for _, v in scape.samples) >= min(c.value for c in expected) - 1e-12
 
 

@@ -7,17 +7,15 @@ import pytest
 from conftest import ALL_FAMILIES, povm_for
 from hspovm.bloch import BlochVector, eta
 from hspovm.catalog import HsPovm, make_hs_povm, make_rectangle_povm
+from hspovm.certificate import certify_minimum
 from hspovm.entropy import find_extrema
 from hspovm.info import (
     TABLE_REFERENCE,
     average_relative_entropy,
-    entropy_bounds,
-    info_power_report,
     informational_power,
     ngon_informational_power,
     sphere_average_relative_entropy,
     uncertainty_upper_bound,
-    uncertainty_upper_bound_general,
 )
 
 LN2 = math.log(2.0)
@@ -63,8 +61,10 @@ class TestInformationalPower:
             math.log(povm.k) - minima[0].value, abs=1e-8)
 
     def test_report(self):
-        report = info_power_report(povm_for("cube"))
-        assert report.W == pytest.approx(math.log(8) - report.H_min, abs=1e-12)
+        # W = ln k - H_min with the minimum the cube's certificate proves
+        W = informational_power(povm_for("cube"))
+        H_min = certify_minimum(povm_for("cube")).certified_minimum
+        assert W == pytest.approx(math.log(8) - H_min, abs=1e-12)
 
     def test_mislabelled_rectangle_rejected(self):
         text = json.dumps({"vectors": make_rectangle_povm(0.9).matrix().tolist(),
@@ -162,19 +162,30 @@ class TestUncertaintyBounds:
         assert ngon_informational_power(4) == pytest.approx(0.5 * LN2, abs=1e-12)
 
     def test_general_d_reduces_to_qubit_form(self):
+        # two PVMs whose largest normalized dot is c: the qubit bound
+        # ln 2 + ln sqrt((1 + c)/2) is the d = 2 case of
+        # ln d + (1/2) ln((1 - 1/d) c + 1/d)
         dot = 0.37
-        got = uncertainty_upper_bound_general(2, dot)
-        want = LN2 + math.log(math.sqrt((1.0 + dot) / 2.0))
-        assert got == pytest.approx(want, abs=1e-14)
+        z = povm_for("digon")
+        w = BlochVector(math.sqrt(1.0 - dot * dot), 0.0, dot)
+        tilted = HsPovm(vectors=(w, -w), family="custom")
+        got = uncertainty_upper_bound(z, tilted)
+        assert got == pytest.approx(LN2 + math.log(math.sqrt((1.0 + dot) / 2.0)), abs=1e-14)
+        assert got == pytest.approx(LN2 + 0.5 * math.log(0.5 * dot + 0.5), abs=1e-14)
 
 
 class TestEntropyBounds:
+    # p_j <= 2/k for a pure state, so ln(k/2) <= H <= ln k
     @pytest.mark.parametrize("family,lo,hi", [
         ("digon", 0.0, LN2),
         ("tetrahedron", LN2, math.log(4)),
         ("icosidodecahedron", math.log(15), math.log(30)),
     ])
     def test_values(self, family, lo, hi):
-        bounds = entropy_bounds(povm_for(family))
-        assert bounds[0] == pytest.approx(lo, abs=1e-15)
-        assert bounds[1] == pytest.approx(hi, abs=1e-15)
+        povm = povm_for(family)
+        minima, maxima = find_extrema(povm, "min"), find_extrema(povm, "max")
+        assert min(c.value for c in minima) >= lo - 1e-15
+        assert max(c.value for c in maxima) <= hi + 1e-15
+        if family == "digon":   # a PVM reaches both ends
+            assert minima[0].value == pytest.approx(lo, abs=1e-15)
+            assert maxima[0].value == pytest.approx(hi, abs=1e-15)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import ALL_FAMILIES, povm_for
 from hspovm.bloch import EntropyKernel, SHANNON
-from hspovm.certificate import _hermite_nodes, _remainder_sign, hermite_interpolate
+from hspovm.certificate import _remainder_sign, certify_minimum, hermite_interpolate
 
 FAMILIES = tuple((family, None) for family in ALL_FAMILIES) + tuple(
     ("n-gon", n) for n in range(3, 13))
@@ -31,7 +31,7 @@ def sampled_min_gap(kernel, poly):
        fraction=st.floats(0.05, 0.95))
 def test_verdict_matches_dense_sample(family, whole, fraction):
     kernel = EntropyKernel("tsallis", whole + fraction)
-    nodes = _hermite_nodes(povm_for(*family))
+    nodes = certify_minimum(povm_for(*family)).nodes
     poly = hermite_interpolate(kernel, nodes)
     sign = _remainder_sign(kernel, nodes)
     assert sign in (-1, 1)
@@ -40,7 +40,7 @@ def test_verdict_matches_dense_sample(family, whole, fraction):
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f[0]}{f[1] or ''}")
 def test_shannon_bound_proved(family):
-    assert _remainder_sign(SHANNON, _hermite_nodes(povm_for(*family))) == 1
+    assert _remainder_sign(SHANNON, certify_minimum(povm_for(*family)).nodes) == 1
 
 
 @pytest.mark.parametrize("alpha,sign", [(2.0, 0), (3.0, 0), (4.0, 0),
@@ -48,7 +48,7 @@ def test_shannon_bound_proved(family):
 def test_power_summand_signs_on_the_cube(alpha, sign):
     # N = 6: h is a polynomial p reproduces for alpha in {2, ..., 5}
     kernel = EntropyKernel("tsallis", alpha)
-    assert _remainder_sign(kernel, _hermite_nodes(povm_for("cube"))) == sign
+    assert _remainder_sign(kernel, certify_minimum(povm_for("cube")).nodes) == sign
 
 
 @pytest.mark.parametrize("nodes", [
