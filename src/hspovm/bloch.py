@@ -4,7 +4,9 @@ Pure qubit states are represented by unit vectors in R^3 (the Bloch
 representation, normalized to radius 1).  An EntropyKernel (Shannon,
 Renyi or Tsallis) is all the package knows of a kernel: its summand h,
 h' and h'' in any arithmetic, the sign of the higher derivatives of h,
-and the entropy at a block of dots u . v_j.
+and the entropy at a block of dots u . v_j.  The Shannon summand
+eta(x) = -x ln x is written here only: on float arrays by _eta_in_place,
+in any arithmetic by EntropyKernel.summand_at_x.
 """
 
 from __future__ import annotations
@@ -15,11 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 RENORM_TOL = 1e-9      # construction renormalizes within this, errors beyond
-NEG_DUST = 1e-12       # probabilities may undershoot 0 by rounding
-
-
-class DomainError(ValueError):
-    """Argument outside the mathematical domain of an operation."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,31 +48,6 @@ class BlochVector:
 
     def __neg__(self) -> "BlochVector":
         return BlochVector(-self.x, -self.y, -self.z)
-
-
-def eta(x: float) -> float:
-    """Shannon summand eta(x) = -x ln x, with eta(0) = 0.
-
-    Values in (-1e-12, 0) are clamped to 0 (dot-product rounding dust);
-    anything further outside [0, 1] raises DomainError.
-    """
-    if x < 0.0:
-        if x < -NEG_DUST:
-            raise DomainError(f"eta undefined for x={x}")
-        return 0.0
-    if x > 1.0:
-        if x > 1.0 + NEG_DUST:
-            raise DomainError(f"eta undefined for x={x}")
-        return 0.0
-    if x == 0.0:
-        return 0.0
-    return -x * math.log(x)
-
-
-def eta_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized eta with the same clamping rules (no domain checking); a
-    NaN entry counts as 0."""
-    return _eta_in_place(np.array(x, dtype=float))
 
 
 def _eta_in_place(x: np.ndarray) -> np.ndarray:
@@ -180,7 +152,7 @@ class EntropyKernel:
         entropies of the distributions along that axis, as an array."""
         p = np.asarray(p, dtype=float)
         if self.kind == "shannon":
-            out = np.sum(eta_array(p), axis=axis)
+            out = np.sum(_eta_in_place(p.copy()), axis=axis)
         else:
             power_sum = np.sum(np.clip(p, 0.0, 1.0) ** self.alpha, axis=axis)
             if self.kind == "tsallis":

@@ -64,9 +64,17 @@ from .groups import degree_bound, double_coset_profile, stabilizer
 from .invariants import (J15_SQUARED_TERMS, evaluate_invariant, i6_prime, i10,
                          invariant_degree)
 from .q5 import GOLDEN, Q5, dot, pair_sign
-from .sturm import AmbiguousSignError, _horner, _sign, sturm_root_count
+from .sturm import AmbiguousSignError, _sign, sturm_root_count
 
 INTERVAL_PRECISIONS = (200, 320, 512)
+
+
+def _horner(coefficients, t):
+    """Ascending coefficients evaluated at t, in t's arithmetic."""
+    acc = coefficients[-1]
+    for c in reversed(coefficients[:-1]):
+        acc = acc * t + c
+    return acc
 
 
 def _interval_context(bits: int) -> MPIntervalContext:

@@ -4,7 +4,8 @@ A qubit unitary enters only through its rotation action on Bloch space.
 Interleaving a fixed unitary with repeated measurement of a normalized
 rank-1 POVM produces a stationary Markov chain on the outcome alphabet
 whose transition matrix is p_ij = (1 + (R v_i) . v_j)/k; the dynamical
-entropy is its entropy rate started from the maximally mixed state.
+entropy is its entropy rate started from the maximally mixed state.  The
+entropies are the Shannon kernel's, sums of eta(p) = -p ln p.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import eta_array
+from .bloch import SHANNON
 from .catalog import HsPovm
 from .entropy import _entropy_values
 from .groups import rotation_matrix
@@ -63,10 +64,6 @@ class TransitionMatrix:
         P.setflags(write=False)
         object.__setattr__(self, "P", P)
 
-    @property
-    def k(self) -> int:
-        return self.P.shape[0]
-
 
 def transition_matrix(R: UnitaryAsRotation, povm: HsPovm) -> TransitionMatrix:
     """p_ij = (1 + (R v_i) . v_j)/k; doubly stochastic because the Bloch
@@ -79,7 +76,7 @@ def transition_matrix(R: UnitaryAsRotation, povm: HsPovm) -> TransitionMatrix:
 def dynamical_entropy(R: UnitaryAsRotation, povm: HsPovm) -> float:
     """H(U, Pi) = (1/k) sum_ij eta(p_ij), the chain's entropy rate."""
     P = transition_matrix(R, povm).P
-    return float(np.sum(eta_array(P)) / povm.k)
+    return SHANNON.entropy(P) / povm.k
 
 
 def measurement_entropy(povm: HsPovm) -> float:
@@ -102,10 +99,10 @@ def string_entropies(R: UnitaryAsRotation, povm: HsPovm, n_max: int) -> list:
         raise ValueError("enumeration budget exceeded (k^n > 1e7)")
     P = transition_matrix(R, povm).P
     probs = np.full(k, 1.0 / k)
-    entropies = [float(np.sum(eta_array(probs)))]
+    entropies = [SHANNON.entropy(probs)]
     for _ in range(n_max - 1):
         probs = (probs.reshape(-1, k)[:, :, None] * P[None, :, :]).reshape(-1)
-        entropies.append(float(np.sum(eta_array(probs))))
+        entropies.append(SHANNON.entropy(probs))
     return entropies
 
 

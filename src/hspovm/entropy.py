@@ -636,7 +636,7 @@ def classify_inert_point(u: BlochVector, povm: HsPovm) -> CriticalPoint:
                          type_label="III", classifier_statistic=stat)
 
 
-def rectangle_bifurcation_threshold(tol: float = 1e-12) -> float:
+def rectangle_bifurcation_threshold() -> float:
     """Root of cos(a/2) ln(tan^2(a/4)) + 2 on (0, pi/2), by bisection.
 
     Below the root the rectangle POVM has its entropy minima at the inert
@@ -650,7 +650,7 @@ def rectangle_bifurcation_threshold(tol: float = 1e-12) -> float:
     lo, hi = 1e-9, math.pi / 2.0 - 1e-9
     if f(lo) >= 0.0 or f(hi) <= 0.0:
         raise RuntimeError("bisection bracket lost")
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if f(mid) < 0.0:
             lo = mid

@@ -58,9 +58,6 @@ class RotationGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __iter__(self):
-        return iter(self.elements)
-
     def matrix_stack(self) -> np.ndarray:
         """The elements as one (order, 3, 3) array (read-only, built once)."""
         return self._stack
@@ -136,18 +133,18 @@ def _closure(generators, expected_order: int) -> list:
 
 
 def generate_group(name: str, n: int = None) -> RotationGroup:
-    """Build a rotation group by tag: C_n or D_n (need n, written out by
-    their entries, C_n first), D2, T, O or I (exact generator closure,
-    floats the images)."""
-    if name in ("C", "C_n", "D", "D_n"):
+    """Build a rotation group by tag: "C" or "D" with n for C_n or D_n
+    (written out by their entries, C_n first), D2, T, O or I (exact
+    generator closure, floats the images)."""
+    if name in ("C", "D"):
         if n is None or n < 1:
-            raise ValueError(f"{name[0]}_n needs n >= 1")
+            raise ValueError(f"{name}_n needs n >= 1")
         turns = [(math.cos(2.0 * math.pi * j / n), math.sin(2.0 * math.pi * j / n))
                  for j in range(n)]
         mats = [((c, 0.0 - s, 0), (s, c, 0), (0, 0, 1)) for c, s in turns]   # no -0.0
-        if name[0] == "D":      # R(2 pi j/n) diag(1, -1, -1), the half-turn about pi j/n
+        if name == "D":         # R(2 pi j/n) diag(1, -1, -1), the half-turn about pi j/n
             mats += [((c, s, 0), (s, -c, 0), (0, 0, -1)) for c, s in turns]
-        return RotationGroup(f"{name[0]}_{n}", tuple(_freeze(m) for m in mats))
+        return RotationGroup(f"{name}_{n}", tuple(_freeze(m) for m in mats))
     if name not in _GENERATORS:
         raise ValueError(f"unknown group tag {name!r}")
     exact = tuple(_closure(_GENERATORS[name], EXPECTED_ORDER[name]))

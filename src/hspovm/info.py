@@ -7,7 +7,9 @@ the maximizers are known analytically, giving the closed form
 
     W = ln 2 - (2/k) sum_j eta((1 - v_j . v)/2)
 
-with v any fiducial vector.  All values are in nats.
+with v any fiducial vector and eta(x) = -x ln x the Shannon kernel's
+summand (:meth:`hspovm.bloch.EntropyKernel.summand_at_x`).  All values are
+in nats.
 """
 
 from __future__ import annotations
@@ -16,13 +18,16 @@ import math
 
 import numpy as np
 
-from .bloch import eta
+from .bloch import SHANNON
 from .catalog import FAMILY_SPECS, HsPovm, check_family_geometry
 from .entropy import _entropy_values, fibonacci_sphere
 
 #: five-digit reference values for the catalog families
 TABLE_REFERENCE = {name: spec.reference_W for name, spec in FAMILY_SPECS.items()
                    if spec.reference_W is not None}
+
+#: eta on floats; every x this module forms lies in [0, 1]
+_eta = SHANNON.summand_at_x(float, math.log)[0]
 
 
 def informational_power(povm: HsPovm) -> float:
@@ -32,7 +37,7 @@ def informational_power(povm: HsPovm) -> float:
     _, member, _ = check_family_geometry(povm)
     dots = member.matrix() @ member.fiducial.as_array()
     return math.log(2.0) - (2.0 / member.k) * math.fsum(
-        eta((1.0 - t) / 2.0) for t in dots)
+        _eta((1.0 - t) / 2.0) for t in dots)
 
 
 def ngon_informational_power(n: int) -> float:
@@ -40,7 +45,7 @@ def ngon_informational_power(n: int) -> float:
     if n < 2:
         raise ValueError("polygons need n >= 2")
     return math.log(2.0) - (2.0 / n) * math.fsum(
-        eta(math.sin(math.pi * j / n) ** 2) for j in range(1, n + 1))
+        _eta(math.sin(math.pi * j / n) ** 2) for j in range(1, n + 1))
 
 
 def average_relative_entropy(d: int) -> float:
@@ -51,12 +56,7 @@ def average_relative_entropy(d: int) -> float:
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
-    if d <= 10_000_000:
-        harmonic_tail = math.fsum(1.0 / j for j in range(2, d + 1))
-    else:   # digamma asymptotics, well below any tolerance we use
-        harmonic_tail = (math.log(d) + 0.5772156649015329
-                         + 1.0 / (2 * d) - 1.0 / (12 * d * d) - 1.0)
-    return math.log(d) - harmonic_tail
+    return math.log(d) - math.fsum(1.0 / j for j in range(2, d + 1))
 
 
 def uncertainty_upper_bound(povm1: HsPovm, povm2: HsPovm) -> float:

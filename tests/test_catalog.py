@@ -195,6 +195,10 @@ class TestValidate:
         report = validate_povm(make_hs_povm("n-gon", n).vectors)
         assert report.is_povm and not report.informationally_complete
 
+    def test_one_vector_refused(self):
+        with pytest.raises(ValueError, match="a POVM needs at least two elements"):
+            validate_povm([BlochVector(0, 0, 1)])
+
     def test_repeated_vector_not_povm(self):
         report = validate_povm([BlochVector(0, 0, 1), BlochVector(0, 0, 1)])
         assert not report.is_povm
@@ -328,7 +332,8 @@ def generated(tmp_path, *options) -> str:
 def _image_gap(group, coords) -> float:
     """The largest distance from an image g v to the nearest vector."""
     return max(float(np.max(np.min(np.linalg.norm(
-        (coords @ g.T)[:, None, :] - coords[None, :, :], axis=-1), axis=1))) for g in group)
+        (coords @ g.T)[:, None, :] - coords[None, :, :], axis=-1), axis=1)))
+        for g in group.elements)
 
 
 class TestSymmetryGroup:

@@ -183,6 +183,17 @@ class TestClassify:
         code, text = run_cli(["classify", "--in", str(out), "--point=-1,-1,-1"], capsys)
         assert code == 0 and json.loads(text)["points"][0]["type"] == "I"
 
+    def test_unmatched_file_without_point_is_refused(self, tmp_path, capsys):
+        # +-x, +-y, +-(0.6, 0, 0.8) is congruent to no member: no symmetry
+        # forces a critical point, so one must be named
+        out = tmp_path / "skew.json"
+        out.write_text(json.dumps({"vectors": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
+                                               [0.6, 0, 0.8], [-0.6, 0, -0.8]]}))
+        assert main(["classify", "--in", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no symmetry forces a critical point; name the point" in captured.err
+
     def test_explicit_point(self, capsys):
         code, text = run_cli(
             ["classify", "--family", "octahedron", "--point", "0,0,-1"], capsys)
@@ -669,6 +680,22 @@ print(json.dumps(payloads))
     @pytest.mark.parametrize("args", list(TestCertifyGolden.GOLDEN))
     def test_payload_unchanged(self, args, payloads):
         assert payloads[args] == TestCertifyGolden.GOLDEN[args]
+
+
+class TestInfoGolden:
+    """`info-power`, `ngon-sweep` and `dynent` output pinned byte for byte
+    for the catalog members and the 2- to 64-gons; any change to an
+    informational power or a dynamical entropy shows as a diff of
+    tests/data."""
+
+    GOLDEN = json.loads((Path(__file__).parent / "data" / "info_golden.json")
+                        .read_text())
+
+    @pytest.mark.parametrize("args", list(GOLDEN))
+    def test_output_unchanged(self, args, capsys):
+        code, text = run_cli(args.split(), capsys)
+        assert code == 0
+        assert text == self.GOLDEN[args]
 
 
 class TestMinimizeGolden:

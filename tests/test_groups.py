@@ -48,7 +48,7 @@ class TestGeneration:
         # axes; together they map the n-gon onto itself and form a group
         dihedral, cyclic = generate_group("D", n), generate_group("C", n)
         assert dihedral.name == f"D_{n}"
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(dihedral, cyclic))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(dihedral.elements, cyclic.elements))
         for m in dihedral.elements[n:]:
             assert np.trace(m) == pytest.approx(-1.0, abs=1e-12)    # a half-turn
             assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-12)
@@ -71,7 +71,7 @@ class TestGeneration:
 
     def test_elements_orthogonal(self):
         for tag in ("T", "O", "I"):
-            for m in generate_group(tag):
+            for m in generate_group(tag).elements:
                 assert np.linalg.norm(m @ m.T - np.eye(3)) < 1e-10
                 assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-10)
 

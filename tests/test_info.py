@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import ALL_FAMILIES, povm_for
-from hspovm.bloch import BlochVector, eta
+from hspovm.bloch import BlochVector
 from hspovm.catalog import HsPovm, make_hs_povm, make_rectangle_povm
 from hspovm.certificate import certify_minimum
 from hspovm.entropy import find_extrema
@@ -87,9 +87,10 @@ class TestNgonPower:
         assert ngon_informational_power(2) == pytest.approx(LN2, abs=1e-14)
 
     def test_square_derived(self):
-        # direct evaluation of the closed form: sum of eta(sin^2(pi j/4))
-        oracle = LN2 - 0.5 * math.fsum(
-            eta(math.sin(math.pi * j / 4.0) ** 2) for j in range(1, 5))
+        # direct evaluation of the closed form: sum of eta(sin^2(pi j/4)),
+        # eta(x) = -x ln x
+        xs = [math.sin(math.pi * j / 4.0) ** 2 for j in range(1, 5)]
+        oracle = LN2 - 0.5 * math.fsum(-x * math.log(x) for x in xs if x > 0)
         assert oracle == pytest.approx(0.5 * LN2, abs=1e-14)
         assert ngon_informational_power(4) == pytest.approx(oracle, abs=1e-14)
 
