@@ -210,15 +210,14 @@ class HsPovm:
         """The frame member's group (its tag's, with a polygon's C_n widened
         to D_n) carried over by R, or the trivial group without a frame."""
         if self.frame is None:
-            return _group_of_tag("C_1")
+            return TRIVIAL_GROUP
         member, rotation = self.frame
         tag = member.group
         group = _group_of_tag("D" + tag[1:] if tag.startswith("C_") else tag)
         if rotation is IDENTITY:
             return group
-        carried = rotation @ group.matrix_stack() @ rotation.T      # R g R^T
-        carried.setflags(write=False)
-        return RotationGroup(f"R {group.name} R^T", tuple(carried))   # a name no tag parses
+        carried = rotation @ group.elements @ rotation.T      # R g R^T
+        return RotationGroup(f"R {group.name} R^T", carried)   # a name no tag parses
 
     @cached_property
     def antipodes(self) -> tuple:
@@ -252,6 +251,9 @@ class HsPovm:
 def _group_of_tag(tag: str) -> RotationGroup:
     name, _, n = tag.partition("_")         # "C_5" is C with n = 5
     return generate_group(name, int(n) if n else None)
+
+
+TRIVIAL_GROUP = _group_of_tag("C_1")
 
 
 @lru_cache(maxsize=64)
@@ -413,15 +415,15 @@ def spherical_design_order(vectors) -> int:
     """Largest t <= DESIGN_T_MAX with sum_{x,y} P_s(x . y) <= k^2 DESIGN_TOL
     for s = 1..t: each sum is >= 0, and a set is an s-design for every
     s <= t exactly when they vanish (the addition theorem)."""
-    moments = _gram_moments(np.array([v.as_array() for v in vectors]))
-    return next((s - 1 for s, moment in moments if moment > DESIGN_TOL), DESIGN_T_MAX)
+    return _design_moments(np.array([v.as_array() for v in vectors]))[0]
 
 
-def _gram_moments(coords: np.ndarray) -> tuple:
-    """(s, sum_{x,y} P_s(x . y) / k^2) for s = 1..DESIGN_T_MAX, x, y the rows."""
+def _design_moments(coords: np.ndarray) -> tuple:
+    """The design order of the rows x, y and their moments: the pairs
+    (s, sum_{x,y} P_s(x . y) / k^2) for s = 1..DESIGN_T_MAX."""
     sums = _legendre_sums((coords @ coords.T).ravel())
-    return tuple((s, float(next(sums)) / len(coords) ** 2)
-                 for s in range(1, DESIGN_T_MAX + 1))
+    moments = tuple((s, float(next(sums)) / len(coords) ** 2) for s in range(1, DESIGN_T_MAX + 1))
+    return next((s - 1 for s, moment in moments if moment > DESIGN_TOL), DESIGN_T_MAX), moments
 
 
 def validate_povm(vectors) -> DesignReport:
@@ -430,7 +432,8 @@ def validate_povm(vectors) -> DesignReport:
     is_povm holds iff the centroid vanishes (tolerance 1e-10);
     informational completeness iff the coordinate matrix has full rank 3
     (singular-value threshold 1e-8); the design order and its moments are
-    :func:`spherical_design_order`'s (order 0 for a non-POVM).
+    :func:`spherical_design_order`'s (order 0 for a non-POVM), from one
+    Gram matrix.
     """
     vectors = [v if isinstance(v, BlochVector) else BlochVector.from_array(v)
                for v in vectors]
@@ -439,11 +442,12 @@ def validate_povm(vectors) -> DesignReport:
     coords = np.array([v.as_array() for v in vectors])
     is_povm = bool(np.linalg.norm(coords.sum(axis=0)) < 1e-10 * len(vectors))
     rank = int(np.sum(np.linalg.svd(coords, compute_uv=False) > 1e-8))
+    order, moments = _design_moments(coords)
     return DesignReport(
         is_povm=is_povm,
         informationally_complete=rank == 3,
-        design_order=spherical_design_order(vectors) if is_povm else 0,
-        moment_values=_gram_moments(coords),
+        design_order=order if is_povm else 0,
+        moment_values=moments,
     )
 
 

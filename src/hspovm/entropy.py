@@ -38,8 +38,8 @@ from functools import lru_cache
 import numpy as np
 
 from .bloch import BlochVector, EntropyKernel, SHANNON
-from .catalog import GEOMETRY_TOL, IDENTITY, HsPovm, _group_of_tag
-from .groups import RotationGroup, generate_group
+from .catalog import GEOMETRY_TOL, IDENTITY, TRIVIAL_GROUP, HsPovm, _group_of_tag
+from .groups import RotationGroup, _fixing, _location_order
 
 DEFAULT_GRID = 200_000
 NEWTON_MAXITER = 50       # rounds of a Newton refinement before it is unconverged
@@ -47,7 +47,6 @@ N_CANDIDATES = 2000       # lowest scan points kept, over |G| per domain
 START_ANGLE = 0.05        # rad, minimum spacing of refinement starts
 CLUSTER_ANGLE = 1e-4
 GRID_CHUNK = 4096         # rows per block of a large point grid
-TRIVIAL_GROUP = generate_group("C", 1)
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # centre of the Dirichlet cell scanned by find_extrema: on no rotation axis
 # of T, O, I, D2 or any C_n or D_n, so its images under each are distinct
@@ -135,7 +134,7 @@ def _fundamental_domain(n: int, tag: str) -> np.ndarray:
     only its survivors against every image.  The result is read-only: the
     cache hands the same array to every caller.
     """
-    images = _group_of_tag(tag).matrix_stack() @ DOMAIN_CENTER
+    images = _group_of_tag(tag).elements @ DOMAIN_CENTER
     normals = DOMAIN_CENTER - images[np.any(images != DOMAIN_CENTER, axis=1)]
     facets = _cell_facets(normals)
     kept = [np.empty((0, 3))]
@@ -174,26 +173,19 @@ def landscape(povm: HsPovm, n_samples: int = 1000,
     return EntropyLandscape(povm=povm, samples=samples)
 
 
-def _tangent_frame(c: np.ndarray) -> tuple:
-    """An orthonormal basis (e1, e2) of the plane orthogonal to the unit
-    vector c, with e1 = c x a / |c x a| and e2 = c x e1.  The cross products
-    are written out by components: the same operations as ``np.cross``, in
-    the same order, at a tenth of its cost on 3-vectors."""
-    x, y, z = c.tolist()
-    a0, a1, a2 = (1.0, 0.0, 0.0) if abs(x) < 0.9 else (0.0, 1.0, 0.0)
-    e1 = np.array([y * a2 - z * a1, z * a0 - x * a2, x * a1 - y * a0])
-    e1 /= np.linalg.norm(e1)
-    b0, b1, b2 = e1.tolist()
-    return e1, np.array([y * b2 - z * b1, z * b0 - x * b2, x * b1 - y * b0])
-
-
 def _tangent_frames(points: np.ndarray) -> tuple:
-    """The frame (e1, e2) of ``_tangent_frame`` at each row of ``points``,
-    as two (n, 3) arrays, formed row by row (no row depends on another)."""
-    axes = np.where(np.abs(points[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-    e1 = np.cross(points, axes)
+    """An orthonormal basis (e1, e2) of the plane orthogonal to each unit
+    row c of ``points``, e1 = c x a / |c x a| for a = (1, 0, 0), or (0, 1, 0)
+    where |c_x| >= 0.9, and e2 = c x e1, formed row by row.  The cross
+    products are written out by components: the operations of ``np.cross``,
+    in its order, at about half its cost."""
+    x, y, z = points.T
+    a0 = np.where(np.abs(x) < 0.9, 1.0, 0.0)
+    a1, a2 = 1.0 - a0, np.zeros(len(x))
+    e1 = np.stack([y * a2 - z * a1, z * a0 - x * a2, x * a1 - y * a0], axis=1)
     e1 /= np.linalg.norm(e1, axis=1)[:, None]
-    return e1, np.cross(points, e1)
+    b0, b1, b2 = e1.T
+    return e1, np.stack([y * b2 - z * b1, z * b0 - x * b2, x * b1 - y * b0], axis=1)
 
 
 def _on_circle(phi: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -207,6 +199,12 @@ def _half_gaps(points: np.ndarray, coords: np.ndarray) -> np.ndarray:
     an antipode, where the derivatives of every kernel blow up."""
     gaps = points[:, None, :] + coords[None, :, :]
     return np.add.reduce(gaps * gaps, axis=-1) * 0.25
+
+
+def _at_antipode(x: np.ndarray) -> np.ndarray:
+    """Whether each row of ``_half_gaps`` x lies within AXIS_RADIUS of an
+    antipode -v_j: |u + v_j| < AXIS_RADIUS for some j."""
+    return np.min(x, axis=-1) < AXIS_RADIUS ** 2 / 4
 
 
 def _newton(starts: np.ndarray, coords: np.ndarray, kernel: EntropyKernel, sign: float,
@@ -233,7 +231,7 @@ def _newton(starts: np.ndarray, coords: np.ndarray, kernel: EntropyKernel, sign:
         if not len(active):
             break
         x = _half_gaps(embed(state[active]), coords)
-        far = np.min(x, axis=1) >= AXIS_RADIUS ** 2 / 4   # |u + v_j| >= AXIS_RADIUS
+        far = ~_at_antipode(x)
         x, rows = x[far], active[far]
         trial, step, taken, gradient = propose(rows, state[rows], x, sign * d1(x),
                                                sign * d2(x))
@@ -334,14 +332,13 @@ def _orbit_representatives(points: np.ndarray, group: RotationGroup,
     point already kept.  Each kept point covers, in one product, every
     point near one of its images; the next kept point is the first one not
     covered."""
-    mats = group.matrix_stack()
     threshold = math.cos(angle)
     covered = np.zeros(len(points), dtype=bool)
     kept = []
     i = 0
     while i < len(points):
         kept.append(i)
-        covered |= np.max(points @ (mats @ points[i]).T, axis=1) > threshold
+        covered |= np.max(points @ (group.elements @ points[i]).T, axis=1) > threshold
         uncovered = np.flatnonzero(~covered[i + 1:])
         if not len(uncovered):
             break
@@ -364,11 +361,12 @@ def _recenter_on_inert(p, value, povm: HsPovm, group: RotationGroup, rows):
     row of an array): the antipode -v_j within AXIS_RADIUS, else
     the axis point that is the normalized mean of its images under the two
     or more elements of ``group`` keeping it in its cluster (CLUSTER_ANGLE)."""
-    antipodes = -povm.matrix()
-    candidate = antipodes[int(np.argmin(np.linalg.norm(antipodes - p[None, :], axis=1)))]
-    if np.linalg.norm(candidate - p) >= AXIS_RADIUS:
-        images = group.matrix_stack() @ p
-        fixing = images[np.linalg.norm(images - p, axis=1) < CLUSTER_ANGLE]
+    x = _half_gaps(p[None, :], povm.matrix())
+    if _at_antipode(x)[0]:
+        candidate = -povm.matrix()[int(np.argmin(x))]
+    else:
+        images = group.elements @ p
+        fixing = images[_fixing(images, p, CLUSTER_ANGLE)]
         if len(fixing) < 2:
             return p, value
         candidate = np.mean(fixing, axis=0)
@@ -405,7 +403,7 @@ def _circle_refined(povm: HsPovm, normal, group: RotationGroup, values, n_scan: 
     points and whether each converged."""
     n = max(n_scan, 4096)
     # the z = 0 circle is (cos phi, sin phi, 0), bit for bit
-    e1, e2 = _tangent_frame(normal if normal[2] >= 0.0 else -normal)
+    (e1,), (e2,) = _tangent_frames((normal if normal[2] >= 0.0 else -normal)[None, :])
     a, b = -e2, e1
     spacing = 2.0 * math.pi / n
     params = _circle_arc(group, a, b, n) % n * spacing
@@ -426,7 +424,7 @@ def _circle_arc(group: RotationGroup, a: np.ndarray, b: np.ndarray, n: int) -> n
     arc of pi/n), padded by two steps so that a minimum on a mirror (an end)
     is bracketed; for the trivial group the circle and one step beyond."""
     c = math.cos(1.0) * a + math.sin(1.0) * b
-    images = group.matrix_stack() @ c
+    images = group.elements @ c
     normals = c - images[np.any(images != c, axis=1)]
     if not len(normals):
         return np.arange(-1, n + 1)
@@ -456,8 +454,8 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
     unit normals +-n: only there is p uniform (p is affine and injective in
     the projection of u onto the plane), where every kernel is largest.
     Those of a pair {v, -v} (every set of two; its frame is the digon) fill
-    the great circle orthogonal to v, whose point e1 of ``_tangent_frame(v)``
-    is returned.
+    the great circle orthogonal to v, whose point e1 of ``_tangent_frames``
+    at v is returned.
     All other inputs go to the scan (``_scan_extrema``): other maxima,
     rectangles, sets congruent to no member and kernels the certificate
     does not settle.  ``n_scan`` matters only for these.
@@ -496,7 +494,7 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
     if normal is not None or (mode == "max" and k == 2):
         value = float(kernel.entropy_of_dots(np.zeros(k), k))     # p_j = 1/k
         tops = ([s * normal + 0.0 for s in (1.0, -1.0)] if normal is not None   # no -0.0
-                else [_tangent_frame(coords[0])[0]])
+                else _tangent_frames(coords[:1])[0])
         return _by_location([CriticalPoint(u, value, mode, *_type_of_point(
             u, povm, povm.symmetry_group)) for u in map(BlochVector.from_array, tops)])
     return _scan_extrema(povm, mode, n_scan, kernel, N_CANDIDATES)
@@ -547,7 +545,7 @@ def _scan_extrema(povm: HsPovm, mode: str, n_scan: int, kernel: EntropyKernel,
         candidates = domain[_lowest(values(domain), -(-n_candidates // group.order))]
         starts = candidates[_orbit_representatives(candidates, group, START_ANGLE)]
         refined, converged = _newton_on_sphere(starts, coords, kernel, sign)
-    points = np.concatenate([group.matrix_stack() @ p for p in refined])
+    points = np.concatenate([group.elements @ p for p in refined])
     flags = np.repeat(converged, group.order).tolist()
     located = _lowest_distinct(points, rows(points), flags, povm, group, rows)
 
@@ -563,10 +561,9 @@ def _scan_extrema(povm: HsPovm, mode: str, n_scan: int, kernel: EntropyKernel,
 
 
 def _by_location(points: list) -> list:
-    """The critical points, sorted in place by their coordinates rounded to
-    1e-8, x first; a stable sort, so ties keep their order."""
-    x, y, z = np.round(np.array([c.location.as_array() for c in points]).reshape(-1, 3), 8).T
-    points[:] = [points[i] for i in np.lexsort((z, y, x))]
+    """The critical points, sorted in place by ``_location_order``."""
+    order = _location_order(np.array([c.location.as_array() for c in points]).reshape(-1, 3))
+    points[:] = [points[i] for i in order]
     return points
 
 
@@ -577,10 +574,10 @@ def _type_of_point(u: BlochVector, povm: HsPovm, group: RotationGroup) -> tuple:
     the ~1e-8 of refined extrema) fix it, and each orbit point
     is |Stab(u)| images, so s = (2/|G|) sum_g (gu . v) ln(1 + gu . v)."""
     arr = u.as_array()
-    if np.min(np.linalg.norm(povm.matrix() + arr[None, :], axis=1)) < AXIS_RADIUS:
+    if _at_antipode(_half_gaps(arr[None, :], povm.matrix()))[0]:
         return "I", math.nan
-    images = group.matrix_stack() @ arr
-    fixing = np.count_nonzero(np.linalg.norm(images - arr, axis=1) < AXIS_RADIUS)
+    images = group.elements @ arr
+    fixing = np.count_nonzero(_fixing(images, arr, AXIS_RADIUS))
     if fixing < 2:
         return "non-inert", math.nan
     ts = np.clip(images @ povm.fiducial.as_array(), -1.0, 1.0)

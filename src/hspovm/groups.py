@@ -1,9 +1,9 @@
 """Finite rotation groups on the sphere: generation, orbits, double cosets.
 
-Groups are stored as explicit lists of 3x3 matrices (orders are at most 60,
-so brute force beats cleverness everywhere).  Canonical orientations are
-fixed once and for all so that the invariant polynomials in
-:mod:`hspovm.invariants` apply verbatim:
+A group is stored as one read-only (order, 3, 3) array of its elements
+(orders are at most 60, so brute force beats cleverness everywhere).
+Canonical orientations are fixed once and for all so that the invariant
+polynomials in :mod:`hspovm.invariants` apply verbatim:
 
 * ``C_n``  rotations about the z-axis,
 * ``D_n``  C_n and the half-turns about the in-plane axes at angles pi j/n,
@@ -45,22 +45,20 @@ EXPECTED_ORDER = {"D2": 4, "T": 12, "O": 24, "I": 60}
 
 @dataclass(frozen=True)
 class RotationGroup:
-    """Finite subgroup of SO(3) given by an explicit element list."""
+    """Finite subgroup of SO(3) given by its elements."""
 
     name: str
-    elements: tuple  # tuple of 3x3 ndarrays (read-only)
+    elements: np.ndarray  # (order, 3, 3), read-only
     exact: tuple = ()  # the same elements as rows of Q5 (D2, T, O, I only)
 
     def __post_init__(self):
-        object.__setattr__(self, "_stack", _freeze(np.stack(self.elements)))
+        elements = np.array(self.elements, dtype=float)
+        elements.setflags(write=False)
+        object.__setattr__(self, "elements", elements)
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def matrix_stack(self) -> np.ndarray:
-        """The elements as one (order, 3, 3) array (read-only, built once)."""
-        return self._stack
 
 
 @dataclass(frozen=True)
@@ -72,12 +70,6 @@ class DoubleCosetProfile:
     n_v: float               # n_s + n_a / 2
     antipodal_in_orbit: bool
     coset_sizes: tuple = ()
-
-
-def _freeze(m: np.ndarray) -> np.ndarray:
-    m = np.array(m, dtype=float)
-    m.setflags(write=False)
-    return m
 
 
 def rotation_matrix(axis, angle: float) -> np.ndarray:
@@ -144,12 +136,11 @@ def generate_group(name: str, n: int = None) -> RotationGroup:
         mats = [((c, 0.0 - s, 0), (s, c, 0), (0, 0, 1)) for c, s in turns]   # no -0.0
         if name == "D":         # R(2 pi j/n) diag(1, -1, -1), the half-turn about pi j/n
             mats += [((c, s, 0), (s, -c, 0), (0, 0, -1)) for c, s in turns]
-        return RotationGroup(f"{name}_{n}", tuple(_freeze(m) for m in mats))
+        return RotationGroup(f"{name}_{n}", mats)
     if name not in _GENERATORS:
         raise ValueError(f"unknown group tag {name!r}")
     exact = tuple(_closure(_GENERATORS[name], EXPECTED_ORDER[name]))
-    return RotationGroup(name, tuple(_freeze([[float(x) for x in row] for row in m])
-                                     for m in exact), exact)
+    return RotationGroup(name, [[[float(x) for x in row] for row in m] for m in exact], exact)
 
 
 def _distinct(points: np.ndarray) -> np.ndarray:
@@ -166,23 +157,28 @@ def _distinct(points: np.ndarray) -> np.ndarray:
     return points[kept]
 
 
-def _fixing(images: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The mask of the images g v within POINT_TOL of v: the elements fixing v."""
-    return np.linalg.norm(images - v, axis=1) < POINT_TOL
+def _fixing(images: np.ndarray, v: np.ndarray, radius: float) -> np.ndarray:
+    """The mask of the images g v within ``radius`` of v: the elements fixing v."""
+    return np.linalg.norm(images - v, axis=1) < radius
+
+
+def _location_order(points: np.ndarray) -> np.ndarray:
+    """The indices that sort the (n, 3) ``points`` by their coordinates
+    rounded to 1e-8, x first; a stable sort, so ties keep their order."""
+    return np.lexsort(np.round(points, 8).T[::-1])
 
 
 def orbit(g: RotationGroup, v: BlochVector) -> list:
-    """Deduplicated orbit of v, sorted lexicographically on rounded coords:
-    the images in group order, each dropped within POINT_TOL of one kept."""
-    unique = _distinct(g.matrix_stack() @ v.as_array())
-    return [BlochVector.from_array(p) for p in unique[np.lexsort(np.round(unique, 8).T[::-1])]]
+    """Deduplicated orbit of v, sorted by ``_location_order``: the images
+    in group order, each dropped within POINT_TOL of one kept."""
+    unique = _distinct(g.elements @ v.as_array())
+    return [BlochVector.from_array(p) for p in unique[_location_order(unique)]]
 
 
 def stabilizer(g: RotationGroup, v: BlochVector) -> RotationGroup:
-    """Subgroup of g fixing v within 1e-8."""
+    """Subgroup of g fixing v within POINT_TOL."""
     arr = v.as_array()
-    fixed = _fixing(g.matrix_stack() @ arr, arr)
-    return RotationGroup(f"{g.name}_stab", tuple(m for m, f in zip(g.elements, fixed) if f))
+    return RotationGroup(f"{g.name}_stab", g.elements[_fixing(g.elements @ arr, arr, POINT_TOL)])
 
 
 def double_coset_profile(g: RotationGroup, v: BlochVector) -> DoubleCosetProfile:
@@ -199,8 +195,8 @@ def double_coset_profile(g: RotationGroup, v: BlochVector) -> DoubleCosetProfile
     node set and drives the degree bound.
     """
     arr = v.as_array()
-    images = g.matrix_stack() @ arr
-    stab = g.matrix_stack()[_fixing(images, arr)]
+    images = g.elements @ arr
+    stab = g.elements[_fixing(images, arr, POINT_TOL)]
     points = _distinct(images)
     # the K-orbit of each orbit point, named by its first point
     moved = points @ stab.transpose(0, 2, 1)            # k p_i, indexed (k, i)

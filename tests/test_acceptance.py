@@ -259,7 +259,7 @@ def test_criterion_10_property_suites():
     # group invariance of H at 1e-12
     for family in ALL_FAMILIES:
         povm = povm_for(family)
-        mats = povm.rotation_group().matrix_stack()
+        mats = povm.rotation_group().elements
         for _ in range(100):
             u = rng.normal(size=3)
             u /= np.linalg.norm(u)

@@ -32,7 +32,6 @@ from hspovm.entropy import (
     _newton_on_sphere,
     _orbit_representatives,
     _scan_extrema,
-    _tangent_frame,
     _tangent_frames,
     _type_of_point,
     classify_inert_point,
@@ -111,7 +110,7 @@ class TestInvariants:
         povm = povm_for(family)
         group = povm.rotation_group()
         rng = np.random.default_rng(13)
-        mats = group.matrix_stack()
+        mats = group.elements
         for _ in range(100):
             u = rng.normal(size=3)
             u /= np.linalg.norm(u)
@@ -337,7 +336,7 @@ class TestClassifier:
         povm = povm_for(family)
 
         def off_axis(a, distance):
-            p = a + distance * _tangent_frame(a)[0]
+            p = a + distance * _tangent_frames(a[None, :])[0][0]
             return BlochVector.from_array(p / np.linalg.norm(p))
 
         for axis in inert_directions(povm):
@@ -668,7 +667,7 @@ def test_refined_extrema_are_critical_points(name):
 def _thinning_by_loop(points, group, angle):
     """Greedy thinning one candidate at a time against the stacked group
     images of the points already kept."""
-    mats = group.matrix_stack()
+    mats = group.elements
     threshold = math.cos(angle)
     taken = np.empty((0, 3))
     kept = []
@@ -694,7 +693,7 @@ class TestVectorizedThinning:
         # a patch of candidates, with near-copies and exact group images
         points = rng.normal(size=(400, 3)) * 0.3 + np.array([0.2, -0.4, 1.0])
         points /= np.linalg.norm(points, axis=1)[:, None]
-        images = group.matrix_stack()[rng.integers(group.order, size=100)]
+        images = group.elements[rng.integers(group.order, size=100)]
         near = points[:100] + rng.normal(size=(100, 3)) * angle * 0.5
         near /= np.linalg.norm(near, axis=1)[:, None]
         points = np.vstack([points, np.einsum("nij,nj->ni", images, points[:100]), near])
@@ -732,7 +731,7 @@ class TestFundamentalDomain:
         n = 3 * GRID_CHUNK + 5
         group = _group_of_tag(tag)
         points = fibonacci_sphere(n)
-        normals = DOMAIN_CENTER - group.matrix_stack() @ DOMAIN_CENTER
+        normals = DOMAIN_CENTER - group.elements @ DOMAIN_CENTER
         inside = np.all(normals @ points.T >= 0.0, axis=0)     # every image at once
         domain = _fundamental_domain(n, tag)
         assert domain.tobytes() == points[inside].tobytes()
@@ -901,7 +900,7 @@ def test_entropy_of_rows_equals_point_objective():
         coords, k = povm.matrix(), povm.k
         points = rng.normal(size=(40, 3))
         points /= np.linalg.norm(points, axis=1)[:, None]
-        points = np.concatenate([povm.symmetry_group.matrix_stack() @ p for p in points]
+        points = np.concatenate([povm.symmetry_group.elements @ p for p in points]
                                 + [-coords.astype(float)])
         for kernel in TestPointKernel.KERNELS:
             single = np.array([kernel.entropy_of_dots(coords @ p, k) for p in points])
@@ -911,21 +910,28 @@ def test_entropy_of_rows_equals_point_objective():
                 assert rows.tobytes() == single.tobytes()
 
 
-def _tangent_frame_by_np_cross(c):
-    a = np.array([1.0, 0.0, 0.0]) if abs(c[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(c, a)
-    e1 /= np.linalg.norm(e1)
-    return e1, np.cross(c, e1)
+def _tangent_frames_by_np_cross(points):
+    axes = np.where(np.abs(points[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    e1 = np.cross(points, axes)
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    return e1, np.cross(points, e1)
 
 
-def test_tangent_frame_equals_np_cross():
+def test_tangent_frames_equal_np_cross():
+    # byte for byte, so signed zeros count: random unit rows, the six +-axes
+    # (float and int) and signed-zero axes; a one-row call gives the bits of
+    # the same row of the batch
     centres = np.random.default_rng(3).normal(size=(5000, 3))
     centres /= np.linalg.norm(centres, axis=1)[:, None]
-    axes = [np.array(v, dtype=dtype) for dtype in (float, np.int64)
-            for v in ([0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0], [0, 1, 0])]
-    for c in [*centres, *axes, np.array([0.0, -0.0, 1.0]), np.array([-0.0, 0.0, -1.0])]:
-        frame, reference = _tangent_frame(c), _tangent_frame_by_np_cross(c)
+    axes = np.array([[0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]])
+    signed = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, -1.0], [-0.0, -1.0, -0.0],
+                       [1.0, -0.0, 0.0]])
+    for points in (centres, axes.astype(float), axes, signed):
+        frame, reference = _tangent_frames(points), _tangent_frames_by_np_cross(points)
         assert [e.tobytes() for e in frame] == [e.tobytes() for e in reference]
+        for i in range(0, len(points), 97):
+            row = _tangent_frames(points[i:i + 1])
+            assert [e.tobytes() for e in row] == [e[i:i + 1].tobytes() for e in frame]
 
 
 def _second_difference_by_points(u, direction, povm, step=1e-4):
@@ -986,7 +992,7 @@ def test_type_iii_kind_matches_the_geodesic_fan(family):
     assert points or family in ("cuboctahedron", "icosidodecahedron")
     for povm, u, _ in points:
         arr = u.as_array()
-        e1, e2 = _tangent_frame(arr)
+        (e1,), (e2,) = _tangent_frames(arr[None, :])
         fan = [math.cos(j * math.pi / 8) * e1 + math.sin(j * math.pi / 8) * e2 for j in range(8)]
         curvatures = np.array([_second_difference_by_points(arr, d, povm) for d in fan])
         expected = ("min" if np.all(curvatures > 1e-7) else
@@ -1015,8 +1021,8 @@ def _type_by_loop(u, povm, group):
 def test_type_of_point_matches_loop_reference(family):
     povm = povm_for(family)
     group = povm.symmetry_group
-    axes = group.matrix_stack() @ np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [0.0, TAU, 1.0],
-                                            [1.0, 1.0, 0.0], [0.0, 1.0, TAU]]).T
+    axes = group.elements @ np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [0.0, TAU, 1.0],
+                                      [1.0, 1.0, 0.0], [0.0, 1.0, TAU]]).T
     points = np.vstack([np.moveaxis(axes, 2, 1).reshape(-1, 3), povm.matrix(), -povm.matrix(),
                         np.random.default_rng(2).normal(size=(20, 3))])
     labels = set()
@@ -1088,21 +1094,41 @@ class TestPointKernel:
         self._assert_point_equals_row(np.array([0.0, 0.0, 1.0 + 1e-15]), povm, kernel)
 
 
+def _frameless_six():
+    """+-x, +-(0.6, 0.8, 0), +-(0, 0.6, 0.8): congruent to no member, so its
+    symmetry group is the trivial one and its extrema come from the sphere scan."""
+    rows = ((1.0, 0.0, 0.0), (0.6, 0.8, 0.0), (0.0, 0.6, 0.8))
+    return HsPovm(vectors=tuple(BlochVector(*(s * c for c in r)) for r in rows for s in (1, -1)),
+                  family="custom")
+
+
 class TestFindExtremaGolden:
-    """Every field of the located minima pinned by repr: the rectangle below
-    and above its bifurcation and the Renyi cube."""
+    """Every field of the located extrema pinned by repr: the rectangle below
+    and above its bifurcation and the Renyi cube (at DEFAULT_GRID), and at
+    n_scan 20,000 the pair's great-circle point, the plane normals, the
+    sphere scan's maxima (recentred and typed), the Tsallis 2.5 minima the
+    certificate leaves to the scan (Hermite remainder negative) and the
+    minima of a set with the trivial group."""
 
     GOLDEN = json.loads((Path(__file__).parent / "data" / "minimize_golden.json")
                         .read_text())["find_extrema"]
-    CASES = {"rectangle 0.8": (lambda: make_rectangle_povm(0.8), EntropyKernel("shannon")),
-             "rectangle 1.4": (lambda: make_rectangle_povm(1.4), EntropyKernel("shannon")),
-             "cube renyi 1.4": (lambda: povm_for("cube"), EntropyKernel("renyi", 1.4))}
+    CASES = {"rectangle 0.8": (lambda: make_rectangle_povm(0.8), "min", SHANNON, DEFAULT_GRID),
+             "rectangle 1.4": (lambda: make_rectangle_povm(1.4), "min", SHANNON, DEFAULT_GRID),
+             "cube renyi 1.4": (lambda: povm_for("cube"), "min", EntropyKernel("renyi", 1.4),
+                                DEFAULT_GRID),
+             **{f"{family} max": (lambda family=family: povm_for(family), "max", SHANNON, 20_000)
+                for family in ("digon", "2-gon", "5-gon", "tetrahedron", "cube",
+                               "icosidodecahedron")},
+             **{f"{family} tsallis 2.5": (lambda family=family: povm_for(family), "min",
+                                          EntropyKernel("tsallis", 2.5), 20_000)
+                for family in ("tetrahedron", "cube")},
+             "frameless 6-set": (_frameless_six, "min", SHANNON, 20_000)}
 
     @pytest.mark.parametrize("label", list(CASES))
     def test_fields_unchanged(self, label):
-        make, kernel = self.CASES[label]
+        make, mode, kernel, n_scan = self.CASES[label]
         located = []
-        for point in find_extrema(make(), "min", kernel=kernel):
+        for point in find_extrema(make(), mode, n_scan=n_scan, kernel=kernel):
             fields = {f.name: repr(getattr(point, f.name))
                       for f in dataclasses.fields(point)}
             loc = point.location

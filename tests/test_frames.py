@@ -326,7 +326,7 @@ def test_circle_minima_are_closed_orbits_at_the_dense_scan_minimum(n, alpha, ren
     scan = np.min(kernel.entropy_of_dots(circle @ coords.T, povm.k))
     assert max(c.value for c in found) <= scan + 1e-12
     # and the located set is closed under the frame's group
-    images = np.einsum("gij,mj->gmi", povm.symmetry_group.matrix_stack(), located)
+    images = np.einsum("gij,mj->gmi", povm.symmetry_group.elements, located)
     gaps = np.linalg.norm(images.reshape(-1, 1, 3) - located[None], axis=2)
     assert np.max(np.min(gaps, axis=1)) < 1e-12
     if n == 2:

@@ -55,7 +55,7 @@ class TestGeneration:
             assert np.linalg.eigh((m + m.T) / 2)[1][:, -1][2] == pytest.approx(0.0, abs=1e-12)
         angles = 2 * math.pi * np.arange(n) / n
         polygon = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(n)])
-        stack = dihedral.matrix_stack()
+        stack = dihedral.elements
         for images in (stack @ polygon.T).transpose(0, 2, 1):
             gaps = np.linalg.norm(images[:, None, :] - polygon[None, :, :], axis=-1)
             assert np.max(gaps.min(axis=1)) < 1e-12
@@ -66,7 +66,7 @@ class TestGeneration:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_dihedral_group_is_exact_on_its_axis(self, n):
         # C_n fixes (0, 0, 1) and the half-turns reverse it, bit for bit
-        images = generate_group("D", n).matrix_stack() @ np.array([0.0, 0.0, 1.0])
+        images = generate_group("D", n).elements @ np.array([0.0, 0.0, 1.0])
         assert images.tolist() == [[0.0, 0.0, 1.0]] * n + [[0.0, 0.0, -1.0]] * n
 
     def test_elements_orthogonal(self):
@@ -166,7 +166,7 @@ class TestOrbitsAndStabilizers:
         for seed in seeds:
             v = _unit(*seed)
             unique = []
-            for p in group.matrix_stack() @ v.as_array():
+            for p in group.elements @ v.as_array():
                 if not any(np.linalg.norm(p - q) < 1e-8 for q in unique):
                     unique.append(p)
             unique.sort(key=lambda p: tuple(np.round(p, 8)))
@@ -229,9 +229,16 @@ class TestRotationMatrix:
 
 
 @pytest.mark.parametrize("tag", ["C_5", "D2", "T", "O", "I"])
-def test_matrix_stack_is_one_read_only_array(tag):
+def test_elements_are_one_read_only_array(tag):
+    # the group, and the stabilizer that is a mask of it, each hold one
+    # (order, 3, 3) float array that no caller can write
     group = generate_group("C", 5) if tag == "C_5" else generate_group(tag)
-    stack = group.matrix_stack()
-    assert stack is group.matrix_stack()
-    assert not stack.flags.writeable
-    assert stack.tobytes() == np.stack(group.elements).tobytes()
+    v = _unit(0, 0, 1)
+    stab = stabilizer(group, v)
+    for g in (group, stab):
+        assert g.elements.shape == (g.order, 3, 3) and g.elements.dtype == float
+        assert not g.elements.flags.writeable
+        with pytest.raises(ValueError):
+            g.elements[0, 0, 0] = 2.0
+    fixing = [m for m in group.elements if np.linalg.norm(m @ v.as_array() - v.as_array()) < 1e-8]
+    assert stab.elements.tobytes() == np.array(fixing).tobytes()

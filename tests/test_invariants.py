@@ -60,7 +60,7 @@ class TestGroupInvariance:
     ])
     def test_invariant_under_group(self, tag, names):
         group = generate_group(tag)
-        mats = group.matrix_stack()
+        mats = group.elements
         rng = np.random.default_rng(23)
         for _ in range(100):
             x = rng.normal(size=3)
