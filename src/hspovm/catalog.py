@@ -20,7 +20,7 @@ from itertools import chain
 import numpy as np
 
 from .bloch import BlochVector
-from .groups import RotationGroup, generate_group, orbit
+from .groups import RotationGroup, _location_order, generate_group, orbit
 from .q5 import GOLDEN, TAU, Q5, dot
 
 CENTROID_TOL = 1e-12
@@ -224,6 +224,25 @@ class HsPovm:
         """The states -v_j orthogonal to the POVM states, in vector order;
         built once per POVM, so every caller shares them."""
         return tuple(BlochVector.from_array(p) for p in -self._coords)
+
+    @cached_property
+    def antipode_order(self) -> tuple:
+        """The indices j of the antipodes in ``groups._location_order``, the
+        order :func:`hspovm.entropy.find_extrema` lists them in; built once."""
+        return tuple(_location_order(-self._coords).tolist())
+
+    @cached_property
+    def plane_normal(self):
+        """The unit normal of the vectors' plane (read-only), from their
+        largest cross product with the first; None unless they have rank 2
+        (to GEOMETRY_TOL).  Computed on first use, once per POVM."""
+        crosses = np.cross(self._coords[0], self._coords)
+        norms = np.linalg.norm(crosses, axis=1)
+        normal = crosses[np.argmax(norms)] / max(np.max(norms), GEOMETRY_TOL)
+        if np.max(norms) <= GEOMETRY_TOL or np.max(np.abs(self._coords @ normal)) >= GEOMETRY_TOL:
+            return None
+        normal.setflags(write=False)
+        return normal
 
     @classmethod
     def from_json(cls, text: str) -> "HsPovm":

@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bloch import BlochVector, EntropyKernel, SHANNON
-from .catalog import GEOMETRY_TOL, IDENTITY, TRIVIAL_GROUP, HsPovm, _group_of_tag
+from .catalog import IDENTITY, TRIVIAL_GROUP, HsPovm, _group_of_tag, inert_directions
 from .groups import RotationGroup, _fixing, _location_order
 
 DEFAULT_GRID = 200_000
@@ -51,7 +51,9 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # centre of the Dirichlet cell scanned by find_extrema: on no rotation axis
 # of T, O, I, D2 or any C_n or D_n, so its images under each are distinct
 DOMAIN_CENTER = np.array([0.3, 0.2, 0.9]) / math.sqrt(0.94)
-DOMAIN_CACHE = 4          # (n_scan, group) domains kept: T, O, I and C_1 at one n_scan
+DOMAIN_CACHE = 4          # (n_scan, group) sphere domains kept: T, O, I and C_1 at one n_scan
+CIRCLE_CACHE = 8          # (grid, group, plane) circle arcs kept: 0.1 MB for D2, 0.4 MB for C_1
+KINDS_CACHE = 64          # members whose type III kinds are kept
 AXIS_RADIUS = 1e-6        # a point this close to an antipode -v_j or a rotation axis is on it
 
 
@@ -392,29 +394,44 @@ def _lowest_distinct(points, values, flags, povm: HsPovm, group: RotationGroup,
     return [t for t in located if t[1] <= best + 1e-8]
 
 
-def _circle_refined(povm: HsPovm, normal, group: RotationGroup, values, n_scan: int,
+def _circle_refined(povm: HsPovm, group: RotationGroup, values, n_scan: int,
                     kernel: EntropyKernel, sign: float) -> tuple:
     """1D search for the minima of a coplanar POVM, which lie on the circle
-    orthogonal to ``normal`` (H depends on u only through its projection and
-    is concave in the Bloch ball).  ``values`` is the signed entropy of the
-    (n, 3) scan grid.  On the circle, one arc (``_circle_arc``) is scanned;
-    its lowest 4k grid points no higher than their two neighbours, within
-    1e-3 of the lowest, start ``_newton_on_circle``.  Returns the refined
-    points and whether each converged."""
+    orthogonal to its ``plane_normal`` (H depends on u only through its
+    projection and is concave in the Bloch ball).  ``values`` is the signed
+    entropy of an (n, 3) array of points.  On the circle, one arc of the
+    grid (``_circle_grid``) is scanned; its lowest 4k grid points no higher
+    than their two neighbours, within 1e-3 of the lowest, start
+    ``_newton_on_circle``.  Returns the refined points and whether each
+    converged."""
     n = max(n_scan, 4096)
-    # the z = 0 circle is (cos phi, sin phi, 0), bit for bit
-    (e1,), (e2,) = _tangent_frames((normal if normal[2] >= 0.0 else -normal)[None, :])
-    a, b = -e2, e1
-    spacing = 2.0 * math.pi / n
-    params = _circle_arc(group, a, b, n) % n * spacing
-    vals = values(_on_circle(params, a, b))
+    a, b, params, points = _circle_grid(n, group.name, povm.plane_normal.tobytes())
+    vals = values(points)
     inner = vals[1:-1]
     minima = np.flatnonzero((inner <= vals[:-2]) & (inner <= vals[2:])) + 1
     minima = minima[np.argsort(vals[minima])][: 4 * povm.k]
     minima = minima[vals[minima] <= vals[minima[0]] + 1e-3]
-    phi, converged = _newton_on_circle(params[minima], spacing, a, b, povm.matrix(),
+    phi, converged = _newton_on_circle(params[minima], 2.0 * math.pi / n, a, b, povm.matrix(),
                                        kernel, sign)
     return _on_circle(phi, a, b), converged
+
+
+@lru_cache(maxsize=CIRCLE_CACHE)
+def _circle_grid(n: int, tag: str, normal: bytes) -> tuple:
+    """(a, b, phi, points): the circle cos(phi) a + sin(phi) b orthogonal to
+    the unit normal with these float64 bytes, and the angles and points of
+    the arc of its n-point grid that ``_circle_arc`` gives under the group
+    with this tag.  Every array is read-only: the cache hands the same grid
+    to every set in that plane with that group."""
+    normal = np.frombuffer(normal)
+    # the z = 0 circle is (cos phi, sin phi, 0), bit for bit
+    (e1,), (e2,) = _tangent_frames((normal if normal[2] >= 0.0 else -normal)[None, :])
+    a, b = -e2, e1
+    params = _circle_arc(_group_of_tag(tag), a, b, n) % n * (2.0 * math.pi / n)
+    grid = a, b, params, _on_circle(params, a, b)
+    for array in grid:
+        array.setflags(write=False)
+    return grid
 
 
 def _circle_arc(group: RotationGroup, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -450,9 +467,11 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
     the antipodal orbit {-v_j} is the whole set of global minimizers (in
     any orientation of the family), the k antipodes are returned at their
     entropy (one ``_entropy_of_rows`` call), type I and ``converged=True``,
-    and nothing is scanned.  The maxima of a set spanning a plane are its
-    unit normals +-n: only there is p uniform (p is affine and injective in
-    the projection of u onto the plane), where every kernel is largest.
+    in the POVM's :attr:`HsPovm.antipode_order`, and nothing is scanned or
+    sorted.  The maxima of a set spanning a plane are its unit normals +-n
+    (:attr:`HsPovm.plane_normal`, computed once per POVM): only there is p
+    uniform (p is affine and injective in the projection of u onto the
+    plane), where every kernel is largest.
     Those of a pair {v, -v} (every set of two; its frame is the digon) fill
     the great circle orthogonal to v, whose point e1 of ``_tangent_frames``
     at v is returned.
@@ -469,8 +488,10 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
     points are thinned against the group images of the starts already
     taken (0.05 rad) and refined by Riemannian Newton
     (``_newton_on_sphere``).  Coplanar minima are searched on one arc of
-    their circle, the cell of a generic circle point, and refined by Newton
-    in the angle (``_newton_on_circle``).  Both refine every start of the
+    their circle, the cell of a generic circle point, whose grid points are
+    memoized per (grid, G, plane) in a small cache (every canonical
+    rectangle shares one), and refined by Newton in the angle
+    (``_newton_on_circle``).  Both refine every start of the
     call at once, with the summand's h' and h'' from the kernel
     (:meth:`EntropyKernel.summand_at_x`), and give each start the same bits
     as refining it alone.
@@ -487,27 +508,16 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
         return _by_location(carried)
     coords, k = povm.matrix(), povm.k
     if mode == "min" and _antipodes_certified(povm, kernel):
-        values = _entropy_of_rows(-coords, coords, k, kernel).tolist()
-        return _by_location([CriticalPoint(u, v, mode, "I")
-                             for u, v in zip(povm.antipodes, values)])
-    normal = _plane_normal(coords) if mode == "max" else None
+        values, antipodes = _entropy_of_rows(-coords, coords, k, kernel).tolist(), povm.antipodes
+        return [CriticalPoint(antipodes[j], values[j], mode, "I") for j in povm.antipode_order]
+    normal = povm.plane_normal if mode == "max" else None
     if normal is not None or (mode == "max" and k == 2):
         value = float(kernel.entropy_of_dots(np.zeros(k), k))     # p_j = 1/k
         tops = ([s * normal + 0.0 for s in (1.0, -1.0)] if normal is not None   # no -0.0
                 else _tangent_frames(coords[:1])[0])
         return _by_location([CriticalPoint(u, value, mode, *_type_of_point(
-            u, povm, povm.symmetry_group)) for u in map(BlochVector.from_array, tops)])
+            u, povm, povm.symmetry_group)[:2]) for u in map(BlochVector.from_array, tops)])
     return _scan_extrema(povm, mode, n_scan, kernel, N_CANDIDATES)
-
-
-def _plane_normal(coords: np.ndarray):
-    """The unit normal of the vectors' plane, from their largest cross
-    product with the first; None unless they have rank 2 (to GEOMETRY_TOL)."""
-    crosses = np.cross(coords[0], coords)
-    norms = np.linalg.norm(crosses, axis=1)
-    normal = crosses[np.argmax(norms)] / max(np.max(norms), GEOMETRY_TOL)
-    planar = np.max(norms) > GEOMETRY_TOL and np.max(np.abs(coords @ normal)) < GEOMETRY_TOL
-    return normal if planar else None
 
 
 def _antipodes_certified(povm: HsPovm, kernel: EntropyKernel) -> bool:
@@ -536,10 +546,9 @@ def _scan_extrema(povm: HsPovm, mode: str, n_scan: int, kernel: EntropyKernel,
     def rows(points):
         return sign * _entropy_of_rows(points, coords, k, kernel)
 
-    group, normal = povm.symmetry_group, _plane_normal(coords)
-    if normal is not None:
-        refined, converged = _circle_refined(povm, normal, group, values, n_scan // 16,
-                                             kernel, sign)
+    group = povm.symmetry_group
+    if povm.plane_normal is not None:
+        refined, converged = _circle_refined(povm, group, values, n_scan // 16, kernel, sign)
     else:
         domain = _fundamental_domain(n_scan, group.name)
         candidates = domain[_lowest(values(domain), -(-n_candidates // group.order))]
@@ -552,7 +561,7 @@ def _scan_extrema(povm: HsPovm, mode: str, n_scan: int, kernel: EntropyKernel,
     out = []
     for p, value, converged in located:
         u = BlochVector.from_array(p)
-        label, stat = _type_of_point(u, povm, group)
+        label, stat, _ = _type_of_point(u, povm, group)
         out.append(CriticalPoint(location=u, value=float(sign * value),
                                  kind=mode, type_label=label,
                                  classifier_statistic=stat,
@@ -568,24 +577,58 @@ def _by_location(points: list) -> list:
 
 
 def _type_of_point(u: BlochVector, povm: HsPovm, group: RotationGroup) -> tuple:
-    """The type of u and its statistic s (NaN for I and non-inert) from the
-    images g u, formed once: u within AXIS_RADIUS of an antipode is on it,
-    and the elements moving u by less than AXIS_RADIUS (a net looser than
-    the ~1e-8 of refined extrema) fix it, and each orbit point
-    is |Stab(u)| images, so s = (2/|G|) sum_g (gu . v) ln(1 + gu . v)."""
+    """The type of u, its statistic s (NaN for I and non-inert) and its
+    images g u (None for I), formed once: u within AXIS_RADIUS of an
+    antipode is on it, and the elements moving u by less than AXIS_RADIUS
+    (a net looser than the ~1e-8 of refined extrema) fix it, and each orbit
+    point is |Stab(u)| images, so s = (2/|G|) sum_g (gu . v) ln(1 + gu . v)."""
     arr = u.as_array()
     if _at_antipode(_half_gaps(arr[None, :], povm.matrix()))[0]:
-        return "I", math.nan
+        return "I", math.nan, None
     images = group.elements @ arr
     fixing = np.count_nonzero(_fixing(images, arr, AXIS_RADIUS))
     if fixing < 2:
-        return "non-inert", math.nan
+        return "non-inert", math.nan, images
     ts = np.clip(images @ povm.fiducial.as_array(), -1.0, 1.0)
     stat = (2.0 * math.fsum((ts * np.log1p(ts)).tolist()) / len(ts)
             if np.min(ts) > -1.0 + 1e-15 else -math.inf)    # type I geometry: inapplicable
     # the rotations fixing u turn about u, a cyclic group: more than two of
     # them means one of order > 2 (and its inverse, which moves u as far)
-    return ("II" if fixing > 2 else "III"), stat
+    return ("II" if fixing > 2 else "III"), stat, images
+
+
+def _hessian_kinds(points: np.ndarray, coords: np.ndarray) -> tuple:
+    """The kind of H at each row u of ``points`` from the signs of the
+    eigenvalues of the Shannon ``_local_model`` Hessian in the frame of
+    ``_tangent_frames`` at u: min where both are positive, max where both
+    are negative, saddle otherwise.  An eigenvalue within the rounding bound
+    k eps sum_j (|h'(t_j)| + |h''(t_j)|) of the Hessian's k-term entries is
+    zero, and makes a saddle: the great circle of a pair's maxima is flat
+    along itself, where the computed eigenvalue is rounding of either sign."""
+    x = _half_gaps(points, coords)
+    _, d1, d2 = SHANNON.summand_at_x(float, np.log)
+    h1, h2 = d1(x), d2(x)
+    _, ((h11, h12), (_, h22)) = _local_model(coords, _tangent_frames(points), x, h1, h2)
+    det = h11 * h22 - h12 * h12
+    largest = np.abs(0.5 * (h11 + h22)) + np.hypot(0.5 * (h11 - h22), h12)   # max |eigenvalue|
+    bound = len(coords) * np.finfo(float).eps * np.add.reduce(np.abs(h1) + np.abs(h2), axis=-1)
+    flat = np.abs(det) <= bound * largest       # |det| / largest is the least |eigenvalue|
+    return tuple("saddle" if f or d <= 0.0 else "min" if h > 0.0 else "max"
+                 for f, d, h in zip(flat.tolist(), det.tolist(), h11.tolist()))
+
+
+@lru_cache(maxsize=KINDS_CACHE)
+def _type_three_kinds(member: HsPovm) -> tuple:
+    """(seeds, kinds): the type III directions s among the member's
+    ``inert_directions`` (a read-only (m, 3) array) and the kind of H at
+    each (``_hessian_kinds``).  H is invariant under the symmetry group, so
+    the kind is the same on the whole orbit of s, and these orbits are
+    every type III point of the member.  Memoized per member."""
+    group = member.symmetry_group
+    seeds = np.array([s.as_array() for s in inert_directions(member)
+                      if _type_of_point(s, member, group)[0] == "III"]).reshape(-1, 3)
+    seeds.setflags(write=False)
+    return seeds, _hessian_kinds(seeds, member.matrix())
 
 
 def classify_inert_point(u: BlochVector, povm: HsPovm) -> CriticalPoint:
@@ -594,21 +637,25 @@ def classify_inert_point(u: BlochVector, povm: HsPovm) -> CriticalPoint:
     Antipodes of POVM vectors (type I) are local minima of H.  Points
     whose stabilizer contains a rotation of order > 2 are classified by
     the statistic s = (2/|Gu|) sum (w.v) ln(1 + w.v): s > 1 means local
-    minimum of H, s < 1 local maximum; s is 1 + tr Hess H.  At the
-    remaining axis points (type III) the Hessian of the ``_local_model`` in
-    the frame of ``_tangent_frames`` at u decides: positive definite is a
-    minimum, negative definite a maximum, anything else a saddle.  The type
-    comes from the classifier of :func:`find_extrema` under the same group
-    (trivial for a set without a frame, which keeps only its antipodes),
-    so a point within AXIS_RADIUS of an axis or antipode is classified as
-    that point.  Vectors R member are classified as the member at R^T u.
+    minimum of H, s < 1 local maximum; s is 1 + tr Hess H.  The remaining
+    axis points (type III) get the kind of their orbit: H is invariant
+    under the group, so the signs of the Hessian's eigenvalues are those at
+    the type III direction s of the member's ``inert_directions`` that is
+    an image g u (``_type_three_kinds``, built once per member): positive
+    definite is a minimum, negative definite a maximum, anything else,
+    a zero eigenvalue within rounding included, a saddle.  The value and
+    the statistic are computed at u.  The type comes from the classifier
+    of :func:`find_extrema` under the same group (trivial for a set without
+    a frame, which keeps only its antipodes), so a point within AXIS_RADIUS
+    of an axis or antipode is classified as that point.  Vectors R member
+    are classified as the member at R^T u.
     """
     member, rotation = povm.frame or (povm, IDENTITY)
     if rotation is not IDENTITY:
         seen = BlochVector.from_array(rotation.T @ u.as_array())     # where the member sees u
         return replace(classify_inert_point(seen, member), location=u)
     value = entropy_at(u, povm)
-    label, stat = _type_of_point(u, povm, povm.symmetry_group)
+    label, stat, images = _type_of_point(u, povm, povm.symmetry_group)
     if label == "non-inert":
         raise ValueError("point is not on a rotation axis of the POVM symmetry")
     if label == "I":
@@ -622,14 +669,12 @@ def classify_inert_point(u: BlochVector, povm: HsPovm) -> CriticalPoint:
         kind = "min" if stat > 1.0 else "max"
         return CriticalPoint(location=u, value=value, kind=kind,
                              type_label="II", classifier_statistic=stat)
-    # type III: the signs of the Hessian's eigenvalues
-    arr, coords = u.as_array()[None, :], povm.matrix()
-    x = _half_gaps(arr, coords)
-    _, d1, d2 = SHANNON.summand_at_x(float, np.log)
-    _, ((h11, h12), (_, h22)) = _local_model(coords, _tangent_frames(arr), x, d1(x), d2(x))
-    det = h11[0] * h22[0] - h12[0] * h12[0]
-    kind = "saddle" if det <= 0.0 else "min" if h11[0] > 0.0 else "max"
-    return CriticalPoint(location=u, value=value, kind=kind,
+    # type III: the kind of u's orbit, that of the member's direction s
+    # nearest to an image g u (within AXIS_RADIUS of it; other orbits are far)
+    seeds, kinds = _type_three_kinds(member)
+    gaps = images[:, None, :] - seeds
+    nearest = int(np.argmin(np.add.reduce(gaps * gaps, axis=-1))) % len(kinds)
+    return CriticalPoint(location=u, value=value, kind=kinds[nearest],
                          type_label="III", classifier_statistic=stat)
 
 

@@ -346,6 +346,22 @@ class TestClassifier:
             with pytest.raises(ValueError, match="not on a rotation axis"):
                 classify_inert_point(off_axis(axis.as_array(), 1e-5), povm)
 
+    @pytest.mark.parametrize("rotated", [False, True], ids=["canonical", "rotated"])
+    def test_great_circle_of_a_pair_is_saddles(self, rotated):
+        # the 2-gon's +-y and +-z, and the digon's +-x and +-y (the same pair
+        # turned), lie on the great circle of maxima, flat along itself: the
+        # Hessian's zero eigenvalue is rounding of either sign, and a saddle.
+        # A pair's frame is any turn about it, so the points are carried by R
+        q = _random_rotation(17) if rotated else np.eye(3)
+        for name, axes in (("2-gon", (1, 2)), ("digon", (1, 2))):
+            canonical = make_hs_povm(name)
+            povm = HsPovm.from_json(json.dumps({"vectors": (canonical.matrix() @ q.T).tolist(),
+                                                "family": name}))
+            directions, rotation = inert_directions(canonical), povm.frame[1]
+            for u in [sign * directions[i].as_array() for i in axes for sign in (1.0, -1.0)]:
+                point = classify_inert_point(BlochVector.from_array(rotation @ u), povm)
+                assert (point.type_label, point.kind) == ("III", "saddle"), (name, u)
+
 
 class TestLandscape:
     def test_samples_and_bounds(self):
@@ -523,6 +539,28 @@ class TestCircleSearchWork:
         assert 2 * spacing <= arc[-1] * spacing - math.pi * (j + 1) / n <= 3 * spacing + 1e-12
         assert np.array_equal(entropy._circle_arc(TRIVIAL_GROUP, a, b, grid),
                               np.arange(-1, grid + 1))
+
+    def test_grid_is_built_once(self, monkeypatch):
+        # every canonical rectangle has the z = 0 circle and D2: one grid
+        # for both angles and a repeat, and the same output after a clear
+        entropy._circle_grid.cache_clear()
+        arcs = []
+        arc = entropy._circle_arc
+        monkeypatch.setattr(entropy, "_circle_arc", lambda *args: arcs.append(args) or arc(*args))
+
+        def located():
+            return [repr(find_extrema(make_rectangle_povm(alpha), "min")) for alpha in (0.8, 1.4)]
+
+        first = located()
+        assert located() == first and len(arcs) == 1
+        entropy._circle_grid.cache_clear()
+        assert located() == first and len(arcs) == 2
+
+    def test_grid_and_normal_refuse_writes(self):
+        normal = make_rectangle_povm(0.8).plane_normal
+        for array in (normal, *entropy._circle_grid(12_500, "D2", normal.tobytes())):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
 
 class TestNewtonRefinement:
@@ -958,7 +996,7 @@ def _inert_points(family, n_rectangles, labels):
     catalog whose type is among ``labels``."""
     for povm in _inert_povms(family, n_rectangles):
         for u in inert_directions(povm):
-            label, stat = _type_of_point(u, povm, povm.symmetry_group)
+            label, stat, _ = _type_of_point(u, povm, povm.symmetry_group)
             if label in labels:
                 yield povm, u, stat
 
@@ -1000,6 +1038,77 @@ def test_type_iii_kind_matches_the_geodesic_fan(family):
         assert classify_inert_point(u, povm).kind == expected
 
 
+def _kind_by_eigenvalues(u, coords):
+    """The kind at u from numpy's eigenvalues of the local model's Hessian,
+    one within k eps sum_j (|h'| + |h''|) of zero making a saddle."""
+    _, d1, d2 = SHANNON.summand_at_x(float, np.log)
+    x = _half_gaps(u[None, :], coords)
+    h1, h2 = d1(x), d2(x)
+    _, hessian = _local_model(coords, _tangent_frames(u[None, :]), x, h1, h2)
+    low, high = np.linalg.eigvalsh([[hessian[a][b][0] for b in range(2)] for a in range(2)])
+    if min(abs(low), abs(high)) <= len(coords) * np.finfo(float).eps * np.sum(abs(h1) + abs(h2)):
+        return "saddle"
+    return "min" if low > 0.0 else "max" if high < 0.0 else "saddle"
+
+
+TYPE_THREE_INPUTS = {**{name: (lambda name=name: make_hs_povm(name))
+                        for name in (*ALL_FAMILIES, *(f"{n}-gon" for n in range(2, 13)))},
+                     **{f"rectangle {alpha}": (lambda alpha=alpha: make_rectangle_povm(alpha))
+                        for alpha in (0.7, 1.4)}}
+
+
+def _axis_points(group) -> np.ndarray:
+    """+-the axis of each element but the identity: numpy's eigenvector of
+    eigenvalue 1."""
+    axes = []
+    for g in group.elements:
+        if np.trace(g) < 3.0 - 1e-9:
+            values, vectors = np.linalg.eig(g)
+            axis = np.real(vectors[:, np.argmin(np.abs(values - 1.0))])
+            axes += [axis / np.linalg.norm(axis), -axis / np.linalg.norm(axis)]
+    return np.array(axes)
+
+
+@pytest.mark.parametrize("name", list(TYPE_THREE_INPUTS))
+def test_type_three_kinds_are_orbit_invariants(monkeypatch, name):
+    """The kind of the table at each type III direction s of a member holds
+    at every image R g s, canonical (R = 1) and in a rotated file, by the
+    Hessian there; those images are every type III axis point; the pair's
+    flat great circle is saddles; and a repeated classification forms no
+    Hessian."""
+    canonical = TYPE_THREE_INPUTS[name]()
+    rotated = HsPovm.from_json(json.dumps({
+        "vectors": (canonical.matrix() @ _random_rotation(31).T).tolist(),
+        "family": canonical.family}))
+    member = canonical.frame[0]
+    seeds, kinds = entropy._type_three_kinds(member)
+    # the cuboctahedron's and icosidodecahedron's 2-fold direction is a
+    # vertex, and so its antipode (type I)
+    assert kinds or name in ("cuboctahedron", "icosidodecahedron")
+    if name in ("digon", "2-gon"):
+        assert kinds == ("saddle", "saddle")
+    group = member.symmetry_group
+    images = np.array([group.elements @ s for s in seeds]).reshape(-1, 3)
+    for u in _axis_points(group):
+        if _type_of_point(BlochVector.from_array(u), member, group)[0] == "III":
+            assert np.min(np.linalg.norm(images - u, axis=1)) < 1e-9
+    cases = []
+    for povm in (canonical, rotated):
+        rotation = povm.frame[1]
+        for s, kind in zip(seeds, kinds):
+            for u in (group.elements @ s) @ rotation.T:
+                assert _kind_by_eigenvalues(u, povm.matrix()) == kind
+                cases.append((BlochVector.from_array(u), povm, kind))
+    first = [classify_inert_point(u, povm) for u, povm, _ in cases]
+    assert [(c.type_label, c.kind) for c in first] == [("III", kind) for _, _, kind in cases]
+    hessians = []
+    local_model = entropy._local_model
+    monkeypatch.setattr(entropy, "_local_model", lambda *args: hessians.append(args)
+                        or local_model(*args))
+    assert [classify_inert_point(u, povm) for u, povm, _ in cases] == first
+    assert hessians == []
+
+
 def _type_by_loop(u, povm, group):
     """The classifier of find_extrema with the stabilizer found by a loop over
     the group elements."""
@@ -1028,7 +1137,7 @@ def test_type_of_point_matches_loop_reference(family):
     labels = set()
     for p in points:
         u = BlochVector.from_array(p / np.linalg.norm(p))
-        label, stat = _type_of_point(u, povm, group)
+        label, stat, _ = _type_of_point(u, povm, group)
         assert label == _type_by_loop(u, povm, group)
         assert math.isnan(stat) == (label in ("I", "non-inert"))
         labels.add(label)
