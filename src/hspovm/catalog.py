@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -21,7 +20,7 @@ import numpy as np
 
 from .bloch import BlochVector
 from .groups import RotationGroup, _location_order, generate_group, orbit
-from .q5 import GOLDEN, TAU, Q5, dot
+from .q5 import GOLDEN, TAU
 
 CENTROID_TOL = 1e-12
 DESIGN_T_MAX = 5         # highest degree of the float design check
@@ -38,8 +37,9 @@ class FamilySpec:
 
     The family is the orbit of ``seed``, ``k`` vectors, under the group
     ``group`` ("C" is C_n for the n-gon, any k).  ``seed`` and ``probes``
-    are exact (ints and :class:`hspovm.q5.Q5`; floats through ``float()``),
-    and the exact orbit and node set {-gv . v} are computed from them.
+    are exact (ints and :class:`hspovm.q5.Q5`; floats through ``float()``):
+    the exact orbit, nodes and expansion they fix are built once, in a
+    :class:`hspovm.certificate.FamilyRecord`.
     ``strategy`` names the proof of a non-constant bound (candidates or
     sturm; see :mod:`hspovm.certificate`), which expands in the invariants
     ``basis`` through the exact expansion matrix solved at the ``probes``
@@ -99,43 +99,6 @@ def family_spec(name: str) -> FamilySpec | None:
     if name == "ngon" or (name.endswith("-gon") and name[:-4].isdigit()):
         name = "n-gon"
     return FAMILY_SPECS.get(name)
-
-
-@lru_cache(maxsize=None)
-def exact_orbit(name: str) -> tuple:
-    """The distinct images g s of the family's exact seed s under its exact
-    group, in group order (every family but the n-gon)."""
-    seed = tuple(map(Q5.of, FAMILY_SPECS[name].seed))
-    group = _group_of_tag(FAMILY_SPECS[name].group)
-    return tuple(dict.fromkeys(tuple(dot(row, seed) for row in g) for g in group.exact))
-
-
-@lru_cache(maxsize=None)
-def exact_node_counts(name: str) -> tuple:
-    """((t, n), ...): the sorted distinct values t = -(g s) . s / (s . s)
-    and the number n of orbit vectors g s at each."""
-    seed = exact_orbit(name)[0]         # the identity comes first
-    counts = Counter(-dot(v, seed) / dot(seed, seed) for v in exact_orbit(name))
-    return tuple(sorted(counts.items()))
-
-
-@lru_cache(maxsize=None)
-def exact_nodes(name: str) -> tuple:
-    """The sorted distinct values -(g s) . s / (s . s): the exact node set."""
-    return tuple(t for t, _ in exact_node_counts(name))
-
-
-@lru_cache(maxsize=None)
-def exact_design_order(name: str) -> int:
-    """Design order of the family's exact orbit: the largest t with
-    sum_{v in orbit} P_s(v . s / (s . s)) = 0 for s = 1..t, in Q(sqrt 5).
-    By the addition theorem (Delsarte, Goethals and Seidel 1977) the orbit
-    is a t-design exactly then (one row of its Gram matrix speaks for all,
-    as the group is transitive); no finite set is a design of every order."""
-    orbit = exact_orbit(name)
-    cosines = np.array([dot(v, orbit[0]) / dot(orbit[0], orbit[0]) for v in orbit],
-                       dtype=object)
-    return next(s for s, total in enumerate(_legendre_sums(cosines)) if total != 0)
 
 
 def _legendre_sums(cosines):
@@ -266,7 +229,7 @@ class HsPovm:
         return cls(vectors=tuple(BlochVector(*row) for row in coords.tolist()), family=family)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _group_of_tag(tag: str) -> RotationGroup:
     name, _, n = tag.partition("_")         # "C_5" is C with n = 5
     return generate_group(name, int(n) if n else None)

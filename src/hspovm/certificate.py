@@ -2,7 +2,8 @@
 
 The pipeline, per family:
 
-1. take the node set T = {-gv . v} of the orbit (catalog);
+1. take the node set T = {-gv . v} of the orbit (but for the n-gon, from
+   the :class:`FamilyRecord` of what the family fixes for every kernel);
 2. build the Hermite interpolant p of the entropy summand h on T, with
    value+derivative matching at interior nodes and value-only at +-1
    (h' blows up at -1);
@@ -15,7 +16,7 @@ The pipeline, per family:
 5. show -v is a global minimizer of P: constant when deg p <= t, by the
    paper's Michel bound on deg p (groups.degree_bound, or alpha when p
    reproduces h) and the orbit's design order t (on the circle for
-   polygons, t = n - 1; otherwise catalog.exact_design_order) -- polygons,
+   polygons, t = n - 1; otherwise the family record's) -- polygons,
    tetrahedron, octahedron, icosahedron; else by the family's decider in
    the registry (:class:`hspovm.catalog.FamilySpec`): on interval
    enclosures of its coefficients in the primary invariants, P restricted
@@ -53,13 +54,14 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from operator import mul
 
 import numpy as np
 from mpmath.ctx_iv import MPIntervalContext
 
 from .bloch import EntropyKernel, SHANNON
-from .catalog import (FAMILY_SPECS, HsPovm, _member, check_family_geometry, exact_design_order,
-                      exact_node_counts, exact_nodes, exact_orbit, family_spec)
+from .catalog import (FAMILY_SPECS, HsPovm, _group_of_tag, _legendre_sums, _member,
+                      check_family_geometry, family_spec)
 from .groups import degree_bound, double_coset_profile, stabilizer
 from .invariants import (J15_SQUARED_TERMS, evaluate_invariant, i6_prime, i10,
                          invariant_degree)
@@ -136,6 +138,78 @@ class HermiteCertificate:
 
 
 # --------------------------------------------------------------------------
+# The family record: what a registry family fixes, exactly, for every kernel
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FamilyRecord:
+    """The exact facts of a registry family (not the n-gon) that each of its
+    certificates reads, whatever the kernel, from its FamilySpec."""
+
+    orbit: tuple                # the distinct images g s of the exact seed s, s first
+    node_counts: tuple          # ((t, n), ...): the sorted nodes -(g s) . s / (s . s), n at each
+    degree: int                 # deg p of the interpolant on the nodes
+    design_order: int
+    centrally_symmetric: bool   # 1 is a node: -s is in the orbit
+    probe_invariants: tuple     # (1, I_1, ...) at each unit probe; () without a basis
+    expansion: tuple            # (L_0, L_2, ...): L_i for even i <= degree; () without a basis
+    unique: bool                # the moment search rules out a stray minimizer
+
+
+@lru_cache(maxsize=None)        # keyed by the registry: at most one record per family
+def _family_record(name: str) -> FamilyRecord:
+    """The family's record, built on first use.  The design order is the
+    largest t with sum_{v in orbit} P_s(v . s / (s . s)) = 0 for s = 1..t:
+    by the addition theorem (Delsarte, Goethals and Seidel 1977) the orbit
+    is a t-design exactly then (the group is transitive, so one row of the
+    Gram matrix speaks for all), and no finite set is a design of every
+    order.  p has a simple node at +-1, else double.
+
+    The expansion solves sum_j (v_j . x)^i = L_i . (1, I_1(x), ...) on the
+    unit sphere by Gauss-Jordan elimination at the probes S.  Both sides
+    are homogeneous: the left is sum_j ((v_j . S)^2 / (v_j . v_j S . S))^(i/2)
+    and the right reads the probe invariants I_d(S) / (S . S)^(d/2), with
+    no square root, as every basis invariant has even degree d.  The odd
+    power sums of a centrally symmetric orbit vanish."""
+    spec = FAMILY_SPECS[name]
+    seed = tuple(map(Q5.of, spec.seed))
+    orbit = tuple(dict.fromkeys(tuple(dot(row, seed) for row in g)
+                                for g in _group_of_tag(spec.group).exact))
+    cosines = [dot(v, seed) / dot(seed, seed) for v in orbit]
+    counts = tuple(sorted(Counter(-c for c in cosines).items()))
+    nodes = tuple(t for t, _ in counts)
+    design = next(s for s, total in enumerate(_legendre_sums(np.array(cosines, dtype=object)))
+                  if total != 0)
+    symmetric = 1 in nodes
+    degree = sum(1 if t in (-1, 1) else 2 for t in nodes) - 1
+    invariants = expansion = ()
+    if spec.basis:
+        if not symmetric:
+            raise ValueError(f"the {name} orbit is not centrally symmetric")
+        probes = [tuple(map(Q5.of, probe)) for probe in spec.probes]
+        invariants = tuple((Q5(1),) + tuple(evaluate_invariant(b, s, tau=GOLDEN)
+                                            / dot(s, s) ** (invariant_degree(b) // 2)
+                                            for b in spec.basis) for s in probes)
+        m = []                                  # rows [invariants | power sums]
+        for s, row in zip(probes, invariants):  # n c^(i/2) per distinct squared cosine c
+            squares = Counter(dot(v, s) ** 2 / (dot(seed, seed) * dot(s, s)) for v in orbit)
+            powers = [accumulate([c] * (degree // 2), mul, initial=Q5(n))
+                      for c, n in squares.items()]
+            m.append(list(row) + [sum(column, Q5()) for column in zip(*powers)])
+        for c in range(len(m)):
+            pivot = next(r for r in range(c, len(m)) if m[r][c] != 0)
+            m[c], m[pivot] = m[pivot], m[c]
+            m[c] = [x / m[c][c] for x in m[c]]
+            m = [row if r == c or row[c] == 0 else [x - row[c] * y for x, y in zip(row, m[c])]
+                 for r, row in enumerate(m)]
+        expansion = tuple(tuple(row[len(m) + j] for row in m) for j in range(degree // 2 + 1))
+    return FamilyRecord(
+        orbit=orbit, node_counts=counts, degree=degree, design_order=design,
+        centrally_symmetric=symmetric, probe_invariants=invariants, expansion=expansion,
+        unique=not _moment_constrained_feasible(nodes, len(orbit), design, symmetric))
+
+
+# --------------------------------------------------------------------------
 # Hermite interpolation, in interval arithmetic
 # --------------------------------------------------------------------------
 
@@ -191,7 +265,7 @@ def _member_nodes(member: HsPovm, ctx) -> tuple:
     multiplicity: 1 at +-1, else 2, number of orbit dots -g v . v there).
     An n-gon's are -cos(2 pi j/n) = sin(pi (4j - n)/(2n)), j = 0..n/2,
     exactly 0 at 4j = n and +-1 at the ends by index, each the dot of j and
-    n - j; any other member's are its exact nodes."""
+    n - j; any other member's are its family record's."""
     spec = family_spec(member.family)
     if spec.group == "C":
         n, nodes = member.k, []
@@ -201,7 +275,7 @@ def _member_nodes(member: HsPovm, ctx) -> tuple:
             nodes.append((float(t.mid), t, m, m))
         return tuple(nodes)
     return tuple((float(t), t.lift(ctx), 1 if t in (-1, 1) else 2, n)
-                 for t, n in exact_node_counts(spec.name))
+                 for t, n in _family_record(spec.name).node_counts)
 
 
 # --------------------------------------------------------------------------
@@ -271,52 +345,10 @@ def assemble_lower_bound(povm: HsPovm, p: HermitePolynomial):
     return evaluator
 
 
-@lru_cache(maxsize=None)
-def _probe_invariants(name: str) -> tuple:
-    """(1, I_1, ...) of the family's basis at the unit vector along each
-    registry probe S, exactly: I_d(S) / (S . S)^(d/2), no square root, as
-    every basis invariant has even degree d."""
-    spec = FAMILY_SPECS[name]
-    return tuple((Q5(1),) + tuple(evaluate_invariant(b, s, tau=GOLDEN)
-                                  / dot(s, s) ** (invariant_degree(b) // 2) for b in spec.basis)
-                 for s in (tuple(map(Q5.of, probe)) for probe in spec.probes))
-
-
-@lru_cache(maxsize=None)
-def _expansion_matrix(name: str, degree: int) -> dict:
-    """The exact expansion matrix of a family with an invariant basis,
-    {i: L_i} for even i <= degree: sum_j (v_j . x)^i = L_i . (1, I_1(x), ...)
-    on the unit sphere for the family's basis invariants I_d, by Gauss-Jordan
-    elimination at the probes.  Both sides are homogeneous, so at a probe S
-    the left side is sum_j ((V_j . S)^2 / (V_j . V_j S . S))^(i/2), and the
-    right side reads :func:`_probe_invariants`.  The odd power sums of the
-    (checked) centrally symmetric orbit vanish."""
-    orbit = exact_orbit(name)
-    if 1 not in exact_nodes(name):             # -s is not in the orbit
-        raise ValueError(f"the {name} orbit is not centrally symmetric")
-    m = []                                  # rows [invariants | power sums]
-    for probe, invariants in zip(FAMILY_SPECS[name].probes, _probe_invariants(name)):
-        s = tuple(map(Q5.of, probe))
-        m.append(list(invariants))
-        cosines = Counter(dot(v, s) ** 2 / (dot(orbit[0], orbit[0]) * dot(s, s)) for v in orbit)
-        terms = [Q5(n) for n in cosines.values()]   # n c^(i/2) per distinct squared cosine c
-        for _ in range(0, degree + 1, 2):
-            m[-1].append(sum(terms, Q5()))
-            terms = [t * c for t, c in zip(terms, cosines)]
-    size = len(m)
-    for c in range(size):
-        pivot = next(r for r in range(c, size) if m[r][c] != 0)
-        m[c], m[pivot] = m[pivot], m[c]
-        m[c] = [x / m[c][c] for x in m[c]]
-        m = [row if r == c or row[c] == 0 else [x - row[c] * y for x, y in zip(row, m[c])]
-             for r, row in enumerate(m)]
-    return {i: tuple(row[size + i // 2] for row in m) for i in range(0, degree + 1, 2)}
-
-
-def _expand(expansion: dict, mono, lift) -> list:
-    """sum_i c_i L_i for the ascending monomial coefficients c_i, with each
-    exact entry of L taken through ``lift`` into the arithmetic of the c_i."""
-    return [sum(mono[i] * lift(row[d]) for i, row in expansion.items())
+def _expand(expansion: tuple, mono, lift) -> list:
+    """sum_i c_i L_i over even i for the ascending monomial coefficients c_i,
+    each exact entry of (L_0, L_2, ...) taken through ``lift`` into their arithmetic."""
+    return [sum(c * lift(row[d]) for c, row in zip(mono[::2], expansion))
             for d in range(len(expansion[0]))]
 
 
@@ -324,7 +356,8 @@ def expand_in_invariants(povm: HsPovm, evaluator) -> dict:
     """Coefficients of the orbit sum sum_j p(v_j . u) restricted to the
     sphere in the family's primary invariants: float(sum_i c_i L_i) for
     the coefficients c_i of the interpolant p of ``evaluator`` (from
-    :func:`assemble_lower_bound`) and the family's exact expansion matrix.
+    :func:`assemble_lower_bound`) and the exact expansion matrix of the
+    family's record, up to its interpolant's degree (a higher p is refused).
 
     The orbit-sum normalization, i.e. (k/2)(P - ln(k/2)), is the one in
     which the family constants are usually quoted; signs and the ratio
@@ -335,16 +368,16 @@ def expand_in_invariants(povm: HsPovm, evaluator) -> dict:
     spec = check_family_geometry(povm)[0]
     if not spec.basis:
         raise ValueError(f"no invariant expansion defined for {spec.name!r}")
-    c = evaluator.polynomial.coefficients
-    expansion = _expansion_matrix(spec.name, len(c) - 1)
-    return dict(zip("ABCD", map(float, _expand(expansion, c, float))))
+    c, record = evaluator.polynomial.coefficients, _family_record(spec.name)
+    if len(c) - 1 > record.degree:
+        raise ValueError(f"p of degree {len(c) - 1} exceeds the {spec.name} interpolant's")
+    return dict(zip("ABCD", map(float, _expand(record.expansion, c, float))))
 
 
 # --------------------------------------------------------------------------
 # Uniqueness bookkeeping (exact arithmetic in Q(sqrt 5))
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
 def _moment_constrained_feasible(exact_nodes: tuple, k: int, design_order: int,
                                  centrally_symmetric: bool) -> bool:
     """Whether the node multiset equations admit a solution avoiding -1.
@@ -360,8 +393,7 @@ def _moment_constrained_feasible(exact_nodes: tuple, k: int, design_order: int,
     an integer pair (a, b), a + b sqrt 5, so moment s times (s + 1) d^s is
     an equation in integer pairs.  The search prunes by the exact sign of
     a pair and tests the equations at its leaves, in integers alone.  The
-    verdict does not depend on the kernel, so it is memoized on these
-    exact arguments.
+    verdict does not depend on the kernel: a family's is kept in its record.
     """
     d = math.lcm(*(node.d for node in exact_nodes))
     usable = sorted((node * d for node in exact_nodes
@@ -433,8 +465,7 @@ def _interval_coefficients(name: str, mono):
     monomial coefficients c_i of the interpolant on the exact nodes and the
     exact expansion matrix L, in the interval context of the c_i."""
     ctx = mono[0].ctx
-    expansion = _expansion_matrix(name, len(mono) - 1)
-    return GOLDEN.lift(ctx), _expand(expansion, mono, lambda q: q.lift(ctx))
+    return GOLDEN.lift(ctx), _expand(_family_record(name).expansion, mono, lambda q: q.lift(ctx))
 
 
 def _positivity(B, C, D, tau):
@@ -505,7 +536,7 @@ def _candidate_comparison(spec, coefficients, tau):
     orbit, the seed's, must undercut all the others."""
     ctx = tau.ctx
     values = [sum(c * i.lift(ctx) for c, i in zip(coefficients, invariants))
-              for invariants in _probe_invariants(spec.name)]
+              for invariants in _family_record(spec.name).probe_invariants]
     fields = {}
     if len(coefficients) == 3:
         A, B, C = coefficients
@@ -562,6 +593,7 @@ def _orbit_min_step(member: HsPovm, kernel: EntropyKernel, mono) -> tuple:
 def _member_certificate(label: str, k: int, kernel: EntropyKernel) -> HermiteCertificate:
     """The certificate of the registry member _member(label, k), memoized."""
     spec, member = family_spec(label), _member(label, k)
+    record = None if spec.group == "C" else _family_record(spec.name)
     enclosed, mono = _exact_interpolant(member, kernel, INTERVAL_PRECISIONS[0])
     nodes = tuple((t, m) for t, _, m, _ in enclosed)
     poly = HermitePolynomial(coefficients=tuple(float(c.mid) for c in mono), nodes=nodes)
@@ -572,7 +604,7 @@ def _member_certificate(label: str, k: int, kernel: EntropyKernel) -> HermiteCer
     degree = (kernel.polynomial_degree() if sign == 0 else
               degree_bound(double_coset_profile(group, v), k, stabilizer(group, v).order))
     # the design order on the domain of the minimizers: the circle for an n-gon
-    design = member.k - 1 if spec.group == "C" else exact_design_order(spec.name)
+    design = member.k - 1 if record is None else record.design_order
     # P(-v) = ln(k/2) + (2/k) sum_j p(-v . v_j), and p = h at every dot
     ctx = mono[0].ctx
     h = kernel.summand(ctx.mpf, ctx.log)[0]
@@ -597,15 +629,13 @@ def _member_certificate(label: str, k: int, kernel: EntropyKernel) -> HermiteCer
         # alpha): the bound is an identity and minimizers degenerate
         uniqueness = False
         reason = reason or "kernel reproduced exactly; minimizers not isolated"
-    elif spec.group == "C":
-        # parity: T = {cos(pi + 2 pi j/n)}, so a circle point whose dot with
-        # the fiducial lies in T sits at an angle m pi/n from it with
-        # m = n (mod 2), on the antipodal orbit (minimizers are confined to
-        # the circle because H is concave on the Bloch ball and planar here)
-        uniqueness = True
     else:
-        exact = exact_nodes(spec.name)      # node 1: -v is in the orbit
-        uniqueness = not _moment_constrained_feasible(exact, member.k, design, 1 in exact)
+        # a polygon's by parity: T = {cos(pi + 2 pi j/n)}, so a circle point
+        # whose dot with the fiducial lies in T sits at an angle m pi/n from
+        # it with m = n (mod 2), on the antipodal orbit (minimizers are
+        # confined to the circle because H is concave on the Bloch ball and
+        # planar here); any other family's is its record's
+        uniqueness = record is None or record.unique
     if not uniqueness:
         reason = reason or "uniqueness bookkeeping admits a stray minimizer"
 

@@ -498,6 +498,8 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
     Points within 1e-4 rad of a lower one are dropped, the rest re-centred
     on the inert point they lie on, and those within 1e-8 of the best value
     returned.  Either way the points are sorted by their coordinates.
+    The classifier statistic, s = 1 + tr Hess H, is Shannon's: under any
+    other kernel it is NaN, the field's "no statistic".
     """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
@@ -516,7 +518,8 @@ def find_extrema(povm: HsPovm, mode: str = "min", n_scan: int = DEFAULT_GRID,
         tops = ([s * normal + 0.0 for s in (1.0, -1.0)] if normal is not None   # no -0.0
                 else _tangent_frames(coords[:1])[0])
         return _by_location([CriticalPoint(u, value, mode, *_type_of_point(
-            u, povm, povm.symmetry_group)[:2]) for u in map(BlochVector.from_array, tops)])
+            u, povm, povm.symmetry_group, kernel)[:2])
+                             for u in map(BlochVector.from_array, tops)])
     return _scan_extrema(povm, mode, n_scan, kernel, N_CANDIDATES)
 
 
@@ -561,7 +564,7 @@ def _scan_extrema(povm: HsPovm, mode: str, n_scan: int, kernel: EntropyKernel,
     out = []
     for p, value, converged in located:
         u = BlochVector.from_array(p)
-        label, stat, _ = _type_of_point(u, povm, group)
+        label, stat, _ = _type_of_point(u, povm, group, kernel)
         out.append(CriticalPoint(location=u, value=float(sign * value),
                                  kind=mode, type_label=label,
                                  classifier_statistic=stat,
@@ -576,8 +579,10 @@ def _by_location(points: list) -> list:
     return points
 
 
-def _type_of_point(u: BlochVector, povm: HsPovm, group: RotationGroup) -> tuple:
-    """The type of u, its statistic s (NaN for I and non-inert) and its
+def _type_of_point(u: BlochVector, povm: HsPovm, group: RotationGroup,
+                   kernel: EntropyKernel = SHANNON) -> tuple:
+    """The type of u, its statistic s (NaN for I, non-inert and under any
+    kernel but Shannon's, for which s = 1 + tr Hess H holds) and its
     images g u (None for I), formed once: u within AXIS_RADIUS of an
     antipode is on it, and the elements moving u by less than AXIS_RADIUS
     (a net looser than the ~1e-8 of refined extrema) fix it, and each orbit
@@ -594,7 +599,7 @@ def _type_of_point(u: BlochVector, povm: HsPovm, group: RotationGroup) -> tuple:
             if np.min(ts) > -1.0 + 1e-15 else -math.inf)    # type I geometry: inapplicable
     # the rotations fixing u turn about u, a cyclic group: more than two of
     # them means one of order > 2 (and its inverse, which moves u as far)
-    return ("II" if fixing > 2 else "III"), stat, images
+    return ("II" if fixing > 2 else "III"), stat if kernel == SHANNON else math.nan, images
 
 
 def _hessian_kinds(points: np.ndarray, coords: np.ndarray) -> tuple:

@@ -6,21 +6,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import ALL_FAMILIES, POLYHEDRA, povm_for
+from conftest import ALL_FAMILIES, POLYHEDRA, povm_for, record_nodes
 from hspovm.bloch import BlochVector
 from hspovm.catalog import (
     FAMILIES,
     FAMILY_SPECS,
+    TRIVIAL_GROUP,
     HsPovm,
-    exact_nodes,
-    exact_orbit,
+    _group_of_tag,
     interpolation_set,
     make_hs_povm,
     make_rectangle_povm,
     spherical_design_order,
     validate_povm,
 )
+from hspovm.certificate import _family_record
 from hspovm.cli import main
+from hspovm.entropy import find_extrema
 from hspovm.groups import double_coset_profile
 from hspovm.q5 import TAU, Q5
 
@@ -88,11 +90,11 @@ class TestExactRegistry:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_nodes_equal_the_literals(self, family):
         want = tuple(Q5.of(a) + Q5.of(b) * Q5(0, 1) for a, b in NODE_LITERALS[family])
-        assert exact_nodes(family) == want
+        assert record_nodes(family) == want
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_orbit_floats_are_the_vectors(self, family):
-        exact = np.array([[float(c) for c in v] for v in exact_orbit(family)])
+        exact = np.array([[float(c) for c in v] for v in _family_record(family).orbit])
         exact /= np.linalg.norm(exact, axis=1, keepdims=True)
         coords = povm_for(family).matrix()
         gaps = np.linalg.norm(coords[:, None, :] - exact[None, :, :], axis=-1)
@@ -294,7 +296,7 @@ class TestFamilyRegistry:
         widened = 2 if spec.group == "C" else 1
         assert povm.symmetry_group.order == widened * povm.rotation_group().order > 1
         if spec.group != "C":
-            exact = [float(t) for t in exact_nodes(name)]
+            exact = [float(t) for t in record_nodes(name)]
             assert np.max(np.abs(np.array(exact) - interpolation_set(povm))) < 1e-12
         assert len(spec.probes) == (len(spec.basis) + 1 if spec.basis else 0)
         assert spec.k == (None if spec.group == "C" else povm.k)
@@ -375,3 +377,15 @@ class TestSymmetryGroup:
         shifted[0] = [-math.cos(0.001), -math.sin(0.001), 0.0]
         povm = HsPovm(tuple(BlochVector.from_array(v) for v in shifted), "300-gon")
         assert povm.symmetry_group.order == 1
+
+
+def test_group_memo_stays_bounded_over_a_polygon_sweep():
+    # the tags come from callers: each n-gon's maxima are typed under its own
+    # D_n, so a sweep of 70 polygons passes the bound of 64 groups kept; the
+    # trivial group stays the module's constant
+    for n in range(3, 73):
+        maxima = find_extrema(make_hs_povm(f"{n}-gon"), "max")
+        assert sorted(p.location.z for p in maxima) == [-1.0, 1.0]
+    info = _group_of_tag.cache_info()
+    assert info.currsize == info.maxsize == 64
+    assert TRIVIAL_GROUP.name == "C_1" and TRIVIAL_GROUP.order == 1

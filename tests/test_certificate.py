@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import math
@@ -10,15 +11,14 @@ import numpy as np
 import pytest
 from mpmath import iv, mp
 
-from conftest import ALL_FAMILIES, POLYHEDRA, povm_for
+from conftest import ALL_FAMILIES, POLYHEDRA, povm_for, record_nodes
 from hspovm import certificate
 from hspovm.bloch import EntropyKernel, SHANNON
-from hspovm.catalog import (FAMILY_SPECS, HsPovm, exact_design_order, exact_nodes,
-                            exact_orbit, family_spec, interpolation_set, make_hs_povm,
-                            make_rectangle_povm)
+from hspovm.catalog import (FAMILY_SPECS, HsPovm, family_spec, interpolation_set,
+                            make_hs_povm, make_rectangle_povm)
 from hspovm.certificate import (
     HermitePolynomial,
-    _expansion_matrix,
+    _family_record,
     _horner,
     _interpolant,
     _member_certificate,
@@ -234,6 +234,58 @@ class TestExpansions:
         with pytest.raises(ValueError):
             expand_in_invariants(povm, evaluator)
 
+    def test_expansion_reaches_the_family_degree_only(self):
+        # the record's expansion stops at the family's own interpolant
+        # degree: a higher p is refused, a lower one reads as padded by zeros
+        povm, poly = povm_for("cube"), cert_for("cube").polynomial
+        c = poly.coefficients
+        assert len(c) - 1 == _family_record("cube").degree
+
+        def expanded(coefficients):
+            p = HermitePolynomial(coefficients=coefficients, nodes=poly.nodes)
+            return expand_in_invariants(povm, assemble_lower_bound(povm, p))
+
+        with pytest.raises(ValueError, match="exceeds"):
+            expanded(c + (1.0,))
+        assert expanded(c[:-2]) == expanded(c[:-2] + (0.0, 0.0))
+
+
+class TestCandidateComparison:
+    """The candidates decider on synthetic coefficients, exact in binary, so
+    that every sign it takes is decided."""
+
+    @staticmethod
+    def decide(family, *coefficients):
+        ctx = certificate._interval_context(200)
+        ok, reason, fields = certificate._candidate_comparison(
+            FAMILY_SPECS[family], [ctx.mpf(c) for c in coefficients], GOLDEN.lift(ctx))
+        return ok, ast.literal_eval(reason.split("candidate values ")[1]), fields
+
+    @pytest.mark.parametrize("family", ["cube", "dodecahedron"])
+    def test_a_tie_with_the_seed_probe_fails(self, family):
+        # B = 0 makes P the constant A, so every probe ties with the seed's,
+        # which undercuts none; a B of either sign breaks the tie
+        ok, values, _ = self.decide(family, 1.5, 0.0)
+        assert not ok and set(values.values()) == {1.5}
+        assert self.decide(family, 1.5, 1.0)[0] != self.decide(family, 1.5, -1.0)[0]
+
+    def test_the_non_inert_candidate_is_compared_at_its_point(self):
+        # beta = -B/(3C) = 3/8 puts the candidate at (sqrt a, sqrt b, sqrt b)
+        # with a = 4 beta - 1 = 1/2 and b = 1 - 2 beta = 1/4, on the sphere,
+        # where P = A + B I4 + C I6 is -17/64 exactly
+        ok, values, fields = self.decide("cuboctahedron", 0.0, -9 / 8, 1.0)
+        assert fields == {"beta": 0.375}
+        point = (math.sqrt(0.5), 0.5, 0.5)
+        assert values["x4"] == -17 / 64 == pytest.approx(
+            -9 / 8 * evaluate_invariant("I4", point) + evaluate_invariant("I6", point), abs=1e-15)
+        # the seed (0, 1, 1) at -5/16 undercuts it and the other probes
+        assert ok and values["x2"] == -5 / 16 == min(values.values())
+
+    def test_no_non_inert_candidate_outside_its_beta_range(self):
+        # beta = 1/5 < 1/4: a = 4 beta - 1 < 0, so no such point exists
+        ok, values, fields = self.decide("cuboctahedron", 0.0, -0.6, 1.0)
+        assert fields["beta"] == pytest.approx(0.2) and list(values) == ["x1", "x2", "x3"]
+
 
 class TestCertificates:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -372,7 +424,7 @@ class TestUniqueness:
         witness = [Fraction(1)] * 2 + [Fraction(-1, 3)] * 6
         assert [sum(t ** s for t in witness) for s in (1, 2, 3)] == [0, Fraction(8, 3),
                                                                      Fraction(16, 9)]
-        nodes = exact_nodes("cube")
+        nodes = record_nodes("cube")
         assert _moment_constrained_feasible(nodes, 8, 2, False)
         assert not _moment_constrained_feasible(nodes, 8, 2, True)
         assert not _moment_constrained_feasible(nodes, 8, 3, False)
@@ -381,9 +433,9 @@ class TestUniqueness:
     def test_orbit_cosines_meet_the_design_moments(self, family):
         # the orbit's own cosines with the seed have the sphere's power sums
         # k/(s + 1) (even s) and 0 (odd s) for every s <= t, and not at t + 1
-        orbit = exact_orbit(family)
+        orbit = _family_record(family).orbit
         cosines = [dot(v, orbit[0]) / dot(orbit[0], orbit[0]) for v in orbit]
-        k, t = len(orbit), exact_design_order(family)
+        k, t = len(orbit), _family_record(family).design_order
 
         def meets(s):
             target = Fraction(k, s + 1) if s % 2 == 0 else 0
@@ -780,8 +832,9 @@ def test_icosidodecahedron_moments_are_the_sphere_s():
     # a 5-design: sum_j (v_j . x)^i = 30, 10, 6 for i = 0, 2, 4 at unit x,
     # so the expansion rows of these degrees are constants; the odd rows
     # vanish and are not kept
-    expansion = _expansion_matrix("icosidodecahedron", 15)
-    assert sorted(expansion) == list(range(0, 16, 2))
+    record = _family_record("icosidodecahedron")
+    assert record.degree == 15 and len(record.expansion) == 8
+    expansion = dict(zip(range(0, 16, 2), record.expansion))
     for i, sphere in ((0, 30), (2, 10), (4, 6)):
         assert expansion[i] == (sphere, 0, 0, 0)
     assert all(expansion[i][1] != 0 for i in range(6, 16, 2))
@@ -797,9 +850,10 @@ def test_expansion_matrix_is_exact(family):
     # whenever the degree of I_d exceeds i; the odd power sums vanish
     basis = family_spec(family).basis
     degree = sum(m for _, m in certify_minimum(povm_for(family)).nodes) - 1
-    expansion = _expansion_matrix(family, degree)
-    assert sorted(expansion) == list(range(0, degree + 1, 2))
-    orbit = exact_orbit(family)
+    record = _family_record(family)
+    assert record.degree == degree and len(record.expansion) == degree // 2 + 1
+    expansion = dict(zip(range(0, degree + 1, 2), record.expansion))
+    orbit = record.orbit
     square = dot(orbit[0], orbit[0])                      # |v_j|^2, the same for all j
     for point in _rational_points(4, seed=23):
         x = tuple(map(Q5.of, point))
@@ -931,7 +985,7 @@ def reference_feasible(exact_nodes, k, design_order, centrally_symmetric):
 @pytest.mark.parametrize("family", [name for name, spec in FAMILY_SPECS.items()
                                     if spec.group != "C"])
 def test_search_verdicts_match_reference(family, shift):
-    nodes = exact_nodes(family)
+    nodes = record_nodes(family)
     pairs = [(Fraction(t.a, t.d), Fraction(t.b, t.d)) for t in nodes]
     k = povm_for(family).k + shift
     for design_order in range(1, 6):
@@ -966,17 +1020,25 @@ def test_tagged_set_of_another_family_certified_by_its_node_set(family, label, g
     assert repr(cert) == repr(certify_minimum(member))
 
 
-def test_uniqueness_search_shared_across_kernels():
-    # from empty memos: the first kernel's certificate runs the search, the
-    # second's reads it
+def test_uniqueness_search_shared_across_kernels(monkeypatch):
+    # from empty memos: the first kernel's certificate runs the search, at
+    # the family's own arguments, and the second's reads its verdict from
+    # the family record
+    calls, search = [], certificate._moment_constrained_feasible
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(certificate, "_moment_constrained_feasible", counted)
     _member_certificate.cache_clear()
-    _moment_constrained_feasible.cache_clear()
+    _family_record.cache_clear()
     povm = make_hs_povm("icosidodecahedron")
     certify_minimum(povm)
-    assert _moment_constrained_feasible.cache_info()[:2] == (0, 1)     # (hits, misses)
-    certificate = certify_minimum(povm, EntropyKernel("renyi", 1.3))
-    assert certificate.uniqueness_verdict
-    assert _moment_constrained_feasible.cache_info()[:2] == (1, 1)
+    assert calls == [(record_nodes("icosidodecahedron"), 30, 5, True)]
+    renyi = certify_minimum(povm, EntropyKernel("renyi", 1.3))
+    assert renyi.uniqueness_verdict
+    assert len(calls) == 1
 
 
 # --------------------------------------------------------------------------

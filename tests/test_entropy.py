@@ -186,12 +186,17 @@ class TestFindExtrema:
                                         EntropyKernel("tsallis", 2.0)], ids=str)
     def test_max_of_a_pair_is_one_point_of_its_great_circle(self, kernel):
         # {v, -v}: p is uniform on the great circle orthogonal to v, so one
-        # point of it is returned at the uniform value, without a scan
+        # point of it is returned at the uniform value, without a scan; its
+        # statistic is Shannon's, so no other kernel reports one
         for povm in (povm_for("digon"), make_hs_povm("2-gon")):
             (top,) = find_extrema(povm, "max", kernel=kernel)
             assert top.location.as_array() @ povm.matrix()[0] == 0.0
             assert top.value == kernel.entropy_of_dots(np.zeros(2), 2)
-            assert (top.type_label, top.classifier_statistic) == ("III", 0.0)
+            assert top.type_label == "III"
+            if kernel == SHANNON:
+                assert top.classifier_statistic == 0.0
+            else:
+                assert math.isnan(top.classifier_statistic)
 
     def test_max_mode_cube_at_octahedron_vertices(self):
         # H for the cube POVM peaks on the 4-fold axes (the dual orbit)
@@ -202,6 +207,16 @@ class TestFindExtrema:
             assert np.sort(coords)[:2] == pytest.approx([0.0, 0.0], abs=1e-6)
             assert point.type_label == "II"
             assert point.classifier_statistic < 1.0
+
+    def test_only_shannon_maxima_report_a_statistic(self):
+        # s = 1 + tr Hess H is Shannon's: the cube's Renyi 1.4 maxima are
+        # typed as its Shannon maxima, with no statistic
+        cube = povm_for("cube")
+        shannon = find_extrema(cube, "max", n_scan=20_000)
+        renyi = find_extrema(cube, "max", n_scan=20_000, kernel=EntropyKernel("renyi", 1.4))
+        assert [p.type_label for p in renyi] == [p.type_label for p in shannon] == ["II"] * 6
+        assert {p.classifier_statistic for p in shannon} == {0.7603459963009466}
+        assert all(math.isnan(p.classifier_statistic) for p in renyi)
 
 
 class TestRectangle:

@@ -11,10 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sweep_certificates
-from conftest import ALL_FAMILIES, povm_for
+from conftest import ALL_FAMILIES, povm_for, record_nodes
 from hspovm import catalog, certificate, entropy
-from hspovm.catalog import (HsPovm, check_family_geometry, exact_design_order,
-                            exact_nodes, family_spec, make_hs_povm,
+from hspovm.catalog import (HsPovm, check_family_geometry, family_spec, make_hs_povm,
                             make_rectangle_povm, spherical_design_order)
 
 #: the digon, the 7 polyhedra and the 3- to 12-gons
@@ -44,13 +43,15 @@ def _float_central_symmetry(coords) -> bool:
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_exact_design_order_and_symmetry_match_the_float_checks(family):
-    coords = povm_for(family).matrix()
-    assert exact_design_order(family) == spherical_design_order(povm_for(family).vectors)
-    assert (1 in exact_nodes(family)) == _float_central_symmetry(coords)
+    coords, record = povm_for(family).matrix(), certificate._family_record(family)
+    assert record.design_order == spherical_design_order(povm_for(family).vectors)
+    assert record.centrally_symmetric == (1 in record_nodes(family))
+    assert record.centrally_symmetric == _float_central_symmetry(coords)
 
 
 def test_exact_design_orders():
-    assert [exact_design_order(f) for f in ALL_FAMILIES] == [1, 2, 3, 3, 3, 5, 5, 5]
+    assert ([certificate._family_record(f).design_order for f in ALL_FAMILIES]
+            == [1, 2, 3, 3, 3, 5, 5, 5])
 
 
 class TestCheckFamilyGeometry:
